@@ -460,11 +460,11 @@ class JobExecution:
                       rows: np.ndarray, vals: np.ndarray, key) -> None:
         """Reduce one staged group into its property in canonical order.
 
-        The array-native path produces *identical* results through a cached
-        stable row sort, one complex-key stable sort and a singleton/multi
-        split apply (see :func:`repro.core.routing_plan.canonical_apply`),
-        so the staged reduction stays bit-for-bit the same as the plain
-        lexsort-then-``ufunc.at``.
+        The array-native path (:func:`repro.core.routing_plan.canonical_apply`)
+        applies order-insensitive operators directly and sorts only float
+        SUM and OVERWRITE, through a cached stable row sort and one
+        complex-key stable sort — bit for bit the plain
+        lexsort-then-``ufunc.at`` below.
         """
         target = self.machines[machine_index].props[prop]
         if not self.content_sorted:

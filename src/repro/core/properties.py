@@ -64,29 +64,26 @@ class ReduceOp(enum.Enum):
         else:  # pragma: no cover
             raise AssertionError(self)
 
-    def apply_unique(self, target: np.ndarray, idx: np.ndarray, values) -> None:
-        """Reduce ``values`` into ``target[idx]`` for *duplicate-free* ``idx``.
+    def order_insensitive(self, dtype) -> bool:
+        """Whether reducing into a ``dtype`` target gives the same bits for
+        every order of the contributions, so a staged group needs no
+        canonical order (:func:`repro.core.routing_plan.canonical_apply`).
 
-        One vectorized gather/op/scatter instead of ``ufunc.at``'s sequential
-        per-element loop.  Bit-identical to :meth:`apply_at` when every index
-        is unique — each target element receives exactly one contribution, so
-        buffering cannot lose updates and the rounding is the same single
-        ``op(target[i], v)``.  Callers must guarantee uniqueness.
+        True for MIN, MAX, AND, OR on any dtype and for SUM on integer and
+        bool targets (two's-complement addition wraps around associatively;
+        bool addition is OR).  False for float SUM, whose rounding depends
+        on association, and for OVERWRITE, whose winner is the last writer.
+
+        NaN and signed zero under MIN/MAX: ``np.minimum``/``np.maximum``
+        propagate NaN, so a NaN in any contribution or already in the
+        target yields NaN in every order.  ``-0.0`` and ``+0.0`` compare
+        equal, so which zero survives when both reach one row is
+        unspecified — exactly as under the canonical ``(row, value)`` sort,
+        whose stable order leaves equal-comparing zeros in arrival order.
         """
         if self is ReduceOp.SUM:
-            target[idx] += values
-        elif self is ReduceOp.MIN:
-            target[idx] = np.minimum(target[idx], values)
-        elif self is ReduceOp.MAX:
-            target[idx] = np.maximum(target[idx], values)
-        elif self is ReduceOp.AND:
-            target[idx] = np.logical_and(target[idx], values)
-        elif self is ReduceOp.OR:
-            target[idx] = np.logical_or(target[idx], values)
-        elif self is ReduceOp.OVERWRITE:
-            target[idx] = values
-        else:  # pragma: no cover
-            raise AssertionError(self)
+            return np.dtype(dtype).kind in "biu"
+        return self is not ReduceOp.OVERWRITE
 
     def combine(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise combine of two partial-result arrays (ghost sync)."""

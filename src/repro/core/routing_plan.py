@@ -14,9 +14,18 @@ and memoizes one :class:`ChunkPlan` per ``(csr direction, chunk range, ghost
 visibility)``.  Plans are host-side only — consuming a cached plan performs
 the *same* logical reads/writes/traffic and produces bit-identical results
 and identical simulated times; only the wall clock of the simulator process
-improves.  The active-vertex filter is applied as a mask *on top* of the
-cached plan, so vertex deactivation keeps working (and stays bit-identical:
-stable sorting commutes with subsetting).
+improves.  An active-vertex filter only *subsets* the cached plan
+(:meth:`ChunkPlan.kept`): the per-class arrays are already classified and
+owner-sorted, and stable sorting commutes with subsetting, so a filtered
+chunk re-derives and re-sorts nothing and stays bit-identical.  The generic
+per-chunk derivation in ``vector_kernels`` runs only with
+``routing_plan_cache=False``, as the reference.
+
+The second half of the module is the canonical staged apply
+(:func:`canonical_apply`): staged remote contributions are reduced so that
+the result is a function of the data alone.  Operators whose result cannot
+depend on order skip the sort entirely; float SUM and OVERWRITE are reduced
+in ``(row, value)`` order.
 """
 
 from __future__ import annotations
@@ -43,7 +52,7 @@ class ChunkPlan:
         "local_idx", "local_rows", "local_offsets",
         "ghost_idx", "ghost_rows", "ghost_slots",
         "remote_idx", "remote_offsets", "remote_rows", "bounds", "dest_runs",
-        "_weight_cache", "nbytes",
+        "run_starts", "_weight_cache", "nbytes",
     )
 
     def __init__(self, csr: "LocalCsr", lo: int, hi: int, ghost_ok: bool,
@@ -103,6 +112,7 @@ class ChunkPlan:
                 runs.append((dst, b0, b1, self.remote_offsets[b0:b1],
                              self.remote_rows[b0:b1]))
         self.dest_runs = tuple(runs)
+        self.run_starts = np.array([run[1] for run in runs], dtype=np.intp)
 
         self._weight_cache: dict = {}
         self.nbytes = sum(
@@ -111,6 +121,32 @@ class ChunkPlan:
                 "local_idx", "local_rows", "local_offsets",
                 "ghost_idx", "ghost_rows", "ghost_slots",
                 "remote_idx", "remote_offsets", "remote_rows", "bounds"))
+
+    def kept(self, edge_mask: np.ndarray) -> tuple:
+        """What a vertex filter's ``edge_mask`` keeps of this plan:
+        ``(local, ghost, remote, runs)`` — per class the positions *in that
+        class's arrays* of the surviving edges, and ``dest_runs`` over the
+        surviving remote edges (run bounds index the kept remote arrays).
+
+        Subsetting the pre-classified, owner-sorted arrays keeps their order
+        (stable sorting commutes with subsetting), so nothing is re-derived
+        and nothing is sorted: a kept run's bounds are the running sum of
+        the kept count of each planned run.
+        """
+        keep_remote = edge_mask[self.remote_idx]
+        remote = keep_remote.nonzero()[0]
+        # the plan's runs tile [0, n_remote), so reduceat sees no empty span
+        run_counts = np.add.reduceat(keep_remote.view(np.uint8),
+                                     self.run_starts, dtype=np.intp)
+        offsets, rows = self.remote_offsets[remote], self.remote_rows[remote]
+        runs = []
+        b1 = 0
+        for run, count in zip(self.dest_runs, run_counts.tolist()):
+            if count:
+                b0, b1 = b1, b1 + count
+                runs.append((run[0], b0, b1, offsets[b0:b1], rows[b0:b1]))
+        return (edge_mask[self.local_idx].nonzero()[0],
+                edge_mask[self.ghost_idx].nonzero()[0], remote, tuple(runs))
 
     def weight_split(self, key, edge_data: np.ndarray):
         """Per-class subsets ``(local, ghost, remote-sorted)`` of one edge
@@ -199,38 +235,40 @@ class RoutingPlanCache:
 
 
 # ---------------------------------------------------------------------------
-# Canonical staging order (the content-sorted apply of jobrunner), fast.
+# Canonical staged apply (the content-ordered reduction of jobrunner).
 # ---------------------------------------------------------------------------
 
 
 class StageOrderCache:
     """Per-machine memo of row permutations for the canonical staged apply.
 
-    The staged-apply hot spot sorts (rows, values) lexicographically once
-    per machine per superstep.  The *row* stream of a staging group is
-    iteration-invariant for stationary algorithms (same chunks issue the
-    same remote reads every superstep), so its stable row permutation ``P``
-    and the pre-sorted rows ``rows[P]`` can be reused — verified by an exact
-    ``np.array_equal`` comparison, so a changed row stream (vertex
-    deactivation, different active set) transparently recomputes.  Keyed by
+    Only order-*sensitive* reductions (float SUM, OVERWRITE) reach it: they
+    sort (rows, values) lexicographically once per machine per superstep.
+    The *row* stream of a staging group is iteration-invariant for
+    stationary algorithms (same chunks issue the same remote reads every
+    superstep), so its stable row permutation ``P`` and the pre-sorted rows
+    ``rows[P]`` can be reused — verified by an exact ``np.array_equal``
+    comparison, so a changed row stream transparently recomputes.  Keyed by
     staging-group identity; bounded by wholesale reset, which only ever
     costs one recompute per entry.
     """
 
     __slots__ = ("_entries", "max_entries", "hits", "misses", "_scratch",
-                 "_splits")
+                 "sorted_elements")
 
     def __init__(self, max_entries: int = 32):
         self._entries: dict = {}
         self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
-        #: reusable per-dtype work buffers for the pack-and-sort step —
-        #: staged groups are large (≈ remote edges per superstep), so
-        #: re-allocating them every apply costs real page-fault time
+        #: elements that went through the canonical sort — a host-work
+        #: proxy that repeats bit for bit (0 on MIN/MAX/AND/OR workloads)
+        self.sorted_elements = 0
+        #: reusable per-dtype work buffers for the pack-and-sort step and
+        #: the planned kernels' gathers — they are large (≈ remote edges per
+        #: superstep), so re-allocating them every use costs real
+        #: page-fault time
         self._scratch: dict = {}
-        #: memoized singleton/multi splits of cached sorted row streams
-        self._splits: dict = {}
 
     def scratch(self, n: int, dtype, tag: int = 0) -> np.ndarray:
         """A length-``n`` work view of a persistent per-(dtype, tag) buffer.
@@ -262,120 +300,39 @@ class StageOrderCache:
         self.misses += 1
         return perm, sorted_rows
 
-    def group_split(self, key, sorted_rows: np.ndarray):
-        """Singleton/multi split of a *sorted* row stream, or ``None``.
-
-        Returns ``(ps, pm, rows[ps], rows[pm])`` — positions of rows with
-        exactly one contribution vs. the rest — when singletons make up at
-        least a quarter of the stream (below that the extra gathers cost
-        more than the ``ufunc.at`` elements they save), else ``None``
-        meaning "apply the whole stream sequentially".  Validated by object
-        identity with the row array: the caller passes the cached
-        ``sorted_rows`` from :meth:`lookup`, so a refreshed cache entry
-        transparently recomputes the split."""
-        ent = self._splits.get(key)
-        if ent is not None and ent[0] is sorted_rows:
-            return ent[1]
-        n = len(sorted_rows)
-        eq_next = sorted_rows[1:] == sorted_rows[:-1]
-        multi = np.zeros(n, dtype=bool)
-        multi[1:] = eq_next
-        multi[:-1] |= eq_next
-        ps = np.nonzero(~multi)[0]
-        if len(ps) * 4 < n:
-            out = None
-        else:
-            pm = np.nonzero(multi)[0]
-            out = (ps, pm, sorted_rows[ps], sorted_rows[pm])
-        if len(self._splits) >= self.max_entries:
-            self._splits.clear()
-        self._splits[key] = (sorted_rows, out)
-        return out
-
-
-def canonical_order(rows: np.ndarray, vals: np.ndarray,
-                    cache: "StageOrderCache | None" = None,
-                    key=None) -> np.ndarray:
-    """The permutation ``np.lexsort((vals, rows))``, computed array-natively.
-
-    Exactness is the contract: the returned permutation is *identical* to
-    the lexsort one, so the canonical staged apply stays bit-for-bit the
-    same.  The fast path packs each pair into one complex128 key
-    (``rows + 1j*vals``) and stable-sorts once — numpy orders complex values
-    lexicographically by (real, imag), and with the rows pre-sorted through
-    the cached permutation the real parts are already nondecreasing, which
-    timsort exploits.  The packing is exact only when both halves embed into
-    float64 losslessly, so anything else falls back to lexsort:
-
-    - ``vals`` must be a non-NaN float (≤64-bit) or ≤32-bit int/bool column
-      (NaN complex comparisons and >2**53 integers would reorder);
-    - ``rows`` must lie in ``[0, 2**52)`` — always true for local offsets,
-      guarded anyway.
-    """
-    n = len(rows)
-    if n <= 1:
-        return np.arange(n, dtype=np.intp)
-    parts = _stage_sort_parts(rows, vals, cache, key)
-    if parts is None:
-        return np.lexsort((vals, rows))
-    perm, _sorted_rows, _vp, order = parts
-    return perm[order]
-
-
-def canonical_sorted(rows: np.ndarray, vals: np.ndarray,
-                     cache: "StageOrderCache | None" = None,
-                     key=None) -> tuple[np.ndarray, np.ndarray]:
-    """``(rows[o], vals[o])`` for ``o = np.lexsort((vals, rows))``, fused.
-
-    The staged apply only needs the *sorted pair*, not the permutation —
-    and both halves already exist inside the fast path: the row half of the
-    result is exactly the cached ``rows[P]`` (within a row group every
-    element is equal, so reordering within groups is invisible), and the
-    value half is one gather of the already-permuted values.  Skipping the
-    two caller-side ``x[order]`` gathers is worth ~25% of the apply.
-    Returns bit-identical arrays to the lexsort-and-gather path; callers
-    must treat the row half as read-only (it aliases the cache).
-    """
-    n = len(rows)
-    if n <= 1:
-        return rows, vals
-    parts = _stage_sort_parts(rows, vals, cache, key)
-    if parts is None:
-        order = np.lexsort((vals, rows))
-        return rows[order], vals[order]
-    _perm, sorted_rows, vp, order = parts
-    return sorted_rows, vp[order]
-
 
 def canonical_apply(op, target: np.ndarray, rows: np.ndarray,
                     vals: np.ndarray, cache: "StageOrderCache | None" = None,
                     key=None) -> None:
-    """Reduce ``(rows, vals)`` into ``target`` in canonical lexsort order.
+    """Reduce the staged ``(rows, vals)`` into ``target`` so the result is a
+    function of the data alone, never of arrival order.
 
-    Bit-identical to ``op.apply_at(target, *canonical_sorted(...))`` but
-    splits the sorted stream by multiplicity: rows with exactly one
-    contribution (the majority in power-law graphs) are applied in one
-    vectorized gather/op/scatter (:meth:`ReduceOp.apply_unique` — exact, no
-    duplicate indices to lose), and only the multi-contribution remainder
-    pays the sequential ``ufunc.at`` loop.  The two halves touch disjoint
-    target rows, and relative order within the multi half is preserved, so
-    every element's per-row reduction sequence is unchanged.
+    An operator whose result does not depend on the order of its
+    contributions (:meth:`ReduceOp.order_insensitive` — MIN, MAX, AND, OR,
+    integer/bool SUM) is applied straight through ``op.apply_at``: no
+    permutation, no cache entry, no sort.  Float SUM and OVERWRITE are
+    reduced in ``np.lexsort((vals, rows))`` order, bit for bit: the pairs
+    are packed into complex128 keys behind the cached row permutation and
+    stable-sorted once, with a plain lexsort wherever the packing would not
+    be exact.
     """
     n = len(rows)
-    if n <= 1:
+    if n <= 1 or op.order_insensitive(target.dtype):
         op.apply_at(target, rows, vals)
         return
+    if cache is not None:
+        cache.sorted_elements += n
     parts = _stage_pack(rows, vals, cache, key)
     if parts is None:
         order = np.lexsort((vals, rows))
         op.apply_at(target, rows[order], vals[order])
         return
-    _perm, sorted_rows, _vp, packed = parts
+    sorted_rows, packed = parts
     # The apply needs the sorted *pairs*, never the permutation: sort the
     # packed keys in place (`packed` is scratch) and read the value half
-    # straight out of the imaginary component.  This skips both the index
-    # argsort and the value gather — ~25% of the staged apply — and the
-    # strided .imag view costs ``ufunc.at`` nothing.  Non-float64 values
+    # straight out of the imaginary component — the strided .imag view
+    # costs ``ufunc.at`` nothing.  Within a row group every row is equal, so
+    # the row half is exactly the cached ``rows[P]``.  Non-float64 values
     # round-trip through the float64 imaginary part exactly (the pack
     # guards admit only ≤32-bit ints/bools and ≤64-bit floats), but must
     # be cast back so the reduction arithmetic stays in the value dtype.
@@ -383,31 +340,29 @@ def canonical_apply(op, target: np.ndarray, rows: np.ndarray,
     sorted_vals = packed.imag
     if sorted_vals.dtype != vals.dtype:
         sorted_vals = sorted_vals.astype(vals.dtype)
-    if cache is None or key is None:
-        op.apply_at(target, sorted_rows, sorted_vals)
-        return
-    split = cache.group_split(key, sorted_rows)
-    if split is None:
-        op.apply_at(target, sorted_rows, sorted_vals)
-        return
-    ps, pm, rows_s, rows_m = split
-    if len(pm) == 0:
-        op.apply_unique(target, rows_s, sorted_vals)
-    else:
-        op.apply_unique(target, rows_s, sorted_vals[ps])
-        op.apply_at(target, rows_m, sorted_vals[pm])
+    op.apply_at(target, sorted_rows, sorted_vals)
 
 
 def _stage_pack(rows: np.ndarray, vals: np.ndarray,
                 cache: "StageOrderCache | None", key):
-    """Shared fast-path machinery: ``(P, rows[P], vals[P], packed)`` where
+    """``(rows[P], packed)`` for the stable row permutation ``P``, where
     ``packed = rows[P] + 1j*vals[P]`` awaits its stable sort, or None when
-    the complex packing would not be exact (caller falls back to lexsort)."""
+    the packing would not be exact (caller falls back to lexsort).
+
+    numpy orders complex values lexicographically by (real, imag), and with
+    the rows pre-sorted the real parts are already nondecreasing, which
+    timsort exploits.  Both halves must embed into float64 losslessly:
+
+    - ``vals`` must be a non-NaN float (≤64-bit) or ≤32-bit int/bool column
+      (NaN complex comparisons and >2**53 integers would reorder);
+    - ``rows`` must lie in ``[0, 2**52)`` — always true for local offsets,
+      guarded anyway.
+    """
     kind = vals.dtype.kind
     if kind == "f":
         # One reduction pass instead of isnan()+any(): min() propagates NaN,
         # so a NaN anywhere surfaces as a NaN minimum (no temp bool array).
-        if vals.dtype.itemsize > 8 or np.min(vals) != np.min(vals):
+        if vals.dtype.itemsize > 8 or np.isnan(np.min(vals)):
             return None
     elif not (kind in "biu" and vals.dtype.itemsize <= 4):
         return None
@@ -430,15 +385,4 @@ def _stage_pack(rows: np.ndarray, vals: np.ndarray,
     # ±inf values into NaN real parts (0*inf) and break the ordering.
     packed.real = sorted_rows
     packed.imag = vp
-    return perm, sorted_rows, vp, packed
-
-
-def _stage_sort_parts(rows: np.ndarray, vals: np.ndarray,
-                      cache: "StageOrderCache | None", key):
-    """``(P, rows[P], vals[P], order)`` with ``order`` the stable sort of
-    the P-permuted pairs, or None (caller falls back to lexsort)."""
-    parts = _stage_pack(rows, vals, cache, key)
-    if parts is None:
-        return None
-    perm, sorted_rows, vp, packed = parts
-    return perm, sorted_rows, vp, np.argsort(packed, kind="stable")
+    return sorted_rows, packed

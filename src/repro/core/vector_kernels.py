@@ -77,9 +77,11 @@ def execute_edge_map_chunk(exc: "JobExecution", machine: "Machine",
 
     When the routing-plan cache is enabled, the iteration-invariant part of
     this function (edge expansion, owner/ghost classification, owner-stable
-    remote sort) comes from a memoized :class:`ChunkPlan`; the active-vertex
-    filter, when present, is applied as a mask on top of the cached plan.
-    Either way the counted work, emitted traffic and results are identical.
+    remote sort) comes from a memoized :class:`ChunkPlan`, and the
+    active-vertex filter, when present, only masks the plan's arrays.  The
+    generic path below re-derives all of it per chunk and is the reference
+    the planned path is tested against: either way the counted work,
+    emitted traffic and results are identical.
     """
     cfg = machine.config.engine
     csr = machine.csr(spec.iter_kind)
@@ -104,29 +106,27 @@ def execute_edge_map_chunk(exc: "JobExecution", machine: "Machine",
     # Vertex filter (deactivation): drop the edges of inactive rows but still
     # pay the per-node filter check — this is exactly why framework overhead
     # dominates many-iteration algorithms like KCore (Section 5.3.1).
+    edge_mask = None
     if spec.active is not None:
-        act = machine.props[spec.active][lo:hi].astype(bool)
-        tally.tasks = int(act.sum())
-        if not act.all():
+        act = machine.props[spec.active][lo:hi].astype(bool, copy=False)
+        tally.tasks = int(np.count_nonzero(act))
+        if tally.tasks < n_nodes:
+            if plan is not None and tally.tasks == 0:
+                return tally  # nothing selected: the dispatch cost is all
             degrees = (plan.degrees if plan is not None
                        else np.diff(csr.starts[lo:hi + 1]))
             edge_mask = np.repeat(act, degrees)
-        else:
-            edge_mask = None
     else:
         tally.tasks = n_nodes
-        edge_mask = None
 
-    if plan is not None and edge_mask is None:
-        return _execute_planned(exc, machine, ws, spec, csr, plan, tally)
+    if plan is not None:
+        return _execute_planned(exc, machine, ws, spec, csr, plan, tally,
+                                edge_mask)
 
     starts = csr.starts
     es, ee = int(starts[lo]), int(starts[hi])
-    if plan is not None:
-        rows = plan.rows
-    else:
-        rows = np.repeat(np.arange(lo, hi, dtype=np.int64),
-                         np.diff(starts[lo:hi + 1]))
+    rows = np.repeat(np.arange(lo, hi, dtype=np.int64),
+                     np.diff(starts[lo:hi + 1]))
     owners = csr.nbr_owner[es:ee]
     offsets = csr.nbr_offset[es:ee]
     gslots = csr.nbr_ghost_slot[es:ee]
@@ -146,15 +146,9 @@ def execute_edge_map_chunk(exc: "JobExecution", machine: "Machine",
     tally.seq_bytes += n_edges * CSR_BYTES_PER_EDGE
     tally.cpu_ops += n_edges * 2.0  # loop + transform arithmetic
 
-    if plan is not None:
-        # Stable classification masks subset exactly like the raw arrays.
-        is_local = plan.is_local[edge_mask] if edge_mask is not None else plan.is_local
-        is_ghost = plan.is_ghost[edge_mask] if edge_mask is not None else plan.is_ghost
-        is_remote = plan.is_remote[edge_mask] if edge_mask is not None else plan.is_remote
-    else:
-        is_local = owners == machine.index
-        is_ghost = (~is_local) & (gslots >= 0) if ghost_ok else np.zeros(n_edges, dtype=bool)
-        is_remote = ~(is_local | is_ghost)
+    is_local = owners == machine.index
+    is_ghost = (~is_local) & (gslots >= 0) if ghost_ok else np.zeros(n_edges, dtype=bool)
+    is_remote = ~(is_local | is_ghost)
 
     mode = "read" if spec.direction == "pull" else "write"
     n_ghost = int(is_ghost.sum())
@@ -179,14 +173,24 @@ def execute_edge_map_chunk(exc: "JobExecution", machine: "Machine",
 
 def _execute_planned(exc: "JobExecution", machine: "Machine",
                      ws: "WorkerState", spec: EdgeMapSpec, csr,
-                     plan: "ChunkPlan", tally: WorkTally) -> WorkTally:
-    """Unfiltered chunk over a cached plan: pure gather/scatter + buffering.
+                     plan: "ChunkPlan", tally: WorkTally,
+                     edge_mask: Optional[np.ndarray]) -> WorkTally:
+    """Chunk over a cached plan: pure gather/scatter + buffering.
 
     Mirrors the generic path operation for operation (same counted work, same
     hook emissions, same reduction order), skipping only the re-derivation of
-    the plan's iteration-invariant arrays.
+    the plan's iteration-invariant arrays.  A filter's ``edge_mask`` only
+    subsets the plan's pre-classified, owner-pre-sorted arrays
+    (:meth:`ChunkPlan.kept`), which keeps the order the generic path derives
+    by classifying and stable-sorting the masked edges.
     """
-    n_edges = plan.n_edges
+    if edge_mask is None:
+        kept = None
+        n_ghost, n_remote, n_edges = plan.n_ghost, plan.n_remote, plan.n_edges
+    else:
+        kept = plan.kept(edge_mask)
+        n_ghost, n_remote = len(kept[1]), len(kept[2])
+        n_edges = len(kept[0]) + n_ghost + n_remote
     tally.edges = n_edges
     exc.stats.edges_processed += n_edges
     tally.seq_bytes += n_edges * CSR_BYTES_PER_EDGE
@@ -194,32 +198,37 @@ def _execute_planned(exc: "JobExecution", machine: "Machine",
 
     mode = "read" if spec.direction == "pull" else "write"
     hook_prop = spec.source if mode == "read" else spec.target
-    if plan.n_ghost:
+    if n_ghost:
         exc.hooks.emit("ghost.hit", machine=machine.index, prop=hook_prop,
-                       mode=mode, count=plan.n_ghost, time=exc.sim.now)
-    if plan.n_remote:
+                       mode=mode, count=n_ghost, time=exc.sim.now)
+    if n_remote:
         exc.hooks.emit("ghost.miss", machine=machine.index, prop=hook_prop,
-                       mode=mode, count=plan.n_remote, time=exc.sim.now)
+                       mode=mode, count=n_remote, time=exc.sim.now)
 
     edge_data = csr.edge_data(spec.edge_prop) if spec.use_weights else None
     if spec.direction == "pull":
-        _pull_planned(exc, machine, ws, spec, tally, plan, edge_data)
+        _pull_planned(exc, machine, ws, spec, tally, plan, edge_data, kept)
     else:
-        _push_planned(exc, machine, ws, spec, tally, plan, edge_data)
+        _push_planned(exc, machine, ws, spec, tally, plan, edge_data, kept)
     return tally
 
 
 def _pull_planned(exc, machine, ws, spec, tally, plan: "ChunkPlan",
-                  edge_data) -> None:
+                  edge_data, kept) -> None:
+    """``kept`` is None, or :meth:`ChunkPlan.kept` of the filter's mask."""
     target = machine.props[spec.target]
     if edge_data is not None:
         w_local, w_ghost, w_remote = plan.weight_split(spec.edge_prop, edge_data)
     else:
         w_local = w_ghost = w_remote = None
+    kept_local, kept_ghost, kept_remote, kept_runs = kept or (None,) * 4
 
-    for sel_rows, sel, from_ghost, w in (
-            (plan.local_rows, plan.local_offsets, False, w_local),
-            (plan.ghost_rows, plan.ghost_slots, True, w_ghost)):
+    for sel_rows, sel, from_ghost, w, pos in (
+            (plan.local_rows, plan.local_offsets, False, w_local, kept_local),
+            (plan.ghost_rows, plan.ghost_slots, True, w_ghost, kept_ghost)):
+        if pos is not None:
+            sel_rows, sel = sel_rows[pos], sel[pos]
+            w = w[pos] if w is not None else None
         n = len(sel_rows)
         if not n:
             continue
@@ -246,14 +255,19 @@ def _pull_planned(exc, machine, ws, spec, tally, plan: "ChunkPlan",
         tally.add_bytes(n * VALUE_BYTES, loc)
         tally.add_bytes(n * VALUE_BYTES, SCATTER_LOCALITY)
 
-    n = plan.n_remote
+    if kept_remote is None:
+        n, runs = plan.n_remote, plan.dest_runs
+    else:
+        n, runs = len(kept_remote), kept_runs
+        if w_remote is not None:
+            w_remote = w_remote[kept_remote]
     if n:
         exc.stats.remote_reads += n
         tally.cpu_ops += n * (exc.marshal_per_item / exc.cpu_op_time)
         tally.seq_bytes += n * 2 * VALUE_BYTES  # marshal into the buffer
         # Destination-sorted sub-chunks: one fused append per destination,
         # pre-sliced at plan build time (same batches the bounds loop made).
-        for dst, b0, b1, run_offsets, run_rows in plan.dest_runs:
+        for dst, b0, b1, run_offsets, run_rows in runs:
             buf = ws.read_buf(dst, spec.source)
             buf.append(run_offsets, run_rows,
                        w_remote[b0:b1] if w_remote is not None else None)
@@ -261,25 +275,47 @@ def _pull_planned(exc, machine, ws, spec, tally, plan: "ChunkPlan",
 
 
 def _push_planned(exc, machine, ws, spec, tally, plan: "ChunkPlan",
-                  edge_data) -> None:
+                  edge_data, kept) -> None:
+    """``kept`` is None, or :meth:`ChunkPlan.kept` of the filter's mask."""
     weights = edge_data[plan.es:plan.ee] if edge_data is not None else None
     src = machine.props[spec.source]
-    if exc.array_native:
-        # Per-chunk transient: gather into persistent scratch (the remote
-        # slice below re-copies before buffering, so nothing aliasing this
-        # buffer outlives the chunk).
-        src_vals = np.take(src, plan.rows, mode="clip",
-                           out=machine.stage_cache.scratch(
-                               plan.n_edges, src.dtype, 2))
+    if kept is None:
+        if exc.array_native:
+            # Per-chunk transient: gather into persistent scratch (the
+            # per-class gathers below re-copy before buffering, so nothing
+            # aliasing this buffer outlives the chunk).
+            src_vals = np.take(src, plan.rows, mode="clip",
+                               out=machine.stage_cache.scratch(
+                                   plan.n_edges, src.dtype, 2))
+        else:
+            src_vals = src[plan.rows]
+        src_vals = spec.apply_transform(src_vals, weights)
+        local_offsets, ghost_slots = plan.local_offsets, plan.ghost_slots
+        local_vals = src_vals[plan.local_idx]
+        ghost_vals = src_vals[plan.ghost_idx]
+        rem_vals = src_vals[plan.remote_idx]
+        runs = plan.dest_runs
     else:
-        src_vals = src[plan.rows]
-    src_vals = spec.apply_transform(src_vals, weights)
-    tally.add_bytes(plan.n_edges * VALUE_BYTES, PUSH_SRC_LOCALITY)
+        # Transform only the surviving edges, gathered class by class so
+        # each class's values are one contiguous slice of the result (the
+        # transform is elementwise, as the per-class pull path assumes).
+        kept_local, kept_ghost, kept_remote, runs = kept
+        sel = np.concatenate((plan.local_idx[kept_local],
+                              plan.ghost_idx[kept_ghost],
+                              plan.remote_idx[kept_remote]))
+        src_vals = spec.apply_transform(
+            src[plan.rows[sel]], weights[sel] if weights is not None else None)
+        local_offsets = plan.local_offsets[kept_local]
+        ghost_slots = plan.ghost_slots[kept_ghost]
+        n_local, n_ghost = len(kept_local), len(kept_ghost)
+        local_vals = src_vals[:n_local]
+        ghost_vals = src_vals[n_local:n_local + n_ghost]
+        rem_vals = src_vals[n_local + n_ghost:]
+    tally.add_bytes(len(src_vals) * VALUE_BYTES, PUSH_SRC_LOCALITY)
 
-    if plan.n_local:
-        n = plan.n_local
-        spec.op.apply_at(machine.props[spec.target], plan.local_offsets,
-                         src_vals[plan.local_idx])
+    n = len(local_offsets)
+    if n:
+        spec.op.apply_at(machine.props[spec.target], local_offsets, local_vals)
         exc.stats.local_writes += n
         tally.atomic_ops += n
         exc.stats.atomic_ops += n
@@ -288,28 +324,26 @@ def _push_planned(exc, machine, ws, spec, tally, plan: "ChunkPlan",
                                       machine.machine_config)
         tally.add_bytes(n * VALUE_BYTES, loc)
 
-    if plan.n_ghost:
-        n = plan.n_ghost
+    n = len(ghost_slots)
+    if n:
         exc.stats.local_writes += n
-        gvals = src_vals[plan.ghost_idx]
         if exc.privatize and spec.target in machine.ghosts.private:
             col = machine.ghosts.private[spec.target][ws.windex]
-            spec.op.apply_at(col, plan.ghost_slots, gvals)
+            spec.op.apply_at(col, ghost_slots, ghost_vals)
         else:
             spec.op.apply_at(machine.ghosts.arrays[spec.target],
-                             plan.ghost_slots, gvals)
+                             ghost_slots, ghost_vals)
             tally.atomic_ops += n
             exc.stats.atomic_ops += n
         tally.add_bytes(n * VALUE_BYTES, PUSH_DST_LOCALITY)
 
-    if plan.n_remote:
-        n = plan.n_remote
-        rem_vals = src_vals[plan.remote_idx]
+    n = len(rem_vals)
+    if n:
         exc.stats.remote_writes += n
         tally.cpu_ops += n * (exc.marshal_per_item / exc.cpu_op_time)
         tally.seq_bytes += n * 2 * VALUE_BYTES
         # Destination-sorted sub-chunks, as in _pull_planned.
-        for dst, b0, b1, run_offsets, _ in plan.dest_runs:
+        for dst, b0, b1, run_offsets, _ in runs:
             buf = ws.write_buf(dst, spec.target, spec.op)
             buf.append(run_offsets, rem_vals[b0:b1])
             ws.maybe_flush_writes(dst, spec.target)

@@ -1,20 +1,21 @@
-"""Array-native staged apply: exactness of the fused sort-and-reduce path.
+"""Array-native staged apply: exactness of the canonical reduction.
 
-``canonical_apply`` / ``canonical_sorted`` / ``canonical_order`` promise
-*bit-identical* results to the reference ``np.lexsort((vals, rows))`` path —
-that is what keeps the engine deterministic while the hot loop goes
-array-native.  These tests sweep every :class:`ReduceOp`, the dtype/edge-value
-guard rails (NaN, ±inf, -0.0, wide ints), the singleton/multi split, and the
-end-to-end flag: ``array_native_events`` on vs. off must produce identical
-PageRank fingerprints under perturbed tie-breaker schedules.
+``canonical_apply`` promises *bit-identical* results to the reference
+``np.lexsort((vals, rows))`` path — that is what keeps the engine
+deterministic while the hot loop goes array-native.  Order-insensitive
+operators (:meth:`ReduceOp.order_insensitive`) reach that result with no sort
+at all; float SUM and OVERWRITE through one packed stable sort.  These tests
+sweep every :class:`ReduceOp`, the dtype/edge-value guard rails (NaN, ±inf,
+-0.0, wide ints), the NaN/zero rule of the direct path against shuffled
+orders, and the end-to-end flag: ``array_native_events`` on vs. off must
+produce identical PageRank fingerprints under perturbed tie-breaker schedules.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.properties import ReduceOp
-from repro.core.routing_plan import (StageOrderCache, canonical_apply,
-                                     canonical_order, canonical_sorted)
+from repro.core.routing_plan import StageOrderCache, canonical_apply
 
 ALL_OPS = list(ReduceOp)
 
@@ -85,7 +86,11 @@ class TestCanonicalApplyExactness:
             reference_apply(op, ref, rows, vals)
             canonical_apply(op, got, rows, vals, cache, key="grp")
             assert bitwise_equal(ref, got)
-        assert cache.hits >= 3
+        if op is ReduceOp.SUM:
+            assert cache.hits >= 3
+            assert cache.sorted_elements == 4 * 500
+        else:  # order-insensitive: no permutation, no cache entry, no sort
+            assert cache.hits == cache.misses == cache.sorted_elements == 0
 
     def test_special_float_values(self):
         """±inf, -0.0, and duplicate collisions stay bit-exact (SUM can
@@ -124,14 +129,23 @@ class TestCanonicalApplyExactness:
         assert np.array_equal(ref, got)
 
     def test_huge_row_ids_fall_back(self):
-        rows = np.array([2 ** 53, 0, 2 ** 53], dtype=np.int64)
-        vals = np.array([1.0, 2.0, 3.0])
-        target_ref = {}
-        # reference via dense lexsort on a dict-backed target is overkill;
-        # just check the order helper refuses the pack and still matches
-        order = canonical_order(rows, vals)
-        assert np.array_equal(order, np.lexsort((vals, rows)))
-        assert target_ref == {}
+        """Rows past 2**52 do not embed into the packed key's float64 half —
+        the sort must refuse the pack and still reduce in lexsort order."""
+        class Sparse(dict):
+            """Just enough of an array for ``OVERWRITE.apply_at``."""
+            dtype = np.dtype(np.float64)
+
+            def __setitem__(self, idx, values):
+                self.update(zip(idx.tolist(), values.tolist()))
+
+        rows = np.array([2 ** 53 + 1, 0, 2 ** 53, 2 ** 53 + 1],
+                        dtype=np.int64)
+        vals = np.array([1.0, 2.0, 3.0, 0.5])
+        got = Sparse()
+        canonical_apply(ReduceOp.OVERWRITE, got, rows, vals)
+        # 2**53 and 2**53 + 1 collide as float64; last writer per exact row
+        # in (row, value) order is the largest value
+        assert got == {0: 2.0, 2 ** 53: 3.0, 2 ** 53 + 1: 1.0}
 
     def test_empty_and_singleton_streams(self):
         t = np.zeros(4)
@@ -141,28 +155,6 @@ class TestCanonicalApplyExactness:
         canonical_apply(ReduceOp.SUM, t, np.array([2], dtype=np.int64),
                         np.array([5.0]))
         assert t[2] == 5.0
-
-
-class TestCanonicalOrderAndSorted:
-    @pytest.mark.parametrize("dtype", [np.float64, np.int32],
-                             ids=["f8", "i4"])
-    def test_order_equals_lexsort(self, dtype):
-        rng = np.random.default_rng(17)
-        cache = StageOrderCache()
-        for _ in range(5):
-            rows, vals = make_case(rng, 300, 40, dtype)
-            assert np.array_equal(canonical_order(rows, vals, cache, "k"),
-                                  np.lexsort((vals, rows)))
-
-    def test_sorted_equals_gathered_lexsort(self):
-        rng = np.random.default_rng(23)
-        cache = StageOrderCache()
-        rows, vals = make_case(rng, 300, 40, np.float64)
-        for _ in range(3):  # cold then warm
-            sr, sv = canonical_sorted(rows, vals, cache, "k")
-            order = np.lexsort((vals, rows))
-            assert np.array_equal(sr, rows[order])
-            assert bitwise_equal(np.asarray(sv), vals[order])
 
 
 class TestStageOrderCache:
@@ -192,50 +184,116 @@ class TestStageOrderCache:
         big = cache.scratch(5000, np.int64)
         assert len(big) == 5000 and big.base is not small.base
 
-    def test_group_split_positions(self):
+
+class TestOrderInsensitiveDirectPath:
+    """The rule in :meth:`ReduceOp.order_insensitive`: operators it admits
+    give the same bits for every order of the staged contributions."""
+
+    def test_which_operators_skip_the_sort(self):
+        for dtype in (np.float64, np.float32, np.int32, np.int64, np.bool_):
+            for op in (ReduceOp.MIN, ReduceOp.MAX, ReduceOp.AND, ReduceOp.OR):
+                assert op.order_insensitive(dtype)
+            assert not ReduceOp.OVERWRITE.order_insensitive(dtype)
+        for dtype in (np.int32, np.int64, np.uint8, np.bool_):
+            assert ReduceOp.SUM.order_insensitive(dtype)
+        for dtype in (np.float32, np.float64):
+            assert not ReduceOp.SUM.order_insensitive(dtype)
+
+    @staticmethod
+    def shuffled_agree(op, target, rows, vals, seeds=range(8),
+                       compare=bitwise_equal):
+        """``canonical_apply`` in arrival order against ``op.apply_at`` on
+        shuffled arrivals; returns the result."""
         cache = StageOrderCache()
-        sorted_rows = np.array([0, 1, 1, 2, 3, 4, 4, 4, 5], dtype=np.int64)
-        ps, pm, rows_s, rows_m = cache.group_split("k", sorted_rows)
-        assert np.array_equal(rows_s, [0, 2, 3, 5])
-        assert np.array_equal(rows_m, [1, 1, 4, 4, 4])
-        assert np.array_equal(sorted_rows[ps], rows_s)
-        assert np.array_equal(sorted_rows[pm], rows_m)
-        # memoized by object identity
-        assert cache.group_split("k", sorted_rows)[0] is ps
+        got = target.copy()
+        canonical_apply(op, got, rows, vals, cache, key="k")
+        assert cache.sorted_elements == 0 and cache.misses == 0
+        for seed in seeds:
+            order = np.random.default_rng(seed).permutation(len(rows))
+            ref = target.copy()
+            op.apply_at(ref, rows[order], vals[order])
+            assert compare(ref, got), (op, seed)
+        return got
 
-    def test_group_split_below_threshold_returns_none(self):
-        """Fewer than a quarter singletons: the split is not worth it."""
+    @pytest.mark.parametrize("op", [ReduceOp.MIN, ReduceOp.MAX],
+                             ids=lambda o: o.value)
+    def test_infinities_are_exact_in_every_order(self, op):
+        rng = np.random.default_rng(5)
+        rows = rng.integers(0, 12, size=200).astype(np.int64)
+        vals = rng.standard_normal(200)
+        vals[rng.integers(0, 200, size=30)] = np.inf
+        vals[rng.integers(0, 200, size=30)] = -np.inf
+        got = self.shuffled_agree(op, fresh_target(op, 12, np.float64),
+                                  rows, vals)
+        winner = -np.inf if op is ReduceOp.MIN else np.inf
+        assert (got[np.unique(rows[vals == winner])] == winner).all()
+
+    @pytest.mark.parametrize("op", [ReduceOp.MIN, ReduceOp.MAX],
+                             ids=lambda o: o.value)
+    def test_nan_in_a_contribution_or_the_target_yields_nan(self, op):
+        rows = np.array([0, 1, 1, 2, 2, 2, 3, 3], dtype=np.int64)
+        vals = np.array([1.0, np.nan, -np.inf, 4.0, np.nan, np.inf, 2.0, 3.0])
+        target = fresh_target(op, 5, np.float64)
+        target[3] = np.nan      # NaN already in the target
+        with np.errstate(invalid="ignore"):  # NaN operands are the point
+            got = self.shuffled_agree(
+                op, target, rows, vals,
+                compare=lambda a, b: np.array_equal(a, b, equal_nan=True))
+        assert np.array_equal(np.isnan(got), [False, True, True, True, False])
+        assert got[0] == 1.0
+
+    @pytest.mark.parametrize("op", [ReduceOp.MIN, ReduceOp.MAX],
+                             ids=lambda o: o.value)
+    def test_mixed_zeros_compare_equal(self, op):
+        """Which zero survives is unspecified; that a zero does is not."""
+        rows = np.array([0, 0, 0, 1, 1, 2, 2], dtype=np.int64)
+        vals = np.array([0.0, -0.0, 0.0, -0.0, 5.0, 0.0, -5.0])
+        got = self.shuffled_agree(op, fresh_target(op, 3, np.float64), rows,
+                                  vals, compare=np.array_equal)
+        want = [0.0, 0.0, -5.0] if op is ReduceOp.MIN else [0.0, 5.0, 0.0]
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("op", [ReduceOp.AND, ReduceOp.OR],
+                             ids=lambda o: o.value)
+    def test_bool_and_or(self, op):
+        rng = np.random.default_rng(13)
+        rows = rng.integers(0, 20, size=300).astype(np.int64)
+        vals = rng.random(300) < (0.9 if op is ReduceOp.AND else 0.1)
+        got = self.shuffled_agree(op, fresh_target(op, 20, np.bool_), rows,
+                                  vals)
+        for r in range(20):
+            group = vals[rows == r]
+            assert got[r] == (group.all() if op is ReduceOp.AND
+                              else group.any())
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64],
+                             ids=["i4", "i8"])
+    def test_integer_sum_wraps_around_in_every_order(self, dtype):
+        info = np.iinfo(dtype)
+        rng = np.random.default_rng(19)
+        rows = rng.integers(0, 6, size=240).astype(np.int64)
+        vals = rng.integers(info.max // 4, info.max // 2, size=240,
+                            dtype=dtype)
+        vals[::3] = -vals[::3]
+        vals[:12] = info.max    # every row overflows at least once
+        rows[:12] = np.arange(12) % 6
+        got = self.shuffled_agree(ReduceOp.SUM, np.zeros(6, dtype=dtype),
+                                  rows, vals)
+        exact = [sum(int(v) for v in vals[rows == r]) for r in range(6)]
+        assert any(not info.min <= e <= info.max for e in exact)
+        span = 1 << (8 * np.dtype(dtype).itemsize)
+        wrapped = [(e - info.min) % span + info.min for e in exact]
+        assert got.tolist() == wrapped
+
+    def test_float_sum_still_sorts(self):
         cache = StageOrderCache()
-        sorted_rows = np.repeat(np.arange(10, dtype=np.int64), 8)
-        assert cache.group_split("k", sorted_rows) is None
-        # the None outcome is memoized too
-        assert cache.group_split("k", sorted_rows) is None
-
-    def test_group_split_recomputes_for_new_stream(self):
-        cache = StageOrderCache()
-        a = np.array([0, 1, 2, 3], dtype=np.int64)
-        b = np.array([0, 0, 1, 2, 3, 4], dtype=np.int64)
-        split_a = cache.group_split("k", a)
-        split_b = cache.group_split("k", b)  # same key, different object
-        assert split_a is not split_b
-        assert np.array_equal(split_b[2], [1, 2, 3, 4])
-
-
-class TestApplyUnique:
-    @pytest.mark.parametrize("op", ALL_OPS, ids=lambda o: o.value)
-    def test_matches_apply_at_on_unique_indices(self, op):
-        rng = np.random.default_rng(29)
-        idx = rng.permutation(50)[:30].astype(np.int64)
-        dtype = bool if op in (ReduceOp.AND, ReduceOp.OR) else np.float64
-        if dtype is bool:
-            vals = rng.integers(0, 2, size=30).astype(bool)
-        else:
-            vals = rng.standard_normal(30)
-        a = fresh_target(op, 50, np.bool_ if dtype is bool else np.float64)
-        b = a.copy()
-        op.apply_at(a, idx, vals)
-        op.apply_unique(b, idx, vals)
-        assert bitwise_equal(a, b)
+        rows = np.array([1, 0, 1, 0], dtype=np.int64)
+        vals = np.array([1e16, 1.0, -1e16, 1.0])
+        got = np.zeros(2)
+        canonical_apply(ReduceOp.SUM, got, rows, vals, cache, key="k")
+        ref = np.zeros(2)
+        reference_apply(ReduceOp.SUM, ref, rows, vals)
+        assert bitwise_equal(ref, got) and cache.sorted_elements == 4
 
 
 class TestFlagEquivalence:

@@ -206,6 +206,10 @@ class TestContinuousPatterns:
                 dyn.add_edge(int(rng.integers(30)), int(rng.integers(30)))
             report = monitor.on_batch(dyn.apply_updates())
             total_appeared += len(report["appeared"])
-        # Cross-check the final state against a fresh full match.
-        assert monitor.prime() >= 0
-        assert total_appeared == len(monitor._known) or total_appeared >= 0
+        # Oracle: the incrementally maintained set equals a fresh full
+        # match on the final graph, and on an insert-only stream every one
+        # of those matches was reported as appearing exactly once.
+        known = set(monitor._known)
+        assert total_appeared == len(known) > 0
+        assert monitor.prime() == len(known)
+        assert monitor._known == known

@@ -4,8 +4,9 @@ that caching is invisible to results, modeled work, and simulated time."""
 import numpy as np
 import pytest
 
-from repro import with_uniform_weights
+from repro import EdgeMapJob, EdgeMapSpec, ReduceOp, rmat, with_uniform_weights
 from repro.algorithms import pagerank, sssp, wcc
+from repro.core import vector_kernels
 from repro.core.routing_plan import ChunkPlan, RoutingPlanCache
 from tests.conftest import make_cluster
 
@@ -71,6 +72,37 @@ class TestChunkPlanFields:
         w_local, _, w_remote = first
         assert np.array_equal(w_local, data[plan.es:plan.ee][plan.local_idx])
         assert np.array_equal(w_remote, data[plan.es:plan.ee][plan.remote_idx])
+
+    @pytest.mark.parametrize("ghost_ok", [True, False])
+    def test_kept_matches_classifying_the_masked_edges(self, machine,
+                                                       ghost_ok):
+        """What a filter keeps of a plan, against the generic derivation:
+        mask first, then classify and stable-sort by owner."""
+        csr = machine.out_csr
+        plan = ChunkPlan(csr, 0, machine.n_local, ghost_ok=ghost_ok,
+                         machine_index=machine.index, num_machines=3)
+        owners = csr.nbr_owner[plan.es:plan.ee]
+        offsets = csr.nbr_offset[plan.es:plan.ee]
+        rng = np.random.default_rng(3)
+        for density in (0.0, 0.02, 0.5, 1.0):
+            act = rng.random(plan.n_nodes) < density
+            edge_mask = np.repeat(act, plan.degrees)
+            local, ghost, remote, runs = plan.kept(edge_mask)
+            edges = np.nonzero(edge_mask)[0]
+            assert np.array_equal(plan.local_idx[local],
+                                  edges[plan.is_local[edges]])
+            assert np.array_equal(plan.ghost_idx[ghost],
+                                  edges[plan.is_ghost[edges]])
+            rem = edges[plan.is_remote[edges]]
+            rem = rem[np.argsort(owners[rem], kind="stable")]
+            assert np.array_equal(plan.remote_idx[remote], rem)
+            bounds = np.searchsorted(owners[rem], np.arange(4))
+            assert [(dst, b0, b1) for dst, b0, b1, _, _ in runs] == [
+                (dst, bounds[dst], bounds[dst + 1]) for dst in range(3)
+                if bounds[dst + 1] > bounds[dst]]
+            for dst, b0, b1, run_offsets, run_rows in runs:
+                assert np.array_equal(run_offsets, offsets[rem[b0:b1]])
+                assert np.array_equal(run_rows, plan.rows[rem[b0:b1]])
 
 
 class TestCacheBehavior:
@@ -159,6 +191,140 @@ class TestCacheIsInvisible:
         _, _, off = run_pagerank(small_rmat_weighted, False)
         assert np.array_equal(on.values["pr"], off.values["pr"])
         assert on.total_time == off.total_time
+
+
+FILTERS = ("none", "one_row", "all_but_one", "all", "sparse", "half")
+
+
+def make_filter(kind: str, n: int, rng) -> np.ndarray:
+    if kind == "none":
+        return np.zeros(n, dtype=bool)
+    if kind == "all":
+        return np.ones(n, dtype=bool)
+    if kind == "one_row":
+        act = np.zeros(n, dtype=bool)
+        act[rng.integers(n)] = True
+        return act
+    if kind == "all_but_one":
+        act = np.ones(n, dtype=bool)
+        act[rng.integers(n)] = False
+        return act
+    return rng.random(n) < (0.03 if kind == "sparse" else 0.5)
+
+
+WORK_COUNTERS = ("tasks_executed", "edges_processed", "remote_reads",
+                 "remote_writes", "local_reads", "local_writes",
+                 "atomic_ops", "messages")
+
+
+def run_filtered_jobs(graph, plan_cache, direction, weighted, privatize, op):
+    """One filtered edge-map job per filter kind (twice, so the second run
+    hits the cached plans) on a 3-machine cluster; returns everything the
+    planned path must leave untouched."""
+    cluster = make_cluster(3, 30, chunk_size=64, routing_plan_cache=plan_cache,
+                           ghost_privatization=privatize)
+    dg = cluster.load_graph(graph)
+    n = dg.num_nodes
+    rng = np.random.default_rng(17)
+    flushes = []
+    cluster.hooks.subscribe("comm.flush", lambda p: flushes.append(
+        (p["machine"], p["worker"], p["kind"], p["dst"], p["items"])))
+    dg.add_property("x")
+    dg.add_property("t")
+    dg.add_property("active", dtype=bool, init=False)
+    job = EdgeMapJob(name="filtered", spec=EdgeMapSpec(
+        direction=direction, source="x", target="t", op=op,
+        transform=(lambda vals, w: vals + w) if weighted else None,
+        use_weights=weighted, active="active"))
+    out = []
+    for kind in FILTERS:
+        for _ in range(2):
+            dg.set_from_global("x", rng.random(n))
+            dg.set_from_global("t", np.full(n, op.bottom(np.float64)))
+            dg.set_from_global("active", make_filter(kind, n, rng))
+            del flushes[:]
+            stats = cluster.run_job(dg, job)
+            out.append({
+                "filter": kind,
+                "t": dg.gather("t").tobytes(),
+                "start": stats.start_time, "end": stats.end_time,
+                "counters": {k: getattr(stats, k) for k in WORK_COUNTERS},
+                "bytes": dict(stats.bytes_by_kind),
+                "flushes": list(flushes)})
+    return dg, out
+
+
+class TestMaskedPlannedPath:
+    """A filtered chunk subsets its cached plan instead of re-deriving the
+    routing; the generic path (``routing_plan_cache=False``) is the
+    reference it must match in every observable."""
+
+    @pytest.fixture(scope="class")
+    def graph(self):
+        return with_uniform_weights(rmat(300, 2400, seed=5), 0.1, 1.0, seed=9)
+
+    @pytest.mark.parametrize("op", [ReduceOp.MIN, ReduceOp.SUM],
+                             ids=lambda o: o.value)
+    @pytest.mark.parametrize("privatize", [True, False],
+                             ids=["private", "shared"])
+    @pytest.mark.parametrize("weighted", [True, False],
+                             ids=["weighted", "unweighted"])
+    @pytest.mark.parametrize("direction", ["pull", "push"])
+    def test_matches_generic_path(self, graph, direction, weighted,
+                                  privatize, op):
+        dg, planned = run_filtered_jobs(graph, True, direction, weighted,
+                                        privatize, op)
+        _, generic = run_filtered_jobs(graph, False, direction, weighted,
+                                       privatize, op)
+        assert all(m.plan_cache.hits > 0 for m in dg.machines)
+        for got, want in zip(planned, generic):
+            for field in want:
+                assert got[field] == want[field], (want["filter"], field)
+        moved = {run["filter"] for run in generic if run["flushes"]}
+        assert moved == set(FILTERS) - {"none"}
+
+    def test_filtered_chunk_never_reaches_the_generic_kernels(
+            self, graph, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("generic kernel ran beside a cached plan")
+        for name in ("_pull", "_push", "_pull_remote"):
+            monkeypatch.setattr(vector_kernels, name, unreachable)
+        cluster = make_cluster(3, 30, routing_plan_cache=True)
+        dg = cluster.load_graph(graph)
+        res = sssp(cluster, dg, root=0, max_iterations=30)
+        assert res.iterations > 2 and np.isfinite(res.values["dist"]).sum() > 1
+        for m in dg.machines:
+            assert m.plan_cache.hits > m.plan_cache.misses > 0
+
+    def test_sssp_and_wcc_supersteps_identical(self, graph):
+        def run(flag):
+            cluster = make_cluster(3, 30, routing_plan_cache=flag)
+            dg = cluster.load_graph(graph)
+            return (sssp(cluster, dg, root=0, max_iterations=30),
+                    wcc(cluster, dg, max_iterations=50))
+        for on, off, prop in zip(run(True), run(False),
+                                 ("dist", "component")):
+            assert on.values[prop].tobytes() == off.values[prop].tobytes()
+            assert on.total_time == off.total_time
+            assert on.per_iteration == off.per_iteration
+
+
+class TestSortedElementsProxy:
+    """``StageOrderCache.sorted_elements`` — a host-work proxy that repeats
+    bit for bit, where host seconds drift by tens of percent."""
+
+    def test_min_workloads_never_sort_and_float_sum_does(self):
+        graph = with_uniform_weights(rmat(400, 3200, seed=7), 0.1, 1.0,
+                                     seed=8)
+        cluster = make_cluster(4, 30)
+        dg = cluster.load_graph(graph)
+        res = sssp(cluster, dg, root=0, max_iterations=40)
+        assert np.isfinite(res.values["dist"]).sum() > 100
+        wcc(cluster, dg, max_iterations=50)
+        assert [m.stage_cache.sorted_elements for m in dg.machines] == [0] * 4
+        stats = pagerank(cluster, dg, variant="push", max_iterations=2).stats
+        assert stats.remote_writes > 0
+        assert all(m.stage_cache.sorted_elements > 0 for m in dg.machines)
 
 
 class TestPlanCacheMetrics:
