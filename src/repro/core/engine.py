@@ -148,7 +148,6 @@ class PgxdCluster:
         #: and the recorder keeps the standard ``repro_*`` instruments live.
         self.hooks = HookBus()
         self.metrics = MetricsRegistry()
-        self.metrics.memoize_flat = self.config.engine.array_native_events
         self.recorder = MetricsRecorder(
             self.metrics, self.hooks,
             fast=self.config.engine.array_native_events)

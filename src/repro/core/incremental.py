@@ -132,13 +132,12 @@ class MutationExecution:
     instant, followed by a cluster barrier.
     """
 
-    def __init__(self, cluster: PgxdCluster, job: MutationJob, scope=None):
+    def __init__(self, cluster: PgxdCluster, job: MutationJob, hooks=None):
         self.cluster = cluster
         self.job = job
         self.engine = job.engine
         self.sim = cluster.sim
-        self.scope = scope
-        self.hooks = scope.hooks if scope is not None else cluster.hooks
+        self.hooks = hooks if hooks is not None else cluster.hooks
         self.on_done = None
         self.done = False
         self.phase = "mutate"
@@ -208,11 +207,7 @@ class IncrementalEngine:
     # -- snapshots and epochs ----------------------------------------------
 
     def _snapshot_graph(self) -> Graph:
-        edges = self.dynamic.edge_list()
-        src = np.fromiter((e[0] for e in edges), dtype=np.int64,
-                          count=len(edges))
-        dst = np.fromiter((e[1] for e in edges), dtype=np.int64,
-                          count=len(edges))
+        src, dst = self.dynamic.edge_arrays()
         w = self.weight_fn(src, dst) if self.weight_fn is not None else None
         return from_edges(src, dst, num_nodes=self.dynamic.num_nodes,
                           weights=w)
@@ -233,9 +228,8 @@ class IncrementalEngine:
         commit time, so queued mutation jobs each build their own epoch
         even when several are admitted before the first runs.
         """
-        batch = self.dynamic.apply_updates()
-        self._pending[batch.epoch] = (self._snapshot_graph(), batch)
-        job = self.mutation_job(batch)
+        job = self.stage()
+        batch = self.dynamic.history[-1]
         cl = self.cluster
         if session is not None and cl.scheduler is not None:
             with cl.scheduler.session_scope(session):
@@ -274,15 +268,9 @@ class IncrementalEngine:
         graph, _batch = self._pending.pop(job.epoch)
         old = self.dg
         part = old.partitioning
-        changed = set()
-        edges = tuple(job.inserted) + tuple(job.removed)
-        if edges:
-            src = np.fromiter((e[0] for e in edges), dtype=np.int64,
-                              count=len(edges))
-            dst = np.fromiter((e[1] for e in edges), dtype=np.int64,
-                              count=len(edges))
-            changed.update(int(o) for o in part.owners(src))
-            changed.update(int(o) for o in part.owners(dst))
+        endpoints = np.asarray(tuple(job.inserted) + tuple(job.removed),
+                               dtype=np.int64).ravel()
+        changed = set(part.owners(endpoints).tolist())
         reuse = {i: old.machines[i]
                  for i in range(len(old.machines)) if i not in changed}
         new_dg = DistributedGraph(self.cluster, graph, part, old.ghost_gids,

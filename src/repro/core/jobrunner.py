@@ -39,18 +39,16 @@ class JobExecution:
     """Execution state of one parallel region across the cluster."""
 
     def __init__(self, cluster, dgraph, job: Job, force_scalar: bool = False,
-                 scope=None):
+                 hooks=None):
         self.cluster = cluster
         self.dgraph = dgraph
         self.job = job
         self.sim = cluster.sim
         self.network = cluster.network
-        #: observability scope: standalone runs emit straight on the cluster
-        #: bus; scheduled runs get a :class:`~repro.obs.hooks.ScopedHookBus`
-        #: that tags every payload with session/ticket and mirrors it to a
-        #: private per-job recorder (see repro.core.scheduler.JobScope).
-        self.scope = scope
-        self.hooks = scope.hooks if scope is not None else cluster.hooks
+        #: standalone runs emit straight on the cluster bus; scheduled runs
+        #: get a :class:`~repro.obs.hooks.ScopedHookBus` that tags every
+        #: payload with session/ticket and keeps the job's metric ledger.
+        self.hooks = hooks if hooks is not None else cluster.hooks
         #: invoked (with this execution) right after the region finishes —
         #: the scheduler's event-driven completion signal.
         self.on_done = None
@@ -618,7 +616,7 @@ class JobExecution:
 
 
 def make_execution(cluster, dgraph, job: Job, force_scalar: bool = False,
-                   scope=None):
+                   hooks=None):
     """Build the execution for ``job`` — the single dispatch point shared by
     the serial engine path and the scheduler.
 
@@ -636,10 +634,10 @@ def make_execution(cluster, dgraph, job: Job, force_scalar: bool = False,
     if job.kind == "mutation":
         from .incremental import MutationExecution
 
-        return MutationExecution(cluster, job, scope=scope)
+        return MutationExecution(cluster, job, hooks=hooks)
     if job.kind == "read":
         from .result_cache import ReadExecution
 
-        return ReadExecution(cluster, dgraph, job, scope=scope)
+        return ReadExecution(cluster, dgraph, job, hooks=hooks)
     return JobExecution(cluster, dgraph, job, force_scalar=force_scalar,
-                        scope=scope)
+                        hooks=hooks)

@@ -204,13 +204,12 @@ class ReadExecution:
     other job.
     """
 
-    def __init__(self, cluster, dgraph, job: ReadJob, scope=None):
+    def __init__(self, cluster, dgraph, job: ReadJob, hooks=None):
         self.cluster = cluster
         self.dgraph = dgraph
         self.job = job
         self.sim = cluster.sim
-        self.scope = scope
-        self.hooks = scope.hooks if scope is not None else cluster.hooks
+        self.hooks = hooks if hooks is not None else cluster.hooks
         self.on_done = None
         self.done = False
         self.phase = "read"

@@ -15,10 +15,11 @@ batch engine and serves "multiple client sessions in an interactive manner"
 * **Concurrency**: multiple :class:`~repro.core.jobrunner.JobExecution`
   instances advance in the *same* simulator event loop (one per distinct
   :class:`~repro.core.engine.DistributedGraph`; same-graph jobs serialize
-  on a graph lock because they share machine state).  Each execution gets
-  a :class:`JobScope` — a tagging/mirroring hook bus plus a private
-  metrics registry — so chunks, messages and ``JobStats`` stay
-  attributable per job and per session even while interleaved.
+  on a graph lock because they share machine state).  Each execution
+  emits through a :class:`~repro.obs.hooks.ScopedHookBus` — session/ticket
+  tags plus a sparse per-ticket metric ledger — so chunks, messages and
+  ``JobStats`` stay attributable per job and per session even while
+  interleaved.
 
 The load-bearing invariant (enforced by ``tests/core/test_scheduler.py``):
 a job's numeric results are **bit-identical** whether it ran alone or
@@ -38,7 +39,6 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional, Sequence
 
-from ..obs import HookBus, MetricsRecorder, MetricsRegistry
 from ..obs.hooks import ScopedHookBus
 from .faults import EngineStallError, MachineCrashError
 from .job import Job
@@ -124,8 +124,8 @@ class JobTicket:
     finish_time: Optional[float] = None
     state: str = QUEUED
     stats: Optional[JobStats] = None
+    #: the live execution while RUNNING; dropped at completion
     execution: Optional[JobExecution] = None
-    scope: Optional["JobScope"] = None
 
     @property
     def wait(self) -> float:
@@ -140,35 +140,6 @@ class JobTicket:
         if self.finish_time is None:
             return 0.0
         return self.finish_time - self.submit_time
-
-
-class JobScope:
-    """Per-job observability scope for interleaved execution.
-
-    ``hooks`` is a :class:`~repro.obs.hooks.ScopedHookBus`: the cluster bus
-    still sees every event exactly once (now tagged with session/ticket),
-    while a private bus feeds a private registry whose counters become the
-    job's ``metrics_delta``.  Under co-running tenants a time-window
-    ``delta_since`` would blend everyone's activity; the scope slices by
-    causality instead of by time.
-    """
-
-    def __init__(self, cluster, ticket: JobTicket):
-        self.ticket = ticket
-        self.registry = MetricsRegistry()
-        self._bus = HookBus()
-        self._recorder = MetricsRecorder(self.registry, self._bus)
-        self.hooks = ScopedHookBus(cluster.hooks, self._bus,
-                                   tags={"session": ticket.session,
-                                         "ticket": ticket.seq})
-
-    def delta(self) -> dict[str, float]:
-        """This job's monotone metric increments (zero series dropped)."""
-        return {k: v for k, v in self.registry.counters_flat().items()
-                if v != 0.0}
-
-    def close(self) -> None:
-        self._recorder.close()
 
 
 class JobScheduler:
@@ -407,11 +378,12 @@ class JobScheduler:
 
     def _start(self, ticket: JobTicket) -> None:
         cl = self.cluster
-        scope = JobScope(cl, ticket)
+        hooks = ScopedHookBus(cl.hooks, cl.metrics,
+                              tags={"session": ticket.session,
+                                    "ticket": ticket.seq})
         exc = make_execution(cl, ticket.dgraph, ticket.job,
-                             force_scalar=ticket.force_scalar, scope=scope)
+                             force_scalar=ticket.force_scalar, hooks=hooks)
         ticket.execution = exc
-        ticket.scope = scope
         ticket.dispatch_time = cl.sim.now
         ticket.state = RUNNING
         self._running[ticket] = exc
@@ -432,20 +404,19 @@ class JobScheduler:
     def _job_finished(self, ticket: JobTicket, exc: JobExecution) -> None:
         cl = self.cluster
         stats = exc.stats
-        kind = type(ticket.job).__name__
-        cl.metrics.counter("repro_jobs_total",
-                           labelnames=("kind",)).labels(kind=kind).inc()
-        cl.metrics.histogram("repro_job_seconds").observe(stats.elapsed)
-        scope = ticket.scope
-        if scope is not None:
-            scope.registry.counter("repro_jobs_total",
-                                   labelnames=("kind",)).labels(kind=kind).inc()
-            scope.registry.histogram("repro_job_seconds").observe(stats.elapsed)
-            stats.metrics_delta = scope.delta()
-            scope.close()
+        reg = cl.metrics
+        reg.ledger = ledger = exc.hooks.ledger
+        try:
+            reg.counter("repro_jobs_total", labelnames=("kind",)).labels(
+                kind=type(ticket.job).__name__).inc()
+            reg.histogram("repro_job_seconds").observe(stats.elapsed)
+        finally:
+            reg.ledger = None
+        stats.metrics_delta = {k: v for k, v in ledger.items() if v != 0.0}
         if cl.profiler is not None:
             cl.profiler.annotate(stats, ticket.job.name, ticket=ticket.seq)
         ticket.stats = stats
+        ticket.execution = None
         ticket.finish_time = cl.sim.now
         ticket.state = DONE
         del self._running[ticket]
@@ -496,6 +467,7 @@ class JobScheduler:
         finally:
             for ev in crash_events:
                 cl.sim.cancel(ev)
+            self._account_sim_events()
 
     def run_inline(self, dgraph, job: Job, force_scalar: bool = False,
                    recover: Optional[bool] = None,
@@ -531,7 +503,7 @@ class JobScheduler:
                             f"inline job {job.name!r} blocked on graph/"
                             "session capacity that never frees")
                     self._start(ticket)
-                    if not cl.sim.step_while(lambda: not ticket.execution.done):
+                    if not cl.sim.step_while(lambda: ticket.state != DONE):
                         raise EngineStallError(
                             job.name, ticket.execution.stall_diagnostics())
                 except MachineCrashError:
@@ -541,7 +513,17 @@ class JobScheduler:
         finally:
             for ev in crash_events:
                 cl.sim.cancel(ev)
+            self._account_sim_events()
         return ticket.stats
+
+    def _account_sim_events(self) -> None:
+        """Raise the cluster's simulator-event counters to the simulator's
+        totals (cluster-level: never part of a job's ``metrics_delta``)."""
+        sim, reg = self.cluster.sim, self.cluster.metrics
+        events = reg.counter("repro_sim_events_total")
+        events.inc(sim.events_executed - events.value)
+        pool_hits = reg.counter("repro_sim_event_pool_hits")
+        pool_hits.inc(sim.event_pool_hits - pool_hits.value)
 
     # -- crash recovery ----------------------------------------------------
 
@@ -576,10 +558,7 @@ class JobScheduler:
             cl.sim.cancel(ev)
         for ticket in active:
             cl._reset_dgraph_state(ticket.dgraph)
-            if ticket.scope is not None:
-                ticket.scope.close()
-                ticket.scope = None
-            ticket.execution = None
+            ticket.execution = None  # and with it the failed attempt's ledger
             ticket.dispatch_time = None
             ticket.state = QUEUED
             del self._running[ticket]

@@ -40,23 +40,37 @@ class UpdateBatch:
 
 
 class DynamicGraph:
-    """A mutable directed multigraph with epoch-stamped batched updates."""
+    """A mutable directed multigraph with epoch-stamped batched updates.
+
+    The edge multiset is one sorted int64 array of ``u * num_nodes + v``
+    keys (a duplicate key per extra copy), so a batch is a sorted merge and
+    a snapshot needs no per-edge Python work.
+    """
 
     def __init__(self, num_nodes: int,
                  edges: Optional[Iterable[tuple[int, int]]] = None):
         self.num_nodes = num_nodes
-        self._edges: dict[tuple[int, int], int] = {}
-        for e in edges or ():
-            self._edges[e] = self._edges.get(e, 0) + 1
+        self._keys = np.sort(self._encode(list(edges or ())))
         self.epoch = 0
         self._pending_inserts: list[tuple[int, int]] = []
         self._pending_removes: list[tuple[int, int]] = []
         self.history: list[UpdateBatch] = []
 
+    def _encode(self, edges: list[tuple[int, int]]) -> np.ndarray:
+        """Edge keys of ``edges`` (in the given order), range-checked."""
+        pairs = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        bad = ((pairs < 0) | (pairs >= self.num_nodes)).any(axis=1)
+        if bad.any():
+            self._check(*pairs[bad][0].tolist())
+        return pairs[:, 0] * np.int64(self.num_nodes) + pairs[:, 1]
+
     # -- mutation -----------------------------------------------------------
 
+    def _in_range(self, u: int, v: int) -> bool:
+        return 0 <= u < self.num_nodes and 0 <= v < self.num_nodes
+
     def _check(self, u: int, v: int) -> None:
-        if not (0 <= u < self.num_nodes and 0 <= v < self.num_nodes):
+        if not self._in_range(u, v):
             raise ValueError(f"edge ({u}, {v}) outside vertex range")
 
     def add_edge(self, u: int, v: int) -> None:
@@ -68,23 +82,30 @@ class DynamicGraph:
         self._pending_removes.append((u, v))
 
     def apply_updates(self) -> UpdateBatch:
-        """Apply the pending changes as one atomic batch; bumps the epoch."""
-        for e in self._pending_removes:
-            count = self._edges.get(e, 0)
-            if count == 0:
-                raise KeyError(f"cannot remove non-existent edge {e}")
-        applied_ins = tuple(self._pending_inserts)
-        applied_del = tuple(self._pending_removes)
-        for e in applied_del:
-            self._edges[e] -= 1
-            if self._edges[e] == 0:
-                del self._edges[e]
-        for e in applied_ins:
-            self._edges[e] = self._edges.get(e, 0) + 1
+        """Apply the pending changes as one atomic batch; bumps the epoch.
+
+        Removals resolve against the pre-batch edges, copy for copy; a
+        batch that removes more copies of an edge than exist raises
+        ``KeyError`` and leaves the graph and the pending lists untouched.
+        """
+        keys = self._keys
+        rem = np.sort(self._encode(self._pending_removes))
+        # the k-th pending copy of a key takes the k-th stored copy
+        nth = np.arange(rem.size) - np.searchsorted(rem, rem, side="left")
+        at = np.searchsorted(keys, rem, side="left") + nth
+        found = at < keys.size
+        found[found] = keys[at[found]] == rem[found]
+        if not found.all():
+            u, v = divmod(int(rem[~found][0]), self.num_nodes)
+            raise KeyError(f"cannot remove non-existent edge {(u, v)}")
+        keys = np.delete(keys, at)
+        ins = np.sort(self._encode(self._pending_inserts))
+        self._keys = np.insert(keys, np.searchsorted(keys, ins), ins)
+        self.epoch += 1
+        batch = UpdateBatch(self.epoch, tuple(self._pending_inserts),
+                            tuple(self._pending_removes))
         self._pending_inserts.clear()
         self._pending_removes.clear()
-        self.epoch += 1
-        batch = UpdateBatch(self.epoch, applied_ins, applied_del)
         self.history.append(batch)
         return batch
 
@@ -92,25 +113,30 @@ class DynamicGraph:
 
     @property
     def num_edges(self) -> int:
-        return sum(self._edges.values())
+        return int(self._keys.size)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return (u, v) in self._edges
+        if not self._in_range(u, v):
+            return False
+        key = u * self.num_nodes + v
+        i = int(np.searchsorted(self._keys, key))
+        return i < self._keys.size and int(self._keys[i]) == key
+
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(src, dst)`` int64 arrays of every edge copy, (src, dst)-sorted."""
+        return np.divmod(self._keys, np.int64(max(self.num_nodes, 1)))
 
     def edge_list(self) -> list[tuple[int, int]]:
-        out = []
-        for e, count in sorted(self._edges.items()):
-            out.extend([e] * count)
-        return out
+        src, dst = self.edge_arrays()
+        return list(zip(src.tolist(), dst.tolist()))
 
     # -- snapshots ---------------------------------------------------------------
 
     def snapshot(self) -> Graph:
         """Immutable CSR snapshot of the current epoch (for classical
         analytics, as the paper prescribes)."""
-        edges = self.edge_list()
-        return from_edges([e[0] for e in edges], [e[1] for e in edges],
-                          num_nodes=self.num_nodes)
+        src, dst = self.edge_arrays()
+        return from_edges(src, dst, num_nodes=self.num_nodes)
 
 
 class ContinuousPatternMonitor:

@@ -136,10 +136,18 @@ def from_edges(src: Iterable[int], dst: Iterable[int], num_nodes: Optional[int] 
         if w is not None:
             w = w[keep]
 
-    # Sort by (src, dst) -> CSR out-edge order.
-    order = np.lexsort((dst, src))
-    src_s, dst_s = src[order], dst[order]
-    w_s = None if w is None else w[order]
+    # Sort by (src, dst) -> CSR out-edge order; input already in that order
+    # (an epoch build's sorted edge keys) is only copied.
+    step = np.diff(src)
+    ordered = (step >= 0).all() and (np.diff(dst)[step == 0] >= 0).all()
+    del step  # E-sized: must not stay alive across the sorts below
+    if ordered:
+        src_s, dst_s = src, dst.copy()
+        w_s = None if w is None else w.copy()
+    else:
+        order = np.lexsort((dst, src))
+        src_s, dst_s = src[order], dst[order]
+        w_s = None if w is None else w[order]
 
     out_starts = np.zeros(num_nodes + 1, dtype=np.int64)
     np.add.at(out_starts, src_s + 1, 1)

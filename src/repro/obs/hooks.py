@@ -21,7 +21,7 @@ carries simulated-time fields in seconds.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 #: The engine's built-in hook points (user hooks may use any other name).
 KNOWN_HOOKS = (
@@ -132,10 +132,6 @@ class HookBus:
             if not subs:
                 del self._subs[sub.name]
 
-    def unsubscribe_all(self, subs: Iterable[Subscription]) -> None:
-        for sub in subs:
-            self.unsubscribe(sub)
-
     # -- emission ----------------------------------------------------------
 
     def has(self, name: str) -> bool:
@@ -163,46 +159,47 @@ class HookBus:
 
 
 class ScopedHookBus:
-    """A tagging, mirroring proxy over a cluster's :class:`HookBus`.
+    """A tagging, ledger-keeping proxy over a cluster's :class:`HookBus`.
 
-    The scheduler hands one of these to each :class:`JobExecution` it
-    dispatches, so a region running interleaved with other tenants stays
-    attributable: every payload gains the scope's ``tags`` (session name,
-    ticket id) before reaching the shared cluster bus, and is additionally
-    mirrored onto a private ``inner`` bus whose subscribers (a per-job
-    :class:`~repro.obs.recorder.MetricsRecorder`) see *only* this job's
-    events.  Cluster-wide observers keep seeing everything exactly once.
+    The scheduler hands one of these to each execution it dispatches, so a
+    region running interleaved with other tenants stays attributable: every
+    payload gains the scope's ``tags`` (session name, ticket id) before
+    reaching the shared cluster bus, and for the duration of that
+    (synchronous) dispatch the cluster ``registry`` also adds every counter
+    and histogram update to this bus's sparse ``ledger`` — so the ledger
+    holds exactly the increments this job's own events caused, however the
+    tenants' events interleave.  Observers see everything exactly once.
 
     The proxy quacks like a :class:`HookBus` for the emit-side API the
     engine layers use (``emit``/``has``); subscription management stays on
-    the underlying buses.
+    the underlying bus.
     """
 
-    __slots__ = ("outer", "inner", "tags")
+    __slots__ = ("outer", "tags", "registry", "ledger")
 
-    def __init__(self, outer: "HookBus", inner: "HookBus | None" = None,
+    def __init__(self, outer: "HookBus", registry,
                  tags: Mapping[str, object] | None = None):
         self.outer = outer
-        self.inner = inner
+        self.registry = registry
         self.tags = dict(tags or {})
+        #: flat series name -> increment caused by this scope's events
+        self.ledger: dict[str, float] = {}
 
     def has(self, name: str) -> bool:
-        if name in self.outer._subs:
-            return True
-        return self.inner is not None and name in self.inner._subs
+        return name in self.outer._subs
 
     def emit(self, name: str, **payload) -> None:
-        # Has-subscribers guard: skip the tag merge and double dispatch when
-        # neither bus listens (the caller already paid for the payload dict,
-        # which is why hot emit sites additionally pre-check ``has``).
-        inner = self.inner
-        outer_has = name in self.outer._subs
-        if not outer_has and (inner is None or name not in inner._subs):
+        # Has-subscribers guard: skip the tag merge when nobody listens (the
+        # caller already paid for the payload dict, which is why hot emit
+        # sites additionally pre-check ``has``).
+        if name not in self.outer._subs:
             return
-        if self.tags:
-            for key, value in self.tags.items():
-                payload.setdefault(key, value)
-        if outer_has:
+        for key, value in self.tags.items():
+            payload.setdefault(key, value)
+        registry = self.registry
+        previous = registry.ledger
+        registry.ledger = self.ledger
+        try:
             self.outer.emit(name, **payload)
-        if inner is not None:
-            inner.emit(name, **payload)
+        finally:
+            registry.ledger = previous

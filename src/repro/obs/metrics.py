@@ -39,24 +39,33 @@ class _Family:
     """Shared machinery: a metric family owning children per label set."""
 
     kind = "untyped"
+    #: a family built outside a registry owns its children and has no ledger
+    ledger = None
 
-    def __init__(self, name: str, help: str = "", labelnames: Sequence[str] = ()):
+    def __init__(self, name: str, help: str = "", labelnames: Sequence[str] = (),
+                 registry: Optional["MetricsRegistry"] = None):
         self.name = name
         self.help = help
         self.labelnames = tuple(labelnames)
+        self._owner = registry if registry is not None else self
         self._children: dict[tuple[str, ...], object] = {}
         if not self.labelnames:
-            self._children[()] = self._make_child()
+            self._children[()] = self._make_child(())
 
-    def _make_child(self):
+    def _make_child(self, key: tuple[str, ...]):
         raise NotImplementedError
+
+    def _series(self, key: tuple[str, ...], suffix: str = "") -> str:
+        """The flat ``name{a="x",b="y"}`` series name of one child."""
+        labels = ",".join(f'{n}="{v}"' for n, v in zip(self.labelnames, key))
+        return f"{self.name}{suffix}" + ("{" + labels + "}" if labels else "")
 
     def labels(self, **labels):
         """The child for one label-value combination (created on first use)."""
         key = _label_key(self.labelnames, labels)
         child = self._children.get(key)
         if child is None:
-            child = self._children[key] = self._make_child()
+            child = self._children[key] = self._make_child(key)
         return child
 
     def _default_child(self):
@@ -71,15 +80,20 @@ class _Family:
 
 
 class _CounterValue:
-    __slots__ = ("value",)
+    __slots__ = ("value", "series", "_owner")
 
-    def __init__(self) -> None:
+    def __init__(self, series: str, owner) -> None:
         self.value = 0.0
+        self.series = series
+        self._owner = owner
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError(f"counters only go up (inc by {amount})")
         self.value += amount
+        ledger = self._owner.ledger
+        if ledger is not None:
+            ledger[self.series] = ledger.get(self.series, 0.0) + amount
 
 
 class Counter(_Family):
@@ -87,8 +101,8 @@ class Counter(_Family):
 
     kind = "counter"
 
-    def _make_child(self) -> _CounterValue:
-        return _CounterValue()
+    def _make_child(self, key) -> _CounterValue:
+        return _CounterValue(self._series(key), self._owner)
 
     def inc(self, amount: float = 1.0) -> None:
         self._default_child().inc(amount)
@@ -119,7 +133,7 @@ class Gauge(_Family):
 
     kind = "gauge"
 
-    def _make_child(self) -> _GaugeValue:
+    def _make_child(self, key) -> _GaugeValue:
         return _GaugeValue()
 
     def set(self, value: float) -> None:
@@ -137,18 +151,28 @@ class Gauge(_Family):
 
 
 class _HistogramValue:
-    __slots__ = ("bounds", "bucket_counts", "sum", "count")
+    __slots__ = ("bounds", "bucket_counts", "sum", "count",
+                 "sum_series", "count_series", "_owner")
 
-    def __init__(self, bounds: tuple[float, ...]):
+    def __init__(self, bounds: tuple[float, ...], sum_series: str,
+                 count_series: str, owner):
         self.bounds = bounds              # finite upper bounds, sorted
         self.bucket_counts = [0] * (len(bounds) + 1)  # last = +Inf bucket
         self.sum = 0.0
         self.count = 0
+        self.sum_series = sum_series
+        self.count_series = count_series
+        self._owner = owner
 
     def observe(self, value: float) -> None:
         self.bucket_counts[bisect.bisect_left(self.bounds, value)] += 1
         self.sum += value
         self.count += 1
+        ledger = self._owner.ledger
+        if ledger is not None:
+            ledger[self.sum_series] = ledger.get(self.sum_series, 0.0) + value
+            ledger[self.count_series] = (
+                ledger.get(self.count_series, 0.0) + 1.0)
 
     def cumulative(self) -> list[int]:
         """Cumulative counts per bucket (the Prometheus ``le`` semantics)."""
@@ -189,17 +213,19 @@ class Histogram(_Family):
     kind = "histogram"
 
     def __init__(self, name: str, help: str = "", labelnames: Sequence[str] = (),
-                 buckets: Sequence[float] = DEFAULT_TIME_BUCKETS):
+                 buckets: Sequence[float] = DEFAULT_TIME_BUCKETS,
+                 registry: Optional["MetricsRegistry"] = None):
         bounds = tuple(sorted(float(b) for b in buckets))
         if not bounds:
             raise ValueError("histogram needs at least one bucket bound")
         if len(set(bounds)) != len(bounds):
             raise ValueError(f"duplicate bucket bounds in {bounds}")
         self.buckets = bounds
-        super().__init__(name, help, labelnames)
+        super().__init__(name, help, labelnames, registry)
 
-    def _make_child(self) -> _HistogramValue:
-        return _HistogramValue(self.buckets)
+    def _make_child(self, key) -> _HistogramValue:
+        return _HistogramValue(self.buckets, self._series(key, "_sum"),
+                               self._series(key, "_count"), self._owner)
 
     def observe(self, value: float) -> None:
         self._default_child().observe(value)
@@ -221,12 +247,10 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: dict[str, _Family] = {}
-        #: memoized ``name{labels}`` series strings for counters_flat —
-        #: formatting dominates per-job delta snapshots otherwise.  Clusters
-        #: running with the array-native engine off disable the memo so A/B
-        #: benchmarks charge it to the feature it shipped with.
-        self.memoize_flat = True
-        self._flat_names: dict[tuple[str, tuple[str, ...]], str] = {}
+        #: while set, counter and histogram updates are also added to this
+        #: ``{flat series name: increment}`` dict; a scheduled job's
+        #: :class:`~repro.obs.hooks.ScopedHookBus` sets it around each emit
+        self.ledger: Optional[dict[str, float]] = None
 
     # -- registration (idempotent) -----------------------------------------
 
@@ -239,7 +263,7 @@ class MetricsRegistry:
                     f"metric {name!r} already registered as {existing.kind} "
                     f"with labels {existing.labelnames}")
             return existing
-        metric = cls(name, help, labelnames, **kwargs)
+        metric = cls(name, help, labelnames, registry=self, **kwargs)
         self._metrics[name] = metric
         return metric
 
@@ -302,26 +326,14 @@ class MetricsRegistry:
         excluded — a gauge delta is not meaningful.
         """
         flat: dict[str, float] = {}
-        names = self._flat_names
         for metric in self:
-            kind = metric.kind
-            if kind != "counter" and kind != "histogram":
-                continue
-            for key, child in metric.children():
-                cache_key = (metric.name, key)
-                label_str = names.get(cache_key) if self.memoize_flat else None
-                if label_str is None:
-                    suffix = "".join(
-                        f'{n}="{v}",' for n, v in zip(metric.labelnames, key))
-                    label_str = ("{" + suffix.rstrip(",") + "}"
-                                 if suffix else "")
-                    if self.memoize_flat:
-                        names[cache_key] = label_str
-                if kind == "counter":
-                    flat[f"{metric.name}{label_str}"] = child.value
-                else:
-                    flat[f"{metric.name}_sum{label_str}"] = child.sum
-                    flat[f"{metric.name}_count{label_str}"] = float(child.count)
+            if metric.kind == "counter":
+                for _, child in metric.children():
+                    flat[child.series] = child.value
+            elif metric.kind == "histogram":
+                for _, child in metric.children():
+                    flat[child.sum_series] = child.sum
+                    flat[child.count_series] = float(child.count)
         return flat
 
     def delta_since(self, before: dict[str, float]) -> dict[str, float]:

@@ -8,7 +8,7 @@ Prometheus/JSON exporters, and the per-job deltas attached to ``JobStats``.
 
 from __future__ import annotations
 
-from .hooks import HookBus, Subscription
+from .hooks import HookBus
 from .metrics import DEFAULT_BYTE_BUCKETS, MetricsRegistry
 
 
@@ -18,7 +18,6 @@ class MetricsRecorder:
     def __init__(self, registry: MetricsRegistry, bus: HookBus,
                  fast: bool = True):
         self.registry = registry
-        self.bus = bus
         #: with ``fast`` off the handlers resolve label children through the
         #: family every call (the legacy path) — lets A/B benchmarks charge
         #: the memoization to the array-native engine it shipped with
@@ -223,7 +222,7 @@ class MetricsRecorder:
         self._kind_children: dict = {}
         self._machine_children: dict = {}
 
-        self._subs: list[Subscription] = bus.subscribe_many({
+        bus.subscribe_many({
             "task.chunk_end": self._on_chunk_end,
             "comm.flush": self._on_flush,
             "comm.enqueue": self._on_enqueue,
@@ -254,11 +253,6 @@ class MetricsRecorder:
             "cache.miss": self._on_cache_miss,
             "cache.evict": self._on_cache_evict,
         })
-
-    def close(self) -> None:
-        """Detach from the bus (the registry keeps its accumulated values)."""
-        self.bus.unsubscribe_all(self._subs)
-        self._subs = []
 
     # -- hook handlers -----------------------------------------------------
 

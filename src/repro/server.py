@@ -407,7 +407,7 @@ class PgxdServer:
     def metrics_rollup(self) -> dict[str, dict]:
         """Per-session metric totals, keyed by session name.  Each value is a
         flat ``name{labels}`` -> delta mapping covering the jobs that session
-        ran — sliced causally by each job's private :class:`JobScope`, so
+        ran — sliced causally by each job's per-ticket metric ledger, so
         the rollup stays disjoint even when sessions' jobs interleave;
         summing across sessions approximates the cluster registry (minus
         activity outside any session)."""

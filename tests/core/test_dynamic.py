@@ -36,6 +36,43 @@ class TestDynamicGraph:
         with pytest.raises(KeyError):
             dyn.apply_updates()
 
+    def test_over_removal_rejected_atomically(self):
+        # one copy of (0, 1), removed twice in one batch: the whole batch
+        # is refused with the documented error and nothing moves
+        dyn = DynamicGraph(4, [(0, 1), (1, 2), (2, 3)])
+        dyn.add_edge(3, 0)
+        for e in ((1, 2), (0, 1), (0, 1)):
+            dyn.remove_edge(*e)
+        with pytest.raises(KeyError, match="cannot remove non-existent "
+                                           r"edge \(0, 1\)"):
+            dyn.apply_updates()
+        assert dyn.edge_list() == [(0, 1), (1, 2), (2, 3)]
+        assert dyn.epoch == 0 and dyn.history == []
+        assert dyn._pending_inserts == [(3, 0)]
+        assert dyn._pending_removes == [(1, 2), (0, 1), (0, 1)]
+
+    def test_removing_two_of_three_copies_succeeds(self):
+        dyn = DynamicGraph(3, [(0, 1), (0, 1), (0, 1), (1, 2)])
+        dyn.remove_edge(0, 1)
+        dyn.remove_edge(0, 1)
+        batch = dyn.apply_updates()
+        assert dyn.edge_list() == [(0, 1), (1, 2)]
+        assert batch.removed == ((0, 1), (0, 1)) and dyn.epoch == 1
+
+    def test_removal_resolves_against_pre_batch_edges(self):
+        # an edge inserted by a batch cannot be removed by the same batch
+        dyn = DynamicGraph(3)
+        dyn.add_edge(0, 1)
+        dyn.remove_edge(0, 1)
+        with pytest.raises(KeyError):
+            dyn.apply_updates()
+        assert dyn.num_edges == 0 and dyn.epoch == 0
+
+    def test_out_of_range_initial_edge_rejected(self):
+        with pytest.raises(ValueError, match=r"\(1, 3\)"):
+            DynamicGraph(3, [(0, 1), (1, 3)])
+        assert not DynamicGraph(3, [(0, 1)]).has_edge(0, 4)
+
     def test_multi_edges_counted(self):
         dyn = DynamicGraph(3)
         dyn.add_edge(0, 1)

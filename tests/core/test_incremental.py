@@ -328,3 +328,73 @@ class TestWeightsAndErrors:
         from repro.core.job import MutationJob
         with pytest.raises(ValueError):
             MutationJob(name="m")
+
+
+class TestArrayBackedEpochBuild:
+    """The sorted-key edge store against a ``Counter`` multiset model:
+    every epoch's ``_snapshot_graph()`` is byte-equal to the always-sort
+    CSR construction over the model's sorted edge list."""
+
+    @staticmethod
+    def check(engine, model):
+        from tests.graph.test_csr import assert_same_bytes, two_lexsort_csr
+        dyn = engine.dynamic
+        edges = sorted(model.elements())
+        assert dyn.edge_list() == edges and dyn.num_edges == len(edges)
+        src = np.array([e[0] for e in edges], dtype=np.int64)
+        dst = np.array([e[1] for e in edges], dtype=np.int64)
+        w = engine.weight_fn(src, dst) if engine.weight_fn else None
+        want = two_lexsort_csr(src, dst, dyn.num_nodes, w)
+        assert_same_bytes(engine._snapshot_graph(), want)
+        assert_same_bytes(dyn.snapshot(),
+                          two_lexsort_csr(src, dst, dyn.num_nodes))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_seeded_batch_streams_match_the_counter_model(self, seed,
+                                                          weighted):
+        from collections import Counter
+        n = 12
+        rng = np.random.default_rng([seed, 77])
+        base = [(int(u), int(v)) for u, v in rng.integers(0, n, (30, 2))]
+        base += [(3, 3), (3, 3), (5, 7), (5, 7), (5, 7)]  # loops, copies
+        model = Counter(base)
+        dyn = DynamicGraph(n, base)
+        engine = IncrementalEngine(
+            make_cluster(2), dyn,
+            weight_fn=hash_weights(seed=seed) if weighted else None)
+        self.check(engine, model)
+        for _ in range(6):
+            present = sorted(model.elements())
+            removes = [present[int(i)] for i in rng.choice(
+                len(present), size=min(4, len(present)), replace=False)]
+            inserts = [(int(u), int(v)) for u, v in rng.integers(0, n, (4, 2))]
+            # the same edge removed and re-inserted by one batch, plus a
+            # fresh duplicate pair and a self-loop
+            inserts += [removes[0], (1, 1), (2, 9), (2, 9)]
+            for e in inserts:
+                dyn.add_edge(*e)
+            for e in removes:
+                dyn.remove_edge(*e)
+            model.subtract(removes)
+            model.update(inserts)
+            model = +model
+            engine.mutate()
+            self.check(engine, model)
+            assert engine.dg.graph.out_nbrs.tobytes() == \
+                engine._snapshot_graph().out_nbrs.tobytes()
+
+    def test_graph_emptied_and_refilled(self):
+        from collections import Counter
+        dyn = DynamicGraph(5)
+        engine = IncrementalEngine(make_cluster(2), dyn,
+                                   weight_fn=hash_weights())
+        self.check(engine, Counter())
+        for e in ((4, 0), (0, 0), (4, 0)):
+            dyn.add_edge(*e)
+        engine.mutate()
+        self.check(engine, Counter({(4, 0): 2, (0, 0): 1}))
+        for e in ((4, 0), (0, 0), (4, 0)):
+            dyn.remove_edge(*e)
+        engine.mutate()
+        self.check(engine, Counter())

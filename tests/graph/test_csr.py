@@ -72,6 +72,80 @@ class TestFromEdges:
             from_edges([0], [1], weights=[1.0, 2.0])
 
 
+GRAPH_ARRAYS = ("out_starts", "out_nbrs", "in_starts", "in_nbrs",
+                "in_edge_index", "edge_weights")
+
+
+def assert_same_bytes(got: Graph, want: Graph):
+    assert got.num_nodes == want.num_nodes
+    for name in GRAPH_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a is None) == (b is None), name
+        if a is not None:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
+def two_lexsort_csr(src, dst, num_nodes, weights=None) -> Graph:
+    """The always-sort construction ``from_edges`` must keep matching."""
+    src, dst = np.asarray(src, np.int64), np.asarray(dst, np.int64)
+    order = np.lexsort((dst, src))
+    src_s, dst_s = src[order], dst[order]
+    rorder = np.lexsort((src_s, dst_s))
+    return Graph(
+        num_nodes=num_nodes,
+        out_starts=np.concatenate(
+            ([0], np.cumsum(np.bincount(src_s, minlength=num_nodes)))
+        ).astype(np.int64),
+        out_nbrs=dst_s,
+        in_starts=np.concatenate(
+            ([0], np.cumsum(np.bincount(dst_s, minlength=num_nodes)))
+        ).astype(np.int64),
+        in_nbrs=src_s[rorder], in_edge_index=rorder.astype(np.int64),
+        edge_weights=(None if weights is None
+                      else np.asarray(weights, np.float64)[order]))
+
+
+class TestPresortedInput:
+    """``from_edges`` skips its sort when the input is already in
+    (src, dst) order; the arrays must not depend on which side ran."""
+
+    @pytest.mark.parametrize("edges", [
+        [],
+        [(2, 1)],
+        [(0, 0), (0, 0), (0, 3), (1, 1), (3, 0), (3, 0), (3, 2)],
+        [(1, 2), (1, 2)],
+    ], ids=["zero-edges", "one-edge", "duplicates-and-self-loops",
+            "one-pair-twice"])
+    def test_sorted_and_shuffled_input_build_identical_graphs(self, edges):
+        n = 4
+        src = np.array([e[0] for e in edges], dtype=np.int64)
+        dst = np.array([e[1] for e in edges], dtype=np.int64)
+        # a weight that is a function of the edge, so equal edges tie
+        w = src * 10.0 + dst
+        want = two_lexsort_csr(src, dst, n, w)
+        assert_same_bytes(from_edges(src, dst, num_nodes=n, weights=w), want)
+        rng = np.random.default_rng(len(edges))
+        for _ in range(4):
+            perm = rng.permutation(len(edges))
+            assert_same_bytes(from_edges(src[perm], dst[perm], num_nodes=n,
+                                         weights=w[perm]), want)
+
+    def test_sorted_by_src_only_still_sorts(self):
+        g = from_edges([0, 0, 1], [2, 1, 0], num_nodes=3,
+                       weights=[1.0, 2.0, 3.0])
+        assert g.out_nbrs.tolist() == [1, 2, 0]
+        assert g.edge_weights.tolist() == [2.0, 1.0, 3.0]
+
+    def test_sorted_input_is_copied_not_aliased(self, small_rmat):
+        src, dst = small_rmat.edge_list()
+        w = np.ones(len(src))
+        g = from_edges(src, dst, num_nodes=small_rmat.num_nodes, weights=w)
+        dst[:] = 0
+        w[:] = 7.0
+        assert np.array_equal(g.out_nbrs, small_rmat.out_nbrs)
+        assert (g.edge_weights == 1.0).all()
+
+
 class TestReverseCsr:
     def test_in_edge_index_maps_weights(self, tiny_graph):
         g = tiny_graph
