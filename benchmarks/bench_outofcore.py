@@ -3,7 +3,9 @@
 
 Measures (a) what streaming the edge partitions from the modeled disk
 costs versus keeping them DRAM-resident — simulated seconds, stall
-share, and host wall-clock — across a window-size sweep, and (b) the
+share, host wall-clock, and the bytes the device moved (compact shard
+format) next to the resolved bytes they became in DRAM — across a
+window-size sweep, and (b) the
 headline capability: a graph whose edge arrays exceed one machine's
 modeled DRAM by >= 10x completing on the 4-machine cluster, bit-identical
 to the in-memory run. Results land in ``BENCH_outofcore.json``.
@@ -31,7 +33,7 @@ SCHEMA = "repro-bench-outofcore/v1"
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-CSR_BYTES_PER_EDGE = 24.0  # mirrors repro.core.vector_kernels
+from repro.core.vector_kernels import CSR_BYTES_PER_EDGE  # noqa: E402
 
 
 def build_cluster(machines: int, chunk_size: int, out_of_core: bool,
@@ -65,6 +67,8 @@ def run_pagerank(graph, machines: int, iterations: int, chunk_size: int,
         "simulated_seconds": res.total_time,
         "values": res.values["pr"],
         "disk_bytes_read": disk["bytes_read"],
+        "resident_bytes_streamed": (res.stats.edges_processed
+                                    * CSR_BYTES_PER_EDGE),
         "disk_reads": disk["reads"],
         "disk_read_seconds": disk["read_seconds"],
         "disk_stall_seconds": disk["stall_seconds"],
@@ -92,6 +96,7 @@ def bench_stream_vs_resident(name: str, graph, machines: int,
         "inmemory_wallclock_seconds": round(mem["wallclock_seconds"], 4),
         "streamed_wallclock_seconds": round(ooc["wallclock_seconds"], 4),
         "disk_bytes_read": ooc["disk_bytes_read"],
+        "resident_bytes_streamed": ooc["resident_bytes_streamed"],
         "disk_reads": int(ooc["disk_reads"]),
         "disk_read_seconds": ooc["disk_read_seconds"],
         "disk_stall_seconds": ooc["disk_stall_seconds"],
@@ -127,6 +132,7 @@ def bench_dram_ratio(graph, machines: int, iterations: int, chunk_size: int,
         "results_match": bool(np.array_equal(mem["values"], ooc["values"])),
         "streamed_sim_seconds": ooc["simulated_seconds"],
         "disk_bytes_read": ooc["disk_bytes_read"],
+        "resident_bytes_streamed": ooc["resident_bytes_streamed"],
     }
 
 
@@ -233,6 +239,8 @@ def main(argv=None) -> int:
                   f"{e['streamed_sim_seconds']:.4f}s "
                   f"({e['sim_slowdown']:.2f}x, "
                   f"stall={e['stall_share']:.2%}, "
+                  f"disk {e['disk_bytes_read'] / 1e6:.1f} MB -> resident "
+                  f"{e['resident_bytes_streamed'] / 1e6:.1f} MB, "
                   f"match={e['results_match']})")
     print(f"wrote {args.out}")
     return 0

@@ -30,8 +30,8 @@ from .core.tasks import (EdgeMapSpec, InNbrIterTask, NodeIterTask,
 from .graph.csr import Graph, from_edges
 from .graph.generators import (grid_graph, paper_graph, rmat, uniform_random,
                                with_uniform_weights)
-from .runtime.config import (ClusterConfig, EngineConfig, MachineConfig,
-                             NetworkConfig)
+from .runtime.config import (ClusterConfig, ConfigError, EngineConfig,
+                             MachineConfig, NetworkConfig)
 
 __version__ = "1.0.0"
 
@@ -43,6 +43,7 @@ __all__ = [
     "Graph", "from_edges", "rmat", "uniform_random", "grid_graph",
     "paper_graph", "with_uniform_weights",
     "ClusterConfig", "EngineConfig", "MachineConfig", "NetworkConfig",
+    "ConfigError",
     "FaultPlan", "MachineSlowdown", "MachineCrash",
     "EngineStallError", "MachineCrashError", "RetryExhaustedError",
     "JobScheduler", "SchedulerConfig", "JobTicket",

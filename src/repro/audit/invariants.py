@@ -164,6 +164,30 @@ def check_execution(exc: "JobExecution",
                 f"{len(m.request_queue)} requests left unserviced",
                 machine=m.index)
 
+    # -- out-of-core window streams -----------------------------------------
+    for stream in exc.window_streams or ():
+        where = {"machine": stream.machine.index}
+        if not stream.exhausted:
+            add("stream.exhausted",
+                f"window stream not exhausted: {stream.diagnostics()}",
+                **where)
+        if stream.inflight != 0:
+            add("stream.inflight",
+                f"{stream.inflight} window reads still on the disk", **where)
+        if stream.resident_bytes != 0:
+            add("stream.resident_bytes",
+                f"{stream.resident_bytes} streamed bytes still resident",
+                **where)
+        # A window's read is issued when its predecessor activates, so the
+        # workers cannot have waited on it longer than the read itself
+        # (to the rounding of the clock the two were subtracted on).
+        slack = 1e-12 * max(1.0, exc.sim.now)
+        for w, (stall, duration) in enumerate(stream.activations):
+            if not 0.0 <= stall <= duration + slack:
+                add("stream.stall",
+                    f"window {w} stalled {stall!r}s on a {duration!r}s read",
+                    window=w, **where)
+
     # -- reliability layer ---------------------------------------------------
     if exc.reliability is not None and exc.reliability.pending_count:
         add("reliability.pending",

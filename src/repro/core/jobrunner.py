@@ -372,8 +372,10 @@ class JobExecution:
                                      ecfg.chunking, ecfg.chunk_size)
             m.chunk_queue.clear()
             if streaming:
-                windows = build_windows(chunks, m.csr(self.iter_kind).starts,
-                                        max(1, self.ooc_window_edges))
+                csr = m.csr(self.iter_kind)
+                windows = build_windows(chunks, csr.starts,
+                                        self.ooc_window_edges,
+                                        self._streamed_edge_columns(csr))
                 self.window_streams.append(MachineWindowStream(self, m,
                                                                windows))
             else:
@@ -393,8 +395,17 @@ class JobExecution:
             for ws in mw:
                 wake_worker(self, ws)
 
+    def _streamed_edge_columns(self, csr) -> int:
+        """Per-edge columns a streamed window must carry for this job: the
+        one an :class:`EdgeMapSpec` names (weights or ``edge_prop``) when
+        it reads any; a free-form task may read every column the CSR has."""
+        if isinstance(self.job, EdgeMapJob):
+            return 1 if self.job.spec.use_weights else 0
+        return (csr.weights is not None) + len(csr.props or ())
+
     def stream_cache_pressure(self, machine_index: int) -> float:
-        """Bytes of streamed edge windows resident in a machine's DRAM.
+        """Resolved bytes of streamed edge windows resident in a machine's
+        DRAM.
 
         The comm manager folds this into a copier's working-set size: in
         out-of-core mode the double-buffered window reads sweep the LLC,

@@ -38,6 +38,19 @@ if TYPE_CHECKING:  # pragma: no cover
     from .machine import LocalCsr
 
 
+def stable_owner_order(owners: np.ndarray, num_machines: int) -> np.ndarray:
+    """``np.argsort(owners, kind="stable")`` for machine indices below
+    ``num_machines``, sorted on the narrowest unsigned dtype that holds
+    them: numpy's stable sort of 8/16-bit keys is a radix sort (~6x faster
+    than the int32 merge sort at chunk sizes) and, being stable over the
+    same keys, returns the identical permutation."""
+    if num_machines <= 1 << 8:
+        owners = owners.astype(np.uint8)
+    elif num_machines <= 1 << 16:
+        owners = owners.astype(np.uint16)
+    return np.argsort(owners, kind="stable")
+
+
 class ChunkPlan:
     """Precomputed routing of one chunk ``[lo, hi)`` of one CSR direction.
 
@@ -48,7 +61,7 @@ class ChunkPlan:
 
     __slots__ = (
         "lo", "hi", "es", "ee", "n_nodes", "n_edges", "degrees", "rows",
-        "is_local", "is_ghost", "is_remote", "n_local", "n_ghost", "n_remote",
+        "n_local", "n_ghost", "n_remote",
         "local_idx", "local_rows", "local_offsets",
         "ghost_idx", "ghost_rows", "ghost_slots",
         "remote_idx", "remote_offsets", "remote_rows", "bounds", "dest_runs",
@@ -76,7 +89,6 @@ class ChunkPlan:
         else:
             is_ghost = np.zeros(self.n_edges, dtype=bool)
         is_remote = ~(is_local | is_ghost)
-        self.is_local, self.is_ghost, self.is_remote = is_local, is_ghost, is_remote
 
         self.local_idx = np.nonzero(is_local)[0]
         self.ghost_idx = np.nonzero(is_ghost)[0]
@@ -93,7 +105,7 @@ class ChunkPlan:
         # Stable owner sort: identical permutation to sorting the remote
         # subset directly, so buffered request order (and therefore every
         # downstream message and reduction) matches the uncached path.
-        order = np.argsort(owners[rem], kind="stable")
+        order = stable_owner_order(owners[rem], num_machines)
         self.remote_idx = rem[order]
         remote_owners = owners[self.remote_idx]
         self.remote_offsets = offsets[self.remote_idx]
@@ -117,8 +129,7 @@ class ChunkPlan:
         self._weight_cache: dict = {}
         self.nbytes = sum(
             getattr(self, name).nbytes for name in (
-                "degrees", "rows", "is_local", "is_ghost", "is_remote",
-                "local_idx", "local_rows", "local_offsets",
+                "degrees", "rows", "local_idx", "local_rows", "local_offsets",
                 "ghost_idx", "ghost_rows", "ghost_slots",
                 "remote_idx", "remote_offsets", "remote_rows", "bounds"))
 

@@ -16,11 +16,13 @@ from typing import Optional, TYPE_CHECKING
 
 import numpy as np
 
+from ..runtime.disk import window_disk_bytes
 from .messages import Message, MsgKind, ReadBuffer, SideStructure, WriteBuffer
 from .data_manager import ScalarReadBuffer, ScalarWriteBuffer
 from .properties import ReduceOp
 from .tasks import TaskContext
 from .vector_kernels import (CSR_BYTES_PER_EDGE, GATHER_LOCALITY,
+                             RESOLVE_BYTES_PER_EDGE, RESOLVE_OPS_PER_EDGE,
                              RESPONSE_APPLY_LOCALITY, VALUE_BYTES, WorkTally,
                              execute_edge_map_chunk,
                              execute_node_kernel_chunk)
@@ -299,30 +301,38 @@ class WorkerState:
 # ---------------------------------------------------------------------------
 
 
-def build_windows(chunks: list, starts: np.ndarray,
-                  window_edges: int) -> list:
+def build_windows(chunks: list, starts: np.ndarray, window_edges: int,
+                  edge_columns: int = 0) -> list:
     """Group consecutive chunks into fixed-budget streaming windows.
 
-    Returns ``[(chunks, nbytes), ...]``: each window holds consecutive
-    chunks totalling at most ``window_edges`` edges (a single hub chunk
-    larger than the budget gets a window of its own); ``nbytes`` is the
-    window's modeled on-disk CSR footprint.  Chunk boundaries are exactly
-    the in-memory mode's — windows only gate *when* chunks become
-    runnable, never what a chunk contains.
+    Returns ``[(chunks, disk_bytes, resident_bytes), ...]``: each window
+    holds consecutive chunks totalling at most ``window_edges`` edges (a
+    single hub chunk larger than the budget gets a window of its own).
+    ``disk_bytes`` is what the window occupies on disk in the compact
+    shard format (:func:`repro.runtime.disk.window_disk_bytes`, with the
+    ``edge_columns`` per-edge columns the job reads) — what the device is
+    busy for; ``resident_bytes`` is its resolved in-DRAM footprint.  Chunk
+    boundaries are exactly the in-memory mode's — windows only gate *when*
+    chunks become runnable, never what a chunk contains.
     """
-    windows = []
+    groups = []  # (chunks, edges)
     cur: list = []
     cur_edges = 0
     for lo, hi in chunks:
         ce = int(starts[hi] - starts[lo])
         if cur and cur_edges + ce > window_edges:
-            windows.append((cur, cur_edges * CSR_BYTES_PER_EDGE))
+            groups.append((cur, cur_edges))
             cur, cur_edges = [], 0
         cur.append((lo, hi))
         cur_edges += ce
     if cur:
-        windows.append((cur, cur_edges * CSR_BYTES_PER_EDGE))
-    return windows
+        groups.append((cur, cur_edges))
+    # chunks are consecutive, so a window's rows are [first lo, last hi)
+    return [(group,
+             window_disk_bytes(edges, group[-1][1] - group[0][0],
+                               edge_columns),
+             edges * CSR_BYTES_PER_EDGE)
+            for group, edges in groups]
 
 
 class MachineWindowStream:
@@ -331,8 +341,13 @@ class MachineWindowStream:
     Double-buffered: while the active window's chunks execute, at most one
     successor window is in flight on the disk (its read is issued at
     activation time), so the next window's read overlaps the current
-    window's compute on the simulator event loop.  Workers idle when the
-    chunk queue drains mid-stream and are woken when the next window
+    window's compute on the simulator event loop.  A window *drains* when
+    its last chunk finishes (``_end_work``), not when it is grabbed: only
+    then does its buffer leave DRAM, its routing plans go, and the
+    successor activate.  The stall a window causes is the gap between that
+    drain and its own read completing — never more than the read, because
+    the read was issued when the predecessor activated.  Workers idle when
+    the chunk queue drains mid-stream and are woken when the next window
     activates; the worker done-rule gains a "stream exhausted" guard so
     the main phase cannot end while windows remain.
 
@@ -344,7 +359,7 @@ class MachineWindowStream:
 
     __slots__ = ("exc", "machine", "windows", "next_load", "inflight",
                  "loaded", "active_window", "active_chunks", "drained_at",
-                 "resident_bytes")
+                 "resident_bytes", "activations")
 
     def __init__(self, exc: "JobExecution", machine: "Machine",
                  windows: list):
@@ -358,13 +373,17 @@ class MachineWindowStream:
         #: windows read in, awaiting activation: (index, start, duration)
         self.loaded: deque = deque()
         self.active_window = -1
-        #: chunks of the active window not yet grabbed by a worker
+        #: chunks of the active window not yet finished
         self.active_chunks = 0
         #: when the previous window drained (stall clock), None while busy
         self.drained_at: Optional[float] = None
-        #: streamed window bytes currently held in DRAM buffers (cache
-        #: pressure on the copiers' working sets, see comm_manager)
+        #: resolved bytes of the streamed windows currently held in DRAM
+        #: buffers (cache pressure on the copiers' working sets, see
+        #: comm_manager)
         self.resident_bytes = 0.0
+        #: per activated window, in order: (stall, read duration) — what
+        #: the audit sweep checks ``0 <= stall <= duration`` against
+        self.activations: list = []
 
     @property
     def exhausted(self) -> bool:
@@ -389,11 +408,11 @@ class MachineWindowStream:
         w = self.next_load
         self.next_load += 1
         self.inflight += 1
-        nbytes = self.windows[w][1]
+        _, disk_bytes, resident_bytes = self.windows[w]
         disk = self.machine.disk
-        end = disk.occupy(self.exc.sim.now, nbytes)
-        duration = disk.read_time(nbytes)
-        self.resident_bytes += nbytes
+        end = disk.occupy(self.exc.sim.now, disk_bytes)
+        duration = disk.read_time(disk_bytes)
+        self.resident_bytes += resident_bytes
         self.exc.sim.schedule_at_fast(end, self._window_loaded, w,
                                       end - duration, duration)
 
@@ -413,16 +432,17 @@ class MachineWindowStream:
                     wake_worker(exc, ws)
             return
         w, start, duration = self.loaded.popleft()
-        chunks, nbytes = self.windows[w]
+        chunks, disk_bytes, _ = self.windows[w]
         now = exc.sim.now
         stall = (max(0.0, now - self.drained_at)
                  if self.drained_at is not None else 0.0)
         self.drained_at = None
-        exc.stats.disk_bytes_read += nbytes
+        self.activations.append((stall, duration))
+        exc.stats.disk_bytes_read += disk_bytes
         exc.stats.disk_stall_seconds += stall
         if exc.emit_disk_read:
             exc.hooks.emit("disk.read", machine=self.machine.index, window=w,
-                           nbytes=nbytes, start=start, duration=duration,
+                           nbytes=disk_bytes, start=start, duration=duration,
                            stall=stall, time=now)
         self.active_window = w
         self.active_chunks = len(chunks)
@@ -432,21 +452,23 @@ class MachineWindowStream:
             wake_worker(exc, ws)
 
     def chunk_done(self) -> None:
-        """One active-window chunk was grabbed and executed by a worker.
+        """One active-window chunk finished on its worker.
 
-        Called synchronously from inside the worker's work function, so the
-        drain transition defers through a zero-delay event — waking workers
-        here would re-enter the one that is still mid-chunk.
+        Called from ``_end_work`` just before that worker re-enters its
+        loop, so the drain transition defers through a zero-delay event —
+        waking workers here would schedule the finishing one twice.
         """
         self.active_chunks -= 1
         if self.active_chunks > 0:
             return
         exc = self.exc
-        chunks, nbytes = self.windows[self.active_window]
-        self.resident_bytes -= nbytes
+        chunks, _, resident_bytes = self.windows[self.active_window]
+        self.resident_bytes -= resident_bytes
         if exc.plan_cache_enabled:
-            # The window's CSR slice leaves DRAM, and its routing plans
-            # reference it: only resident windows keep cached plans.
+            # The window's buffer leaves DRAM.  A routing plan *is* the
+            # resolved window (the RESOLVE_* work each chunk was priced
+            # for), so it lives exactly as long: built once per residency,
+            # dropped here, rebuilt when the window streams back in.
             self.machine.plan_cache.evict_chunks(exc.iter_kind, chunks)
         self.drained_at = exc.sim.now
         exc.sim.schedule_fast(0.0, self._maybe_activate)
@@ -538,6 +560,8 @@ def _end_work(exc: "JobExecution", ws: WorkerState, dur: float,
         exc.hooks.emit("task.chunk_end", machine=ws.machine.index,
                        worker=ws.windex, kind=kind, job=exc.job.name,
                        start=start, duration=dur)
+    if kind == "chunk" and exc.window_streams is not None:
+        exc.window_streams[ws.machine.index].chunk_done()
     worker_loop(exc, ws)
 
 
@@ -555,7 +579,9 @@ def _execute_chunk(exc: "JobExecution", ws: WorkerState, lo: int, hi: int) -> Wo
     exc.stats.tasks_executed += tally.tasks
     exc.chunks_remaining -= 1
     if exc.window_streams is not None:
-        exc.window_streams[ws.machine.index].chunk_done()
+        # Resolve-on-load: the window came off disk as compact ids.
+        tally.cpu_ops += tally.edges * RESOLVE_OPS_PER_EDGE
+        tally.seq_bytes += tally.edges * RESOLVE_BYTES_PER_EDGE
     return tally
 
 
@@ -646,7 +672,8 @@ def _execute_scalar_chunk(exc: "JobExecution", ws: WorkerState,
     d_rw = stats.remote_writes - before[3]
     tally.cpu_ops += tally.edges * 2.0 + (d_rr + d_rw) * (exc.marshal_per_item / exc.cpu_op_time)
     tally.add_bytes((d_lr + d_lw) * 2 * VALUE_BYTES, GATHER_LOCALITY)
-    tally.seq_bytes += tally.edges * 24.0 + (d_rr + d_rw) * 2 * VALUE_BYTES
+    tally.seq_bytes += (tally.edges * CSR_BYTES_PER_EDGE
+                        + (d_rr + d_rw) * 2 * VALUE_BYTES)
     tally.atomic_ops += ws.pending_atomics
     ws.pending_atomics = 0
     return tally

@@ -14,7 +14,9 @@ from typing import Optional, TYPE_CHECKING
 
 import numpy as np
 
+from ..runtime.disk import DISK_ID_BYTES
 from ..runtime.memory import cache_adjusted_locality
+from .routing_plan import stable_owner_order
 from .tasks import EdgeMapSpec
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -26,6 +28,13 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Bytes of CSR metadata the worker streams per edge (neighbor id + resolved
 #: owner/offset/ghost-slot words).
 CSR_BYTES_PER_EDGE = 24.0
+#: Resolve-on-load (out-of-core only): a streamed window arrives as compact
+#: neighbor ids, and the worker that runs a chunk first rebuilds the resolved
+#: words of every edge it visits — owner by pivot search, owner-local offset
+#: subtract, ghost-slot probe — reading the compact row and writing the
+#: resolved one sequentially.
+RESOLVE_OPS_PER_EDGE = 8.0
+RESOLVE_BYTES_PER_EDGE = DISK_ID_BYTES + CSR_BYTES_PER_EDGE
 #: Bytes per random property gather / scatter element.
 VALUE_BYTES = 8.0
 
@@ -387,7 +396,7 @@ def _pull(exc, machine, ws, spec, tally, rows, offsets, gslots, owners,
 
 def _pull_remote(exc, machine, ws, spec, tally, rem_rows, rem_offsets,
                  rem_owners, rem_weights) -> None:
-    order = np.argsort(rem_owners, kind="stable")
+    order = stable_owner_order(rem_owners, exc.num_machines)
     rem_owners = rem_owners[order]
     rem_rows = rem_rows[order]
     rem_offsets = rem_offsets[order]
@@ -448,7 +457,7 @@ def _push(exc, machine, ws, spec, tally, rows, offsets, gslots, owners,
         rem_owners = owners[sel]
         rem_offsets = offsets[sel]
         rem_vals = src_vals[sel]
-        order = np.argsort(rem_owners, kind="stable")
+        order = stable_owner_order(rem_owners, exc.num_machines)
         rem_owners = rem_owners[order]
         rem_offsets = rem_offsets[order]
         rem_vals = rem_vals[order]

@@ -59,8 +59,12 @@ KNOWN_HOOKS = (
     "sched.dispatch",      # session, job, priority, wait, running, depth, time
     "sched.preempt",       # session, by, job, time
     "sched.complete",      # session, job, priority, wait, turnaround, time
-    "disk.read",           # machine, window, nbytes, start, duration, stall,
-                           #   time (out-of-core window activation)
+    "disk.read",           # machine, window, nbytes (on disk: compact
+                           #   shard format, not the resolved 24 B/edge),
+                           #   start, duration (of the read), stall (previous
+                           #   window's last chunk end -> this read's end, so
+                           #   0 <= stall <= duration), time (out-of-core
+                           #   window activation)
     "cache.hit",           # job, fingerprint, cost, saved, entries, time
     "cache.miss",          # job, fingerprint, cost, entries, time
     "cache.evict",         # reason ("epoch"|"capacity"|"manual"), count,

@@ -6,7 +6,8 @@ model (:mod:`.network`), the DRAM/CPU cost models (:mod:`.memory`,
 hardware constants (:mod:`.config`).
 """
 
-from .config import ClusterConfig, EngineConfig, MachineConfig, NetworkConfig
+from .config import (ClusterConfig, ConfigError, EngineConfig, MachineConfig,
+                     NetworkConfig)
 from .cpu import MachineCpu
 from .memory import DramModel
 from .network import Network, NetworkStats
@@ -15,6 +16,7 @@ from .stats import Breakdown, JobStats
 
 __all__ = [
     "ClusterConfig",
+    "ConfigError",
     "EngineConfig",
     "MachineConfig",
     "NetworkConfig",

@@ -16,6 +16,11 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..core.faults import FaultPlan
 
 
+class ConfigError(ValueError):
+    """A configuration value the engine cannot run with, rejected when the
+    config object is constructed rather than mid-job."""
+
+
 @dataclass(frozen=True)
 class MachineConfig:
     """Hardware model of one cluster machine (paper Table 1)."""
@@ -68,6 +73,14 @@ class MachineConfig:
 
     #: Fixed positioning latency per disk read request, seconds.
     disk_seek_time: float = 1.0e-4
+
+    def __post_init__(self):
+        if self.disk_seq_bw <= 0:
+            raise ConfigError(
+                f"disk_seq_bw must be > 0, got {self.disk_seq_bw!r}")
+        if self.disk_seek_time < 0:
+            raise ConfigError(
+                f"disk_seek_time must be >= 0, got {self.disk_seek_time!r}")
 
 
 @dataclass(frozen=True)
@@ -214,6 +227,11 @@ class EngineConfig:
     #: window groups consecutive chunks until the budget fills; a single
     #: hub chunk larger than the budget gets a window of its own.
     ooc_window_edges: int = 65536
+
+    def __post_init__(self):
+        if self.ooc_window_edges < 1:
+            raise ConfigError("ooc_window_edges must be >= 1, got "
+                              f"{self.ooc_window_edges!r}")
 
 
 @dataclass(frozen=True)

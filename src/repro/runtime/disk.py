@@ -15,11 +15,50 @@ tier.  Like :class:`~repro.runtime.memory.DramModel`, this class only
 disk is additionally a serial device (one head), so it keeps a
 ``next_free`` timeline like the network's ports: concurrent read requests
 queue behind each other rather than overlapping.
+
+The disk holds *compact* shards (NXgraph-style): a row pointer per node, a
+4-byte neighbor id per edge, and only the edge columns the streaming job
+reads.  The owner / owner-local offset / ghost-slot words of the in-DRAM
+layout are not stored; workers resolve them after the read
+(``core.vector_kernels.RESOLVE_OPS_PER_EDGE``).  :func:`window_disk_bytes`
+is the one statement of that format.
 """
 
 from __future__ import annotations
 
 from .config import MachineConfig
+
+
+#: On-disk shard format, bytes: neighbor id per edge, row pointer per node
+#: (+1 closing pointer per window), one value per edge per streamed column.
+DISK_ID_BYTES = 4.0
+DISK_ROW_PTR_BYTES = 8.0
+DISK_EDGE_COLUMN_BYTES = 8.0
+#: Node ids the neighbor-id field can hold (``load_graph`` refuses more).
+DISK_MAX_NODES = 2 ** 32
+
+
+def window_disk_bytes(num_edges: int, num_nodes: int,
+                      edge_columns: int) -> float:
+    """Bytes one streamed window of ``num_nodes`` rows and ``num_edges``
+    edges occupies on disk when the job reads ``edge_columns`` per-edge
+    columns (weights / a named edge property)."""
+    return (num_edges * (DISK_ID_BYTES + edge_columns * DISK_EDGE_COLUMN_BYTES)
+            + (num_nodes + 1) * DISK_ROW_PTR_BYTES)
+
+
+class DiskFormatError(ValueError):
+    """The graph does not fit the on-disk shard format.
+
+    Raised by ``load_graph`` under ``EngineConfig.out_of_core`` when a node
+    id would not fit the format's 4-byte neighbor id.
+    """
+
+    def __init__(self, num_nodes: int):
+        self.num_nodes = num_nodes
+        super().__init__(
+            f"out-of-core shards store {int(DISK_ID_BYTES)}-byte neighbor "
+            f"ids; a graph of {num_nodes} nodes needs ids >= 2**32")
 
 
 class DramCapacityError(RuntimeError):

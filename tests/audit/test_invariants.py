@@ -143,6 +143,60 @@ class TestCorruptedState:
         assert "+1 more" in str(err)
 
 
+class TestStreamInvariants:
+    """Out-of-core window streams: drained, nothing resident, and a stall
+    clock that cannot exceed the read it waited on."""
+
+    def _streamed(self, graph):
+        _, exc = run_audited(graph, PUSH, ghost_threshold=20, chunk_size=64,
+                             out_of_core=True, ooc_window_edges=128)
+        assert all(len(s.windows) >= 2 for s in exc.window_streams)
+        return exc
+
+    def test_streamed_job_sweeps_clean(self, small_rmat):
+        assert check_execution(self._streamed(small_rmat)) == []
+
+    def test_streamed_job_under_faults_sweeps_clean(self, small_rmat):
+        plan = FaultPlan(seed=3, drop_prob=0.05, dup_prob=0.05,
+                         delay_prob=0.1, delay_seconds=1e-4)
+        _, exc = run_audited(small_rmat, PUSH, ghost_threshold=20,
+                             chunk_size=64, out_of_core=True,
+                             ooc_window_edges=128, fault_plan=plan)
+        assert check_execution(exc) == []
+
+    def test_undrained_stream_detected(self, small_rmat):
+        exc = self._streamed(small_rmat)
+        stream = exc.window_streams[2]
+        stream.active_chunks = 1
+        stream.inflight = 1
+        stream.resident_bytes = 3072.0
+        out = check_execution(exc, raise_on_violation=False)
+        assert {v["invariant"] for v in out} == {
+            "stream.exhausted", "stream.inflight", "stream.resident_bytes"}
+        assert all(v["machine"] == 2 for v in out)
+
+    def test_stall_longer_than_read_raises_with_machine_and_window(
+            self, small_rmat):
+        """The old grab-time stamp's signature, made impossible to miss: a
+        successor cannot stall longer than its own read."""
+        exc = self._streamed(small_rmat)
+        stall, duration = exc.window_streams[1].activations[1]
+        assert 0.0 <= stall <= duration
+        exc.window_streams[1].activations[1] = (duration * 1.5, duration)
+        with pytest.raises(AuditViolation) as ei:
+            check_execution(exc)
+        (bad,) = ei.value.violations
+        assert bad["invariant"] == "stream.stall"
+        assert bad["machine"] == 1 and bad["window"] == 1
+
+    def test_negative_stall_detected(self, small_rmat):
+        exc = self._streamed(small_rmat)
+        exc.window_streams[0].activations[0] = (-1e-9, 1e-4)
+        out = check_execution(exc, raise_on_violation=False)
+        assert [(v["invariant"], v["machine"], v["window"]) for v in out] \
+            == [("stream.stall", 0, 0)]
+
+
 class TestTracker:
     def test_summary_counts(self):
         t = AuditTracker()

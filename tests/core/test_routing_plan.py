@@ -7,7 +7,8 @@ import pytest
 from repro import EdgeMapJob, EdgeMapSpec, ReduceOp, rmat, with_uniform_weights
 from repro.algorithms import pagerank, sssp, wcc
 from repro.core import vector_kernels
-from repro.core.routing_plan import ChunkPlan, RoutingPlanCache
+from repro.core.routing_plan import (ChunkPlan, RoutingPlanCache,
+                                     stable_owner_order)
 from tests.conftest import make_cluster
 
 
@@ -36,9 +37,10 @@ class TestChunkPlanFields:
         owners = csr.nbr_owner[es:ee]
         is_local = owners == machine.index
         is_ghost = (~is_local) & (csr.nbr_ghost_slot[es:ee] >= 0)
-        assert np.array_equal(plan.is_local, is_local)
-        assert np.array_equal(plan.is_ghost, is_ghost)
-        assert np.array_equal(plan.is_remote, ~(is_local | is_ghost))
+        assert np.array_equal(plan.local_idx, np.nonzero(is_local)[0])
+        assert np.array_equal(plan.ghost_idx, np.nonzero(is_ghost)[0])
+        assert np.array_equal(np.sort(plan.remote_idx),
+                              np.nonzero(~(is_local | is_ghost))[0])
         assert plan.n_local + plan.n_ghost + plan.n_remote == plan.n_edges
 
     def test_remote_order_is_stable_owner_sort(self, machine):
@@ -60,7 +62,7 @@ class TestChunkPlanFields:
         plan = ChunkPlan(machine.out_csr, 0, machine.n_local, ghost_ok=False,
                          machine_index=machine.index, num_machines=3)
         assert plan.n_ghost == 0
-        assert not plan.is_ghost.any()
+        assert len(plan.ghost_idx) == 0
 
     def test_weight_split_memoizes(self, machine):
         csr = machine.out_csr
@@ -83,6 +85,10 @@ class TestChunkPlanFields:
                          machine_index=machine.index, num_machines=3)
         owners = csr.nbr_owner[plan.es:plan.ee]
         offsets = csr.nbr_offset[plan.es:plan.ee]
+        is_local = owners == machine.index
+        is_ghost = ((~is_local) & (csr.nbr_ghost_slot[plan.es:plan.ee] >= 0)
+                    if ghost_ok else np.zeros(plan.n_edges, dtype=bool))
+        is_remote = ~(is_local | is_ghost)
         rng = np.random.default_rng(3)
         for density in (0.0, 0.02, 0.5, 1.0):
             act = rng.random(plan.n_nodes) < density
@@ -90,10 +96,10 @@ class TestChunkPlanFields:
             local, ghost, remote, runs = plan.kept(edge_mask)
             edges = np.nonzero(edge_mask)[0]
             assert np.array_equal(plan.local_idx[local],
-                                  edges[plan.is_local[edges]])
+                                  edges[is_local[edges]])
             assert np.array_equal(plan.ghost_idx[ghost],
-                                  edges[plan.is_ghost[edges]])
-            rem = edges[plan.is_remote[edges]]
+                                  edges[is_ghost[edges]])
+            rem = edges[is_remote[edges]]
             rem = rem[np.argsort(owners[rem], kind="stable")]
             assert np.array_equal(plan.remote_idx[remote], rem)
             bounds = np.searchsorted(owners[rem], np.arange(4))
@@ -103,6 +109,22 @@ class TestChunkPlanFields:
             for dst, b0, b1, run_offsets, run_rows in runs:
                 assert np.array_equal(run_offsets, offsets[rem[b0:b1]])
                 assert np.array_equal(run_rows, plan.rows[rem[b0:b1]])
+
+
+class TestStableOwnerOrder:
+    @pytest.mark.parametrize("num_machines", [2, 4, 16, 300])
+    @pytest.mark.parametrize("n", [0, 1, 3000])
+    def test_same_permutation_as_int32_sort(self, num_machines, n):
+        """Narrow-dtype keys change the sort algorithm, not its answer."""
+        owners = np.random.default_rng(num_machines + n).integers(
+            0, num_machines, size=n).astype(np.int32)
+        assert np.array_equal(stable_owner_order(owners, num_machines),
+                              np.argsort(owners, kind="stable"))
+
+    def test_machine_counts_past_16_bits_sort_as_given(self):
+        owners = np.array([70000, 3, 70000, 65536, 3], dtype=np.int32)
+        assert np.array_equal(stable_owner_order(owners, 70001),
+                              [1, 4, 3, 0, 2])
 
 
 class TestCacheBehavior:
