@@ -57,6 +57,13 @@ class AuditScenario:
 
     name: str
     workload: str  # "pagerank" | "sssp" | "wcc"
+    #: PageRank's direction: "push" reduces its float SUM through ghost
+    #: columns and WRITE_REQ staging, "pull" through staged read responses
+    variant: str = "pull"
+    #: ghost the graph's top degree decile (the harness's graphs are too
+    #: small for the configured threshold to ghost anything), so writes
+    #: reduce through ghost columns and the post-sync
+    ghost_hubs: bool = False
     faults: bool = False
     combine_writes: bool = False
     ghost_privatization: bool = True
@@ -138,7 +145,9 @@ class ScenarioVerdict:
         return {
             "name": s.name,
             "workload": s.workload,
-            "config": {"faults": s.faults,
+            "config": {"variant": s.variant,
+                       "ghost_hubs": s.ghost_hubs,
+                       "faults": s.faults,
                        "combine_writes": s.combine_writes,
                        "ghost_privatization": s.ghost_privatization,
                        "two_tenant": s.two_tenant,
@@ -159,7 +168,8 @@ class ScenarioVerdict:
 
 def default_scenarios(schedules_hint: int = 0) -> list[AuditScenario]:
     """The standard audit matrix: PageRank + SSSP through every toggle,
-    WCC as the exact-operator cross-check, one negative control."""
+    push PageRank's ghost and write paths, WCC as the exact-operator
+    cross-check, one negative control."""
     out: list[AuditScenario] = []
     for wl in ("pagerank", "sssp"):
         out.append(AuditScenario(f"{wl}/baseline", wl, two_tenant=True))
@@ -169,6 +179,12 @@ def default_scenarios(schedules_hint: int = 0) -> list[AuditScenario]:
         out.append(AuditScenario(f"{wl}/no-privatization", wl,
                                  ghost_privatization=False))
         out.append(AuditScenario(f"{wl}/out-of-core", wl, out_of_core=True))
+    out.append(AuditScenario("pagerank-push/baseline", "pagerank",
+                             variant="push", ghost_hubs=True,
+                             two_tenant=True))
+    out.append(AuditScenario("pagerank-push/no-privatization", "pagerank",
+                             variant="push", ghost_hubs=True,
+                             ghost_privatization=False))
     out.append(AuditScenario("wcc/baseline", "wcc"))
     out.append(AuditScenario("wcc/out-of-core", "wcc", out_of_core=True))
     out.append(AuditScenario("dynamic/incremental", "pagerank",
@@ -202,6 +218,9 @@ class AuditHarness:
         self.schedules = schedules
         self.base_seed = base_seed
         self.iterations = iterations
+        degrees = np.maximum(graph.in_degrees(), graph.out_degrees())
+        #: ghost threshold of ``ghost_hubs`` scenarios
+        self.hub_threshold = int(np.percentile(degrees, 90))
 
     # -- building blocks ---------------------------------------------------
 
@@ -215,15 +234,17 @@ class AuditHarness:
         overrides = scenario.engine_overrides()
         if scenario.faults:
             overrides["fault_plan"] = self._fault_plan()
+        if scenario.ghost_hubs:
+            overrides["ghost_threshold"] = self.hub_threshold
         cluster = PgxdCluster(self.base_config.with_engine(**overrides))
         if tie_seed is not None:
             cluster.sim.set_tie_breaker(tie_seed)
         return cluster
 
-    def _stream(self, workload: str, dg) -> list:
+    def _stream(self, workload: str, dg, variant: str = "pull") -> list:
         if workload == "pagerank":
             return pagerank_stream(dg, iterations=self.iterations,
-                                   variant="pull")
+                                   variant=variant)
         if workload == "sssp":
             return sssp_stream(dg, rounds=self.iterations)
         if workload == "wcc":
@@ -262,7 +283,7 @@ class AuditHarness:
         run = ScheduleRun(tie_seed=tie_seed, mode="solo")
         cluster = self._cluster(scenario, tie_seed)
         dg = cluster.load_graph(self.graph)
-        jobs = self._stream(scenario.workload, dg)
+        jobs = self._stream(scenario.workload, dg, scenario.variant)
         stats = []
         try:
             for job in jobs:
@@ -282,7 +303,7 @@ class AuditHarness:
         dg_a = cluster.load_graph(self.graph)
         dg_b = cluster.load_graph(self.graph)
         other = self._other_workload(scenario.workload)
-        jobs_a = self._stream(scenario.workload, dg_a)
+        jobs_a = self._stream(scenario.workload, dg_a, scenario.variant)
         jobs_b = self._stream(other, dg_b)
         sched = JobScheduler(cluster,
                              SchedulerConfig(max_concurrent_jobs=2))

@@ -147,18 +147,14 @@ class DataManager:
             self.exec.stats.local_writes += 1
             self.exec.hooks.emit("ghost.hit", machine=m.index, prop=prop,
                                  mode="write", count=1, time=self.exec.sim.now)
-            if (self.exec.privatize and prop in m.ghosts.private):
-                col = m.ghosts.private[prop][worker]
-                col[slot] = op.scalar(col[slot], value)
-            else:
-                col = m.ghosts.arrays[prop]
-                col[slot] = op.scalar(col[slot], value)
-                # Gated exactly like the local branch above: pull-style
-                # regions (one writer per target) never pay atomic cost,
-                # ghosted or not.
-                if self.exec.job_uses_atomics:
-                    self.exec.stats.atomic_ops += 1
-                    ws.pending_atomics += 1
+            col = m.ghosts.arrays[prop]
+            col[slot] = op.scalar(col[slot], value)
+            # Gated like the local branch above: pull-style regions (one
+            # writer per target) never pay atomic cost, ghosted or not, and
+            # privatized ghost writes need none.
+            if self.exec.job_uses_atomics and not self.exec.privatize:
+                self.exec.stats.atomic_ops += 1
+                ws.pending_atomics += 1
             return
         self.exec.hooks.emit("ghost.miss", machine=m.index, prop=prop,
                              mode="write", count=1, time=self.exec.sim.now)

@@ -10,9 +10,14 @@ exceeds the configured threshold.  During a parallel region:
   on every ghost copy, absorb writes locally during the region, and are
   reduced back to the owner afterwards.
 
-*Ghost privatization* additionally gives each worker thread its own copy of
-the written ghost columns so in-machine reductions need no atomics; the sync
-then runs in two stages — cores -> machine, then machine -> owner.
+*Ghost privatization* gives each worker thread its own copy of the written
+ghost columns so in-machine reductions need no atomics; the sync then runs
+in two stages — cores -> machine, then machine -> owner.  The engine models
+privatization in cost only: ghost writes skip the atomic price and stage 1
+is priced per (worker, ghost) element, but every write lands in the one
+machine column in chunk-queue order.  A per-worker copy would hold whichever
+chunks that worker happened to grab, so combining the copies would make a
+float SUM depend on the schedule.
 """
 
 from __future__ import annotations
@@ -52,8 +57,6 @@ class MachineGhosts:
                               if self.num_ghosts else np.empty(0, dtype=np.int64))
         #: machine-level ghost columns: prop -> float/int array [num_ghosts]
         self.arrays: dict[str, np.ndarray] = {}
-        #: worker-private columns (privatization): prop -> [num_workers, num_ghosts]
-        self.private: dict[str, np.ndarray] = {}
 
     def slot_of(self, vertices: np.ndarray) -> np.ndarray:
         """Ghost slot per vertex, or -1 when the vertex is not ghosted."""
@@ -81,27 +84,17 @@ class MachineGhosts:
 
     # -- write-side lifecycle -------------------------------------------------
 
-    def begin_writes(self, prop: str, op: ReduceOp, dtype, privatize: bool) -> None:
-        """Reset the machine (and private) ghost columns to the bottom value."""
-        bottom = op.bottom(np.dtype(dtype))
-        col = self.ensure_column(prop, dtype)
-        col[:] = bottom
-        if privatize and self.num_workers > 0:
-            if prop not in self.private or self.private[prop].shape[0] != self.num_workers:
-                self.private[prop] = np.zeros((self.num_workers, self.num_ghosts),
-                                              dtype=dtype)
-            self.private[prop][:] = bottom
+    def begin_writes(self, prop: str, op: ReduceOp, dtype) -> None:
+        """Reset the machine ghost column to the bottom value."""
+        self.ensure_column(prop, dtype)[:] = op.bottom(np.dtype(dtype))
 
-    def reduce_private(self, prop: str, op: ReduceOp) -> int:
-        """Stage 1 of the two-stage sync: worker-private -> machine column.
-        Returns the number of elements combined (for cost accounting)."""
-        priv = self.private.get(prop)
-        if priv is None or self.num_ghosts == 0:
+    def reduce_private(self, prop: str) -> int:
+        """Stage 1 of the two-stage sync: worker copies -> machine column.
+        Returns the number of elements a privatized machine combines (for
+        cost accounting); the values are already in the machine column."""
+        if prop not in self.arrays:
             return 0
-        col = self.arrays[prop]
-        for w in range(priv.shape[0]):
-            col[:] = op.combine(col, priv[w])
-        return int(priv.shape[0] * self.num_ghosts)
+        return self.num_workers * self.num_ghosts
 
     def partials_for_owner(self, prop: str, owner: int) -> tuple[np.ndarray, np.ndarray]:
         """Stage 2: (owner-local offsets, partial values) this machine must

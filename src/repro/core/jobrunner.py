@@ -90,7 +90,7 @@ class JobExecution:
         #: canonical content-ordered staging (the determinism invariant);
         #: disabling exists only as the audit harness's negative control.
         self.content_sorted = ecfg.content_sorted_staging
-        #: array-native fast paths (cached staging sort); host-side only
+        #: array-native fast paths (hook gating, pooling); host-side only
         self.array_native = ecfg.array_native_events
         #: message/side-structure free lists — safe only when nothing can
         #: retain a message past its terminal hop, so pooling is off
@@ -317,11 +317,10 @@ class JobExecution:
             self._phase_main()
 
     def _begin_ghost_writes(self) -> None:
-        """Bottom-initialize ghost columns (and private copies) for writes."""
+        """Bottom-initialize ghost columns for writes."""
         for prop, op in self.ghost_write_props:
             for m in self.machines:
-                dtype = m.props.dtype(prop)
-                m.ghosts.begin_writes(prop, op, dtype, self.privatize)
+                m.ghosts.begin_writes(prop, op, m.props.dtype(prop))
 
     def _send_presync(self) -> None:
         """Broadcast owner values of ghosted vertices for every read prop."""
@@ -444,47 +443,35 @@ class JobExecution:
         self._staged_ops[op.name] = op
         self._staged_ghost.setdefault(key, []).append((offsets, values))
 
-    def _apply_staged_group(self, staged: dict, stage: str) -> None:
+    def _apply_staged_group(self, staged: dict) -> None:
         """Apply a staged (machine, prop, op) group set in canonical order.
 
-        Group iteration is sorted by key and each group's contributions are
-        sorted by (offset, value), so the reduction order is a function of
-        the data alone — independent of delivery order, of which copier
+        Group iteration is sorted by key and each group is reduced by
+        :meth:`_staged_apply`, so the reduction order is a function of the
+        data alone — independent of delivery order, of which copier
         processed which message, and of any co-running tenant's traffic.
         The apply work was already priced on the copier timeline when each
-        message was processed.  ``stage`` names the staging family
-        ("write"/"ghost") for the per-machine sort-order cache key.
+        message was processed.
         """
         for key in sorted(staged):
             machine_index, prop, op_name = key
             batches = staged[key]
             offs = np.concatenate([o for o, _ in batches])
             vals = np.concatenate([v for _, v in batches])
-            op = self._staged_ops[op_name]
-            self._staged_apply(op, machine_index, prop, offs, vals,
-                               (stage, prop, op_name))
+            self._staged_apply(self._staged_ops[op_name], machine_index, prop,
+                               offs, vals)
         staged.clear()
 
     def _staged_apply(self, op, machine_index: int, prop: str,
-                      rows: np.ndarray, vals: np.ndarray, key) -> None:
-        """Reduce one staged group into its property in canonical order.
-
-        The array-native path (:func:`repro.core.routing_plan.canonical_apply`)
-        applies order-insensitive operators directly and sorts only float
-        SUM and OVERWRITE, through a cached stable row sort and one
-        complex-key stable sort — bit for bit the plain
-        lexsort-then-``ufunc.at`` below.
-        """
-        target = self.machines[machine_index].props[prop]
-        if not self.content_sorted:
+                      rows: np.ndarray, vals: np.ndarray) -> None:
+        """Reduce one staged group into its property in canonical order
+        (:func:`repro.core.routing_plan.canonical_apply`)."""
+        machine = self.machines[machine_index]
+        target = machine.props[prop]
+        if self.content_sorted:
+            canonical_apply(op, target, rows, vals, machine.stage_cache)
+        else:
             op.apply_at(target, rows, vals)
-            return
-        if self.array_native:
-            canonical_apply(op, target, rows, vals,
-                            self.machines[machine_index].stage_cache, key)
-            return
-        order = np.lexsort((vals, rows))
-        op.apply_at(target, rows[order], vals[order])
 
     def _apply_staged_responses(self) -> None:
         """Apply staged remote contributions in canonical content order.
@@ -503,13 +490,12 @@ class JobExecution:
                 continue
             rows = np.concatenate([r for r, _ in batches])
             vals = np.concatenate([v for _, v in batches])
-            self._staged_apply(spec.op, m.index, spec.target, rows, vals,
-                               ("resp", spec.target))
+            self._staged_apply(spec.op, m.index, spec.target, rows, vals)
             batches.clear()
 
     def _phase_postsync(self) -> None:
         self._apply_staged_responses()
-        self._apply_staged_group(self._staged_writes, "write")
+        self._apply_staged_group(self._staged_writes)
         self._set_phase("postsync")
         if not self.ghost_write_props:
             self._phase_barrier()
@@ -520,8 +506,8 @@ class JobExecution:
             # column (costed per machine, overlapping across machines).
             elements = 0
             if self.privatize:
-                for prop, op in self.ghost_write_props:
-                    elements += m.ghosts.reduce_private(prop, op)
+                for prop, _ in self.ghost_write_props:
+                    elements += m.ghosts.reduce_private(prop)
             dur = m.cpu.mixed_duration(cpu_ops=elements * 1.0, atomic_ops=0,
                                        random_bytes=0.0,
                                        seq_bytes=elements * 8.0)
@@ -561,7 +547,7 @@ class JobExecution:
             self.check_sync_done()
 
     def _phase_barrier(self) -> None:
-        self._apply_staged_group(self._staged_ghost, "ghost")
+        self._apply_staged_group(self._staged_ghost)
         self._set_phase("barrier")
         self.hooks.emit("barrier.enter", job=self.job.name,
                         machines=self.num_machines, time=self.sim.now)

@@ -136,9 +136,8 @@ class Machine:
         #: load, so plans stay valid for the machine's lifetime)
         self.plan_cache = RoutingPlanCache(
             max_bytes=config.engine.plan_cache_max_bytes)
-        #: memoized canonical-staging row permutations (jobrunner's
-        #: content-sorted apply); exact-match verified per use, so it is
-        #: correct for any workload and fast for stationary ones
+        #: scratch buffers and sorted-element count of the canonical
+        #: staged apply (jobrunner's content-ordered reduction)
         self.stage_cache = StageOrderCache()
         #: memoized write-combine group structure (worker flush trains are
         #: stationary across supersteps); content-verified per use

@@ -78,8 +78,8 @@ class ReduceOp(enum.Enum):
         propagate NaN, so a NaN in any contribution or already in the
         target yields NaN in every order.  ``-0.0`` and ``+0.0`` compare
         equal, so which zero survives when both reach one row is
-        unspecified — exactly as under the canonical ``(row, value)`` sort,
-        whose stable order leaves equal-comparing zeros in arrival order.
+        unspecified (only the order-sensitive operators' canonical sort
+        tells the two zeros apart).
         """
         if self is ReduceOp.SUM:
             return np.dtype(dtype).kind in "biu"

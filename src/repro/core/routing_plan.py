@@ -24,8 +24,9 @@ per-chunk derivation in ``vector_kernels`` runs only with
 The second half of the module is the canonical staged apply
 (:func:`canonical_apply`): staged remote contributions are reduced so that
 the result is a function of the data alone.  Operators whose result cannot
-depend on order skip the sort entirely; float SUM and OVERWRITE are reduced
-in ``(row, value)`` order.
+depend on order skip the sort entirely; float SUM and OVERWRITE are sorted
+by value alone, which puts every row's contributions in ``(row, value)``
+order.
 """
 
 from __future__ import annotations
@@ -251,41 +252,27 @@ class RoutingPlanCache:
 
 
 class StageOrderCache:
-    """Per-machine memo of row permutations for the canonical staged apply.
+    """Per-machine work buffers and host-work counter of the staged apply.
 
-    Only order-*sensitive* reductions (float SUM, OVERWRITE) reach it: they
-    sort (rows, values) lexicographically once per machine per superstep.
-    The *row* stream of a staging group is iteration-invariant for
-    stationary algorithms (same chunks issue the same remote reads every
-    superstep), so its stable row permutation ``P`` and the pre-sorted rows
-    ``rows[P]`` can be reused — verified by an exact ``np.array_equal``
-    comparison, so a changed row stream transparently recomputes.  Keyed by
-    staging-group identity; bounded by wholesale reset, which only ever
-    costs one recompute per entry.
+    ``scratch`` hands out persistent per-(dtype, tag) buffers for the
+    canonical apply's sort key and sorted pairs and for the planned kernels'
+    gathers — they are large (≈ remote edges per superstep), so
+    re-allocating them every use costs real page-fault time.
     """
 
-    __slots__ = ("_entries", "max_entries", "hits", "misses", "_scratch",
-                 "sorted_elements")
+    __slots__ = ("_scratch", "sorted_elements")
 
-    def __init__(self, max_entries: int = 32):
-        self._entries: dict = {}
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
+    def __init__(self):
         #: elements that went through the canonical sort — a host-work
         #: proxy that repeats bit for bit (0 on MIN/MAX/AND/OR workloads)
         self.sorted_elements = 0
-        #: reusable per-dtype work buffers for the pack-and-sort step and
-        #: the planned kernels' gathers — they are large (≈ remote edges per
-        #: superstep), so re-allocating them every use costs real
-        #: page-fault time
         self._scratch: dict = {}
 
     def scratch(self, n: int, dtype, tag: int = 0) -> np.ndarray:
         """A length-``n`` work view of a persistent per-(dtype, tag) buffer.
 
         ``tag`` distinguishes buffers of the same dtype that must be live
-        simultaneously (e.g. the permuted values and the sorted values)."""
+        simultaneously (e.g. the sort key and the sorted rows)."""
         dtype = np.dtype(dtype)
         key = (dtype.str, tag)
         buf = self._scratch.get(key)
@@ -294,106 +281,56 @@ class StageOrderCache:
             self._scratch[key] = buf
         return buf[:n]
 
-    def lookup(self, key, rows: np.ndarray):
-        """``(P, rows[P])`` for this group's row stream, memoized."""
-        entry = self._entries.get(key)
-        if entry is not None:
-            cached_rows, perm, sorted_rows = entry
-            if cached_rows is rows or (len(cached_rows) == len(rows)
-                                       and np.array_equal(cached_rows, rows)):
-                self.hits += 1
-                return perm, sorted_rows
-        perm = np.argsort(rows, kind="stable")
-        sorted_rows = rows[perm]
-        if len(self._entries) >= self.max_entries:
-            self._entries.clear()
-        self._entries[key] = (rows, perm, sorted_rows)
-        self.misses += 1
-        return perm, sorted_rows
+
+def total_order_key(vals: np.ndarray,
+                    out: Optional[np.ndarray] = None) -> np.ndarray:
+    """An integer sort key ordering ``vals`` ascending by IEEE 754
+    totalOrder: -NaN < -inf < ... < -0.0 < +0.0 < ... < +inf < +NaN, every
+    distinct bit pattern its own key.  A float's signed-integer bit view
+    already orders non-negative values; flipping the magnitude bits of the
+    negative ones reverses their order.  Integer and bool values are their
+    own key (``out``, an integer buffer of the float's width, is then
+    unused)."""
+    if vals.dtype.kind != "f":
+        return vals
+    bits = vals.view(f"i{vals.dtype.itemsize}")
+    key = np.right_shift(bits, 8 * vals.dtype.itemsize - 1, out=out)
+    key &= np.iinfo(bits.dtype).max
+    key ^= bits
+    return key
 
 
 def canonical_apply(op, target: np.ndarray, rows: np.ndarray,
-                    vals: np.ndarray, cache: "StageOrderCache | None" = None,
-                    key=None) -> None:
+                    vals: np.ndarray,
+                    cache: "StageOrderCache | None" = None) -> None:
     """Reduce the staged ``(rows, vals)`` into ``target`` so the result is a
     function of the data alone, never of arrival order.
 
     An operator whose result does not depend on the order of its
     contributions (:meth:`ReduceOp.order_insensitive` — MIN, MAX, AND, OR,
-    integer/bool SUM) is applied straight through ``op.apply_at``: no
-    permutation, no cache entry, no sort.  Float SUM and OVERWRITE are
-    reduced in ``np.lexsort((vals, rows))`` order, bit for bit: the pairs
-    are packed into complex128 keys behind the cached row permutation and
-    stable-sorted once, with a plain lexsort wherever the packing would not
-    be exact.
+    integer/bool SUM) is applied straight through ``op.apply_at``: no sort.
+    Float SUM and OVERWRITE are applied in ascending :func:`total_order_key`
+    order.  ``ufunc.at`` applies in index order and different rows never
+    interact, so one sort by value alone leaves every row's contributions
+    in the order a ``(row, value)`` lexsort gives them — bit for bit the
+    lexsort result wherever that lexsort is itself a function of the data.
+    Where it is not (it leaves -0.0 and +0.0, and NaNs, in arrival order),
+    the key orders them too, so an OVERWRITE winner is the greatest
+    contribution under totalOrder.
     """
     n = len(rows)
     if n <= 1 or op.order_insensitive(target.dtype):
         op.apply_at(target, rows, vals)
         return
-    if cache is not None:
-        cache.sorted_elements += n
-    parts = _stage_pack(rows, vals, cache, key)
-    if parts is None:
-        order = np.lexsort((vals, rows))
-        op.apply_at(target, rows[order], vals[order])
-        return
-    sorted_rows, packed = parts
-    # The apply needs the sorted *pairs*, never the permutation: sort the
-    # packed keys in place (`packed` is scratch) and read the value half
-    # straight out of the imaginary component — the strided .imag view
-    # costs ``ufunc.at`` nothing.  Within a row group every row is equal, so
-    # the row half is exactly the cached ``rows[P]``.  Non-float64 values
-    # round-trip through the float64 imaginary part exactly (the pack
-    # guards admit only ≤32-bit ints/bools and ≤64-bit floats), but must
-    # be cast back so the reduction arithmetic stays in the value dtype.
-    packed.sort(kind="stable")
-    sorted_vals = packed.imag
-    if sorted_vals.dtype != vals.dtype:
-        sorted_vals = sorted_vals.astype(vals.dtype)
-    op.apply_at(target, sorted_rows, sorted_vals)
-
-
-def _stage_pack(rows: np.ndarray, vals: np.ndarray,
-                cache: "StageOrderCache | None", key):
-    """``(rows[P], packed)`` for the stable row permutation ``P``, where
-    ``packed = rows[P] + 1j*vals[P]`` awaits its stable sort, or None when
-    the packing would not be exact (caller falls back to lexsort).
-
-    numpy orders complex values lexicographically by (real, imag), and with
-    the rows pre-sorted the real parts are already nondecreasing, which
-    timsort exploits.  Both halves must embed into float64 losslessly:
-
-    - ``vals`` must be a non-NaN float (≤64-bit) or ≤32-bit int/bool column
-      (NaN complex comparisons and >2**53 integers would reorder);
-    - ``rows`` must lie in ``[0, 2**52)`` — always true for local offsets,
-      guarded anyway.
-    """
-    kind = vals.dtype.kind
-    if kind == "f":
-        # One reduction pass instead of isnan()+any(): min() propagates NaN,
-        # so a NaN anywhere surfaces as a NaN minimum (no temp bool array).
-        if vals.dtype.itemsize > 8 or np.isnan(np.min(vals)):
-            return None
-    elif not (kind in "biu" and vals.dtype.itemsize <= 4):
-        return None
-    if cache is not None and key is not None:
-        perm, sorted_rows = cache.lookup(key, rows)
-    else:
-        perm = np.argsort(rows, kind="stable")
-        sorted_rows = rows[perm]
-    if sorted_rows[0] < 0 or sorted_rows[-1] >= 2 ** 52:
-        return None
-    n = len(rows)
-    if cache is not None:
-        packed = cache.scratch(n, np.complex128)
-        vp = np.take(vals, perm, mode="clip",
-                     out=cache.scratch(n, vals.dtype))
-    else:
-        packed = np.empty(n, dtype=np.complex128)
-        vp = vals[perm]
-    # Assemble the key by component: a `rows + 1j*vals` product would turn
-    # ±inf values into NaN real parts (0*inf) and break the ordering.
-    packed.real = sorted_rows
-    packed.imag = vp
-    return sorted_rows, packed
+    if cache is None:
+        cache = StageOrderCache()
+    cache.sorted_elements += n
+    # Equal keys mean equal bits, so the tie order of a non-stable sort
+    # cannot change the result; the key buffer is dead once ``order`` is.
+    order = np.argsort(total_order_key(
+        vals, cache.scratch(n, f"i{vals.dtype.itemsize}")))
+    op.apply_at(target,
+                np.take(rows, order, mode="clip",
+                        out=cache.scratch(n, rows.dtype, 1)),
+                np.take(vals, order, mode="clip",
+                        out=cache.scratch(n, vals.dtype)))

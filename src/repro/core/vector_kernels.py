@@ -336,12 +336,9 @@ def _push_planned(exc, machine, ws, spec, tally, plan: "ChunkPlan",
     n = len(ghost_slots)
     if n:
         exc.stats.local_writes += n
-        if exc.privatize and spec.target in machine.ghosts.private:
-            col = machine.ghosts.private[spec.target][ws.windex]
-            spec.op.apply_at(col, ghost_slots, ghost_vals)
-        else:
-            spec.op.apply_at(machine.ghosts.arrays[spec.target],
-                             ghost_slots, ghost_vals)
+        spec.op.apply_at(machine.ghosts.arrays[spec.target], ghost_slots,
+                         ghost_vals)
+        if not exc.privatize:  # privatized ghost writes need no atomics
             tally.atomic_ops += n
             exc.stats.atomic_ops += n
         tally.add_bytes(n * VALUE_BYTES, PUSH_DST_LOCALITY)
@@ -442,12 +439,9 @@ def _push(exc, machine, ws, spec, tally, rows, offsets, gslots, owners,
         sel = is_ghost
         n = int(sel.sum())
         exc.stats.local_writes += n
-        if exc.privatize and spec.target in machine.ghosts.private:
-            col = machine.ghosts.private[spec.target][ws.windex]
-            spec.op.apply_at(col, gslots[sel], src_vals[sel])
-        else:
-            spec.op.apply_at(machine.ghosts.arrays[spec.target], gslots[sel],
-                             src_vals[sel])
+        spec.op.apply_at(machine.ghosts.arrays[spec.target], gslots[sel],
+                         src_vals[sel])
+        if not exc.privatize:  # privatized ghost writes need no atomics
             tally.atomic_ops += n
             exc.stats.atomic_ops += n
         tally.add_bytes(n * VALUE_BYTES, PUSH_DST_LOCALITY)

@@ -207,8 +207,9 @@ class EngineConfig:
 
     #: Master switch for the array-native event-engine fast paths: the
     #: simulator's same-time run queue and event free list, message/side-
-    #: structure pooling on the request path, and the cached canonical
-    #: staging sort.  Purely host-side — schedules, simulated times,
+    #: structure pooling on the request path, hook-site gating and the
+    #: planned kernels' scratch gathers (the canonical staged apply is the
+    #: same either way).  Purely host-side — schedules, simulated times,
     #: traffic and results are bit-identical with the switch on or off.
     #: Off exists for A/B benchmarking (bench_wallclock measures both)
     #: and as a debugging fallback.

@@ -65,7 +65,14 @@ class TestSampling:
                            sources=range(0, 50, 2)).values["betweenness"]
         # partial sums are bounded by the full sums
         assert (part <= full + 1e-9).all()
-        assert part.sum() < full.sum() or full.sum() == 0
+        nxg = nx.DiGraph()
+        nxg.add_nodes_from(range(g.num_nodes))
+        nxg.add_edges_from(zip(*(a.tolist() for a in g.edge_list())))
+        ref = nx.betweenness_centrality_subset(
+            nxg, sources=list(range(0, 50, 2)), targets=list(nxg),
+            normalized=False)
+        assert np.allclose(part, [ref[i] for i in range(50)], atol=1e-9)
+        assert 0 < part.sum() < full.sum()
 
     def test_properties_cleaned_up(self):
         g = rmat(30, 120, seed=34, dedup=True)

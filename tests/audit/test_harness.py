@@ -3,7 +3,7 @@ control, at small scale so the suite stays fast."""
 
 import pytest
 
-from repro import ClusterConfig, rmat, with_uniform_weights
+from repro import ClusterConfig, PgxdCluster, rmat, with_uniform_weights
 from repro.audit.harness import (AuditHarness, AuditScenario,
                                  default_scenarios)
 
@@ -112,6 +112,24 @@ class TestPositiveScenarios:
         assert r.stats["solo"]["cache_hits"] > 0
         assert r.stats["tenantA"]["cache_hits"] == 0
         assert r.stats["solo"]["epoch"] >= 1
+
+    def test_push_pagerank_through_ghosts(self, harness):
+        """The matrix's push cells reduce float SUM through ghost columns
+        and WRITE_REQ staging; privatized or not, same bits everywhere."""
+        push = {s.name: s for s in default_scenarios()
+                if s.variant == "push"}
+        assert set(push) == {"pagerank-push/baseline",
+                             "pagerank-push/no-privatization"}
+        ghosts = PgxdCluster(harness.base_config.with_engine(
+            ghost_threshold=harness.hub_threshold)).load_graph(
+                harness.graph).num_ghosts
+        assert ghosts > 0
+        fingerprints = set()
+        for sc in push.values():
+            v = harness.run_scenario(sc)
+            assert v.passed and v.bit_identical and v.violation_count == 0
+            fingerprints.add(v.runs[0].fingerprints["solo"])
+        assert len(fingerprints) == 1
 
     def test_cached_scenario_in_default_matrix(self):
         scs = default_scenarios()

@@ -52,6 +52,21 @@ def loaded(small_rmat):
     return cluster, cluster.load_graph(small_rmat)
 
 
+def power_iteration(g, teleport, iterations, damping=0.85):
+    """Engine-independent PageRank oracle: ``iterations`` power steps from
+    ``teleport``, dangling mass returned along the teleport vector."""
+    src, dst = g.edge_list()
+    outdeg = g.out_degrees()
+    pr = teleport.copy()
+    for _ in range(iterations):
+        share = np.where(outdeg > 0, pr / np.maximum(outdeg, 1), 0.0)
+        pulled = np.bincount(dst, weights=share[src], minlength=g.num_nodes)
+        dangling = pr[outdeg == 0].sum()
+        pr = ((1.0 - damping) * teleport
+              + damping * (pulled + dangling * teleport))
+    return pr
+
+
 # -- seeded mutation-scenario oracle harness ---------------------------------
 #
 # Shared by every incremental-recompute test: a scenario generator that

@@ -4,18 +4,20 @@
 ``np.lexsort((vals, rows))`` path — that is what keeps the engine
 deterministic while the hot loop goes array-native.  Order-insensitive
 operators (:meth:`ReduceOp.order_insensitive`) reach that result with no sort
-at all; float SUM and OVERWRITE through one packed stable sort.  These tests
-sweep every :class:`ReduceOp`, the dtype/edge-value guard rails (NaN, ±inf,
--0.0, wide ints), the NaN/zero rule of the direct path against shuffled
-orders, and the end-to-end flag: ``array_native_events`` on vs. off must
-produce identical PageRank fingerprints under perturbed tie-breaker schedules.
+at all; float SUM and OVERWRITE through one sort by value alone.  These tests
+sweep every :class:`ReduceOp`, the edge values (NaN payloads, ±inf, ±0.0,
+wide ints, huge row ids), the NaN/zero rule of the direct path against
+shuffled orders, and the end-to-end flag: ``array_native_events`` on vs. off
+must produce identical PageRank fingerprints under perturbed tie-breaker
+schedules.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.properties import ReduceOp
-from repro.core.routing_plan import StageOrderCache, canonical_apply
+from repro.core.routing_plan import (StageOrderCache, canonical_apply,
+                                     total_order_key)
 
 ALL_OPS = list(ReduceOp)
 
@@ -70,27 +72,8 @@ class TestCanonicalApplyExactness:
             ref = fresh_target(op, 60, dtype)
             got = fresh_target(op, 60, dtype)
             reference_apply(op, ref, rows, vals)
-            canonical_apply(op, got, rows, vals, cache, key=("t", op.value))
+            canonical_apply(op, got, rows, vals, cache)
             assert bitwise_equal(ref, got), f"trial {trial}"
-
-    @pytest.mark.parametrize("op", [ReduceOp.SUM, ReduceOp.MIN, ReduceOp.MAX])
-    def test_warm_cache_reuses_row_stream_exactly(self, op):
-        """Same rows, fresh values each superstep — the stationary shape."""
-        rng = np.random.default_rng(11)
-        cache = StageOrderCache()
-        rows = rng.integers(0, 80, size=500).astype(np.int64)
-        for _ in range(4):
-            vals = rng.standard_normal(500)
-            ref = fresh_target(op, 80, np.float64)
-            got = fresh_target(op, 80, np.float64)
-            reference_apply(op, ref, rows, vals)
-            canonical_apply(op, got, rows, vals, cache, key="grp")
-            assert bitwise_equal(ref, got)
-        if op is ReduceOp.SUM:
-            assert cache.hits >= 3
-            assert cache.sorted_elements == 4 * 500
-        else:  # order-insensitive: no permutation, no cache entry, no sort
-            assert cache.hits == cache.misses == cache.sorted_elements == 0
 
     def test_special_float_values(self):
         """±inf, -0.0, and duplicate collisions stay bit-exact (SUM can
@@ -106,7 +89,7 @@ class TestCanonicalApplyExactness:
             got = fresh_target(op, 4, np.float64)
             with np.errstate(invalid="ignore"):  # inf + -inf is the point
                 reference_apply(op, ref, rows, vals)
-                canonical_apply(op, got, rows, vals, cache, key=op.value)
+                canonical_apply(op, got, rows, vals, cache)
             assert bitwise_equal(ref, got), op
 
     def test_nan_values_fall_back_to_lexsort(self):
@@ -119,7 +102,7 @@ class TestCanonicalApplyExactness:
         assert bitwise_equal(ref, got)
 
     def test_wide_int_values_fall_back(self):
-        """int64 values exceed the float64 mantissa — must not be packed."""
+        """int64 values beyond the float64 mantissa reduce exactly."""
         rows = np.array([0, 1, 0, 1], dtype=np.int64)
         vals = np.array([2 ** 60, 2 ** 60 + 1, 5, -7], dtype=np.int64)
         ref = np.zeros(2, dtype=np.int64)
@@ -129,8 +112,8 @@ class TestCanonicalApplyExactness:
         assert np.array_equal(ref, got)
 
     def test_huge_row_ids_fall_back(self):
-        """Rows past 2**52 do not embed into the packed key's float64 half —
-        the sort must refuse the pack and still reduce in lexsort order."""
+        """Row ids never enter the sort key, so ids past 2**53 (which a
+        float64 cannot tell apart) still reduce in lexsort order."""
         class Sparse(dict):
             """Just enough of an array for ``OVERWRITE.apply_at``."""
             dtype = np.dtype(np.float64)
@@ -157,18 +140,77 @@ class TestCanonicalApplyExactness:
         assert t[2] == 5.0
 
 
-class TestStageOrderCache:
-    def test_lookup_validates_content_not_just_key(self):
-        cache = StageOrderCache()
-        rows_a = np.array([2, 0, 1], dtype=np.int64)
-        rows_b = np.array([1, 2, 0], dtype=np.int64)
-        perm_a, _ = cache.lookup("k", rows_a)
-        perm_b, sorted_b = cache.lookup("k", rows_b)  # same key, new stream
-        assert cache.hits == 0 and cache.misses == 2
-        assert np.array_equal(sorted_b, np.sort(rows_b))
-        assert np.array_equal(perm_b, np.argsort(rows_b, kind="stable"))
-        assert not np.array_equal(perm_a, perm_b)
+def nan_with_payload(dtype, payload: int, negative: bool = False):
+    """A quiet NaN of ``dtype`` carrying ``payload`` in its mantissa."""
+    nan = np.array([np.nan], dtype=dtype)
+    bits = nan.view(f"u{nan.itemsize}")
+    bits |= payload
+    if negative:
+        bits |= 1 << (8 * nan.itemsize - 1)
+    return nan[0]
 
+
+class TestArrivalOrderInvariance:
+    """Float SUM and OVERWRITE give the same bits for every arrival order,
+    including the values a float comparison cannot order: -0.0 vs +0.0
+    and NaNs with different payloads or signs."""
+
+    @staticmethod
+    def special_case(dtype):
+        rng = np.random.default_rng(29)
+        specials = [0.0, -0.0, np.inf, -np.inf,
+                    nan_with_payload(dtype, 1), nan_with_payload(dtype, 2),
+                    nan_with_payload(dtype, 3, negative=True)]
+        rows = np.repeat(np.arange(8, dtype=np.int64), 2)
+        vals = np.array([0.0, -0.0,                   # both zeros
+                         -0.0, -0.0,                  # only negative zeros
+                         specials[4], specials[5],    # two NaN payloads
+                         specials[6], 1.0,            # -NaN beside a number
+                         np.inf, -np.inf,             # inf + -inf
+                         specials[4], np.inf,
+                         2.5, -0.0,
+                         -1.5, 0.0], dtype=dtype)
+        # rows 8-11: the specials mixed into ordinary values
+        mixed = np.concatenate([rng.standard_normal(60).astype(dtype),
+                                np.array(specials, dtype=dtype)])
+        return (np.concatenate([rows, rng.integers(8, 12, size=len(mixed))]),
+                np.concatenate([vals, mixed]))
+
+    @pytest.mark.parametrize("op", [ReduceOp.SUM, ReduceOp.OVERWRITE],
+                             ids=lambda o: o.value)
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32],
+                             ids=["f8", "f4"])
+    def test_identical_bits_across_arrival_orders(self, op, dtype):
+        rows, vals = self.special_case(dtype)
+        results = []
+        with np.errstate(invalid="ignore"):  # inf + -inf is the point
+            for seed in range(12):
+                order = np.random.default_rng(seed).permutation(len(rows))
+                got = fresh_target(op, 12, dtype)
+                canonical_apply(op, got, rows[order], vals[order],
+                                StageOrderCache())
+                results.append(got)
+        for got in results[1:]:
+            assert bitwise_equal(results[0], got)
+        if op is ReduceOp.OVERWRITE:
+            # last writer = greatest under totalOrder: +0.0 beats -0.0, the
+            # largest positive NaN beats everything, -NaN loses to 1.0
+            assert bitwise_equal(results[0][:4], np.array(
+                [0.0, -0.0, nan_with_payload(dtype, 2), 1.0], dtype=dtype))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32],
+                             ids=["f8", "f4"])
+    def test_key_orders_by_ieee_total_order(self, dtype):
+        ordered = np.array([nan_with_payload(dtype, 3, negative=True),
+                            -np.inf, -2.0, -1e-30, -0.0, 0.0, 1e-30, 2.0,
+                            np.inf, nan_with_payload(dtype, 1),
+                            nan_with_payload(dtype, 2)], dtype=dtype)
+        shuffled = ordered[np.random.default_rng(3).permutation(len(ordered))]
+        assert bitwise_equal(shuffled[np.argsort(total_order_key(shuffled))],
+                             ordered)
+
+
+class TestStageOrderCache:
     def test_scratch_tags_are_distinct_buffers(self):
         cache = StageOrderCache()
         a = cache.scratch(16, np.float64, 0)
@@ -206,8 +248,8 @@ class TestOrderInsensitiveDirectPath:
         shuffled arrivals; returns the result."""
         cache = StageOrderCache()
         got = target.copy()
-        canonical_apply(op, got, rows, vals, cache, key="k")
-        assert cache.sorted_elements == 0 and cache.misses == 0
+        canonical_apply(op, got, rows, vals, cache)
+        assert cache.sorted_elements == 0
         for seed in seeds:
             order = np.random.default_rng(seed).permutation(len(rows))
             ref = target.copy()
@@ -290,7 +332,7 @@ class TestOrderInsensitiveDirectPath:
         rows = np.array([1, 0, 1, 0], dtype=np.int64)
         vals = np.array([1e16, 1.0, -1e16, 1.0])
         got = np.zeros(2)
-        canonical_apply(ReduceOp.SUM, got, rows, vals, cache, key="k")
+        canonical_apply(ReduceOp.SUM, got, rows, vals, cache)
         ref = np.zeros(2)
         reference_apply(ReduceOp.SUM, ref, rows, vals)
         assert bitwise_equal(ref, got) and cache.sorted_elements == 4

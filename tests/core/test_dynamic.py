@@ -7,7 +7,7 @@ from repro import ClusterConfig, PgxdCluster, rmat
 from repro.algorithms import pagerank, wcc
 from repro.dynamic import ContinuousPatternMonitor, DynamicGraph
 from repro.patterns import triangle_pattern
-from tests.conftest import make_cluster
+from tests.conftest import make_cluster, power_iteration
 
 
 class TestDynamicGraph:
@@ -138,18 +138,21 @@ class TestSnapshots:
     def test_pagerank_across_epochs_changes(self):
         dyn = DynamicGraph(50, [(i, (i + 1) % 50) for i in range(50)])
 
-        def pr_top():
+        def ranks():
             cluster = make_cluster(2, None)
             dg = cluster.load_graph(dyn.snapshot())
-            r = pagerank(cluster, dg, "pull", max_iterations=20)
-            return int(np.argmax(r.values["pr"]))
+            return pagerank(cluster, dg, "pull", max_iterations=20).values["pr"]
 
-        top_before = pr_top()
+        # a directed cycle: every vertex keeps exactly the uniform rank
+        assert np.array_equal(ranks(), np.full(50, 1.0 / 50))
         for v in range(50):
             if v != 7:
                 dyn.add_edge(v, 7)
         dyn.apply_updates()
-        assert pr_top() == 7 or top_before != pr_top()
+        after = ranks()
+        want = power_iteration(dyn.snapshot(), np.full(50, 1.0 / 50), 20)
+        assert np.allclose(after, want, atol=1e-12)
+        assert int(np.argmax(after)) == int(np.argmax(want)) == 7
 
 
 class TestContinuousPatterns:

@@ -361,6 +361,24 @@ class TestGhostEffects:
 
         assert atomics(True) < atomics(False)
 
+    def test_privatized_push_sum_is_schedule_independent(self, small_rmat):
+        """Privatization is priced, not materialized: ghost writes land in
+        the machine column in chunk-queue order, so a float SUM has the
+        same bits under every tie seed and with privatization off."""
+        x = np.random.default_rng(4).random(small_rmat.num_nodes)
+        spec = EdgeMapSpec(direction="push", source="x", target="t",
+                           op=ReduceOp.SUM)
+
+        def result(privatize, seed):
+            cluster = make_cluster(4, 20, ghost_privatization=privatize)
+            dg = cluster.load_graph(small_rmat)
+            if seed is not None:
+                cluster.sim.set_tie_breaker(seed)
+            return run_edge_map(cluster, dg, spec, x, 0.0)[0].tobytes()
+
+        want = result(False, None)
+        assert all(result(True, seed) == want for seed in (None, 1, 2, 3))
+
     def test_pull_ghost_writes_never_count_atomics(self, small_rmat):
         """Pull regions (iter_kind == "in") have one worker per target, so
         writing through the shared non-privatized ghost column must cost no

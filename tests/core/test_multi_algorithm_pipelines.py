@@ -8,7 +8,7 @@ from repro import rmat, with_uniform_weights
 from repro.algorithms import (hop_dist, pagerank, personalized_pagerank,
                               sssp, wcc)
 from repro.query import PropertyQuery
-from tests.conftest import make_cluster
+from tests.conftest import make_cluster, power_iteration
 
 
 @pytest.fixture(scope="module")
@@ -57,9 +57,17 @@ class TestChainedAnalyses:
         r_global = pagerank(cluster, dg, "pull", max_iterations=20)
         r_pers = personalized_pagerank(cluster, dg, sources=[300],
                                        max_iterations=20)
+        n = g.num_nodes
+        teleport = np.zeros(n)
+        teleport[300] = 1.0
+        want_global = power_iteration(g, np.full(n, 1.0 / n), 20)
+        want_pers = power_iteration(g, teleport, 20)
+        assert np.allclose(r_global.values["pr"], want_global, atol=1e-12)
+        assert np.allclose(r_pers.values["ppr"], want_pers, atol=1e-12)
         top_global = int(np.argmax(r_global.values["pr"]))
         top_pers = int(np.argmax(r_pers.values["ppr"]))
-        assert top_pers == 300 or top_pers != top_global
+        assert top_global == int(np.argmax(want_global))
+        assert top_pers == 300 != top_global
 
     def test_results_independent_of_prior_runs(self, session):
         """Running other algorithms first must not perturb later results."""

@@ -137,8 +137,7 @@ class TestChunkExecution:
         writes_before = exc.stats.remote_writes
         for m in dg.machines:
             # initialize ghost write columns as the jobrunner would
-            m.ghosts.begin_writes("t", ReduceOp.SUM, np.float64,
-                                  privatize=True)
+            m.ghosts.begin_writes("t", ReduceOp.SUM, np.float64)
             ws = exc.workers[m.index][0]
             execute_edge_map_chunk(exc, m, ws, spec, 0, m.n_local)
         assert exc.stats.remote_writes == writes_before  # all ghost-absorbed
