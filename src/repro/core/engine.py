@@ -144,14 +144,12 @@ class PgxdCluster:
 
     def __init__(self, config: Optional[ClusterConfig] = None):
         self.config = config or ClusterConfig()
-        self.sim = Simulator(fast_path=self.config.engine.array_native_events)
+        self.sim = Simulator()
         #: instance-scoped telemetry: every engine layer emits on this bus,
         #: and the recorder keeps the standard ``repro_*`` instruments live.
         self.hooks = HookBus()
         self.metrics = MetricsRegistry()
-        self.recorder = MetricsRecorder(
-            self.metrics, self.hooks,
-            fast=self.config.engine.array_native_events)
+        self.recorder = MetricsRecorder(self.metrics, self.hooks)
         #: deterministic fault injector, or None when no plan is configured
         #: (None keeps every fault check a single ``is None`` test — the
         #: fault layer is fully pay-for-play)
@@ -164,7 +162,7 @@ class PgxdCluster:
                                audit=self.config.engine.audit)
         self.rmi = RmiRegistry()
         #: cluster-lifetime message/side-structure free lists; job executions
-        #: use them only when pooling is safe (array-native on, no faults)
+        #: use them only when pooling is safe (no fault layer)
         self.msg_pool = MessagePool()
         self.job_log: list[tuple[str, JobStats]] = []
         #: multi-tenant front end; attach with JobScheduler(cluster).  When

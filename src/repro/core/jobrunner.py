@@ -63,7 +63,6 @@ class JobExecution:
         self.task_dispatch_time = ecfg.task_dispatch_time
         self.chunk_dispatch_time = ecfg.chunk_dispatch_time
         self.cpu_op_time = mcfg.cpu_op_time
-        self.plan_cache_enabled = ecfg.routing_plan_cache
         self.combine_writes = ecfg.combine_writes
         self.combine_per_item = ecfg.combine_per_item
         self.out_of_core = ecfg.out_of_core
@@ -90,41 +89,23 @@ class JobExecution:
         #: canonical content-ordered staging (the determinism invariant);
         #: disabling exists only as the audit harness's negative control.
         self.content_sorted = ecfg.content_sorted_staging
-        #: array-native fast paths (hook gating, pooling); host-side only
-        self.array_native = ecfg.array_native_events
         #: message/side-structure free lists — safe only when nothing can
         #: retain a message past its terminal hop, so pooling is off
         #: whenever the fault layer (retry timers hold message refs) is on
-        self.msg_pool = (cluster.msg_pool
-                         if ecfg.array_native_events and self.faults is None
-                         else None)
+        self.msg_pool = cluster.msg_pool if self.faults is None else None
 
         #: per-hook has-subscriber flags, cached once per execution: hot
         #: emit sites skip building the payload dict entirely when nobody
         #: listens (subscription changes mid-job are not a supported use).
-        #: With the array-native engine off, every site emits unconditionally
-        #: — the legacy behavior, kept so A/B benchmarks measure this PR's
-        #: full effect (the bus still early-outs on unsubscribed hooks).
         hooks = self.hooks
-        if self.array_native:
-            self.emit_chunk_start = hooks.has("task.chunk_start")
-            self.emit_chunk_end = hooks.has("task.chunk_end")
-            self.emit_copier_start = hooks.has("comm.copier_start")
-            self.emit_copier_done = hooks.has("comm.copier_done")
-            self.emit_queue_depth = hooks.has("comm.queue_depth")
-            self.emit_enqueue = hooks.has("comm.enqueue")
-            self.emit_flush = hooks.has("comm.flush")
-            self.emit_ghost_class = (hooks.has("ghost.hit")
-                                     or hooks.has("ghost.miss"))
-            self.emit_plan_cache = hooks.has("task.plan_cache")
-            self.emit_disk_read = hooks.has("disk.read")
-        else:
-            self.emit_chunk_start = self.emit_chunk_end = True
-            self.emit_copier_start = self.emit_copier_done = True
-            self.emit_queue_depth = self.emit_enqueue = True
-            self.emit_flush = self.emit_ghost_class = True
-            self.emit_plan_cache = True
-            self.emit_disk_read = True
+        self.emit_chunk_start = hooks.has("task.chunk_start")
+        self.emit_chunk_end = hooks.has("task.chunk_end")
+        self.emit_copier_start = hooks.has("comm.copier_start")
+        self.emit_copier_done = hooks.has("comm.copier_done")
+        self.emit_queue_depth = hooks.has("comm.queue_depth")
+        self.emit_enqueue = hooks.has("comm.enqueue")
+        self.emit_flush = hooks.has("comm.flush")
+        self.emit_disk_read = hooks.has("disk.read")
 
         self.stats = JobStats(start_time=self.sim.now)
         self.ghosts_active = dgraph.num_ghosts > 0

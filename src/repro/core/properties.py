@@ -85,22 +85,6 @@ class ReduceOp(enum.Enum):
             return np.dtype(dtype).kind in "biu"
         return self is not ReduceOp.OVERWRITE
 
-    def combine(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Elementwise combine of two partial-result arrays (ghost sync)."""
-        if self is ReduceOp.SUM:
-            return a + b
-        if self is ReduceOp.MIN:
-            return np.minimum(a, b)
-        if self is ReduceOp.MAX:
-            return np.maximum(a, b)
-        if self is ReduceOp.AND:
-            return np.logical_and(a, b)
-        if self is ReduceOp.OR:
-            return np.logical_or(a, b)
-        if self is ReduceOp.OVERWRITE:
-            return b
-        raise AssertionError(self)
-
     def segment_reduce(self, offsets: np.ndarray, values: np.ndarray,
                        cache: "SegmentGroupCache | None" = None,
                        key=None) -> tuple[np.ndarray, np.ndarray]:

@@ -1,25 +1,23 @@
 """Iteration-invariant routing plans for the vectorized edge-map path.
 
-The hot loop of :func:`repro.core.vector_kernels.execute_edge_map_chunk`
-re-derives, for every chunk of every superstep, work that depends only on the
-immutable CSR: the ``np.repeat`` edge expansion, the owner/ghost/remote
-classification masks, and the owner-stable sort + per-destination bounds that
-route remote requests.  PGX.D's whole point (Sections 3.2-3.4) is keeping
+Every chunk :func:`repro.core.vector_kernels.execute_edge_map_chunk` runs is
+routed by a :class:`ChunkPlan`: the ``np.repeat`` edge expansion, the
+owner/ghost/remote classification, and the owner-stable sort into
+destination-sorted runs that route remote requests.  All of it depends only
+on the immutable CSR.  PGX.D's whole point (Sections 3.2-3.4) is keeping
 that path at memory-bandwidth speed; re-deriving invariants every iteration
 is pure overhead for multi-superstep algorithms (PageRank, SSSP, WCC run the
 same chunks tens of times).
 
 A :class:`RoutingPlanCache` lives on each :class:`~repro.core.machine.Machine`
-and memoizes one :class:`ChunkPlan` per ``(csr direction, chunk range, ghost
-visibility)``.  Plans are host-side only — consuming a cached plan performs
-the *same* logical reads/writes/traffic and produces bit-identical results
-and identical simulated times; only the wall clock of the simulator process
-improves.  An active-vertex filter only *subsets* the cached plan
-(:meth:`ChunkPlan.kept`): the per-class arrays are already classified and
-owner-sorted, and stable sorting commutes with subsetting, so a filtered
-chunk re-derives and re-sorts nothing and stays bit-identical.  The generic
-per-chunk derivation in ``vector_kernels`` runs only with
-``routing_plan_cache=False``, as the reference.
+and memoizes one plan per ``(csr direction, chunk range, ghost
+visibility)``.  Memoization is host-side only — a cached plan and a freshly
+built one route identically, so results and simulated times do not depend
+on the cache's capacity (``plan_cache_max_bytes=0`` rebuilds every chunk).
+An active-vertex filter only *subsets* the plan (:meth:`ChunkPlan.kept`):
+the per-class arrays are already classified and owner-sorted, and stable
+sorting commutes with subsetting, so a filtered chunk re-derives and
+re-sorts nothing.
 
 The second half of the module is the canonical staged apply
 (:func:`canonical_apply`): staged remote contributions are reduced so that
@@ -103,9 +101,9 @@ class ChunkPlan:
         self.ghost_rows = rows[self.ghost_idx]
         self.ghost_slots = gslots[self.ghost_idx]
 
-        # Stable owner sort: identical permutation to sorting the remote
-        # subset directly, so buffered request order (and therefore every
-        # downstream message and reduction) matches the uncached path.
+        # Stable owner sort: within a destination, remote edges keep CSR
+        # order, so buffered request order (and therefore every downstream
+        # message and reduction) is a function of the chunk alone.
         order = stable_owner_order(owners[rem], num_machines)
         self.remote_idx = rem[order]
         remote_owners = owners[self.remote_idx]

@@ -204,8 +204,8 @@ class WorkerState:
         exc = self.exc
         if exc.combine_writes:
             items_in = int(sum(len(o) for o in buf.offsets))
-            cache = self.machine.combine_cache if exc.array_native else None
-            offsets, values = buf.drain(combine=op, cache=cache,
+            offsets, values = buf.drain(combine=op,
+                                        cache=self.machine.combine_cache,
                                         key=(self.windex, dst, prop))
             self._account_combine(dst, prop, items_in, len(offsets))
         else:
@@ -464,12 +464,11 @@ class MachineWindowStream:
         exc = self.exc
         chunks, _, resident_bytes = self.windows[self.active_window]
         self.resident_bytes -= resident_bytes
-        if exc.plan_cache_enabled:
-            # The window's buffer leaves DRAM.  A routing plan *is* the
-            # resolved window (the RESOLVE_* work each chunk was priced
-            # for), so it lives exactly as long: built once per residency,
-            # dropped here, rebuilt when the window streams back in.
-            self.machine.plan_cache.evict_chunks(exc.iter_kind, chunks)
+        # The window's buffer leaves DRAM.  A routing plan *is* the resolved
+        # window (the RESOLVE_* work each chunk was priced for), so it lives
+        # exactly as long: built once per residency, dropped here, rebuilt
+        # when the window streams back in.
+        self.machine.plan_cache.evict_chunks(exc.iter_kind, chunks)
         self.drained_at = exc.sim.now
         exc.sim.schedule_fast(0.0, self._maybe_activate)
 

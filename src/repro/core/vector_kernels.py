@@ -9,14 +9,13 @@ the CPU/DRAM model can price it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from ..runtime.disk import DISK_ID_BYTES
 from ..runtime.memory import cache_adjusted_locality
-from .routing_plan import stable_owner_order
 from .tasks import EdgeMapSpec
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -84,120 +83,49 @@ def execute_edge_map_chunk(exc: "JobExecution", machine: "Machine",
                            lo: int, hi: int) -> WorkTally:
     """Run the declarative edge-map kernel over local nodes [lo, hi).
 
-    When the routing-plan cache is enabled, the iteration-invariant part of
-    this function (edge expansion, owner/ghost classification, owner-stable
-    remote sort) comes from a memoized :class:`ChunkPlan`, and the
-    active-vertex filter, when present, only masks the plan's arrays.  The
-    generic path below re-derives all of it per chunk and is the reference
-    the planned path is tested against: either way the counted work,
-    emitted traffic and results are identical.
+    The iteration-invariant part of the chunk (edge expansion, owner/ghost
+    classification, owner-stable remote sort into per-destination runs)
+    comes from the machine's :class:`ChunkPlan` for it, memoized or rebuilt
+    per :class:`~repro.core.routing_plan.RoutingPlanCache`'s capacity, so
+    the chunk itself is pure gather/scatter plus buffer appends.  An
+    active-vertex filter only subsets the plan's arrays
+    (:meth:`ChunkPlan.kept`), which keeps their order.
     """
-    cfg = machine.config.engine
-    csr = machine.csr(spec.iter_kind)
     tally = WorkTally()
-
     n_nodes = hi - lo
-    tally.cpu_ops += n_nodes * (cfg.task_dispatch_time / machine.machine_config.cpu_op_time)
+    if n_nodes == 0:
+        return tally
+    csr = machine.csr(spec.iter_kind)
+    tally.cpu_ops += n_nodes * (machine.config.engine.task_dispatch_time
+                                / machine.machine_config.cpu_op_time)
 
     if spec.direction == "pull":
         ghost_ok = spec.source in exc.ghost_read_set
     else:
         ghost_ok = spec.target in exc.ghost_write_set
-
-    plan: Optional["ChunkPlan"] = None
-    if exc.plan_cache_enabled and n_nodes > 0:
-        plan, hit = machine.plan_cache.lookup(csr, spec.iter_kind, lo, hi,
-                                              ghost_ok, machine.index,
-                                              exc.num_machines)
-        exc.hooks.emit("task.plan_cache", machine=machine.index, hit=hit,
-                       time=exc.sim.now)
+    plan, hit = machine.plan_cache.lookup(csr, spec.iter_kind, lo, hi,
+                                          ghost_ok, machine.index,
+                                          exc.num_machines)
+    exc.hooks.emit("task.plan_cache", machine=machine.index, hit=hit,
+                   time=exc.sim.now)
 
     # Vertex filter (deactivation): drop the edges of inactive rows but still
     # pay the per-node filter check — this is exactly why framework overhead
     # dominates many-iteration algorithms like KCore (Section 5.3.1).
-    edge_mask = None
+    kept = None
     if spec.active is not None:
         act = machine.props[spec.active][lo:hi].astype(bool, copy=False)
         tally.tasks = int(np.count_nonzero(act))
+        if tally.tasks == 0:
+            return tally  # nothing selected: the dispatch cost is all
         if tally.tasks < n_nodes:
-            if plan is not None and tally.tasks == 0:
-                return tally  # nothing selected: the dispatch cost is all
-            degrees = (plan.degrees if plan is not None
-                       else np.diff(csr.starts[lo:hi + 1]))
-            edge_mask = np.repeat(act, degrees)
+            kept = plan.kept(np.repeat(act, plan.degrees))
     else:
         tally.tasks = n_nodes
 
-    if plan is not None:
-        return _execute_planned(exc, machine, ws, spec, csr, plan, tally,
-                                edge_mask)
-
-    starts = csr.starts
-    es, ee = int(starts[lo]), int(starts[hi])
-    rows = np.repeat(np.arange(lo, hi, dtype=np.int64),
-                     np.diff(starts[lo:hi + 1]))
-    owners = csr.nbr_owner[es:ee]
-    offsets = csr.nbr_offset[es:ee]
-    gslots = csr.nbr_ghost_slot[es:ee]
-    edge_data = csr.edge_data(spec.edge_prop) if spec.use_weights else None
-    weights = edge_data[es:ee] if edge_data is not None else None
-    if edge_mask is not None:
-        rows = rows[edge_mask]
-        owners = owners[edge_mask]
-        offsets = offsets[edge_mask]
-        gslots = gslots[edge_mask]
-        if weights is not None:
-            weights = weights[edge_mask]
-
-    n_edges = len(rows)
-    tally.edges = n_edges
-    exc.stats.edges_processed += n_edges
-    tally.seq_bytes += n_edges * CSR_BYTES_PER_EDGE
-    tally.cpu_ops += n_edges * 2.0  # loop + transform arithmetic
-
-    is_local = owners == machine.index
-    is_ghost = (~is_local) & (gslots >= 0) if ghost_ok else np.zeros(n_edges, dtype=bool)
-    is_remote = ~(is_local | is_ghost)
-
-    mode = "read" if spec.direction == "pull" else "write"
-    n_ghost = int(is_ghost.sum())
-    n_remote = int(is_remote.sum())
-    if n_ghost:
-        exc.hooks.emit("ghost.hit", machine=machine.index,
-                       prop=spec.source if mode == "read" else spec.target,
-                       mode=mode, count=n_ghost, time=exc.sim.now)
-    if n_remote:
-        exc.hooks.emit("ghost.miss", machine=machine.index,
-                       prop=spec.source if mode == "read" else spec.target,
-                       mode=mode, count=n_remote, time=exc.sim.now)
-
-    if spec.direction == "pull":
-        _pull(exc, machine, ws, spec, tally, rows, offsets, gslots, owners,
-              weights, is_local, is_ghost, is_remote)
-    else:
-        _push(exc, machine, ws, spec, tally, rows, offsets, gslots, owners,
-              weights, is_local, is_ghost, is_remote)
-    return tally
-
-
-def _execute_planned(exc: "JobExecution", machine: "Machine",
-                     ws: "WorkerState", spec: EdgeMapSpec, csr,
-                     plan: "ChunkPlan", tally: WorkTally,
-                     edge_mask: Optional[np.ndarray]) -> WorkTally:
-    """Chunk over a cached plan: pure gather/scatter + buffering.
-
-    Mirrors the generic path operation for operation (same counted work, same
-    hook emissions, same reduction order), skipping only the re-derivation of
-    the plan's iteration-invariant arrays.  A filter's ``edge_mask`` only
-    subsets the plan's pre-classified, owner-pre-sorted arrays
-    (:meth:`ChunkPlan.kept`), which keeps the order the generic path derives
-    by classifying and stable-sorting the masked edges.
-    """
-    if edge_mask is None:
-        kept = None
+    if kept is None:
         n_ghost, n_remote, n_edges = plan.n_ghost, plan.n_remote, plan.n_edges
     else:
-        kept = plan.kept(edge_mask)
         n_ghost, n_remote = len(kept[1]), len(kept[2])
         n_edges = len(kept[0]) + n_ghost + n_remote
     tally.edges = n_edges
@@ -224,7 +152,13 @@ def _execute_planned(exc: "JobExecution", machine: "Machine",
 
 def _pull_planned(exc, machine, ws, spec, tally, plan: "ChunkPlan",
                   edge_data, kept) -> None:
-    """``kept`` is None, or :meth:`ChunkPlan.kept` of the filter's mask."""
+    """n.target op= f(t.source) over in-neighbors t.
+
+    The target node is always local and owned by this worker (all in-edges of
+    a node run on one worker), so the reduce uses plain stores — the very
+    reason pull-based PageRank beats push-based in Table 3.  ``kept`` is
+    None, or :meth:`ChunkPlan.kept` of the filter's mask.
+    """
     target = machine.props[spec.target]
     if edge_data is not None:
         w_local, w_ghost, w_remote = plan.weight_split(spec.edge_prop, edge_data)
@@ -247,15 +181,12 @@ def _pull_planned(exc, machine, ws, spec, tally, plan: "ChunkPlan",
         else:
             src = machine.props[spec.source]
             ws_bytes = machine.n_local * VALUE_BYTES
-        if exc.array_native:
-            # Gather into a persistent per-machine scratch buffer: the
-            # values are consumed by apply_at below within this chunk, so
-            # the ~chunk-sized allocation (and its page faults) per chunk
-            # buys nothing.
-            vals = np.take(src, sel, mode="clip",
-                           out=machine.stage_cache.scratch(n, src.dtype, 2))
-        else:
-            vals = src[sel]
+        # Gather into a persistent per-machine scratch buffer: the values
+        # are consumed by apply_at below within this chunk, so the
+        # ~chunk-sized allocation (and its page faults) per chunk buys
+        # nothing.
+        vals = np.take(src, sel, mode="clip",
+                       out=machine.stage_cache.scratch(n, src.dtype, 2))
         vals = spec.apply_transform(vals, w)
         spec.op.apply_at(target, sel_rows, vals)
         exc.stats.local_reads += n
@@ -275,7 +206,7 @@ def _pull_planned(exc, machine, ws, spec, tally, plan: "ChunkPlan",
         tally.cpu_ops += n * (exc.marshal_per_item / exc.cpu_op_time)
         tally.seq_bytes += n * 2 * VALUE_BYTES  # marshal into the buffer
         # Destination-sorted sub-chunks: one fused append per destination,
-        # pre-sliced at plan build time (same batches the bounds loop made).
+        # pre-sliced at plan build time.
         for dst, b0, b1, run_offsets, run_rows in runs:
             buf = ws.read_buf(dst, spec.source)
             buf.append(run_offsets, run_rows,
@@ -285,19 +216,17 @@ def _pull_planned(exc, machine, ws, spec, tally, plan: "ChunkPlan",
 
 def _push_planned(exc, machine, ws, spec, tally, plan: "ChunkPlan",
                   edge_data, kept) -> None:
-    """``kept`` is None, or :meth:`ChunkPlan.kept` of the filter's mask."""
+    """t.target op= f(n.source) over out-neighbors t.  ``kept`` is None, or
+    :meth:`ChunkPlan.kept` of the filter's mask."""
     weights = edge_data[plan.es:plan.ee] if edge_data is not None else None
     src = machine.props[spec.source]
     if kept is None:
-        if exc.array_native:
-            # Per-chunk transient: gather into persistent scratch (the
-            # per-class gathers below re-copy before buffering, so nothing
-            # aliasing this buffer outlives the chunk).
-            src_vals = np.take(src, plan.rows, mode="clip",
-                               out=machine.stage_cache.scratch(
-                                   plan.n_edges, src.dtype, 2))
-        else:
-            src_vals = src[plan.rows]
+        # Per-chunk transient: gather into persistent scratch (the per-class
+        # gathers below re-copy before buffering, so nothing aliasing this
+        # buffer outlives the chunk).
+        src_vals = np.take(src, plan.rows, mode="clip",
+                           out=machine.stage_cache.scratch(
+                               plan.n_edges, src.dtype, 2))
         src_vals = spec.apply_transform(src_vals, weights)
         local_offsets, ghost_slots = plan.local_offsets, plan.ghost_slots
         local_vals = src_vals[plan.local_idx]
@@ -326,6 +255,8 @@ def _push_planned(exc, machine, ws, spec, tally, plan: "ChunkPlan",
     if n:
         spec.op.apply_at(machine.props[spec.target], local_offsets, local_vals)
         exc.stats.local_writes += n
+        # Multiple workers may hit the same local target: atomics (Section
+        # 5.2, the push-vs-pull performance gap).
         tally.atomic_ops += n
         exc.stats.atomic_ops += n
         loc = cache_adjusted_locality(PUSH_DST_LOCALITY,
@@ -352,120 +283,6 @@ def _push_planned(exc, machine, ws, spec, tally, plan: "ChunkPlan",
         for dst, b0, b1, run_offsets, _ in runs:
             buf = ws.write_buf(dst, spec.target, spec.op)
             buf.append(run_offsets, rem_vals[b0:b1])
-            ws.maybe_flush_writes(dst, spec.target)
-
-
-def _pull(exc, machine, ws, spec, tally, rows, offsets, gslots, owners,
-          weights, is_local, is_ghost, is_remote) -> None:
-    """n.target op= f(t.source) over in-neighbors t.
-
-    The target node is always local and owned by this worker (all in-edges of
-    a node run on one worker), so the reduce uses plain stores — the very
-    reason pull-based PageRank beats push-based in Table 3.
-    """
-    target = machine.props[spec.target]
-
-    for mask, from_ghost in ((is_local, False), (is_ghost, True)):
-        if not mask.any():
-            continue
-        sel_rows = rows[mask]
-        if from_ghost:
-            vals = machine.ghosts.arrays[spec.source][gslots[mask]]
-            ws_bytes = machine.ghosts.num_ghosts * VALUE_BYTES
-        else:
-            vals = machine.props[spec.source][offsets[mask]]
-            ws_bytes = machine.n_local * VALUE_BYTES
-        w = weights[mask] if weights is not None else None
-        vals = spec.apply_transform(vals, w)
-        spec.op.apply_at(target, sel_rows, vals)
-        n = len(sel_rows)
-        exc.stats.local_reads += n
-        loc = cache_adjusted_locality(GATHER_LOCALITY, ws_bytes,
-                                      machine.machine_config)
-        tally.add_bytes(n * VALUE_BYTES, loc)
-        tally.add_bytes(n * VALUE_BYTES, SCATTER_LOCALITY)
-
-    if is_remote.any():
-        _pull_remote(exc, machine, ws, spec, tally,
-                     rows[is_remote], offsets[is_remote], owners[is_remote],
-                     weights[is_remote] if weights is not None else None)
-
-
-def _pull_remote(exc, machine, ws, spec, tally, rem_rows, rem_offsets,
-                 rem_owners, rem_weights) -> None:
-    order = stable_owner_order(rem_owners, exc.num_machines)
-    rem_owners = rem_owners[order]
-    rem_rows = rem_rows[order]
-    rem_offsets = rem_offsets[order]
-    if rem_weights is not None:
-        rem_weights = rem_weights[order]
-    bounds = np.searchsorted(rem_owners, np.arange(exc.num_machines + 1))
-    n = len(rem_rows)
-    exc.stats.remote_reads += n
-    tally.cpu_ops += n * (exc.marshal_per_item / exc.cpu_op_time)
-    tally.seq_bytes += n * 2 * VALUE_BYTES  # marshal into the buffer
-    for dst in range(exc.num_machines):
-        b0, b1 = bounds[dst], bounds[dst + 1]
-        if b1 <= b0:
-            continue
-        buf = ws.read_buf(dst, spec.source)
-        buf.append(rem_offsets[b0:b1], rem_rows[b0:b1],
-                   rem_weights[b0:b1] if rem_weights is not None else None)
-        ws.maybe_flush_reads(dst, spec.source)
-
-
-def _push(exc, machine, ws, spec, tally, rows, offsets, gslots, owners,
-          weights, is_local, is_ghost, is_remote) -> None:
-    """t.target op= f(n.source) over out-neighbors t."""
-    src_vals = machine.props[spec.source][rows]
-    src_vals = spec.apply_transform(src_vals, weights)
-    tally.add_bytes(len(rows) * VALUE_BYTES, PUSH_SRC_LOCALITY)
-
-    if is_local.any():
-        sel = is_local
-        n = int(sel.sum())
-        spec.op.apply_at(machine.props[spec.target], offsets[sel], src_vals[sel])
-        exc.stats.local_writes += n
-        # Multiple workers may hit the same local target: atomics (Section 5.2,
-        # the push-vs-pull performance gap).
-        tally.atomic_ops += n
-        exc.stats.atomic_ops += n
-        loc = cache_adjusted_locality(PUSH_DST_LOCALITY,
-                                      machine.n_local * VALUE_BYTES,
-                                      machine.machine_config)
-        tally.add_bytes(n * VALUE_BYTES, loc)
-
-    if is_ghost.any():
-        sel = is_ghost
-        n = int(sel.sum())
-        exc.stats.local_writes += n
-        spec.op.apply_at(machine.ghosts.arrays[spec.target], gslots[sel],
-                         src_vals[sel])
-        if not exc.privatize:  # privatized ghost writes need no atomics
-            tally.atomic_ops += n
-            exc.stats.atomic_ops += n
-        tally.add_bytes(n * VALUE_BYTES, PUSH_DST_LOCALITY)
-
-    if is_remote.any():
-        sel = is_remote
-        rem_owners = owners[sel]
-        rem_offsets = offsets[sel]
-        rem_vals = src_vals[sel]
-        order = stable_owner_order(rem_owners, exc.num_machines)
-        rem_owners = rem_owners[order]
-        rem_offsets = rem_offsets[order]
-        rem_vals = rem_vals[order]
-        bounds = np.searchsorted(rem_owners, np.arange(exc.num_machines + 1))
-        n = len(rem_offsets)
-        exc.stats.remote_writes += n
-        tally.cpu_ops += n * (exc.marshal_per_item / exc.cpu_op_time)
-        tally.seq_bytes += n * 2 * VALUE_BYTES
-        for dst in range(exc.num_machines):
-            b0, b1 = bounds[dst], bounds[dst + 1]
-            if b1 <= b0:
-                continue
-            buf = ws.write_buf(dst, spec.target, spec.op)
-            buf.append(rem_offsets[b0:b1], rem_vals[b0:b1])
             ws.maybe_flush_writes(dst, spec.target)
 
 

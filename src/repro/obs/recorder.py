@@ -15,13 +15,8 @@ from .metrics import DEFAULT_BYTE_BUCKETS, MetricsRegistry
 class MetricsRecorder:
     """Subscribes the standard engine metrics to a cluster's hook bus."""
 
-    def __init__(self, registry: MetricsRegistry, bus: HookBus,
-                 fast: bool = True):
+    def __init__(self, registry: MetricsRegistry, bus: HookBus):
         self.registry = registry
-        #: with ``fast`` off the handlers resolve label children through the
-        #: family every call (the legacy path) — lets A/B benchmarks charge
-        #: the memoization to the array-native engine it shipped with
-        self.fast = fast
         r = registry
 
         self.chunks = r.counter(
@@ -221,6 +216,7 @@ class MetricsRecorder:
         self._chunk_children: dict = {}
         self._kind_children: dict = {}
         self._machine_children: dict = {}
+        self._combine_children = None
 
         bus.subscribe_many({
             "task.chunk_end": self._on_chunk_end,
@@ -258,22 +254,19 @@ class MetricsRecorder:
 
     def _on_chunk_end(self, p: dict) -> None:
         key = (p["machine"], p["kind"])
-        ch = self._chunk_children.get(key) if self.fast else None
+        ch = self._chunk_children.get(key)
         if ch is None:
             machine = str(p["machine"])
-            ch = (self.chunks.labels(machine=machine, kind=p["kind"]),
-                  self.worker_busy.labels(machine=machine),
-                  self.chunk_seconds.labels(kind=p["kind"]))
-            if self.fast:
-                self._chunk_children[key] = ch
+            ch = self._chunk_children[key] = (
+                self.chunks.labels(machine=machine, kind=p["kind"]),
+                self.worker_busy.labels(machine=machine),
+                self.chunk_seconds.labels(kind=p["kind"]))
         chunks, busy, seconds = ch
         chunks.inc()
         busy.inc(p["duration"])
         seconds.observe(p["duration"])
 
     def _kind_child(self, family, kind):
-        if not self.fast:
-            return family.labels(kind=kind)
         key = (family.name, kind)
         child = self._kind_children.get(key)
         if child is None:
@@ -281,8 +274,6 @@ class MetricsRecorder:
         return child
 
     def _machine_child(self, family, machine):
-        if not self.fast:
-            return family.labels(machine=str(machine))
         key = (family.name, machine)
         child = self._machine_children.get(key)
         if child is None:
@@ -320,8 +311,6 @@ class MetricsRecorder:
         self.net_dropped_bytes.labels(kind=p["kind"]).inc(p["nbytes"])
 
     def _mode_child(self, family, mode):
-        if not self.fast:
-            return family.labels(mode=mode)
         key = (family.name, mode)
         child = self._kind_children.get(key)
         if child is None:
@@ -342,15 +331,10 @@ class MetricsRecorder:
         self.plan_cache_hit_ratio.set(self._plan_hits / self._plan_lookups)
 
     def _on_combine(self, p: dict) -> None:
-        if self.fast:
-            if not hasattr(self, "_combine_children"):
-                self._combine_children = (
-                    self.combine_items.labels(stage="in"),
-                    self.combine_items.labels(stage="out"))
-            c_in, c_out = self._combine_children
-        else:
-            c_in = self.combine_items.labels(stage="in")
-            c_out = self.combine_items.labels(stage="out")
+        if self._combine_children is None:
+            self._combine_children = (self.combine_items.labels(stage="in"),
+                                      self.combine_items.labels(stage="out"))
+        c_in, c_out = self._combine_children
         c_in.inc(p["items_in"])
         c_out.inc(p["items_out"])
         self._combine_in += p["items_in"]

@@ -161,16 +161,12 @@ class EngineConfig:
     #: address translation), on top of the DRAM access itself.
     copier_per_item: float = 5.0e-9
 
-    #: Memoize the iteration-invariant routing work of the vectorized
-    #: edge-map path (edge expansion, owner/ghost classification, per-
-    #: destination sort) per machine.  The CSR is immutable after load, so
-    #: every superstep after the first reuses the plan.  Purely a host-side
-    #: (wall-clock) optimization: counted work, traffic and results are
-    #: identical with the cache on or off.
-    routing_plan_cache: bool = True
-
-    #: Soft capacity of one machine's routing-plan cache in bytes; plans
-    #: that would exceed it are rebuilt on every chunk instead of stored.
+    #: Soft capacity of one machine's routing-plan cache in bytes.  A plan
+    #: (edge expansion, owner/ghost classification, per-destination sort)
+    #: is built per chunk and memoized, since the CSR is immutable after
+    #: load; plans that would exceed the capacity are rebuilt on every
+    #: chunk instead of stored, and ``0`` rebuilds every chunk.  Purely a
+    #: host-side cost: counted work, traffic and results do not depend on it.
     plan_cache_max_bytes: int = 1 << 30
 
     #: Combine duplicate targets in a write buffer before it goes on the
@@ -204,16 +200,6 @@ class EngineConfig:
     #: across schedules; disabling it exists ONLY as the audit harness's
     #: negative control, to prove the auditor detects the divergence.
     content_sorted_staging: bool = True
-
-    #: Master switch for the array-native event-engine fast paths: the
-    #: simulator's same-time run queue and event free list, message/side-
-    #: structure pooling on the request path, hook-site gating and the
-    #: planned kernels' scratch gathers (the canonical staged apply is the
-    #: same either way).  Purely host-side — schedules, simulated times,
-    #: traffic and results are bit-identical with the switch on or off.
-    #: Off exists for A/B benchmarking (bench_wallclock measures both)
-    #: and as a debugging fallback.
-    array_native_events: bool = True
 
     #: Out-of-core mode (GraphD-style): edge-partition CSR windows live on
     #: each machine's modeled local disk and stream back during edge-map

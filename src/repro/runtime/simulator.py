@@ -74,19 +74,13 @@ class Simulator:
         sim.schedule(1e-6, callback, arg1, arg2)
         sim.run()          # drains the event queue
         print(sim.now)     # simulated seconds elapsed
-
-    ``fast_path=False`` disables the run-queue/event-pool shortcuts (every
-    event goes through the heap, nothing is pooled) — execution order and
-    clocks are identical either way; the flag exists for A/B benchmarking
-    and as a debugging fallback.
     """
 
     #: free-list capacity; beyond it fired events are left to the GC
     POOL_CAP = 8192
 
-    def __init__(self, fast_path: bool = True) -> None:
+    def __init__(self) -> None:
         self.now: float = 0.0
-        self.fast_path = fast_path
         self._heap: list[Event] = []
         #: zero-delay events at the current clock, in seq order (tie == 0)
         self._runq: deque[Event] = deque()
@@ -133,7 +127,7 @@ class Simulator:
         ev = Event(self.now + delay, self._seq, fn, args, tie=self._tie())
         self._seq += 1
         self._live += 1
-        if delay == 0.0 and self.fast_path and self._tie_rng is None:
+        if delay == 0.0 and self._tie_rng is None:
             self._runq.append(ev)
         else:
             heapq.heappush(self._heap, ev)
@@ -156,9 +150,9 @@ class Simulator:
         come from (and returns to) a free list, so holding on to it after it
         fires would alias a future event.  Callers that might ever need to
         :meth:`cancel` must use :meth:`schedule`.  Falls back to the general
-        path while a tie breaker is installed or ``fast_path`` is off.
+        path while a tie breaker is installed.
         """
-        if self._tie_rng is not None or not self.fast_path:
+        if self._tie_rng is not None:
             self.schedule(delay, fn, *args)
             return
         if delay < 0:
@@ -171,7 +165,7 @@ class Simulator:
 
     def schedule_at_fast(self, time: float, fn: Callable, *args: Any) -> None:
         """Absolute-time :meth:`schedule_fast` (handle discarded, pooled)."""
-        if self._tie_rng is not None or not self.fast_path:
+        if self._tie_rng is not None:
             self.schedule_at(time, fn, *args)
             return
         if time < self.now:

@@ -6,10 +6,9 @@ deterministic while the hot loop goes array-native.  Order-insensitive
 operators (:meth:`ReduceOp.order_insensitive`) reach that result with no sort
 at all; float SUM and OVERWRITE through one sort by value alone.  These tests
 sweep every :class:`ReduceOp`, the edge values (NaN payloads, ±inf, ±0.0,
-wide ints, huge row ids), the NaN/zero rule of the direct path against
-shuffled orders, and the end-to-end flag: ``array_native_events`` on vs. off
-must produce identical PageRank fingerprints under perturbed tie-breaker
-schedules.
+wide ints, huge row ids) and the NaN/zero rule of the direct path against
+shuffled orders; end to end, PageRank must be bit-identical under perturbed
+tie-breaker schedules.
 """
 
 import numpy as np
@@ -338,35 +337,10 @@ class TestOrderInsensitiveDirectPath:
         assert bitwise_equal(ref, got) and cache.sorted_elements == 4
 
 
-class TestFlagEquivalence:
-    """``array_native_events`` must be invisible to results and sim time."""
-
-    @pytest.mark.parametrize("variant", ["pull", "push"])
-    @pytest.mark.parametrize("seed", [None, 1, 7, 42])
-    def test_pagerank_fingerprints_identical(self, small_rmat, variant, seed):
-        from repro.algorithms import pagerank
-        from tests.conftest import make_cluster
-
-        def run(native):
-            cluster = make_cluster(4, 40, routing_plan_cache=True,
-                                   combine_writes=True,
-                                   array_native_events=native)
-            dg = cluster.load_graph(small_rmat)
-            if seed is not None:
-                cluster.sim.set_tie_breaker(seed)
-            res = pagerank(cluster, dg, variant=variant, max_iterations=4)
-            return res.values["pr"], res.total_time
-
-        vals_on, t_on = run(True)
-        vals_off, t_off = run(False)
-        assert bitwise_equal(vals_on, vals_off)
-        assert t_on == t_off, "timing model must be untouched"
-
-
 class TestAuditHarnessWithNativeLoop:
     def test_perturbed_schedules_pass(self):
-        """The full audit harness under the array-native engine: three
-        perturbation seeds on top of the canonical schedule."""
+        """The full audit harness: three perturbation seeds on top of the
+        canonical schedule give bit-identical PageRank."""
         from repro import ClusterConfig, rmat, with_uniform_weights
         from repro.audit.harness import AuditHarness, AuditScenario
 
@@ -374,8 +348,7 @@ class TestAuditHarnessWithNativeLoop:
                                      seed=22)
         config = ClusterConfig(num_machines=4).with_engine(
             num_workers=16, num_copiers=8, buffer_size=64,
-            chunking="edge", chunk_size=64, ghost_threshold=1000,
-            array_native_events=True)
+            chunking="edge", chunk_size=64, ghost_threshold=1000)
         harness = AuditHarness(graph, config, schedules=3, base_seed=7,
                                iterations=2)
         assert len(harness.tie_seeds()) == 4

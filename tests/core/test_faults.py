@@ -156,6 +156,26 @@ class TestPayForPlay:
         assert (cluster.metrics.counters_flat()
                 == base_cluster.metrics.counters_flat())
 
+    @pytest.mark.parametrize("plan", [None, FaultPlan(seed=3, drop_prob=0.05)],
+                             ids=["no-faults", "faults"])
+    def test_messages_pooled_only_without_fault_layer(self, small_rmat, plan):
+        """Retry timers hold message references, so a fault layer turns
+        the cluster's message pool off for every execution."""
+        from repro import EdgeMapJob, EdgeMapSpec, ReduceOp
+        from repro.core.jobrunner import JobExecution
+
+        cluster = make_cluster(fault_plan=plan)
+        dg = cluster.load_graph(small_rmat)
+        dg.add_property("x", init=1.0)
+        dg.add_property("t", init=0.0)
+        exc = JobExecution(cluster, dg, EdgeMapJob(name="probe", spec=EdgeMapSpec(
+            direction="pull", source="x", target="t", op=ReduceOp.SUM)))
+        assert exc.msg_pool is (cluster.msg_pool if plan is None else None)
+        before = cluster.msg_pool.message_hits
+        pagerank(cluster, dg, "pull", max_iterations=3, tolerance=0.0)
+        hits = cluster.msg_pool.message_hits - before
+        assert hits > 0 if plan is None else hits == 0
+
 
 class TestCrashRecovery:
     def test_crash_without_recovery_raises(self, small_rmat):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.properties import PropertyStore, ReduceOp
+from repro.core.properties import PropertyStore, ReduceOp, SegmentGroupCache
 
 
 class TestBottomValues:
@@ -59,19 +59,17 @@ class TestApplyAt:
         ReduceOp.OVERWRITE.apply_at(arr, np.array([0]), np.array([4.0]))
         assert arr[0] == 4.0
 
-    def test_combine_matches_apply_at(self):
-        for op in (ReduceOp.SUM, ReduceOp.MIN, ReduceOp.MAX):
-            a = np.array([1.0, 5.0, -2.0])
-            b = np.array([4.0, 2.0, -7.0])
-            combined = op.combine(a.copy(), b)
-            via_apply = a.copy()
-            op.apply_at(via_apply, np.arange(3), b)
-            assert np.array_equal(combined, via_apply)
-
     def test_scalar_matches_combine(self):
-        for op in (ReduceOp.SUM, ReduceOp.MIN, ReduceOp.MAX):
-            assert op.scalar(3.0, 5.0) == op.combine(
-                np.array([3.0]), np.array([5.0]))[0]
+        """The scalar RTC combine agrees with ``apply_at`` reducing one
+        contribution ``b`` into a target holding ``a``, for every operator."""
+        floats = [(3.0, 5.0), (5.0, 3.0), (-2.0, -7.0), (0.5, 0.5)]
+        bools = [(a, b) for a in (False, True) for b in (False, True)]
+        for op in ReduceOp:
+            boolean = op in (ReduceOp.AND, ReduceOp.OR)
+            for a, b in bools if boolean else floats:
+                target = np.array([a])
+                op.apply_at(target, np.array([0]), np.array([b]))
+                assert op.scalar(a, b) == target[0], (op, a, b)
 
 
 ALL_OPS = (ReduceOp.SUM, ReduceOp.MIN, ReduceOp.MAX, ReduceOp.AND,
@@ -179,6 +177,41 @@ class TestSegmentReduce:
         scratch = np.zeros(16)
         np.add.at(scratch, offsets, values)
         assert np.array_equal(reduced, scratch[uniq])
+
+
+class TestSegmentGroupCache:
+    """The memo every write-combining flush goes through: a key presented
+    with different offsets rebuilds, and every answer is bit-identical to
+    the uncached :meth:`ReduceOp.segment_reduce`."""
+
+    @pytest.mark.parametrize("op", ALL_OPS, ids=lambda o: o.value)
+    def test_changed_offsets_under_one_key_rebuild(self, op):
+        rng = np.random.default_rng(11)
+        first = rng.integers(0, 30, 200)
+        same_length = rng.integers(0, 30, 200)
+        shorter = rng.integers(0, 30, 120)
+        cache = SegmentGroupCache()
+        key = (0, 1, "t")
+        for offsets, hit in ((first, False), (same_length, False),
+                             (shorter, False), (first, False),
+                             (first.copy(), True)):
+            values = _values_for(op, rng, len(offsets))
+            hits = cache.hits
+            got = op.segment_reduce(offsets, values, cache=cache, key=key)
+            want = op.segment_reduce(offsets, values)
+            assert (cache.hits > hits) == hit
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        assert cache.misses == 4
+
+    def test_combining_pagerank_push_hits_the_machine_caches(self, small_rmat):
+        from repro.algorithms import pagerank
+        from tests.conftest import make_cluster
+
+        cluster = make_cluster(4, 40, combine_writes=True)
+        dg = cluster.load_graph(small_rmat)
+        pagerank(cluster, dg, variant="push", max_iterations=4)
+        assert all(m.combine_cache.hits > 0 for m in dg.machines)
 
 
 class TestPropertyStore:

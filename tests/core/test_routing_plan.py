@@ -1,19 +1,29 @@
 """Routing-plan cache: plan correctness, hit accounting, and the guarantee
-that caching is invisible to results, modeled work, and simulated time."""
+that caching is invisible to results, modeled work, and simulated time —
+a run that keeps its plans matches one that rebuilds every chunk's plan
+(``plan_cache_max_bytes=0``) in every observable."""
 
 import numpy as np
 import pytest
 
 from repro import EdgeMapJob, EdgeMapSpec, ReduceOp, rmat, with_uniform_weights
 from repro.algorithms import pagerank, sssp, wcc
-from repro.core import vector_kernels
 from repro.core.routing_plan import (ChunkPlan, RoutingPlanCache,
                                      stable_owner_order)
+from repro.runtime.config import EngineConfig
 from tests.conftest import make_cluster
 
 
-def run_pagerank(graph, plan_cache, iterations=4, variant="pull"):
-    cluster = make_cluster(3, 30, routing_plan_cache=plan_cache)
+def plan_cluster(keep_plans, **engine_kwargs):
+    """A 3-machine cluster that keeps its routing plans (the default
+    capacity) or rebuilds every chunk's plan (capacity 0)."""
+    max_bytes = EngineConfig().plan_cache_max_bytes if keep_plans else 0
+    return make_cluster(3, 30, plan_cache_max_bytes=max_bytes,
+                        **engine_kwargs)
+
+
+def run_pagerank(graph, keep_plans, iterations=4, variant="pull"):
+    cluster = plan_cluster(keep_plans)
     dg = cluster.load_graph(graph)
     res = pagerank(cluster, dg, variant=variant, max_iterations=iterations)
     return cluster, dg, res
@@ -78,7 +88,7 @@ class TestChunkPlanFields:
     @pytest.mark.parametrize("ghost_ok", [True, False])
     def test_kept_matches_classifying_the_masked_edges(self, machine,
                                                        ghost_ok):
-        """What a filter keeps of a plan, against the generic derivation:
+        """What a filter keeps of a plan, against deriving it from scratch:
         mask first, then classify and stable-sort by owner."""
         csr = machine.out_csr
         plan = ChunkPlan(csr, 0, machine.n_local, ghost_ok=ghost_ok,
@@ -162,20 +172,24 @@ class TestCacheBehavior:
         assert not hit  # rebuilt, never stored
 
     def test_engine_populates_machine_caches(self, small_rmat):
-        cluster, dg, _ = run_pagerank(small_rmat, plan_cache=True)
+        cluster, dg, _ = run_pagerank(small_rmat, keep_plans=True)
         for m in dg.machines:
             assert m.plan_cache.hits > 0
             assert len(m.plan_cache) > 0
 
     def test_cache_disabled_stays_empty(self, small_rmat):
-        cluster, dg, _ = run_pagerank(small_rmat, plan_cache=False)
+        """Capacity 0: every chunk builds its plan and none is kept."""
+        cluster, dg, _ = run_pagerank(small_rmat, keep_plans=False)
         for m in dg.machines:
-            assert m.plan_cache.hits == 0 and m.plan_cache.misses == 0
+            cache = m.plan_cache
+            assert len(cache) == 0 and cache.nbytes == 0
+            assert cache.hits == 0
+            assert cache.misses > 0 and cache.rejected == cache.misses
 
 
 class TestCacheIsInvisible:
-    """The tentpole guarantee: identical results AND identical simulated
-    behavior with the cache on or off — it is wall-clock-only."""
+    """Identical results AND identical simulated behavior whether plans are
+    kept or rebuilt every chunk — the cache is wall-clock-only."""
 
     def test_pagerank_pull_bit_identical(self, small_rmat):
         _, _, on = run_pagerank(small_rmat, True)
@@ -192,7 +206,7 @@ class TestCacheIsInvisible:
 
     def test_sssp_active_filter_bit_identical(self, small_rmat_weighted):
         def run(flag):
-            cluster = make_cluster(3, 30, routing_plan_cache=flag)
+            cluster = plan_cluster(flag)
             dg = cluster.load_graph(small_rmat_weighted)
             return sssp(cluster, dg, root=0, max_iterations=30)
         on, off = run(True), run(False)
@@ -201,7 +215,7 @@ class TestCacheIsInvisible:
 
     def test_wcc_bit_identical(self, small_rmat):
         def run(flag):
-            cluster = make_cluster(3, 30, routing_plan_cache=flag)
+            cluster = plan_cluster(flag)
             dg = cluster.load_graph(small_rmat)
             return wcc(cluster, dg, max_iterations=50)
         on, off = run(True), run(False)
@@ -239,11 +253,11 @@ WORK_COUNTERS = ("tasks_executed", "edges_processed", "remote_reads",
                  "atomic_ops", "messages")
 
 
-def run_filtered_jobs(graph, plan_cache, direction, weighted, privatize, op):
+def run_filtered_jobs(graph, keep_plans, direction, weighted, privatize, op):
     """One filtered edge-map job per filter kind (twice, so the second run
-    hits the cached plans) on a 3-machine cluster; returns everything the
-    planned path must leave untouched."""
-    cluster = make_cluster(3, 30, chunk_size=64, routing_plan_cache=plan_cache,
+    hits the kept plans) on a 3-machine cluster; returns everything a kept
+    plan must leave untouched."""
+    cluster = plan_cluster(keep_plans, chunk_size=64,
                            ghost_privatization=privatize)
     dg = cluster.load_graph(graph)
     n = dg.num_nodes
@@ -277,9 +291,9 @@ def run_filtered_jobs(graph, plan_cache, direction, weighted, privatize, op):
 
 
 class TestMaskedPlannedPath:
-    """A filtered chunk subsets its cached plan instead of re-deriving the
-    routing; the generic path (``routing_plan_cache=False``) is the
-    reference it must match in every observable."""
+    """A filtered chunk subsets its plan (:meth:`ChunkPlan.kept`); a kept
+    plan, masked, must match a plan rebuilt for that chunk
+    (``plan_cache_max_bytes=0``) in every observable."""
 
     @pytest.fixture(scope="class")
     def graph(self):
@@ -294,33 +308,21 @@ class TestMaskedPlannedPath:
     @pytest.mark.parametrize("direction", ["pull", "push"])
     def test_matches_generic_path(self, graph, direction, weighted,
                                   privatize, op):
-        dg, planned = run_filtered_jobs(graph, True, direction, weighted,
-                                        privatize, op)
-        _, generic = run_filtered_jobs(graph, False, direction, weighted,
-                                       privatize, op)
+        dg, kept = run_filtered_jobs(graph, True, direction, weighted,
+                                     privatize, op)
+        rdg, rebuilt = run_filtered_jobs(graph, False, direction, weighted,
+                                         privatize, op)
         assert all(m.plan_cache.hits > 0 for m in dg.machines)
-        for got, want in zip(planned, generic):
+        assert all(m.plan_cache.hits == 0 for m in rdg.machines)
+        for got, want in zip(kept, rebuilt):
             for field in want:
                 assert got[field] == want[field], (want["filter"], field)
-        moved = {run["filter"] for run in generic if run["flushes"]}
+        moved = {run["filter"] for run in rebuilt if run["flushes"]}
         assert moved == set(FILTERS) - {"none"}
-
-    def test_filtered_chunk_never_reaches_the_generic_kernels(
-            self, graph, monkeypatch):
-        def unreachable(*args, **kwargs):
-            raise AssertionError("generic kernel ran beside a cached plan")
-        for name in ("_pull", "_push", "_pull_remote"):
-            monkeypatch.setattr(vector_kernels, name, unreachable)
-        cluster = make_cluster(3, 30, routing_plan_cache=True)
-        dg = cluster.load_graph(graph)
-        res = sssp(cluster, dg, root=0, max_iterations=30)
-        assert res.iterations > 2 and np.isfinite(res.values["dist"]).sum() > 1
-        for m in dg.machines:
-            assert m.plan_cache.hits > m.plan_cache.misses > 0
 
     def test_sssp_and_wcc_supersteps_identical(self, graph):
         def run(flag):
-            cluster = make_cluster(3, 30, routing_plan_cache=flag)
+            cluster = plan_cluster(flag)
             dg = cluster.load_graph(graph)
             return (sssp(cluster, dg, root=0, max_iterations=30),
                     wcc(cluster, dg, max_iterations=50))
@@ -351,7 +353,7 @@ class TestSortedElementsProxy:
 
 class TestPlanCacheMetrics:
     def test_requests_counter_and_hit_ratio_exported(self, small_rmat):
-        cluster, _, _ = run_pagerank(small_rmat, True)
+        cluster, _, _ = run_pagerank(small_rmat, keep_plans=True)
         flat = cluster.metrics.counters_flat()
         hits = flat.get('repro_plan_cache_requests_total{result="hit"}', 0)
         misses = flat.get('repro_plan_cache_requests_total{result="miss"}', 0)
@@ -361,13 +363,7 @@ class TestPlanCacheMetrics:
 
     def test_prometheus_export_contains_metric(self, small_rmat):
         from repro.obs.exporters import to_prometheus
-        cluster, _, _ = run_pagerank(small_rmat, True)
+        cluster, _, _ = run_pagerank(small_rmat, keep_plans=True)
         text = to_prometheus(cluster.metrics)
         assert "repro_plan_cache_requests_total" in text
         assert "repro_plan_cache_hit_ratio" in text
-
-    def test_no_lookups_recorded_when_disabled(self, small_rmat):
-        cluster, _, _ = run_pagerank(small_rmat, False)
-        flat = cluster.metrics.counters_flat()
-        assert not any(k.startswith("repro_plan_cache_requests_total")
-                       for k in flat)

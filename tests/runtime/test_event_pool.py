@@ -1,11 +1,11 @@
 """Event pooling and the same-time run-queue fast path.
 
-The array-native engine schedules its hot-loop callbacks through
+The engine schedules its hot-loop callbacks through
 ``schedule_fast``/``schedule_at_fast``, whose events come from (and return
 to) a free list, and keeps zero-delay events in a FIFO run queue instead of
 the heap.  These tests pin down the contract: pooled handles are recycled,
-ordering is indistinguishable from the legacy heap-only path, and the
-pool stays safe under cancellation and ``clear_pending`` (crash recovery).
+dispatch follows exact (time, seq) order, and the pool stays safe under
+cancellation and ``clear_pending`` (crash recovery).
 """
 
 import pytest
@@ -43,16 +43,6 @@ class TestPoolReuse:
         sim.run()
         assert not ev.recycle
         assert ev not in sim._pool
-
-    def test_pool_disabled_with_fast_path_off(self):
-        sim = Simulator(fast_path=False)
-        for _ in range(3):
-            sim.schedule_fast(0.0, lambda: None)
-        sim.run()
-        for _ in range(3):
-            sim.schedule_fast(0.0, lambda: None)
-        sim.run()
-        assert sim.event_pool_hits == 0
 
 
 class TestCancellationSafety:
@@ -133,7 +123,9 @@ class TestClearPending:
 
 
 class TestOrderingEquivalence:
-    """The fast path must be observationally identical to the legacy heap."""
+    """Run queue, heap and pooled absolute-time events dispatch in exact
+    (time, seq) order: zero-delay children wait behind earlier-seq heap
+    events at the same instant, and pooled events sort like any other."""
 
     @staticmethod
     def _exercise(sim):
@@ -149,24 +141,47 @@ class TestOrderingEquivalence:
                                      depth - 1)
 
         for i, tag in enumerate("abc"):
-            sim.schedule(float(i % 2), spawn, tag, 3)
+            sim.schedule(float(i % 2), spawn, tag, 2)
         sim.run()
         return order
 
-    def test_fast_path_matches_legacy_order(self):
-        assert (self._exercise(Simulator(fast_path=True))
-                == self._exercise(Simulator(fast_path=False)))
+    #: derived by hand from (time, seq): seq is scheduling order, so at one
+    #: instant parents precede the children they schedule, and siblings keep
+    #: z (run queue) before d (heap) before a (pooled heap) where they tie.
+    EXPECTED = [
+        ("a", 0.0), ("c", 0.0), ("az", 0.0), ("cz", 0.0),
+        ("azz", 0.0), ("czz", 0.0),
+        ("aa", 0.25), ("ca", 0.25), ("aza", 0.25), ("cza", 0.25),
+        ("aaz", 0.25), ("caz", 0.25),
+        ("ad", 0.5), ("cd", 0.5), ("azd", 0.5), ("czd", 0.5),
+        ("aaa", 0.5), ("caa", 0.5), ("adz", 0.5), ("cdz", 0.5),
+        ("aad", 0.75), ("cad", 0.75), ("ada", 0.75), ("cda", 0.75),
+        ("b", 1.0), ("add", 1.0), ("cdd", 1.0), ("bz", 1.0), ("bzz", 1.0),
+        ("ba", 1.25), ("bza", 1.25), ("baz", 1.25),
+        ("bd", 1.5), ("bzd", 1.5), ("baa", 1.5), ("bdz", 1.5),
+        ("bad", 1.75), ("bda", 1.75),
+        ("bdd", 2.0),
+    ]
+
+    def test_matches_hand_derived_order(self):
+        sim = Simulator()
+        assert self._exercise(sim) == self.EXPECTED
+        assert sim.event_pool_hits > 0
 
     @pytest.mark.parametrize("seed", [1, 7, 42])
-    def test_tie_breaker_permutation_matches_legacy(self, seed):
-        def run(fast):
-            sim = Simulator(fast_path=fast)
+    def test_tie_breaker_permutes_only_equal_times(self, seed):
+        def run():
+            sim = Simulator()
             # events queued before the breaker keep tie 0: flush-on-install
             sim.schedule_fast(0.0, lambda: None)
             sim.set_tie_breaker(seed)
             return self._exercise(sim)
 
-        assert run(True) == run(False)
+        order = run()
+        times = [t for _, t in order]
+        assert times == sorted(times)
+        assert sorted(order) == sorted(self.EXPECTED)
+        assert run() == order
 
     def test_tie_breaker_install_flushes_runq(self):
         sim = Simulator()

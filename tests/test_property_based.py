@@ -175,7 +175,7 @@ class TestEngineInvariants:
 PRIORITIES = ("high", "normal", "low")
 
 
-def _pull(name):
+def _pull_job(name):
     return EdgeMapJob(name=name, spec=EdgeMapSpec(
         direction="pull", source="x", target="t", op=ReduceOp.SUM))
 
@@ -211,7 +211,7 @@ class TestSchedulerProperties:
             dg = _xt_graph(cluster, seed=31 + i)
             for j, prio in enumerate(prios):
                 tickets.append(sched.submit(
-                    f"s{i}", dg, _pull(f"s{i}_j{j}"), priority=prio))
+                    f"s{i}", dg, _pull_job(f"s{i}_j{j}"), priority=prio))
         sched.drain()
         assert all(t.state == "done" for t in tickets)
         assert sched.queued_count() == 0
@@ -243,7 +243,7 @@ class TestSchedulerProperties:
             dg.add_property("x", init=1.0)
             dg.add_property("t", init=0.0)
             for j in range(njobs):
-                sched.submit(f"s{i}", dg, _pull(f"s{i}_j{j}"))
+                sched.submit(f"s{i}", dg, _pull_job(f"s{i}_j{j}"))
         sched.drain()
         log = [r[2] for r in sched.dispatch_log]
         for i, njobs in enumerate(jobs_per_session):
@@ -267,7 +267,7 @@ class TestSchedulerProperties:
         for i, njobs in enumerate(jobs_per_session):
             dg = _xt_graph(cluster, seed=51 + i)
             for j in range(njobs):
-                sched.submit(f"s{i}", dg, _pull(f"s{i}_j{j}"))
+                sched.submit(f"s{i}", dg, _pull_job(f"s{i}_j{j}"))
         sched.drain()
         deficits = sched.deficits()
         assert set(deficits) == {f"s{i}"
