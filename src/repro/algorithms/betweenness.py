@@ -30,8 +30,7 @@ _PROPS = ("bc_d", "bc_sigma", "bc_sigma_in", "bc_frontier", "bc_coef",
 
 
 def betweenness(cluster: PgxdCluster, dg: DistributedGraph,
-                sources: Optional[Sequence[int]] = None,
-                force_scalar: bool = False) -> AlgorithmResult:
+                sources: Optional[Sequence[int]] = None) -> AlgorithmResult:
     """Sum of source dependencies delta_s(v) over ``sources`` (all by default).
 
     With all sources this equals networkx's unnormalized directed
@@ -90,7 +89,7 @@ def betweenness(cluster: PgxdCluster, dg: DistributedGraph,
                 name="bc_clear", kernel=clear_in,
                 writes=(("bc_sigma_in", ReduceOp.OVERWRITE),),
                 ops_per_node=1, bytes_per_node=8))
-            s1 = cluster.run_job(dg, push_sigma, force_scalar=force_scalar)
+            s1 = cluster.run_job(dg, push_sigma)
 
             def absorb(view: LocalView, lo: int, hi: int, level=level) -> None:
                 fresh = (np.isinf(view["bc_d"][lo:hi])
@@ -144,7 +143,7 @@ def betweenness(cluster: PgxdCluster, dg: DistributedGraph,
                 writes=(("bc_coef", ReduceOp.OVERWRITE),
                         ("bc_frontier", ReduceOp.OVERWRITE)),
                 ops_per_node=6, bytes_per_node=48))
-            s3 = cluster.run_job(dg, pull_coef, force_scalar=force_scalar)
+            s3 = cluster.run_job(dg, pull_coef)
 
             def scale(view: LocalView, lo: int, hi: int, lvl=lvl) -> None:
                 at = view["bc_d"][lo:hi] == lvl - 1

@@ -19,8 +19,8 @@ from .common import AlgorithmResult, IterationTimer
 
 
 def eigenvector(cluster: PgxdCluster, dg: DistributedGraph,
-                max_iterations: int = 10, tolerance: float = 0.0,
-                force_scalar: bool = False) -> AlgorithmResult:
+                max_iterations: int = 10,
+                tolerance: float = 0.0) -> AlgorithmResult:
     """First eigenvector component of the adjacency matrix (L2-normalized)."""
     n = dg.num_nodes
     dg.add_property("ev", init=1.0 / n)
@@ -43,8 +43,8 @@ def eigenvector(cluster: PgxdCluster, dg: DistributedGraph,
     iterations = 0
     change = math.inf
     for _ in range(max_iterations):
-        s1 = cluster.run_job(dg, prep_job, force_scalar=force_scalar)
-        s2 = cluster.run_job(dg, gather_job, force_scalar=force_scalar)
+        s1 = cluster.run_job(dg, prep_job)
+        s2 = cluster.run_job(dg, gather_job)
         norm_sq = cluster.map_reduce(
             dg, lambda v: float(np.square(v["ev_nxt"]).sum()))
         norm = math.sqrt(norm_sq) if norm_sq > 0 else 1.0

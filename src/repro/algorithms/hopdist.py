@@ -18,8 +18,7 @@ from .common import AlgorithmResult, IterationTimer
 
 
 def hop_dist(cluster: PgxdCluster, dg: DistributedGraph, root: int = 0,
-             max_iterations: int = 10000,
-             force_scalar: bool = False) -> AlgorithmResult:
+             max_iterations: int = 10000) -> AlgorithmResult:
     """Minimum hop count from ``root`` along out-edges (inf if unreachable)."""
     n = dg.num_nodes
     init = np.full(n, np.inf)
@@ -52,7 +51,7 @@ def hop_dist(cluster: PgxdCluster, dg: DistributedGraph, root: int = 0,
     timer = IterationTimer(cluster)
     iterations = 0
     for _ in range(max_iterations):
-        s1 = cluster.run_job(dg, expand, force_scalar=force_scalar)
+        s1 = cluster.run_job(dg, expand)
         s2 = cluster.run_job(dg, absorb_job)
         frontier_size = int(cluster.map_reduce(
             dg, lambda v: int(v["frontier"].sum())))

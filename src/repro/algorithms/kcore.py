@@ -25,8 +25,7 @@ from .common import AlgorithmResult, IterationTimer
 
 
 def kcore_max(cluster: PgxdCluster, dg: DistributedGraph,
-              max_k: int = 100000,
-              force_scalar: bool = False) -> AlgorithmResult:
+              max_k: int = 100000) -> AlgorithmResult:
     """Return the largest k such that the k-core is non-empty."""
     dg.add_property("kdeg", init=0.0)
     for m in dg.machines:
@@ -65,8 +64,8 @@ def kcore_max(cluster: PgxdCluster, dg: DistributedGraph,
             if n_dying == 0:
                 timer.iteration_done(s1)
                 break
-            s2 = cluster.run_job(dg, dec_out, force_scalar=force_scalar)
-            s3 = cluster.run_job(dg, dec_in, force_scalar=force_scalar)
+            s2 = cluster.run_job(dg, dec_out)
+            s3 = cluster.run_job(dg, dec_in)
             timer.iteration_done(s1, s2, s3)
 
         n_alive = int(cluster.map_reduce(dg, lambda v: int(v["alive"].sum())))

@@ -27,7 +27,7 @@ from .common import AlgorithmResult, IterationTimer
 
 def pagerank(cluster: PgxdCluster, dg: DistributedGraph, variant: str = "pull",
              damping: float = 0.85, max_iterations: int = 10,
-             tolerance: float = 0.0, force_scalar: bool = False) -> AlgorithmResult:
+             tolerance: float = 0.0) -> AlgorithmResult:
     """Exact PageRank via power iteration.
 
     ``variant`` selects the communication pattern ("pull" or "push");
@@ -63,8 +63,8 @@ def pagerank(cluster: PgxdCluster, dg: DistributedGraph, variant: str = "pull",
     iterations = 0
     for _ in range(max_iterations):
         d_mass = cluster.map_reduce(dg, dangling_mass)
-        s1 = cluster.run_job(dg, prep_job, force_scalar=force_scalar)
-        s2 = cluster.run_job(dg, edge_job, force_scalar=force_scalar)
+        s1 = cluster.run_job(dg, prep_job)
+        s2 = cluster.run_job(dg, edge_job)
         base = (1.0 - damping) / n + damping * d_mass / n
 
         def finalize(view: LocalView, lo: int, hi: int, base=base) -> None:
@@ -101,8 +101,7 @@ def pagerank(cluster: PgxdCluster, dg: DistributedGraph, variant: str = "pull",
 
 def personalized_pagerank(cluster: PgxdCluster, dg: DistributedGraph,
                           sources, damping: float = 0.85,
-                          max_iterations: int = 20, tolerance: float = 0.0,
-                          force_scalar: bool = False) -> AlgorithmResult:
+                          max_iterations: int = 20, tolerance: float = 0.0) -> AlgorithmResult:
     """Personalized PageRank: teleport mass returns to ``sources`` only.
 
     A natural extension of the engine's PageRank (the PGX product ships it);
@@ -141,8 +140,8 @@ def personalized_pagerank(cluster: PgxdCluster, dg: DistributedGraph,
     for _ in range(max_iterations):
         d_mass = cluster.map_reduce(
             dg, lambda v: float(v["ppr"][v.out_degrees() == 0].sum()))
-        s1 = cluster.run_job(dg, prep_job, force_scalar=force_scalar)
-        s2 = cluster.run_job(dg, edge_job, force_scalar=force_scalar)
+        s1 = cluster.run_job(dg, prep_job)
+        s2 = cluster.run_job(dg, edge_job)
 
         def finalize(view: LocalView, lo: int, hi: int, d_mass=d_mass) -> None:
             tp = view["teleport"][lo:hi]
@@ -180,8 +179,7 @@ def personalized_pagerank(cluster: PgxdCluster, dg: DistributedGraph,
 
 def pagerank_approx(cluster: PgxdCluster, dg: DistributedGraph,
                     damping: float = 0.85, threshold: float = 1e-4,
-                    max_iterations: int = 50,
-                    force_scalar: bool = False) -> AlgorithmResult:
+                    max_iterations: int = 50) -> AlgorithmResult:
     """Approximate PageRank with delta propagation and deactivation.
 
     Matches the paper's listing: each iteration pushes ``delta/degree`` from
@@ -241,8 +239,8 @@ def pagerank_approx(cluster: PgxdCluster, dg: DistributedGraph,
                                            ("delta", ReduceOp.OVERWRITE),
                                            ("active", ReduceOp.OVERWRITE)),
                                    ops_per_node=6, bytes_per_node=48)
-        s1 = cluster.run_job(dg, prep_job, force_scalar=force_scalar)
-        s2 = cluster.run_job(dg, push_job, force_scalar=force_scalar)
+        s1 = cluster.run_job(dg, prep_job)
+        s2 = cluster.run_job(dg, push_job)
         s3 = cluster.run_job(dg, absorb_job)
         n_active = int(cluster.map_reduce(
             dg, lambda v: int(v["active"].sum())))

@@ -17,8 +17,7 @@ from .common import AlgorithmResult, IterationTimer
 
 
 def sssp(cluster: PgxdCluster, dg: DistributedGraph, root: int = 0,
-         max_iterations: int = 10000,
-         force_scalar: bool = False) -> AlgorithmResult:
+         max_iterations: int = 10000) -> AlgorithmResult:
     """Weighted shortest-path distance from ``root`` (Bellman-Ford)."""
     if dg.graph.edge_weights is None:
         raise ValueError("sssp requires edge weights "
@@ -54,7 +53,7 @@ def sssp(cluster: PgxdCluster, dg: DistributedGraph, root: int = 0,
     timer = IterationTimer(cluster)
     iterations = 0
     for _ in range(max_iterations):
-        s1 = cluster.run_job(dg, relax, force_scalar=force_scalar)
+        s1 = cluster.run_job(dg, relax)
         s2 = cluster.run_job(dg, absorb_job)
         n_active = int(cluster.map_reduce(dg, lambda v: int(v["active"].sum())))
         iterations += 1

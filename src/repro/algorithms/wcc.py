@@ -17,8 +17,7 @@ from ..core.tasks import EdgeMapSpec
 from .common import AlgorithmResult, IterationTimer
 
 
-def wcc(cluster: PgxdCluster, dg: DistributedGraph, max_iterations: int = 1000,
-        force_scalar: bool = False) -> AlgorithmResult:
+def wcc(cluster: PgxdCluster, dg: DistributedGraph, max_iterations: int = 1000) -> AlgorithmResult:
     """Label every node with the smallest node id in its weak component."""
     dg.add_property("comp", init=0.0,
                     from_global=np.arange(dg.num_nodes, dtype=np.float64))
@@ -51,8 +50,8 @@ def wcc(cluster: PgxdCluster, dg: DistributedGraph, max_iterations: int = 1000,
     timer = IterationTimer(cluster)
     iterations = 0
     for _ in range(max_iterations):
-        s1 = cluster.run_job(dg, push_out, force_scalar=force_scalar)
-        s2 = cluster.run_job(dg, push_in, force_scalar=force_scalar)
+        s1 = cluster.run_job(dg, push_out)
+        s2 = cluster.run_job(dg, push_in)
         s3 = cluster.run_job(dg, absorb_job)
         n_active = int(cluster.map_reduce(dg, lambda v: int(v["active"].sum())))
         iterations += 1

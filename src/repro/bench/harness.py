@@ -75,7 +75,8 @@ def run_pgx(graph, graph_name: str, algorithm: str, machines: int,
     """Run one algorithm on the PGX.D engine.
 
     Pass an existing ``cluster`` to observe the run from outside (attach a
-    :class:`repro.trace.Tracer`, read ``cluster.metrics`` afterwards);
+    :class:`repro.obs.profiler.SpanProfiler`, read ``cluster.metrics``
+    afterwards);
     ``engine_overrides`` are ignored in that case.  The cluster used is
     always available as ``row.extra["cluster"]``.
     """

@@ -76,14 +76,11 @@ def cmd_info(args) -> int:
 
 
 def _observed_run(args, algorithm: str):
-    """Run ``algorithm`` on a cluster we own, with optional trace/span
-    capture (``--trace-out`` / ``--profile``).
+    """Run ``algorithm`` on a cluster we own, with a span profiler installed
+    when ``--trace-out`` or ``--profile`` asks for one.
 
-    Returns ``(row, cluster, tracer, profiler)``; handles
-    ``--metrics-out`` / ``--trace-out``.
+    Returns ``(row, cluster, profiler)``.
     """
-    from .trace import Tracer
-
     g = paper_graph(args.graph, scale=args.scale,
                     weighted=algorithm == "sssp")
     overrides = {}
@@ -91,11 +88,8 @@ def _observed_run(args, algorithm: str):
         overrides["ghost_threshold"] = args.ghost_threshold
     cluster = PgxdCluster(scaled_cluster_config(args.machines, args.scale,
                                                 **overrides))
-    tracer = Tracer(cluster) if getattr(args, "trace_out", None) else None
-    if tracer is not None:
-        tracer.install()
     profiler = None
-    if getattr(args, "profile", False):
+    if args.trace_out or getattr(args, "profile", False):
         from .obs.profiler import SpanProfiler
 
         profiler = SpanProfiler(cluster)
@@ -104,27 +98,25 @@ def _observed_run(args, algorithm: str):
         row = run_pgx(g, args.graph, algorithm, args.machines, args.scale,
                       cluster=cluster)
     finally:
-        if tracer is not None:
-            tracer.uninstall()
         if profiler is not None:
             profiler.uninstall()
-    return row, cluster, tracer, profiler
+    return row, cluster, profiler
 
 
-def _export_obs(args, cluster, tracer) -> None:
+def _export_obs(args, cluster, profiler) -> None:
     """Write ``--metrics-out`` / ``--trace-out`` artifacts, if requested."""
-    if getattr(args, "metrics_out", None):
+    if args.metrics_out:
         from .obs.exporters import write_metrics
 
         prom_path, json_path = write_metrics(cluster.metrics, args.metrics_out)
         print(f"  metrics: {prom_path} + {json_path}")
-    if tracer is not None:
-        tracer.save(args.trace_out)
-        print(f"  trace: {args.trace_out} ({len(tracer.events)} events)")
+    if args.trace_out:
+        n = profiler.save(args.trace_out)
+        print(f"  trace: {args.trace_out} ({n} events)")
 
 
 def cmd_run(args) -> int:
-    row, cluster, tracer, _ = _observed_run(args, args.algorithm)
+    row, cluster, profiler = _observed_run(args, args.algorithm)
     unit = "per iteration" if row.per_iteration else "total"
     print(f"PGX.D | {args.algorithm} on {args.graph} "
           f"(scale {args.scale:g}, {args.machines} machines)")
@@ -138,7 +130,7 @@ def cmd_run(args) -> int:
         print(f"  remote reads: {stats.remote_reads:,}  "
               f"remote writes: {stats.remote_writes:,}  "
               f"atomics: {stats.atomic_ops:,}")
-    _export_obs(args, cluster, tracer)
+    _export_obs(args, cluster, profiler)
     return 0
 
 
@@ -149,14 +141,15 @@ def cmd_report(args) -> int:
 
     algorithm = ALGO_ALIASES.get(args.algo, args.algo)
     t0 = _time.perf_counter()
-    row, cluster, tracer, profiler = _observed_run(args, algorithm)
+    row, cluster, profiler = _observed_run(args, algorithm)
     host_elapsed = _time.perf_counter() - t0
     title = (f"{args.algo} on {args.graph} "
              f"(scale {args.scale:g}, {args.machines} machines)")
-    print(render_overhead_report(cluster.metrics, title=title,
-                                 elapsed=cluster.now, profile=profiler,
-                                 host_elapsed=host_elapsed))
-    _export_obs(args, cluster, tracer)
+    print(render_overhead_report(
+        cluster.metrics, title=title, elapsed=cluster.now,
+        profile=profiler if args.profile else None,
+        host_elapsed=host_elapsed))
+    _export_obs(args, cluster, profiler)
     return 0
 
 
@@ -599,8 +592,7 @@ def cmd_profile(args) -> int:
               f"critical-path={r['critical_path_seconds']:.6f} s "
               f"stragglers: {stragglers or '(none)'}")
     if args.trace_out:
-        profiler.save(args.trace_out)
-        n = len(profiler.to_chrome_trace()["traceEvents"])
+        n = profiler.save(args.trace_out)
         print(f"  trace: {args.trace_out} ({n} events; open in "
               f"ui.perfetto.dev or chrome://tracing)")
     if args.json_out:

@@ -8,49 +8,15 @@ can be matched back to their originating tasks (Section 3.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Optional, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
-from .messages import (READ_REQ_ITEM_BYTES, WRITE_REQ_ITEM_BYTES, ReadBuffer,
-                       WriteBuffer)
+import numpy as np
+
 from .properties import ReduceOp
 
 if TYPE_CHECKING:  # pragma: no cover
     from .jobrunner import JobExecution
     from .machine import Machine
-
-
-@dataclass
-class ScalarReadBuffer:
-    """Scalar-path read accumulator: one request per ``read_remote`` call."""
-
-    offsets: list[int] = field(default_factory=list)
-    #: (task, node_global, nbr_global, edge_weight, tag) per request, in order
-    sides: list[tuple] = field(default_factory=list)
-
-    @property
-    def nbytes(self) -> float:
-        return len(self.offsets) * READ_REQ_ITEM_BYTES
-
-    @property
-    def empty(self) -> bool:
-        return not self.offsets
-
-
-@dataclass
-class ScalarWriteBuffer:
-    """Scalar-path write accumulator."""
-
-    offsets: list[int] = field(default_factory=list)
-    values: list[Any] = field(default_factory=list)
-
-    @property
-    def nbytes(self) -> float:
-        return len(self.offsets) * WRITE_REQ_ITEM_BYTES
-
-    @property
-    def empty(self) -> bool:
-        return not self.offsets
 
 
 class DataManager:
@@ -116,10 +82,10 @@ class DataManager:
                              mode="read", count=1, time=self.exec.sim.now)
         owner = m.partitioning.owner(vertex)
         offset = vertex - m.partitioning.starts[owner]
-        buf = ws.scalar_read_buf(owner, prop)
-        buf.offsets.append(int(offset))
-        buf.sides.append((task, ctx._node_global, ctx._nbr_global,
-                          ctx._edge_weight, tag))
+        ws.read_buf(owner, prop).append(
+            np.array([offset], dtype=np.int64),
+            tasks=((task, ctx._node_global, ctx._nbr_global,
+                    ctx._edge_weight, ctx._edge_idx, tag),))
         self.exec.stats.remote_reads += 1
         ws.maybe_flush_reads(owner, prop)
 
@@ -160,9 +126,8 @@ class DataManager:
                              mode="write", count=1, time=self.exec.sim.now)
         owner = m.partitioning.owner(vertex)
         offset = vertex - m.partitioning.starts[owner]
-        buf = ws.scalar_write_buf(owner, prop, op)
-        buf.offsets.append(int(offset))
-        buf.values.append(value)
+        ws.write_buf(owner, prop, op).append(
+            np.array([offset], dtype=np.int64), np.array([value]))
         self.exec.stats.remote_writes += 1
         ws.maybe_flush_writes(owner, prop)
 

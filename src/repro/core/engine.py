@@ -240,12 +240,8 @@ class PgxdCluster:
     # -- execution -------------------------------------------------------------
 
     def run_job(self, dgraph: DistributedGraph, job: Job,
-                force_scalar: bool = False,
                 recover: Optional[bool] = None) -> JobStats:
         """Execute one parallel region to completion; returns its stats.
-
-        ``force_scalar`` runs EdgeMapJobs on the general per-edge RTC path
-        instead of the vectorized scheduler fast path (results identical).
 
         ``recover`` controls what happens when an injected machine crash
         (:class:`~repro.core.faults.MachineCrashError`) aborts the region:
@@ -263,9 +259,7 @@ class PgxdCluster:
         sessions advance in the same event loop.
         """
         if self.scheduler is not None:
-            return self.scheduler.run_inline(dgraph, job,
-                                             force_scalar=force_scalar,
-                                             recover=recover)
+            return self.scheduler.run_inline(dgraph, job, recover=recover)
         if recover is None:
             recover = self.auto_recover
         before = self.metrics.counters_flat()
@@ -273,7 +267,7 @@ class PgxdCluster:
         pool_hits_before = self.sim.event_pool_hits
         recoveries = 0
         while True:
-            exc = make_execution(self, dgraph, job, force_scalar=force_scalar)
+            exc = make_execution(self, dgraph, job)
             crash_events = (self.faults.arm_crashes()
                             if self.faults is not None else [])
             try:
@@ -305,19 +299,17 @@ class PgxdCluster:
         return exc.stats
 
     def run_jobs(self, dgraph: DistributedGraph, jobs: Sequence[Job],
-                 force_scalar: bool = False,
                  recover: Optional[bool] = None) -> JobStats:
         """Run jobs back-to-back; returns merged stats spanning all of them.
 
-        ``force_scalar`` and ``recover`` apply to every job, with the same
-        semantics as :meth:`run_job` (they used to be silently dropped, so
-        a crash mid-sequence ignored the caller's recovery request).  The
-        merged stats sum each job's ``metrics_delta`` series-wise.
+        ``recover`` applies to every job, with the same semantics as
+        :meth:`run_job` (it used to be silently dropped, so a crash
+        mid-sequence ignored the caller's recovery request).  The merged
+        stats sum each job's ``metrics_delta`` series-wise.
         """
         merged = JobStats(start_time=self.sim.now)
         for job in jobs:
-            stats = self.run_job(dgraph, job, force_scalar=force_scalar,
-                                 recover=recover)
+            stats = self.run_job(dgraph, job, recover=recover)
             merged.merge_from(stats)
         merged.end_time = self.sim.now
         return merged

@@ -57,9 +57,11 @@ class EdgeMapJob(Job):
     def kind(self) -> str:
         return "edge_map"
 
-    def task_class(self) -> type:
-        """Equivalent scalar task (used when forcing the general path)."""
-        return spec_task(self.spec, name=f"{self.name}_task")
+    def as_task_job(self) -> "TaskJob":
+        """The same region as a :class:`TaskJob` running the spec's
+        generated task class on the general per-edge RTC path."""
+        return TaskJob(self.name, self.reads, self.writes,
+                       task_cls=spec_task(self.spec, name=f"{self.name}_task"))
 
 
 @dataclass

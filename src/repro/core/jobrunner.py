@@ -38,8 +38,7 @@ from . import barrier as barrier_mod
 class JobExecution:
     """Execution state of one parallel region across the cluster."""
 
-    def __init__(self, cluster, dgraph, job: Job, force_scalar: bool = False,
-                 hooks=None):
+    def __init__(self, cluster, dgraph, job: Job, hooks=None):
         self.cluster = cluster
         self.dgraph = dgraph
         self.job = job
@@ -124,14 +123,12 @@ class JobExecution:
         self.privatize = (ecfg.ghost_privatization
                           and bool(self.ghost_write_props))
 
-        # Resolve the execution mode.
+        # The job's type picks the execution path: an EdgeMapJob runs its
+        # spec vectorized, a TaskJob its task class on the scalar RTC path.
         self.spec = None
         self.task_cls: Optional[type] = None
         if isinstance(job, EdgeMapJob):
-            if force_scalar:
-                self.task_cls = job.task_class()
-            else:
-                self.spec = job.spec
+            self.spec = job.spec
             iter_kind = job.spec.iter_kind
         elif isinstance(job, TaskJob):
             self.task_cls = job.task_cls
@@ -378,9 +375,12 @@ class JobExecution:
     def _streamed_edge_columns(self, csr) -> int:
         """Per-edge columns a streamed window must carry for this job: the
         one an :class:`EdgeMapSpec` names (weights or ``edge_prop``) when
-        it reads any; a free-form task may read every column the CSR has."""
-        if isinstance(self.job, EdgeMapJob):
-            return 1 if self.job.spec.use_weights else 0
+        it reads any — also for a task class built from a spec; a free-form
+        task may read every column the CSR has."""
+        spec = (self.spec if self.spec is not None
+                else getattr(self.task_cls, "SPEC", None))
+        if spec is not None:
+            return 1 if spec.use_weights else 0
         return (csr.weights is not None) + len(csr.props or ())
 
     def stream_cache_pressure(self, machine_index: int) -> float:
@@ -593,8 +593,7 @@ class JobExecution:
             self.on_done(self)
 
 
-def make_execution(cluster, dgraph, job: Job, force_scalar: bool = False,
-                   hooks=None):
+def make_execution(cluster, dgraph, job: Job, hooks=None):
     """Build the execution for ``job`` — the single dispatch point shared by
     the serial engine path and the scheduler.
 
@@ -617,5 +616,4 @@ def make_execution(cluster, dgraph, job: Job, force_scalar: bool = False,
         from .result_cache import ReadExecution
 
         return ReadExecution(cluster, dgraph, job, hooks=hooks)
-    return JobExecution(cluster, dgraph, job, force_scalar=force_scalar,
-                        hooks=hooks)
+    return JobExecution(cluster, dgraph, job, hooks=hooks)

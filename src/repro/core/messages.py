@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -35,7 +35,7 @@ WRITE_REQ_ITEM_BYTES = 16
 # Fallback id source for messages constructed outside a JobExecution (tests,
 # ad-hoc tools).  Engine paths pass request_id=exc.next_request_id() so id
 # sequences are per-execution and deterministic regardless of what else ran
-# in the process (same fix as PR 1's instance-scoped Tracer).
+# in the process.
 _msg_ids = itertools.count()
 
 
@@ -108,7 +108,8 @@ class SideStructure:
 
     Vectorized path: ``rows`` are the local target rows awaiting the fetched
     values, ``weights`` optional per-request edge data for the transform.
-    Scalar path: ``tasks`` holds (task object, context args) in request order.
+    Scalar path: ``tasks`` holds (task object, node, neighbor, edge weight,
+    edge index, tag) in request order.
     """
 
     request_id: int
@@ -210,27 +211,43 @@ class MessagePool:
 
 
 class ReadBuffer:
-    """Per-worker, per-destination accumulator of read requests (vectorized)."""
+    """Per-worker, per-destination accumulator of read requests.
 
-    __slots__ = ("offsets", "rows", "weights", "nbytes")
+    A vectorized chunk appends a batch of offsets with the local ``rows``
+    awaiting the values; a scalar task appends a batch of one with its
+    continuation entry in ``tasks``.  Either way the side structure built
+    at flush time holds what the response is walked against.
+    """
+
+    __slots__ = ("offsets", "rows", "weights", "tasks", "nbytes")
 
     def __init__(self) -> None:
         self.offsets: list[np.ndarray] = []
         self.rows: list[np.ndarray] = []
         self.weights: list[np.ndarray] = []
+        self.tasks: list = []
         self.nbytes: float = 0.0
 
-    def append(self, offsets: np.ndarray, rows: np.ndarray,
-               weights: Optional[np.ndarray] = None) -> None:
-        # Weights are all-or-nothing per buffer: a mix would make drain()
-        # concatenate a weights array shorter than offsets, silently
-        # misaligning per-request edge data with its rows.
-        if self.offsets and (weights is not None) != bool(self.weights):
-            raise ValueError(
-                "mixed weighted and unweighted appends to one ReadBuffer; "
-                "weights must be provided for every batch or for none")
+    def append(self, offsets: np.ndarray, rows: Optional[np.ndarray] = None,
+               weights: Optional[np.ndarray] = None,
+               tasks: Optional[Sequence] = None) -> None:
+        # Rows vs tasks and weights are all-or-nothing per buffer: a mix
+        # would make drain() return side data shorter than offsets,
+        # silently misaligning per-request state with its response values.
+        if self.offsets:
+            if (tasks is not None) != bool(self.tasks):
+                raise ValueError(
+                    "mixed row and task appends to one ReadBuffer; a buffer "
+                    "serves either vectorized chunks or scalar tasks")
+            if (weights is not None) != bool(self.weights):
+                raise ValueError(
+                    "mixed weighted and unweighted appends to one ReadBuffer; "
+                    "weights must be provided for every batch or for none")
         self.offsets.append(offsets)
-        self.rows.append(rows)
+        if tasks is None:
+            self.rows.append(rows)
+        else:
+            self.tasks.extend(tasks)
         if weights is not None:
             self.weights.append(weights)
         self.nbytes += len(offsets) * READ_REQ_ITEM_BYTES
@@ -239,15 +256,21 @@ class ReadBuffer:
     def empty(self) -> bool:
         return not self.offsets
 
-    def drain(self) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    def drain(self) -> tuple[np.ndarray, Optional[np.ndarray],
+                             Optional[np.ndarray], list]:
+        """``(offsets, rows, weights, tasks)``: ``rows`` is None for a
+        buffer of scalar tasks, ``tasks`` empty for one of vectorized
+        rows."""
         offsets = np.concatenate(self.offsets)
-        rows = np.concatenate(self.rows)
+        rows = np.concatenate(self.rows) if self.rows else None
         weights = np.concatenate(self.weights) if self.weights else None
+        tasks = self.tasks
         self.offsets.clear()
         self.rows.clear()
         self.weights.clear()
+        self.tasks = []
         self.nbytes = 0.0
-        return offsets, rows, weights
+        return offsets, rows, weights, tasks
 
 
 class WriteBuffer:

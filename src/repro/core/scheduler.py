@@ -116,7 +116,6 @@ class JobTicket:
     dgraph: object
     job: Job
     priority: str
-    force_scalar: bool = False
     recover: Optional[bool] = None
     inline: bool = False
     submit_time: float = 0.0
@@ -272,7 +271,7 @@ class JobScheduler:
         self._read_buckets[session] = (tokens - 1.0, now)
 
     def submit(self, session: str, dgraph, job: Job, *,
-               priority: Optional[str] = None, force_scalar: bool = False,
+               priority: Optional[str] = None,
                recover: Optional[bool] = None) -> JobTicket:
         """Admit a job into the priority queues; returns its ticket.
 
@@ -304,8 +303,7 @@ class JobScheduler:
             self.admit_read(session, job.name)
         ticket = JobTicket(seq=self._next_seq(), session=session,
                            dgraph=dgraph, job=job, priority=prio,
-                           force_scalar=force_scalar, recover=recover,
-                           submit_time=now)
+                           recover=recover, submit_time=now)
         self._queues[prio].append(ticket)
         self.tickets.append(ticket)
         self.cluster.hooks.emit("sched.admit", session=session, job=job.name,
@@ -381,8 +379,7 @@ class JobScheduler:
         hooks = ScopedHookBus(cl.hooks, cl.metrics,
                               tags={"session": ticket.session,
                                     "ticket": ticket.seq})
-        exc = make_execution(cl, ticket.dgraph, ticket.job,
-                             force_scalar=ticket.force_scalar, hooks=hooks)
+        exc = make_execution(cl, ticket.dgraph, ticket.job, hooks=hooks)
         ticket.execution = exc
         ticket.dispatch_time = cl.sim.now
         ticket.state = RUNNING
@@ -469,8 +466,7 @@ class JobScheduler:
                 cl.sim.cancel(ev)
             self._account_sim_events()
 
-    def run_inline(self, dgraph, job: Job, force_scalar: bool = False,
-                   recover: Optional[bool] = None,
+    def run_inline(self, dgraph, job: Job, recover: Optional[bool] = None,
                    session: Optional[str] = None) -> JobStats:
         """Synchronously run one job while queued tenants co-run.
 
@@ -488,8 +484,8 @@ class JobScheduler:
             self.admit_read(sess, job.name)
         ticket = JobTicket(seq=self._next_seq(), session=sess, dgraph=dgraph,
                            job=job, priority=self.config.default_priority,
-                           force_scalar=force_scalar, recover=recover,
-                           inline=True, submit_time=cl.sim.now)
+                           recover=recover, inline=True,
+                           submit_time=cl.sim.now)
         self.tickets.append(ticket)
         crash_events = (cl.faults.arm_crashes()
                         if cl.faults is not None else [])

@@ -18,7 +18,6 @@ import numpy as np
 
 from ..runtime.disk import window_disk_bytes
 from .messages import Message, MsgKind, ReadBuffer, SideStructure, WriteBuffer
-from .data_manager import ScalarReadBuffer, ScalarWriteBuffer
 from .properties import ReduceOp
 from .tasks import TaskContext
 from .vector_kernels import (CSR_BYTES_PER_EDGE, GATHER_LOCALITY,
@@ -41,12 +40,9 @@ class WorkerState:
         self.windex = windex
         self.ctx = TaskContext(machine.dm, windex)
         self.pending_resp: deque = deque()
-        #: vectorized buffers keyed by (dst machine, property)
+        #: request buffers keyed by (dst machine, property)
         self.read_bufs: dict[tuple[int, str], ReadBuffer] = {}
         self.write_bufs: dict[tuple[int, str], tuple[WriteBuffer, ReduceOp]] = {}
-        #: scalar buffers keyed the same way
-        self.sc_read_bufs: dict[tuple[int, str], ScalarReadBuffer] = {}
-        self.sc_write_bufs: dict[tuple[int, str], tuple[ScalarWriteBuffer, ReduceOp]] = {}
         self.side_structs: dict[int, SideStructure] = {}
         self.inflight_by_dst: dict[int, int] = {}
         #: read messages awaiting a response (sent or parked by back-pressure)
@@ -75,52 +71,30 @@ class WorkerState:
             entry = self.write_bufs[(dst, prop)] = (WriteBuffer(), op)
         return entry[0]
 
-    def scalar_read_buf(self, dst: int, prop: str) -> ScalarReadBuffer:
-        buf = self.sc_read_bufs.get((dst, prop))
-        if buf is None:
-            buf = self.sc_read_bufs[(dst, prop)] = ScalarReadBuffer()
-        return buf
-
-    def scalar_write_buf(self, dst: int, prop: str, op: ReduceOp) -> ScalarWriteBuffer:
-        entry = self.sc_write_bufs.get((dst, prop))
-        if entry is None:
-            entry = self.sc_write_bufs[(dst, prop)] = (ScalarWriteBuffer(), op)
-        return entry[0]
-
     def has_buffered(self) -> bool:
         return (any(not b.empty for b in self.read_bufs.values())
-                or any(not b.empty for b, _ in self.write_bufs.values())
-                or any(not b.empty for b in self.sc_read_bufs.values())
-                or any(not b.empty for b, _ in self.sc_write_bufs.values()))
+                or any(not b.empty for b, _ in self.write_bufs.values()))
 
     # -- flushing --------------------------------------------------------------
 
     def maybe_flush_reads(self, dst: int, prop: str) -> None:
-        cap = self.exc.buffer_size
         buf = self.read_bufs.get((dst, prop))
-        if buf is not None and buf.nbytes >= cap:
+        if buf is not None and buf.nbytes >= self.exc.buffer_size:
             self._flush_read(dst, prop, buf)
-        sbuf = self.sc_read_bufs.get((dst, prop))
-        if sbuf is not None and sbuf.nbytes >= cap:
-            self._flush_scalar_read(dst, prop, sbuf)
 
     def maybe_flush_writes(self, dst: int, prop: str) -> None:
-        cap = self.exc.buffer_size
         entry = self.write_bufs.get((dst, prop))
-        if entry is not None and entry[0].nbytes >= cap:
+        if entry is not None and entry[0].nbytes >= self.exc.buffer_size:
             self._flush_write(dst, prop, *entry)
-        sentry = self.sc_write_bufs.get((dst, prop))
-        if sentry is not None and sentry[0].nbytes >= cap:
-            self._flush_scalar_write(dst, prop, *sentry)
 
     def flush_all(self) -> WorkTally:
         """Ship every partial buffer (worker ran out of tasks, Section 3.2 (3)).
 
-        The flush CPU cost is priced per buffered *item*.  The vectorized
-        buffers hold lists of per-batch arrays in ``.offsets``, so their item
-        count is the sum of batch lengths — ``len(buf.offsets)`` would count
-        batches and underprice large flushes.  The scalar buffers hold flat
-        lists, where ``len`` is already the item count.
+        The flush CPU cost is priced per buffered *item*.  The buffers hold
+        lists of per-batch arrays in ``.offsets`` (a scalar access is a
+        batch of one), so the item count is the sum of batch lengths —
+        ``len(buf.offsets)`` would count batches and underprice large
+        flushes.
         """
         n_items = 0
         for (dst, prop), buf in list(self.read_bufs.items()):
@@ -131,21 +105,13 @@ class WorkerState:
             if not buf.empty:
                 n_items += sum(len(o) for o in buf.offsets)
                 self._flush_write(dst, prop, buf, op)
-        for (dst, prop), buf in list(self.sc_read_bufs.items()):
-            if not buf.empty:
-                n_items += len(buf.offsets)
-                self._flush_scalar_read(dst, prop, buf)
-        for (dst, prop), (buf, op) in list(self.sc_write_bufs.items()):
-            if not buf.empty:
-                n_items += len(buf.offsets)
-                self._flush_scalar_write(dst, prop, buf, op)
         return WorkTally(cpu_ops=8.0 + 0.5 * n_items)
 
     def _max_items(self, item_bytes: int) -> int:
         return max(1, int(self.exc.buffer_size // item_bytes))
 
     def _flush_read(self, dst: int, prop: str, buf: ReadBuffer) -> None:
-        offsets, rows, weights = buf.drain()
+        offsets, rows, weights, tasks = buf.drain()
         exc = self.exc
         if exc.emit_flush:
             exc.hooks.emit("comm.flush", machine=self.machine.index,
@@ -160,29 +126,11 @@ class WorkerState:
             msg = exc.new_message(MsgKind.READ_REQ, self.machine.index, dst,
                                   prop=prop, offsets=offsets[i:i + step],
                                   worker=self.windex, request_id=rid)
-            side = exc.new_side(rid, prop, rows=rows[i:i + step],
+            side = exc.new_side(rid, prop,
+                                rows=None if rows is None else rows[i:i + step],
                                 weights=None if weights is None
-                                else weights[i:i + step])
-            self._dispatch_read(msg, side)
-
-    def _flush_scalar_read(self, dst: int, prop: str, buf: ScalarReadBuffer) -> None:
-        offsets = np.asarray(buf.offsets, dtype=np.int64)
-        sides = list(buf.sides)
-        buf.offsets.clear()
-        buf.sides.clear()
-        exc = self.exc
-        if exc.emit_flush:
-            exc.hooks.emit("comm.flush", machine=self.machine.index,
-                           worker=self.windex, dst=dst, prop=prop,
-                           kind="read_req", items=len(offsets),
-                           time=exc.sim.now)
-        step = self._max_items(8)
-        for i in range(0, len(offsets), step):
-            rid = exc.next_request_id()
-            msg = exc.new_message(MsgKind.READ_REQ, self.machine.index, dst,
-                                  prop=prop, offsets=offsets[i:i + step],
-                                  worker=self.windex, request_id=rid)
-            side = exc.new_side(rid, prop, tasks=sides[i:i + step])
+                                else weights[i:i + step],
+                                tasks=tasks[i:i + step])
             self._dispatch_read(msg, side)
 
     def _dispatch_read(self, msg: Message, side: SideStructure) -> None:
@@ -235,32 +183,6 @@ class WorkerState:
         exc.hooks.emit("comm.combine", machine=self.machine.index, dst=dst,
                        prop=prop, items_in=items_in, items_out=items_out,
                        time=exc.sim.now)
-
-    def _flush_scalar_write(self, dst: int, prop: str, buf: ScalarWriteBuffer,
-                            op: ReduceOp) -> None:
-        exc = self.exc
-        offsets = np.asarray(buf.offsets, dtype=np.int64)
-        values = np.asarray(buf.values)
-        buf.offsets.clear()
-        buf.values.clear()
-        if exc.combine_writes and len(offsets):
-            items_in = len(offsets)
-            offsets, values = op.segment_reduce(offsets, values)
-            self._account_combine(dst, prop, items_in, len(offsets))
-        if exc.emit_flush:
-            exc.hooks.emit("comm.flush", machine=self.machine.index,
-                           worker=self.windex, dst=dst, prop=prop,
-                           kind="write_req", items=len(offsets),
-                           time=exc.sim.now)
-        step = self._max_items(16)
-        for i in range(0, len(offsets), step):
-            msg = exc.new_message(MsgKind.WRITE_REQ, self.machine.index, dst,
-                                  prop=prop, offsets=offsets[i:i + step],
-                                  values=values[i:i + step], op=op,
-                                  worker=self.windex,
-                                  request_id=exc.next_request_id())
-            exc.write_outstanding += 1
-            exc.send_request(msg, kind="write_req")
 
     # -- response intake --------------------------------------------------------
 
@@ -566,10 +488,9 @@ def _end_work(exc: "JobExecution", ws: WorkerState, dur: float,
 
 def _execute_chunk(exc: "JobExecution", ws: WorkerState, lo: int, hi: int) -> WorkTally:
     job = exc.job
-    kind = job.kind
-    if kind == "edge_map" and exc.spec is not None:
+    if exc.spec is not None:
         tally = execute_edge_map_chunk(exc, ws.machine, ws, exc.spec, lo, hi)
-    elif kind == "node_kernel":
+    elif job.kind == "node_kernel":
         tally = execute_node_kernel_chunk(exc, ws.machine, job.kernel,
                                           job.ops_per_node, job.bytes_per_node,
                                           lo, hi)
@@ -601,13 +522,17 @@ def _process_response(exc: "JobExecution", ws: WorkerState,
         vals = spec.apply_transform(values, side.weights if spec.use_weights else None)
         exc.stage_remote(m.index, side.rows, vals)
     else:
+        # Re-point the context at the edge that issued each read.  The
+        # edge-property columns need no restore: they are the worker's one
+        # CSR for the whole job, set by the chunk that issued the read.
         ctx = ws.ctx
-        for (task, node_g, nbr_g, w, tag), value in zip(side.tasks, values):
+        for (task, node_g, nbr_g, w, ei, tag), value in zip(side.tasks, values):
             ctx._task = task
             ctx._node_global = node_g
             ctx._node_local = node_g - m.lo
             ctx._nbr_global = nbr_g
             ctx._edge_weight = w
+            ctx._edge_idx = ei
             task.read_done(ctx, value, tag)
         tally.atomic_ops += ws.pending_atomics
         ws.pending_atomics = 0

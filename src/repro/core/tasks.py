@@ -8,16 +8,18 @@ the same object, executed by the same worker thread.  State that must survive
 the continuation lives in the task object's fields or in temporary node
 properties, exactly as Section 3.2 prescribes.
 
-Two execution paths exist, mirroring Section 4.1.2's note that the built-in
-iterators let the scheduler specialize:
+Section 4.1.2 notes that the built-in iterators let the scheduler specialize
+a job; the job's type picks the path:
 
-* the **scalar path** runs ``filter()/run()/read_done()`` per edge — fully
-  general (any Python in the callbacks);
-* the **vectorized path** is taken when the task class provides an
-  :class:`EdgeMapSpec`, letting the scheduler process whole chunks with numpy
-  while performing the *same* reads, writes, buffering and ghost traffic.
+* a ``TaskJob`` runs its task class on the **scalar path**:
+  ``filter()/run()/read_done()`` per edge — fully general (any Python in the
+  callbacks);
+* an ``EdgeMapJob`` runs its :class:`EdgeMapSpec` on the **vectorized
+  path**, processing whole chunks with numpy while performing the *same*
+  reads, writes, buffering and ghost traffic.
 
-Tests assert the two paths produce identical results.
+``EdgeMapJob.as_task_job()`` runs a spec on the scalar path through
+:func:`spec_task`; tests assert the two paths produce identical results.
 """
 
 from __future__ import annotations
@@ -124,11 +126,6 @@ class Task:
         raise NotImplementedError(
             f"{type(self).__name__} issued read_remote but defines no read_done")
 
-    @classmethod
-    def edge_map_spec(cls) -> Optional["EdgeMapSpec"]:
-        """Return an :class:`EdgeMapSpec` to opt into the vectorized path."""
-        return None
-
 
 class NodeIterTask(Task):
     """``run()`` is invoked once per active node."""
@@ -196,11 +193,11 @@ class EdgeMapSpec:
 
 
 def spec_task(spec: EdgeMapSpec, name: str = "SpecTask") -> type:
-    """Build a Task class (with matching scalar callbacks) from a spec.
+    """Build a Task class whose scalar callbacks compute what the spec does
+    vectorized (identical semantics, which the test suite exercises).
 
-    The generated class runs vectorized under the built-in iterators and
-    scalar when the engine is forced onto the general path — with identical
-    semantics, which the test suite exercises.
+    The class keeps the spec as ``SPEC``; out-of-core streaming reads it to
+    ship only the edge column the spec names.
     """
 
     base = InNbrIterTask if spec.iter_kind == "in" else OutNbrIterTask
@@ -237,10 +234,6 @@ def spec_task(spec: EdgeMapSpec, name: str = "SpecTask") -> type:
                 val = spec.apply_transform(np.asarray([raw]),
                                            w if spec.use_weights else None)[0]
                 ctx.write_remote(ctx.nbr_id(), spec.target, val, spec.op)
-
-        @classmethod
-        def edge_map_spec(cls) -> EdgeMapSpec:
-            return spec
 
     _Generated.__name__ = name
     _Generated.__qualname__ = name

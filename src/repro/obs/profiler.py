@@ -2,7 +2,8 @@
 
 The Figure 5/6 reports say *how much* time each layer consumed; this module
 answers *why a job took as long as it did*.  A :class:`SpanProfiler` is a
-plain consumer of a cluster's hook bus (like :class:`repro.trace.Tracer`):
+plain consumer of a cluster's hook bus, subscribed on *that cluster's* bus
+only (two profilers on two clusters in one process record disjoint spans):
 while installed it assembles, per job, a span record from the engine's
 begin/end hook events — worker chunk spans, copier spans, network message
 transits, post-sync ghost reduces, retries, the barrier — and derives:
@@ -922,7 +923,10 @@ class SpanProfiler:
                      "args": {"name": "critical path"}})
         return {"traceEvents": meta + events, "displayTimeUnit": "ms"}
 
-    def save(self, path) -> None:
-        """Write the Perfetto/chrome://tracing-loadable trace JSON."""
+    def save(self, path) -> int:
+        """Write the Perfetto/chrome://tracing-loadable trace JSON; returns
+        the number of trace events written."""
+        doc = self.to_chrome_trace()
         with open(path, "w") as fh:
-            json.dump(self.to_chrome_trace(), fh)
+            json.dump(doc, fh)
+        return len(doc["traceEvents"])

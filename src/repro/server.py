@@ -101,14 +101,14 @@ class Session:
         return self._server.submit(self, self._graphs[graph_name], job)
 
     def submit_job(self, graph_name: str, job: Job, *,
-                   priority: Optional[str] = None, force_scalar: bool = False,
+                   priority: Optional[str] = None,
                    recover: Optional[bool] = None) -> JobTicket:
         """Queue one background job; raises the scheduler's typed admission
         errors (:class:`~repro.core.scheduler.QuotaExceededError`,
         :class:`~repro.core.scheduler.QueueFullError`) as backpressure."""
         return self._server.submit_background(
             self, self._graphs[graph_name], job, priority=priority,
-            force_scalar=force_scalar, recover=recover)
+            recover=recover)
 
     def submit_jobs(self, graph_name: str, jobs: Sequence[Job],
                     **kwargs) -> list[JobTicket]:
@@ -249,7 +249,6 @@ class PgxdServer:
     # -- execution -------------------------------------------------------------------
 
     def submit(self, session: Session, dg: DistributedGraph, job: Job,
-               force_scalar: bool = False,
                recover: Optional[bool] = None) -> JobStats:
         """Run a job synchronously on behalf of a session.
 
@@ -257,20 +256,16 @@ class PgxdServer:
         loop keeps advancing any queued background tenants meanwhile.
         """
         self.submission_log.append((session.name, job.name))
-        return self.scheduler.run_inline(dg, job, force_scalar=force_scalar,
-                                         recover=recover,
+        return self.scheduler.run_inline(dg, job, recover=recover,
                                          session=session.name)
 
     def submit_background(self, session: Session, dg: DistributedGraph,
                           job: Job, *, priority: Optional[str] = None,
-                          force_scalar: bool = False,
                           recover: Optional[bool] = None) -> JobTicket:
         """Admit a background job for a session (may raise typed admission
         errors); rejected submissions never reach the submission log."""
         ticket = self.scheduler.submit(session.name, dg, job,
-                                       priority=priority,
-                                       force_scalar=force_scalar,
-                                       recover=recover)
+                                       priority=priority, recover=recover)
         self.submission_log.append((session.name, job.name))
         return ticket
 

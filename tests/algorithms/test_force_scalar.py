@@ -1,12 +1,14 @@
-"""Algorithm-level scalar-path equivalence: every algorithm may run on the
-general per-edge RTC path and must produce identical results."""
+"""Algorithm-level scalar-path equivalence: every algorithm may run its edge
+jobs as ``EdgeMapJob.as_task_job()`` on the general per-edge RTC path and
+must produce identical results."""
 
 import numpy as np
 import pytest
 
 from repro import rmat, with_uniform_weights
-from repro.algorithms import hop_dist, pagerank, pagerank_approx, sssp, wcc
-from tests.conftest import make_cluster
+from repro.algorithms import (betweenness, eigenvector, hop_dist, kcore_max,
+                              pagerank, pagerank_approx, sssp, wcc)
+from tests.conftest import make_cluster, run_scalar
 
 
 @pytest.fixture(scope="module")
@@ -19,9 +21,9 @@ def both(fn, graph, **kwargs):
     cluster = make_cluster(3, 20)
     dg = cluster.load_graph(graph)
     fast = fn(cluster, dg, **kwargs)
-    cluster2 = make_cluster(3, 20)
+    cluster2 = run_scalar(make_cluster(3, 20))
     dg2 = cluster2.load_graph(graph)
-    slow = fn(cluster2, dg2, force_scalar=True, **kwargs)
+    slow = fn(cluster2, dg2, **kwargs)
     return fast, slow
 
 
@@ -54,6 +56,20 @@ class TestForceScalar:
     def test_hop_dist(self, graph):
         fast, slow = both(hop_dist, graph, root=0)
         assert np.array_equal(fast.values["hops"], slow.values["hops"])
+
+    def test_kcore_max(self, graph):
+        fast, slow = both(kcore_max, graph)
+        assert fast.extra["max_kcore"] == slow.extra["max_kcore"]
+        assert fast.iterations == slow.iterations
+
+    def test_eigenvector(self, graph):
+        fast, slow = both(eigenvector, graph, max_iterations=5)
+        assert np.allclose(fast.values["ev"], slow.values["ev"])
+
+    def test_betweenness(self, graph):
+        fast, slow = both(betweenness, graph, sources=[0, 7, 19])
+        assert np.allclose(fast.values["betweenness"],
+                           slow.values["betweenness"])
 
     def test_scalar_path_same_simulated_scale(self, graph):
         """The scalar path performs the same logical work, so its simulated

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import ClusterConfig, PgxdCluster, from_edges, rmat, with_uniform_weights
+from repro import (ClusterConfig, EdgeMapJob, PgxdCluster, from_edges, rmat,
+                   with_uniform_weights)
 
 
 @pytest.fixture
@@ -38,6 +39,20 @@ def make_cluster(num_machines=4, ghost_threshold=40, chunk_size=256,
         ghost_threshold=ghost_threshold, chunk_size=chunk_size,
         num_workers=num_workers, num_copiers=num_copiers, **engine_kwargs)
     return PgxdCluster(cfg)
+
+
+def run_scalar(cluster):
+    """Make ``cluster`` run every EdgeMapJob as its ``as_task_job()`` twin,
+    so any algorithm driver exercises the general per-edge RTC path."""
+    run_job = cluster.run_job
+
+    def run_job_scalar(dgraph, job, **kwargs):
+        if isinstance(job, EdgeMapJob):
+            job = job.as_task_job()
+        return run_job(dgraph, job, **kwargs)
+
+    cluster.run_job = run_job_scalar
+    return cluster
 
 
 @pytest.fixture

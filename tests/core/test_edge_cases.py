@@ -97,7 +97,7 @@ class TestApiMisuse:
         with pytest.raises(ValueError):
             EdgeMapJob(name="bad")
 
-    def test_task_job_requires_task_class(self):
+    def test_task_job_requires_task_subclass(self):
         with pytest.raises(ValueError):
             TaskJob(name="bad", task_cls=int)
 

@@ -120,6 +120,34 @@ class TestScalarAccess:
         np.add.at(want, dst, g.edge_property("capacity"))
         assert np.allclose(dg.gather("acc"), want)
 
+    def test_edge_prop_in_remote_read_continuation(self):
+        """A ``read_done`` fired by a remote response sees the edge that
+        issued the read, not the last edge its worker ran."""
+        g = rmat(200, 1500, seed=5)
+        rng = np.random.default_rng(4)
+        g.add_edge_property("capacity", rng.uniform(1, 10, g.num_edges))
+        cluster = make_cluster(3, None)
+        dg = cluster.load_graph(g)
+        dg.add_property("one", init=1.0)
+        dg.add_property("acc", init=0.0)
+
+        class PullCapacity(InNbrIterTask):
+            def run(self, ctx):
+                ctx.read_remote(ctx.nbr_id(), "one")
+
+            def read_done(self, ctx, value, tag=None):
+                cur = ctx.get_local(ctx.node_id(), "acc")
+                ctx.set_local(ctx.node_id(),
+                              cur + value * ctx.edge_prop("capacity"), "acc")
+
+        stats = cluster.run_job(dg, TaskJob(name="cap", task_cls=PullCapacity,
+                                            reads=("one",)))
+        assert stats.remote_reads > 0
+        src, dst = g.edge_list()
+        want = np.zeros(g.num_nodes)
+        np.add.at(want, dst, g.edge_property("capacity"))
+        assert np.allclose(dg.gather("acc"), want)
+
     def test_ctx_missing_prop_raises(self, small_rmat):
         cluster = make_cluster(2, None)
         dg = cluster.load_graph(small_rmat)

@@ -42,11 +42,11 @@ def push_oracle(g, source_vals, op, weights=None, active=None):
     return out
 
 
-def run_edge_map(cluster, dg, spec, x_init, target_bottom, force_scalar=False):
+def run_edge_map(cluster, dg, spec, x_init, target_bottom, scalar=False):
     dg.add_property("x", from_global=x_init)
     dg.add_property("t", init=target_bottom)
-    stats = cluster.run_job(dg, EdgeMapJob(name="j", spec=spec),
-                            force_scalar=force_scalar)
+    job = EdgeMapJob(name="j", spec=spec)
+    stats = cluster.run_job(dg, job.as_task_job() if scalar else job)
     result = dg.gather("t")
     dg.drop_property("x")
     dg.drop_property("t")
@@ -181,7 +181,7 @@ class TestScalarVectorEquivalence:
         spec = EdgeMapSpec(direction=direction, source="x", target="t",
                            op=ReduceOp.SUM)
         vec, _ = run_edge_map(cluster, dg, spec, x, 0.0)
-        sca, _ = run_edge_map(cluster, dg, spec, x, 0.0, force_scalar=True)
+        sca, _ = run_edge_map(cluster, dg, spec, x, 0.0, scalar=True)
         assert np.allclose(vec, sca)
 
     def test_paths_agree_with_weights_and_filter(self, small_rmat_weighted):
@@ -195,7 +195,7 @@ class TestScalarVectorEquivalence:
                            op=ReduceOp.MIN, transform=lambda v, w: v + w,
                            use_weights=True, active="act")
         vec, _ = run_edge_map(cluster, dg, spec, x, np.inf)
-        sca, _ = run_edge_map(cluster, dg, spec, x, np.inf, force_scalar=True)
+        sca, _ = run_edge_map(cluster, dg, spec, x, np.inf, scalar=True)
         assert np.allclose(vec, sca)
 
 
@@ -411,8 +411,8 @@ class TestGhostEffects:
 
 
 class TestRunJobs:
-    """``run_jobs`` threads force_scalar/recover to every job and returns
-    merged stats whose ``metrics_delta`` sums the per-job deltas."""
+    """``run_jobs`` threads ``recover`` to every job and returns merged
+    stats whose ``metrics_delta`` sums the per-job deltas."""
 
     GRAPH = rmat(120, 500, seed=9)
 
@@ -427,27 +427,6 @@ class TestRunJobs:
         cluster = make_cluster(2)
         dg = cluster.load_graph(self.GRAPH)
         return cluster, dg, self._jobs(dg)
-
-    def test_force_scalar_threads_through_every_job(self):
-        def run(batch, force_scalar):
-            cluster, dg, jobs = self._fresh()
-            if batch:
-                cluster.run_jobs(dg, jobs, force_scalar=force_scalar)
-            else:
-                for job in jobs:
-                    cluster.run_job(dg, job, force_scalar=force_scalar)
-            return cluster.now, dg.gather("t")
-
-        t_batch, got_batch = run(batch=True, force_scalar=True)
-        t_serial, got_serial = run(batch=False, force_scalar=True)
-        t_fast, got_fast = run(batch=True, force_scalar=False)
-        # Bit-identical timing to the per-job scalar runs proves the flag
-        # reached each run_job; the per-edge RTC path is strictly slower
-        # than the vectorized fast path, so a dropped flag would show here.
-        assert t_batch == t_serial
-        assert t_batch > t_fast
-        assert np.array_equal(got_batch, got_serial)
-        assert np.allclose(got_batch, got_fast)
 
     def _crashy(self, crash_at):
         cfg = (ClusterConfig(num_machines=2)

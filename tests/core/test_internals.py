@@ -230,16 +230,17 @@ class TestFlushPricing:
         assert tally.cpu_ops == pytest.approx(8.0 + 0.5 * 22)
 
     def test_flush_all_scalar_buffers_priced_per_item(self, small_rmat):
-        from repro.core.data_manager import ScalarReadBuffer
+        """Scalar accesses append one-item batches; each is one item."""
+        from repro.core.messages import ReadBuffer
         from repro.core.task_manager import WorkerState
 
         _, _, exc = build_exec(small_rmat, PULL)
         ws = WorkerState(exc, exc.machines[0], 0)
-        sbuf = ScalarReadBuffer()
+        rbuf = ReadBuffer()
         for i in range(7):
-            sbuf.offsets.append(i)
-            sbuf.sides.append((None, i, i, None, None))
-        ws.sc_read_bufs[(1, "x")] = sbuf
-        ws._flush_scalar_read = lambda *a, **k: None
+            rbuf.append(np.array([i], dtype=np.int64),
+                        tasks=[(None, i, i, 0.0, -1, None)])
+        ws.read_bufs[(1, "x")] = rbuf
+        ws._flush_read = lambda *a, **k: None
         tally = ws.flush_all()
         assert tally.cpu_ops == pytest.approx(8.0 + 0.5 * 7)

@@ -52,16 +52,16 @@ class TestReadBuffer:
         buf = ReadBuffer()
         buf.append(np.array([1, 2]), np.array([10, 20]))
         buf.append(np.array([3]), np.array([30]))
-        offsets, rows, weights = buf.drain()
+        offsets, rows, weights, tasks = buf.drain()
         assert offsets.tolist() == [1, 2, 3]
         assert rows.tolist() == [10, 20, 30]
-        assert weights is None
+        assert weights is None and tasks == []
         assert buf.empty and buf.nbytes == 0
 
     def test_drain_with_weights(self):
         buf = ReadBuffer()
         buf.append(np.array([1]), np.array([0]), np.array([0.5]))
-        _, _, weights = buf.drain()
+        _, _, weights, _ = buf.drain()
         assert weights.tolist() == [0.5]
 
     def test_mixed_weighted_then_unweighted_rejected(self):
@@ -84,8 +84,28 @@ class TestReadBuffer:
         buf.drain()
         # a drained buffer may switch modes — it is empty again
         buf.append(np.array([2]), np.array([1]))
-        offsets, rows, weights = buf.drain()
+        offsets, rows, weights, tasks = buf.drain()
         assert offsets.tolist() == [2] and weights is None
+
+    def test_scalar_batches_of_one_carry_tasks(self):
+        buf = ReadBuffer()
+        for i in range(3):
+            buf.append(np.array([i]), tasks=[("task", i)])
+        assert buf.nbytes == 24
+        offsets, rows, weights, tasks = buf.drain()
+        assert offsets.tolist() == [0, 1, 2] and rows is None
+        assert tasks == [("task", 0), ("task", 1), ("task", 2)]
+        assert buf.tasks == []  # the drained list is handed over, not reused
+
+    def test_mixed_rows_and_tasks_rejected(self):
+        buf = ReadBuffer()
+        buf.append(np.array([1]), np.array([0]))
+        with pytest.raises(ValueError, match="mixed row and task"):
+            buf.append(np.array([2]), tasks=[("task", 2)])
+        buf.drain()
+        buf.append(np.array([2]), tasks=[("task", 2)])
+        with pytest.raises(ValueError, match="mixed row and task"):
+            buf.append(np.array([1]), np.array([0]))
 
 
 class TestWriteBuffer:

@@ -261,8 +261,8 @@ class TestDiskFormat:
     def test_free_form_task_streams_every_edge_column(
             self, small_rmat_weighted):
         """The engine cannot see which columns a hand-written task reads, so
-        a TaskJob streams them all; an EdgeMapJob forced onto the scalar
-        path still has its spec and streams only what that names."""
+        a TaskJob streams them all; a TaskJob built by ``as_task_job()``
+        still has its spec and streams only what that names."""
         g = small_rmat_weighted  # one edge column: the weights
 
         class Push(OutNbrIterTask):
@@ -276,14 +276,12 @@ class TestDiskFormat:
         task_job = TaskJob(name="j", task_cls=Push, reads=("x",),
                            writes=(("t", ReduceOp.SUM),))
         got = []
-        for job, force_scalar in ((spec_job, False), (spec_job, True),
-                                  (task_job, False)):
+        for job in (spec_job, spec_job.as_task_job(), task_job):
             cluster = _ooc_cluster(window_edges=128, chunk_size=64)
             dg = cluster.load_graph(g)
             dg.add_property("x", init=1.0)
             dg.add_property("t", init=0.0)
-            got.append(cluster.run_job(
-                dg, job, force_scalar=force_scalar).disk_bytes_read)
+            got.append(cluster.run_job(dg, job).disk_bytes_read)
         assert got[1] == got[0]
         assert got[2] - got[0] == 8.0 * g.num_edges
 

@@ -51,7 +51,7 @@ class TestRecorder:
         dg = cluster.load_graph(small_rmat)
         dg.add_property("x", init=1.0)
         dg.add_property("t", init=0.0)
-        cluster.run_job(dg, pull_job(), force_scalar=True)
+        cluster.run_job(dg, pull_job().as_task_job())
         hits, misses = ghost_hit_rate(cluster.metrics)
         assert hits > 0 and misses > 0
 

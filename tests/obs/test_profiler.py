@@ -185,6 +185,17 @@ class TestSpanTreeAssembly:
         prof.uninstall()
         SpanProfiler(cluster).install()  # slot freed
 
+    def test_uninstall_stops_capture_and_reinstall_resumes(self):
+        cluster, prof = _install()
+        _emit_known_topology(cluster.hooks, job="first")
+        prof.uninstall()
+        _emit_known_topology(cluster.hooks, job="unseen")
+        assert [p.name for p in prof.profiles] == ["first"]
+        assert prof.orphan_events == 0  # unsubscribed, not orphaned
+        prof.install()
+        _emit_known_topology(cluster.hooks, job="again")
+        assert [p.name for p in prof.profiles] == ["first", "again"]
+
 
 class TestRealRunExactness:
     """On real workloads the path must explain elapsed time exactly."""
@@ -302,6 +313,11 @@ class TestExports:
         events = doc["traceEvents"]
         x = [e for e in events if e["ph"] == "X"]
         assert x and all(e["dur"] >= 0 and "ts" in e for e in x)
+        assert {e["cat"] for e in x} == {"span", "network", "critical"}
+        assert {e["tid"] for e in x if e["cat"] == "span"} == {
+            "worker 0", "worker 1"}
+        net = [e for e in x if e["cat"] == "network"]
+        assert [e["args"]["bytes"] for e in net] == [64.0, 64.0]
         pids = {e["pid"] for e in events}
         assert 0 in pids and 1 in pids  # one process per machine
         from repro.obs.profiler import _CRIT_PID

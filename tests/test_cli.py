@@ -120,7 +120,16 @@ class TestObservability:
                      "--trace-out", str(tmp_path / "w_trace.json")]) == 0
         assert (tmp_path / "w.prom").exists()
         assert (tmp_path / "w.json").exists()
-        assert (tmp_path / "w_trace.json").exists()
+        # the trace comes from a span profiler, but only --profile folds
+        # its critical-path columns into the report
+        assert "crit-path" not in capsys.readouterr().out
+        import json
+
+        events = json.loads((tmp_path / "w_trace.json").read_text())[
+            "traceEvents"]
+        assert any(e["ph"] == "X" for e in events)
+        assert any(e["ph"] == "M" and e["args"]["name"] == "critical path"
+                   for e in events)
 
 
 class TestProfile:

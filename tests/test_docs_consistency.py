@@ -75,7 +75,7 @@ class TestApiReference:
         import importlib
 
         for mod in ("repro.dsl", "repro.query", "repro.server",
-                    "repro.patterns", "repro.dynamic", "repro.trace",
+                    "repro.patterns", "repro.dynamic", "repro.obs.profiler",
                     "repro.core.checkpoint", "repro.cli",
                     "repro.graph.preprocess", "repro.graph.stats"):
             importlib.import_module(mod)
@@ -83,5 +83,6 @@ class TestApiReference:
     def test_reference_mentions_each_extension_module(self):
         ref = read("docs/api_reference.md")
         for mod in ("repro.dsl", "repro.query", "repro.server",
-                    "repro.patterns", "repro.dynamic", "repro.trace"):
+                    "repro.patterns", "repro.dynamic",
+                    "repro.obs.profiler"):
             assert mod in ref

@@ -168,7 +168,7 @@ class TestEngineInvariants:
         sa = EdgeMapSpec(direction="pull", source="x", target="a", op=op)
         sb = EdgeMapSpec(direction="pull", source="x", target="b", op=op)
         cluster.run_job(dg, EdgeMapJob(name="v", spec=sa))
-        cluster.run_job(dg, EdgeMapJob(name="s", spec=sb), force_scalar=True)
+        cluster.run_job(dg, EdgeMapJob(name="s", spec=sb).as_task_job())
         assert np.allclose(dg.gather("a"), dg.gather("b"))
 
 
