@@ -17,20 +17,27 @@ Every run executes with ``EngineConfig.audit`` on, so the conservation
 checker (:mod:`repro.audit.invariants`) also sweeps each job; a violation
 is captured into the verdict rather than aborting the whole harness.
 
-Scenarios whose reduction is a float SUM applied through unordered paths
-are *expected* to diverge — that is the negative control
-(``content_sorted_staging=False``) proving the auditor has teeth.
+The negative control proves the auditor has teeth.  For its runs the
+harness swaps the ``canonical_apply`` that :mod:`repro.core.jobrunner`
+calls for a plain arrival-order ``op.apply_at``, so staged float SUM
+contributions reduce in message-timing order, and the scenario passes only
+when the perturbed schedules expose the resulting bit divergence.  The
+original binding is restored when the scenario finishes, even if a run
+raises.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 from dataclasses import dataclass, field
 from typing import Optional
+from unittest import mock
 
 import numpy as np
 
 from ..algorithms.streams import pagerank_stream, sssp_stream, wcc_stream
+from ..core import jobrunner
 from ..core.engine import PgxdCluster
 from ..core.faults import FaultPlan
 from ..core.scheduler import JobScheduler, SchedulerConfig
@@ -68,7 +75,9 @@ class AuditScenario:
     combine_writes: bool = False
     ghost_privatization: bool = True
     two_tenant: bool = False
-    content_sorted: bool = True
+    #: the negative control's injected bug: staged remote contributions
+    #: reduce in arrival order instead of through ``canonical_apply``
+    unsorted_staging: bool = False
     #: stream edge windows from the modeled disk tier — results must stay
     #: bit-identical to the DRAM-resident schedule (streaming only delays
     #: when chunks become runnable, never what they compute)
@@ -93,7 +102,6 @@ class AuditScenario:
         ov = {"audit": True,
               "combine_writes": self.combine_writes,
               "ghost_privatization": self.ghost_privatization,
-              "content_sorted_staging": self.content_sorted,
               "out_of_core": self.out_of_core}
         if self.out_of_core:
             # Small windows so even the harness's test-sized graphs stream
@@ -151,7 +159,7 @@ class ScenarioVerdict:
                        "combine_writes": s.combine_writes,
                        "ghost_privatization": s.ghost_privatization,
                        "two_tenant": s.two_tenant,
-                       "content_sorted_staging": s.content_sorted,
+                       "unsorted_staging": s.unsorted_staging,
                        "out_of_core": s.out_of_core,
                        "dynamic": s.dynamic,
                        "cached": s.cached},
@@ -164,6 +172,12 @@ class ScenarioVerdict:
             "passed": self.passed,
             "diffs": self.diffs,
         }
+
+
+def _arrival_order_apply(op, target, rows, vals, cache=None) -> None:
+    """Stand-in for ``canonical_apply`` under the negative control: reduce
+    in arrival order, so float association follows message timing."""
+    op.apply_at(target, rows, vals)
 
 
 def default_scenarios(schedules_hint: int = 0) -> list[AuditScenario]:
@@ -192,7 +206,7 @@ def default_scenarios(schedules_hint: int = 0) -> list[AuditScenario]:
     out.append(AuditScenario("serving/cached-vs-fresh", "pagerank",
                              cached=True))
     out.append(AuditScenario("negative-control/unsorted-staging", "pagerank",
-                             content_sorted=False, expect_divergence=True))
+                             unsorted_staging=True, expect_divergence=True))
     return out
 
 
@@ -508,19 +522,23 @@ class AuditHarness:
 
     def run_scenario(self, scenario: AuditScenario) -> ScenarioVerdict:
         runs: list[ScheduleRun] = []
-        for seed in self.tie_seeds():
-            if scenario.cached:
-                runs.append(self._run_cached(scenario, seed))
-            elif scenario.dynamic:
-                runs.append(self._run_dynamic(scenario, seed,
-                                              two_tenant=False))
-                if scenario.two_tenant:
+        staging = (mock.patch.object(jobrunner, "canonical_apply",
+                                     _arrival_order_apply)
+                   if scenario.unsorted_staging else contextlib.nullcontext())
+        with staging:
+            for seed in self.tie_seeds():
+                if scenario.cached:
+                    runs.append(self._run_cached(scenario, seed))
+                elif scenario.dynamic:
                     runs.append(self._run_dynamic(scenario, seed,
-                                                  two_tenant=True))
-            else:
-                runs.append(self._run_solo(scenario, seed))
-                if scenario.two_tenant:
-                    runs.append(self._run_two_tenant(scenario, seed))
+                                                  two_tenant=False))
+                    if scenario.two_tenant:
+                        runs.append(self._run_dynamic(scenario, seed,
+                                                      two_tenant=True))
+                else:
+                    runs.append(self._run_solo(scenario, seed))
+                    if scenario.two_tenant:
+                        runs.append(self._run_two_tenant(scenario, seed))
         return self._verdict(scenario, runs)
 
     def _verdict(self, scenario: AuditScenario,

@@ -263,8 +263,8 @@ def cmd_audit(args) -> int:
         # Force every positive cell of the matrix through the streamed
         # path.  The negative control stays in-memory: disk-serialized
         # window delivery makes response arrival order deterministic, so
-        # a streamed control would not diverge even with content-sorted
-        # staging off — blinding the eyesight check it exists to provide.
+        # a streamed control would not diverge even with arrival-order
+        # staging — blinding the eyesight check it exists to provide.
         scenarios = [sc if sc.expect_divergence
                      else dataclasses.replace(sc, out_of_core=True)
                      for sc in scenarios]

@@ -111,7 +111,7 @@ class IncrementalResult:
     epoch: int
     iterations: int
     #: sum over iterations of the active-frontier size entering the step —
-    #: the work measure BENCH_incremental.json compares across modes
+    #: the work measure compared across modes (incremental vs full rerun)
     recomputed_vertices: int
     total_time: float         #: simulated seconds
     values: dict = field(default_factory=dict)

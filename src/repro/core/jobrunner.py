@@ -85,9 +85,6 @@ class JobExecution:
         #: conservation checker (repro.audit): per-request accounting while
         #: the job runs, invariants enforced at finalize.  None => zero cost.
         self.audit = AuditTracker() if ecfg.audit else None
-        #: canonical content-ordered staging (the determinism invariant);
-        #: disabling exists only as the audit harness's negative control.
-        self.content_sorted = ecfg.content_sorted_staging
         #: message/side-structure free lists — safe only when nothing can
         #: retain a message past its terminal hop, so pooling is off
         #: whenever the fault layer (retry timers hold message refs) is on
@@ -448,11 +445,8 @@ class JobExecution:
         """Reduce one staged group into its property in canonical order
         (:func:`repro.core.routing_plan.canonical_apply`)."""
         machine = self.machines[machine_index]
-        target = machine.props[prop]
-        if self.content_sorted:
-            canonical_apply(op, target, rows, vals, machine.stage_cache)
-        else:
-            op.apply_at(target, rows, vals)
+        canonical_apply(op, machine.props[prop], rows, vals,
+                        machine.stage_cache)
 
     def _apply_staged_responses(self) -> None:
         """Apply staged remote contributions in canonical content order.

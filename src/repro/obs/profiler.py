@@ -356,7 +356,8 @@ class JobProfile:
                 f"{skew:.2f}x across {machines} machines")
 
     def summary(self) -> dict:
-        """Flat JSON-friendly summary (what bench_profile records)."""
+        """Flat JSON-friendly summary (one ``jobs`` entry of
+        ``repro profile --json-out``)."""
         return {
             "job": self.name, "session": self.session,
             "elapsed": self.elapsed,

@@ -194,13 +194,6 @@ class EngineConfig:
     #: Adds per-request bookkeeping, so off by default.
     audit: bool = False
 
-    #: Apply staged remote contributions (read responses, buffered writes,
-    #: ghost partials) in canonical content order rather than arrival order.
-    #: This is the invariant that makes float reductions bit-identical
-    #: across schedules; disabling it exists ONLY as the audit harness's
-    #: negative control, to prove the auditor detects the divergence.
-    content_sorted_staging: bool = True
-
     #: Out-of-core mode (GraphD-style): edge-partition CSR windows live on
     #: each machine's modeled local disk and stream back during edge-map
     #: execution, double-buffered so the next window's read overlaps the

@@ -6,6 +6,7 @@ import pytest
 from repro import ClusterConfig, PgxdCluster, rmat, with_uniform_weights
 from repro.audit.harness import (AuditHarness, AuditScenario,
                                  default_scenarios)
+from repro.core import jobrunner, routing_plan
 
 
 @pytest.fixture(scope="module")
@@ -53,7 +54,7 @@ class TestHarnessMechanics:
         assert any(s.two_tenant for s in scs)
         assert {s.workload for s in scs} == {"pagerank", "sssp", "wcc"}
         negatives = [s for s in scs if s.expect_divergence]
-        assert all(not s.content_sorted for s in negatives)
+        assert negatives and all(s.unsorted_staging for s in negatives)
 
 
 class TestPositiveScenarios:
@@ -146,13 +147,13 @@ class TestPositiveScenarios:
         d = v.as_dict()
         assert d["passed"] and d["bit_identical"]
         assert d["schedules"] == 3 and d["diffs"] == []
-        assert d["config"]["content_sorted_staging"] is True
+        assert d["config"]["unsorted_staging"] is False
 
 
 class TestNegativeControl:
     def test_unsorted_staging_is_caught(self, harness):
         v = harness.run_scenario(AuditScenario(
-            "neg", "pagerank", content_sorted=False, expect_divergence=True))
+            "neg", "pagerank", unsorted_staging=True, expect_divergence=True))
         assert not v.bit_identical, \
             "perturbation failed to expose unsorted staged reductions"
         assert v.passed  # inverted expectation: catching the bug == pass
@@ -162,9 +163,32 @@ class TestNegativeControl:
         h = AuditHarness(audit_graph, audit_config, schedules=2, iterations=2)
         doc = h.run([
             AuditScenario("ok", "pagerank"),
-            AuditScenario("neg", "pagerank", content_sorted=False,
+            AuditScenario("neg", "pagerank", unsorted_staging=True,
                           expect_divergence=True),
         ])
         assert doc["passed"] is True
         assert doc["negative_control_flagged"] is True
         assert len(doc["scenarios"]) == 2
+
+    def test_injected_apply_is_scoped_to_the_control(self, harness):
+        """The arrival-order apply lives only inside the control's runs:
+        a positive scenario run after it is bit-identical again, and the
+        canonical binding is back even when a control run raises."""
+        neg = AuditScenario("neg", "pagerank", unsorted_staging=True,
+                            expect_divergence=True)
+        assert not harness.run_scenario(neg).bit_identical
+        assert jobrunner.canonical_apply is routing_plan.canonical_apply
+        v = harness.run_scenario(AuditScenario("pr", "pagerank"))
+        assert v.passed and v.bit_identical
+
+        def boom(scenario, seed):
+            assert jobrunner.canonical_apply \
+                is not routing_plan.canonical_apply
+            raise RuntimeError("run failed")
+
+        broken = AuditHarness(harness.graph, harness.base_config,
+                              schedules=1, iterations=1)
+        broken._run_solo = boom
+        with pytest.raises(RuntimeError, match="run failed"):
+            broken.run_scenario(neg)
+        assert jobrunner.canonical_apply is routing_plan.canonical_apply

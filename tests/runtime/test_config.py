@@ -1,5 +1,7 @@
 """Configuration dataclasses and their helpers."""
 
+import dataclasses
+
 import pytest
 
 from repro.runtime.config import (ClusterConfig, EngineConfig, MachineConfig,
@@ -48,6 +50,14 @@ class TestClusterConfigHelpers:
         assert cfg.machine.hw_threads == 8
         assert cfg.machine_config(1).cpu_op_time == pytest.approx(
             2 * cfg.machine.cpu_op_time)
+
+    def test_engine_mode_switches(self):
+        """Staging order is not a switch: canonical apply is unconditional
+        and the audit's negative control injects the unsorted apply."""
+        switches = {f.name for f in dataclasses.fields(EngineConfig)
+                    if f.type in (bool, "bool")}
+        assert switches == {"ghost_privatization", "combine_writes",
+                            "audit", "out_of_core"}
 
 
 class TestPaperDefaults:
