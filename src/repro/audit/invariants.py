@@ -178,6 +178,15 @@ def check_execution(exc: "JobExecution",
             add("stream.resident_bytes",
                 f"{stream.resident_bytes} streamed bytes still resident",
                 **where)
+        # Disk-byte conservation: the device read exactly the windows'
+        # bytes, and the job's stats charged exactly those (byte counts are
+        # integers, so the float sums are exact).
+        stored = sum(disk_bytes for _, disk_bytes, _ in stream.windows)
+        device = stream.machine.disk.bytes_read - stream.disk_bytes_at_start
+        if not stored == device == stream.bytes_charged:
+            add("stream.disk_bytes",
+                f"windows hold {stored!r} B, the disk read {device!r} B, "
+                f"the job charged {stream.bytes_charged!r} B", **where)
         # A window's read is issued when its predecessor activates, so the
         # workers cannot have waited on it longer than the read itself
         # (to the rounding of the clock the two were subtracted on).
@@ -187,6 +196,12 @@ def check_execution(exc: "JobExecution",
                 add("stream.stall",
                     f"window {w} stalled {stall!r}s on a {duration!r}s read",
                     window=w, **where)
+    if exc.window_streams is not None:
+        charged = sum(s.bytes_charged for s in exc.window_streams)
+        if charged != exc.stats.disk_bytes_read:
+            add("stream.disk_bytes",
+                f"machines charged {charged!r} B, JobStats.disk_bytes_read "
+                f"is {exc.stats.disk_bytes_read!r} B")
 
     # -- reliability layer ---------------------------------------------------
     if exc.reliability is not None and exc.reliability.pending_count:

@@ -27,8 +27,7 @@ from ..graph.csr import Graph
 from ..graph.partition import Partitioning, make_partitioning
 from ..obs import HookBus, MetricsRecorder, MetricsRegistry
 from ..runtime.config import ClusterConfig
-from ..runtime.disk import (DISK_MAX_NODES, DiskFormatError,
-                            DramCapacityError)
+from ..runtime.disk import DramCapacityError
 from ..runtime.network import Network
 from ..runtime.simulator import Simulator
 from ..runtime.stats import JobStats
@@ -201,9 +200,6 @@ class PgxdCluster:
         recorded on ``dgraph.load_time``.
         """
         t0 = self.sim.now
-        if (self.config.engine.out_of_core
-                and graph.num_nodes >= DISK_MAX_NODES):
-            raise DiskFormatError(graph.num_nodes)
         strategy = partitioning or self.config.engine.partitioning
         part = make_partitioning(graph, self.config.num_machines, strategy)
         thr = (self.config.engine.ghost_threshold

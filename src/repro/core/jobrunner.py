@@ -347,11 +347,12 @@ class JobExecution:
             m.chunk_queue.clear()
             if streaming:
                 csr = m.csr(self.iter_kind)
-                windows = build_windows(chunks, csr.starts,
+                prefix = csr.disk_row_prefix(m.lo)
+                windows = build_windows(chunks, csr.starts, prefix,
                                         self.ooc_window_edges,
                                         self._streamed_edge_columns(csr))
-                self.window_streams.append(MachineWindowStream(self, m,
-                                                               windows))
+                self.window_streams.append(
+                    MachineWindowStream(self, m, windows, prefix))
             else:
                 m.chunk_queue.extend(chunks)
             total_chunks += len(chunks)

@@ -11,7 +11,7 @@ location lookups during execution are O(1) array reads.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -20,7 +20,7 @@ from ..graph.csr import Graph
 from ..graph.partition import Partitioning
 from ..runtime.config import ClusterConfig
 from ..runtime.cpu import MachineCpu
-from ..runtime.disk import DiskModel
+from ..runtime.disk import DiskModel, encoded_row_prefix
 from .ghost import MachineGhosts
 from .properties import PropertyStore, SegmentGroupCache
 from .routing_plan import RoutingPlanCache, StageOrderCache
@@ -38,10 +38,22 @@ class LocalCsr:
     nbr_ghost_slot: np.ndarray  # int64[m_local], -1 when not ghosted
     #: named edge-property slices for this direction
     props: dict = None
+    #: per-row prefix of the on-disk encoded bytes, computed by the first
+    #: streamed job (epoch-adopted slices share it)
+    _disk_prefix: Optional[np.ndarray] = field(default=None, init=False,
+                                         repr=False)
 
     @property
     def num_edges(self) -> int:
         return int(len(self.nbrs))
+
+    def disk_row_prefix(self, first_row: int) -> np.ndarray:
+        """:func:`~repro.runtime.disk.encoded_row_prefix` of this slice,
+        whose row 0 is global vertex ``first_row``."""
+        if self._disk_prefix is None:
+            self._disk_prefix = encoded_row_prefix(self.starts, self.nbrs,
+                                                   first_row)
+        return self._disk_prefix
 
     def edge_data(self, name: Optional[str]) -> Optional[np.ndarray]:
         """Per-edge data selected by an EdgeMapSpec: the weight column when

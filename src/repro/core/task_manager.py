@@ -16,12 +16,12 @@ from typing import Optional, TYPE_CHECKING
 
 import numpy as np
 
-from ..runtime.disk import window_disk_bytes
+from ..runtime.disk import window_bytes
 from .messages import Message, MsgKind, ReadBuffer, SideStructure, WriteBuffer
 from .properties import ReduceOp
 from .tasks import TaskContext
-from .vector_kernels import (CSR_BYTES_PER_EDGE, GATHER_LOCALITY,
-                             RESOLVE_BYTES_PER_EDGE, RESOLVE_OPS_PER_EDGE,
+from .vector_kernels import (CSR_BYTES_PER_EDGE, DECODE_OPS_PER_EDGE,
+                             GATHER_LOCALITY, RESOLVE_OPS_PER_EDGE,
                              RESPONSE_APPLY_LOCALITY, VALUE_BYTES, WorkTally,
                              execute_edge_map_chunk,
                              execute_node_kernel_chunk)
@@ -223,19 +223,20 @@ class WorkerState:
 # ---------------------------------------------------------------------------
 
 
-def build_windows(chunks: list, starts: np.ndarray, window_edges: int,
-                  edge_columns: int = 0) -> list:
+def build_windows(chunks: list, starts: np.ndarray, row_prefix: np.ndarray,
+                  window_edges: int, edge_columns: int = 0) -> list:
     """Group consecutive chunks into fixed-budget streaming windows.
 
     Returns ``[(chunks, disk_bytes, resident_bytes), ...]``: each window
     holds consecutive chunks totalling at most ``window_edges`` edges (a
     single hub chunk larger than the budget gets a window of its own).
-    ``disk_bytes`` is what the window occupies on disk in the compact
-    shard format (:func:`repro.runtime.disk.window_disk_bytes`, with the
-    ``edge_columns`` per-edge columns the job reads) — what the device is
-    busy for; ``resident_bytes`` is its resolved in-DRAM footprint.  Chunk
-    boundaries are exactly the in-memory mode's — windows only gate *when*
-    chunks become runnable, never what a chunk contains.
+    ``disk_bytes`` is what the window occupies on disk in the byte-coded
+    shard format (:func:`repro.runtime.disk.window_bytes` over the CSR's
+    ``row_prefix``, with the ``edge_columns`` per-edge columns the job
+    reads) — what the device is busy for; ``resident_bytes`` is its
+    resolved in-DRAM footprint.  Chunk boundaries are exactly the in-memory
+    mode's — windows only gate *when* chunks become runnable, never what a
+    chunk contains.
     """
     groups = []  # (chunks, edges)
     cur: list = []
@@ -251,8 +252,8 @@ def build_windows(chunks: list, starts: np.ndarray, window_edges: int,
         groups.append((cur, cur_edges))
     # chunks are consecutive, so a window's rows are [first lo, last hi)
     return [(group,
-             window_disk_bytes(edges, group[-1][1] - group[0][0],
-                               edge_columns),
+             window_bytes(row_prefix, group[0][0], group[-1][1], edges,
+                          edge_columns),
              edges * CSR_BYTES_PER_EDGE)
             for group, edges in groups]
 
@@ -279,15 +280,19 @@ class MachineWindowStream:
     cannot change what it computed.
     """
 
-    __slots__ = ("exc", "machine", "windows", "next_load", "inflight",
-                 "loaded", "active_window", "active_chunks", "drained_at",
-                 "resident_bytes", "activations")
+    __slots__ = ("exc", "machine", "windows", "row_prefix", "next_load",
+                 "inflight", "loaded", "active_window", "active_chunks",
+                 "drained_at", "resident_bytes", "activations",
+                 "disk_bytes_at_start", "bytes_charged")
 
     def __init__(self, exc: "JobExecution", machine: "Machine",
-                 windows: list):
+                 windows: list, row_prefix: np.ndarray):
         self.exc = exc
         self.machine = machine
         self.windows = windows
+        #: the streamed CSR's encoded-byte prefix (what resolve-on-load
+        #: reads per chunk)
+        self.row_prefix = row_prefix
         #: next window index whose disk read has not been issued yet
         self.next_load = 0
         #: reads issued to the disk whose completion event has not fired
@@ -306,6 +311,11 @@ class MachineWindowStream:
         #: per activated window, in order: (stall, read duration) — what
         #: the audit sweep checks ``0 <= stall <= duration`` against
         self.activations: list = []
+        #: the disk's ``bytes_read`` when the stream started, and the bytes
+        #: this stream added to ``JobStats.disk_bytes_read`` — the audit's
+        #: disk-byte conservation check
+        self.disk_bytes_at_start = 0.0
+        self.bytes_charged = 0.0
 
     @property
     def exhausted(self) -> bool:
@@ -319,6 +329,7 @@ class MachineWindowStream:
 
     def start(self) -> None:
         """Issue the first window's read; workers stall until it lands."""
+        self.disk_bytes_at_start = self.machine.disk.bytes_read
         if not self.windows:
             return
         self.drained_at = self.exc.sim.now
@@ -360,6 +371,7 @@ class MachineWindowStream:
                  if self.drained_at is not None else 0.0)
         self.drained_at = None
         self.activations.append((stall, duration))
+        self.bytes_charged += disk_bytes
         exc.stats.disk_bytes_read += disk_bytes
         exc.stats.disk_stall_seconds += stall
         if exc.emit_disk_read:
@@ -499,9 +511,14 @@ def _execute_chunk(exc: "JobExecution", ws: WorkerState, lo: int, hi: int) -> Wo
     exc.stats.tasks_executed += tally.tasks
     exc.chunks_remaining -= 1
     if exc.window_streams is not None:
-        # Resolve-on-load: the window came off disk as compact ids.
-        tally.cpu_ops += tally.edges * RESOLVE_OPS_PER_EDGE
-        tally.seq_bytes += tally.edges * RESOLVE_BYTES_PER_EDGE
+        # Resolve-on-load: the window came off disk byte-coded; read the
+        # chunk's encoded rows, decode and resolve each edge, and write the
+        # resolved row.
+        prefix = exc.window_streams[ws.machine.index].row_prefix
+        tally.cpu_ops += tally.edges * (DECODE_OPS_PER_EDGE
+                                        + RESOLVE_OPS_PER_EDGE)
+        tally.seq_bytes += (float(prefix[hi] - prefix[lo])
+                            + tally.edges * CSR_BYTES_PER_EDGE)
     return tally
 
 

@@ -14,7 +14,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..runtime.disk import DISK_ID_BYTES
 from ..runtime.memory import cache_adjusted_locality
 from .tasks import EdgeMapSpec
 
@@ -27,13 +26,14 @@ if TYPE_CHECKING:  # pragma: no cover
 #: Bytes of CSR metadata the worker streams per edge (neighbor id + resolved
 #: owner/offset/ghost-slot words).
 CSR_BYTES_PER_EDGE = 24.0
-#: Resolve-on-load (out-of-core only): a streamed window arrives as compact
-#: neighbor ids, and the worker that runs a chunk first rebuilds the resolved
-#: words of every edge it visits — owner by pivot search, owner-local offset
-#: subtract, ghost-slot probe — reading the compact row and writing the
-#: resolved one sequentially.
+#: Resolve-on-load (out-of-core only): a streamed window arrives byte-coded
+#: (:mod:`repro.runtime.disk`), and the worker that runs a chunk first
+#: decodes every edge it visits — varint read, zigzag undo, prefix add —
+#: then rebuilds its resolved words — owner by pivot search, owner-local
+#: offset subtract, ghost-slot probe — reading the chunk's encoded rows and
+#: writing the resolved ones sequentially.
+DECODE_OPS_PER_EDGE = 4.0
 RESOLVE_OPS_PER_EDGE = 8.0
-RESOLVE_BYTES_PER_EDGE = DISK_ID_BYTES + CSR_BYTES_PER_EDGE
 #: Bytes per random property gather / scatter element.
 VALUE_BYTES = 8.0
 

@@ -59,7 +59,7 @@ KNOWN_HOOKS = (
     "sched.dispatch",      # session, job, priority, wait, running, depth, time
     "sched.preempt",       # session, by, job, time
     "sched.complete",      # session, job, priority, wait, turnaround, time
-    "disk.read",           # machine, window, nbytes (on disk: compact
+    "disk.read",           # machine, window, nbytes (on disk: byte-coded
                            #   shard format, not the resolved 24 B/edge),
                            #   start, duration (of the read), stall (previous
                            #   window's last chunk end -> this read's end, so

@@ -1,4 +1,4 @@
-"""Local-disk cost model for out-of-core edge streaming.
+"""Local-disk cost model and on-disk shard format for out-of-core streaming.
 
 GraphD-style out-of-core execution ("Efficient Processing of Very Large
 Graphs in a Small Cluster") keeps vertex state DRAM-resident and streams
@@ -16,49 +16,96 @@ disk is additionally a serial device (one head), so it keeps a
 ``next_free`` timeline like the network's ports: concurrent read requests
 queue behind each other rather than overlapping.
 
-The disk holds *compact* shards (NXgraph-style): a row pointer per node, a
-4-byte neighbor id per edge, and only the edge columns the streaming job
-reads.  The owner / owner-local offset / ghost-slot words of the in-DRAM
-layout are not stored; workers resolve them after the read
-(``core.vector_kernels.RESOLVE_OPS_PER_EDGE``).  :func:`window_disk_bytes`
-is the one statement of that format.
+On-disk shard format
+--------------------
+Shards are byte-coded CSR rows in the style of Ligra+ (Shun, Dhulipala &
+Blelloch, "Smaller and Faster: Parallel Processing of Compressed Graphs
+with Ligra+", DCC 2015).  One streamed window of consecutive rows is
+
+=====================  ====================================================
+per window             ``WINDOW_HEADER_BYTES`` (8 B) header: row count and
+                       encoded id bytes, 4 B each
+per row                LEB128 degree
+per edge               zigzag-LEB128 delta to the previous neighbor; a
+                       row's first delta is taken against the row's own
+                       global id
+per edge, per column   ``DISK_EDGE_COLUMN_BYTES`` (8 B), only the edge
+                       columns the streaming job reads
+=====================  ====================================================
+
+Zigzag coding applies to every delta, so unsorted rows, multi-edges
+(delta 0) and a first neighbor below the row id all encode; ids have no
+fixed width, so the format limits neither node count nor id range.  The
+owner / owner-local offset / ghost-slot words of the in-DRAM layout are not
+stored: workers decode and resolve them after the read
+(``core.vector_kernels.DECODE_OPS_PER_EDGE`` / ``RESOLVE_OPS_PER_EDGE``).
+:func:`encoded_row_prefix` and :func:`window_bytes` are the only code that
+knows this layout.
 """
 
 from __future__ import annotations
 
+import numpy as np
+
 from .config import MachineConfig
 
 
-#: On-disk shard format, bytes: neighbor id per edge, row pointer per node
-#: (+1 closing pointer per window), one value per edge per streamed column.
-DISK_ID_BYTES = 4.0
-DISK_ROW_PTR_BYTES = 8.0
+WINDOW_HEADER_BYTES = 8.0
 DISK_EDGE_COLUMN_BYTES = 8.0
-#: Node ids the neighbor-id field can hold (``load_graph`` refuses more).
-DISK_MAX_NODES = 2 ** 32
 
 
-def window_disk_bytes(num_edges: int, num_nodes: int,
-                      edge_columns: int) -> float:
-    """Bytes one streamed window of ``num_nodes`` rows and ``num_edges``
-    edges occupies on disk when the job reads ``edge_columns`` per-edge
-    columns (weights / a named edge property)."""
-    return (num_edges * (DISK_ID_BYTES + edge_columns * DISK_EDGE_COLUMN_BYTES)
-            + (num_nodes + 1) * DISK_ROW_PTR_BYTES)
+def _varint_bytes(values: np.ndarray) -> np.ndarray:
+    """LEB128 length of each unsigned value: 7 payload bits per byte."""
+    nbytes = np.ones(len(values), dtype=np.uint8)
+    for shift in range(7, 64, 7):
+        longer = values >= np.uint64(1 << shift)
+        if not longer.any():
+            break
+        nbytes += longer
+    return nbytes
 
 
-class DiskFormatError(ValueError):
-    """The graph does not fit the on-disk shard format.
+def encoded_row_prefix(starts: np.ndarray, nbrs: np.ndarray,
+                       first_row: int) -> np.ndarray:
+    """Encoded id bytes before each row of a CSR slice, ``int64[n+1]``.
 
-    Raised by ``load_graph`` under ``EngineConfig.out_of_core`` when a node
-    id would not fit the format's 4-byte neighbor id.
+    ``starts``/``nbrs`` are a slice's rebased row pointers and global
+    neighbor ids, and ``first_row`` is the global id of its row 0.  Entry
+    ``i`` counts the degree and neighbor-delta bytes of rows ``[0, i)``; a
+    window's disk bytes add its header and edge columns
+    (:func:`window_bytes`).  The per-edge scratch is released on return.
     """
+    starts = np.asarray(starts, dtype=np.int64)
+    nbrs = np.asarray(nbrs, dtype=np.int64)
+    degrees = np.diff(starts)
+    delta = np.empty_like(nbrs)
+    np.subtract(nbrs[1:], nbrs[:-1], out=delta[1:])
+    nonempty = np.flatnonzero(degrees)
+    heads = starts[nonempty]
+    delta[heads] = nbrs[heads] - (first_row + nonempty)
+    # zigzag: 0, -1, 1, -2, ... -> 0, 1, 2, 3, ...
+    sign = delta >> 63
+    delta <<= 1
+    delta ^= sign
+    del sign
+    edge_bytes = _varint_bytes(delta.view(np.uint64))
+    del delta
+    row_bytes = _varint_bytes(degrees.astype(np.uint64)).astype(np.int64)
+    if len(heads):
+        row_bytes[nonempty] += np.add.reduceat(edge_bytes, heads,
+                                               dtype=np.int64)
+    prefix = np.zeros(len(starts), dtype=np.int64)
+    np.cumsum(row_bytes, out=prefix[1:])
+    return prefix
 
-    def __init__(self, num_nodes: int):
-        self.num_nodes = num_nodes
-        super().__init__(
-            f"out-of-core shards store {int(DISK_ID_BYTES)}-byte neighbor "
-            f"ids; a graph of {num_nodes} nodes needs ids >= 2**32")
+
+def window_bytes(row_prefix: np.ndarray, lo: int, hi: int, num_edges: int,
+                 edge_columns: int) -> float:
+    """Disk bytes of the window holding rows ``[lo, hi)`` and their
+    ``num_edges`` edges, for a job reading ``edge_columns`` per-edge
+    columns; ``row_prefix`` is the slice's :func:`encoded_row_prefix`."""
+    return (WINDOW_HEADER_BYTES + float(row_prefix[hi] - row_prefix[lo])
+            + num_edges * edge_columns * DISK_EDGE_COLUMN_BYTES)
 
 
 class DramCapacityError(RuntimeError):

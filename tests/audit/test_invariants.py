@@ -144,8 +144,9 @@ class TestCorruptedState:
 
 
 class TestStreamInvariants:
-    """Out-of-core window streams: drained, nothing resident, and a stall
-    clock that cannot exceed the read it waited on."""
+    """Out-of-core window streams: drained, nothing resident, every disk
+    byte charged once, and a stall clock that cannot exceed the read it
+    waited on."""
 
     def _streamed(self, graph):
         _, exc = run_audited(graph, PUSH, ghost_threshold=20, chunk_size=64,
@@ -188,6 +189,21 @@ class TestStreamInvariants:
         (bad,) = ei.value.violations
         assert bad["invariant"] == "stream.stall"
         assert bad["machine"] == 1 and bad["window"] == 1
+
+    def test_window_byte_count_mismatch_names_machine(self, small_rmat):
+        """A window claiming one byte more than the disk read and the job
+        charged breaks disk-byte conservation on that machine only."""
+        exc = self._streamed(small_rmat)
+        stream = exc.window_streams[3]
+        assert (stream.machine.disk.bytes_read - stream.disk_bytes_at_start
+                == stream.bytes_charged > 0)
+        chunks, disk_bytes, resident = stream.windows[1]
+        stream.windows[1] = (chunks, disk_bytes + 1.0, resident)
+        with pytest.raises(AuditViolation) as ei:
+            check_execution(exc)
+        (bad,) = ei.value.violations
+        assert bad["invariant"] == "stream.disk_bytes"
+        assert bad["machine"] == 3
 
     def test_negative_stall_detected(self, small_rmat):
         exc = self._streamed(small_rmat)

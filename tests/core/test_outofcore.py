@@ -3,14 +3,13 @@
 The streamed mode may only change *when* chunks become runnable — never
 what they compute.  These tests pin that invariant (PageRank/SSSP/WCC
 fingerprints across window sizes and schedule perturbations), the window
-builder's edge cases, the compact on-disk format (closed-form byte counts),
+builder's edge cases, the byte-coded on-disk format (reference-codec byte
+counts),
 the stall clock (compute-bound and disk-bound oracles), the drain at the
 last chunk's end, the DRAM capacity gate, config validation, fault recovery
 mid-stream, and the disk tier's observability surface (stats, metrics,
 report line, profiler spans).
 """
-
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,9 +21,10 @@ from repro.algorithms import pagerank, sssp, wcc
 from repro.core.task_manager import build_windows
 from repro.core.jobrunner import JobExecution
 from repro.obs.report import disk_summary, render_overhead_report
-from repro.runtime.disk import (DiskFormatError, DiskModel, DramCapacityError,
-                                window_disk_bytes)
+from repro.runtime.disk import (DiskModel, DramCapacityError,
+                                encoded_row_prefix, window_bytes)
 from tests.conftest import make_cluster
+from tests.runtime.test_disk_format import encode_rows, encode_window
 
 
 def _ooc_cluster(window_edges=512, tie_seed=None, **engine_kwargs):
@@ -48,13 +48,18 @@ def _streamed_jobs(events) -> int:
     return sum(1 for e in events if e["machine"] == 0 and e["window"] == 0)
 
 
-def _format_bytes(events, num_edges, num_nodes, edge_columns) -> float:
-    """Closed-form bytes of the streamed jobs behind ``events``: every job
-    streams each edge once (4 B id + 8 B per edge column) and each row
-    pointer once, plus one closing pointer per window read."""
+def _format_bytes(events, graph, edge_columns, direction="out") -> float:
+    """Oracle bytes of the streamed jobs behind ``events``: every job
+    streams each row of the ``direction`` CSR once as the reference codec
+    writes it (a row's bytes depend on its global id and neighbors, never
+    on its machine or window), 8 B per edge per edge column, and one 8 B
+    header per window read."""
+    starts, nbrs = ((graph.out_starts, graph.out_nbrs) if direction == "out"
+                    else (graph.in_starts, graph.in_nbrs))
+    rows = len(encode_rows(starts, nbrs, 0, 0, graph.num_nodes))
     jobs = _streamed_jobs(events)
-    return (jobs * num_edges * (4.0 + 8.0 * edge_columns)
-            + 8.0 * (jobs * num_nodes + len(events)))
+    return (jobs * (rows + 8.0 * edge_columns * graph.num_edges)
+            + 8.0 * len(events))
 
 
 def _results(cluster, graph, workload):
@@ -144,48 +149,66 @@ class TestPayForPlay:
             assert m.disk.reads == 0
 
 
+def _consecutive_csr(starts):
+    """Row ``i`` (global id ``i``) points at the next ``deg(i)`` ids after
+    its predecessor's: first delta ``starts[i] - i``, then deltas of 1."""
+    starts = np.asarray(starts, dtype=np.int64)
+    nbrs = np.arange(starts[-1], dtype=np.int64)
+    return starts, nbrs, encoded_row_prefix(starts, nbrs, 0)
+
+
 class TestBuildWindows:
     def test_groups_consecutive_chunks(self):
-        starts = np.array([0, 10, 20, 30, 40], dtype=np.int64)
+        starts, nbrs, prefix = _consecutive_csr([0, 10, 20, 30, 40])
         chunks = [(0, 1), (1, 2), (2, 3), (3, 4)]
-        windows = build_windows(chunks, starts, 20)
+        windows = build_windows(chunks, starts, prefix, 20)
         assert [w[0] for w in windows] == [[(0, 1), (1, 2)],
                                           [(2, 3), (3, 4)]]
-        # 20 edges x 4 B ids + (2 rows + 1) x 8 B pointers on disk;
-        # 20 edges x 24 B resolved in DRAM
-        assert [w[1:] for w in windows] == [(104.0, 480.0)] * 2
+        # on disk: 8 B header + per row a 1 B degree and ten 1 B deltas;
+        # in DRAM: 20 edges x 24 B resolved
+        assert [w[1:] for w in windows] == [(30.0, 480.0)] * 2
+        assert [len(encode_window(starts, nbrs, 0, lo, hi))
+                for lo, hi in ((0, 2), (2, 4))] == [30, 30]
 
     def test_edge_columns_add_eight_bytes_per_edge(self):
-        starts = np.array([0, 10, 20, 30, 40], dtype=np.int64)
+        starts, _, prefix = _consecutive_csr([0, 10, 20, 30, 40])
         chunks = [(0, 1), (1, 2), (2, 3), (3, 4)]
-        plain = build_windows(chunks, starts, 20)
+        plain = build_windows(chunks, starts, prefix, 20)
         for columns in (1, 2):
-            wide = build_windows(chunks, starts, 20, columns)
+            wide = build_windows(chunks, starts, prefix, 20, columns)
             for (_, d0, r0), (_, d1, r1) in zip(plain, wide):
                 assert d1 - d0 == 20 * 8.0 * columns
                 assert r1 == r0  # weights were never part of the 24 B
 
     def test_window_disk_bytes_closed_form(self):
-        assert window_disk_bytes(0, 0, 0) == 8.0
-        assert window_disk_bytes(1000, 10, 0) == 4000.0 + 88.0
-        assert window_disk_bytes(1000, 10, 1) == 12000.0 + 88.0
+        """Header + the prefix's encoded rows + 8 B per edge per column,
+        equal to the reference codec's length for every term."""
+        starts, nbrs, prefix = _consecutive_csr([0, 10, 20, 30, 40])
+        weights = np.ones(len(nbrs))
+        assert window_bytes(prefix, 0, 0, 0, 0) == 8.0 == len(
+            encode_window(starts, nbrs, 0, 0, 0))
+        for columns in (0, 1):
+            got = window_bytes(prefix, 0, 4, 40, columns)
+            assert got == 8.0 + 44.0 + 320.0 * columns
+            assert got == len(encode_window(starts, nbrs, 0, 0, 4,
+                                            (weights,) * columns))
 
     def test_hub_chunk_gets_own_window(self):
         # one vertex with more edges than the whole window budget
-        starts = np.array([0, 2, 1002, 1004], dtype=np.int64)
+        starts, _, prefix = _consecutive_csr([0, 2, 1002, 1004])
         chunks = [(0, 1), (1, 2), (2, 3)]
-        windows = build_windows(chunks, starts, 16)
+        windows = build_windows(chunks, starts, prefix, 16)
         assert [w[0] for w in windows] == [[(0, 1)], [(1, 2)], [(2, 3)]]
 
     def test_empty_chunks(self):
-        starts = np.array([0], dtype=np.int64)
-        assert build_windows([], starts, 16) == []
+        starts, _, prefix = _consecutive_csr([0])
+        assert build_windows([], starts, prefix, 16) == []
 
     def test_chunk_boundaries_preserved(self):
         """Windows regroup chunks; they never split or reorder them."""
-        starts = np.arange(0, 55, 6, dtype=np.int64)
+        starts, _, prefix = _consecutive_csr(np.arange(0, 55, 6))
         chunks = [(i, i + 1) for i in range(len(starts) - 1)]
-        windows = build_windows(chunks, starts, 13)
+        windows = build_windows(chunks, starts, prefix, 13)
         flat = [c for w, _, _ in windows for c in w]
         assert flat == chunks
 
@@ -214,15 +237,17 @@ class TestWindowEdgeCases:
         dg = cluster.load_graph(small_rmat_weighted)
         st = pagerank(cluster, dg, max_iterations=1, tolerance=0.0).stats
         assert len(events) == 4 and {e["window"] for e in events} == {0}
-        g = small_rmat_weighted
-        assert st.disk_bytes_read == 4.0 * g.num_edges + 8.0 * (g.num_nodes
-                                                                 + 4)
+        # PageRank pull streams the in-CSR
+        assert st.disk_bytes_read == _format_bytes(
+            events, small_rmat_weighted, 0, direction="in")
 
 
 class TestDiskFormat:
-    """The device is busy for the compact shard format, nothing more."""
+    """The device is busy for the byte-coded shard format, nothing more."""
 
     def test_pagerank_reads_ids_and_row_pointers(self, small_rmat_weighted):
+        """Ids as neighbor deltas, row pointers as degrees: the reference
+        codec's bytes, under half the old 4 B id per edge."""
         g = small_rmat_weighted
         cluster = _ooc_cluster(window_edges=128, chunk_size=64)
         events = _disk_reads(cluster)
@@ -230,8 +255,9 @@ class TestDiskFormat:
         st = pagerank(cluster, dg, variant="push", max_iterations=3,
                       tolerance=0.0).stats
         assert max(e["window"] for e in events) >= 2  # really windowed
-        assert st.disk_bytes_read == _format_bytes(events, g.num_edges,
-                                                   g.num_nodes, 0)
+        assert st.disk_bytes_read == _format_bytes(events, g, 0)
+        assert st.disk_bytes_read < (0.5 * 4.0 * g.num_edges
+                                     * _streamed_jobs(events))
         assert sum(m.disk.bytes_read for m in dg.machines) \
             == st.disk_bytes_read
 
@@ -245,8 +271,7 @@ class TestDiskFormat:
             cluster = _ooc_cluster(window_edges=128, chunk_size=64)
             events = _disk_reads(cluster)
             st = run(cluster, cluster.load_graph(g)).stats
-            assert st.disk_bytes_read == _format_bytes(
-                events, g.num_edges, g.num_nodes, columns)
+            assert st.disk_bytes_read == _format_bytes(events, g, columns)
             return st.disk_bytes_read / _streamed_jobs(events)
 
         def pr(cluster, dg):
@@ -284,13 +309,6 @@ class TestDiskFormat:
             got.append(cluster.run_job(dg, job).disk_bytes_read)
         assert got[1] == got[0]
         assert got[2] - got[0] == 8.0 * g.num_edges
-
-    def test_node_id_must_fit_four_bytes(self):
-        cluster = _ooc_cluster()
-        with pytest.raises(DiskFormatError) as ei:
-            cluster.load_graph(SimpleNamespace(num_nodes=2**32))
-        assert ei.value.num_nodes == 2**32
-        assert "4-byte" in str(ei.value)
 
 
 class TestStallClock:
@@ -484,7 +502,7 @@ class TestDramCapacity:
         got = _results(cluster, small_rmat, "pagerank")
         assert np.array_equal(base, got)
         assert disk_summary(cluster.metrics)["bytes_read"] == _format_bytes(
-            events, small_rmat.num_edges, small_rmat.num_nodes, 0)
+            events, small_rmat, 0, direction="in")
 
 
 class TestDiskModel:
