@@ -72,7 +72,6 @@ class AuditScenario:
     #: reduce through ghost columns and the post-sync
     ghost_hubs: bool = False
     faults: bool = False
-    combine_writes: bool = False
     ghost_privatization: bool = True
     two_tenant: bool = False
     #: the negative control's injected bug: staged remote contributions
@@ -100,7 +99,6 @@ class AuditScenario:
 
     def engine_overrides(self) -> dict:
         ov = {"audit": True,
-              "combine_writes": self.combine_writes,
               "ghost_privatization": self.ghost_privatization,
               "out_of_core": self.out_of_core}
         if self.out_of_core:
@@ -156,7 +154,6 @@ class ScenarioVerdict:
             "config": {"variant": s.variant,
                        "ghost_hubs": s.ghost_hubs,
                        "faults": s.faults,
-                       "combine_writes": s.combine_writes,
                        "ghost_privatization": s.ghost_privatization,
                        "two_tenant": s.two_tenant,
                        "unsorted_staging": s.unsorted_staging,
@@ -189,7 +186,6 @@ def default_scenarios(schedules_hint: int = 0) -> list[AuditScenario]:
         out.append(AuditScenario(f"{wl}/baseline", wl, two_tenant=True))
         out.append(AuditScenario(f"{wl}/faults", wl, faults=True,
                                  two_tenant=True))
-        out.append(AuditScenario(f"{wl}/combine", wl, combine_writes=True))
         out.append(AuditScenario(f"{wl}/no-privatization", wl,
                                  ghost_privatization=False))
         out.append(AuditScenario(f"{wl}/out-of-core", wl, out_of_core=True))

@@ -62,8 +62,10 @@ class JobExecution:
         self.task_dispatch_time = ecfg.task_dispatch_time
         self.chunk_dispatch_time = ecfg.chunk_dispatch_time
         self.cpu_op_time = mcfg.cpu_op_time
-        self.combine_writes = ecfg.combine_writes
         self.combine_per_item = ecfg.combine_per_item
+        #: length of the write combine's scratch columns: every offset a
+        #: write flush carries is below it
+        self.largest_partition = max(m.n_local for m in self.machines)
         self.out_of_core = ecfg.out_of_core
         self.ooc_window_edges = ecfg.ooc_window_edges
         #: per-machine window streams, built in ``_phase_main`` when the

@@ -22,7 +22,7 @@ from ..runtime.config import ClusterConfig
 from ..runtime.cpu import MachineCpu
 from ..runtime.disk import DiskModel, encoded_row_prefix
 from .ghost import MachineGhosts
-from .properties import PropertyStore, SegmentGroupCache
+from .properties import PropertyStore
 from .routing_plan import RoutingPlanCache, StageOrderCache
 
 
@@ -149,11 +149,9 @@ class Machine:
         self.plan_cache = RoutingPlanCache(
             max_bytes=config.engine.plan_cache_max_bytes)
         #: scratch buffers and sorted-element count of the canonical
-        #: staged apply (jobrunner's content-ordered reduction)
+        #: staged apply (jobrunner's content-ordered reduction), and the
+        #: write combine's bottom-filled columns
         self.stage_cache = StageOrderCache()
-        #: memoized write-combine group structure (worker flush trains are
-        #: stationary across supersteps); content-verified per use
-        self.combine_cache = SegmentGroupCache()
 
     def csr(self, direction: str) -> LocalCsr:
         if direction == "in":

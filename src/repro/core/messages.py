@@ -292,21 +292,13 @@ class WriteBuffer:
     def empty(self) -> bool:
         return not self.offsets
 
-    def drain(self, combine: Optional[ReduceOp] = None, cache=None,
-              key=None) -> tuple[np.ndarray, np.ndarray]:
-        """Concatenate the buffered batches; with ``combine`` set, collapse
-        duplicate offsets through :meth:`ReduceOp.segment_reduce` first so
-        each target travels (and is atomically applied) once per flush.
-        ``cache``/``key`` memoize the combine's group structure for
-        recurring trains (see :class:`~.properties.SegmentGroupCache`)."""
+    def drain(self) -> tuple[np.ndarray, np.ndarray]:
+        """Concatenate the buffered batches, duplicates and all."""
         offsets = np.concatenate(self.offsets)
         values = np.concatenate(self.values)
         self.offsets.clear()
         self.values.clear()
         self.nbytes = 0.0
-        if combine is not None and len(offsets):
-            offsets, values = combine.segment_reduce(offsets, values,
-                                                     cache=cache, key=key)
         return offsets, values
 
 

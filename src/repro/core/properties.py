@@ -86,49 +86,36 @@ class ReduceOp(enum.Enum):
         return self is not ReduceOp.OVERWRITE
 
     def segment_reduce(self, offsets: np.ndarray, values: np.ndarray,
-                       cache: "SegmentGroupCache | None" = None,
-                       key=None) -> tuple[np.ndarray, np.ndarray]:
+                       scratch: np.ndarray,
+                       pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Collapse duplicate ``offsets`` to one element each, reducing their
-        ``values`` with this operator (sender-side write combining).
+        ``values`` with this operator (sender-side write combining), in
+        O(len(offsets)): no sort and no scan of the target range.
 
-        Equivalent to ``apply_at`` into a bottom-initialized scratch target:
-        exact for MIN/MAX/AND/OR/OVERWRITE and integer SUM; float SUM keeps
-        the within-group accumulation order (stable sort), so it differs from
-        the uncombined path only by rounding association across messages.
+        ``scratch`` is a column of ``values.dtype``, longer than every
+        offset, holding :meth:`bottom` everywhere; ``pos`` is an integer
+        work array at least as long.  The values reduce into ``scratch``
+        through :meth:`apply_at`, each offset is kept at its last
+        occurrence, and the touched entries go back to bottom, so
+        ``scratch`` is returned as it came.  Each offset appears once, in
+        order of last occurrence.
 
-        ``cache``/``key`` memoize the group structure (sort permutation,
-        unique offsets, inverse map) for recurring offset trains — iterative
-        algorithms flush the same index sets every superstep, so the O(n
-        log n) grouping collapses to an O(n) equality check after the first
-        iteration.  The cached structure is validated by content, so results
-        are identical with or without a cache.
+        Only an :meth:`order_insensitive` reduction of contributions that
+        already have the target's dtype gives the same bits combined as
+        applied one by one; float SUM and OVERWRITE raise ``ValueError``.
         """
-        offsets = np.asarray(offsets)
-        values = np.asarray(values)
-        if len(offsets) == 0:
-            return offsets, values
-        if self is ReduceOp.SUM and values.dtype == np.float64:
-            # bincount adds group members sequentially in arrival order,
-            # matching np.add.at on a scratch array.
-            if cache is not None and key is not None:
-                uniq, inv = cache.lookup(("inv", key), offsets, _unique_inverse)
-            else:
-                uniq, inv = _unique_inverse(offsets)
-            return uniq, np.bincount(inv, weights=values, minlength=len(uniq))
-        if cache is not None and key is not None:
-            order, sorted_off, uniq, starts = cache.lookup(
-                ("grp", key), offsets, _sorted_groups)
-        else:
-            order, sorted_off, uniq, starts = _sorted_groups(offsets)
-        sorted_vals = values[order]
-        if self is ReduceOp.OVERWRITE:
-            # last writer per group; stable sort keeps arrival order
-            ends = np.concatenate([starts[1:], [len(sorted_off)]]) - 1
-            return uniq, sorted_vals[ends]
-        ufunc = {ReduceOp.SUM: np.add, ReduceOp.MIN: np.minimum,
-                 ReduceOp.MAX: np.maximum, ReduceOp.AND: np.logical_and,
-                 ReduceOp.OR: np.logical_or}[self]
-        return uniq, ufunc.reduceat(sorted_vals, starts)
+        if values.dtype != scratch.dtype \
+                or not self.order_insensitive(scratch.dtype):
+            raise ValueError(f"{self.name} of {values.dtype} into "
+                             f"{scratch.dtype} depends on contribution "
+                             "order and cannot be combined")
+        self.apply_at(scratch, offsets, values)
+        idx = np.arange(len(offsets))
+        pos[offsets] = idx
+        uniq = offsets[pos[offsets] == idx]
+        reduced = scratch[uniq]
+        scratch[uniq] = self.bottom(scratch.dtype)
+        return uniq, reduced
 
     def scalar(self, a, b):
         """Scalar combine (scalar RTC task path)."""
@@ -145,52 +132,6 @@ class ReduceOp(enum.Enum):
         if self is ReduceOp.OVERWRITE:
             return b
         raise AssertionError(self)
-
-
-def _unique_inverse(offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    uniq, inv = np.unique(offsets, return_inverse=True)
-    return uniq, inv
-
-
-def _sorted_groups(offsets: np.ndarray):
-    order = np.argsort(offsets, kind="stable")
-    sorted_off = offsets[order]
-    uniq, starts = np.unique(sorted_off, return_index=True)
-    return order, sorted_off, uniq, starts
-
-
-class SegmentGroupCache:
-    """Content-validated memo of :meth:`ReduceOp.segment_reduce` group
-    structure, keyed by flush site (worker, destination, property).
-
-    A hit requires the cached offsets to equal the presented ones exactly
-    (``np.array_equal``), so a stale entry can never change a result — it
-    only costs a miss.  Overflow clears the table wholesale; the steady
-    state of an iterative job fits comfortably."""
-
-    __slots__ = ("_entries", "max_entries", "hits", "misses")
-
-    def __init__(self, max_entries: int = 128):
-        self._entries: dict = {}
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-
-    def lookup(self, key, offsets: np.ndarray, build):
-        ent = self._entries.get(key)
-        if ent is not None:
-            cached_off, payload = ent
-            if cached_off is offsets or (
-                    len(cached_off) == len(offsets)
-                    and np.array_equal(cached_off, offsets)):
-                self.hits += 1
-                return payload
-        self.misses += 1
-        payload = build(offsets)
-        if len(self._entries) >= self.max_entries:
-            self._entries.clear()
-        self._entries[key] = (offsets, payload)
-        return payload
 
 
 class PropertyStore:

@@ -255,16 +255,30 @@ class StageOrderCache:
     ``scratch`` hands out persistent per-(dtype, tag) buffers for the
     canonical apply's sort key and sorted pairs and for the planned kernels'
     gathers — they are large (≈ remote edges per superstep), so
-    re-allocating them every use costs real page-fault time.
+    re-allocating them every use costs real page-fault time.  ``bottom``
+    hands out the write combine's bottom-filled columns.
     """
 
-    __slots__ = ("_scratch", "sorted_elements")
+    __slots__ = ("_scratch", "_bottoms", "sorted_elements")
 
     def __init__(self):
         #: elements that went through the canonical sort — a host-work
         #: proxy that repeats bit for bit (0 on MIN/MAX/AND/OR workloads)
         self.sorted_elements = 0
         self._scratch: dict = {}
+        self._bottoms: dict = {}
+
+    def bottom(self, op, dtype, n: int) -> np.ndarray:
+        """A length-``n`` view of a persistent per-(op, dtype) column that
+        holds ``op.bottom(dtype)`` everywhere between uses — the scratch of
+        :meth:`~repro.core.properties.ReduceOp.segment_reduce`, which
+        hands it back that way."""
+        dtype = np.dtype(dtype)
+        key = (op, dtype.str)
+        col = self._bottoms.get(key)
+        if col is None or len(col) < n:
+            col = self._bottoms[key] = np.full(n, op.bottom(dtype), dtype)
+        return col[:n]
 
     def scratch(self, n: int, dtype, tag: int = 0) -> np.ndarray:
         """A length-``n`` work view of a persistent per-(dtype, tag) buffer.

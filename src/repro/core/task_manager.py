@@ -150,14 +150,10 @@ class WorkerState:
     def _flush_write(self, dst: int, prop: str, buf: WriteBuffer,
                      op: ReduceOp) -> None:
         exc = self.exc
-        if exc.combine_writes:
-            items_in = int(sum(len(o) for o in buf.offsets))
-            offsets, values = buf.drain(combine=op,
-                                        cache=self.machine.combine_cache,
-                                        key=(self.windex, dst, prop))
-            self._account_combine(dst, prop, items_in, len(offsets))
-        else:
-            offsets, values = buf.drain()
+        offsets, values = buf.drain()
+        if (op.order_insensitive(values.dtype)
+                and values.dtype == exc.machines[dst].props.dtype(prop)):
+            offsets, values = self._combine(dst, prop, op, offsets, values)
         if exc.emit_flush:
             exc.hooks.emit("comm.flush", machine=self.machine.index,
                            worker=self.windex, dst=dst, prop=prop,
@@ -173,16 +169,25 @@ class WorkerState:
             exc.write_outstanding += 1
             exc.send_request(msg, kind="write_req")
 
-    def _account_combine(self, dst: int, prop: str, items_in: int,
-                         items_out: int) -> None:
-        """Price the sender-side combine (sort + segmented reduction) and
-        report its effect; the cost lands on this worker's current slice."""
+    def _combine(self, dst: int, prop: str, op: ReduceOp,
+                 offsets: np.ndarray,
+                 values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Sender-side combining: one item per target per flush, so each
+        target travels (and is atomically applied) once.  Exact because the
+        caller only combines order-insensitive reductions; the cost lands
+        on this worker's current slice."""
         exc = self.exc
-        self.deferred_cpu_ops += items_in * (exc.combine_per_item
-                                             / exc.cpu_op_time)
+        n = exc.largest_partition
+        cache = self.machine.stage_cache
+        uniq, reduced = op.segment_reduce(
+            offsets, values, cache.bottom(op, values.dtype, n),
+            cache.scratch(n, np.int64, 3))
+        self.deferred_cpu_ops += len(offsets) * (exc.combine_per_item
+                                                 / exc.cpu_op_time)
         exc.hooks.emit("comm.combine", machine=self.machine.index, dst=dst,
-                       prop=prop, items_in=items_in, items_out=items_out,
+                       prop=prop, items_in=len(offsets), items_out=len(uniq),
                        time=exc.sim.now)
+        return uniq, reduced
 
     # -- response intake --------------------------------------------------------
 

@@ -169,15 +169,10 @@ class EngineConfig:
     #: host-side cost: counted work, traffic and results do not depend on it.
     plan_cache_max_bytes: int = 1 << 30
 
-    #: Combine duplicate targets in a write buffer before it goes on the
-    #: wire (sender-side message reduction a la Yan et al. / Pregelix
-    #: combiners).  Shrinks modeled wire bytes and copier atomics; float
-    #: SUM reductions may differ from the uncombined path by rounding
-    #: association (MIN/MAX/AND/OR/OVERWRITE and integer SUM are exact).
-    combine_writes: bool = False
-
-    #: CPU time per buffered element for the sender-side combine step
-    #: (sort + segmented reduction), charged only when it runs.
+    #: CPU time per buffered element for the sender-side combine step,
+    #: charged on every write flush whose reduction is order-insensitive
+    #: (sender-side message reduction a la Yan et al. / Pregelix
+    #: combiners; float SUM and OVERWRITE ship uncombined).
     combine_per_item: float = 3.0e-9
 
     #: Optional deterministic fault-injection schedule

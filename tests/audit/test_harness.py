@@ -49,7 +49,9 @@ class TestHarnessMechanics:
         names = {s.name for s in scs}
         assert any("negative-control" in n for n in names)
         assert any(s.faults for s in scs)
-        assert any(s.combine_writes for s in scs)
+        # Write combining is not a cell: every SSSP/WCC cell combines.
+        assert {"sssp/baseline", "wcc/baseline"} <= names
+        assert not any(n.endswith("/combine") for n in names)
         assert any(not s.ghost_privatization for s in scs)
         assert any(s.two_tenant for s in scs)
         assert {s.workload for s in scs} == {"pagerank", "sssp", "wcc"}
@@ -148,6 +150,7 @@ class TestPositiveScenarios:
         assert d["passed"] and d["bit_identical"]
         assert d["schedules"] == 3 and d["diffs"] == []
         assert d["config"]["unsorted_staging"] is False
+        assert "combine_writes" not in d["config"]
 
 
 class TestNegativeControl:

@@ -121,22 +121,6 @@ class TestWriteBuffer:
         assert offsets.tolist() == [7] and values.tolist() == [1.5]
         assert buf.empty
 
-    def test_drain_with_combine_collapses_duplicates(self):
-        buf = WriteBuffer()
-        buf.append(np.array([3, 1, 3]), np.array([1.0, 2.0, 4.0]))
-        buf.append(np.array([1]), np.array([8.0]))
-        offsets, values = buf.drain(combine=ReduceOp.SUM)
-        assert offsets.tolist() == [1, 3]
-        assert values.tolist() == [10.0, 5.0]
-        assert buf.empty
-
-    def test_drain_with_combine_min(self):
-        buf = WriteBuffer()
-        buf.append(np.array([0, 0, 2]), np.array([5.0, 3.0, 7.0]))
-        offsets, values = buf.drain(combine=ReduceOp.MIN)
-        assert offsets.tolist() == [0, 2]
-        assert values.tolist() == [3.0, 7.0]
-
     def test_drain_without_combine_preserves_duplicates(self):
         buf = WriteBuffer()
         buf.append(np.array([3, 1, 3]), np.array([1.0, 2.0, 4.0]))

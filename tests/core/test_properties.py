@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.properties import PropertyStore, ReduceOp, SegmentGroupCache
+from repro.core.properties import PropertyStore, ReduceOp
 
 
 class TestBottomValues:
@@ -72,20 +72,55 @@ class TestApplyAt:
                 assert op.scalar(a, b) == target[0], (op, a, b)
 
 
-ALL_OPS = (ReduceOp.SUM, ReduceOp.MIN, ReduceOp.MAX, ReduceOp.AND,
-           ReduceOp.OR, ReduceOp.OVERWRITE)
+#: the operators sender-side combining accepts (SUM on integers)
+EXACT_OPS = (ReduceOp.SUM, ReduceOp.MIN, ReduceOp.MAX, ReduceOp.AND,
+             ReduceOp.OR)
+
+_UFUNCS = {ReduceOp.SUM: np.add, ReduceOp.MIN: np.minimum,
+           ReduceOp.MAX: np.maximum, ReduceOp.AND: np.logical_and,
+           ReduceOp.OR: np.logical_or}
 
 
 def _values_for(op, rng, n):
     if op in (ReduceOp.AND, ReduceOp.OR):
         return rng.random(n) < 0.5
+    if op is ReduceOp.SUM:
+        return rng.integers(-1000, 1000, n)
     return rng.standard_normal(n)
 
 
-def _target_for(op, size):
-    if op in (ReduceOp.AND, ReduceOp.OR):
-        return np.full(size, op.bottom(np.bool_), dtype=np.bool_)
-    return np.full(size, op.bottom(np.float64), dtype=np.float64)
+def _target_for(op, size, dtype):
+    return np.full(size, op.bottom(dtype), dtype=dtype)
+
+
+def _combine(op, offsets, values, scratch):
+    """``segment_reduce`` with its scratch; the scratch must come back
+    holding bottom everywhere."""
+    pos = np.empty(len(scratch), dtype=np.int64)
+    got = op.segment_reduce(offsets, values, scratch, pos)
+    assert np.array_equal(scratch, _target_for(op, len(scratch),
+                                               scratch.dtype))
+    return got
+
+
+def _reference(op, offsets, values):
+    """The sort-based combine: group by ``np.unique``, reduce each group
+    with ``ufunc.reduceat`` in the input's dtype."""
+    if len(offsets) == 0:
+        return offsets, values
+    order = np.argsort(offsets, kind="stable")
+    uniq, starts = np.unique(offsets[order], return_index=True)
+    return uniq, _UFUNCS[op].reduceat(values[order], starts,
+                                      dtype=values.dtype)
+
+
+def _as_set(pairs):
+    """(offset, value) pairs sorted by offset, values as raw bytes."""
+    offsets, values = pairs
+    assert len(np.unique(offsets)) == len(offsets), "offset repeated"
+    order = np.argsort(offsets)
+    return offsets[order].tolist(), values[order].dtype, \
+        values[order].tobytes()
 
 
 class TestApplyAtDuplicates:
@@ -128,90 +163,106 @@ class TestApplyAtDuplicates:
         assert arr.tolist() == [5.0, 0.0, 4.0]
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
 class TestSegmentReduce:
-    @pytest.mark.parametrize("op", ALL_OPS, ids=lambda o: o.value)
+    """The O(n) sender-side combine against a sort-based oracle, compared
+    as (offset, value) sets, with the scratch back at bottom after every
+    call (NaN contributions make numpy warn; they are part of the test)."""
+
+    @pytest.mark.parametrize("op", EXACT_OPS, ids=lambda o: o.value)
     def test_agrees_with_apply_at_on_duplicate_heavy_input(self, op):
         rng = np.random.default_rng(42)
         for trial in range(5):
             n, size = 500, 40  # ~12 duplicates per target on average
             offsets = rng.integers(0, size, n)
             values = _values_for(op, rng, n)
-            uniq, reduced = op.segment_reduce(offsets, values)
-            assert np.array_equal(uniq, np.unique(offsets))
-            via_apply = _target_for(op, size)
+            uniq, reduced = _combine(op, offsets, values,
+                                     _target_for(op, size, values.dtype))
+            assert sorted(uniq.tolist()) == np.unique(offsets).tolist()
+            via_apply = _target_for(op, size, values.dtype)
             op.apply_at(via_apply, offsets, values)
-            if op is ReduceOp.SUM:
-                # combining reorders float additions across groups
-                np.testing.assert_allclose(reduced, via_apply[uniq],
-                                           rtol=1e-12)
-            else:
-                assert np.array_equal(reduced, via_apply[uniq])
+            assert np.array_equal(reduced, via_apply[uniq])
 
     def test_no_duplicates_is_identity_up_to_sort(self):
         offsets = np.array([7, 3, 5])
         values = np.array([1.0, 2.0, 3.0])
-        uniq, reduced = ReduceOp.MIN.segment_reduce(offsets, values)
-        assert uniq.tolist() == [3, 5, 7]
-        assert reduced.tolist() == [2.0, 3.0, 1.0]
+        uniq, reduced = _combine(ReduceOp.MIN, offsets, values,
+                                 np.full(8, np.inf))
+        assert uniq.tolist() == [7, 3, 5]
+        assert reduced.tolist() == [1.0, 2.0, 3.0]
 
     def test_empty_input(self):
         offsets = np.array([], dtype=np.int64)
-        values = np.array([])
-        uniq, reduced = ReduceOp.SUM.segment_reduce(offsets, values)
+        uniq, reduced = _combine(ReduceOp.MIN, offsets, np.array([]),
+                                 np.full(4, np.inf))
         assert len(uniq) == 0 and len(reduced) == 0
 
-    def test_overwrite_takes_last_arrival_per_group(self):
-        offsets = np.array([4, 1, 4, 1, 4])
-        values = np.array([10.0, 20.0, 30.0, 40.0, 50.0])
-        uniq, reduced = ReduceOp.OVERWRITE.segment_reduce(offsets, values)
-        assert uniq.tolist() == [1, 4]
-        assert reduced.tolist() == [40.0, 50.0]
+    @pytest.mark.parametrize("op,dtype", [
+        (ReduceOp.MIN, np.float64), (ReduceOp.MAX, np.float64),
+        (ReduceOp.SUM, np.int32), (ReduceOp.SUM, np.int64),
+        (ReduceOp.AND, np.bool_), (ReduceOp.OR, np.bool_)],
+        ids=lambda x: x.value if isinstance(x, ReduceOp)
+        else np.dtype(x).name)
+    def test_matches_sort_based_oracle(self, op, dtype):
+        rng = np.random.default_rng(5)
+        n_dst = 64
+        if dtype == np.float64:
+            specials = np.array([np.nan, np.inf, -np.inf, 0.0, -1.5])
+            pool = np.concatenate([rng.standard_normal(40), specials])
+        elif dtype == np.bool_:
+            pool = np.array([False, True])
+        else:
+            info = np.iinfo(dtype)  # sums near the bounds wrap around
+            pool = np.array([info.max, info.max - 1, info.min, -1, 1, 7])
+        pool = pool.astype(dtype)
+        scratch = _target_for(op, n_dst, dtype)
+        flushes = [
+            np.array([], dtype=np.int64),                # empty
+            np.array([n_dst - 1]),                       # single, last row
+            np.full(50, n_dst - 1),                      # all duplicates
+            rng.integers(0, n_dst, 300),                 # mixed
+            np.arange(n_dst)[::-1],                      # every row once
+        ]
+        for offsets in flushes:
+            values = rng.choice(pool, len(offsets))
+            got = _combine(op, offsets, values, scratch)
+            assert got[1].dtype == np.dtype(dtype)
+            assert _as_set(got) == _as_set(_reference(op, offsets, values))
+        if dtype != np.bool_ and op is ReduceOp.SUM:
+            info = np.iinfo(dtype)
+            uniq, reduced = _combine(op, np.array([3, 3]),
+                                     np.array([info.max, 1], dtype=dtype),
+                                     scratch)
+            assert reduced.tolist() == [info.min]
 
-    def test_float_sum_matches_sequential_group_accumulation(self):
-        # bincount adds group members in arrival order — same result as
-        # np.add.at into a zeroed scratch array, bit for bit.
-        rng = np.random.default_rng(7)
-        offsets = rng.integers(0, 16, 300)
-        values = rng.standard_normal(300)
-        uniq, reduced = ReduceOp.SUM.segment_reduce(offsets, values)
-        scratch = np.zeros(16)
-        np.add.at(scratch, offsets, values)
-        assert np.array_equal(reduced, scratch[uniq])
+    def test_second_call_on_disjoint_offsets_sees_no_leakage(self):
+        scratch = np.full(10, np.inf)
+        _combine(ReduceOp.MIN, np.array([0, 1, 1, 2]),
+                 np.array([-5.0, -6.0, np.nan, -7.0]), scratch)
+        uniq, reduced = _combine(ReduceOp.MIN, np.array([3, 4, 3]),
+                                 np.array([2.0, 9.0, 1.0]), scratch)
+        assert _as_set((uniq, reduced)) == _as_set(
+            (np.array([3, 4]), np.array([1.0, 9.0])))
+        # and the first call's rows read back as bottom
+        uniq, reduced = _combine(ReduceOp.MIN, np.array([0, 1, 2]),
+                                 np.array([np.inf] * 3), scratch)
+        assert reduced.tolist() == [np.inf] * 3
 
-
-class TestSegmentGroupCache:
-    """The memo every write-combining flush goes through: a key presented
-    with different offsets rebuilds, and every answer is bit-identical to
-    the uncached :meth:`ReduceOp.segment_reduce`."""
-
-    @pytest.mark.parametrize("op", ALL_OPS, ids=lambda o: o.value)
-    def test_changed_offsets_under_one_key_rebuild(self, op):
-        rng = np.random.default_rng(11)
-        first = rng.integers(0, 30, 200)
-        same_length = rng.integers(0, 30, 200)
-        shorter = rng.integers(0, 30, 120)
-        cache = SegmentGroupCache()
-        key = (0, 1, "t")
-        for offsets, hit in ((first, False), (same_length, False),
-                             (shorter, False), (first, False),
-                             (first.copy(), True)):
-            values = _values_for(op, rng, len(offsets))
-            hits = cache.hits
-            got = op.segment_reduce(offsets, values, cache=cache, key=key)
-            want = op.segment_reduce(offsets, values)
-            assert (cache.hits > hits) == hit
-            for g, w in zip(got, want):
-                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
-        assert cache.misses == 4
-
-    def test_combining_pagerank_push_hits_the_machine_caches(self, small_rmat):
-        from repro.algorithms import pagerank
-        from tests.conftest import make_cluster
-
-        cluster = make_cluster(4, 40, combine_writes=True)
-        dg = cluster.load_graph(small_rmat)
-        pagerank(cluster, dg, variant="push", max_iterations=4)
-        assert all(m.combine_cache.hits > 0 for m in dg.machines)
+    @pytest.mark.parametrize("op,values,scratch", [
+        (ReduceOp.SUM, np.ones(3), np.zeros(4)),
+        (ReduceOp.SUM, np.ones(3, np.float32), np.zeros(4, np.float32)),
+        (ReduceOp.OVERWRITE, np.ones(3), np.zeros(4)),
+        (ReduceOp.OVERWRITE, np.ones(3, np.int64), np.zeros(4, np.int64)),
+        (ReduceOp.MIN, np.ones(3, np.int64), np.zeros(4)),
+    ], ids=["float-sum", "float32-sum", "overwrite", "int-overwrite",
+            "dtype-mismatch"])
+    def test_order_sensitive_reductions_are_refused(self, op, values,
+                                                    scratch):
+        before = scratch.copy()
+        with pytest.raises(ValueError, match="cannot be combined"):
+            op.segment_reduce(np.array([0, 1, 0]), values, scratch,
+                              np.empty(4, dtype=np.int64))
+        assert np.array_equal(scratch, before)
 
 
 class TestPropertyStore:

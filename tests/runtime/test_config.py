@@ -53,11 +53,11 @@ class TestClusterConfigHelpers:
 
     def test_engine_mode_switches(self):
         """Staging order is not a switch: canonical apply is unconditional
-        and the audit's negative control injects the unsorted apply."""
+        and the audit's negative control injects the unsorted apply.  Nor
+        is write combining: every order-insensitive flush combines."""
         switches = {f.name for f in dataclasses.fields(EngineConfig)
                     if f.type in (bool, "bool")}
-        assert switches == {"ghost_privatization", "combine_writes",
-                            "audit", "out_of_core"}
+        assert switches == {"ghost_privatization", "audit", "out_of_core"}
 
 
 class TestPaperDefaults:
