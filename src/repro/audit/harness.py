@@ -393,6 +393,11 @@ class AuditHarness:
                           else "dynamic_solo")
         cluster = self._cluster(scenario, tie_seed)
         eng = self._dynamic_engine(cluster)
+        if two_tenant:
+            # attached before the warm-up, whose first job would otherwise
+            # create the cluster's default scheduler
+            sched = JobScheduler(cluster,
+                                 SchedulerConfig(max_concurrent_jobs=2))
         try:
             # Warm the per-algorithm state on epoch 0 so the post-batch
             # runs exercise the incremental path, not a cold full rerun.
@@ -400,8 +405,6 @@ class AuditHarness:
             eng.wcc()
             eng.pagerank()
             if two_tenant:
-                sched = JobScheduler(cluster,
-                                     SchedulerConfig(max_concurrent_jobs=2))
                 reader_dg = eng.pin()
                 jobs = self._stream(scenario.workload, reader_dg)
                 sched.submit_many("reader", reader_dg, jobs)

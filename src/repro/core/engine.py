@@ -33,13 +33,13 @@ from ..runtime.simulator import Simulator
 from ..runtime.stats import JobStats
 from . import barrier as barrier_mod
 from .data_manager import DataManager
-from .faults import EngineStallError, FaultController, MachineCrashError
+from .faults import FaultController
 from .ghost import select_ghosts
 from .job import Job
-from .jobrunner import JobExecution, make_execution
 from .machine import Machine
 from .messages import MessagePool, RmiRegistry
 from .properties import ReduceOp
+from .scheduler import JobScheduler
 
 
 class LocalView:
@@ -164,10 +164,9 @@ class PgxdCluster:
         #: use them only when pooling is safe (no fault layer)
         self.msg_pool = MessagePool()
         self.job_log: list[tuple[str, JobStats]] = []
-        #: multi-tenant front end; attach with JobScheduler(cluster).  When
-        #: set, run_job routes through the scheduler so queued background
-        #: tenants interleave with synchronous driver jobs.
-        self.scheduler = None
+        #: the one job loop; run_job creates a default JobScheduler on the
+        #: first job, so a configured one must be attached before that
+        self.scheduler: Optional[JobScheduler] = None
         #: epoch-keyed result cache for served reads; attach with
         #: ResultCache(cluster) or PgxdServer.enable_cache().  When set,
         #: scheduled read jobs consult it before computing.
@@ -177,6 +176,7 @@ class PgxdCluster:
         self.profiler = None
         #: crash-recovery state (see enable_auto_checkpoint / run_job)
         self.auto_recover = False
+        #: crash recoveries allowed per job (each ticket counts its own)
         self.max_recoveries = 3
         self._ckpt_dgraph: Optional[DistributedGraph] = None
         self._ckpt_path: Optional[Path] = None
@@ -239,60 +239,26 @@ class PgxdCluster:
                 recover: Optional[bool] = None) -> JobStats:
         """Execute one parallel region to completion; returns its stats.
 
+        Every job is a ticket of the cluster's
+        :class:`~repro.core.scheduler.JobScheduler`, created here on the
+        first job when none is attached: the call is
+        :meth:`JobScheduler.run_inline`, which blocks until this job
+        completes while queued background jobs of other sessions advance in
+        the same event loop.
+
         ``recover`` controls what happens when an injected machine crash
         (:class:`~repro.core.faults.MachineCrashError`) aborts the region:
-        ``True`` restores the last checkpoint written by
-        :meth:`enable_auto_checkpoint` (if any) and reruns the job, up to
-        ``max_recoveries`` times; ``False`` re-raises; ``None`` (default)
-        uses the cluster's ``auto_recover`` setting.  A drained event queue
-        with the job unfinished raises a structured
+        ``True`` restores the checkpoint written by
+        :meth:`enable_auto_checkpoint` and reruns the job, up to
+        ``max_recoveries`` times per job; without a checkpoint of this
+        graph the crash re-raises, as it does with ``False``; ``None``
+        (default) uses the cluster's ``auto_recover`` setting.  A drained
+        event queue with the job unfinished raises a structured
         :class:`~repro.core.faults.EngineStallError` carrying per-worker
         parked/in-flight diagnostics.
-
-        With a :class:`~repro.core.scheduler.JobScheduler` attached, the
-        call delegates to :meth:`JobScheduler.run_inline`: it still blocks
-        until this job completes, but queued background jobs of other
-        sessions advance in the same event loop.
         """
-        if self.scheduler is not None:
-            return self.scheduler.run_inline(dgraph, job, recover=recover)
-        if recover is None:
-            recover = self.auto_recover
-        before = self.metrics.counters_flat()
-        events_before = self.sim.events_executed
-        pool_hits_before = self.sim.event_pool_hits
-        recoveries = 0
-        while True:
-            exc = make_execution(self, dgraph, job)
-            crash_events = (self.faults.arm_crashes()
-                            if self.faults is not None else [])
-            try:
-                exc.start()
-                if not self.sim.step_while(lambda: not exc.done):
-                    raise EngineStallError(job.name, exc.stall_diagnostics())
-            except MachineCrashError:
-                if not recover or recoveries >= self.max_recoveries:
-                    raise
-                recoveries += 1
-                self._recover_after_crash(dgraph, job)
-                continue
-            finally:
-                for ev in crash_events:
-                    self.sim.cancel(ev)
-            break
-        self.metrics.counter("repro_jobs_total", labelnames=("kind",)).labels(
-            kind=type(job).__name__).inc()
-        self.metrics.counter("repro_sim_events_total").inc(
-            self.sim.events_executed - events_before)
-        self.metrics.counter("repro_sim_event_pool_hits").inc(
-            self.sim.event_pool_hits - pool_hits_before)
-        self.metrics.histogram("repro_job_seconds").observe(exc.stats.elapsed)
-        exc.stats.metrics_delta = self.metrics.delta_since(before)
-        if self.profiler is not None:
-            self.profiler.annotate(exc.stats, job.name)
-        self.job_log.append((job.name, exc.stats))
-        self._maybe_auto_checkpoint(dgraph)
-        return exc.stats
+        return (self.scheduler or JobScheduler(self)).run_inline(
+            dgraph, job, recover=recover)
 
     def run_jobs(self, dgraph: DistributedGraph, jobs: Sequence[Job],
                  recover: Optional[bool] = None) -> JobStats:
@@ -360,23 +326,6 @@ class PgxdCluster:
         self.hooks.emit("job.checkpoint", path=str(self._ckpt_path),
                         time=self.sim.now)
 
-    def _recover_after_crash(self, dgraph: DistributedGraph, job: Job) -> None:
-        """Reset live execution state and roll back to the last checkpoint.
-
-        The crashed execution's events are abandoned wholesale (they must
-        not fire into the restarted job), per-machine queues and thread
-        accounting are cleared, property columns are restored from the last
-        auto-checkpoint when one exists, and the clock advances by the
-        plan's ``restart_delay`` to model detection + restart.
-        """
-        self.sim.clear_pending()
-        self._reset_dgraph_state(dgraph)
-        ckpt = self._restore_last_checkpoint(dgraph)
-        if self.faults is not None:
-            self.advance(self.faults.plan.restart_delay)
-        self.hooks.emit("job.recover", job=job.name, time=self.sim.now,
-                        checkpoint=str(ckpt) if ckpt is not None else "")
-
     def _reset_dgraph_state(self, dgraph: DistributedGraph) -> None:
         """Clear per-machine queues and thread accounting after a crash."""
         for m in dgraph.machines:
@@ -384,20 +333,6 @@ class PgxdCluster:
             m.chunk_queue.clear()
             m.cpu.reset_threads()
             m.disk.reset()
-
-    def _restore_last_checkpoint(self, dgraph: DistributedGraph) -> Optional[Path]:
-        """Restore ``dgraph`` from the auto-checkpoint archive, if it has one.
-
-        Returns the checkpoint path actually restored, or ``None`` when the
-        graph has no checkpoint (the caller then restarts from live state).
-        """
-        ckpt = self._last_checkpoint
-        if ckpt is not None and self._ckpt_dgraph is dgraph:
-            from .checkpoint import restore_properties
-
-            restore_properties(dgraph, ckpt)
-            return ckpt
-        return None
 
     # -- sequential-region primitives -------------------------------------------
 

@@ -132,12 +132,12 @@ class MutationExecution:
     instant, followed by a cluster barrier.
     """
 
-    def __init__(self, cluster: PgxdCluster, job: MutationJob, hooks=None):
+    def __init__(self, cluster: PgxdCluster, job: MutationJob, hooks):
         self.cluster = cluster
         self.job = job
         self.engine = job.engine
         self.sim = cluster.sim
-        self.hooks = hooks if hooks is not None else cluster.hooks
+        self.hooks = hooks
         self.on_done = None
         self.done = False
         self.phase = "mutate"

@@ -38,16 +38,16 @@ from . import barrier as barrier_mod
 class JobExecution:
     """Execution state of one parallel region across the cluster."""
 
-    def __init__(self, cluster, dgraph, job: Job, hooks=None):
+    def __init__(self, cluster, dgraph, job: Job, hooks):
         self.cluster = cluster
         self.dgraph = dgraph
         self.job = job
         self.sim = cluster.sim
         self.network = cluster.network
-        #: standalone runs emit straight on the cluster bus; scheduled runs
-        #: get a :class:`~repro.obs.hooks.ScopedHookBus` that tags every
-        #: payload with session/ticket and keeps the job's metric ledger.
-        self.hooks = hooks if hooks is not None else cluster.hooks
+        #: the bus this region emits on: the scheduler passes its ticket's
+        #: :class:`~repro.obs.hooks.ScopedHookBus`, which tags every payload
+        #: with session/ticket and keeps the job's metric ledger.
+        self.hooks = hooks
         #: invoked (with this execution) right after the region finishes —
         #: the scheduler's event-driven completion signal.
         self.on_done = None
@@ -590,9 +590,9 @@ class JobExecution:
             self.on_done(self)
 
 
-def make_execution(cluster, dgraph, job: Job, hooks=None):
-    """Build the execution for ``job`` — the single dispatch point shared by
-    the serial engine path and the scheduler.
+def make_execution(cluster, dgraph, job: Job, hooks):
+    """Build the execution for ``job``, emitting on ``hooks`` — the single
+    dispatch point of the scheduler's job loop.
 
     Mutation jobs (``job.kind == "mutation"``) get a
     :class:`~repro.core.incremental.MutationExecution`: same interface

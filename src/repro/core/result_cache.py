@@ -204,12 +204,12 @@ class ReadExecution:
     other job.
     """
 
-    def __init__(self, cluster, dgraph, job: ReadJob, hooks=None):
+    def __init__(self, cluster, dgraph, job: ReadJob, hooks):
         self.cluster = cluster
         self.dgraph = dgraph
         self.job = job
         self.sim = cluster.sim
-        self.hooks = hooks if hooks is not None else cluster.hooks
+        self.hooks = hooks
         self.on_done = None
         self.done = False
         self.phase = "read"

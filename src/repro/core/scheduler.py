@@ -125,6 +125,8 @@ class JobTicket:
     stats: Optional[JobStats] = None
     #: the live execution while RUNNING; dropped at completion
     execution: Optional[JobExecution] = None
+    #: crash recoveries this job used (capped by ``max_recoveries``)
+    recoveries: int = 0
 
     @property
     def wait(self) -> float:
@@ -142,11 +144,14 @@ class JobTicket:
 
 
 class JobScheduler:
-    """Fair-share admission + concurrent dispatch over one cluster.
+    """Fair-share admission + concurrent dispatch over one cluster: the
+    engine's one job loop.
 
-    Attaching a scheduler reroutes :meth:`PgxdCluster.run_job` through
-    :meth:`run_inline`, so unmodified algorithm drivers interleave with
-    queued background work while keeping their synchronous call shape.
+    Every job is a ticket: :meth:`PgxdCluster.run_job` is
+    :meth:`run_inline`, and creates a default scheduler on the cluster's
+    first job, so a configured scheduler must be attached before that.
+    Algorithm drivers thus interleave with queued background work while
+    keeping their synchronous call shape.
     """
 
     def __init__(self, cluster, config: Optional[SchedulerConfig] = None,
@@ -169,7 +174,6 @@ class JobScheduler:
         #: session -> weight-normalizable consumed service (simulated s)
         self._service: dict[str, float] = {}
         self._seq = 0
-        self._recoveries = 0
         self._inline_session = "driver"
         #: session -> (tokens, last-refill simulated time) for served reads
         self._read_buckets: dict[str, tuple[float, float]] = {}
@@ -411,7 +415,7 @@ class JobScheduler:
             reg.ledger = None
         stats.metrics_delta = {k: v for k, v in ledger.items() if v != 0.0}
         if cl.profiler is not None:
-            cl.profiler.annotate(stats, ticket.job.name, ticket=ticket.seq)
+            cl.profiler.annotate(stats, ticket.seq)
         ticket.stats = stats
         ticket.execution = None
         ticket.finish_time = cl.sim.now
@@ -431,86 +435,74 @@ class JobScheduler:
             self.on_complete(ticket)
         self._dispatch_ready()
 
-    # -- execution loops ---------------------------------------------------
+    # -- the job loop ------------------------------------------------------
 
     def drain(self) -> None:
-        """Run until every admitted job has completed.
-
-        Crash recovery mirrors the serial engine path: when every active
-        execution targets the checkpointed graph with recovery enabled, the
-        cluster rolls back, the interrupted tickets rejoin the *front* of
-        their queues in admission order, and dispatch resumes — the rest
-        of the admission queue is never reordered.
-        """
-        cl = self.cluster
-        crash_events = (cl.faults.arm_crashes()
-                        if cl.faults is not None else [])
-        try:
-            self._dispatch_ready()
-            while self._running or self.queued_count():
-                if not self._running:
-                    raise SchedulerError(
-                        f"{self.queued_count()} queued jobs but none "
-                        "dispatchable (max_concurrent_jobs="
-                        f"{self.config.max_concurrent_jobs})")
-                try:
-                    if not cl.sim.step():
-                        ticket = next(iter(self._running))
-                        raise EngineStallError(
-                            ticket.job.name,
-                            ticket.execution.stall_diagnostics())
-                except MachineCrashError:
-                    crash_events = self._recover_running(crash_events)
-        finally:
-            for ev in crash_events:
-                cl.sim.cancel(ev)
-            self._account_sim_events()
+        """Run until every admitted job has completed."""
+        self._run(lambda: bool(self._running or self.queued_count()))
 
     def run_inline(self, dgraph, job: Job, recover: Optional[bool] = None,
                    session: Optional[str] = None) -> JobStats:
         """Synchronously run one job while queued tenants co-run.
 
-        This is what :meth:`PgxdCluster.run_job` delegates to when a
-        scheduler is attached: the calling driver blocks until *its* job
-        finishes, but every simulator step it takes also advances any
-        background executions, and completions backfill free slots from
-        the admission queues.  Inline jobs skip admission (they are the
-        session's synchronous turn) but honor the graph lock, the
+        This is :meth:`PgxdCluster.run_job`: the calling driver blocks
+        until *its* job finishes, but every simulator step it takes also
+        advances any background executions, and completions backfill free
+        slots from the admission queues.  Inline jobs skip admission (they
+        are the session's synchronous turn) but honor the graph lock, the
         per-session running cap, and the fairness ledger.
         """
-        cl = self.cluster
         sess = session if session is not None else self._inline_session
         if job.kind == "read":
             self.admit_read(sess, job.name)
         ticket = JobTicket(seq=self._next_seq(), session=sess, dgraph=dgraph,
                            job=job, priority=self.config.default_priority,
                            recover=recover, inline=True,
-                           submit_time=cl.sim.now)
+                           submit_time=self.cluster.sim.now)
         self.tickets.append(ticket)
+        self._run(lambda: ticket.state != DONE, inline=ticket)
+        return ticket.stats
+
+    def _run(self, busy: Callable[[], bool],
+             inline: Optional[JobTicket] = None) -> None:
+        """Step the simulator while ``busy()`` holds.
+
+        ``inline`` (the synchronous caller's ticket) starts as soon as its
+        graph and session are free.  A machine crash rolls the running
+        tickets back through :meth:`_recover_running` and the loop
+        resumes; the inline ticket is started again, queued ones were put
+        back at the front of their queues.
+        """
+        cl = self.cluster
         crash_events = (cl.faults.arm_crashes()
                         if cl.faults is not None else [])
         try:
             self._dispatch_ready()
             while True:
                 try:
-                    if not cl.sim.step_while(
-                            lambda: not self._dispatchable(ticket)):
+                    if inline is not None and inline.state == QUEUED:
+                        if not cl.sim.step_while(
+                                lambda: not self._dispatchable(inline)):
+                            raise SchedulerError(
+                                f"inline job {inline.job.name!r} blocked on "
+                                "graph/session capacity that never frees")
+                        self._start(inline)
+                    if cl.sim.step_while(busy):
+                        return
+                    if not self._running:
                         raise SchedulerError(
-                            f"inline job {job.name!r} blocked on graph/"
-                            "session capacity that never frees")
-                    self._start(ticket)
-                    if not cl.sim.step_while(lambda: ticket.state != DONE):
-                        raise EngineStallError(
-                            job.name, ticket.execution.stall_diagnostics())
+                            f"{self.queued_count()} queued jobs but none "
+                            "dispatchable (max_concurrent_jobs="
+                            f"{self.config.max_concurrent_jobs})")
+                    ticket = inline or next(iter(self._running))
+                    raise EngineStallError(
+                        ticket.job.name, ticket.execution.stall_diagnostics())
                 except MachineCrashError:
-                    crash_events = self._recover_running(crash_events)
-                    continue
-                break
+                    crash_events = self._recover_running()
         finally:
             for ev in crash_events:
                 cl.sim.cancel(ev)
             self._account_sim_events()
-        return ticket.stats
 
     def _account_sim_events(self) -> None:
         """Raise the cluster's simulator-event counters to the simulator's
@@ -528,47 +520,55 @@ class JobScheduler:
             return ticket.recover
         return self.cluster.auto_recover
 
-    def _recover_running(self, crash_events: list) -> list:
+    def _recover_running(self) -> list:
         """Roll every active execution back to the checkpoint and requeue.
 
+        The crashed executions' events are abandoned wholesale (they must
+        not fire into the restarted jobs), per-machine queues and thread
+        accounting are cleared, property columns are restored from the
+        auto-checkpoint, and the clock advances by the plan's
+        ``restart_delay`` to model detection + restart.
+
         Recovery is only possible when each active execution targets the
-        cluster's checkpointed graph with recovery enabled; otherwise the
-        crash propagates to the caller.  Interrupted queued tickets rejoin
-        the front of their priority queues in admission order; interrupted
-        inline tickets return to their owning :meth:`run_inline` loop.
+        cluster's checkpointed graph with recovery enabled and has
+        recoveries left of its per-job ``max_recoveries``; otherwise the
+        crash propagates to the caller.  Without a checkpoint a rerun would
+        start from half-applied writes, so that crash propagates too.
+        Interrupted queued tickets rejoin the front of their priority
+        queues in admission order; the interrupted inline ticket is started
+        again by :meth:`_run`.
         """
         cl = self.cluster
         active = sorted(self._running, key=lambda t: t.seq)
         recoverable = (
             active
-            and self._recoveries < cl.max_recoveries
             and cl._last_checkpoint is not None
-            and all(self._effective_recover(t) for t in active)
-            and all(t.dgraph is cl._ckpt_dgraph for t in active)
+            and all(self._effective_recover(t)
+                    and t.dgraph is cl._ckpt_dgraph
+                    and t.recoveries < cl.max_recoveries for t in active)
         )
         if not recoverable:
             raise
-        self._recoveries += 1
-        cl.sim.clear_pending()
-        for ev in crash_events:
-            cl.sim.cancel(ev)
+        cl.sim.clear_pending()  # the armed crash events with everything else
         for ticket in active:
             cl._reset_dgraph_state(ticket.dgraph)
+            ticket.recoveries += 1
             ticket.execution = None  # and with it the failed attempt's ledger
             ticket.dispatch_time = None
             ticket.state = QUEUED
             del self._running[ticket]
             self._busy_dgraphs.discard(id(ticket.dgraph))
             self._session_running[ticket.session] -= 1
-        ckpt = cl._restore_last_checkpoint(active[0].dgraph)
-        if cl.faults is not None:
-            cl.advance(cl.faults.plan.restart_delay)
+        from .checkpoint import restore_properties
+
+        restore_properties(active[0].dgraph, cl._last_checkpoint)
+        cl.advance(cl.faults.plan.restart_delay)
         for ticket in active:
             cl.hooks.emit("job.recover", job=ticket.job.name,
                           time=cl.sim.now,
-                          checkpoint=str(ckpt) if ckpt is not None else "")
+                          checkpoint=str(cl._last_checkpoint))
         for ticket in reversed([t for t in active if not t.inline]):
             self._queues[ticket.priority].appendleft(ticket)
-        fresh = cl.faults.arm_crashes() if cl.faults is not None else []
+        fresh = cl.faults.arm_crashes()
         self._dispatch_ready()
         return fresh

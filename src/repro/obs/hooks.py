@@ -165,38 +165,40 @@ class HookBus:
 class ScopedHookBus:
     """A tagging, ledger-keeping proxy over a cluster's :class:`HookBus`.
 
-    The scheduler hands one of these to each execution it dispatches, so a
-    region running interleaved with other tenants stays attributable: every
-    payload gains the scope's ``tags`` (session name, ticket id) before
-    reaching the shared cluster bus, and for the duration of that
-    (synchronous) dispatch the cluster ``registry`` also adds every counter
-    and histogram update to this bus's sparse ``ledger`` — so the ledger
-    holds exactly the increments this job's own events caused, however the
-    tenants' events interleave.  Observers see everything exactly once.
+    The scheduler hands one of these to each execution it dispatches —
+    every job is a ticket — so a region running interleaved with other
+    tenants stays attributable: every payload gains the scope's ``tags``
+    (session name, ticket id) before reaching the shared cluster bus's
+    subscribers, and for the duration of that (synchronous) dispatch the
+    cluster ``registry`` also adds every counter and histogram update to
+    this bus's sparse ``ledger`` — so the ledger holds exactly the
+    increments this job's own events caused, however the tenants' events
+    interleave.  Observers see everything exactly once.
 
     The proxy quacks like a :class:`HookBus` for the emit-side API the
     engine layers use (``emit``/``has``); subscription management stays on
     the underlying bus.
     """
 
-    __slots__ = ("outer", "tags", "registry", "ledger")
+    __slots__ = ("tags", "registry", "ledger", "_subs")
 
     def __init__(self, outer: "HookBus", registry,
                  tags: Mapping[str, object] | None = None):
-        self.outer = outer
         self.registry = registry
         self.tags = dict(tags or {})
         #: flat series name -> increment caused by this scope's events
         self.ledger: dict[str, float] = {}
+        #: the outer bus's live subscription table, shared (not copied)
+        self._subs = outer._subs
 
     def has(self, name: str) -> bool:
-        return name in self.outer._subs
+        return name in self._subs
 
     def emit(self, name: str, **payload) -> None:
-        # Has-subscribers guard: skip the tag merge when nobody listens (the
-        # caller already paid for the payload dict, which is why hot emit
-        # sites additionally pre-check ``has``).
-        if name not in self.outer._subs:
+        # Fans out to the outer bus's subscribers itself: re-dispatching
+        # through ``outer.emit`` would rebuild the payload dict per emit.
+        subs = self._subs.get(name)
+        if not subs:
             return
         for key, value in self.tags.items():
             payload.setdefault(key, value)
@@ -204,6 +206,8 @@ class ScopedHookBus:
         previous = registry.ledger
         registry.ledger = self.ledger
         try:
-            self.outer.emit(name, **payload)
+            for sub in tuple(subs):
+                if sub.active:
+                    sub.fn(payload)
         finally:
             registry.ledger = previous

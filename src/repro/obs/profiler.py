@@ -35,9 +35,9 @@ Usage::
     print(prof.render_report())
     prof.save("profile-trace.json")      # open in ui.perfetto.dev
 
-Scheduled (multi-tenant) runs need no extra wiring: the scheduler's scoped
-buses tag every payload with ``session``/``ticket``, which is what keys the
-per-job builders — so interleaved tenants attribute spans correctly.
+Every job runs as a scheduler ticket, whose scoped bus tags every payload
+with ``session``/``ticket``; the ticket keys the per-job builders, so
+interleaved tenants attribute spans correctly with no extra wiring.
 """
 
 from __future__ import annotations
@@ -589,22 +589,20 @@ def _analyze(build: _JobBuild) -> JobProfile:
 class SpanProfiler:
     """Records span events while installed; analysis is per finished job.
 
-    Solo runs key the capture on the serial "current job" (the engine runs
-    one region at a time without a scheduler); scheduled runs key on the
-    ``ticket`` tag added by each job's :class:`ScopedHookBus`, so
-    interleaved tenants never mix spans.  Events arriving outside any known
-    job (e.g. checkpoint writes between regions) count as orphans.
+    Every job is a scheduler ticket, so the capture keys on the ``ticket``
+    tag added by each job's :class:`ScopedHookBus` and interleaved tenants
+    never mix spans.  Events arriving outside any known job (e.g. from an
+    execution driven by hand on the cluster bus) count as orphans.
     """
 
     def __init__(self, cluster):
         self.cluster = cluster
         self._installed = False
         self._subs: list[Subscription] = []
-        self._builds: dict[tuple, _JobBuild] = {}
+        #: ticket -> the capture of that job's running attempt
+        self._builds: dict[int, _JobBuild] = {}
         self._finished: list[_JobBuild] = []
         self._cache: dict[int, JobProfile] = {}
-        self._solo_key: Optional[tuple] = None
-        self._solo_seq = 0
         #: events that arrived with no open job to attach to
         self.orphan_events = 0
         #: captures abandoned by crash recovery (job restarted mid-flight)
@@ -614,51 +612,34 @@ class SpanProfiler:
 
     # -- capture hooks -----------------------------------------------------
 
-    def _key(self, p: dict) -> Optional[tuple]:
-        t = p.get("ticket")
-        if t is not None:
-            return ("t", t)
-        return self._solo_key
-
     def _on_job_start(self, p: dict) -> None:
         t = p.get("ticket")
-        if t is not None:
-            key = ("t", t)
-        else:
-            key = ("s", self._solo_seq)
-            self._solo_seq += 1
-            self._solo_key = key
-        stale = self._builds.pop(key, None)
+        if t is None:
+            self.orphan_events += 1
+            return
+        stale = self._builds.pop(t, None)
         if stale is not None:  # crash recovery restarted this job
             self.aborted.append(stale)
-        self._builds[key] = _JobBuild(p["job"], p["time"],
-                                      session=p.get("session"), ticket=t)
+        self._builds[t] = _JobBuild(p["job"], p["time"],
+                                    session=p.get("session"), ticket=t)
 
     def _on_job_end(self, p: dict) -> None:
-        key = self._key(p)
-        build = self._builds.pop(key, None) if key is not None else None
+        build = self._builds.pop(p.get("ticket"), None)
         if build is None:
             self.orphan_events += 1
             return
         build.end = p["start"] + p["duration"]
         self._finished.append(build)
-        if key == self._solo_key:
-            self._solo_key = None
 
     def _on_phase_end(self, p: dict) -> None:
-        b = self._builds.get(self._key(p))
+        b = self._builds.get(p.get("ticket"))
         if b is None:
             self.orphan_events += 1
             return
         b.phases.append((p["phase"], p["start"], p["start"] + p["duration"]))
 
-    # the three handlers below fire for every chunk / copier pass / fabric
-    # message — the ticket lookup is inlined (no _key call) to keep the
-    # per-event capture cost down
-
     def _on_chunk_end(self, p: dict) -> None:
-        t = p.get("ticket")
-        b = self._builds.get(("t", t) if t is not None else self._solo_key)
+        b = self._builds.get(p.get("ticket"))
         if b is None:
             self.orphan_events += 1
             return
@@ -666,8 +647,7 @@ class SpanProfiler:
                          p["duration"]))
 
     def _on_copier_done(self, p: dict) -> None:
-        t = p.get("ticket")
-        b = self._builds.get(("t", t) if t is not None else self._solo_key)
+        b = self._builds.get(p.get("ticket"))
         if b is None:
             self.orphan_events += 1
             return
@@ -675,22 +655,21 @@ class SpanProfiler:
                           p["duration"]))
 
     def _on_ghost_reduce_end(self, p: dict) -> None:
-        b = self._builds.get(self._key(p))
+        b = self._builds.get(p.get("ticket"))
         if b is None:
             self.orphan_events += 1
             return
         b.ghosts.append((p["machine"], p["start"], p["duration"]))
 
     def _on_disk_read(self, p: dict) -> None:
-        b = self._builds.get(self._key(p))
+        b = self._builds.get(p.get("ticket"))
         if b is None:
             self.orphan_events += 1
             return
         b.disks.append((p["machine"], p["start"], p["duration"]))
 
     def _on_net_send(self, p: dict) -> None:
-        t = p.get("ticket")
-        b = self._builds.get(("t", t) if t is not None else self._solo_key)
+        b = self._builds.get(p.get("ticket"))
         if b is None:
             self.orphan_events += 1
             return
@@ -702,14 +681,14 @@ class SpanProfiler:
                            deliver, p["nbytes"]))
 
     def _on_retry(self, p: dict) -> None:
-        b = self._builds.get(self._key(p))
+        b = self._builds.get(p.get("ticket"))
         if b is None:
             self.orphan_events += 1
             return
         b.retries.append((p["machine"], p["kind"], p["attempt"], p["time"]))
 
     def _on_barrier_exit(self, p: dict) -> None:
-        b = self._builds.get(self._key(p))
+        b = self._builds.get(p.get("ticket"))
         if b is None:
             self.orphan_events += 1
             return
@@ -785,19 +764,11 @@ class SpanProfiler:
     def last_profile(self) -> Optional[JobProfile]:
         return self._profile(self._finished[-1]) if self._finished else None
 
-    def annotate(self, stats, name: str,
-                 ticket: Optional[int] = None) -> Optional[JobProfile]:
-        """Attach critical-path fields to a job's stats (engine/scheduler
-        call this on completion when a profiler is installed)."""
-        build = None
-        for b in reversed(self._finished):
-            if ticket is not None:
-                if b.ticket == ticket:
-                    build = b
-                    break
-            elif b.name == name:
-                build = b
-                break
+    def annotate(self, stats, ticket: int) -> Optional[JobProfile]:
+        """Attach critical-path fields to a job's stats (the scheduler
+        calls this on completion when a profiler is installed)."""
+        build = next((b for b in reversed(self._finished)
+                      if b.ticket == ticket), None)
         if build is None:
             return None
         prof = self._profile(build)

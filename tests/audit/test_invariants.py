@@ -19,7 +19,7 @@ def run_audited(graph, job, **kwargs):
     dg = cluster.load_graph(graph)
     dg.add_property("x", init=1.0)
     dg.add_property("t", init=0.0)
-    exc = JobExecution(cluster, dg, job)
+    exc = JobExecution(cluster, dg, job, cluster.hooks)
     exc.start()
     while not exc.done:
         cluster.sim.step()
@@ -46,7 +46,7 @@ class TestCleanExecutions:
         dg = cluster.load_graph(small_rmat)
         dg.add_property("x", init=1.0)
         dg.add_property("t", init=0.0)
-        exc = JobExecution(cluster, dg, PULL)
+        exc = JobExecution(cluster, dg, PULL, cluster.hooks)
         exc.start()
         while not exc.done:
             cluster.sim.step()

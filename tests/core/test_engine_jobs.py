@@ -454,7 +454,11 @@ class TestRunJobs:
         cluster.enable_auto_checkpoint(dg, tmp_path / "ck.npz")
         stats = cluster.run_jobs(dg, jobs, recover=True)
         assert np.array_equal(dg.gather("t"), want)
-        assert stats.metrics_delta["repro_job_recoveries_total"] >= 1
+        # recoveries are cluster-level: counted on the cluster, never in
+        # a job's delta (which covers its final attempt only)
+        assert cluster.metrics.counters_flat()[
+            "repro_job_recoveries_total"] >= 1
+        assert "repro_job_recoveries_total" not in stats.metrics_delta
 
     def test_merged_stats_sum_per_job_metrics_deltas(self):
         cluster, dg, jobs = self._fresh()

@@ -10,10 +10,12 @@ metrics are nonzero exactly when faults were injected.
 import numpy as np
 import pytest
 
-from repro import (EngineStallError, FaultPlan, MachineCrash,
-                   MachineCrashError, MachineSlowdown, RetryExhaustedError)
+from repro import (EdgeMapJob, EdgeMapSpec, EngineStallError, FaultPlan,
+                   MachineCrash, MachineCrashError, MachineSlowdown, ReduceOp,
+                   RetryExhaustedError, rmat)
 from repro.algorithms import hop_dist, pagerank
 from repro.core.faults import FaultController
+from repro.core.scheduler import JobScheduler
 from repro.obs.report import fault_summary
 from tests.conftest import make_cluster
 
@@ -169,7 +171,8 @@ class TestPayForPlay:
         dg.add_property("x", init=1.0)
         dg.add_property("t", init=0.0)
         exc = JobExecution(cluster, dg, EdgeMapJob(name="probe", spec=EdgeMapSpec(
-            direction="pull", source="x", target="t", op=ReduceOp.SUM)))
+            direction="pull", source="x", target="t", op=ReduceOp.SUM)),
+            cluster.hooks)
         assert exc.msg_pool is (cluster.msg_pool if plan is None else None)
         before = cluster.msg_pool.message_hits
         pagerank(cluster, dg, "pull", max_iterations=3, tolerance=0.0)
@@ -204,6 +207,54 @@ class TestCrashRecovery:
         base, _ = _run_pagerank(small_rmat)
         assert np.array_equal(base, vals)
         assert fault_summary(cluster.metrics)["recoveries"] >= 1
+
+
+class TestRecoveryRules:
+    """A rerun needs a checkpoint to rewind to, and ``max_recoveries``
+    caps each job's recoveries, not the cluster's."""
+
+    GRAPH = rmat(400, 3000, seed=3)
+    JOBS = 8
+
+    def _run(self, *crashes, ckpt=None, scheduler=False, max_recoveries=3):
+        """JOBS pull-SUM jobs accumulating in-degrees into ``t``; returns
+        (t, cluster)."""
+        plan = FaultPlan(seed=5, crashes=crashes) if crashes else None
+        cluster = make_cluster(num_machines=2, fault_plan=plan)
+        cluster.max_recoveries = max_recoveries
+        if scheduler:
+            JobScheduler(cluster)  # attached up front, as a server does
+        dg = cluster.load_graph(self.GRAPH)
+        dg.add_property("x", init=1.0)
+        dg.add_property("t", init=0.0)
+        if ckpt is not None:
+            cluster.enable_auto_checkpoint(dg, ckpt)
+        cluster.run_jobs(dg, [EdgeMapJob(name=f"j{i}", spec=EdgeMapSpec(
+            direction="pull", source="x", target="t", op=ReduceOp.SUM))
+            for i in range(self.JOBS)], recover=True)
+        return dg.gather("t"), cluster
+
+    def test_recover_without_checkpoint_reraises(self):
+        # a rerun over the crashed attempt's half-applied writes would
+        # "succeed" with wrong sums
+        _, quiet = self._run()
+        with pytest.raises(MachineCrashError):
+            self._run(MachineCrash(machine=1, at=0.5 * quiet.now))
+
+    @pytest.mark.parametrize("scheduler", [False, True],
+                             ids=["default", "attached"])
+    def test_recovery_budget_is_per_job(self, tmp_path, scheduler):
+        want, quiet = self._run()
+        t_end = quiet.now
+        got, cluster = self._run(
+            MachineCrash(machine=1, at=0.06 * t_end),
+            MachineCrash(machine=0, at=0.8 * t_end),
+            ckpt=tmp_path / "ck.npz", scheduler=scheduler, max_recoveries=1)
+        assert np.array_equal(got, want)
+        assert want.sum() == self.JOBS * self.GRAPH.num_edges
+        assert fault_summary(cluster.metrics)["recoveries"] == 2
+        assert sorted(t.recoveries for t in cluster.scheduler.tickets) == [
+            0] * (self.JOBS - 2) + [1, 1]
 
 
 class TestRetryExhaustion:

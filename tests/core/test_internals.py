@@ -14,7 +14,7 @@ def build_exec(graph, job, **cluster_kwargs):
     dg = cluster.load_graph(graph)
     dg.add_property("x", init=1.0)
     dg.add_property("t", init=0.0)
-    return cluster, dg, JobExecution(cluster, dg, job)
+    return cluster, dg, JobExecution(cluster, dg, job, cluster.hooks)
 
 
 PULL = EdgeMapJob(name="j", spec=EdgeMapSpec(direction="pull", source="x",
@@ -41,7 +41,7 @@ class TestJobExecutionSetup:
         dg = cluster.load_graph(small_rmat)
         dg.add_property("a")
         dg.add_property("b")
-        exc = JobExecution(cluster, dg, job)
+        exc = JobExecution(cluster, dg, job, cluster.hooks)
         assert exc.ghost_write_set == {"b"}
 
     def test_node_kernel_jobs_skip_ghost_sync(self, small_rmat):
@@ -53,7 +53,7 @@ class TestJobExecutionSetup:
         dg = cluster.load_graph(small_rmat)
         dg.add_property("x")
         dg.add_property("t")
-        exc = JobExecution(cluster, dg, job)
+        exc = JobExecution(cluster, dg, job, cluster.hooks)
         assert not exc.syncs_ghosts
         assert exc.ghost_write_props == ()
 

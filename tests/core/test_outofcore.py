@@ -386,7 +386,8 @@ class TestDrainAtLastChunkEnd:
         dg.add_property("x", init=1.0)
         dg.add_property("t", init=0.0)
         exc = JobExecution(cluster, dg, EdgeMapJob(name="j", spec=EdgeMapSpec(
-            direction="push", source="x", target="t", op=ReduceOp.SUM)))
+            direction="push", source="x", target="t", op=ReduceOp.SUM)),
+            cluster.hooks)
         return cluster, dg, exc
 
     def test_nothing_resident_when_job_ends(self, small_rmat_weighted):

@@ -492,14 +492,18 @@ class TestSchedulerObservability:
         text = render_overhead_report(server.cluster.metrics)
         assert "scheduler: 6 admitted" in text
 
-    def test_quiet_cluster_report_suppresses_scheduler_line(self, small_rmat):
+    def test_solo_job_counts_in_scheduler_line(self, small_rmat):
         from repro.obs.report import render_overhead_report
 
         cluster = make_cluster(2)
         dg = cluster.load_graph(small_rmat)
         add_xt(dg)
         cluster.run_job(dg, pull_job())
-        assert "scheduler:" not in render_overhead_report(cluster.metrics)
+        (line,) = [ln for ln in render_overhead_report(
+            cluster.metrics).splitlines() if "scheduler:" in ln]
+        assert line.split("scheduler: ", 1)[1].startswith(
+            "0 admitted; 0 rejected; 1 dispatched; 0 preemptions; "
+            "1 completed")
 
     def test_chunk_events_tagged_with_job_and_session(self):
         server = PgxdServer(make_cluster(2))

@@ -47,7 +47,7 @@ def setup_exec(g, direction="pull", machines=2, ghost_threshold=None,
                        op=ReduceOp.SUM,
                        active="on" if active is not None else None)
     job = EdgeMapJob(name="j", spec=spec)
-    exc = JobExecution(cluster, dg, job)
+    exc = JobExecution(cluster, dg, job, cluster.hooks)
     exc.phase = "main"  # allow chunk execution without the full lifecycle
     for m in dg.machines:
         m.dm.exec = exc

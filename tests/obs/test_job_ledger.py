@@ -1,7 +1,8 @@
 """Per-ticket metric ledgers against an oracle.
 
-A scheduled job's ``stats.metrics_delta`` comes from a sparse ledger filled
-while that job's tagged events pass through the one cluster recorder.  The
+Every job is a scheduler ticket, served or solo.  Its ``stats.metrics_delta``
+comes from a sparse ledger filled while that job's tagged events pass
+through the one cluster recorder, and covers its final attempt only.  The
 oracle rebuilds the same thing from the outside: capture the cluster bus,
 bucket events by their ``ticket`` tag (a ``job.start`` opens a new attempt),
 replay each bucket into a fresh recorder on a private bus, and add the two
@@ -13,6 +14,7 @@ import pytest
 
 from repro import (FaultPlan, MachineCrash, PgxdCluster, rmat,
                    with_uniform_weights)
+from repro.algorithms import pagerank, sssp, wcc
 from repro.algorithms.streams import pagerank_stream, sssp_stream
 from repro.core.incremental import IncrementalEngine, hash_weights
 from repro.core.scheduler import DONE, JobScheduler, SchedulerConfig
@@ -192,6 +194,60 @@ class TestDeltaAgainstOracle:
         # disjoint slices: reads alternate between the two sessions
         hits = 'repro_cache_requests_total{result="hit"}'
         assert rollup["a"][hits] + rollup["b"][hits] == flat[hits]
+
+
+#: series the cluster records outside any job: never in a job's delta
+CLUSTER_LEVEL = ("repro_sim_event", "repro_sched_",
+                 "repro_job_recoveries_total")
+
+
+class TestSoloDeltaAgainstOracle:
+    """Plain ``run_job``/``run_jobs``, no server: every job is a ticket of
+    the cluster's default scheduler, so the same oracle holds."""
+
+    def test_algorithm_drivers(self):
+        cluster = make_cluster(2)
+        oracle = TicketOracle(cluster)
+        weighted = with_uniform_weights(rmat(260, 1500, seed=21), 0.1, 1.0,
+                                        seed=23)
+        dg = cluster.load_graph(weighted)
+        pagerank(cluster, dg, "pull", max_iterations=3)
+        pagerank(cluster, dg, "push", max_iterations=3)
+        sssp(cluster, dg, root=0)
+        wcc(cluster, dg)
+        tickets = cluster.scheduler.tickets
+        assert {t.session for t in tickets} == {"driver"}
+        assert [s for _, s in cluster.job_log] == [t.stats for t in tickets]
+        oracle.check(tickets)
+        assert not any(k.startswith(CLUSTER_LEVEL)
+                       for t in tickets for k in t.stats.metrics_delta)
+
+    def test_run_jobs_merges_final_attempts(self, tmp_path):
+        def run(cluster):
+            oracle = TicketOracle(cluster)
+            dg = cluster.load_graph(rmat(260, 1500, seed=21))
+            if cluster.faults is not None:
+                cluster.enable_auto_checkpoint(dg, tmp_path / "ck.npz")
+            merged = cluster.run_jobs(dg, pagerank_stream(dg, iterations=3),
+                                      recover=True)
+            return cluster, merged, oracle
+
+        quiet, base, _ = run(make_cluster(2))
+        cfg = quiet.config.with_fault_plan(FaultPlan(seed=5, crashes=(
+            MachineCrash(machine=1, at=0.4 * quiet.now),)))
+        cluster, merged, oracle = run(PgxdCluster(cfg))
+        tickets = cluster.scheduler.tickets
+        assert sum(t.recoveries for t in tickets) >= 1
+        oracle.check(tickets)
+        assert not any(k.startswith(CLUSTER_LEVEL)
+                       for k in merged.metrics_delta)
+        # the failed attempt left nothing behind: chunk for chunk, the
+        # merged delta is the crash-free run's
+        chunks = {k: v for k, v in merged.metrics_delta.items()
+                  if k.startswith("repro_chunks_total")}
+        assert chunks and chunks == {
+            k: v for k, v in base.metrics_delta.items()
+            if k.startswith("repro_chunks_total")}
 
 
 class TestServedTraceHostWork:

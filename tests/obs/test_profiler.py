@@ -1,6 +1,7 @@
 """Span profiler: tree assembly, critical path, attribution, exports.
 
-The synthetic tests drive a bare :class:`HookBus` directly, so every span
+The synthetic tests emit through a ticket's :class:`ScopedHookBus` over a
+bare :class:`HookBus`, as the scheduler does for every job, so every span
 time is hand-picked and the critical path is computable on paper.  The
 integration tests run real workloads and hold the profiler to its two
 contracts: the critical path explains elapsed time exactly, and installing
@@ -18,7 +19,7 @@ from repro.algorithms import pagerank
 from repro.algorithms.streams import pagerank_stream, sssp_stream
 from repro.bench.calibration import scaled_cluster_config
 from repro.core.scheduler import SchedulerConfig
-from repro.obs.hooks import HookBus
+from repro.obs.hooks import HookBus, ScopedHookBus
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import SpanProfiler
 from repro.runtime.stats import JobStats
@@ -39,6 +40,12 @@ def _install(cluster=None):
     prof = SpanProfiler(cluster)
     prof.install()
     return cluster, prof
+
+
+def _job_bus(cluster, ticket=1):
+    """The bus one ticketed job emits on (what the scheduler hands it)."""
+    return ScopedHookBus(cluster.hooks, cluster.metrics,
+                         tags={"ticket": ticket})
 
 
 def _emit_known_topology(bus, job="fx"):
@@ -73,7 +80,7 @@ class TestKnownTopology:
     @pytest.fixture()
     def profile(self):
         cluster, prof = _install()
-        _emit_known_topology(cluster.hooks)
+        _emit_known_topology(_job_bus(cluster))
         return prof.last_profile()
 
     def test_path_length_matches_hand_computation(self, profile):
@@ -108,7 +115,7 @@ class TestKnownTopology:
 class TestSpanTreeAssembly:
     def test_nesting_phases_machines_spans(self):
         cluster, prof = _install()
-        bus = cluster.hooks
+        bus = _job_bus(cluster)
         bus.emit("job.start", job="tree", time=0.0)
         bus.emit("task.chunk_end", machine=0, worker=0, kind="chunk",
                  start=0.1, duration=0.4)
@@ -142,9 +149,9 @@ class TestSpanTreeAssembly:
     def test_two_clusters_stay_isolated(self):
         ca, pa = _install()
         cb, pb = _install()
-        _emit_known_topology(ca.hooks, job="on-a")
-        cb.hooks.emit("job.start", job="on-b", time=0.0)
-        cb.hooks.emit("job.end", job="on-b", start=0.0, duration=1.0)
+        _emit_known_topology(_job_bus(ca), job="on-a")
+        _job_bus(cb).emit("job.start", job="on-b", time=0.0)
+        _job_bus(cb).emit("job.end", job="on-b", start=0.0, duration=1.0)
         assert [p.name for p in pa.profiles] == ["on-a"]
         assert [p.name for p in pb.profiles] == ["on-b"]
         assert pb.orphan_events == 0
@@ -187,13 +194,13 @@ class TestSpanTreeAssembly:
 
     def test_uninstall_stops_capture_and_reinstall_resumes(self):
         cluster, prof = _install()
-        _emit_known_topology(cluster.hooks, job="first")
+        _emit_known_topology(_job_bus(cluster, 1), job="first")
         prof.uninstall()
-        _emit_known_topology(cluster.hooks, job="unseen")
+        _emit_known_topology(_job_bus(cluster, 2), job="unseen")
         assert [p.name for p in prof.profiles] == ["first"]
         assert prof.orphan_events == 0  # unsubscribed, not orphaned
         prof.install()
-        _emit_known_topology(cluster.hooks, job="again")
+        _emit_known_topology(_job_bus(cluster, 3), job="again")
         assert [p.name for p in prof.profiles] == ["first", "again"]
 
 
@@ -304,7 +311,7 @@ class TestExports:
     @pytest.fixture()
     def prof(self):
         cluster, prof = _install()
-        _emit_known_topology(cluster.hooks)
+        _emit_known_topology(_job_bus(cluster))
         return prof
 
     def test_chrome_trace_shape(self, prof):

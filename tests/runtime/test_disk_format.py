@@ -208,7 +208,8 @@ def _run_streamed(graph, spec, window_edges=128):
     dg = cluster.load_graph(graph)
     dg.add_property("x", init=1.0)
     dg.add_property("t", init=0.0)
-    exc = JobExecution(cluster, dg, EdgeMapJob(name="j", spec=spec))
+    exc = JobExecution(cluster, dg, EdgeMapJob(name="j", spec=spec),
+                       cluster.hooks)
     exc.start()
     while not exc.done:
         cluster.sim.step()
