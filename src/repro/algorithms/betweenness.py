@@ -19,18 +19,19 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..core.engine import DistributedGraph, LocalView, PgxdCluster
-from ..core.job import EdgeMapJob, NodeKernelJob
+from ..core.engine import DistributedGraph, LocalView
+from ..core.job import EdgeMapJob, MapReduce, NodeKernelJob
 from ..core.properties import ReduceOp
 from ..core.tasks import EdgeMapSpec
-from .common import AlgorithmResult, IterationTimer
+from .common import AlgorithmResult, IterationTimer, program, scratch
 
 _PROPS = ("bc_d", "bc_sigma", "bc_sigma_in", "bc_frontier", "bc_coef",
           "bc_delta", "bc_acc")
 
 
-def betweenness(cluster: PgxdCluster, dg: DistributedGraph,
-                sources: Optional[Sequence[int]] = None) -> AlgorithmResult:
+@program
+def betweenness(dg: DistributedGraph,
+                sources: Optional[Sequence[int]] = None):
     """Sum of source dependencies delta_s(v) over ``sources`` (all by default).
 
     With all sources this equals networkx's unnormalized directed
@@ -40,12 +41,6 @@ def betweenness(cluster: PgxdCluster, dg: DistributedGraph,
     if sources is None:
         sources = range(n)
     sources = list(sources)
-
-    for prop in _PROPS:
-        if prop == "bc_frontier":
-            dg.add_property(prop, dtype=np.bool_, init=False)
-        else:
-            dg.add_property(prop, init=0.0)
 
     # sigma flows forward along the BFS DAG.
     push_sigma = EdgeMapJob(name="bc_push_sigma", spec=EdgeMapSpec(
@@ -57,123 +52,130 @@ def betweenness(cluster: PgxdCluster, dg: DistributedGraph,
         direction="pull", source="bc_coef", target="bc_delta",
         op=ReduceOp.SUM, active="bc_frontier", reverse=True))
 
-    timer = IterationTimer(cluster)
-    iterations = 0
-    for s in sources:
-        # ---- init per source -------------------------------------------
-        def init(view: LocalView, lo: int, hi: int, s=s) -> None:
-            gl, gh = view.lo + lo, view.lo + hi
-            view["bc_d"][lo:hi] = np.inf
-            view["bc_sigma"][lo:hi] = 0.0
-            view["bc_frontier"][lo:hi] = False
-            if gl <= s < gh:
-                view["bc_d"][s - view.lo] = 0.0
-                view["bc_sigma"][s - view.lo] = 1.0
-                view["bc_frontier"][s - view.lo] = True
+    with scratch(dg) as add:
+        for prop in _PROPS:
+            if prop == "bc_frontier":
+                add(prop, dtype=np.bool_, init=False)
+            else:
+                add(prop, init=0.0)
+        timer = IterationTimer(dg.cluster)
+        iterations = 0
+        for s in sources:
+            # ---- init per source ---------------------------------------
+            def init(view: LocalView, lo: int, hi: int, s=s) -> None:
+                gl, gh = view.lo + lo, view.lo + hi
+                view["bc_d"][lo:hi] = np.inf
+                view["bc_sigma"][lo:hi] = 0.0
+                view["bc_frontier"][lo:hi] = False
+                if gl <= s < gh:
+                    view["bc_d"][s - view.lo] = 0.0
+                    view["bc_sigma"][s - view.lo] = 1.0
+                    view["bc_frontier"][s - view.lo] = True
 
-        cluster.run_job(dg, NodeKernelJob(
-            name="bc_init", kernel=init,
-            writes=(("bc_d", ReduceOp.OVERWRITE),
-                    ("bc_sigma", ReduceOp.OVERWRITE),
-                    ("bc_frontier", ReduceOp.OVERWRITE)),
-            ops_per_node=4, bytes_per_node=32))
-
-        # ---- forward: BFS levels with sigma accumulation -----------------
-        level = 0
-        levels: list[int] = []
-        while True:
-            def clear_in(view: LocalView, lo: int, hi: int) -> None:
-                view["bc_sigma_in"][lo:hi] = 0.0
-
-            cluster.run_job(dg, NodeKernelJob(
-                name="bc_clear", kernel=clear_in,
-                writes=(("bc_sigma_in", ReduceOp.OVERWRITE),),
-                ops_per_node=1, bytes_per_node=8))
-            s1 = cluster.run_job(dg, push_sigma)
-
-            def absorb(view: LocalView, lo: int, hi: int, level=level) -> None:
-                fresh = (np.isinf(view["bc_d"][lo:hi])
-                         & (view["bc_sigma_in"][lo:hi] > 0))
-                view["bc_d"][lo:hi] = np.where(fresh, level + 1,
-                                               view["bc_d"][lo:hi])
-                view["bc_sigma"][lo:hi] += np.where(
-                    fresh, view["bc_sigma_in"][lo:hi], 0.0)
-                view["bc_frontier"][lo:hi] = fresh
-
-            s2 = cluster.run_job(dg, NodeKernelJob(
-                name="bc_absorb", kernel=absorb,
-                reads=("bc_sigma_in",),
+            yield NodeKernelJob(
+                name="bc_init", kernel=init,
                 writes=(("bc_d", ReduceOp.OVERWRITE),
                         ("bc_sigma", ReduceOp.OVERWRITE),
                         ("bc_frontier", ReduceOp.OVERWRITE)),
-                ops_per_node=6, bytes_per_node=48))
-            discovered = int(cluster.map_reduce(
-                dg, lambda v: int(v["bc_frontier"].sum())))
-            iterations += 1
-            timer.iteration_done(s1, s2)
-            if discovered == 0:
-                break
-            level += 1
-            levels.append(level)
+                ops_per_node=4, bytes_per_node=32)
 
-        # ---- backward: dependency accumulation, deepest level first -------
-        def zero_backward(view: LocalView, lo: int, hi: int) -> None:
-            view["bc_delta"][lo:hi] = 0.0
-            view["bc_coef"][lo:hi] = 0.0
+            # ---- forward: BFS levels with sigma accumulation -------------
+            level = 0
+            levels: list[int] = []
+            while True:
+                def clear_in(view: LocalView, lo: int, hi: int) -> None:
+                    view["bc_sigma_in"][lo:hi] = 0.0
 
-        cluster.run_job(dg, NodeKernelJob(
-            name="bc_zero_back", kernel=zero_backward,
-            writes=(("bc_delta", ReduceOp.OVERWRITE),
-                    ("bc_coef", ReduceOp.OVERWRITE)),
-            ops_per_node=2, bytes_per_node=16))
+                yield NodeKernelJob(
+                    name="bc_clear", kernel=clear_in,
+                    writes=(("bc_sigma_in", ReduceOp.OVERWRITE),),
+                    ops_per_node=1, bytes_per_node=8)
+                s1 = yield push_sigma
 
-        for lvl in reversed(levels):
-            # nodes at level lvl publish their coefficient ...
-            def publish(view: LocalView, lo: int, hi: int, lvl=lvl) -> None:
-                at = view["bc_d"][lo:hi] == lvl
-                sigma = np.maximum(view["bc_sigma"][lo:hi], 1.0)
-                view["bc_coef"][lo:hi] = np.where(
-                    at, (1.0 + view["bc_delta"][lo:hi]) / sigma, 0.0)
-                # ... and the level above becomes the pulling frontier
-                view["bc_frontier"][lo:hi] = view["bc_d"][lo:hi] == lvl - 1
+                def absorb(view: LocalView, lo: int, hi: int,
+                           level=level) -> None:
+                    fresh = (np.isinf(view["bc_d"][lo:hi])
+                             & (view["bc_sigma_in"][lo:hi] > 0))
+                    view["bc_d"][lo:hi] = np.where(fresh, level + 1,
+                                                   view["bc_d"][lo:hi])
+                    view["bc_sigma"][lo:hi] += np.where(
+                        fresh, view["bc_sigma_in"][lo:hi], 0.0)
+                    view["bc_frontier"][lo:hi] = fresh
 
-            cluster.run_job(dg, NodeKernelJob(
-                name="bc_publish", kernel=publish,
-                reads=("bc_d", "bc_sigma", "bc_delta"),
-                writes=(("bc_coef", ReduceOp.OVERWRITE),
-                        ("bc_frontier", ReduceOp.OVERWRITE)),
-                ops_per_node=6, bytes_per_node=48))
-            s3 = cluster.run_job(dg, pull_coef)
+                s2 = yield NodeKernelJob(
+                    name="bc_absorb", kernel=absorb,
+                    reads=("bc_sigma_in",),
+                    writes=(("bc_d", ReduceOp.OVERWRITE),
+                            ("bc_sigma", ReduceOp.OVERWRITE),
+                            ("bc_frontier", ReduceOp.OVERWRITE)),
+                    ops_per_node=6, bytes_per_node=48)
+                discovered = int((yield MapReduce(
+                    lambda v: int(v["bc_frontier"].sum()))))
+                iterations += 1
+                timer.iteration_done(s1, s2)
+                if discovered == 0:
+                    break
+                level += 1
+                levels.append(level)
 
-            def scale(view: LocalView, lo: int, hi: int, lvl=lvl) -> None:
-                at = view["bc_d"][lo:hi] == lvl - 1
-                view["bc_delta"][lo:hi] = np.where(
-                    at, view["bc_delta"][lo:hi] * view["bc_sigma"][lo:hi],
-                    view["bc_delta"][lo:hi])
+            # ---- backward: dependency accumulation, deepest level first ---
+            def zero_backward(view: LocalView, lo: int, hi: int) -> None:
+                view["bc_delta"][lo:hi] = 0.0
+                view["bc_coef"][lo:hi] = 0.0
 
-            s4 = cluster.run_job(dg, NodeKernelJob(
-                name="bc_scale", kernel=scale, reads=("bc_d", "bc_sigma"),
-                writes=(("bc_delta", ReduceOp.OVERWRITE),),
-                ops_per_node=3, bytes_per_node=24))
-            iterations += 1
-            timer.iteration_done(s3, s4)
+            yield NodeKernelJob(
+                name="bc_zero_back", kernel=zero_backward,
+                writes=(("bc_delta", ReduceOp.OVERWRITE),
+                        ("bc_coef", ReduceOp.OVERWRITE)),
+                ops_per_node=2, bytes_per_node=16)
 
-        # accumulate this source's dependencies (excluding the source).
-        def accumulate(view: LocalView, lo: int, hi: int, s=s) -> None:
-            delta = view["bc_delta"][lo:hi].copy()
-            if view.lo <= s < view.hi and lo <= s - view.lo < hi:
-                delta[s - view.lo - lo] = 0.0
-            view["bc_acc"][lo:hi] += delta
+            for lvl in reversed(levels):
+                # nodes at level lvl publish their coefficient ...
+                def publish(view: LocalView, lo: int, hi: int,
+                            lvl=lvl) -> None:
+                    at = view["bc_d"][lo:hi] == lvl
+                    sigma = np.maximum(view["bc_sigma"][lo:hi], 1.0)
+                    view["bc_coef"][lo:hi] = np.where(
+                        at, (1.0 + view["bc_delta"][lo:hi]) / sigma, 0.0)
+                    # ... and the level above becomes the pulling frontier
+                    view["bc_frontier"][lo:hi] = (
+                        view["bc_d"][lo:hi] == lvl - 1)
 
-        cluster.run_job(dg, NodeKernelJob(
-            name="bc_accumulate", kernel=accumulate, reads=("bc_delta",),
-            writes=(("bc_acc", ReduceOp.OVERWRITE),), ops_per_node=2,
-            bytes_per_node=24))
+                yield NodeKernelJob(
+                    name="bc_publish", kernel=publish,
+                    reads=("bc_d", "bc_sigma", "bc_delta"),
+                    writes=(("bc_coef", ReduceOp.OVERWRITE),
+                            ("bc_frontier", ReduceOp.OVERWRITE)),
+                    ops_per_node=6, bytes_per_node=48)
+                s3 = yield pull_coef
 
-    total, stats = timer.finish()
-    values = {"betweenness": dg.gather("bc_acc")}
-    for prop in _PROPS:
-        dg.drop_property(prop)
+                def scale(view: LocalView, lo: int, hi: int, lvl=lvl) -> None:
+                    at = view["bc_d"][lo:hi] == lvl - 1
+                    view["bc_delta"][lo:hi] = np.where(
+                        at, view["bc_delta"][lo:hi] * view["bc_sigma"][lo:hi],
+                        view["bc_delta"][lo:hi])
+
+                s4 = yield NodeKernelJob(
+                    name="bc_scale", kernel=scale, reads=("bc_d", "bc_sigma"),
+                    writes=(("bc_delta", ReduceOp.OVERWRITE),),
+                    ops_per_node=3, bytes_per_node=24)
+                iterations += 1
+                timer.iteration_done(s3, s4)
+
+            # accumulate this source's dependencies (excluding the source).
+            def accumulate(view: LocalView, lo: int, hi: int, s=s) -> None:
+                delta = view["bc_delta"][lo:hi].copy()
+                if view.lo <= s < view.hi and lo <= s - view.lo < hi:
+                    delta[s - view.lo - lo] = 0.0
+                view["bc_acc"][lo:hi] += delta
+
+            yield NodeKernelJob(
+                name="bc_accumulate", kernel=accumulate, reads=("bc_delta",),
+                writes=(("bc_acc", ReduceOp.OVERWRITE),), ops_per_node=2,
+                bytes_per_node=24)
+
+        total, stats = timer.finish()
+        values = {"betweenness": dg.gather("bc_acc")}
     return AlgorithmResult(name="betweenness", iterations=iterations,
                            total_time=total, per_iteration=timer.per_iteration,
                            stats=stats, values=values,

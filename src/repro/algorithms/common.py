@@ -1,12 +1,51 @@
-"""Shared scaffolding for the Table 2 algorithm suite."""
+"""Shared scaffolding for the Table 2 algorithm suite.
+
+Every algorithm is one *program*: a generator over a ``DistributedGraph``
+that yields its jobs and :class:`~repro.core.job.MapReduce` reductions,
+is sent each step's ``JobStats`` or value, and returns an
+:class:`AlgorithmResult` (see docs/programming_model.md, section 8).
+"""
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..runtime.stats import JobStats
+
+
+def program(fn):
+    """Decorate a program ``fn(dg, ...)`` into the driver ``(cluster, dg,
+    ...)`` that runs it inline; the generator function stays reachable as
+    the driver's ``program`` attribute."""
+
+    def run(cluster, dg, *args, **kwargs):
+        return cluster.run(dg, fn(dg, *args, **kwargs))
+
+    run.program = fn
+    for attr in ("__module__", "__name__", "__qualname__", "__doc__"):
+        setattr(run, attr, getattr(fn, attr))
+    return run
+
+
+@contextmanager
+def scratch(dg):
+    """Yield ``add(name, **kwargs)``, a ``dg.add_property`` whose columns
+    are dropped when the block exits — also when a step raises or the
+    program is closed mid-run, so a failed run leaves the graph clean."""
+    added: list[str] = []
+
+    def add(name: str, **kwargs) -> None:
+        dg.add_property(name, **kwargs)
+        added.append(name)
+
+    try:
+        yield add
+    finally:
+        for name in added:
+            dg.drop_property(name)
 
 
 @dataclass

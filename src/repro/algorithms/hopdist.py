@@ -10,24 +10,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.engine import DistributedGraph, LocalView, PgxdCluster
-from ..core.job import EdgeMapJob, NodeKernelJob
+from ..core.engine import DistributedGraph, LocalView
+from ..core.job import EdgeMapJob, MapReduce, NodeKernelJob
 from ..core.properties import ReduceOp
 from ..core.tasks import EdgeMapSpec
-from .common import AlgorithmResult, IterationTimer
+from .common import AlgorithmResult, IterationTimer, program, scratch
 
 
-def hop_dist(cluster: PgxdCluster, dg: DistributedGraph, root: int = 0,
-             max_iterations: int = 10000) -> AlgorithmResult:
+@program
+def hop_dist(dg: DistributedGraph, root: int = 0,
+             max_iterations: int = 10000):
     """Minimum hop count from ``root`` along out-edges (inf if unreachable)."""
     n = dg.num_nodes
     init = np.full(n, np.inf)
     init[root] = 0.0
-    dg.add_property("hops", from_global=init)
-    dg.add_property("hops_nxt", from_global=init)
     frontier0 = np.zeros(n, dtype=bool)
     frontier0[root] = True
-    dg.add_property("frontier", dtype=np.bool_, from_global=frontier0)
 
     expand = EdgeMapJob(name="bfs_expand", spec=EdgeMapSpec(
         direction="push", source="hops", target="hops_nxt", op=ReduceOp.MIN,
@@ -48,23 +46,23 @@ def hop_dist(cluster: PgxdCluster, dg: DistributedGraph, root: int = 0,
                                        ("hops_nxt", ReduceOp.OVERWRITE)),
                                ops_per_node=5, bytes_per_node=40)
 
-    timer = IterationTimer(cluster)
-    iterations = 0
-    for _ in range(max_iterations):
-        s1 = cluster.run_job(dg, expand)
-        s2 = cluster.run_job(dg, absorb_job)
-        frontier_size = int(cluster.map_reduce(
-            dg, lambda v: int(v["frontier"].sum())))
-        iterations += 1
-        timer.iteration_done(s1, s2)
-        if frontier_size == 0:
-            break
-
-    total, stats = timer.finish()
-    hops = dg.gather("hops")
-    for prop in ("hops", "hops_nxt", "frontier"):
-        dg.drop_property(prop)
-    return AlgorithmResult(name="hop_dist", iterations=iterations,
+    with scratch(dg) as add:
+        add("hops", from_global=init)
+        add("hops_nxt", from_global=init)
+        add("frontier", dtype=np.bool_, from_global=frontier0)
+        timer = IterationTimer(dg.cluster)
+        for _ in range(max_iterations):
+            s1 = yield expand
+            s2 = yield absorb_job
+            frontier_size = int((yield MapReduce(
+                lambda v: int(v["frontier"].sum()))))
+            timer.iteration_done(s1, s2)
+            if frontier_size == 0:
+                break
+        total, stats = timer.finish()
+        hops = dg.gather("hops")
+    return AlgorithmResult(name="hop_dist",
+                           iterations=len(timer.per_iteration),
                            total_time=total, per_iteration=timer.per_iteration,
                            stats=stats, values={"hops": hops},
                            extra={"reached": int(np.isfinite(hops).sum())})

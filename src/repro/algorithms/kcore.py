@@ -17,23 +17,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.engine import DistributedGraph, LocalView, PgxdCluster
-from ..core.job import EdgeMapJob, NodeKernelJob
+from ..core.engine import DistributedGraph, LocalView
+from ..core.job import EdgeMapJob, MapReduce, NodeKernelJob
 from ..core.properties import ReduceOp
 from ..core.tasks import EdgeMapSpec
-from .common import AlgorithmResult, IterationTimer
+from .common import AlgorithmResult, IterationTimer, program, scratch
 
 
-def kcore_max(cluster: PgxdCluster, dg: DistributedGraph,
-              max_k: int = 100000) -> AlgorithmResult:
+@program
+def kcore_max(dg: DistributedGraph, max_k: int = 100000):
     """Return the largest k such that the k-core is non-empty."""
-    dg.add_property("kdeg", init=0.0)
-    for m in dg.machines:
-        m.props["kdeg"][:] = m.props["out_degree"] + m.props["in_degree"]
-    dg.add_property("alive", dtype=np.bool_, init=True)
-    dg.add_property("dying", dtype=np.bool_, init=False)
-    dg.add_property("neg_one", init=-1.0)
-
     dec_out = EdgeMapJob(name="kcore_dec_out", spec=EdgeMapSpec(
         direction="push", source="neg_one", target="kdeg", op=ReduceOp.SUM,
         active="dying"))
@@ -41,43 +34,48 @@ def kcore_max(cluster: PgxdCluster, dg: DistributedGraph,
         direction="push", source="neg_one", target="kdeg", op=ReduceOp.SUM,
         active="dying", reverse=True))
 
-    timer = IterationTimer(cluster)
-    iterations = 0
-    best_k = 0
-    k = 1
-    while k <= max_k:
-        # Peel at threshold k until stable.
-        while True:
-            def mark(view: LocalView, lo: int, hi: int, k=k) -> None:
-                alive = view["alive"][lo:hi]
-                dying = alive & (view["kdeg"][lo:hi] < k)
-                view["dying"][lo:hi] = dying
-                view["alive"][lo:hi] = alive & ~dying
+    with scratch(dg) as add:
+        add("kdeg", init=0.0)
+        for m in dg.machines:
+            m.props["kdeg"][:] = m.props["out_degree"] + m.props["in_degree"]
+        add("alive", dtype=np.bool_, init=True)
+        add("dying", dtype=np.bool_, init=False)
+        add("neg_one", init=-1.0)
+        timer = IterationTimer(dg.cluster)
+        iterations = 0
+        best_k = 0
+        k = 1
+        while k <= max_k:
+            # Peel at threshold k until stable.
+            while True:
+                def mark(view: LocalView, lo: int, hi: int, k=k) -> None:
+                    alive = view["alive"][lo:hi]
+                    dying = alive & (view["kdeg"][lo:hi] < k)
+                    view["dying"][lo:hi] = dying
+                    view["alive"][lo:hi] = alive & ~dying
 
-            s1 = cluster.run_job(dg, NodeKernelJob(
-                name="kcore_mark", kernel=mark, reads=("alive", "kdeg"),
-                writes=(("dying", ReduceOp.OVERWRITE),
-                        ("alive", ReduceOp.OVERWRITE)),
-                ops_per_node=4, bytes_per_node=24))
-            n_dying = int(cluster.map_reduce(dg, lambda v: int(v["dying"].sum())))
-            iterations += 1
-            if n_dying == 0:
-                timer.iteration_done(s1)
+                s1 = yield NodeKernelJob(
+                    name="kcore_mark", kernel=mark, reads=("alive", "kdeg"),
+                    writes=(("dying", ReduceOp.OVERWRITE),
+                            ("alive", ReduceOp.OVERWRITE)),
+                    ops_per_node=4, bytes_per_node=24)
+                n_dying = int((yield MapReduce(
+                    lambda v: int(v["dying"].sum()))))
+                iterations += 1
+                if n_dying == 0:
+                    timer.iteration_done(s1)
+                    break
+                s2 = yield dec_out
+                s3 = yield dec_in
+                timer.iteration_done(s1, s2, s3)
+
+            n_alive = int((yield MapReduce(lambda v: int(v["alive"].sum()))))
+            if n_alive == 0:
+                best_k = k - 1
                 break
-            s2 = cluster.run_job(dg, dec_out)
-            s3 = cluster.run_job(dg, dec_in)
-            timer.iteration_done(s1, s2, s3)
-
-        n_alive = int(cluster.map_reduce(dg, lambda v: int(v["alive"].sum())))
-        if n_alive == 0:
-            best_k = k - 1
-            break
-        best_k = k
-        k += 1
-
-    total, stats = timer.finish()
-    for prop in ("kdeg", "alive", "dying", "neg_one"):
-        dg.drop_property(prop)
+            best_k = k
+            k += 1
+        total, stats = timer.finish()
     return AlgorithmResult(name="kcore", iterations=iterations,
                            total_time=total, per_iteration=timer.per_iteration,
                            stats=stats, values={},

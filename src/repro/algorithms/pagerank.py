@@ -18,16 +18,17 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.engine import DistributedGraph, LocalView, PgxdCluster
-from ..core.job import EdgeMapJob, NodeKernelJob
+from ..core.engine import DistributedGraph, LocalView
+from ..core.job import EdgeMapJob, MapReduce, NodeKernelJob
 from ..core.properties import ReduceOp
 from ..core.tasks import EdgeMapSpec
-from .common import AlgorithmResult, IterationTimer
+from .common import AlgorithmResult, IterationTimer, program, scratch
 
 
-def pagerank(cluster: PgxdCluster, dg: DistributedGraph, variant: str = "pull",
+@program
+def pagerank(dg: DistributedGraph, variant: str = "pull",
              damping: float = 0.85, max_iterations: int = 10,
-             tolerance: float = 0.0) -> AlgorithmResult:
+             tolerance: float = 0.0):
     """Exact PageRank via power iteration.
 
     ``variant`` selects the communication pattern ("pull" or "push");
@@ -36,9 +37,6 @@ def pagerank(cluster: PgxdCluster, dg: DistributedGraph, variant: str = "pull",
     if variant not in ("pull", "push"):
         raise ValueError(f"variant must be 'pull' or 'push', got {variant!r}")
     n = dg.num_nodes
-    dg.add_property("pr", init=1.0 / n)
-    dg.add_property("pr_tmp", init=0.0)
-    dg.add_property("pr_nxt", init=0.0)
 
     def prepare(view: LocalView, lo: int, hi: int) -> None:
         outdeg = view.out_degrees()[lo:hi]
@@ -59,49 +57,48 @@ def pagerank(cluster: PgxdCluster, dg: DistributedGraph, variant: str = "pull",
         outdeg = view.out_degrees()
         return float(view["pr"][outdeg == 0].sum())
 
-    timer = IterationTimer(cluster)
-    iterations = 0
-    for _ in range(max_iterations):
-        d_mass = cluster.map_reduce(dg, dangling_mass)
-        s1 = cluster.run_job(dg, prep_job)
-        s2 = cluster.run_job(dg, edge_job)
-        base = (1.0 - damping) / n + damping * d_mass / n
+    def swap(view: LocalView, lo: int, hi: int) -> None:
+        view["pr"][lo:hi] = view["pr_nxt"][lo:hi]
 
-        def finalize(view: LocalView, lo: int, hi: int, base=base) -> None:
-            view["pr_nxt"][lo:hi] = base + damping * view["pr_nxt"][lo:hi]
+    with scratch(dg) as add:
+        add("pr", init=1.0 / n)
+        add("pr_tmp", init=0.0)
+        add("pr_nxt", init=0.0)
+        timer = IterationTimer(dg.cluster)
+        for _ in range(max_iterations):
+            d_mass = yield MapReduce(dangling_mass)
+            s1 = yield prep_job
+            s2 = yield edge_job
+            base = (1.0 - damping) / n + damping * d_mass / n
 
-        s3 = cluster.run_job(dg, NodeKernelJob(
-            name="pr_finalize", kernel=finalize,
-            writes=(("pr_nxt", ReduceOp.OVERWRITE),), ops_per_node=3,
-            bytes_per_node=16))
+            def finalize(view: LocalView, lo: int, hi: int, base=base) -> None:
+                view["pr_nxt"][lo:hi] = base + damping * view["pr_nxt"][lo:hi]
 
-        delta = cluster.map_reduce(
-            dg, lambda v: float(np.abs(v["pr_nxt"] - v["pr"]).sum()))
-
-        def swap(view: LocalView, lo: int, hi: int) -> None:
-            view["pr"][lo:hi] = view["pr_nxt"][lo:hi]
-
-        s4 = cluster.run_job(dg, NodeKernelJob(
-            name="pr_swap", kernel=swap, writes=(("pr", ReduceOp.OVERWRITE),),
-            ops_per_node=1, bytes_per_node=16))
-
-        iterations += 1
-        timer.iteration_done(s1, s2, s3, s4)
-        if tolerance > 0 and delta < tolerance:
-            break
-
-    total, stats = timer.finish()
-    values = {"pr": dg.gather("pr")}
-    for prop in ("pr_tmp", "pr_nxt", "pr"):
-        dg.drop_property(prop)
-    return AlgorithmResult(name=f"pagerank_{variant}", iterations=iterations,
+            s3 = yield NodeKernelJob(
+                name="pr_finalize", kernel=finalize,
+                writes=(("pr_nxt", ReduceOp.OVERWRITE),), ops_per_node=3,
+                bytes_per_node=16)
+            delta = yield MapReduce(
+                lambda v: float(np.abs(v["pr_nxt"] - v["pr"]).sum()))
+            s4 = yield NodeKernelJob(
+                name="pr_swap", kernel=swap,
+                writes=(("pr", ReduceOp.OVERWRITE),), ops_per_node=1,
+                bytes_per_node=16)
+            timer.iteration_done(s1, s2, s3, s4)
+            if tolerance > 0 and delta < tolerance:
+                break
+        total, stats = timer.finish()
+        values = {"pr": dg.gather("pr")}
+    return AlgorithmResult(name=f"pagerank_{variant}",
+                           iterations=len(timer.per_iteration),
                            total_time=total, per_iteration=timer.per_iteration,
                            stats=stats, values=values)
 
 
-def personalized_pagerank(cluster: PgxdCluster, dg: DistributedGraph,
-                          sources, damping: float = 0.85,
-                          max_iterations: int = 20, tolerance: float = 0.0) -> AlgorithmResult:
+@program
+def personalized_pagerank(dg: DistributedGraph, sources,
+                          damping: float = 0.85, max_iterations: int = 20,
+                          tolerance: float = 0.0):
     """Personalized PageRank: teleport mass returns to ``sources`` only.
 
     A natural extension of the engine's PageRank (the PGX product ships it);
@@ -114,10 +111,6 @@ def personalized_pagerank(cluster: PgxdCluster, dg: DistributedGraph,
         raise ValueError("personalized_pagerank needs at least one source")
     teleport = np.zeros(n)
     teleport[sources] = 1.0 / sources.size
-    dg.add_property("ppr", from_global=teleport.copy())
-    dg.add_property("ppr_tmp", init=0.0)
-    dg.add_property("ppr_nxt", init=0.0)
-    dg.add_property("teleport", from_global=teleport)
 
     def prepare(view: LocalView, lo: int, hi: int) -> None:
         outdeg = view.out_degrees()[lo:hi]
@@ -135,64 +128,70 @@ def personalized_pagerank(cluster: PgxdCluster, dg: DistributedGraph,
         direction="pull", source="ppr_tmp", target="ppr_nxt",
         op=ReduceOp.SUM))
 
-    timer = IterationTimer(cluster)
-    iterations = 0
-    for _ in range(max_iterations):
-        d_mass = cluster.map_reduce(
-            dg, lambda v: float(v["ppr"][v.out_degrees() == 0].sum()))
-        s1 = cluster.run_job(dg, prep_job)
-        s2 = cluster.run_job(dg, edge_job)
+    def swap(view: LocalView, lo: int, hi: int) -> None:
+        view["ppr"][lo:hi] = view["ppr_nxt"][lo:hi]
 
-        def finalize(view: LocalView, lo: int, hi: int, d_mass=d_mass) -> None:
-            tp = view["teleport"][lo:hi]
-            view["ppr_nxt"][lo:hi] = (
-                (1.0 - damping) * tp
-                + damping * (view["ppr_nxt"][lo:hi] + d_mass * tp))
+    with scratch(dg) as add:
+        add("ppr", from_global=teleport.copy())
+        add("ppr_tmp", init=0.0)
+        add("ppr_nxt", init=0.0)
+        add("teleport", from_global=teleport)
+        timer = IterationTimer(dg.cluster)
+        for _ in range(max_iterations):
+            d_mass = yield MapReduce(
+                lambda v: float(v["ppr"][v.out_degrees() == 0].sum()))
+            s1 = yield prep_job
+            s2 = yield edge_job
 
-        s3 = cluster.run_job(dg, NodeKernelJob(
-            name="ppr_finalize", kernel=finalize, reads=("teleport",),
-            writes=(("ppr_nxt", ReduceOp.OVERWRITE),), ops_per_node=5,
-            bytes_per_node=32))
-        delta = cluster.map_reduce(
-            dg, lambda v: float(np.abs(v["ppr_nxt"] - v["ppr"]).sum()))
+            def finalize(view: LocalView, lo: int, hi: int,
+                         d_mass=d_mass) -> None:
+                tp = view["teleport"][lo:hi]
+                view["ppr_nxt"][lo:hi] = (
+                    (1.0 - damping) * tp
+                    + damping * (view["ppr_nxt"][lo:hi] + d_mass * tp))
 
-        def swap(view: LocalView, lo: int, hi: int) -> None:
-            view["ppr"][lo:hi] = view["ppr_nxt"][lo:hi]
-
-        s4 = cluster.run_job(dg, NodeKernelJob(
-            name="ppr_swap", kernel=swap,
-            writes=(("ppr", ReduceOp.OVERWRITE),), ops_per_node=1,
-            bytes_per_node=16))
-        iterations += 1
-        timer.iteration_done(s1, s2, s3, s4)
-        if tolerance > 0 and delta < tolerance:
-            break
-
-    total, stats = timer.finish()
-    values = {"ppr": dg.gather("ppr")}
-    for prop in ("ppr", "ppr_tmp", "ppr_nxt", "teleport"):
-        dg.drop_property(prop)
-    return AlgorithmResult(name="personalized_pagerank", iterations=iterations,
+            s3 = yield NodeKernelJob(
+                name="ppr_finalize", kernel=finalize, reads=("teleport",),
+                writes=(("ppr_nxt", ReduceOp.OVERWRITE),), ops_per_node=5,
+                bytes_per_node=32)
+            delta = yield MapReduce(
+                lambda v: float(np.abs(v["ppr_nxt"] - v["ppr"]).sum()))
+            s4 = yield NodeKernelJob(
+                name="ppr_swap", kernel=swap,
+                writes=(("ppr", ReduceOp.OVERWRITE),), ops_per_node=1,
+                bytes_per_node=16)
+            timer.iteration_done(s1, s2, s3, s4)
+            if tolerance > 0 and delta < tolerance:
+                break
+        total, stats = timer.finish()
+        values = {"ppr": dg.gather("ppr")}
+    return AlgorithmResult(name="personalized_pagerank",
+                           iterations=len(timer.per_iteration),
                            total_time=total, per_iteration=timer.per_iteration,
                            stats=stats, values=values)
 
 
-def pagerank_approx(cluster: PgxdCluster, dg: DistributedGraph,
-                    damping: float = 0.85, threshold: float = 1e-4,
-                    max_iterations: int = 50) -> AlgorithmResult:
+@program
+def pagerank_approx(dg: DistributedGraph, damping: float = 0.85,
+                    threshold: float = 1e-4, max_iterations: int = 50,
+                    start=None):
     """Approximate PageRank with delta propagation and deactivation.
 
     Matches the paper's listing: each iteration pushes ``delta/degree`` from
     *active* nodes only, and a node deactivates when its incoming delta drops
-    below ``threshold``.  Work and traffic shrink as nodes converge.
+    below ``threshold`` in magnitude.  Work and traffic shrink as nodes
+    converge.  ``start`` warm-starts from ``(pr, delta, active)`` global
+    arrays instead of the uniform cold start; a warm delta may be negative
+    (mass leaving a region after a deletion) and keeps propagating.  The
+    run stops as soon as no node is active, which may be before the first
+    iteration.  ``extra["active_trace"]`` holds the active count entering
+    each iteration, then the final one.
     """
     n = dg.num_nodes
-    init = (1.0 - damping) / n
-    dg.add_property("apr", init=init)
-    dg.add_property("delta", init=init)
-    dg.add_property("delta_tmp", init=0.0)
-    dg.add_property("delta_nxt", init=0.0)
-    dg.add_property("active", dtype=np.bool_, init=True)
+    if start is None:
+        init = np.full(n, (1.0 - damping) / n)
+        start = (init, init, np.ones(n, dtype=bool))
+    pr0, delta0, active0 = start
 
     push_job = EdgeMapJob(
         name="apr_push",
@@ -217,44 +216,45 @@ def pagerank_approx(cluster: PgxdCluster, dg: DistributedGraph,
         mask = view["active"] & (view.out_degrees() == 0)
         return float(view["delta"][mask].sum())
 
-    timer = IterationTimer(cluster)
-    iterations = 0
-    active_trace: list[int] = []
-    for _ in range(max_iterations):
-        # Dangling nodes have no out-edges to push along; their delta mass is
-        # redistributed uniformly, matching the exact variant's treatment.
-        d_mass = cluster.map_reduce(dg, active_dangling_mass)
-        extra = damping * d_mass / n
+    with scratch(dg) as add:
+        add("apr", from_global=pr0)
+        add("delta", from_global=delta0)
+        add("delta_tmp", init=0.0)
+        add("delta_nxt", init=0.0)
+        add("active", dtype=np.bool_, from_global=active0)
+        timer = IterationTimer(dg.cluster)
+        active_trace = [int(active0.sum())]
+        for _ in range(max_iterations):
+            if active_trace[-1] == 0:
+                break
+            # Dangling nodes have no out-edges to push along; their delta
+            # mass is redistributed uniformly, matching the exact variant.
+            d_mass = yield MapReduce(active_dangling_mass)
+            extra = damping * d_mass / n
 
-        def absorb(view: LocalView, lo: int, hi: int, extra=extra) -> None:
-            dn = view["delta_nxt"][lo:hi] + extra
-            view["apr"][lo:hi] += dn
-            view["delta"][lo:hi] = dn
-            # Deactivate converged nodes; reactivate on fresh delta.
-            view["active"][lo:hi] = dn >= threshold
+            def absorb(view: LocalView, lo: int, hi: int, extra=extra) -> None:
+                dn = view["delta_nxt"][lo:hi] + extra
+                view["apr"][lo:hi] += dn
+                view["delta"][lo:hi] = dn
+                # Deactivate converged nodes; reactivate on fresh delta.
+                view["active"][lo:hi] = np.abs(dn) >= threshold
 
-        absorb_job = NodeKernelJob(name="apr_absorb", kernel=absorb,
-                                   reads=("delta_nxt",),
-                                   writes=(("apr", ReduceOp.OVERWRITE),
-                                           ("delta", ReduceOp.OVERWRITE),
-                                           ("active", ReduceOp.OVERWRITE)),
-                                   ops_per_node=6, bytes_per_node=48)
-        s1 = cluster.run_job(dg, prep_job)
-        s2 = cluster.run_job(dg, push_job)
-        s3 = cluster.run_job(dg, absorb_job)
-        n_active = int(cluster.map_reduce(
-            dg, lambda v: int(v["active"].sum())))
-        active_trace.append(n_active)
-        iterations += 1
-        timer.iteration_done(s1, s2, s3)
-        if n_active == 0:
-            break
-
-    total, stats = timer.finish()
-    values = {"pr": dg.gather("apr")}
-    for prop in ("apr", "delta", "delta_tmp", "delta_nxt", "active"):
-        dg.drop_property(prop)
-    return AlgorithmResult(name="pagerank_approx", iterations=iterations,
+            absorb_job = NodeKernelJob(name="apr_absorb", kernel=absorb,
+                                       reads=("delta_nxt",),
+                                       writes=(("apr", ReduceOp.OVERWRITE),
+                                               ("delta", ReduceOp.OVERWRITE),
+                                               ("active", ReduceOp.OVERWRITE)),
+                                       ops_per_node=6, bytes_per_node=48)
+            s1 = yield prep_job
+            s2 = yield push_job
+            s3 = yield absorb_job
+            active_trace.append(int((yield MapReduce(
+                lambda v: int(v["active"].sum())))))
+            timer.iteration_done(s1, s2, s3)
+        total, stats = timer.finish()
+        values = {"pr": dg.gather("apr")}
+    return AlgorithmResult(name="pagerank_approx",
+                           iterations=len(active_trace) - 1,
                            total_time=total, per_iteration=timer.per_iteration,
                            stats=stats, values=values,
                            extra={"active_trace": active_trace})

@@ -9,27 +9,35 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.engine import DistributedGraph, LocalView, PgxdCluster
-from ..core.job import EdgeMapJob, NodeKernelJob
+from ..core.engine import DistributedGraph, LocalView
+from ..core.job import EdgeMapJob, MapReduce, NodeKernelJob
 from ..core.properties import ReduceOp
 from ..core.tasks import EdgeMapSpec
-from .common import AlgorithmResult, IterationTimer
+from .common import AlgorithmResult, IterationTimer, program, scratch
 
 
-def sssp(cluster: PgxdCluster, dg: DistributedGraph, root: int = 0,
-         max_iterations: int = 10000) -> AlgorithmResult:
-    """Weighted shortest-path distance from ``root`` (Bellman-Ford)."""
+@program
+def sssp(dg: DistributedGraph, root: int = 0, max_iterations: int = 10000,
+         start=None):
+    """Weighted shortest-path distance from ``root`` (Bellman-Ford).
+
+    ``start`` warm-starts the relaxation from ``(dist, active)`` global
+    arrays instead of the cold start at ``root``; the run stops as soon as
+    no node is active, which may be before the first iteration.
+    ``extra["active_trace"]`` holds the active count entering each
+    iteration, then the final one.
+    """
     if dg.graph.edge_weights is None:
         raise ValueError("sssp requires edge weights "
                          "(see graph.generators.with_uniform_weights)")
-    n = dg.num_nodes
-    init_dist = np.full(n, np.inf)
-    init_dist[root] = 0.0
-    dg.add_property("dist", from_global=init_dist)
-    dg.add_property("dist_nxt", from_global=init_dist)
-    active0 = np.zeros(n, dtype=bool)
-    active0[root] = True
-    dg.add_property("active", dtype=np.bool_, from_global=active0)
+    if start is None:
+        n = dg.num_nodes
+        dist0 = np.full(n, np.inf)
+        dist0[root] = 0.0
+        active0 = np.zeros(n, dtype=bool)
+        active0[root] = True
+    else:
+        dist0, active0 = start
 
     relax = EdgeMapJob(name="sssp_relax", spec=EdgeMapSpec(
         direction="push", source="dist", target="dist_nxt", op=ReduceOp.MIN,
@@ -49,23 +57,26 @@ def sssp(cluster: PgxdCluster, dg: DistributedGraph, root: int = 0,
                                        ("active", ReduceOp.OVERWRITE),
                                        ("dist_nxt", ReduceOp.OVERWRITE)),
                                ops_per_node=5, bytes_per_node=40)
+    count_active = MapReduce(lambda v: int(v["active"].sum()))
 
-    timer = IterationTimer(cluster)
-    iterations = 0
-    for _ in range(max_iterations):
-        s1 = cluster.run_job(dg, relax)
-        s2 = cluster.run_job(dg, absorb_job)
-        n_active = int(cluster.map_reduce(dg, lambda v: int(v["active"].sum())))
-        iterations += 1
-        timer.iteration_done(s1, s2)
-        if n_active == 0:
-            break
-
-    total, stats = timer.finish()
-    dist = dg.gather("dist")
-    for prop in ("dist", "dist_nxt", "active"):
-        dg.drop_property(prop)
-    return AlgorithmResult(name="sssp", iterations=iterations, total_time=total,
+    with scratch(dg) as add:
+        add("dist", from_global=dist0)
+        add("dist_nxt", from_global=dist0)
+        add("active", dtype=np.bool_, from_global=active0)
+        timer = IterationTimer(dg.cluster)
+        active_trace = [int(active0.sum())]
+        for _ in range(max_iterations):
+            if active_trace[-1] == 0:
+                break
+            s1 = yield relax
+            s2 = yield absorb_job
+            active_trace.append(int((yield count_active)))
+            timer.iteration_done(s1, s2)
+        total, stats = timer.finish()
+        dist = dg.gather("dist")
+    return AlgorithmResult(name="sssp", iterations=len(active_trace) - 1,
+                           total_time=total,
                            per_iteration=timer.per_iteration, stats=stats,
                            values={"dist": dist},
-                           extra={"reached": int(np.isfinite(dist).sum())})
+                           extra={"reached": int(np.isfinite(dist).sum()),
+                                  "active_trace": active_trace})

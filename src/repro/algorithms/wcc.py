@@ -10,20 +10,28 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.engine import DistributedGraph, LocalView, PgxdCluster
-from ..core.job import EdgeMapJob, NodeKernelJob
+from ..core.engine import DistributedGraph, LocalView
+from ..core.job import EdgeMapJob, MapReduce, NodeKernelJob
 from ..core.properties import ReduceOp
 from ..core.tasks import EdgeMapSpec
-from .common import AlgorithmResult, IterationTimer
+from .common import AlgorithmResult, IterationTimer, program, scratch
 
 
-def wcc(cluster: PgxdCluster, dg: DistributedGraph, max_iterations: int = 1000) -> AlgorithmResult:
-    """Label every node with the smallest node id in its weak component."""
-    dg.add_property("comp", init=0.0,
-                    from_global=np.arange(dg.num_nodes, dtype=np.float64))
-    dg.add_property("comp_nxt", init=0.0,
-                    from_global=np.arange(dg.num_nodes, dtype=np.float64))
-    dg.add_property("active", dtype=np.bool_, init=True)
+@program
+def wcc(dg: DistributedGraph, max_iterations: int = 1000, start=None):
+    """Label every node with the smallest node id in its weak component.
+
+    ``start`` warm-starts propagation from ``(comp, active)`` global arrays
+    (float labels) instead of self-labels with every node active; the run
+    stops as soon as no node is active, which may be before the first
+    iteration.  ``extra["active_trace"]`` holds the active count entering
+    each iteration, then the final one.
+    """
+    if start is None:
+        comp0 = np.arange(dg.num_nodes, dtype=np.float64)
+        active0 = np.ones(dg.num_nodes, dtype=bool)
+    else:
+        comp0, active0 = start
 
     push_out = EdgeMapJob(name="wcc_out", spec=EdgeMapSpec(
         direction="push", source="comp", target="comp_nxt", op=ReduceOp.MIN,
@@ -46,24 +54,27 @@ def wcc(cluster: PgxdCluster, dg: DistributedGraph, max_iterations: int = 1000) 
                                        ("active", ReduceOp.OVERWRITE),
                                        ("comp_nxt", ReduceOp.OVERWRITE)),
                                ops_per_node=5, bytes_per_node=40)
+    count_active = MapReduce(lambda v: int(v["active"].sum()))
 
-    timer = IterationTimer(cluster)
-    iterations = 0
-    for _ in range(max_iterations):
-        s1 = cluster.run_job(dg, push_out)
-        s2 = cluster.run_job(dg, push_in)
-        s3 = cluster.run_job(dg, absorb_job)
-        n_active = int(cluster.map_reduce(dg, lambda v: int(v["active"].sum())))
-        iterations += 1
-        timer.iteration_done(s1, s2, s3)
-        if n_active == 0:
-            break
-
-    total, stats = timer.finish()
-    comp = dg.gather("comp").astype(np.int64)
-    for prop in ("comp", "comp_nxt", "active"):
-        dg.drop_property(prop)
-    return AlgorithmResult(name="wcc", iterations=iterations, total_time=total,
+    with scratch(dg) as add:
+        add("comp", from_global=comp0)
+        add("comp_nxt", from_global=comp0)
+        add("active", dtype=np.bool_, from_global=active0)
+        timer = IterationTimer(dg.cluster)
+        active_trace = [int(active0.sum())]
+        for _ in range(max_iterations):
+            if active_trace[-1] == 0:
+                break
+            s1 = yield push_out
+            s2 = yield push_in
+            s3 = yield absorb_job
+            active_trace.append(int((yield count_active)))
+            timer.iteration_done(s1, s2, s3)
+        total, stats = timer.finish()
+        comp = dg.gather("comp").astype(np.int64)
+    return AlgorithmResult(name="wcc", iterations=len(active_trace) - 1,
+                           total_time=total,
                            per_iteration=timer.per_iteration, stats=stats,
                            values={"component": comp},
-                           extra={"num_components": int(len(np.unique(comp)))})
+                           extra={"num_components": int(len(np.unique(comp))),
+                                  "active_trace": active_trace})

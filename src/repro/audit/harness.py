@@ -1,15 +1,20 @@
 """Schedule-perturbation audit harness.
 
-Runs one workload K+1 times: once under the engine's canonical schedule
+Runs one workload — the real :mod:`repro.algorithms` program, inline solo
+and through :meth:`~repro.core.scheduler.JobScheduler.submit_program` for
+two tenants — K+1 times: once under the engine's canonical schedule
 (insertion-order tie breaking) and K times under seeded permutations of
 equal-time events — the only reordering a correct discrete-event engine may
 legally experience — then diffs what must not change:
 
-* **property bit patterns** — a SHA-256 fingerprint of every result
-  property's raw bytes must be identical across all schedules, solo runs,
-  and two-tenant interleaved runs;
-* **counted work** — tasks executed, edges processed, and the local/remote
-  read/write classification are functions of the data, never of timing;
+* **result bit patterns** — a SHA-256 fingerprint of the raw bytes of
+  every array in the program's ``AlgorithmResult.values`` must be
+  identical across all schedules, solo runs, and two-tenant interleaved
+  runs;
+* **counted work** — iterations (PageRank runs to a tolerance, so its
+  convergence decision is covered), tasks executed, edges processed, and
+  the local/remote read/write classification are functions of the data,
+  never of timing;
 * **dispatch logs** — each session's dispatch subsequence through the
   PR 4 scheduler is FIFO by construction and must not reorder.
 
@@ -36,7 +41,7 @@ from unittest import mock
 
 import numpy as np
 
-from ..algorithms.streams import pagerank_stream, sssp_stream, wcc_stream
+from ..algorithms import pagerank, sssp, wcc
 from ..core import jobrunner
 from ..core.engine import PgxdCluster
 from ..core.faults import FaultPlan
@@ -53,9 +58,12 @@ INVARIANT_STATS = ("tasks_executed", "edges_processed",
                    "local_reads", "remote_reads",
                    "local_writes", "remote_writes")
 
-#: workload -> (stream builder kwargs key, result properties)
 WORKLOADS = ("pagerank", "sssp", "wcc")
-RESULT_PROPS = {"pagerank": ("pr",), "sssp": ("dist",), "wcc": ("comp",)}
+#: L1 tolerance of the PageRank cells: the delta shrinks ~4x per iteration
+#: on the harness's graphs (0.8, 0.2, 0.05), so at the default iterations=3
+#: the canonical run stops after two and the early exit is audited too.
+#: The negative control keeps tolerance 0: only bits can diverge there.
+PAGERANK_TOLERANCE = 0.25
 
 
 @dataclass(frozen=True)
@@ -251,14 +259,17 @@ class AuditHarness:
             cluster.sim.set_tie_breaker(tie_seed)
         return cluster
 
-    def _stream(self, workload: str, dg, variant: str = "pull") -> list:
+    def _program(self, workload: str, dg, variant: str = "pull",
+                 tolerance: float = PAGERANK_TOLERANCE):
+        """The real algorithm program a cell runs on ``dg``."""
         if workload == "pagerank":
-            return pagerank_stream(dg, iterations=self.iterations,
-                                   variant=variant)
+            return pagerank.program(dg, variant=variant,
+                                    max_iterations=self.iterations,
+                                    tolerance=tolerance)
         if workload == "sssp":
-            return sssp_stream(dg, rounds=self.iterations)
+            return sssp.program(dg, max_iterations=self.iterations)
         if workload == "wcc":
-            return wcc_stream(dg, rounds=self.iterations)
+            return wcc.program(dg, max_iterations=self.iterations)
         raise ValueError(f"unknown workload {workload!r}; "
                          f"choose from {WORKLOADS}")
 
@@ -268,23 +279,12 @@ class AuditHarness:
         cross-tenant traffic diversity on the shared fabric."""
         return "sssp" if workload != "sssp" else "pagerank"
 
-    @staticmethod
-    def _fingerprint(dg, props: tuple[str, ...]) -> str:
-        h = hashlib.sha256()
-        for p in props:
-            arr = np.ascontiguousarray(dg.gather(p))
-            h.update(p.encode())
-            h.update(str(arr.dtype).encode())
-            h.update(arr.tobytes())
-        return h.hexdigest()
-
-    @staticmethod
-    def _invariant_stats(stats_list) -> dict[str, int]:
-        out = {k: 0 for k in INVARIANT_STATS}
-        for st in stats_list:
-            for k in INVARIANT_STATS:
-                out[k] += int(getattr(st, k))
-        return out
+    def _record(self, run: "ScheduleRun", key: str, result) -> None:
+        """A finished program's fingerprint and counted work."""
+        run.fingerprints[key] = self._fingerprint_arrays(result.values)
+        run.stats[key] = {"iterations": result.iterations,
+                          **{k: int(getattr(result.stats, k))
+                             for k in INVARIANT_STATS}}
 
     # -- single runs -------------------------------------------------------
 
@@ -293,16 +293,14 @@ class AuditHarness:
         run = ScheduleRun(tie_seed=tie_seed, mode="solo")
         cluster = self._cluster(scenario, tie_seed)
         dg = cluster.load_graph(self.graph)
-        jobs = self._stream(scenario.workload, dg, scenario.variant)
-        stats = []
+        program = self._program(
+            scenario.workload, dg, scenario.variant,
+            tolerance=0.0 if scenario.expect_divergence
+            else PAGERANK_TOLERANCE)
         try:
-            for job in jobs:
-                stats.append(cluster.run_job(dg, job))
+            self._record(run, "solo", cluster.run(dg, program))
         except AuditViolation as av:
             run.violations.extend(av.violations)
-        run.fingerprints["solo"] = self._fingerprint(
-            dg, RESULT_PROPS[scenario.workload])
-        run.stats["solo"] = self._invariant_stats(stats)
         run.elapsed = cluster.sim.now
         return run
 
@@ -310,29 +308,24 @@ class AuditHarness:
                         tie_seed: Optional[int]) -> ScheduleRun:
         run = ScheduleRun(tie_seed=tie_seed, mode="two_tenant")
         cluster = self._cluster(scenario, tie_seed)
-        dg_a = cluster.load_graph(self.graph)
-        dg_b = cluster.load_graph(self.graph)
-        other = self._other_workload(scenario.workload)
-        jobs_a = self._stream(scenario.workload, dg_a, scenario.variant)
-        jobs_b = self._stream(other, dg_b)
         sched = JobScheduler(cluster,
                              SchedulerConfig(max_concurrent_jobs=2))
-        tickets_a = sched.submit_many("tenantA", dg_a, jobs_a)
-        tickets_b = sched.submit_many("tenantB", dg_b, jobs_b)
+        tenants = {}
+        for key, workload in (
+                ("tenantA", scenario.workload),
+                ("tenantB", self._other_workload(scenario.workload))):
+            dg = cluster.load_graph(self.graph)
+            variant = scenario.variant if key == "tenantA" else "pull"
+            tenants[key] = sched.submit_program(
+                key, dg, self._program(workload, dg, variant))
         try:
             sched.drain()
         except AuditViolation as av:
             run.violations.extend(av.violations)
-        run.fingerprints["tenantA"] = self._fingerprint(
-            dg_a, RESULT_PROPS[scenario.workload])
-        run.fingerprints["tenantB"] = self._fingerprint(
-            dg_b, RESULT_PROPS[other])
-        run.stats["tenantA"] = self._invariant_stats(
-            [t.stats for t in tickets_a if t.stats is not None])
-        run.stats["tenantB"] = self._invariant_stats(
-            [t.stats for t in tickets_b if t.stats is not None])
-        run.dispatch["tenantA"] = sched.dispatch_log_for("tenantA")
-        run.dispatch["tenantB"] = sched.dispatch_log_for("tenantB")
+        for key, program in tenants.items():
+            if program.done:
+                self._record(run, key, program.result)
+            run.dispatch[key] = sched.dispatch_log_for(key)
         run.elapsed = cluster.sim.now
         return run
 
@@ -406,13 +399,14 @@ class AuditHarness:
             eng.pagerank()
             if two_tenant:
                 reader_dg = eng.pin()
-                jobs = self._stream(scenario.workload, reader_dg)
-                sched.submit_many("reader", reader_dg, jobs)
+                reader = sched.submit_program(
+                    "reader", reader_dg,
+                    self._program(scenario.workload, reader_dg))
                 for _ in self._dynamic_batches(eng):
                     sched.submit("mutator", eng, eng.stage())
                 sched.drain()
-                run.fingerprints["tenantB"] = self._fingerprint(
-                    reader_dg, RESULT_PROPS[scenario.workload])
+                run.fingerprints["tenantB"] = self._fingerprint_arrays(
+                    reader.result.values)
                 run.dispatch["reader"] = sched.dispatch_log_for("reader")
                 run.dispatch["mutator"] = sched.dispatch_log_for("mutator")
             else:

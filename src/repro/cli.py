@@ -389,7 +389,7 @@ def _serve_cache_trace(args) -> int:
 
 def cmd_serve(args) -> int:
     """Replay a synthetic multi-tenant trace through the job scheduler."""
-    from .algorithms.streams import pagerank_stream, sssp_stream
+    from .algorithms import pagerank, sssp
     from .core.scheduler import SchedulerConfig
     from .obs.report import scheduler_summary
     from .server import PgxdServer
@@ -409,19 +409,17 @@ def cmd_serve(args) -> int:
     for i in range(args.sessions):
         name = f"tenant{i}"
         s = server.create_session(name)
-        # The skewed trace gives tenant0 a 4x-deeper stream — the hog the
+        # The skewed trace gives tenant0 a 4x-longer run — the hog the
         # fair-share check should flag; balanced gives everyone equal work.
         hog = args.workload == "skewed" and i == 0
         units = args.jobs_per_session * (4 if hog else 1)
         if i % 2 == 1:
             dg = s.load_graph("g", g_weighted)
-            jobs = sssp_stream(dg, root=args.seed % dg.num_nodes,
-                               rounds=units, prefix=f"{name}_sssp")
+            s.submit_program("g", sssp, root=args.seed % dg.num_nodes,
+                             max_iterations=units)
         else:
-            dg = s.load_graph("g", g_plain)
-            jobs = pagerank_stream(dg, iterations=units,
-                                   prefix=f"{name}_pr")
-        s.submit_jobs("g", jobs)
+            s.load_graph("g", g_plain)
+            s.submit_program("g", pagerank, max_iterations=units)
     server.drain()
     log = server.scheduler.dispatch_log
     shown = log if len(log) <= 40 else log[:40]
@@ -555,7 +553,7 @@ def cmd_profile(args) -> int:
               f"(scale {args.scale:g}, {args.machines} machines)")
         rollup = {}
     else:
-        from .algorithms.streams import pagerank_stream, sssp_stream
+        from .algorithms import pagerank, sssp
         from .core.scheduler import SchedulerConfig
         from .server import PgxdServer
 
@@ -567,16 +565,12 @@ def cmd_profile(args) -> int:
         g_plain = paper_graph(args.graph, scale=args.scale)
         g_weighted = paper_graph(args.graph, scale=args.scale, weighted=True)
         alice = server.create_session("alice")
-        dg_a = alice.load_graph("g", g_plain)
-        alice.submit_jobs("g", pagerank_stream(dg_a,
-                                               iterations=args.iterations,
-                                               prefix="pr"))
+        alice.load_graph("g", g_plain)
+        alice.submit_program("g", pagerank, max_iterations=args.iterations)
         bob = server.create_session("bob")
         dg_b = bob.load_graph("g", g_weighted)
-        bob.submit_jobs("g", sssp_stream(dg_b,
-                                         root=args.seed % dg_b.num_nodes,
-                                         rounds=args.iterations,
-                                         prefix="sssp"))
+        bob.submit_program("g", sssp, root=args.seed % dg_b.num_nodes,
+                           max_iterations=args.iterations)
         server.drain()
         print(f"profile: two-session PageRank+SSSP on {args.graph} "
               f"(scale {args.scale:g}, {args.machines} machines, "
@@ -700,12 +694,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_graph_args(p_srv)
     p_srv.add_argument("--workload", choices=["balanced", "skewed"],
                        default="balanced",
-                       help="balanced: equal streams per tenant; skewed: "
-                            "tenant0 submits a 4x-deeper stream")
+                       help="balanced: equal work per tenant; skewed: "
+                            "tenant0 runs 4x the iterations")
     p_srv.add_argument("--sessions", type=int, default=3)
     p_srv.add_argument("--jobs-per-session", type=int, default=2,
-                       help="work units per session (PageRank iterations / "
-                            "SSSP rounds)")
+                       help="work units per session (PageRank / SSSP "
+                            "max_iterations)")
     p_srv.add_argument("--machines", type=int, default=2)
     p_srv.add_argument("--seed", type=int, default=7)
     p_srv.add_argument("--max-concurrent", type=int, default=4,

@@ -19,7 +19,7 @@ Typical use (the Figure 2 application shape)::
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Generator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from . import barrier as barrier_mod
 from .data_manager import DataManager
 from .faults import FaultController
 from .ghost import select_ghosts
-from .job import Job
+from .job import Job, MapReduce
 from .machine import Machine
 from .messages import MessagePool, RmiRegistry
 from .properties import ReduceOp
@@ -259,6 +259,31 @@ class PgxdCluster:
         """
         return (self.scheduler or JobScheduler(self)).run_inline(
             dgraph, job, recover=recover)
+
+    def run(self, dgraph: DistributedGraph, program: Generator):
+        """Drive an algorithm program inline; returns what it returns.
+
+        Each :class:`~repro.core.job.Job` the generator yields runs through
+        :meth:`run_job` and is answered with its ``JobStats``; each
+        :class:`~repro.core.job.MapReduce` through :meth:`map_reduce`, and
+        is answered with the value.  A step that raises closes the program
+        first, so it drops its property columns before the error
+        propagates.
+        """
+        value = None
+        while True:
+            try:
+                step = program.send(value)
+            except StopIteration as stop:
+                return stop.value
+            try:
+                if isinstance(step, MapReduce):
+                    value = self.map_reduce(dgraph, step.fn, step.op)
+                else:
+                    value = self.run_job(dgraph, step)
+            except BaseException:
+                program.close()
+                raise
 
     def run_jobs(self, dgraph: DistributedGraph, jobs: Sequence[Job],
                  recover: Optional[bool] = None) -> JobStats:

@@ -29,10 +29,12 @@ the changed edge set.
   rerun within the documented truncation tolerance
   (``docs/incremental.md``).
 
-When the accumulated delta exceeds a configurable fraction of the edge
-set, incremental seeding stops paying and the engine falls back to a full
-rerun (same loop, cold-start state — so the work accounting stays
-comparable).
+All three run the shared :mod:`repro.algorithms` programs
+(``sssp``, ``wcc``, ``pagerank_approx``), warm-started through their
+``start`` argument.  When the accumulated delta exceeds a configurable
+fraction of the edge set, incremental seeding stops paying and the engine
+falls back to a full rerun (same program, cold-start state — so the work
+accounting stays comparable).
 """
 
 from __future__ import annotations
@@ -42,13 +44,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from ..algorithms.pagerank import pagerank_approx
+from ..algorithms.sssp import sssp
+from ..algorithms.wcc import wcc
 from ..graph.csr import Graph, from_edges
 from ..runtime.stats import JobStats
 from . import barrier as barrier_mod
-from .engine import DistributedGraph, LocalView, PgxdCluster
-from .job import EdgeMapJob, MutationJob, NodeKernelJob
-from .properties import ReduceOp
-from .tasks import EdgeMapSpec
+from .engine import DistributedGraph, PgxdCluster
+from .job import MutationJob
 
 #: modeled per-edge CSR (re)build cost — mirrors PgxdCluster.load_graph's
 #: timed model so patched machines pay the same rate a full load would
@@ -309,18 +312,36 @@ class IncrementalEngine:
                 removed.extend(batch.removed)
         return inserted, removed
 
-    def _should_fall_back(self, inserted, removed) -> bool:
-        delta = len(inserted) + len(removed)
+    def _plan(self, algo: str, **key):
+        """``(warm state, fallback, inserted, removed)``: no state (a cold
+        start) when there is none for this epoch and ``key`` (SSSP's root),
+        or when the delta exceeds the full-rerun fraction (the fallback)."""
+        state = self._state.get(algo)
+        if (state is None or state["epoch"] > self.epoch
+                or any(state[k] != v for k, v in key.items())):
+            return None, False, (), ()
+        inserted, removed = self._changes_since(state["epoch"])
         budget = self.config.full_rerun_fraction * max(1, self.dg.num_edges)
-        return delta > budget
+        if len(inserted) + len(removed) > budget:
+            return None, True, (), ()
+        return state, False, inserted, removed
 
-    def _emit(self, result: IncrementalResult) -> None:
+    def _finish(self, algo: str, warm, fellback: bool, run,
+                values: dict) -> IncrementalResult:
+        """Wrap a shared-program run as an :class:`IncrementalResult`; the
+        recomputed-vertex count sums its ``active_trace``."""
+        result = IncrementalResult(
+            algo=algo, mode="full" if warm is None else "incremental",
+            epoch=self.epoch, iterations=run.iterations,
+            recomputed_vertices=sum(run.extra["active_trace"]),
+            total_time=run.total_time, values=values, fallback=fellback)
         self.cluster.hooks.emit(
             "job.incremental", algo=result.algo, mode=result.mode,
             epoch=result.epoch, iterations=result.iterations,
             recomputed_vertices=result.recomputed_vertices,
             fallback=result.fallback,
             duration=result.total_time, time=self.cluster.sim.now)
+        return result
 
     # -- SSSP ---------------------------------------------------------------
 
@@ -328,38 +349,16 @@ class IncrementalEngine:
         """Exact single-source shortest paths on the current epoch."""
         if self.dg.graph.edge_weights is None:
             raise ValueError("incremental sssp requires a weight_fn")
-        n = self.dg.num_nodes
-        state = self._state.get("sssp")
-        mode = "incremental"
-        fellback = False
-        if (state is None or state.get("root") != root
-                or state["epoch"] > self.epoch):
-            mode = "full"
-            inserted = removed = ()
-        else:
-            inserted, removed = self._changes_since(state["epoch"])
-            if self._should_fall_back(inserted, removed):
-                mode = "full"
-                fellback = True
-
-        if mode == "full":
-            dist0 = np.full(n, np.inf)
-            dist0[root] = 0.0
-            active0 = np.zeros(n, dtype=bool)
-            active0[root] = True
-        else:
-            dist0, active0 = self._sssp_seed(state["dist"], root,
-                                             inserted, removed)
-        dist, iters, recomputed, total = self._sssp_loop(dist0, active0)
+        warm, fellback, inserted, removed = self._plan("sssp", root=root)
+        start = (None if warm is None else
+                 self._sssp_seed(warm["dist"], root, inserted, removed))
+        run = sssp(self.cluster, self.dg, root=root,
+                   max_iterations=self.config.sssp_max_iterations,
+                   start=start)
+        dist = run.values["dist"]
         self._state["sssp"] = {"epoch": self.epoch, "root": root,
-                               "dist": dist, "graph": self.dg.graph}
-        result = IncrementalResult(algo="sssp", mode=mode, epoch=self.epoch,
-                                   iterations=iters,
-                                   recomputed_vertices=recomputed,
-                                   total_time=total, values={"dist": dist},
-                                   fallback=fellback)
-        self._emit(result)
-        return result
+                               "dist": dist}
+        return self._finish("sssp", warm, fellback, run, {"dist": dist})
 
     def _edge_in_graph(self, g: Graph, u: int, v: int) -> bool:
         row = g.out_nbrs[g.out_starts[u]:g.out_starts[u + 1]]
@@ -417,82 +416,19 @@ class IncrementalEngine:
         active0 &= np.isfinite(dist0)
         return dist0, active0
 
-    def _sssp_loop(self, dist0, active0):
-        cl, dg = self.cluster, self.dg
-        t0 = cl.sim.now
-        dg.add_property("dist", from_global=dist0)
-        dg.add_property("dist_nxt", from_global=dist0)
-        dg.add_property("active", dtype=np.bool_, from_global=active0)
-
-        relax = EdgeMapJob(name="sssp_relax", spec=EdgeMapSpec(
-            direction="push", source="dist", target="dist_nxt",
-            op=ReduceOp.MIN, transform=lambda vals, w: vals + w,
-            use_weights=True, active="active"))
-
-        def absorb(view: LocalView, lo: int, hi: int) -> None:
-            dist = view["dist"][lo:hi]
-            nxt = view["dist_nxt"][lo:hi]
-            improved = nxt < dist
-            view["dist"][lo:hi] = np.minimum(dist, nxt)
-            view["active"][lo:hi] = improved
-            view["dist_nxt"][lo:hi] = view["dist"][lo:hi]
-
-        absorb_job = NodeKernelJob(name="sssp_absorb", kernel=absorb,
-                                   reads=("dist_nxt",),
-                                   writes=(("dist", ReduceOp.OVERWRITE),
-                                           ("active", ReduceOp.OVERWRITE),
-                                           ("dist_nxt", ReduceOp.OVERWRITE)),
-                                   ops_per_node=5, bytes_per_node=40)
-        iterations = 0
-        recomputed = int(active0.sum())
-        n_active = recomputed
-        for _ in range(self.config.sssp_max_iterations):
-            if n_active == 0:
-                break
-            cl.run_job(dg, relax)
-            cl.run_job(dg, absorb_job)
-            n_active = int(cl.map_reduce(dg,
-                                         lambda v: int(v["active"].sum())))
-            recomputed += n_active
-            iterations += 1
-        dist = dg.gather("dist")
-        for prop in ("dist", "dist_nxt", "active"):
-            dg.drop_property(prop)
-        return dist, iterations, recomputed, cl.sim.now - t0
-
     # -- WCC ----------------------------------------------------------------
 
     def wcc(self) -> IncrementalResult:
         """Exact weakly connected components on the current epoch."""
-        n = self.dg.num_nodes
-        state = self._state.get("wcc")
-        mode = "incremental"
-        fellback = False
-        if state is None or state["epoch"] > self.epoch:
-            mode = "full"
-            inserted = removed = ()
-        else:
-            inserted, removed = self._changes_since(state["epoch"])
-            if self._should_fall_back(inserted, removed):
-                mode = "full"
-                fellback = True
-
-        if mode == "full":
-            comp0 = np.arange(n, dtype=np.float64)
-            active0 = np.ones(n, dtype=bool)
-        else:
-            comp0, active0 = self._wcc_seed(state["comp"], inserted, removed)
-        comp, iters, recomputed, total = self._wcc_loop(comp0, active0)
-        self._state["wcc"] = {"epoch": self.epoch, "comp": comp}
-        result = IncrementalResult(algo="wcc", mode=mode, epoch=self.epoch,
-                                   iterations=iters,
-                                   recomputed_vertices=recomputed,
-                                   total_time=total,
-                                   values={"component":
-                                           comp.astype(np.int64)},
-                                   fallback=fellback)
-        self._emit(result)
-        return result
+        warm, fellback, inserted, removed = self._plan("wcc")
+        start = (None if warm is None else
+                 self._wcc_seed(warm["comp"], inserted, removed))
+        run = wcc(self.cluster, self.dg,
+                  max_iterations=self.config.wcc_max_iterations, start=start)
+        comp = run.values["component"]
+        self._state["wcc"] = {"epoch": self.epoch,
+                              "comp": comp.astype(np.float64)}
+        return self._finish("wcc", warm, fellback, run, {"component": comp})
 
     def _wcc_seed(self, comp_old: np.ndarray, inserted, removed):
         """Affected-fragment invalidation for deletions.
@@ -558,97 +494,31 @@ class IncrementalEngine:
                         stack.append(z)
         return sorted(seen)
 
-    def _wcc_loop(self, comp0, active0):
-        cl, dg = self.cluster, self.dg
-        t0 = cl.sim.now
-        dg.add_property("comp", from_global=comp0)
-        dg.add_property("comp_nxt", from_global=comp0)
-        dg.add_property("active", dtype=np.bool_, from_global=active0)
-
-        push_out = EdgeMapJob(name="wcc_out", spec=EdgeMapSpec(
-            direction="push", source="comp", target="comp_nxt",
-            op=ReduceOp.MIN, active="active"))
-        push_in = EdgeMapJob(name="wcc_in", spec=EdgeMapSpec(
-            direction="push", source="comp", target="comp_nxt",
-            op=ReduceOp.MIN, active="active", reverse=True))
-
-        def absorb(view: LocalView, lo: int, hi: int) -> None:
-            comp = view["comp"][lo:hi]
-            nxt = view["comp_nxt"][lo:hi]
-            changed = nxt < comp
-            view["comp"][lo:hi] = np.minimum(comp, nxt)
-            view["active"][lo:hi] = changed
-            view["comp_nxt"][lo:hi] = view["comp"][lo:hi]
-
-        absorb_job = NodeKernelJob(name="wcc_absorb", kernel=absorb,
-                                   reads=("comp_nxt",),
-                                   writes=(("comp", ReduceOp.OVERWRITE),
-                                           ("active", ReduceOp.OVERWRITE),
-                                           ("comp_nxt", ReduceOp.OVERWRITE)),
-                                   ops_per_node=5, bytes_per_node=40)
-        iterations = 0
-        recomputed = int(active0.sum())
-        n_active = recomputed
-        for _ in range(self.config.wcc_max_iterations):
-            if n_active == 0:
-                break
-            cl.run_job(dg, push_out)
-            cl.run_job(dg, push_in)
-            cl.run_job(dg, absorb_job)
-            n_active = int(cl.map_reduce(dg,
-                                         lambda v: int(v["active"].sum())))
-            recomputed += n_active
-            iterations += 1
-        comp = dg.gather("comp")
-        for prop in ("comp", "comp_nxt", "active"):
-            dg.drop_property(prop)
-        return comp, iterations, recomputed, cl.sim.now - t0
-
     # -- PageRank ------------------------------------------------------------
 
     def pagerank(self) -> IncrementalResult:
         """Delta-propagation PageRank to the configured threshold.
 
-        Full mode reproduces ``pagerank_approx``'s cold start exactly (all
-        deltas are non-negative there, so the |dn| gate is equivalent);
-        incremental mode warm-starts from the previous fixed point and
-        seeds the frontier with the residual the structural change
-        introduces.  Both truncate at the same threshold.
+        Full mode is ``pagerank_approx``'s cold start; incremental mode
+        warm-starts it from the previous fixed point and seeds the
+        frontier with the residual the structural change introduces.
+        Both truncate at the same threshold.
         """
-        n = self.dg.num_nodes
         cfg = self.config
-        state = self._state.get("pagerank")
-        mode = "incremental"
-        fellback = False
-        if state is None or state["epoch"] > self.epoch:
-            mode = "full"
-            inserted = removed = ()
-        else:
-            inserted, removed = self._changes_since(state["epoch"])
-            if self._should_fall_back(inserted, removed):
-                mode = "full"
-                fellback = True
-
-        if mode == "full":
-            init = (1.0 - cfg.pr_damping) / n
-            apr0 = np.full(n, init)
-            delta0 = np.full(n, init)
-            active0 = np.ones(n, dtype=bool)
-        else:
-            apr0 = state["pr"].copy()
-            delta0 = self._pr_residual(state["pr"], state["graph"],
+        warm, fellback, inserted, removed = self._plan("pagerank")
+        start = None
+        if warm is not None:
+            delta0 = self._pr_residual(warm["pr"], warm["graph"],
                                        inserted, removed)
-            active0 = np.abs(delta0) >= cfg.pr_threshold
-        pr, iters, recomputed, total = self._pr_loop(apr0, delta0, active0)
+            start = (warm["pr"], delta0, np.abs(delta0) >= cfg.pr_threshold)
+        run = pagerank_approx(self.cluster, self.dg, damping=cfg.pr_damping,
+                              threshold=cfg.pr_threshold,
+                              max_iterations=cfg.pr_max_iterations,
+                              start=start)
+        pr = run.values["pr"]
         self._state["pagerank"] = {"epoch": self.epoch, "pr": pr,
                                    "graph": self.dg.graph}
-        result = IncrementalResult(algo="pagerank", mode=mode,
-                                   epoch=self.epoch, iterations=iters,
-                                   recomputed_vertices=recomputed,
-                                   total_time=total, values={"pr": pr},
-                                   fallback=fellback)
-        self._emit(result)
-        return result
+        return self._finish("pagerank", warm, fellback, run, {"pr": pr})
 
     def _pr_residual(self, p_old: np.ndarray, g_old: Graph,
                      inserted, removed) -> np.ndarray:
@@ -676,74 +546,3 @@ class IncrementalEngine:
         dm_new = float(p_old[np.diff(g_new.out_starts) == 0].sum())
         delta0 += d * (dm_new - dm_old) / n
         return delta0
-
-    def _pr_loop(self, apr0, delta0, active0):
-        cl, dg = self.cluster, self.dg
-        cfg = self.config
-        n = dg.num_nodes
-        damping, threshold = cfg.pr_damping, cfg.pr_threshold
-        t0 = cl.sim.now
-        dg.add_property("apr", from_global=apr0)
-        dg.add_property("delta", from_global=delta0)
-        dg.add_property("delta_tmp", init=0.0)
-        dg.add_property("delta_nxt", init=0.0)
-        dg.add_property("active", dtype=np.bool_, from_global=active0)
-
-        push_job = EdgeMapJob(name="apr_push", spec=EdgeMapSpec(
-            direction="push", source="delta_tmp", target="delta_nxt",
-            op=ReduceOp.SUM, active="active"))
-
-        def prepare(view: LocalView, lo: int, hi: int) -> None:
-            outdeg = view.out_degrees()[lo:hi]
-            delta = view["delta"][lo:hi]
-            act = view["active"][lo:hi]
-            view["delta_tmp"][lo:hi] = np.where(
-                act & (outdeg > 0),
-                damping * delta / np.maximum(outdeg, 1.0), 0.0)
-            view["delta_nxt"][lo:hi] = 0.0
-
-        prep_job = NodeKernelJob(name="apr_prepare", kernel=prepare,
-                                 reads=("delta", "active"),
-                                 writes=(("delta_tmp", ReduceOp.OVERWRITE),
-                                         ("delta_nxt", ReduceOp.OVERWRITE)),
-                                 ops_per_node=5, bytes_per_node=40)
-
-        def active_dangling_mass(view: LocalView) -> float:
-            mask = view["active"] & (view.out_degrees() == 0)
-            return float(view["delta"][mask].sum())
-
-        iterations = 0
-        recomputed = int(active0.sum())
-        n_active = recomputed
-        for _ in range(cfg.pr_max_iterations):
-            if n_active == 0:
-                break
-            d_mass = cl.map_reduce(dg, active_dangling_mass)
-            extra = damping * d_mass / n
-
-            def absorb(view: LocalView, lo: int, hi: int,
-                       extra=extra) -> None:
-                dn = view["delta_nxt"][lo:hi] + extra
-                view["apr"][lo:hi] += dn
-                view["delta"][lo:hi] = dn
-                # |dn|: incremental deltas can be negative (mass leaving a
-                # region after a deletion) and must keep propagating.
-                view["active"][lo:hi] = np.abs(dn) >= threshold
-
-            absorb_job = NodeKernelJob(
-                name="apr_absorb", kernel=absorb, reads=("delta_nxt",),
-                writes=(("apr", ReduceOp.OVERWRITE),
-                        ("delta", ReduceOp.OVERWRITE),
-                        ("active", ReduceOp.OVERWRITE)),
-                ops_per_node=6, bytes_per_node=48)
-            cl.run_job(dg, prep_job)
-            cl.run_job(dg, push_job)
-            cl.run_job(dg, absorb_job)
-            n_active = int(cl.map_reduce(dg,
-                                         lambda v: int(v["active"].sum())))
-            recomputed += n_active
-            iterations += 1
-        pr = dg.gather("apr")
-        for prop in ("apr", "delta", "delta_tmp", "delta_nxt", "active"):
-            dg.drop_property(prop)
-        return pr, iterations, recomputed, cl.sim.now - t0

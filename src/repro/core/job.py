@@ -8,8 +8,9 @@ the engine needs to synchronize ghost nodes semi-automatically.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+import functools
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 from .properties import ReduceOp
 from .tasks import EdgeMapSpec, Task, spec_task
@@ -164,12 +165,16 @@ class ReadJob(Job):
         return "read"
 
 
-@dataclass
-class JobSequence:
-    """Convenience container for the Figure 2 pattern: a list of jobs executed
-    back-to-back inside one iteration of the main sequential loop."""
+@dataclass(frozen=True)
+class MapReduce:
+    """An algorithm program's driver-side reduction step: ``fn`` runs on
+    every machine's :class:`~repro.core.engine.LocalView` and the results
+    all-reduce under ``op``; the program receives the value."""
 
-    jobs: Sequence[Job] = field(default_factory=list)
+    fn: Callable
+    op: ReduceOp = ReduceOp.SUM
 
-    def __iter__(self):
-        return iter(self.jobs)
+    def value(self, dgraph):
+        """The reduced value, host-side; the caller charges the all-reduce."""
+        return functools.reduce(self.op.scalar,
+                                map(self.fn, dgraph.local_views()))

@@ -37,11 +37,12 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Optional, Sequence
+from typing import Callable, Generator, Optional
 
 from ..obs.hooks import ScopedHookBus
+from . import barrier as barrier_mod
 from .faults import EngineStallError, MachineCrashError
-from .job import Job
+from .job import Job, MapReduce
 from .jobrunner import JobExecution, make_execution
 from ..runtime.stats import JobStats
 
@@ -103,8 +104,9 @@ class SchedulerConfig:
     read_burst: float = 8.0
 
 
-#: Ticket lifecycle states.
-QUEUED, RUNNING, DONE = "queued", "running", "done"
+#: Ticket lifecycle states (FAILED: abandoned when an error escaped the
+#: job loop while it ran).
+QUEUED, RUNNING, DONE, FAILED = "queued", "running", "done", "failed"
 
 
 @dataclass(eq=False)
@@ -127,6 +129,8 @@ class JobTicket:
     execution: Optional[JobExecution] = None
     #: crash recoveries this job used (capped by ``max_recoveries``)
     recoveries: int = 0
+    #: the background program this job is a step of, if any
+    program: Optional["ProgramRun"] = None
 
     @property
     def wait(self) -> float:
@@ -141,6 +145,23 @@ class JobTicket:
         if self.finish_time is None:
             return 0.0
         return self.finish_time - self.submit_time
+
+
+@dataclass(eq=False)
+class ProgramRun:
+    """A background algorithm program (:meth:`JobScheduler.submit_program`);
+    ``result`` holds its return value once ``done``."""
+
+    session: str
+    dgraph: object
+    generator: Generator
+    priority: str
+    recover: Optional[bool] = None
+    result: object = None
+    done: bool = False
+    #: (time, value) of a reduction answer in flight; re-armed when crash
+    #: recovery clears the simulator's pending events
+    resume: Optional[tuple[float, object]] = None
 
 
 class JobScheduler:
@@ -179,6 +200,8 @@ class JobScheduler:
         self._read_buckets: dict[str, tuple[float, float]] = {}
         #: every ticket ever admitted or run inline, in seq order
         self.tickets: list[JobTicket] = []
+        #: background programs not yet finished, in submission order
+        self._programs: list[ProgramRun] = []
         #: (index, time, session, job, priority, wait) per dispatch — the
         #: deterministic schedule record the differential tests compare
         self.dispatch_log: list[tuple[int, float, str, str, str, float]] = []
@@ -284,6 +307,32 @@ class JobScheduler:
         queue is at capacity — both before anything is enqueued, so a
         rejected submit leaves no trace beyond a ``sched.reject`` event.
         """
+        prio = self._admit(session, job.name, priority)
+        if job.kind == "read":
+            self.admit_read(session, job.name)
+        return self._enqueue(session, dgraph, job, prio, recover)
+
+    def submit_program(self, session: str, dgraph, program: Generator, *,
+                       priority: Optional[str] = None,
+                       recover: Optional[bool] = None) -> ProgramRun:
+        """Run an algorithm program (``algo.program(dg, ...)``, see
+        :meth:`PgxdCluster.run`) in the background, one step per
+        completion: each job becomes the session's next ticket, each
+        :class:`~repro.core.job.MapReduce` is answered after the latency
+        :meth:`PgxdCluster.all_reduce` charges.  Admission checks run once,
+        and the program runs to its first step here, so argument errors
+        raise with nothing queued.
+        """
+        prio = self._admit(session, program.__name__, priority)
+        run = ProgramRun(session=session, dgraph=dgraph, generator=program,
+                         priority=prio, recover=recover)
+        self._programs.append(run)
+        self._advance(run, None)
+        return run
+
+    def _admit(self, session: str, job_name: str,
+               priority: Optional[str]) -> str:
+        """Check priority, quota and queue depth; returns the priority."""
         prio = priority if priority is not None else self.config.default_priority
         if prio not in self._queues:
             raise SchedulerError(
@@ -292,22 +341,26 @@ class JobScheduler:
         now = self.cluster.sim.now
         if self.queued_count(session) >= self.config.max_queued_per_session:
             self.cluster.hooks.emit("sched.reject", session=session,
-                                    job=job.name, reason="quota", time=now)
+                                    job=job_name, reason="quota", time=now)
             raise QuotaExceededError(
-                session, job.name,
+                session, job_name,
                 f"{self.config.max_queued_per_session} jobs already queued")
         if self.queued_count() >= self.config.max_queue_depth:
             self.cluster.hooks.emit("sched.reject", session=session,
-                                    job=job.name, reason="queue_full",
+                                    job=job_name, reason="queue_full",
                                     time=now)
             raise QueueFullError(
-                session, job.name,
+                session, job_name,
                 f"admission queue at capacity ({self.config.max_queue_depth})")
-        if job.kind == "read":
-            self.admit_read(session, job.name)
+        return prio
+
+    def _enqueue(self, session: str, dgraph, job: Job, prio: str,
+                 recover: Optional[bool],
+                 program: Optional[ProgramRun] = None) -> JobTicket:
+        now = self.cluster.sim.now
         ticket = JobTicket(seq=self._next_seq(), session=session,
                            dgraph=dgraph, job=job, priority=prio,
-                           recover=recover, submit_time=now)
+                           recover=recover, submit_time=now, program=program)
         self._queues[prio].append(ticket)
         self.tickets.append(ticket)
         self.cluster.hooks.emit("sched.admit", session=session, job=job.name,
@@ -315,10 +368,33 @@ class JobScheduler:
                                 time=now)
         return ticket
 
-    def submit_many(self, session: str, dgraph, jobs: Sequence[Job],
-                    **kwargs) -> list[JobTicket]:
-        """Admit a job sequence; per-session FIFO runs them in order."""
-        return [self.submit(session, dgraph, job, **kwargs) for job in jobs]
+    def _advance(self, run: ProgramRun, value) -> None:
+        """Send a background program its last step's outcome and queue the
+        step it yields next.  A step that raises closes the program."""
+        cl = self.cluster
+        try:
+            step = run.generator.send(value)
+            if isinstance(step, MapReduce):
+                latency = barrier_mod.all_reduce_latency(
+                    cl.config.num_machines, cl.config.network)
+                run.resume = (cl.sim.now + latency, step.value(run.dgraph))
+                cl.sim.schedule(latency, self._resume, run)
+            else:
+                self._enqueue(run.session, run.dgraph, step, run.priority,
+                              run.recover, program=run)
+        except StopIteration as stop:
+            run.result, run.done = stop.value, True
+            self._programs.remove(run)
+        except BaseException:
+            run.generator.close()
+            self._programs.remove(run)
+            raise
+
+    def _resume(self, run: ProgramRun) -> None:
+        _, value = run.resume
+        run.resume = None
+        self._advance(run, value)
+        self._dispatch_ready()
 
     def _next_seq(self) -> int:
         self._seq += 1
@@ -417,12 +493,9 @@ class JobScheduler:
         if cl.profiler is not None:
             cl.profiler.annotate(stats, ticket.seq)
         ticket.stats = stats
-        ticket.execution = None
         ticket.finish_time = cl.sim.now
         ticket.state = DONE
-        del self._running[ticket]
-        self._busy_dgraphs.discard(id(ticket.dgraph))
-        self._session_running[ticket.session] -= 1
+        self._release(ticket)
         self._service[ticket.session] = (
             self._service.get(ticket.session, 0.0) + stats.elapsed)
         cl.job_log.append((ticket.job.name, stats))
@@ -433,13 +506,16 @@ class JobScheduler:
                       time=cl.sim.now)
         if self.on_complete is not None:
             self.on_complete(ticket)
+        if ticket.program is not None:
+            self._advance(ticket.program, stats)
         self._dispatch_ready()
 
     # -- the job loop ------------------------------------------------------
 
     def drain(self) -> None:
-        """Run until every admitted job has completed."""
-        self._run(lambda: bool(self._running or self.queued_count()))
+        """Run until every admitted job and program has completed."""
+        self._run(lambda: bool(self._running or self.queued_count()
+                               or self._programs))
 
     def run_inline(self, dgraph, job: Job, recover: Optional[bool] = None,
                    session: Optional[str] = None) -> JobStats:
@@ -471,7 +547,8 @@ class JobScheduler:
         graph and session are free.  A machine crash rolls the running
         tickets back through :meth:`_recover_running` and the loop
         resumes; the inline ticket is started again, queued ones were put
-        back at the front of their queues.
+        back at the front of their queues.  An error that escapes
+        abandons the running tickets (:meth:`_abandon_running`).
         """
         cl = self.cluster
         crash_events = (cl.faults.arm_crashes()
@@ -499,6 +576,9 @@ class JobScheduler:
                         ticket.job.name, ticket.execution.stall_diagnostics())
                 except MachineCrashError:
                     crash_events = self._recover_running()
+        except BaseException:
+            self._abandon_running()
+            raise
         finally:
             for ev in crash_events:
                 cl.sim.cancel(ev)
@@ -512,6 +592,42 @@ class JobScheduler:
         events.inc(sim.events_executed - events.value)
         pool_hits = reg.counter("repro_sim_event_pool_hits")
         pool_hits.inc(sim.event_pool_hits - pool_hits.value)
+
+    def _release(self, ticket: JobTicket) -> None:
+        """Free a ticket's execution, graph lock and session slot."""
+        ticket.execution = None
+        del self._running[ticket]
+        self._busy_dgraphs.discard(id(ticket.dgraph))
+        self._session_running[ticket.session] -= 1
+
+    def _drop_running(self) -> list[JobTicket]:
+        """Discard every pending event and the running executions'
+        per-machine state; returns the released tickets in seq order."""
+        cl = self.cluster
+        active = sorted(self._running, key=lambda t: t.seq)
+        cl.sim.clear_pending()
+        for ticket in active:
+            cl._reset_dgraph_state(ticket.dgraph)
+            self._release(ticket)
+        return active
+
+    def _rearm_resumes(self) -> None:
+        """Reschedule the reduction answers ``clear_pending`` dropped."""
+        now = self.cluster.sim.now
+        for run in self._programs:
+            if run.resume is not None:
+                self.cluster.sim.schedule_at(max(run.resume[0], now),
+                                             self._resume, run)
+
+    def _abandon_running(self) -> None:
+        """An error escaped the job loop: fail the running tickets and close
+        their programs, so no column or event of a dead run outlives it."""
+        for ticket in self._drop_running():
+            ticket.state = FAILED
+            if ticket.program is not None:
+                ticket.program.generator.close()
+                self._programs.remove(ticket.program)
+        self._rearm_resumes()
 
     # -- crash recovery ----------------------------------------------------
 
@@ -536,7 +652,8 @@ class JobScheduler:
         start from half-applied writes, so that crash propagates too.
         Interrupted queued tickets rejoin the front of their priority
         queues in admission order; the interrupted inline ticket is started
-        again by :meth:`_run`.
+        again by :meth:`_run`; background programs' reduction answers in
+        flight are re-armed.
         """
         cl = self.cluster
         active = sorted(self._running, key=lambda t: t.seq)
@@ -549,16 +666,13 @@ class JobScheduler:
         )
         if not recoverable:
             raise
-        cl.sim.clear_pending()  # the armed crash events with everything else
+        # the armed crash events go with everything else, and each failed
+        # attempt's ledger with its execution
+        self._drop_running()
         for ticket in active:
-            cl._reset_dgraph_state(ticket.dgraph)
             ticket.recoveries += 1
-            ticket.execution = None  # and with it the failed attempt's ledger
             ticket.dispatch_time = None
             ticket.state = QUEUED
-            del self._running[ticket]
-            self._busy_dgraphs.discard(id(ticket.dgraph))
-            self._session_running[ticket.session] -= 1
         from .checkpoint import restore_properties
 
         restore_properties(active[0].dgraph, cl._last_checkpoint)
@@ -569,6 +683,7 @@ class JobScheduler:
                           checkpoint=str(cl._last_checkpoint))
         for ticket in reversed([t for t in active if not t.inline]):
             self._queues[ticket.priority].appendleft(ticket)
+        self._rearm_resumes()
         fresh = cl.faults.arm_crashes()
         self._dispatch_ready()
         return fresh

@@ -10,11 +10,11 @@ the simulated cluster:
 * every server funnels jobs through a cluster-level
   :class:`~repro.core.scheduler.JobScheduler`: synchronous
   :meth:`Session.run_job` calls block until their job completes, while
-  :meth:`Session.submit_job` queues background work that is admitted under
-  per-session quotas, dispatched by deficit-weighted fair share, and
-  executed **concurrently** — jobs on distinct graph instances interleave
-  in the same simulated event loop (same-graph jobs still serialize on the
-  graph's machine state);
+  :meth:`Session.submit_job` and :meth:`Session.submit_program` queue
+  background work that is admitted under per-session quotas, dispatched
+  by deficit-weighted fair share, and executed **concurrently** — jobs on
+  distinct graph instances interleave in the same simulated event loop
+  (same-graph jobs still serialize on the graph's machine state);
 * per-session **accounting** (simulated seconds consumed, jobs run, bytes
   moved, per-session metric slices) flows from the scheduler's completion
   callback, so it stays exact even when tenants overlap; a simple
@@ -28,14 +28,15 @@ from __future__ import annotations
 import copy
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
 from .core.engine import DistributedGraph, PgxdCluster
 from .core.job import Job, ReadJob
 from .core.result_cache import CacheConfig, ResultCache
-from .core.scheduler import JobScheduler, JobTicket, SchedulerConfig
+from .core.scheduler import (JobScheduler, JobTicket, ProgramRun,
+                             SchedulerConfig)
 from .graph.csr import Graph
 from .obs.profiler import SpanProfiler
 from .query import PropertyQuery
@@ -110,10 +111,21 @@ class Session:
             self, self._graphs[graph_name], job, priority=priority,
             recover=recover)
 
-    def submit_jobs(self, graph_name: str, jobs: Sequence[Job],
-                    **kwargs) -> list[JobTicket]:
-        """Queue a job sequence; per-session FIFO preserves its order."""
-        return [self.submit_job(graph_name, job, **kwargs) for job in jobs]
+    def submit_program(self, graph_name: str, algorithm: Callable, /,
+                       *args, priority: Optional[str] = None,
+                       recover: Optional[bool] = None,
+                       **kwargs) -> ProgramRun:
+        """Run one of ``repro.algorithms`` in the background, each of its
+        jobs a ticket of this session (see
+        :meth:`~repro.core.scheduler.JobScheduler.submit_program`).  The
+        handle's ``result`` is the ``AlgorithmResult`` once ``done``;
+        admission and argument errors raise with nothing queued."""
+        dg = self._graphs[graph_name]
+        run = self._server.scheduler.submit_program(
+            self.name, dg, algorithm.program(dg, *args, **kwargs),
+            priority=priority, recover=recover)
+        self._server.submission_log.append((self.name, algorithm.__name__))
+        return run
 
     def run_algorithm(self, graph_name: str, algorithm: Callable, /,
                       *args, **kwargs):

@@ -134,6 +134,22 @@ class TestPositiveScenarios:
             fingerprints.add(v.runs[0].fingerprints["solo"])
         assert len(fingerprints) == 1
 
+    @pytest.mark.parametrize("variant", ["pull", "push"])
+    def test_pagerank_cells_stop_at_the_tolerance(self, audit_graph,
+                                                  audit_config, variant):
+        """At the default iterations the canonical PageRank run converges
+        before its cap, so every schedule audits the early-exit decision;
+        the negative control runs to the cap."""
+        h = AuditHarness(audit_graph, audit_config, schedules=1)
+        v = h.run_scenario(AuditScenario("pr", "pagerank", variant=variant))
+        assert v.passed
+        assert {r.stats["solo"]["iterations"] for r in v.runs} == {2}
+        assert h.iterations == 3
+        neg = h._run_solo(AuditScenario("neg", "pagerank",
+                                        unsorted_staging=True,
+                                        expect_divergence=True), None)
+        assert neg.stats["solo"]["iterations"] == h.iterations
+
     def test_cached_scenario_in_default_matrix(self):
         scs = default_scenarios()
         cached = [s for s in scs if s.cached]

@@ -211,17 +211,17 @@ class TestSchedulerIntegration:
         assert eng.epoch == 1
 
     def test_mutation_interleaves_with_pinned_reader(self):
-        from repro.algorithms.streams import pagerank_stream
+        from repro.algorithms import pagerank
         oracle = MutationOracle(seed=32)
         eng = oracle.engine
         sched = JobScheduler(oracle.cluster,
                              SchedulerConfig(max_concurrent_jobs=2))
         reader_dg = eng.pin()
         epoch0_graph = reader_dg.graph
-        jobs = pagerank_stream(reader_dg, iterations=2, variant="pull")
         eng.dynamic.add_edge(2, 3)
         mjob = eng.stage()
-        sched.submit_many("reader", reader_dg, jobs)
+        reader = sched.submit_program(
+            "reader", reader_dg, pagerank.program(reader_dg, max_iterations=2))
         sched.submit("mutator", eng, mjob)
         sched.drain()
         # Both tenants ran; the mutation's lock token is the engine, not
@@ -230,15 +230,14 @@ class TestSchedulerIntegration:
         assert sessions == {"reader", "mutator"}
         assert eng.epoch == 1
         # Reader computed on the epoch-0 snapshot (its pin predates the
-        # mutation): identical to running the same stream alone on a
+        # mutation): identical to running the same program alone on a
         # quiet cluster loaded with the epoch-0 graph.
         assert reader_dg is not eng.pin()
         quiet = make_cluster()
         qdg = quiet.load_graph(epoch0_graph)
-        for job in pagerank_stream(qdg, iterations=2, variant="pull"):
-            quiet.run_job(qdg, job)
-        np.testing.assert_array_equal(reader_dg.gather("pr"),
-                                      qdg.gather("pr"))
+        np.testing.assert_array_equal(
+            reader.result.values["pr"],
+            pagerank(quiet, qdg, max_iterations=2).values["pr"])
 
     def test_serialized_mutations_keep_epoch_order(self):
         oracle = MutationOracle(seed=33)

@@ -1,9 +1,10 @@
 """The multi-tenant scheduler battery: admission, fairness, determinism,
 bit-identity under interleaving, crash recovery, and metric attribution.
 
-The differential tests are the heart: every stream must produce bit-identical
-numeric results whether it ran alone on a quiet cluster or interleaved with
-other tenants, and a fixed seed must yield a bit-identical dispatch schedule.
+The differential tests are the heart: every algorithm program must produce
+bit-identical results whether it ran inline on a quiet cluster or in the
+background interleaved with other tenants, and a fixed seed must yield a
+bit-identical dispatch schedule.
 """
 
 import numpy as np
@@ -14,7 +15,8 @@ from repro import (ClusterConfig, EdgeMapJob, EdgeMapSpec, FaultPlan,
                    QueueFullError, QuotaExceededError, ReduceOp,
                    SchedulerConfig, SchedulerError, rmat,
                    with_uniform_weights)
-from repro.algorithms.streams import pagerank_stream, sssp_stream
+from repro.algorithms import pagerank, sssp, wcc
+from repro.core.barrier import all_reduce_latency
 from repro.core.scheduler import JobScheduler
 from repro.server import PgxdServer
 from tests.conftest import make_cluster
@@ -37,14 +39,18 @@ GRAPHS = {
 }
 
 
-def serial_stream(graph, build):
-    """Run one stream alone on a quiet cluster; return (prop array, cluster)."""
+def quiet_run(graph, algorithm, **kwargs):
+    """Run one algorithm inline on a quiet cluster; (result, cluster)."""
     cluster = make_cluster(2)
     dg = cluster.load_graph(graph)
-    jobs, prop = build(dg)
-    for job in jobs:
-        cluster.run_job(dg, job)
-    return dg.gather(prop), cluster
+    return algorithm(cluster, dg, **kwargs), cluster
+
+
+def assert_same_result(got, want):
+    assert got.iterations == want.iterations
+    assert got.values.keys() == want.values.keys()
+    for key in want.values:
+        assert np.array_equal(got.values[key], want.values[key]), key
 
 
 class TestAdmission:
@@ -134,76 +140,107 @@ class TestAdmission:
 
 
 class TestDifferentialBitIdentity:
-    """Each stream alone vs interleaved with other tenants: bit-identical."""
+    """Each program alone vs interleaved with other tenants: bit-identical."""
 
-    def interleaved(self, builders):
-        """Run all streams concurrently, one session per stream, each on its
-        own graph instance; returns {name: prop array} plus the server."""
+    def interleaved(self, tenants):
+        """Submit every program in the background, one session each on its
+        own graph instance; returns {name: ProgramRun} plus the server."""
         server = PgxdServer(make_cluster(2))
-        out = {}
-        for name, (graph, build) in builders.items():
+        runs = {}
+        for name, (graph, algorithm, kwargs) in tenants.items():
             s = server.create_session(name)
-            dg = s.load_graph("g", graph)
-            jobs, prop = build(dg)
-            s.submit_jobs("g", jobs)
-            out[name] = (dg, prop)
+            s.load_graph("g", graph)
+            runs[name] = s.submit_program("g", algorithm, **kwargs)
         server.drain()
-        return {name: dg.gather(prop)
-                for name, (dg, prop) in out.items()}, server
+        assert all(run.done for run in runs.values())
+        return runs, server
 
-    def builders(self):
+    def tenants(self):
         return {
-            "pr_pull": (GRAPHS["a"], lambda dg: (
-                pagerank_stream(dg, iterations=3, variant="pull"), "pr")),
-            "pr_push": (GRAPHS["b"], lambda dg: (
-                pagerank_stream(dg, iterations=3, variant="push"), "pr")),
-            "sssp": (GRAPHS["bw"], lambda dg: (
-                sssp_stream(dg, root=0, rounds=4), "dist")),
+            "pr_pull": (GRAPHS["a"], pagerank,
+                        dict(variant="pull", max_iterations=30,
+                             tolerance=1e-3)),
+            "pr_push": (GRAPHS["b"], pagerank,
+                        dict(variant="push", max_iterations=3)),
+            "sssp": (GRAPHS["bw"], sssp, dict(root=0)),
+            "wcc": (GRAPHS["b"], wcc, {}),
         }
 
-    def test_streams_bit_identical_alone_vs_interleaved(self):
-        builders = self.builders()
-        serial = {name: serial_stream(graph, build)[0]
-                  for name, (graph, build) in builders.items()}
-        inter, server = self.interleaved(builders)
-        for name in builders:
-            assert np.array_equal(serial[name], inter[name]), name
-        # The schedule really interleaved: some cross-session overlap.
-        spans = [(t.session, t.stats.start_time, t.stats.end_time)
-                 for t in server.scheduler.tickets]
-        assert any(
-            s1 < e0 and s0 < e1
-            for i, (n0, s0, e0) in enumerate(spans)
-            for (n1, s1, e1) in spans[i + 1:] if n0 != n1)
+    def test_programs_bit_identical_alone_vs_interleaved(self):
+        tenants = self.tenants()
+        runs, server = self.interleaved(tenants)
+        for name, (graph, algorithm, kwargs) in tenants.items():
+            quiet, _ = quiet_run(graph, algorithm, **kwargs)
+            assert_same_result(runs[name].result, quiet)
+        # the tolerance, not the cap, ended the pull run
+        assert runs["pr_pull"].result.iterations < 30
+        # The schedule really interleaved: every pair of sessions overlaps.
+        spans = {name: (run.result.stats.start_time,
+                        run.result.stats.end_time)
+                 for name, run in runs.items()}
+        assert all(s1 < e0 and s0 < e1
+                   for n0, (s0, e0) in spans.items()
+                   for n1, (s1, e1) in spans.items() if n0 < n1)
 
     def test_two_session_pagerank_sssp_acceptance(self):
-        """ISSUE acceptance: two sessions, PageRank + SSSP, interleaved
-        results bit-identical to each algorithm running alone."""
-        builders = {
-            "ranker": (GRAPHS["a"], lambda dg: (
-                pagerank_stream(dg, iterations=4, variant="pull"), "pr")),
-            "pathfinder": (GRAPHS["bw"], lambda dg: (
-                sssp_stream(dg, root=0, rounds=5), "dist")),
-        }
-        serial = {name: serial_stream(graph, build)[0]
-                  for name, (graph, build) in builders.items()}
-        inter, _ = self.interleaved(builders)
-        assert np.array_equal(serial["ranker"], inter["ranker"])
-        assert np.array_equal(serial["pathfinder"], inter["pathfinder"])
+        """Two sessions, PageRank + SSSP, interleaved results bit-identical
+        to each algorithm running alone."""
+        tenants = {"ranker": (GRAPHS["a"], pagerank, dict(max_iterations=4)),
+                   "pathfinder": (GRAPHS["bw"], sssp, dict(root=0))}
+        runs, _ = self.interleaved(tenants)
+        for name, (graph, algorithm, kwargs) in tenants.items():
+            assert_same_result(runs[name].result,
+                               quiet_run(graph, algorithm, **kwargs)[0])
+
+    @pytest.mark.parametrize("algorithm,graph,kwargs", [
+        (pagerank, "a", dict(max_iterations=3, tolerance=1e-3)),
+        (sssp, "bw", dict(root=0)),
+        (wcc, "b", {}),
+    ], ids=["pagerank", "sssp", "wcc"])
+    def test_background_program_matches_inline(self, algorithm, graph,
+                                                kwargs):
+        """Alone in the background, a program ends at the inline run's
+        clock with its bits and per-iteration times: a reduction is priced
+        exactly as ``all_reduce`` prices it inline."""
+        inline, quiet = quiet_run(GRAPHS[graph], algorithm, **kwargs)
+        cluster = make_cluster(2)
+        sched = JobScheduler(cluster)
+        dg = cluster.load_graph(GRAPHS[graph])
+        run = sched.submit_program("s", dg, algorithm.program(dg, **kwargs))
+        sched.drain()
+        assert_same_result(run.result, inline)
+        assert run.result.per_iteration == inline.per_iteration
+        assert cluster.now == quiet.now
+        assert [t.job.name for t in sched.tickets] == [
+            t.job.name for t in quiet.scheduler.tickets]
+
+    def test_submit_program_rejects_before_queueing(self):
+        """SSSP on an unweighted graph raises at submit: no ticket, no
+        column, no log entry."""
+        server = PgxdServer(make_cluster(2))
+        s = server.create_session("s")
+        dg = s.load_graph("g", GRAPHS["a"])
+        with pytest.raises(ValueError, match="edge weights"):
+            s.submit_program("g", sssp, root=0)
+        assert server.scheduler.queued_count() == 0
+        assert server.scheduler.tickets == []
+        assert server.submission_log == []
+        assert not dg.has_property("dist")
+        server.drain()
 
     def test_sync_job_bit_identical_while_tenants_run(self):
         """An inline (synchronous) job sees the same numbers it would see on
-        a quiet cluster, even while a background stream is in flight."""
-        def one_pull(dg):
-            add_xt(dg)
-            return [pull_job()], "t"
-
-        serial, _ = serial_stream(GRAPHS["a"], one_pull)
+        a quiet cluster, even while a background program is in flight."""
+        cluster = make_cluster(2)
+        dg = cluster.load_graph(GRAPHS["a"])
+        add_xt(dg)
+        cluster.run_job(dg, pull_job())
+        serial = dg.gather("t")
         server = PgxdServer(make_cluster(2))
         bg = server.create_session("bg")
         fg = server.create_session("fg")
-        dg_bg = bg.load_graph("g", GRAPHS["b"])
-        bg.submit_jobs("g", pagerank_stream(dg_bg, iterations=3))
+        bg.load_graph("g", GRAPHS["b"])
+        bg.submit_program("g", pagerank, max_iterations=3)
         dg_fg = fg.load_graph("g", GRAPHS["a"])
         add_xt(dg_fg)
         fg.run_job("g", pull_job())
@@ -212,14 +249,7 @@ class TestDifferentialBitIdentity:
 
     def test_fixed_seed_double_run_identical_dispatch_log(self):
         def run_once():
-            server = PgxdServer(make_cluster(2))
-            for name, (graph, build) in self.builders().items():
-                s = server.create_session(name)
-                dg = s.load_graph("g", graph)
-                jobs, _ = build(dg)
-                s.submit_jobs("g", jobs)
-            server.drain()
-            return server.scheduler.dispatch_log
+            return self.interleaved(self.tenants())[1].scheduler.dispatch_log
 
         # Same config, same graphs, same submission order -> the schedule
         # (dispatch index, simulated time, session, job, priority, wait)
@@ -232,8 +262,8 @@ class TestFairShare:
         server = PgxdServer(make_cluster(2), fair_share_window=1.5)
         for i, gname in enumerate(("a", "b")):
             s = server.create_session(f"t{i}")
-            dg = s.load_graph("g", GRAPHS[gname])
-            s.submit_jobs("g", pagerank_stream(dg, iterations=3))
+            s.load_graph("g", GRAPHS[gname])
+            s.submit_program("g", pagerank, max_iterations=3)
         server.drain()
         deficits = server.deficits()
         assert set(deficits) == {"t0", "t1"}
@@ -244,10 +274,10 @@ class TestFairShare:
         server = PgxdServer(make_cluster(2), fair_share_window=1.5)
         hog = server.create_session("hog")
         meek = server.create_session("meek")
-        dgh = hog.load_graph("g", GRAPHS["a"])
-        dgm = meek.load_graph("g", GRAPHS["b"])
-        hog.submit_jobs("g", pagerank_stream(dgh, iterations=8))
-        meek.submit_jobs("g", pagerank_stream(dgm, iterations=1))
+        hog.load_graph("g", GRAPHS["a"])
+        meek.load_graph("g", GRAPHS["b"])
+        hog.submit_program("g", pagerank, max_iterations=8)
+        meek.submit_program("g", pagerank, max_iterations=1)
         server.drain()
         assert server.over_fair_share() == ["hog"]
         # The hog over-consumed: its deficit is negative, the meek's positive.
@@ -301,8 +331,8 @@ class TestServerIntegration:
         server = PgxdServer(make_cluster(2))
         bg = server.create_session("bg")
         fg = server.create_session("fg")
-        dg_bg = bg.load_graph("g", GRAPHS["a"])
-        bg.submit_jobs("g", pagerank_stream(dg_bg, iterations=2))
+        bg.load_graph("g", GRAPHS["a"])
+        bg.submit_program("g", pagerank, max_iterations=2)
         dg_fg = fg.load_graph("g", GRAPHS["b"])
         add_xt(dg_fg)
         fg.run_job("g", pull_job())
@@ -312,24 +342,24 @@ class TestServerIntegration:
         assert "fg" in sessions and "bg" in sessions
         server.drain()
         assert server.scheduler.queued_count() == 0
-        assert server.usage_report()["bg"].jobs_run == 6
+        assert server.usage_report()["bg"].jobs_run == 8
 
     def test_session_accounting_exact_under_interleaving(self):
         server = PgxdServer(make_cluster(2))
         tenants = {}
         for name, gname, iters in (("t0", "a", 2), ("t1", "b", 3)):
             s = server.create_session(name)
-            dg = s.load_graph("g", GRAPHS[gname])
-            s.submit_jobs("g", pagerank_stream(dg, iterations=iters))
+            s.load_graph("g", GRAPHS[gname])
+            s.submit_program("g", pagerank, max_iterations=iters)
             tenants[name] = iters
         server.drain()
         rollup = server.metrics_rollup()
         for name, iters in tenants.items():
             usage = server.usage_report()[name]
-            assert usage.jobs_run == 3 * iters
+            assert usage.jobs_run == 4 * iters
             assert usage.simulated_seconds > 0
             # One end-of-region barrier per job, attributed causally.
-            assert rollup[name]["repro_barriers_total"] == 3 * iters
+            assert rollup[name]["repro_barriers_total"] == 4 * iters
         total = sum(r["repro_barriers_total"] for r in rollup.values())
         assert total == server.cluster.metrics.counters_flat()[
             "repro_barriers_total"]
@@ -349,13 +379,13 @@ class TestServerIntegration:
             max_concurrent_jobs=1))
         for name, gname in (("t0", "a"), ("t1", "b")):
             s = server.create_session(name)
-            dg = s.load_graph("g", GRAPHS[gname])
-            s.submit_jobs("g", pagerank_stream(dg, iterations=1))
+            s.load_graph("g", GRAPHS[gname])
+            s.submit_program("g", pagerank, max_iterations=1)
         server.drain()
         flat = server.cluster.metrics.counters_flat()
         for name in ("t0", "t1"):
-            assert flat[f'repro_sched_wait_seconds_count{{session="{name}"}}'] == 3
-            assert flat[f'repro_sched_turnaround_seconds_count{{session="{name}"}}'] == 3
+            assert flat[f'repro_sched_wait_seconds_count{{session="{name}"}}'] == 4
+            assert flat[f'repro_sched_turnaround_seconds_count{{session="{name}"}}'] == 4
             assert flat[f'repro_sched_turnaround_seconds_sum{{session="{name}"}}'] > 0
 
 
@@ -374,24 +404,24 @@ class TestSchedulerFaults:
         cluster = make_cluster(2)
         sched = JobScheduler(cluster)
         dg = cluster.load_graph(GRAPHS["a"])
-        jobs = pagerank_stream(dg, iterations=3)
-        sched.submit_many("a", dg, jobs)
+        run = sched.submit_program("a", dg, pagerank.program(
+            dg, max_iterations=3))
         sched.drain()
-        return dg.gather("pr"), cluster.now, sched.dispatch_log
+        return run.result.values["pr"], cluster.now, sched.dispatch_log
 
     def test_crash_with_queued_jobs_recovers_without_reordering(self, tmp_path):
         base_pr, t_end, base_log = self.baseline()
         cluster = crashy_cluster(crash_at=0.4 * t_end)
         sched = JobScheduler(cluster)
         dg = cluster.load_graph(GRAPHS["a"])
+        run = sched.submit_program("a", dg, pagerank.program(
+            dg, max_iterations=3))
         cluster.enable_auto_checkpoint(dg, tmp_path / "ck.npz", every=1,
                                        recover=True)
-        jobs = pagerank_stream(dg, iterations=3)
-        sched.submit_many("a", dg, jobs)
         sched.drain()
         # Results bit-identical to the crash-free run: the checkpoint
         # rewound exactly to the failed job's start.
-        assert np.array_equal(base_pr, dg.gather("pr"))
+        assert np.array_equal(base_pr, run.result.values["pr"])
         flat = cluster.metrics.counters_flat()
         assert flat["repro_job_recoveries_total"] >= 1
         # The admission queue was never corrupted or reordered: the job
@@ -403,14 +433,64 @@ class TestSchedulerFaults:
         assert len(names) == len(base_names) + int(
             flat["repro_job_recoveries_total"])
 
+    def test_recovery_keeps_pending_program_steps(self, tmp_path):
+        """Two programs share the checkpointed graph, so while one's job
+        runs the other waits on a queued ticket or on a reduction answer
+        in flight.  A crash in either situation recovers, and each program
+        still matches its quiet run: recovery re-arms the answers its
+        ``clear_pending`` dropped."""
+        programs = {"ranker": (pagerank, dict(max_iterations=3)),
+                    "pathfinder": (sssp, dict(root=0))}
+
+        def run(crash_at):
+            cluster = crashy_cluster(crash_at)
+            sched = JobScheduler(cluster)
+            dg = cluster.load_graph(GRAPHS["bw"])
+            runs = {name: sched.submit_program(name, dg,
+                                               algo.program(dg, **kw))
+                    for name, (algo, kw) in programs.items()}
+            pending = []
+            cluster.hooks.subscribe("job.recover", lambda p: pending.append(
+                ([t for t in sched.tickets
+                  if t.session == "ranker"][-1].state == "queued",
+                 runs["ranker"].resume is not None)))
+            cluster.enable_auto_checkpoint(dg, tmp_path / "ck.npz",
+                                           recover=True)
+            sched.drain()
+            for name, (algo, kw) in programs.items():
+                assert_same_result(runs[name].result,
+                                   quiet_run(GRAPHS["bw"], algo, **kw)[0])
+            return sched, pending
+
+        base, _ = run(crash_at=1.0)  # past the end: never fires
+        latency = all_reduce_latency(2, base.cluster.config.network)
+
+        def pathfinder_runs(t):
+            return any(u.session == "pathfinder"
+                       and u.dispatch_time < t < u.finish_time
+                       for u in base.tickets)
+
+        ranker = [t for t in base.tickets if t.session == "ranker"]
+        in_flight = next(  # the ranker's L1-delta reduction
+            t.finish_time + latency / 2 for t in ranker
+            if t.job.name == "pr_finalize"
+            and pathfinder_runs(t.finish_time + latency / 2))
+        queued = next((t.submit_time + t.dispatch_time) / 2 for t in ranker
+                      if pathfinder_runs((t.submit_time + t.dispatch_time)
+                                         / 2))
+        assert run(in_flight)[1] == [(False, True)]
+        assert run(queued)[1] == [(True, False)]
+
     def test_crash_without_recovery_propagates(self):
         _, t_end, _ = self.baseline()
         cluster = crashy_cluster(crash_at=0.4 * t_end)
         sched = JobScheduler(cluster)
         dg = cluster.load_graph(GRAPHS["a"])
-        sched.submit_many("a", dg, pagerank_stream(dg, iterations=3))
+        sched.submit_program("a", dg, pagerank.program(dg, max_iterations=3))
         with pytest.raises(MachineCrashError):
             sched.drain()
+        # the program whose job crashed was closed: its columns are gone
+        assert not any(dg.has_property(p) for p in ("pr", "pr_tmp", "pr_nxt"))
 
     def test_retry_dedup_metrics_attributed_to_sessions(self):
         cfg = (ClusterConfig(num_machines=2)
@@ -420,13 +500,12 @@ class TestSchedulerFaults:
                                           dup_prob=0.05)))
         from repro import PgxdCluster
         server = PgxdServer(PgxdCluster(cfg))
-        arrays = {}
+        runs = {}
         for name, gname in (("t0", "a"), ("t1", "b")):
             s = server.create_session(name)
-            dg = s.load_graph("g", GRAPHS[gname])
-            s.submit_jobs("g", pagerank_stream(dg, iterations=2,
-                                               variant="push"))
-            arrays[name] = dg
+            s.load_graph("g", GRAPHS[gname])
+            runs[name] = s.submit_program("g", pagerank, variant="push",
+                                          max_iterations=2)
         server.drain()
         flat = server.cluster.metrics.counters_flat()
         rollup = server.metrics_rollup()
@@ -442,9 +521,9 @@ class TestSchedulerFaults:
             assert session_total == cluster_total, family
         # Faults did not disturb the numbers (push PageRank, exactly-once).
         for name, gname in (("t0", "a"), ("t1", "b")):
-            serial, _ = serial_stream(GRAPHS[gname], lambda dg: (
-                pagerank_stream(dg, iterations=2, variant="push"), "pr"))
-            assert np.array_equal(serial, arrays[name].gather("pr")), name
+            quiet, _ = quiet_run(GRAPHS[gname], pagerank, variant="push",
+                                 max_iterations=2)
+            assert_same_result(runs[name].result, quiet)
 
 
 class TestSchedulerObservability:
@@ -452,8 +531,8 @@ class TestSchedulerObservability:
         server = PgxdServer(make_cluster(2))
         for name, gname in (("t0", "a"), ("t1", "b")):
             s = server.create_session(name)
-            dg = s.load_graph("g", GRAPHS[gname])
-            s.submit_jobs("g", pagerank_stream(dg, iterations=1))
+            s.load_graph("g", GRAPHS[gname])
+            s.submit_program("g", pagerank, max_iterations=1)
         server.drain()
         return server
 
@@ -462,12 +541,12 @@ class TestSchedulerObservability:
 
         server = self.drained_server()
         text = to_prometheus(server.cluster.metrics)
-        assert 'repro_sched_admitted_total{priority="normal"} 6' in text
-        assert 'repro_sched_dispatched_total{priority="normal"} 6' in text
-        assert 'repro_sched_completed_total{session="t0"} 3' in text
+        assert 'repro_sched_admitted_total{priority="normal"} 8' in text
+        assert 'repro_sched_dispatched_total{priority="normal"} 8' in text
+        assert 'repro_sched_completed_total{session="t0"} 4' in text
         assert 'repro_sched_queue_depth{priority="normal"} 0' in text
         assert 'repro_sched_wait_seconds_bucket' in text
-        assert 'repro_sched_turnaround_seconds_count{session="t1"} 3' in text
+        assert 'repro_sched_turnaround_seconds_count{session="t1"} 4' in text
 
     def test_sched_metrics_in_json_export(self):
         import json
@@ -486,11 +565,11 @@ class TestSchedulerObservability:
 
         server = self.drained_server()
         ss = scheduler_summary(server.cluster.metrics)
-        assert ss["admitted"] == ss["dispatched"] == ss["completed"] == 6
+        assert ss["admitted"] == ss["dispatched"] == ss["completed"] == 8
         assert ss["rejected"] == 0
         assert ss["turnaround_seconds"] > 0
         text = render_overhead_report(server.cluster.metrics)
-        assert "scheduler: 6 admitted" in text
+        assert "scheduler: 8 admitted" in text
 
     def test_solo_job_counts_in_scheduler_line(self, small_rmat):
         from repro.obs.report import render_overhead_report

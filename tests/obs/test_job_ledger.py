@@ -12,10 +12,9 @@ job-level series the scheduler records at completion.
 import numpy as np
 import pytest
 
-from repro import (FaultPlan, MachineCrash, PgxdCluster, rmat,
-                   with_uniform_weights)
+from repro import (EdgeMapJob, EdgeMapSpec, FaultPlan, MachineCrash,
+                   PgxdCluster, ReduceOp, rmat, with_uniform_weights)
 from repro.algorithms import pagerank, sssp, wcc
-from repro.algorithms.streams import pagerank_stream, sssp_stream
 from repro.core.incremental import IncrementalEngine, hash_weights
 from repro.core.scheduler import DONE, JobScheduler, SchedulerConfig
 from repro.dynamic import DynamicGraph
@@ -96,19 +95,19 @@ def served_trace(reads, mutate_every=50):
 
 
 class TestDeltaAgainstOracle:
-    def test_interleaved_pagerank_and_sssp_streams(self):
+    def test_interleaved_pagerank_and_sssp_programs(self):
         cluster = make_cluster(2)
         oracle = TicketOracle(cluster)
         server = PgxdServer(cluster)
         weighted = with_uniform_weights(rmat(200, 1100, seed=22), 0.1, 1.0,
                                         seed=23)
-        for name, graph, build in (
-                ("ranker", rmat(260, 1500, seed=21),
-                 lambda dg: pagerank_stream(dg, iterations=3)),
-                ("pathfinder", weighted,
-                 lambda dg: sssp_stream(dg, root=0, rounds=4))):
+        for name, graph, algorithm, kwargs in (
+                ("ranker", rmat(260, 1500, seed=21), pagerank,
+                 dict(max_iterations=3)),
+                ("pathfinder", weighted, sssp, dict(root=0))):
             s = server.create_session(name)
-            s.submit_jobs("g", build(s.load_graph("g", graph)))
+            s.load_graph("g", graph)
+            s.submit_program("g", algorithm, **kwargs)
         server.drain()
         tickets = server.scheduler.tickets
         spans = [(t.session, t.stats.start_time, t.stats.end_time)
@@ -116,7 +115,7 @@ class TestDeltaAgainstOracle:
         assert any(s1 < e0 and s0 < e1
                    for i, (n0, s0, e0) in enumerate(spans)
                    for (n1, s1, e1) in spans[i + 1:] if n0 != n1), \
-            "streams did not interleave"
+            "programs did not interleave"
         oracle.check(tickets)
         # sched.* events are cluster-level: never in a job's delta
         assert not any(k.startswith("repro_sched_")
@@ -151,7 +150,8 @@ class TestDeltaAgainstOracle:
             if cluster.faults is not None:
                 cluster.enable_auto_checkpoint(dg, tmp_path / "ck.npz",
                                                every=1, recover=True)
-            sched.submit_many("a", dg, pagerank_stream(dg, iterations=3))
+            sched.submit_program("a", dg, pagerank.program(dg,
+                                                           max_iterations=3))
             sched.drain()
             return cluster, sched, oracle
 
@@ -226,10 +226,14 @@ class TestSoloDeltaAgainstOracle:
         def run(cluster):
             oracle = TicketOracle(cluster)
             dg = cluster.load_graph(rmat(260, 1500, seed=21))
+            dg.add_property("x", init=1.0)
+            dg.add_property("t", init=0.0)
             if cluster.faults is not None:
                 cluster.enable_auto_checkpoint(dg, tmp_path / "ck.npz")
-            merged = cluster.run_jobs(dg, pagerank_stream(dg, iterations=3),
-                                      recover=True)
+            jobs = [EdgeMapJob(name=f"pull{i}", spec=EdgeMapSpec(
+                direction="pull", source="x", target="t", op=ReduceOp.SUM))
+                for i in range(6)]
+            merged = cluster.run_jobs(dg, jobs, recover=True)
             return cluster, merged, oracle
 
         quiet, base, _ = run(make_cluster(2))

@@ -15,8 +15,7 @@ import numpy as np
 import pytest
 
 from repro import ClusterConfig, PgxdCluster, rmat, with_uniform_weights
-from repro.algorithms import pagerank
-from repro.algorithms.streams import pagerank_stream, sssp_stream
+from repro.algorithms import pagerank, sssp
 from repro.bench.calibration import scaled_cluster_config
 from repro.core.scheduler import SchedulerConfig
 from repro.obs.hooks import HookBus, ScopedHookBus
@@ -273,11 +272,11 @@ class TestSchedulerAttribution:
         g = rmat(2_000, 20_000, seed=5)
         gw = with_uniform_weights(rmat(2_000, 20_000, seed=5), seed=6)
         alice = server.create_session("alice")
-        alice.submit_jobs("g", pagerank_stream(
-            alice.load_graph("g", g), iterations=2, prefix="pr"))
+        alice.load_graph("g", g)
+        alice.submit_program("g", pagerank, max_iterations=2)
         bob = server.create_session("bob")
-        bob.submit_jobs("g", sssp_stream(
-            bob.load_graph("g", gw), root=0, rounds=2, prefix="sssp"))
+        bob.load_graph("g", gw)
+        bob.submit_program("g", sssp, root=0, max_iterations=2)
         server.drain()
         return server
 
