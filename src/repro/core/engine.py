@@ -36,7 +36,7 @@ from .data_manager import DataManager
 from .faults import FaultController
 from .ghost import select_ghosts
 from .job import Job, MapReduce
-from .machine import Machine
+from .machine import LocalCsr, Machine, local_csrs
 from .messages import MessagePool, RmiRegistry
 from .properties import ReduceOp
 from .scheduler import JobScheduler
@@ -80,18 +80,18 @@ class DistributedGraph:
 
     def __init__(self, cluster: "PgxdCluster", graph: Graph,
                  partitioning: Partitioning, ghost_gids: np.ndarray,
-                 reuse_machines: Optional[dict] = None):
+                 csrs: Optional[Sequence[tuple[LocalCsr, LocalCsr]]] = None):
         self.cluster = cluster
         self.graph = graph
         self.partitioning = partitioning
         self.ghost_gids = ghost_gids
-        #: epoch patching (repro.core.incremental): machines whose edge
-        #: ranges were untouched by a mutation batch adopt the previous
-        #: epoch's immutable CSR slices instead of rebuilding them.
-        reuse = reuse_machines or {}
+        #: each machine's (out, in) CSR slices: built from ``graph`` on
+        #: load, handed in by an epoch build (repro.core.incremental),
+        #: which shares every slice its edge delta leaves untouched
+        if csrs is None:
+            csrs = local_csrs(graph, partitioning, ghost_gids)
         self.machines = [
-            Machine(i, graph, partitioning, ghost_gids, cluster.config,
-                    csr_from=reuse.get(i))
+            Machine(i, partitioning, ghost_gids, cluster.config, *csrs[i])
             for i in range(cluster.config.num_machines)
         ]
         for m in self.machines:

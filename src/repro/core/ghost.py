@@ -40,6 +40,17 @@ def select_ghosts(graph: Graph, threshold: Optional[int]) -> np.ndarray:
     return np.flatnonzero((ind > threshold) | (outd > threshold)).astype(np.int64)
 
 
+def ghost_slots(ghost_gids: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """Slot of each vertex in the sorted ghost table ``ghost_gids``, or -1
+    when the vertex is not ghosted (every machine's table is the same)."""
+    if len(ghost_gids) == 0:
+        return np.full(len(vertices), -1, dtype=np.int64)
+    pos = np.searchsorted(ghost_gids, vertices)
+    pos_clipped = np.minimum(pos, len(ghost_gids) - 1)
+    hit = ghost_gids[pos_clipped] == vertices
+    return np.where(hit, pos_clipped, -1)
+
+
 class MachineGhosts:
     """One machine's ghost table: a slot per ghost vertex, per property."""
 
@@ -58,17 +69,8 @@ class MachineGhosts:
         #: machine-level ghost columns: prop -> float/int array [num_ghosts]
         self.arrays: dict[str, np.ndarray] = {}
 
-    def slot_of(self, vertices: np.ndarray) -> np.ndarray:
-        """Ghost slot per vertex, or -1 when the vertex is not ghosted."""
-        if self.num_ghosts == 0:
-            return np.full(len(vertices), -1, dtype=np.int64)
-        pos = np.searchsorted(self.gids, vertices)
-        pos_clipped = np.minimum(pos, self.num_ghosts - 1)
-        hit = self.gids[pos_clipped] == vertices
-        return np.where(hit, pos_clipped, -1)
-
     def slot_of_one(self, vertex: int) -> int:
-        """Scalar twin of :meth:`slot_of` — the scalar data-manager path
+        """Scalar twin of :func:`ghost_slots` — the scalar data-manager path
         calls this per access, so it avoids building a 1-element array."""
         if self.num_ghosts == 0:
             return -1

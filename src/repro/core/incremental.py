@@ -4,10 +4,11 @@ The paper's dynamic-graph outlook, made concrete: a
 :class:`DynamicGraph`'s mutation batches become first-class scheduled
 jobs (:class:`~repro.core.job.MutationJob`) with **snapshot isolation** —
 readers pin an epoch's :class:`~repro.core.engine.DistributedGraph` and
-keep running while a mutation job builds the next epoch's partitions,
-patching only the machines whose edge ranges changed and adopting the
-previous epoch's pivots, ghost table, and untouched CSR slices verbatim
-(the same reuse trick as the checkpoint restore fast path).
+keep running while a mutation job builds the next epoch's partitions.
+The build patches at edge granularity: it adopts the previous epoch's
+pivots and ghost table, shares every CSR slice its edge delta leaves
+untouched, and copies the others with the removed entries dropped and the
+inserted ones merged in, so a batch costs what it changes.
 
 On top of the epoch chain sits **delta-driven recompute**: instead of a
 full rerun per update batch, the active-vertex frontier is seeded from
@@ -47,18 +48,35 @@ import numpy as np
 from ..algorithms.pagerank import pagerank_approx
 from ..algorithms.sssp import sssp
 from ..algorithms.wcc import wcc
-from ..graph.csr import Graph, from_edges
+from ..graph.csr import Graph, from_edges, patch_edges
 from ..runtime.stats import JobStats
 from . import barrier as barrier_mod
 from .engine import DistributedGraph, PgxdCluster
 from .job import MutationJob
 
-#: modeled per-edge CSR (re)build cost — mirrors PgxdCluster.load_graph's
-#: timed model so patched machines pay the same rate a full load would
+#: modeled per-edge CSR build cost — PgxdCluster.load_graph's timed rate,
+#: paid by each inserted half-edge, whose endpoint a patch resolves
 BUILD_SECONDS_PER_EDGE = 40e-9
-#: modeled cost of adopting a previous epoch's CSR slices verbatim
-#: (pivot/ghost-table bookkeeping only)
+#: modeled fixed cost of every machine's epoch flip (pivot/ghost-table
+#: bookkeeping); all a machine with an empty delta pays
 REUSE_SECONDS = 1e-6
+
+
+def patch_seconds(machine, slices, edits) -> float:
+    """Modeled seconds ``machine`` spends on its part of an epoch build.
+
+    ``slices`` are its previous epoch's (out, in) CSR slices and ``edits``
+    their :class:`~repro.graph.csr.CsrEdit` windows.  Each slice with a
+    non-empty edit is copied: one thread streams its bytes in and the
+    patched arrays out through the machine's DRAM model, and resolves each
+    inserted entry at :data:`BUILD_SECONDS_PER_EDGE`.  Shared slices cost
+    nothing beyond :data:`REUSE_SECONDS`.
+    """
+    copied = sum(c.nbytes for c, e in zip(slices, edits) if not e.empty)
+    inserted = sum(e.at.size for e in edits)
+    return (REUSE_SECONDS
+            + machine.cpu.dram.access_time(2.0 * copied, 1, locality=1.0)
+            + inserted * BUILD_SECONDS_PER_EDGE)
 
 
 def hash_weights(low: float = 0.1, high: float = 1.0,
@@ -128,11 +146,9 @@ class MutationExecution:
 
     Scheduler-compatible twin of :class:`JobExecution` (``start`` /
     ``done`` / ``on_done`` / ``stats`` / ``stall_diagnostics``): builds
-    the next epoch's ``DistributedGraph`` host-side, charges the modeled
-    patch cost — changed machines rebuild their local CSR slices at the
-    load-path rate, untouched machines adopt the previous epoch's slices
-    for a constant — and installs the epoch at the simulated completion
-    instant, followed by a cluster barrier.
+    the next epoch's ``DistributedGraph`` host-side, charges the slowest
+    machine's :func:`patch_seconds` plus a cluster barrier, and installs
+    the epoch at the simulated completion instant.
     """
 
     def __init__(self, cluster: PgxdCluster, job: MutationJob, hooks):
@@ -200,20 +216,14 @@ class IncrementalEngine:
         self.weight_fn = weight_fn
         self.config = config or IncrementalConfig()
         self.epoch = dynamic.epoch
-        self.dg = cluster.load_graph(self._snapshot_graph())
-        #: epoch -> (weighted snapshot Graph, batch) prepared at mutate()
-        #: time, consumed by the MutationExecution when the job runs
-        self._pending: dict[int, tuple[Graph, object]] = {}
+        src, dst = dynamic.edge_arrays()
+        self.dg = cluster.load_graph(from_edges(
+            src, dst, num_nodes=dynamic.num_nodes,
+            weights=None if weight_fn is None else weight_fn(src, dst)))
         #: algo -> {"epoch", "graph", <warm-start arrays>}
         self._state: dict[str, dict] = {}
 
     # -- snapshots and epochs ----------------------------------------------
-
-    def _snapshot_graph(self) -> Graph:
-        src, dst = self.dynamic.edge_arrays()
-        w = self.weight_fn(src, dst) if self.weight_fn is not None else None
-        return from_edges(src, dst, num_nodes=self.dynamic.num_nodes,
-                          weights=w)
 
     def pin(self) -> DistributedGraph:
         """The current epoch's distributed graph, for readers.
@@ -227,8 +237,8 @@ class IncrementalEngine:
     def mutate(self, session: Optional[str] = None):
         """Commit pending updates and run the epoch build as a job.
 
-        Returns ``(batch, stats)``.  The weighted snapshot is captured at
-        commit time, so queued mutation jobs each build their own epoch
+        Returns ``(batch, stats)``.  A job builds from the installed epoch
+        up to its own, so queued mutation jobs each build their own epoch
         even when several are admitted before the first runs.
         """
         job = self.stage()
@@ -254,44 +264,64 @@ class IncrementalEngine:
                            removed=batch.removed)
 
     def stage(self) -> MutationJob:
-        """Commit pending updates, capture the snapshot, return the job
-        (not yet run) — for explicit scheduler submission."""
-        batch = self.dynamic.apply_updates()
-        self._pending[batch.epoch] = (self._snapshot_graph(), batch)
-        return self.mutation_job(batch)
+        """Commit pending updates and return the job (not yet run) — for
+        explicit scheduler submission."""
+        return self.mutation_job(self.dynamic.apply_updates())
+
+    def _net_delta(self, epoch: int) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending edge keys ``u * N + v`` of the copies inserted and
+        removed between the installed epoch and ``epoch``.
+
+        Diffing against the installed epoch, not the latest batch, keeps
+        the patch exact when an earlier mutation job died before it
+        installed; an edge removed and re-added in the window cancels.
+        """
+        inserted, removed = self._changes_between(self.epoch, epoch)
+        n = np.int64(self.dynamic.num_nodes)
+        pairs = np.asarray(inserted + removed, dtype=np.int64).reshape(-1, 2)
+        keys, where = np.unique(pairs[:, 0] * n + pairs[:, 1],
+                                return_inverse=True)
+        sign = np.repeat([1, -1], [len(inserted), len(removed)])
+        net = np.bincount(where, weights=sign,
+                          minlength=keys.size).astype(np.int64)
+        return (np.repeat(keys, np.maximum(net, 0)),
+                np.repeat(keys, np.maximum(-net, 0)))
 
     def _build_epoch(self, job: MutationJob):
-        """Build the next epoch's DistributedGraph by machine patching.
+        """Build ``job.epoch``'s DistributedGraph by patching the installed
+        one at edge granularity.
 
-        Reuses the previous epoch's partitioning pivots and ghost table
-        verbatim (checkpoint-restore fast-path reuse); a machine rebuilds
-        its CSR slices only when a changed edge lands in its out range
-        (source side) or in range (destination side).
+        The partitioning pivots and ghost table carry over verbatim.  Each
+        machine takes the part of the delta whose rows fall in its out
+        range (sources) or in range (destinations); a CSR slice whose part
+        is empty is shared, any other is copied with its part merged in
+        (:meth:`LocalCsr.patched`).  Machines patch in parallel, so the
+        build costs the slowest machine's :func:`patch_seconds`.  Returns
+        ``(dgraph, patched machine indices, shared machine count, cost)``.
         """
-        graph, _batch = self._pending.pop(job.epoch)
         old = self.dg
-        part = old.partitioning
-        endpoints = np.asarray(tuple(job.inserted) + tuple(job.removed),
-                               dtype=np.int64).ravel()
-        changed = set(part.owners(endpoints).tolist())
-        reuse = {i: old.machines[i]
-                 for i in range(len(old.machines)) if i not in changed}
-        new_dg = DistributedGraph(self.cluster, graph, part, old.ghost_gids,
-                                  reuse_machines=reuse)
-        # Modeled cost: machines patch in parallel, so the epoch flip pays
-        # the slowest rebuild (load-model rate per rebuilt edge; both CSR
-        # directions are covered by the same per-edge constant the full
-        # load path charges).
-        cost = REUSE_SECONDS
-        for i in sorted(changed):
-            m = new_dg.machines[i]
-            rebuilt = (m.out_csr.num_edges + m.in_csr.num_edges) / 2.0
-            cost = max(cost, rebuilt * BUILD_SECONDS_PER_EDGE + REUSE_SECONDS)
-        return new_dg, sorted(changed), len(reuse), cost
+        part, ghosts, g = old.partitioning, old.ghost_gids, old.graph
+        inserted, removed = self._net_delta(job.epoch)
+        graph, out_edit, in_edit = patch_edges(g, inserted, removed,
+                                               self.weight_fn)
+        csrs, patched, cost = [], [], REUSE_SECONDS
+        for m in old.machines:
+            slices = (m.out_csr, m.in_csr)
+            edits = (out_edit.window(m.lo, m.hi, int(g.out_starts[m.lo])),
+                     in_edit.window(m.lo, m.hi, int(g.in_starts[m.lo])))
+            csrs.append(tuple(c.patched(e, m.lo, part, ghosts)
+                              for c, e in zip(slices, edits)))
+            if not all(e.empty for e in edits):
+                patched.append(m.index)
+                cost = max(cost, patch_seconds(m, slices, edits))
+        new_dg = DistributedGraph(self.cluster, graph, part, ghosts,
+                                  csrs=csrs)
+        return new_dg, patched, len(csrs) - len(patched), cost
 
     def _install_epoch(self, epoch: int, dg: DistributedGraph) -> None:
         prev = self.dg
-        self.epoch = epoch
+        # a mutation dispatched behind a later one found nothing to add
+        self.epoch = max(self.epoch, epoch)
         self.dg = dg
         cache = getattr(self.cluster, "result_cache", None)
         if cache is not None:
@@ -301,13 +331,13 @@ class IncrementalEngine:
 
     # -- changeset bookkeeping ---------------------------------------------
 
-    def _changes_since(self, last_epoch: int):
+    def _changes_between(self, first: int, last: int):
         """Merged (inserted, removed) edge lists covering
-        ``(last_epoch, self.epoch]`` of the dynamic graph's history."""
+        ``(first, last]`` of the dynamic graph's history."""
         inserted: list = []
         removed: list = []
         for batch in self.dynamic.history:
-            if last_epoch < batch.epoch <= self.epoch:
+            if first < batch.epoch <= last:
                 inserted.extend(batch.inserted)
                 removed.extend(batch.removed)
         return inserted, removed
@@ -320,7 +350,7 @@ class IncrementalEngine:
         if (state is None or state["epoch"] > self.epoch
                 or any(state[k] != v for k, v in key.items())):
             return None, False, (), ()
-        inserted, removed = self._changes_since(state["epoch"])
+        inserted, removed = self._changes_between(state["epoch"], self.epoch)
         budget = self.config.full_rerun_fraction * max(1, self.dg.num_edges)
         if len(inserted) + len(removed) > budget:
             return None, True, (), ()

@@ -16,12 +16,12 @@ from typing import Optional
 
 import numpy as np
 
-from ..graph.csr import Graph
+from ..graph.csr import CsrEdit, Graph
 from ..graph.partition import Partitioning
 from ..runtime.config import ClusterConfig
 from ..runtime.cpu import MachineCpu
 from ..runtime.disk import DiskModel, encoded_row_prefix
-from .ghost import MachineGhosts
+from .ghost import MachineGhosts, ghost_slots
 from .properties import PropertyStore
 from .routing_plan import RoutingPlanCache, StageOrderCache
 
@@ -39,7 +39,7 @@ class LocalCsr:
     #: named edge-property slices for this direction
     props: dict = None
     #: per-row prefix of the on-disk encoded bytes, computed by the first
-    #: streamed job (epoch-adopted slices share it)
+    #: streamed job (shared with every epoch that shares the slice)
     _disk_prefix: Optional[np.ndarray] = field(default=None, init=False,
                                          repr=False)
 
@@ -64,36 +64,94 @@ class LocalCsr:
             raise KeyError(f"no edge property {name!r} on this graph")
         return self.props[name]
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the slice's row pointers and per-edge words."""
+        return sum(a.nbytes for a in (self.starts, self.nbrs, self.weights,
+                                      self.nbr_owner, self.nbr_offset,
+                                      self.nbr_ghost_slot) if a is not None)
 
-def _build_local_csr(starts: np.ndarray, nbrs: np.ndarray,
-                     weights: Optional[np.ndarray], lo: int, hi: int,
-                     partitioning: Partitioning, ghosts: MachineGhosts,
-                     edge_props: Optional[dict] = None,
-                     reorder: Optional[np.ndarray] = None) -> LocalCsr:
-    es, ee = int(starts[lo]), int(starts[hi])
-    local_starts = (starts[lo:hi + 1] - es).astype(np.int64)
-    local_nbrs = nbrs[es:ee]
-    local_weights = None if weights is None else weights[es:ee]
-    local_props = None
-    if edge_props:
-        local_props = {}
-        for name, values in edge_props.items():
-            ordered = values if reorder is None else values[reorder]
-            local_props[name] = ordered[es:ee]
-    owners = partitioning.owners(local_nbrs).astype(np.int32)
-    offsets = partitioning.local_offsets(local_nbrs, owners)
-    slots = ghosts.slot_of(local_nbrs)
-    return LocalCsr(starts=local_starts, nbrs=local_nbrs, weights=local_weights,
-                    nbr_owner=owners, nbr_offset=offsets, nbr_ghost_slot=slots,
-                    props=local_props)
+    @classmethod
+    def build(cls, starts: np.ndarray, nbrs: np.ndarray,
+              weights: Optional[np.ndarray], lo: int, hi: int,
+              partitioning: Partitioning, ghost_gids: np.ndarray,
+              edge_props: Optional[dict] = None,
+              reorder: Optional[np.ndarray] = None) -> "LocalCsr":
+        """Rows ``[lo, hi)`` of a whole-graph CSR direction, with every
+        endpoint resolved (the load path)."""
+        es, ee = int(starts[lo]), int(starts[hi])
+        local_nbrs = nbrs[es:ee]
+        local_props = None
+        if edge_props:
+            local_props = {}
+            for name, values in edge_props.items():
+                ordered = values if reorder is None else values[reorder]
+                local_props[name] = ordered[es:ee]
+        owners = partitioning.owners(local_nbrs).astype(np.int32)
+        return cls(starts=(starts[lo:hi + 1] - es).astype(np.int64),
+                   nbrs=local_nbrs,
+                   weights=None if weights is None else weights[es:ee],
+                   nbr_owner=owners,
+                   nbr_offset=partitioning.local_offsets(local_nbrs, owners),
+                   nbr_ghost_slot=ghost_slots(ghost_gids, local_nbrs),
+                   props=local_props)
+
+    def patched(self, edit: CsrEdit, lo: int, partitioning: Partitioning,
+                ghost_gids: np.ndarray) -> "LocalCsr":
+        """This slice after ``edit`` (windowed to it; row 0 is vertex
+        ``lo``): itself when the edit is empty, else new arrays with the
+        dropped entries gone and the inserted ones merged at their sorted
+        row positions.  Only inserted endpoints are resolved, and this
+        slice — still readable by a pinned older epoch — is never
+        written."""
+        if edit.empty:
+            return self
+        owners = partitioning.owners(edit.nbrs).astype(np.int32)
+        return LocalCsr(
+            starts=edit.starts(self.starts, lo),
+            nbrs=edit.apply(self.nbrs, edit.nbrs),
+            weights=(None if self.weights is None
+                     else edit.apply(self.weights, edit.weights)),
+            nbr_owner=edit.apply(self.nbr_owner, owners),
+            nbr_offset=edit.apply(
+                self.nbr_offset,
+                partitioning.local_offsets(edit.nbrs, owners)),
+            nbr_ghost_slot=edit.apply(self.nbr_ghost_slot,
+                                      ghost_slots(ghost_gids, edit.nbrs)))
+
+
+def local_csrs(graph: Graph, partitioning: Partitioning,
+               ghost_gids: np.ndarray) -> list[tuple[LocalCsr, LocalCsr]]:
+    """Every machine's (out, in) slices of ``graph``."""
+    in_weights = None
+    if graph.edge_weights is not None:
+        in_weights = graph.edge_weights[graph.in_edge_index]
+    slices = []
+    for i in range(partitioning.num_machines):
+        lo, hi = partitioning.machine_range(i)
+        slices.append((
+            LocalCsr.build(graph.out_starts, graph.out_nbrs,
+                           graph.edge_weights, lo, hi, partitioning,
+                           ghost_gids, edge_props=graph.edge_props),
+            LocalCsr.build(graph.in_starts, graph.in_nbrs, in_weights, lo,
+                           hi, partitioning, ghost_gids,
+                           edge_props=graph.edge_props,
+                           reorder=graph.in_edge_index)))
+    return slices
 
 
 class Machine:
-    """State of one simulated PGX.D process."""
+    """State of one simulated PGX.D process.
 
-    def __init__(self, index: int, graph: Graph, partitioning: Partitioning,
+    Its CSR slices are immutable once built: an epoch build hands an
+    unchanged slice to the next epoch's machine as is.  Everything mutable
+    — property columns, queues, caches — belongs to one machine, which is
+    what keeps an older epoch readable while a newer one goes live.
+    """
+
+    def __init__(self, index: int, partitioning: Partitioning,
                  ghost_gids: np.ndarray, config: ClusterConfig,
-                 csr_from: Optional["Machine"] = None):
+                 out_csr: LocalCsr, in_csr: LocalCsr):
         self.index = index
         self.config = config
         self.lo, self.hi = partitioning.machine_range(index)
@@ -107,31 +165,8 @@ class Machine:
         self.props = PropertyStore(self.n_local)
         self.ghosts = MachineGhosts(index, ghost_gids, partitioning,
                                     config.engine.num_workers)
-
-        if csr_from is not None:
-            # Epoch patching (repro.core.incremental): this machine's edge
-            # ranges are untouched by the mutation batch, so both local CSR
-            # slices are adopted verbatim from the previous epoch's machine.
-            # CSRs are immutable after load, and the adopter shares the same
-            # pivots and ghost table, so the endpoint resolution carries over
-            # too.  Everything mutable — property columns, queues, caches —
-            # is still built fresh, which is what keeps the previous epoch's
-            # snapshot readable while this one goes live.
-            self.out_csr = csr_from.out_csr
-            self.in_csr = csr_from.in_csr
-        else:
-            in_weights = None
-            if graph.edge_weights is not None:
-                in_weights = graph.edge_weights[graph.in_edge_index]
-            self.out_csr = _build_local_csr(graph.out_starts, graph.out_nbrs,
-                                            graph.edge_weights, self.lo,
-                                            self.hi, partitioning, self.ghosts,
-                                            edge_props=graph.edge_props)
-            self.in_csr = _build_local_csr(graph.in_starts, graph.in_nbrs,
-                                           in_weights, self.lo, self.hi,
-                                           partitioning, self.ghosts,
-                                           edge_props=graph.edge_props,
-                                           reorder=graph.in_edge_index)
+        self.out_csr = out_csr
+        self.in_csr = in_csr
 
         # Built-in degree properties (computed at load, like the paper's
         # edge-partitioning pass; algorithms read them locally).

@@ -607,7 +607,10 @@ class JobScheduler:
         active = sorted(self._running, key=lambda t: t.seq)
         cl.sim.clear_pending()
         for ticket in active:
-            cl._reset_dgraph_state(ticket.dgraph)
+            # a mutation's token is its engine: the build touched no
+            # machine, and the unfinished epoch is simply never installed
+            if ticket.job.kind != "mutation":
+                cl._reset_dgraph_state(ticket.dgraph)
             self._release(ticket)
         return active
 

@@ -25,7 +25,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .graph.csr import Graph, from_edges
+from .graph.csr import Graph, copy_positions, from_edges
 from .patterns import Pattern, PatternMatcher
 from .core.engine import PgxdCluster
 
@@ -90,11 +90,7 @@ class DynamicGraph:
         """
         keys = self._keys
         rem = np.sort(self._encode(self._pending_removes))
-        # the k-th pending copy of a key takes the k-th stored copy
-        nth = np.arange(rem.size) - np.searchsorted(rem, rem, side="left")
-        at = np.searchsorted(keys, rem, side="left") + nth
-        found = at < keys.size
-        found[found] = keys[at[found]] == rem[found]
+        at, found = copy_positions(keys, rem)
         if not found.all():
             u, v = divmod(int(rem[~found][0]), self.num_nodes)
             raise KeyError(f"cannot remove non-existent edge {(u, v)}")

@@ -9,7 +9,7 @@ preprocessing step, as the paper does.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
@@ -137,7 +137,7 @@ def from_edges(src: Iterable[int], dst: Iterable[int], num_nodes: Optional[int] 
             w = w[keep]
 
     # Sort by (src, dst) -> CSR out-edge order; input already in that order
-    # (an epoch build's sorted edge keys) is only copied.
+    # (a DynamicGraph's sorted edge keys) is only copied.
     step = np.diff(src)
     ordered = (step >= 0).all() and (np.diff(dst)[step == 0] >= 0).all()
     del step  # E-sized: must not stay alive across the sorts below
@@ -168,6 +168,144 @@ def from_edges(src: Iterable[int], dst: Iterable[int], num_nodes: Optional[int] 
         in_edge_index=rorder.astype(np.int64),
         edge_weights=w_s,
     )
+
+
+def copy_positions(keys: np.ndarray, want: np.ndarray) -> tuple[np.ndarray,
+                                                                np.ndarray]:
+    """Positions in sorted ``keys`` of the copies sorted ``want`` names.
+
+    The k-th occurrence of a key in ``want`` takes the k-th stored copy,
+    so a multiset of removals maps to distinct positions.  Returns
+    ``(positions, found)``; ``found`` is False where ``keys`` holds fewer
+    copies than ``want`` asks for.
+    """
+    nth = np.arange(want.size) - np.searchsorted(want, want, side="left")
+    at = np.searchsorted(keys, want, side="left") + nth
+    found = at < keys.size
+    found[found] = keys[at[found]] == want[found]
+    return at, found
+
+
+@dataclass(frozen=True)
+class CsrEdit:
+    """An edit of one CSR direction's edge arrays.
+
+    A per-edge array ``a`` becomes ``np.insert(np.delete(a, drop), at,
+    values)``: the entries at old positions ``drop`` are dropped, then the
+    new entries go in before post-drop positions ``at``.  Both position
+    arrays ascend, and so do the rows their entries belong to
+    (``drop_rows``, ``rows``).  ``nbrs`` and ``weights`` are the inserted
+    entries' neighbor ids and weights (``None`` on an unweighted graph).
+    """
+
+    drop: np.ndarray
+    drop_rows: np.ndarray
+    at: np.ndarray
+    rows: np.ndarray
+    nbrs: np.ndarray
+    weights: Optional[np.ndarray]
+
+    @property
+    def empty(self) -> bool:
+        return self.drop.size == 0 and self.at.size == 0
+
+    def apply(self, values: np.ndarray, inserted: np.ndarray) -> np.ndarray:
+        """A new array: ``values`` with this edit's drops and inserts."""
+        return np.insert(np.delete(values, self.drop), self.at, inserted)
+
+    def starts(self, starts: np.ndarray, lo: int) -> np.ndarray:
+        """New row pointers for ``starts``, whose row 0 is row ``lo``."""
+        n = len(starts) - 1
+        grow = (np.bincount(self.rows - lo, minlength=n)
+                - np.bincount(self.drop_rows - lo, minlength=n))
+        out = starts.copy()
+        out[1:] += np.cumsum(grow)
+        return out
+
+    def window(self, lo: int, hi: int, first: int) -> "CsrEdit":
+        """The part of this edit on rows ``[lo, hi)``, with positions
+        rebased to the slice whose entry 0 is old position ``first``."""
+        r0, r1 = np.searchsorted(self.drop_rows, (lo, hi))
+        i0, i1 = np.searchsorted(self.rows, (lo, hi))
+        return CsrEdit(
+            drop=self.drop[r0:r1] - first, drop_rows=self.drop_rows[r0:r1],
+            # the slice starts at post-drop position first - r0
+            at=self.at[i0:i1] - (first - r0), rows=self.rows[i0:i1],
+            nbrs=self.nbrs[i0:i1],
+            weights=None if self.weights is None else self.weights[i0:i1])
+
+
+def _row_keys(starts: np.ndarray, nbrs: np.ndarray, n: int) -> np.ndarray:
+    """``row * n + nbr`` per entry: ascending, since rows are sorted."""
+    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(starts))
+    return rows * np.int64(n) + nbrs
+
+
+def patch_edges(graph: Graph, inserted: np.ndarray, removed: np.ndarray,
+                weight_fn: Optional[Callable] = None
+                ) -> tuple[Graph, CsrEdit, CsrEdit]:
+    """Merge an edge delta into ``graph`` without re-sorting it.
+
+    ``inserted`` and ``removed`` are ascending edge keys ``u * N + v``
+    (one per copy); ``weight_fn(src, dst)`` weighs the inserted edges and
+    is required exactly when ``graph`` is weighted.  Returns the new graph,
+    byte-identical to :func:`from_edges` over the resulting multiset, and
+    the out- and in-direction :class:`CsrEdit` that produced it.
+
+    A removal takes the first stored copies of its key, in both
+    directions; inserted copies go before the surviving ones.  The
+    reverse CSR stays sorted by (destination, source, out position), and
+    the survivors' ``in_edge_index`` is shifted by the out-side drops and
+    inserts, so no step sorts more than the delta.
+    """
+    n = graph.num_nodes
+    if graph.edge_props:
+        raise ValueError("patch_edges does not carry edge properties")
+    if (weight_fn is None) != (graph.edge_weights is None):
+        raise ValueError("weight_fn is required exactly on a weighted graph")
+    nn = np.int64(max(n, 1))
+    ins_src, ins_dst = np.divmod(inserted, nn)
+    rem_src, rem_dst = np.divmod(removed, nn)
+    weights = None if weight_fn is None else weight_fn(ins_src, ins_dst)
+
+    okeys = _row_keys(graph.out_starts, graph.out_nbrs, n)
+    drop, found = copy_positions(okeys, removed)
+    if not found.all():
+        u, v = divmod(int(removed[~found][0]), n)
+        raise KeyError(f"cannot remove non-existent edge {(u, v)}")
+    at = np.searchsorted(okeys, inserted)
+    at -= np.searchsorted(drop, at)
+    del okeys
+    out = CsrEdit(drop=drop, drop_rows=rem_src, at=at, rows=ins_src,
+                  nbrs=ins_dst, weights=weights)
+    # np.insert places the k-th inserted entry at at[k] + k
+    placed = at + np.arange(at.size)
+
+    ikeys = _row_keys(graph.in_starts, graph.in_nbrs, n)
+    rem_in = np.sort(rem_dst * nn + rem_src)
+    in_drop, _ = copy_positions(ikeys, rem_in)
+    ins_in = ins_dst * nn + ins_src
+    order = np.argsort(ins_in, kind="stable")  # ties stay in out order
+    in_at = np.searchsorted(ikeys, ins_in[order])
+    in_at -= np.searchsorted(in_drop, in_at)
+    del ikeys
+    rev = CsrEdit(drop=in_drop, drop_rows=rem_in // nn, at=in_at,
+                  rows=ins_dst[order], nbrs=ins_src[order],
+                  weights=None if weights is None else weights[order])
+
+    kept = np.delete(graph.in_edge_index, in_drop)
+    kept -= np.searchsorted(drop, kept)
+    kept += np.searchsorted(at, kept, side="right")
+    return Graph(
+        num_nodes=n,
+        out_starts=out.starts(graph.out_starts, 0),
+        out_nbrs=out.apply(graph.out_nbrs, ins_dst),
+        in_starts=rev.starts(graph.in_starts, 0),
+        in_nbrs=rev.apply(graph.in_nbrs, rev.nbrs),
+        in_edge_index=np.insert(kept, in_at, placed[order]),
+        edge_weights=(None if weights is None
+                      else out.apply(graph.edge_weights, weights)),
+    ), out, rev
 
 
 def from_networkx(g) -> Graph:

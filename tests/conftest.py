@@ -191,7 +191,9 @@ class MutationOracle:
         from repro.algorithms.sssp import sssp
         from repro.algorithms.wcc import wcc
 
-        snap = self.engine._snapshot_graph()
+        src, dst = self.dynamic.edge_arrays()
+        snap = from_edges(src, dst, num_nodes=self.num_nodes,
+                          weights=self.engine.weight_fn(src, dst))
         cl = make_cluster(num_machines=self.num_machines)
         dg = cl.load_graph(snap)
         if algo == "sssp":

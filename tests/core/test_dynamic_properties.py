@@ -106,7 +106,7 @@ class TestEpochs:
     def test_history_replays_to_current_state(self, data):
         """Folding the recorded batches over the base edges reproduces the
         live multiset — the property the incremental engine's changeset
-        merging (`_changes_since`) relies on."""
+        merging (`_changes_between`) relies on."""
         base, _ = data
         dyn, _ = apply_scenario(data)
         model = Counter(base)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.ghost import MachineGhosts, select_ghosts
+from repro.core.ghost import MachineGhosts, ghost_slots, select_ghosts
 from repro.core.properties import ReduceOp
 from repro.graph.partition import edge_partition
 
@@ -44,20 +44,20 @@ def ghosts4(small_rmat):
 class TestMachineGhosts:
     def test_slot_lookup(self, ghosts4):
         part, gids, mg = ghosts4
-        slots = mg.slot_of(gids)
+        slots = ghost_slots(mg.gids, gids)
         assert slots.tolist() == list(range(len(gids)))
 
     def test_non_ghost_gets_minus_one(self, ghosts4):
         part, gids, mg = ghosts4
         non_ghosts = np.setdiff1d(np.arange(50), gids)[:5]
-        assert (mg.slot_of(non_ghosts) == -1).all()
+        assert (ghost_slots(mg.gids, non_ghosts) == -1).all()
 
     def test_slot_of_one_matches_vector_twin(self, ghosts4):
-        """The scalar path's per-access lookup must agree with slot_of for
-        every vertex — ghosted, owned, and out of range."""
+        """The scalar path's per-access lookup must agree with ghost_slots
+        for every vertex — ghosted, owned, and out of range."""
         part, gids, mg = ghosts4
         for v in range(int(gids.max()) + 2):
-            assert mg.slot_of_one(v) == int(mg.slot_of(np.array([v]))[0])
+            assert mg.slot_of_one(v) == int(ghost_slots(mg.gids, np.array([v]))[0])
 
     def test_slot_of_one_empty_table(self, small_rmat):
         part = edge_partition(small_rmat, 4)
@@ -116,5 +116,5 @@ class TestMachineGhosts:
         part = edge_partition(small_rmat, 2)
         mg = MachineGhosts(0, np.empty(0, dtype=np.int64), part, 2)
         assert mg.num_ghosts == 0
-        assert (mg.slot_of(np.array([1, 2, 3])) == -1).all()
+        assert (ghost_slots(mg.gids, np.array([1, 2, 3])) == -1).all()
         assert mg.reduce_private("x") == 0

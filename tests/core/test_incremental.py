@@ -164,6 +164,249 @@ class TestEpochBuild:
         assert ev["duration"] > 0.0
 
 
+CSR_ARRAYS = ("starts", "nbrs", "weights", "nbr_owner", "nbr_offset",
+              "nbr_ghost_slot")
+
+
+def csr_bytes(dg):
+    """Every machine's CSR arrays and degree columns, as bytes."""
+    return [{(d, name): (None if getattr(m.csr(d), name) is None
+                         else (getattr(m.csr(d), name).dtype,
+                               getattr(m.csr(d), name).tobytes()))
+             for d in ("out", "in") for name in CSR_ARRAYS}
+            | {deg: m.props[deg].tobytes()
+               for deg in ("out_degree", "in_degree")}
+            for m in dg.machines]
+
+
+def fresh_load(engine):
+    """The engine's current multiset loaded from scratch, on the engine's
+    pivots and ghost table (which epoch builds carry over)."""
+    from repro import from_edges
+    from repro.core.engine import DistributedGraph
+    src, dst = engine.dynamic.edge_arrays()
+    w = None if engine.weight_fn is None else engine.weight_fn(src, dst)
+    graph = from_edges(src, dst, num_nodes=engine.dynamic.num_nodes,
+                       weights=w)
+    dg = engine.pin()
+    return DistributedGraph(engine.cluster, graph, dg.partitioning,
+                            dg.ghost_gids)
+
+
+class TestEdgePatch:
+    """A patched epoch against a fresh load of the same edge multiset."""
+
+    HUB = 7
+
+    def _engine(self, seed, weighted=True):
+        n = 60
+        rng = np.random.default_rng([seed, 5])
+        edges = [(int(u), int(v)) for u, v in rng.integers(0, n, (150, 2))]
+        edges += [(self.HUB, int(v)) for v in rng.integers(0, n, 25)]
+        edges += [(int(u), self.HUB) for u in rng.integers(0, n, 25)]
+        edges += [(3, 3), (3, 3), (5, 40), (5, 40), (5, 40), (50, 2)]
+        engine = IncrementalEngine(
+            make_cluster(4, ghost_threshold=8), DynamicGraph(n, edges),
+            weight_fn=hash_weights(seed=seed) if weighted else None)
+        assert self.HUB in engine.pin().ghost_gids.tolist()
+        self.applies = []
+        engine.cluster.hooks.subscribe("dynamic.apply", self.applies.append)
+        return engine
+
+    def _mutate(self, engine, inserts=(), removes=()):
+        """Apply one batch; check the new epoch against a fresh load and
+        the pinned old epoch against its own bytes (copy-on-write)."""
+        old = engine.pin()
+        before = csr_bytes(old)
+        for e in inserts:
+            engine.dynamic.add_edge(*e)
+        for e in removes:
+            engine.dynamic.remove_edge(*e)
+        engine.mutate()
+        assert csr_bytes(old) == before
+        assert csr_bytes(engine.pin()) == csr_bytes(fresh_load(engine))
+        return old, self.applies[-1]
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_seeded_batches_match_a_fresh_load(self, seed, weighted):
+        engine = self._engine(seed, weighted)
+        rng = np.random.default_rng([seed, 9])
+        n = engine.dynamic.num_nodes
+        for _ in range(5):
+            present = engine.dynamic.edge_list()
+            removes = [present[int(i)] for i in rng.choice(
+                len(present), size=6, replace=False)]
+            removes.append((5, 40))  # one copy of a duplicate
+            inserts = [(int(u), int(v)) for u, v in rng.integers(0, n, (6, 2))]
+            inserts += [(3, 3), (self.HUB, int(rng.integers(n))),
+                        (int(rng.integers(n)), self.HUB), removes[0]]
+            inserts += [(9, 11)] * 2  # a fresh duplicate pair
+            self._mutate(engine, inserts, removes)
+            engine.dynamic.add_edge(5, 40)
+            self._mutate(engine, [(5, 40)])
+
+    def test_rows_emptied_and_refilled(self):
+        engine = self._engine(4)
+        hub_out = [e for e in engine.dynamic.edge_list() if e[0] == self.HUB]
+        self._mutate(engine, removes=hub_out)
+        assert engine.pin().graph.out_degrees()[self.HUB] == 0
+        self._mutate(engine, inserts=hub_out)
+        hub_in = [e for e in engine.dynamic.edge_list() if e[1] == self.HUB]
+        self._mutate(engine, removes=hub_in, inserts=[(1, 2)])
+        self._mutate(engine, inserts=hub_in)
+
+    def test_batch_inside_one_machine_patches_it_alone(self):
+        engine = self._engine(5)
+        lo, hi = engine.pin().partitioning.machine_range(2)
+        old, ev = self._mutate(engine, [(lo, hi - 1), (hi - 1, hi - 1)])
+        assert (ev["machines_patched"], ev["machines_reused"]) == (1, 3)
+        new = engine.pin()
+        for i in (0, 1, 3):
+            assert new.machines[i].out_csr is old.machines[i].out_csr
+            assert new.machines[i].in_csr is old.machines[i].in_csr
+
+    def test_batch_touching_every_machine(self):
+        engine = self._engine(6)
+        starts = engine.pin().partitioning.starts
+        inserts = [(int(starts[i]), int(starts[(i + 1) % 4]))
+                   for i in range(4)]
+        _, ev = self._mutate(engine, inserts)
+        assert (ev["machines_patched"], ev["machines_reused"]) == (4, 0)
+
+    def test_one_direction_changes_shares_the_other(self):
+        engine = self._engine(7)
+        part = engine.pin().partitioning
+        u, v = int(part.starts[0]), int(part.starts[3])
+        old, _ = self._mutate(engine, [(u, v)])
+        new = engine.pin()
+        assert new.machines[0].out_csr is not old.machines[0].out_csr
+        assert new.machines[0].in_csr is old.machines[0].in_csr
+        assert new.machines[3].out_csr is old.machines[3].out_csr
+        assert new.machines[3].in_csr is not old.machines[3].in_csr
+
+    def test_empty_batch_shares_every_slice(self):
+        engine = self._engine(8)
+        old, ev = self._mutate(engine)
+        assert (ev["machines_patched"], ev["machines_reused"]) == (0, 4)
+        for a, b in zip(old.machines, engine.pin().machines):
+            assert a is not b  # fresh property columns, queues, caches
+            assert a.out_csr is b.out_csr and a.in_csr is b.in_csr
+
+
+class TestPatchPrice:
+    """The epoch build's simulated cost (docs/incremental.md)."""
+
+    @staticmethod
+    def engine(graph, machines=4):
+        src, dst = graph.edge_list()
+        dyn = DynamicGraph(graph.num_nodes,
+                           list(zip(src.tolist(), dst.tolist())))
+        return IncrementalEngine(make_cluster(machines), dyn,
+                                 weight_fn=hash_weights())
+
+    @staticmethod
+    def mutate(engine, edges):
+        for e in edges:
+            engine.dynamic.add_edge(*e)
+        return engine.mutate()[1]
+
+    def test_elapsed_is_the_documented_formula(self):
+        from repro import rmat
+        from repro.core.barrier import barrier_latency
+        from repro.core.incremental import BUILD_SECONDS_PER_EDGE, \
+            REUSE_SECONDS
+        engine = self.engine(rmat(300, 2000, seed=4))
+        cfg = engine.cluster.config
+        dg = engine.pin()
+        owner = dg.partitioning.owner
+        u = int(dg.partitioning.starts[1])
+        v = int(dg.partitioning.starts[2])
+        batch = [(u, v), (u, u), (v, v)]
+        # machines 1 and 2 each copy both directions and resolve three
+        # inserted half-edges: an out and an in half of their loop, and
+        # one half of (u, v)
+        inserted = {1: 3, 2: 3}
+        assert owner(u) == 1 and owner(v) == 2
+        words = 8 + 8 + 4 + 8 + 8  # nbr, weight, owner, offset, slot
+        cost = REUSE_SECONDS
+        for i, k in inserted.items():
+            m = dg.machines[i]
+            nbytes = 2 * (8 * (m.n_local + 1)) + words * (
+                m.out_csr.num_edges + m.in_csr.num_edges)
+            copy = 2.0 * nbytes / cfg.machine_config(i).dram_seq_bw
+            cost = max(cost, REUSE_SECONDS + copy
+                       + k * BUILD_SECONDS_PER_EDGE)
+        t0 = engine.cluster.now
+        stats = self.mutate(engine, batch)
+        want = (t0 + (cost + barrier_latency(4, cfg.network))) - t0
+        assert stats.elapsed == want
+
+    def test_price_never_decreases_as_the_batch_grows(self):
+        from repro import rmat
+        graph = rmat(400, 3000, seed=5)
+        rng = np.random.default_rng(5)
+        edges = [(int(u), int(v)) for u, v in rng.integers(0, 400, (40, 2))]
+        prices = [self.mutate(self.engine(graph), edges[:k]).elapsed
+                  for k in (0, 1, 2, 4, 8, 16, 40)]
+        assert prices == sorted(prices), prices
+
+    def test_one_edge_costs_a_tenth_of_a_slice_rebuild(self):
+        from repro import rmat
+        from repro.core.incremental import BUILD_SECONDS_PER_EDGE, \
+            REUSE_SECONDS
+        engine = self.engine(rmat(20000, 160000, seed=7))
+        dg = engine.pin()
+        u, v = 11, 19000
+        rebuild = max(
+            (m.out_csr.num_edges + m.in_csr.num_edges) / 2.0
+            * BUILD_SECONDS_PER_EDGE + REUSE_SECONDS
+            for m in dg.machines
+            if m.index in {dg.partitioning.owner(u),
+                           dg.partitioning.owner(v)})
+        stats = self.mutate(engine, [(u, v)])
+        assert stats.elapsed <= rebuild / 10, (stats.elapsed, rebuild)
+
+
+class TestCrashDuringEpochBuild:
+    """A machine crash inside a mutation job fails that job cleanly."""
+
+    @staticmethod
+    def engine(**engine_kwargs):
+        from repro import rmat
+        graph = rmat(400, 3000, seed=3)
+        src, dst = graph.edge_list()
+        dyn = DynamicGraph(400, list(zip(src.tolist(), dst.tolist())))
+        return IncrementalEngine(make_cluster(4, **engine_kwargs), dyn,
+                                 weight_fn=hash_weights())
+
+    @staticmethod
+    def batch(engine, k):
+        engine.dynamic.add_edge(k, 399 - k)
+        engine.dynamic.remove_edge(*engine.dynamic.edge_list()[10 * k])
+
+    def test_crash_fails_the_mutation_and_the_next_one_repairs(self):
+        from repro import FaultPlan, MachineCrashError
+        from repro.core.faults import MachineCrash
+        quiet = self.engine()
+        self.batch(quiet, 1)
+        window = quiet.mutate()[1]
+        engine = self.engine(fault_plan=FaultPlan(crashes=(MachineCrash(
+            machine=1, at=window.start_time + window.elapsed / 2),)))
+        self.batch(engine, 1)
+        with pytest.raises(MachineCrashError):
+            engine.mutate()
+        assert engine.epoch == 0 and engine.dynamic.epoch == 1
+        ticket = engine.cluster.scheduler.tickets[-1]
+        assert ticket.state == "failed"
+        # the lost batch is part of the next epoch's delta
+        self.batch(engine, 2)
+        engine.mutate()
+        assert engine.epoch == 2
+        assert csr_bytes(engine.pin()) == csr_bytes(fresh_load(engine))
+        assert engine.pin().num_edges == engine.dynamic.num_edges
+
+
 class TestFallback:
     def test_large_delta_falls_back_to_full(self):
         oracle = MutationOracle(seed=21, config=IncrementalConfig(
@@ -252,9 +495,35 @@ class TestSchedulerIntegration:
         sched.submit("mutator", eng, j2)
         sched.drain()
         assert eng.epoch == 2
-        # Both epochs' snapshots were captured at stage() time, so the
-        # serialized builds each applied exactly their own batch.
+        # Each build diffed from the installed epoch up to its own, so
+        # the serialized builds each applied exactly their own batch.
         assert eng.dg.num_edges == oracle.dynamic.num_edges
+
+    def test_mutation_dispatched_behind_a_later_one(self):
+        """Fair share can dispatch epoch 2's job before epoch 1's: the
+        late job must neither roll the epoch back nor make the next build
+        apply epoch 2's batch twice."""
+        oracle = MutationOracle(seed=34)
+        eng = oracle.engine
+        sched = JobScheduler(oracle.cluster,
+                             SchedulerConfig(max_concurrent_jobs=1))
+        eng.dynamic.add_edge(1, 2)
+        sched.submit("a", eng, eng.stage())
+        sched.drain()  # session "a" now has service, "b" has none
+        eng.dynamic.add_edge(3, 4)
+        j2 = eng.stage()
+        eng.dynamic.add_edge(5, 6)
+        eng.dynamic.remove_edge(*eng.dynamic.edge_list()[0])
+        j3 = eng.stage()
+        sched.submit("a", eng, j2)
+        sched.submit("b", eng, j3)
+        sched.drain()
+        assert [job for (_, _, _, job, _, _) in sched.dispatch_log] == [
+            "mutate_epoch_1", "mutate_epoch_3", "mutate_epoch_2"]
+        assert eng.epoch == 3
+        oracle.random_batch(inserts=3, removes=3)
+        assert eng.epoch == 4
+        assert csr_bytes(eng.pin()) == csr_bytes(fresh_load(eng))
 
 
 class TestDeterminism:
@@ -331,8 +600,9 @@ class TestWeightsAndErrors:
 
 class TestArrayBackedEpochBuild:
     """The sorted-key edge store against a ``Counter`` multiset model:
-    every epoch's ``_snapshot_graph()`` is byte-equal to the always-sort
-    CSR construction over the model's sorted edge list."""
+    every installed epoch's graph, merged from the previous one's, is
+    byte-equal to the always-sort CSR construction over the model's sorted
+    edge list."""
 
     @staticmethod
     def check(engine, model):
@@ -344,7 +614,7 @@ class TestArrayBackedEpochBuild:
         dst = np.array([e[1] for e in edges], dtype=np.int64)
         w = engine.weight_fn(src, dst) if engine.weight_fn else None
         want = two_lexsort_csr(src, dst, dyn.num_nodes, w)
-        assert_same_bytes(engine._snapshot_graph(), want)
+        assert_same_bytes(engine.pin().graph, want)
         assert_same_bytes(dyn.snapshot(),
                           two_lexsort_csr(src, dst, dyn.num_nodes))
 
@@ -380,8 +650,6 @@ class TestArrayBackedEpochBuild:
             model = +model
             engine.mutate()
             self.check(engine, model)
-            assert engine.dg.graph.out_nbrs.tobytes() == \
-                engine._snapshot_graph().out_nbrs.tobytes()
 
     def test_graph_emptied_and_refilled(self):
         from collections import Counter

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.graph.csr import Graph, from_edges, from_networkx
+from repro.graph.csr import Graph, from_edges, from_networkx, patch_edges
 
 
 class TestFromEdges:
@@ -144,6 +144,71 @@ class TestPresortedInput:
         w[:] = 7.0
         assert np.array_equal(g.out_nbrs, small_rmat.out_nbrs)
         assert (g.edge_weights == 1.0).all()
+
+
+class TestPatchEdges:
+    """``patch_edges`` against the always-sort construction over the
+    edited multiset: every array, byte for byte."""
+
+    @staticmethod
+    def weigh(src, dst):
+        return (src * 31 + dst * 7) % 13 + 0.5
+
+    @staticmethod
+    def keys(edges, n):
+        return np.sort(np.array([u * n + v for u, v in edges],
+                                dtype=np.int64))
+
+    def build(self, edges, n, weighted):
+        src = np.array([e[0] for e in edges], dtype=np.int64)
+        dst = np.array([e[1] for e in edges], dtype=np.int64)
+        return two_lexsort_csr(src, dst, n,
+                               self.weigh(src, dst) if weighted else None)
+
+    @pytest.mark.parametrize("weighted", [True, False])
+    def test_seeded_deltas_match_a_sort(self, weighted):
+        from collections import Counter
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            n = int(rng.integers(1, 12))
+            edges = [(int(u), int(v)) for u, v in
+                     rng.integers(0, n, (int(rng.integers(0, 40)), 2))]
+            edges += [(0, 0), (0, 0)]  # a duplicated self-loop
+            g = self.build(sorted(edges), n, weighted)
+            rem = [edges[i] for i in rng.choice(
+                len(edges), size=int(rng.integers(0, len(edges) + 1)),
+                replace=False)]
+            ins = [(int(u), int(v)) for u, v in
+                   rng.integers(0, n, (int(rng.integers(0, 10)), 2))]
+            new, out, rev = patch_edges(
+                g, self.keys(ins, n), self.keys(rem, n),
+                self.weigh if weighted else None)
+            model = Counter(edges)
+            model.subtract(rem)
+            model.update(ins)
+            assert_same_bytes(new, self.build(sorted(model.elements()), n,
+                                              weighted))
+            assert out.drop.size == rev.drop.size == len(rem)
+            assert out.at.size == rev.at.size == len(ins)
+
+    def test_empty_delta_copies_the_graph(self):
+        g = self.build([(0, 1), (1, 0), (1, 1)], 2, weighted=True)
+        empty = np.empty(0, dtype=np.int64)
+        new, out, rev = patch_edges(g, empty, empty, self.weigh)
+        assert out.empty and rev.empty
+        assert_same_bytes(new, g)
+        assert new.out_nbrs is not g.out_nbrs
+
+    def test_removing_a_missing_copy_raises(self):
+        g = self.build([(0, 1), (0, 1)], 2, weighted=False)
+        with pytest.raises(KeyError, match=r"\(0, 1\)"):
+            patch_edges(g, np.empty(0, np.int64), self.keys([(0, 1)] * 3, 2))
+
+    def test_weights_must_match_the_graph(self):
+        g = self.build([(0, 1)], 2, weighted=False)
+        empty = np.empty(0, dtype=np.int64)
+        with pytest.raises(ValueError, match="weight_fn"):
+            patch_edges(g, empty, empty, self.weigh)
 
 
 class TestReverseCsr:
