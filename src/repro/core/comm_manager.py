@@ -51,17 +51,8 @@ def deliver_request(exc: "JobExecution", msg: Message) -> None:
         return
     machine = exc.machines[msg.dst]
     machine.request_queue.append(msg)
-    # One queue-depth sample per request, taken at enqueue time (the copier
-    # drain used to emit a second, redundant sample per request).  Both
-    # emits are guarded so an unsubscribed bus costs no payload dict.
-    if exc.emit_enqueue or exc.emit_queue_depth:
-        depth = len(machine.request_queue)
-        if exc.emit_enqueue:
-            exc.hooks.emit("comm.enqueue", machine=msg.dst,
-                           kind=msg.kind.value, depth=depth, time=exc.sim.now)
-        if exc.emit_queue_depth:
-            exc.hooks.emit("comm.queue_depth", machine=msg.dst, depth=depth,
-                           time=exc.sim.now)
+    exc.hooks.emit("comm.enqueue", machine=msg.dst, kind=msg.kind.value,
+                   depth=len(machine.request_queue), time=exc.sim.now)
     for cs in exc.copiers[msg.dst]:
         if not cs.busy:
             cs.busy = True
@@ -83,10 +74,6 @@ def copier_loop(exc: "JobExecution", cs: CopierState) -> None:
         return
     cs.busy = True
     msg = machine.request_queue.popleft()
-    if exc.emit_copier_start:
-        exc.hooks.emit("comm.copier_start", machine=machine.index,
-                       copier=cs.cindex, kind=msg.kind.value,
-                       items=msg.item_count, time=exc.sim.now)
     machine.cpu.thread_started()
     tally = _process_message(exc, machine, msg)
     dur = machine.cpu.mixed_duration(tally.cpu_ops, tally.atomic_ops,
@@ -101,11 +88,13 @@ def copier_loop(exc: "JobExecution", cs: CopierState) -> None:
 def _copier_done(exc: "JobExecution", cs: CopierState, msg: Message,
                  dur: float) -> None:
     cs.machine.cpu.thread_finished(dur)
-    if exc.emit_copier_done:
-        exc.hooks.emit("comm.copier_done", machine=cs.machine.index,
-                       copier=cs.cindex, kind=msg.kind.value,
-                       items=msg.item_count, start=exc.sim.now - dur,
-                       duration=dur)
+    # ``depth`` is the queue left behind: with the enqueue's, the gauge
+    # tracks both edges and drains to 0 once every request is served.
+    exc.hooks.emit("comm.copier_done", machine=cs.machine.index,
+                   copier=cs.cindex, kind=msg.kind.value,
+                   items=msg.item_count,
+                   depth=len(cs.machine.request_queue),
+                   start=exc.sim.now - dur, duration=dur)
     # Side effects that become visible when the copier finishes:
     if msg.kind is MsgKind.READ_REQ:
         resp = msg._response  # built in _process_message

@@ -92,19 +92,6 @@ class JobExecution:
         #: whenever the fault layer (retry timers hold message refs) is on
         self.msg_pool = cluster.msg_pool if self.faults is None else None
 
-        #: per-hook has-subscriber flags, cached once per execution: hot
-        #: emit sites skip building the payload dict entirely when nobody
-        #: listens (subscription changes mid-job are not a supported use).
-        hooks = self.hooks
-        self.emit_chunk_start = hooks.has("task.chunk_start")
-        self.emit_chunk_end = hooks.has("task.chunk_end")
-        self.emit_copier_start = hooks.has("comm.copier_start")
-        self.emit_copier_done = hooks.has("comm.copier_done")
-        self.emit_queue_depth = hooks.has("comm.queue_depth")
-        self.emit_enqueue = hooks.has("comm.enqueue")
-        self.emit_flush = hooks.has("comm.flush")
-        self.emit_disk_read = hooks.has("disk.read")
-
         self.stats = JobStats(start_time=self.sim.now)
         self.ghosts_active = dgraph.num_ghosts > 0
         # Ghost synchronization applies to regions that may touch remote
@@ -269,19 +256,15 @@ class JobExecution:
     # ------------------------------------------------------------------
 
     def _set_phase(self, phase: str) -> None:
-        """Advance the phase machine, emitting phase start/end hook events."""
+        """Advance the phase machine, emitting the finished phase's
+        ``job.phase_end``."""
         now = self.sim.now
         if self._phase_started_at is not None:
             self.hooks.emit("job.phase_end", job=self.job.name,
                             phase=self.phase, start=self._phase_started_at,
                             duration=now - self._phase_started_at)
         self.phase = phase
-        if phase == "done":
-            self._phase_started_at = None
-            return
-        self._phase_started_at = now
-        self.hooks.emit("job.phase_start", job=self.job.name, phase=phase,
-                        time=now)
+        self._phase_started_at = None if phase == "done" else now
 
     def start(self) -> None:
         for m in self.machines:
@@ -491,9 +474,6 @@ class JobExecution:
                                        seq_bytes=elements * 8.0)
             if self.faults is not None:
                 dur *= self.faults.work_scale(m.index, self.sim.now)
-            if self.hooks.has("ghost.reduce_start"):
-                self.hooks.emit("ghost.reduce_start", machine=m.index,
-                                elements=elements, time=self.sim.now)
             self.sim.schedule_fast(dur, self._postsync_machine_done, m,
                                    self.sim.now, elements)
 
@@ -527,8 +507,6 @@ class JobExecution:
     def _phase_barrier(self) -> None:
         self._apply_staged_group(self._staged_ghost)
         self._set_phase("barrier")
-        self.hooks.emit("barrier.enter", job=self.job.name,
-                        machines=self.num_machines, time=self.sim.now)
         latency = barrier_mod.barrier_latency(self.num_machines,
                                               self.cluster.config.network)
         self.sim.schedule_fast(latency, self._finalize)

@@ -113,11 +113,9 @@ class WorkerState:
     def _flush_read(self, dst: int, prop: str, buf: ReadBuffer) -> None:
         offsets, rows, weights, tasks = buf.drain()
         exc = self.exc
-        if exc.emit_flush:
-            exc.hooks.emit("comm.flush", machine=self.machine.index,
-                           worker=self.windex, dst=dst, prop=prop,
-                           kind="read_req", items=len(offsets),
-                           time=exc.sim.now)
+        exc.hooks.emit("comm.flush", machine=self.machine.index,
+                       worker=self.windex, dst=dst, prop=prop,
+                       kind="read_req", items=len(offsets), time=exc.sim.now)
         # Chunks append whole batches at once, so a buffer can exceed the
         # maximum message size; ship it as a train of full (pooled) buffers.
         step = self._max_items(8)
@@ -154,11 +152,9 @@ class WorkerState:
         if (op.order_insensitive(values.dtype)
                 and values.dtype == exc.machines[dst].props.dtype(prop)):
             offsets, values = self._combine(dst, prop, op, offsets, values)
-        if exc.emit_flush:
-            exc.hooks.emit("comm.flush", machine=self.machine.index,
-                           worker=self.windex, dst=dst, prop=prop,
-                           kind="write_req", items=len(offsets),
-                           time=exc.sim.now)
+        exc.hooks.emit("comm.flush", machine=self.machine.index,
+                       worker=self.windex, dst=dst, prop=prop,
+                       kind="write_req", items=len(offsets), time=exc.sim.now)
         step = self._max_items(16)
         for i in range(0, len(offsets), step):
             msg = exc.new_message(MsgKind.WRITE_REQ, self.machine.index, dst,
@@ -379,10 +375,9 @@ class MachineWindowStream:
         self.bytes_charged += disk_bytes
         exc.stats.disk_bytes_read += disk_bytes
         exc.stats.disk_stall_seconds += stall
-        if exc.emit_disk_read:
-            exc.hooks.emit("disk.read", machine=self.machine.index, window=w,
-                           nbytes=disk_bytes, start=start, duration=duration,
-                           stall=stall, time=now)
+        exc.hooks.emit("disk.read", machine=self.machine.index, window=w,
+                       nbytes=disk_bytes, start=start, duration=duration,
+                       stall=stall, time=now)
         self.active_window = w
         self.active_chunks = len(chunks)
         self.machine.chunk_queue.extend(chunks)
@@ -471,9 +466,6 @@ def _start_work(exc: "JobExecution", ws: WorkerState, fn, args: tuple,
     m = ws.machine
     kind = "chunk" if chunk_overhead else "continuation/flush"
     t0 = exc.sim.now
-    if exc.emit_chunk_start:
-        exc.hooks.emit("task.chunk_start", machine=m.index, worker=ws.windex,
-                       kind=kind, job=exc.job.name, time=t0)
     m.cpu.thread_started()
     tally = fn(*args)
     if ws.deferred_cpu_ops:
@@ -494,10 +486,9 @@ def _end_work(exc: "JobExecution", ws: WorkerState, dur: float,
               kind: str = "chunk", start: float = 0.0) -> None:
     ws.machine.cpu.thread_finished(dur)
     ws.scheduled = False
-    if exc.emit_chunk_end:
-        exc.hooks.emit("task.chunk_end", machine=ws.machine.index,
-                       worker=ws.windex, kind=kind, job=exc.job.name,
-                       start=start, duration=dur)
+    exc.hooks.emit("task.chunk_end", machine=ws.machine.index,
+                   worker=ws.windex, kind=kind, job=exc.job.name,
+                   start=start, duration=dur)
     if kind == "chunk" and exc.window_streams is not None:
         exc.window_streams[ws.machine.index].chunk_done()
     worker_loop(exc, ws)

@@ -15,61 +15,74 @@ lookup.  Subscribers receive the payload dict positionally::
     ...
     bus.unsubscribe(sub)
 
-Payloads are documented per hook in ``docs/observability.md``; every payload
-carries simulated-time fields in seconds.
+:data:`KNOWN_HOOKS` is the payload schema of the engine's own hook points
+(``docs/observability.md`` tabulates it); time fields are simulated
+seconds.
 """
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Callable, Mapping
 
-#: The engine's built-in hook points (user hooks may use any other name).
-KNOWN_HOOKS = (
-    "task.chunk_start",    # machine, worker, kind, job, time
-    "task.chunk_end",      # machine, worker, kind, job, start, duration
-    "comm.enqueue",        # machine, kind, depth, time
-    "comm.flush",          # machine, worker, dst, prop, kind, items, time
-    "comm.queue_depth",    # machine, depth, time
-    "comm.copier_start",   # machine, copier, kind, items, time
-    "comm.copier_done",    # machine, copier, kind, items, start, duration
-    "comm.combine",        # machine, dst, prop, items_in, items_out, time
-    "task.plan_cache",     # machine, hit, time
-    "net.send",            # src, dst, nbytes, kind, time, deliver (None when
-                           #   dropped, with dropped=True)
-    "net.deliver",         # src, dst, nbytes, kind, time (+duplicate=True on
-                           #   the second surfacing of a duplicated message)
-    "net.drop",            # src, dst, nbytes, kind, time, lost_at
-    "ghost.hit",           # machine, prop, mode, count, time
-    "ghost.miss",          # machine, prop, mode, count, time
-    "ghost.reduce_start",  # machine, elements, time
-    "ghost.reduce_end",    # machine, elements, start, duration
-    "job.start",           # job, time
-    "job.end",             # job, start, duration
-    "job.phase_start",     # job, phase, time
-    "job.phase_end",       # job, phase, start, duration
-    "barrier.enter",       # job, machines, time
-    "barrier.exit",        # job, machines, start, duration
-    "fault.inject",        # fault, time, + fault-specific fields
-    "comm.retry",          # kind, request_id, src, dst, attempt, machine, time
-    "comm.dedup_drop",     # machine, kind, request_id, time
-    "job.checkpoint",      # path, time
-    "job.recover",         # job, checkpoint, time
-    "sched.admit",         # session, job, priority, depth, time
-    "sched.reject",        # session, job, reason, time
-    "sched.dispatch",      # session, job, priority, wait, running, depth, time
-    "sched.preempt",       # session, by, job, time
-    "sched.complete",      # session, job, priority, wait, turnaround, time
-    "disk.read",           # machine, window, nbytes (on disk: byte-coded
-                           #   shard format, not the resolved 24 B/edge),
-                           #   start, duration (of the read), stall (previous
-                           #   window's last chunk end -> this read's end, so
-                           #   0 <= stall <= duration), time (out-of-core
-                           #   window activation)
-    "cache.hit",           # job, fingerprint, cost, saved, entries, time
-    "cache.miss",          # job, fingerprint, cost, entries, time
-    "cache.evict",         # reason ("epoch"|"capacity"|"manual"), count,
-                           #   family, epoch, entries, time
-)
+#: Tags a job's :class:`ScopedHookBus` adds to every payload it emits; the
+#: schema lists one only where an unscoped emit carries it (``sched.*``).
+SCOPE_TAGS = ("session", "ticket")
+
+
+def _schema(table: Mapping[str, str]) -> Mapping[str, tuple[str, ...]]:
+    return MappingProxyType({name: tuple(fields.split(", "))
+                             for name, fields in table.items()})
+
+
+#: The engine's hook schema: built-in hook name -> payload fields, scope
+#: tags aside (user hooks may use any other name).  Declared as the
+#: comma-separated lists ``docs/observability.md`` tabulates.
+KNOWN_HOOKS = _schema({
+    "task.chunk_end": "machine, worker, kind, job, start, duration",
+    "task.plan_cache": "machine, hit, time",
+    "comm.enqueue": "machine, kind, depth, time",
+    "comm.flush": "machine, worker, dst, prop, kind, items, time",
+    "comm.copier_done": "machine, copier, kind, items, depth, start, duration",
+    "comm.combine": "machine, dst, prop, items_in, items_out, time",
+    "comm.retry": "machine, kind, request_id, src, dst, attempt, time",
+    "comm.dedup_drop": "machine, kind, request_id, time",
+    "net.send": "src, dst, nbytes, kind, time, deliver",
+    "net.deliver": "src, dst, nbytes, kind, time",
+    "net.drop": "src, dst, nbytes, kind, time, lost_at",
+    "ghost.hit": "machine, prop, mode, count, time",
+    "ghost.miss": "machine, prop, mode, count, time",
+    "ghost.reduce_end": "machine, elements, start, duration",
+    "disk.read": "machine, window, nbytes, start, duration, stall, time",
+    "job.start": "job, time",
+    "job.end": "job, start, duration",
+    "job.phase_end": "job, phase, start, duration",
+    "barrier.exit": "job, machines, start, duration",
+    "job.checkpoint": "path, time",
+    "job.recover": "job, checkpoint, time",
+    "job.incremental": ("algo, mode, epoch, iterations, recomputed_vertices, "
+                        "fallback, duration, time"),
+    "dynamic.apply": ("epoch, inserted, removed, machines_patched, "
+                      "machines_reused, duration, time"),
+    "fault.inject": "fault, time",
+    "sched.admit": "session, job, priority, depth, time",
+    "sched.reject": "session, job, reason, time",
+    "sched.dispatch": "session, job, priority, wait, running, depth, time",
+    "sched.preempt": "session, by, job, time",
+    "sched.complete": "session, job, priority, wait, turnaround, time",
+    "cache.hit": "job, fingerprint, cost, saved, entries, time",
+    "cache.miss": "job, fingerprint, cost, entries, time",
+    "cache.evict": "reason, count, family, epoch, entries, time",
+})
+
+#: Fields only some events of a hook carry: ``dropped=True`` on a message
+#: the fault layer lost (``deliver`` is then None), ``duplicate=True`` on a
+#: duplicate's second delivery, and each fault's own details.
+OPTIONAL_FIELDS = _schema({
+    "net.send": "dropped",
+    "net.deliver": "duplicate",
+    "fault.inject": "src, dst, kind, machine, seconds, factor, duration",
+})
 
 
 class Subscription:
@@ -121,6 +134,15 @@ class HookBus:
                 self.unsubscribe(sub)
             raise
         return added
+
+    def subscribe_known(self, mapping: Mapping[str, Callable]
+                        ) -> list[Subscription]:
+        """:meth:`subscribe_many` for engine observers: a handler for a
+        name outside :data:`KNOWN_HOOKS` would never fire, so it raises."""
+        unknown = sorted(set(mapping).difference(KNOWN_HOOKS))
+        if unknown:
+            raise ValueError(f"not engine hooks: {unknown}")
+        return self.subscribe_many(mapping)
 
     def unsubscribe(self, sub: Subscription) -> None:
         """Remove a subscription (idempotent)."""

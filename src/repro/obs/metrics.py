@@ -68,6 +68,17 @@ class _Family:
             child = self._children[key] = self._make_child(key)
         return child
 
+    def child(self, *values):
+        """:meth:`labels` by position, in ``labelnames`` order: string
+        values are the ``_children`` key as given, one dict probe."""
+        child = self._children.get(values)
+        if child is None:
+            if len(values) != len(self.labelnames):
+                raise ValueError(
+                    f"expected labels {self.labelnames}, got {values}")
+            child = self.labels(**dict(zip(self.labelnames, values)))
+        return child
+
     def _default_child(self):
         if self.labelnames:
             raise ValueError(

@@ -5,8 +5,9 @@ answers *why a job took as long as it did*.  A :class:`SpanProfiler` is a
 plain consumer of a cluster's hook bus, subscribed on *that cluster's* bus
 only (two profilers on two clusters in one process record disjoint spans):
 while installed it assembles, per job, a span record from the engine's
-begin/end hook events — worker chunk spans, copier spans, network message
-transits, post-sync ghost reduces, retries, the barrier — and derives:
+span-end hook events, each of which carries its span's start — worker
+chunk spans, copier spans, network message transits, post-sync ghost
+reduces, disk reads, retries, the barrier — and derives:
 
 * the **critical path**: the longest causal chain of spans ending at the
   job's completion.  Causal edges follow the engine's actual dependence
@@ -17,8 +18,8 @@ transits, post-sync ghost reduces, retries, the barrier — and derives:
   barrier, whose predecessor is the last machine to finish — the straggler
   edge of Figure 6(c)'s inter-machine bucket.
 * **per-machine / per-phase attribution**: busy seconds per machine per
-  phase, busy-time skew (max/mean), each machine's share of critical-path
-  time, and a Figure-6-style balance verdict.
+  phase (the span tree), busy-time skew (max/mean), and each machine's
+  share of critical-path time.
 * a **Chrome trace-event / Perfetto** export (``save``) with one process
   per machine plus a synthetic "critical path" track.
 
@@ -45,8 +46,8 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import Optional
+from operator import attrgetter, itemgetter
+from typing import Callable, Optional
 
 from .hooks import Subscription
 
@@ -63,6 +64,18 @@ _LAYER_OF = {"chunk": "task", "continuation/flush": "task",
              "copier": "comm", "ghost-reduce": "ghost",
              "disk-read": "disk",
              "message": "network", "barrier": "barrier"}
+
+#: hooks whose capture only appends to the job's record: hook -> (the
+#: :class:`_JobBuild` list, the payload fields it keeps, in tuple order)
+_CAPTURE = {
+    "task.chunk_end": ("chunks", ("machine", "worker", "kind", "start",
+                                  "duration")),
+    "comm.copier_done": ("copiers", ("machine", "copier", "kind", "start",
+                                     "duration")),
+    "ghost.reduce_end": ("ghosts", ("machine", "start", "duration")),
+    "disk.read": ("disks", ("machine", "start", "duration")),
+    "comm.retry": ("retries", ("machine", "kind", "attempt", "time")),
+}
 
 
 def _lane_name_cache(prefix: str):
@@ -144,7 +157,8 @@ class PathSegment:
 
 class _JobBuild:
     """Raw per-job event capture; hot-path handlers only append tuples
-    here — `_Slice`/`_Msg` objects are materialized once, at analysis."""
+    here (the ``_CAPTURE`` fields) — `_Slice`/`_Msg` objects are
+    materialized once, at analysis."""
 
     __slots__ = ("name", "session", "ticket", "start", "end", "chunks",
                  "copiers", "ghosts", "disks", "raw_msgs", "retries",
@@ -199,12 +213,9 @@ class JobProfile:
     critical_path: list[PathSegment]
     #: on-CPU critical-path seconds per machine (network hops excluded)
     machine_path_seconds: dict[int, float] = field(default_factory=dict)
-    # lazy caches for the busy-time attributions below (they scan every
-    # slice, so they are computed on first access, not on the hot
-    # annotate-at-job-end path)
+    # lazy cache for ``busy_by_machine`` (it scans every slice, so it is
+    # computed on first access, not on the hot annotate-at-job-end path)
     _busy: Optional[dict] = field(default=None, repr=False, compare=False)
-    _phase_busy: Optional[dict] = field(default=None, repr=False,
-                                        compare=False)
 
     # -- busy-time attribution (lazy) ---------------------------------------
 
@@ -218,23 +229,6 @@ class JobProfile:
                 busy[m] = busy.get(m, 0.0) + (sl.end - sl.start)
             self._busy = busy
         return self._busy
-
-    @property
-    def phase_machine_busy(self) -> dict[str, dict[int, float]]:
-        """phase -> machine -> busy seconds (slices classified by midpoint)."""
-        if self._phase_busy is None:
-            out: dict[str, dict[int, float]] = {}
-            phase_ivals = self.phases
-            for sl in self.slices:
-                mid = 0.5 * (sl.start + sl.end)
-                for ph, s, e in phase_ivals:
-                    if s - _EPS <= mid <= e + _EPS:
-                        bucket = out.setdefault(ph, {})
-                        bucket[sl.machine] = (bucket.get(sl.machine, 0.0)
-                                              + (sl.end - sl.start))
-                        break
-            self._phase_busy = out
-        return self._phase_busy
 
     # -- scalar summaries ---------------------------------------------------
 
@@ -299,11 +293,6 @@ class JobProfile:
                                        duration=seg.duration))
         return out
 
-    def top_segments(self, k: int = 5) -> list[PathSegment]:
-        """The k longest coalesced critical-path segments."""
-        return sorted(self.coalesced_path(),
-                      key=lambda s: -s.duration)[:max(0, k)]
-
     def tree(self, include_spans: bool = True) -> dict:
         """The span tree: job -> phases -> machines -> spans.
 
@@ -335,25 +324,6 @@ class JobProfile:
                 "ticket": self.ticket, "start": self.start, "end": self.end,
                 "phases": phase_nodes, "messages": len(self.messages),
                 "retries": len(self.retries), "dropped": self.dropped}
-
-    def balance_verdict(self) -> str:
-        """A Figure-6-style one-line load-balance verdict."""
-        machines = len(self.busy_by_machine)
-        if machines == 0:
-            return "balanced: no on-CPU spans recorded"
-        share = self.straggler_share
-        ratio = share * machines  # 1.0 == even split of the critical path
-        skew = self.busy_skew
-        if ratio < 1.3 and skew < 1.25:
-            label = "balanced"
-        elif ratio < 2.0 and skew < 2.0:
-            label = "borderline"
-        else:
-            label = "imbalanced"
-        return (f"{label}: machine {self.straggler_machine} holds "
-                f"{share:.0%} of the critical path "
-                f"({ratio:.2f}x its fair share); busy-time skew "
-                f"{skew:.2f}x across {machines} machines")
 
     def summary(self) -> dict:
         """Flat JSON-friendly summary (one ``jobs`` entry of
@@ -612,6 +582,23 @@ class SpanProfiler:
 
     # -- capture hooks -----------------------------------------------------
 
+    def _build_of(self, p: dict) -> Optional[_JobBuild]:
+        """The open capture of ``p``'s ticket; None counts an orphan."""
+        b = self._builds.get(p.get("ticket"))
+        if b is None:
+            self.orphan_events += 1
+        return b
+
+    def _capture(self, attr: str, fields: tuple) -> Callable:
+        """The append-only handler of one ``_CAPTURE`` row."""
+        keep = itemgetter(*fields)
+
+        def on_event(p: dict) -> None:
+            b = self._build_of(p)
+            if b is not None:
+                getattr(b, attr).append(keep(p))
+        return on_event
+
     def _on_job_start(self, p: dict) -> None:
         t = p.get("ticket")
         if t is None:
@@ -632,46 +619,14 @@ class SpanProfiler:
         self._finished.append(build)
 
     def _on_phase_end(self, p: dict) -> None:
-        b = self._builds.get(p.get("ticket"))
-        if b is None:
-            self.orphan_events += 1
-            return
-        b.phases.append((p["phase"], p["start"], p["start"] + p["duration"]))
-
-    def _on_chunk_end(self, p: dict) -> None:
-        b = self._builds.get(p.get("ticket"))
-        if b is None:
-            self.orphan_events += 1
-            return
-        b.chunks.append((p["machine"], p["worker"], p["kind"], p["start"],
-                         p["duration"]))
-
-    def _on_copier_done(self, p: dict) -> None:
-        b = self._builds.get(p.get("ticket"))
-        if b is None:
-            self.orphan_events += 1
-            return
-        b.copiers.append((p["machine"], p["copier"], p["kind"], p["start"],
-                          p["duration"]))
-
-    def _on_ghost_reduce_end(self, p: dict) -> None:
-        b = self._builds.get(p.get("ticket"))
-        if b is None:
-            self.orphan_events += 1
-            return
-        b.ghosts.append((p["machine"], p["start"], p["duration"]))
-
-    def _on_disk_read(self, p: dict) -> None:
-        b = self._builds.get(p.get("ticket"))
-        if b is None:
-            self.orphan_events += 1
-            return
-        b.disks.append((p["machine"], p["start"], p["duration"]))
+        b = self._build_of(p)
+        if b is not None:
+            b.phases.append((p["phase"], p["start"],
+                             p["start"] + p["duration"]))
 
     def _on_net_send(self, p: dict) -> None:
-        b = self._builds.get(p.get("ticket"))
+        b = self._build_of(p)
         if b is None:
-            self.orphan_events += 1
             return
         deliver = p["deliver"]
         if deliver is None:
@@ -680,19 +635,10 @@ class SpanProfiler:
         b.raw_msgs.append((p["src"], p["dst"], p["kind"], p["time"],
                            deliver, p["nbytes"]))
 
-    def _on_retry(self, p: dict) -> None:
-        b = self._builds.get(p.get("ticket"))
-        if b is None:
-            self.orphan_events += 1
-            return
-        b.retries.append((p["machine"], p["kind"], p["attempt"], p["time"]))
-
     def _on_barrier_exit(self, p: dict) -> None:
-        b = self._builds.get(p.get("ticket"))
-        if b is None:
-            self.orphan_events += 1
-            return
-        b.barrier = (p["start"], p["start"] + p["duration"])
+        b = self._build_of(p)
+        if b is not None:
+            b.barrier = (p["start"], p["start"] + p["duration"])
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -702,18 +648,14 @@ class SpanProfiler:
         other = getattr(self.cluster, "profiler", None)
         if other is not None and other is not self:
             raise RuntimeError("another profiler is installed on this cluster")
-        self._subs = self.cluster.hooks.subscribe_many({
-            "job.start": self._on_job_start,
-            "job.end": self._on_job_end,
-            "job.phase_end": self._on_phase_end,
-            "task.chunk_end": self._on_chunk_end,
-            "comm.copier_done": self._on_copier_done,
-            "ghost.reduce_end": self._on_ghost_reduce_end,
-            "disk.read": self._on_disk_read,
-            "net.send": self._on_net_send,
-            "comm.retry": self._on_retry,
-            "barrier.exit": self._on_barrier_exit,
-        })
+        handlers = {name: self._capture(attr, fields)
+                    for name, (attr, fields) in _CAPTURE.items()}
+        handlers.update({"job.start": self._on_job_start,
+                         "job.end": self._on_job_end,
+                         "job.phase_end": self._on_phase_end,
+                         "net.send": self._on_net_send,
+                         "barrier.exit": self._on_barrier_exit})
+        self._subs = self.cluster.hooks.subscribe_known(handlers)
         reg = self.cluster.metrics
         self._hist = reg.histogram(
             "repro_profile_critical_path_seconds",

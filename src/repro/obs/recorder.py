@@ -211,18 +211,10 @@ class MetricsRecorder:
         r.counter("repro_sim_event_pool_hits",
                   "Simulator events served from the recycled-event pool")
 
-        # Hot handlers run per chunk / per message; memoize the label-child
-        # resolution (a kwargs dict + validation per call otherwise).
-        self._chunk_children: dict = {}
-        self._kind_children: dict = {}
-        self._machine_children: dict = {}
-        self._combine_children = None
-
-        bus.subscribe_many({
+        bus.subscribe_known({
             "task.chunk_end": self._on_chunk_end,
             "comm.flush": self._on_flush,
             "comm.enqueue": self._on_enqueue,
-            "comm.queue_depth": self._on_queue_depth,
             "comm.copier_done": self._on_copier_done,
             "net.send": self._on_net_send,
             "net.drop": self._on_net_drop,
@@ -250,93 +242,57 @@ class MetricsRecorder:
             "cache.evict": self._on_cache_evict,
         })
 
-    # -- hook handlers -----------------------------------------------------
+    # -- hook handlers (machine labels are str()-ed once per event) --------
 
     def _on_chunk_end(self, p: dict) -> None:
-        key = (p["machine"], p["kind"])
-        ch = self._chunk_children.get(key)
-        if ch is None:
-            machine = str(p["machine"])
-            ch = self._chunk_children[key] = (
-                self.chunks.labels(machine=machine, kind=p["kind"]),
-                self.worker_busy.labels(machine=machine),
-                self.chunk_seconds.labels(kind=p["kind"]))
-        chunks, busy, seconds = ch
-        chunks.inc()
-        busy.inc(p["duration"])
-        seconds.observe(p["duration"])
-
-    def _kind_child(self, family, kind):
-        key = (family.name, kind)
-        child = self._kind_children.get(key)
-        if child is None:
-            child = self._kind_children[key] = family.labels(kind=kind)
-        return child
-
-    def _machine_child(self, family, machine):
-        key = (family.name, machine)
-        child = self._machine_children.get(key)
-        if child is None:
-            child = self._machine_children[key] = family.labels(
-                machine=str(machine))
-        return child
+        machine, kind, duration = str(p["machine"]), p["kind"], p["duration"]
+        self.chunks.child(machine, kind).inc()
+        self.worker_busy.child(machine).inc(duration)
+        self.chunk_seconds.child(kind).observe(duration)
 
     def _on_flush(self, p: dict) -> None:
         kind = p["kind"]
-        self._kind_child(self.flushes, kind).inc()
-        self._kind_child(self.flush_items, kind).inc(p["items"])
+        self.flushes.child(kind).inc()
+        self.flush_items.child(kind).inc(p["items"])
 
     def _on_enqueue(self, p: dict) -> None:
-        self._kind_child(self.comm_requests, p["kind"]).inc()
-
-    def _on_queue_depth(self, p: dict) -> None:
-        self._machine_child(self.queue_depth, p["machine"]).set(p["depth"])
+        self.comm_requests.child(p["kind"]).inc()
+        self.queue_depth.child(str(p["machine"])).set(p["depth"])
         self.queue_depth_samples.observe(p["depth"])
 
     def _on_copier_done(self, p: dict) -> None:
-        self._machine_child(self.copier_busy,
-                            p["machine"]).inc(p["duration"])
-        self._kind_child(self.copier_messages, p["kind"]).inc()
+        machine = str(p["machine"])
+        self.copier_busy.child(machine).inc(p["duration"])
+        self.copier_messages.child(p["kind"]).inc()
+        self.queue_depth.child(machine).set(p["depth"])
 
     def _on_net_send(self, p: dict) -> None:
         kind = p["kind"]
-        self._kind_child(self.net_messages, kind).inc()
-        self._kind_child(self.net_bytes, kind).inc(p["nbytes"])
+        self.net_messages.child(kind).inc()
+        self.net_bytes.child(kind).inc(p["nbytes"])
         if p["deliver"] is not None:  # dropped messages never deliver
             self.net_transit.inc(p["deliver"] - p["time"])
         self.net_message_bytes.observe(p["nbytes"])
 
     def _on_net_drop(self, p: dict) -> None:
-        self.net_dropped.labels(kind=p["kind"]).inc()
-        self.net_dropped_bytes.labels(kind=p["kind"]).inc(p["nbytes"])
-
-    def _mode_child(self, family, mode):
-        key = (family.name, mode)
-        child = self._kind_children.get(key)
-        if child is None:
-            child = self._kind_children[key] = family.labels(mode=mode)
-        return child
+        self.net_dropped.child(p["kind"]).inc()
+        self.net_dropped_bytes.child(p["kind"]).inc(p["nbytes"])
 
     def _on_ghost_hit(self, p: dict) -> None:
-        self._mode_child(self.ghost_hits, p["mode"]).inc(p.get("count", 1))
+        self.ghost_hits.child(p["mode"]).inc(p["count"])
 
     def _on_ghost_miss(self, p: dict) -> None:
-        self._mode_child(self.ghost_misses, p["mode"]).inc(p.get("count", 1))
+        self.ghost_misses.child(p["mode"]).inc(p["count"])
 
     def _on_plan_cache(self, p: dict) -> None:
-        result = "hit" if p["hit"] else "miss"
-        self.plan_cache_requests.labels(result=result).inc()
+        self.plan_cache_requests.child("hit" if p["hit"] else "miss").inc()
         self._plan_lookups += 1
         self._plan_hits += 1 if p["hit"] else 0
         self.plan_cache_hit_ratio.set(self._plan_hits / self._plan_lookups)
 
     def _on_combine(self, p: dict) -> None:
-        if self._combine_children is None:
-            self._combine_children = (self.combine_items.labels(stage="in"),
-                                      self.combine_items.labels(stage="out"))
-        c_in, c_out = self._combine_children
-        c_in.inc(p["items_in"])
-        c_out.inc(p["items_out"])
+        self.combine_items.child("in").inc(p["items_in"])
+        self.combine_items.child("out").inc(p["items_out"])
         self._combine_in += p["items_in"]
         self._combine_out += p["items_out"]
         if self._combine_in:
@@ -345,21 +301,21 @@ class MetricsRecorder:
 
     def _on_phase_end(self, p: dict) -> None:
         phase = p["phase"]
-        self.phase_seconds.labels(phase=phase).inc(p["duration"])
-        self.phases.labels(phase=phase).inc()
+        self.phase_seconds.child(phase).inc(p["duration"])
+        self.phases.child(phase).inc()
 
     def _on_barrier_exit(self, p: dict) -> None:
         self.barriers.inc()
         self.barrier_seconds.inc(p["duration"])
 
     def _on_fault_inject(self, p: dict) -> None:
-        self.faults_injected.labels(fault=p["fault"]).inc()
+        self.faults_injected.child(p["fault"]).inc()
 
     def _on_retry(self, p: dict) -> None:
-        self.retries.labels(kind=p["kind"]).inc()
+        self.retries.child(p["kind"]).inc()
 
     def _on_dedup_drop(self, p: dict) -> None:
-        self.dedup_drops.labels(kind=p["kind"]).inc()
+        self.dedup_drops.child(p["kind"]).inc()
 
     def _on_checkpoint(self, p: dict) -> None:
         self.checkpoints.inc()
@@ -368,62 +324,58 @@ class MetricsRecorder:
         self.recoveries.inc()
 
     def _on_disk_read(self, p: dict) -> None:
-        machine = p["machine"]
-        self._machine_child(self.disk_bytes, machine).inc(p["nbytes"])
-        self._machine_child(self.disk_reads, machine).inc()
-        self._machine_child(self.disk_read_seconds,
-                            machine).inc(p["duration"])
+        machine = str(p["machine"])
+        self.disk_bytes.child(machine).inc(p["nbytes"])
+        self.disk_reads.child(machine).inc()
+        self.disk_read_seconds.child(machine).inc(p["duration"])
         if p["stall"] > 0.0:
-            self._machine_child(self.disk_stall, machine).inc(p["stall"])
+            self.disk_stall.child(machine).inc(p["stall"])
 
     def _on_sched_admit(self, p: dict) -> None:
-        self.sched_admitted.labels(priority=p["priority"]).inc()
-        self.sched_queue_depth.labels(priority=p["priority"]).set(p["depth"])
+        self.sched_admitted.child(p["priority"]).inc()
+        self.sched_queue_depth.child(p["priority"]).set(p["depth"])
 
     def _on_sched_reject(self, p: dict) -> None:
-        self.sched_rejected.labels(reason=p["reason"]).inc()
+        self.sched_rejected.child(p["reason"]).inc()
 
     def _on_sched_dispatch(self, p: dict) -> None:
-        self.sched_dispatched.labels(priority=p["priority"]).inc()
-        self.sched_queue_depth.labels(priority=p["priority"]).set(p["depth"])
-        self.sched_wait.labels(session=p["session"]).observe(p["wait"])
+        self.sched_dispatched.child(p["priority"]).inc()
+        self.sched_queue_depth.child(p["priority"]).set(p["depth"])
+        self.sched_wait.child(p["session"]).observe(p["wait"])
 
     def _on_sched_preempt(self, p: dict) -> None:
-        self.sched_preemptions.labels(session=p["session"]).inc()
+        self.sched_preemptions.child(p["session"]).inc()
 
     def _on_sched_complete(self, p: dict) -> None:
-        self.sched_completed.labels(session=p["session"]).inc()
-        self.sched_turnaround.labels(session=p["session"]).observe(
-            p["turnaround"])
+        self.sched_completed.child(p["session"]).inc()
+        self.sched_turnaround.child(p["session"]).observe(p["turnaround"])
 
     def _on_dynamic_apply(self, p: dict) -> None:
         self.incremental_batches.inc()
-        self.incremental_edges.labels(op="insert").inc(p["inserted"])
-        self.incremental_edges.labels(op="remove").inc(p["removed"])
-        self.incremental_machines.labels(action="patched").inc(
-            p["machines_patched"])
-        self.incremental_machines.labels(action="reused").inc(
-            p["machines_reused"])
+        self.incremental_edges.child("insert").inc(p["inserted"])
+        self.incremental_edges.child("remove").inc(p["removed"])
+        self.incremental_machines.child("patched").inc(p["machines_patched"])
+        self.incremental_machines.child("reused").inc(p["machines_reused"])
         self.incremental_apply_seconds.inc(p["duration"])
 
     def _on_job_incremental(self, p: dict) -> None:
-        self.incremental_runs.labels(algo=p["algo"], mode=p["mode"]).inc()
-        self.incremental_recomputed.labels(algo=p["algo"]).inc(
-            p["recomputed_vertices"])
-        if p.get("fallback"):
-            self.incremental_fallbacks.labels(algo=p["algo"]).inc()
+        algo = p["algo"]
+        self.incremental_runs.child(algo, p["mode"]).inc()
+        self.incremental_recomputed.child(algo).inc(p["recomputed_vertices"])
+        if p["fallback"]:
+            self.incremental_fallbacks.child(algo).inc()
 
     def _on_cache_hit(self, p: dict) -> None:
-        self.cache_requests.labels(result="hit").inc()
-        self.cache_read_seconds.labels(result="hit").observe(p["cost"])
+        self.cache_requests.child("hit").inc()
+        self.cache_read_seconds.child("hit").observe(p["cost"])
         self.cache_saved_seconds.inc(p["saved"])
         self.cache_entries.set(p["entries"])
 
     def _on_cache_miss(self, p: dict) -> None:
-        self.cache_requests.labels(result="miss").inc()
-        self.cache_read_seconds.labels(result="miss").observe(p["cost"])
+        self.cache_requests.child("miss").inc()
+        self.cache_read_seconds.child("miss").observe(p["cost"])
         self.cache_entries.set(p["entries"])
 
     def _on_cache_evict(self, p: dict) -> None:
-        self.cache_evictions.labels(reason=p["reason"]).inc(p["count"])
+        self.cache_evictions.child(p["reason"]).inc(p["count"])
         self.cache_entries.set(p["entries"])

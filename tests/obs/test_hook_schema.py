@@ -1,0 +1,174 @@
+"""The hook schema is the engine's emit contract.
+
+``KNOWN_HOOKS`` names exactly the hooks the engine emits, and every
+payload the engine builds carries exactly its hook's fields, plus the
+scope tags of a ticketed job and the declared optional fields.  The
+dynamic half runs one pass that touches every feature layer with a
+subscriber on every hook.
+"""
+
+import pathlib
+import re
+
+import pytest
+
+from repro import (EdgeMapJob, EdgeMapSpec, FaultPlan, MachineCrash,
+                   PgxdCluster, QuotaExceededError, ReduceOp, rmat,
+                   with_uniform_weights)
+from repro.algorithms import pagerank, sssp
+from repro.core.incremental import IncrementalEngine, hash_weights
+from repro.core.scheduler import JobScheduler, SchedulerConfig
+from repro.dynamic import DynamicGraph
+from repro.obs.hooks import KNOWN_HOOKS, OPTIONAL_FIELDS, SCOPE_TAGS
+from repro.query import apply_spec, pool_specs
+from repro.server import PgxdServer
+from tests.conftest import make_cluster
+
+SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
+
+#: a literal hook name handed to ``emit(...)`` or ``partial(bus.emit, ...)``
+EMIT_NAME = re.compile(r'\bemit[(,]\s*"([\w.]+)"')
+
+
+def test_emitted_names_are_the_schema_keys():
+    emitted = {name for path in SRC.rglob("*.py")
+               for name in EMIT_NAME.findall(path.read_text())}
+    assert emitted == set(KNOWN_HOOKS)
+
+
+def test_optional_fields_extend_known_hooks_only():
+    for name, extra in OPTIONAL_FIELDS.items():
+        assert name in KNOWN_HOOKS
+        assert not set(extra) & set(KNOWN_HOOKS[name])
+
+
+class Capture:
+    """Every payload key set seen per hook, over any number of clusters."""
+
+    def __init__(self):
+        self.keys: dict[str, set[frozenset]] = {}
+
+    def attach(self, cluster):
+        for name in KNOWN_HOOKS:
+            cluster.hooks.subscribe(
+                name, lambda p, name=name: self.keys.setdefault(
+                    name, set()).add(frozenset(p)))
+        return cluster
+
+
+def pull_job(name):
+    return EdgeMapJob(name=name, spec=EdgeMapSpec(
+        direction="pull", source="x", target="t", op=ReduceOp.SUM))
+
+
+def _algorithms(cap):
+    """Pull and push PageRank with ghosts, and SSSP (sender combining)."""
+    cluster = cap.attach(make_cluster(4))
+    dg = cluster.load_graph(with_uniform_weights(
+        rmat(400, 3000, seed=21), 0.1, 1.0, seed=23))
+    assert dg.num_ghosts > 0
+    pagerank(cluster, dg, "pull", max_iterations=2)
+    pagerank(cluster, dg, "push", max_iterations=2)
+    sssp(cluster, dg, root=0)
+
+
+def _out_of_core(cap):
+    cluster = cap.attach(make_cluster(2, out_of_core=True,
+                                      ooc_window_edges=128))
+    dg = cluster.load_graph(rmat(260, 1500, seed=21))
+    pagerank(cluster, dg, "push", max_iterations=2)
+
+
+def _faults(cap, tmp_path):
+    """Drops, duplicates and a crash recovered from a checkpoint."""
+    def run(cluster):
+        sched = JobScheduler(cluster)
+        dg = cluster.load_graph(rmat(260, 1500, seed=21))
+        if cluster.faults is not None:
+            cluster.enable_auto_checkpoint(dg, tmp_path / "ck.npz",
+                                           every=1, recover=True)
+        sched.submit_program("a", dg, pagerank.program(dg,
+                                                       max_iterations=3))
+        sched.drain()
+        return cluster
+
+    quiet = run(make_cluster(2))
+    cfg = quiet.config.with_fault_plan(FaultPlan(
+        seed=5, drop_prob=0.05, dup_prob=0.05,
+        crashes=(MachineCrash(machine=1, at=0.4 * quiet.now),)))
+    run(cap.attach(PgxdCluster(cfg)))
+
+
+def _scheduler(cap):
+    """A quota rejection and a fair-share head-of-line skip."""
+    cluster = cap.attach(make_cluster(2))
+    sched = JobScheduler(cluster, SchedulerConfig(
+        max_concurrent_jobs=1, max_queued_per_session=2))
+    dgs = [cluster.load_graph(rmat(260, 1500, seed=21)) for _ in range(2)]
+    for dg in dgs:
+        dg.add_property("x", init=1.0)
+        dg.add_property("t", init=0.0)
+    sched.submit("first", dgs[0], pull_job("f1"))
+    sched.submit("first", dgs[0], pull_job("f2"))
+    with pytest.raises(QuotaExceededError):
+        sched.submit("first", dgs[0], pull_job("f3"))
+    sched.submit("second", dgs[1], pull_job("s1"))
+    sched.drain()
+
+
+def _served(cap):
+    """Cached reads over a mutating graph, then an incremental recompute."""
+    cluster = cap.attach(make_cluster(2))
+    server = PgxdServer(cluster)
+    server.enable_cache()
+    graph = rmat(300, 1800, seed=31)
+    src, dst = graph.edge_list()
+    dyn = DynamicGraph(300, list(zip(src.tolist(), dst.tolist())))
+    engine = IncrementalEngine(cluster, dyn, weight_fn=hash_weights(seed=3))
+    session = server.create_session("a")
+    specs = pool_specs(2, seed=31)
+    for round_ in range(2):
+        session.attach_graph("g", engine.pin())
+        for spec in specs + specs:
+            apply_spec(session.query("g"), spec)
+        if round_ == 0:
+            engine.pagerank()
+            dyn.add_edge(1, 2)
+            engine.mutate(session="a")
+    engine.pagerank()
+
+
+@pytest.fixture(scope="module")
+def captured(tmp_path_factory):
+    cap = Capture()
+    _algorithms(cap)
+    _out_of_core(cap)
+    _faults(cap, tmp_path_factory.mktemp("ckpt"))
+    _scheduler(cap)
+    _served(cap)
+    return cap.keys
+
+
+def test_every_known_hook_fires(captured):
+    assert sorted(set(KNOWN_HOOKS) - set(captured)) == []
+
+
+def test_payload_keys_are_the_schema_fields(captured):
+    for name, key_sets in captured.items():
+        fields = set(KNOWN_HOOKS[name])
+        allowed = fields | set(SCOPE_TAGS) | set(OPTIONAL_FIELDS.get(name, ()))
+        for keys in key_sets:
+            assert fields <= keys <= allowed, (name, sorted(keys))
+
+
+def test_optional_fields_appear(captured):
+    seen = {name: set().union(*captured[name]) for name in OPTIONAL_FIELDS}
+    assert "dropped" in seen["net.send"]
+    assert "duplicate" in seen["net.deliver"]
+    assert {"src", "dst", "kind", "machine"} <= seen["fault.inject"]
+
+
+def test_ticketed_payloads_carry_both_scope_tags(captured):
+    for name in ("task.chunk_end", "comm.copier_done", "job.start",
+                 "disk.read", "cache.hit", "dynamic.apply"):
+        assert any(set(SCOPE_TAGS) <= keys for keys in captured[name]), name

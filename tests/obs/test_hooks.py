@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.obs.hooks import KNOWN_HOOKS, HookBus
+from repro.obs.hooks import KNOWN_HOOKS, SCOPE_TAGS, HookBus
 
 
 class TestSubscribe:
@@ -114,5 +114,29 @@ class TestKnownHooks:
 
     def test_core_hook_points_present(self):
         for name in ("task.chunk_end", "comm.flush", "net.send",
-                     "ghost.hit", "job.phase_end", "barrier.exit"):
+                     "ghost.hit", "job.phase_end", "barrier.exit",
+                     "dynamic.apply", "job.incremental"):
             assert name in KNOWN_HOOKS
+
+    def test_restating_hooks_are_gone(self):
+        # the start hooks' end twins carry ``start``; comm.enqueue carries
+        # the depth comm.queue_depth used to repeat
+        for name in ("task.chunk_start", "comm.copier_start",
+                     "ghost.reduce_start", "job.phase_start",
+                     "barrier.enter", "comm.queue_depth"):
+            assert name not in KNOWN_HOOKS
+
+    def test_schema_maps_names_to_field_tuples(self):
+        for name, fields in KNOWN_HOOKS.items():
+            assert isinstance(fields, tuple) and fields, name
+            assert len(set(fields)) == len(fields), name
+            if not name.startswith("sched."):  # emitted unscoped
+                assert not set(SCOPE_TAGS) & set(fields), name
+
+    def test_subscribe_known_rejects_unknown_hooks_atomically(self):
+        bus = HookBus()
+        with pytest.raises(ValueError, match="task.chunk_start"):
+            bus.subscribe_known({"task.chunk_end": print,
+                                 "task.chunk_start": print})
+        assert bus.subscriber_count() == 0
+        assert len(bus.subscribe_known({"task.chunk_end": print})) == 1

@@ -23,15 +23,13 @@ from repro.query import apply_spec, pool_specs
 from repro.server import PgxdServer
 from tests.conftest import make_cluster
 
-CAPTURED = KNOWN_HOOKS + ("dynamic.apply", "job.incremental")
-
 
 class TicketOracle:
     """Buckets every cluster-bus event by ticket tag, final attempt only."""
 
     def __init__(self, cluster):
         self.buckets: dict[int, list] = {}
-        for name in CAPTURED:
+        for name in KNOWN_HOOKS:
             cluster.hooks.subscribe(
                 name, lambda p, name=name: self._capture(name, p))
 

@@ -42,6 +42,17 @@ class TestCounter:
         with pytest.raises(ValueError):
             c.labels(flavor="read")
 
+    def test_positional_child_is_the_labels_child(self, reg):
+        c = reg.counter("ops_total", labelnames=("machine", "kind"))
+        child = c.child(0, "read")
+        assert child is c.labels(machine="0", kind="read")
+        assert c.child("0", "read") is child
+        assert c.labels(kind="write", machine=1) is c.child(1, "write")
+        assert reg.counter("plain_total").child() is not None
+        for values in ((0,), (0, "read", "x"), ()):
+            with pytest.raises(ValueError):
+                c.child(*values)
+
 
 class TestGauge:
     def test_set_inc_dec(self, reg):

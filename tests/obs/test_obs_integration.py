@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro import EdgeMapJob, EdgeMapSpec, ReduceOp
+from repro import EdgeMapJob, EdgeMapSpec, ReduceOp, rmat
+from repro.algorithms import pagerank
 from repro.obs.report import (ghost_hit_rate, overhead_breakdown,
                               render_overhead_report, traffic_by_kind)
 from repro.server import PgxdServer
@@ -82,6 +83,20 @@ class TestRecorder:
         (v1, t1), (v2, t2) = run(True), run(False)
         assert np.array_equal(v1, v2)
         assert t1 == t2
+
+    @pytest.mark.parametrize("direction", ["pull", "push"])
+    def test_queue_depth_gauge_drains_after_every_job(self, direction):
+        cluster = make_cluster(4)
+        dg = cluster.load_graph(rmat(2000, 16000, seed=11))
+        pagerank(cluster, dg, direction, max_iterations=2)
+        gauge = cluster.metrics.get("repro_comm_queue_depth")
+        assert {key: child.value for key, child in gauge.children()} == {
+            (str(m),): 0.0 for m in range(4)}
+        # one depth sample per request, taken at enqueue
+        requests = cluster.metrics.get("repro_comm_requests_total")
+        samples = cluster.metrics.get("repro_comm_queue_depth_samples")
+        assert samples.count == sum(c.value for _, c in requests.children())
+        assert samples.sum > 0
 
     def test_two_clusters_have_disjoint_registries(self, small_rmat):
         c1, c2 = make_cluster(2, 30), make_cluster(2, 30)

@@ -86,3 +86,38 @@ class TestApiReference:
                     "repro.patterns", "repro.dynamic",
                     "repro.obs.profiler"):
             assert mod in ref
+
+
+class TestObservabilityDoc:
+    """The hook table mirrors ``KNOWN_HOOKS`` row for row."""
+
+    ROW = re.compile(r"^\| ((?:`[\w.]+`(?: / )?)+) \| `([^`]*)`(.*)\|$")
+
+    def rows(self) -> dict:
+        section = read("docs/observability.md").split(
+            "### Hook points and payloads")[1].split("\n## ")[0]
+        out = {}
+        for line in section.splitlines():
+            if not line.startswith("| `"):
+                continue
+            m = self.ROW.match(line)
+            assert m, f"malformed hook-table row: {line}"
+            for name in re.findall(r"`([\w.]+)`", m.group(1)):
+                out[name] = (tuple(m.group(2).split(", ")), m.group(3))
+        return out
+
+    def test_hook_table_matches_the_schema(self):
+        from repro.obs.hooks import KNOWN_HOOKS
+
+        rows = self.rows()
+        assert list(rows) == list(KNOWN_HOOKS)
+        for name, (fields, _) in rows.items():
+            assert fields == KNOWN_HOOKS[name], name
+
+    def test_optional_fields_are_documented(self):
+        from repro.obs.hooks import OPTIONAL_FIELDS
+
+        rows = self.rows()
+        for name, extra in OPTIONAL_FIELDS.items():
+            for field in extra:
+                assert field in rows[name][1], (name, field)
