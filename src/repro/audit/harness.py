@@ -106,14 +106,9 @@ class AuditScenario:
     expect_divergence: bool = False
 
     def engine_overrides(self) -> dict:
-        ov = {"audit": True,
-              "ghost_privatization": self.ghost_privatization,
-              "out_of_core": self.out_of_core}
-        if self.out_of_core:
-            # Small windows so even the harness's test-sized graphs stream
-            # through several activations rather than one resident window.
-            ov["ooc_window_edges"] = 2048
-        return ov
+        return {"audit": True,
+                "ghost_privatization": self.ghost_privatization,
+                "out_of_core": self.out_of_core}
 
 
 @dataclass
@@ -254,6 +249,12 @@ class AuditHarness:
             overrides["fault_plan"] = self._fault_plan()
         if scenario.ghost_hubs:
             overrides["ghost_threshold"] = self.hub_threshold
+        if scenario.out_of_core:
+            # Small windows (num_workers x chunk_size = 2048 edges) so even
+            # the harness's test-sized graphs stream through several
+            # activations rather than one resident window.
+            overrides["chunk_size"] = max(
+                1, 2048 // self.base_config.engine.num_workers)
         cluster = PgxdCluster(self.base_config.with_engine(**overrides))
         if tie_seed is not None:
             cluster.sim.set_tie_breaker(tie_seed)

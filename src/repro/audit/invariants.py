@@ -22,6 +22,8 @@ from __future__ import annotations
 from collections import Counter
 from typing import TYPE_CHECKING, Any
 
+from ..core.task_manager import read_stall
+
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.jobrunner import JobExecution
 
@@ -179,23 +181,37 @@ def check_execution(exc: "JobExecution",
                 f"{stream.resident_bytes} streamed bytes still resident",
                 **where)
         # Disk-byte conservation: the device read exactly the windows'
-        # bytes, and the job's stats charged exactly those (byte counts are
-        # integers, so the float sums are exact).
+        # bytes, plus the readahead this job queued for the next region,
+        # minus the one it adopted from the last; and the job's stats
+        # charged exactly those (byte counts are integers, so the float
+        # sums are exact).
         stored = sum(disk_bytes for _, disk_bytes, _ in stream.windows)
+        read = stored + stream.readahead_issued - stream.readahead_adopted
         device = stream.machine.disk.bytes_read - stream.disk_bytes_at_start
-        if not stored == device == stream.bytes_charged:
+        if not read == device == stream.bytes_charged:
             add("stream.disk_bytes",
-                f"windows hold {stored!r} B, the disk read {device!r} B, "
-                f"the job charged {stream.bytes_charged!r} B", **where)
-        # A window's read is issued when its predecessor activates, so the
-        # workers cannot have waited on it longer than the read itself
-        # (to the rounding of the clock the two were subtracted on).
-        slack = 1e-12 * max(1.0, exc.sim.now)
-        for w, (stall, duration) in enumerate(stream.activations):
-            if not 0.0 <= stall <= duration + slack:
+                f"windows hold {stored!r} B (readahead issued "
+                f"{stream.readahead_issued!r} B, adopted "
+                f"{stream.readahead_adopted!r} B), the disk read "
+                f"{device!r} B, the job charged {stream.bytes_charged!r} B",
+                **where)
+        # A stall is the read's device time after the machine's chunk queue
+        # emptied, so it can never exceed the read itself.
+        for w, (idle, start, duration, stall) in enumerate(
+                stream.activations):
+            if not (stall == read_stall(idle, start, duration)
+                    and 0.0 <= stall <= duration):
                 add("stream.stall",
-                    f"window {w} stalled {stall!r}s on a {duration!r}s read",
+                    f"window {w} stalled {stall!r}s on a {duration!r}s read "
+                    f"from {start!r}s, queue empty since {idle!r}s",
                     window=w, **where)
+        # At most two windows run and one more loads.
+        largest = max((r for _, _, r in stream.windows), default=0.0)
+        if stream.peak_resident > 3 * largest:
+            add("stream.resident",
+                f"{stream.peak_resident!r} B of windows were resident at "
+                f"once, over 3 x the largest window's {largest!r} B",
+                **where)
     if exc.window_streams is not None:
         charged = sum(s.bytes_charged for s in exc.window_streams)
         if charged != exc.stats.disk_bytes_read:

@@ -190,9 +190,11 @@ def cmd_chaos(args) -> int:
     def run(plan, ckpt=None):
         cfg = scaled_cluster_config(args.machines, args.scale)
         if args.out_of_core:
-            # small windows so CLI-scale graphs stream through several
-            # activations per job (results must stay bit-identical anyway)
-            cfg = cfg.with_engine(out_of_core=True, ooc_window_edges=2048)
+            # small windows (num_workers x chunk_size = 2048 edges) so
+            # CLI-scale graphs stream through several activations per job
+            # (results must stay bit-identical anyway)
+            cfg = cfg.with_engine(out_of_core=True, chunk_size=max(
+                1, 2048 // cfg.engine.num_workers))
         if plan is not None:
             cfg = cfg.with_fault_plan(plan)
         cluster = PgxdCluster(cfg)

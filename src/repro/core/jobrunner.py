@@ -67,7 +67,6 @@ class JobExecution:
         #: write flush carries is below it
         self.largest_partition = max(m.n_local for m in self.machines)
         self.out_of_core = ecfg.out_of_core
-        self.ooc_window_edges = ecfg.ooc_window_edges
         #: per-machine window streams, built in ``_phase_main`` when the
         #: region iterates edges out-of-core; None keeps the in-memory
         #: paths structurally untouched (one attribute load on the worker
@@ -331,13 +330,17 @@ class JobExecution:
                                      ecfg.chunking, ecfg.chunk_size)
             m.chunk_queue.clear()
             if streaming:
+                # A window holds one chunk per worker: enough to keep every
+                # worker busy while the next window loads.
                 csr = m.csr(self.iter_kind)
                 prefix = csr.disk_row_prefix(m.lo)
+                columns = self._streamed_edge_columns(csr)
                 windows = build_windows(chunks, csr.starts, prefix,
-                                        self.ooc_window_edges,
-                                        self._streamed_edge_columns(csr))
-                self.window_streams.append(
-                    MachineWindowStream(self, m, windows, prefix))
+                                        ecfg.num_workers * ecfg.chunk_size,
+                                        columns)
+                self.window_streams.append(MachineWindowStream(
+                    self, m, windows, prefix,
+                    (csr, self.iter_kind, columns)))
             else:
                 m.chunk_queue.extend(chunks)
             total_chunks += len(chunks)
@@ -371,7 +374,7 @@ class JobExecution:
         DRAM.
 
         The comm manager folds this into a copier's working-set size: in
-        out-of-core mode the double-buffered window reads sweep the LLC,
+        out-of-core mode the pipelined window reads sweep the LLC,
         so copier-side scatters/gathers see less cache residency.  Always
         0.0 in-memory (the windowed path costs the off mode nothing).
         """

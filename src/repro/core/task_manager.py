@@ -12,7 +12,7 @@ continued by the worker that issued its reads, so task objects need no locks
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional, TYPE_CHECKING
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -56,6 +56,8 @@ class WorkerState:
         #: cpu ops incurred mid-chunk (write combining) and priced with the
         #: enclosing work slice
         self.deferred_cpu_ops = 0.0
+        #: streamed window of the chunk this worker runs (out-of-core)
+        self.window = -1
 
     # -- buffer accessors ----------------------------------------------------
 
@@ -259,82 +261,158 @@ def build_windows(chunks: list, starts: np.ndarray, row_prefix: np.ndarray,
             for group, edges in groups]
 
 
+def read_stall(idle_since: float, start: float, duration: float) -> float:
+    """``max(0, read_end - max(idle_since, read_start))``, written so the
+    float result never exceeds ``duration``."""
+    return max(0.0, duration - max(0.0, idle_since - start))
+
+
+#: windows that may hold unfinished chunks at once: a draining tail and
+#: the successor whose chunks started beside it
+MAX_RUNNING_WINDOWS = 2
+#: queue window 0's read for the next streaming region behind a stream's
+#: last read (see :class:`MachineWindowStream`)
+READAHEAD = True
+
+
 class MachineWindowStream:
     """Streams one machine's edge windows from the modeled local disk.
 
-    Double-buffered: while the active window's chunks execute, at most one
-    successor window is in flight on the disk (its read is issued at
-    activation time), so the next window's read overlaps the current
-    window's compute on the simulator event loop.  A window *drains* when
-    its last chunk finishes (``_end_work``), not when it is grabbed: only
-    then does its buffer leave DRAM, its routing plans go, and the
-    successor activate.  The stall a window causes is the gap between that
-    drain and its own read completing — never more than the read, because
-    the read was issued when the predecessor activated.  Workers idle when
-    the chunk queue drains mid-stream and are woken when the next window
+    *Pipelined.*  A loaded window activates as soon as the machine's chunk
+    queue is empty: its chunks are queued behind nothing and start while
+    the predecessor's tail still runs, with at most
+    ``MAX_RUNNING_WINDOWS`` windows holding unfinished chunks.  Activating
+    a window issues its successor's read, so at most one more window is
+    loading or loaded — three resident at most.  Each window counts its
+    own unfinished chunks and leaves DRAM (resident bytes and routing
+    plans) when its own last chunk ends (``_end_work``).  Workers idle
+    when the queue drains mid-stream and are woken when the next window
     activates; the worker done-rule gains a "stream exhausted" guard so
     the main phase cannot end while windows remain.
 
-    Results are bit-identical to the in-memory mode: the same chunks run
-    with the same routing, and all remote/staged contributions are applied
-    in canonical content order at phase boundaries, so *when* a chunk ran
-    cannot change what it computed.
+    *Readahead.*  When a stream issues its last read it queues the read of
+    window 0 of the same shard behind it, keyed by the ``LocalCsr``, the
+    direction and the streamed edge columns (``DiskModel.readaheads``).
+    The next streaming region with the same key adopts that read instead
+    of reading cold; a region with another key leaves it pending and
+    reads its own window 0.  The issuing job is charged the readahead's
+    bytes, once, adopted or not.
+
+    A window's *stall* is ``max(0, read_end - max(idle_since,
+    read_start))``, where ``idle_since`` is when the machine's chunk queue
+    emptied: how long workers with nothing queued waited on this read's
+    device time, so ``0 <= stall <= read duration`` even when the read
+    queued behind another on the serial disk.
+
+    Results are bit-identical to the in-memory mode: chunks are queued
+    FIFO in window order, so the same chunks run with the same routing,
+    and all remote/staged contributions are applied in canonical content
+    order at phase boundaries, so *when* a chunk ran cannot change what it
+    computed.
     """
 
-    __slots__ = ("exc", "machine", "windows", "row_prefix", "next_load",
-                 "inflight", "loaded", "active_window", "active_chunks",
-                 "drained_at", "resident_bytes", "activations",
-                 "disk_bytes_at_start", "bytes_charged")
+    __slots__ = ("exc", "machine", "windows", "row_prefix", "key",
+                 "next_load", "inflight", "loaded", "active_window",
+                 "unfinished", "idle_since", "resident_bytes",
+                 "peak_resident", "activations", "disk_bytes_at_start",
+                 "bytes_charged", "readahead_issued", "readahead_adopted")
 
     def __init__(self, exc: "JobExecution", machine: "Machine",
-                 windows: list, row_prefix: np.ndarray):
+                 windows: list, row_prefix: np.ndarray, key: tuple):
         self.exc = exc
         self.machine = machine
         self.windows = windows
         #: the streamed CSR's encoded-byte prefix (what resolve-on-load
         #: reads per chunk)
         self.row_prefix = row_prefix
+        #: readahead key: (LocalCsr, direction, streamed edge columns)
+        self.key = key
         #: next window index whose disk read has not been issued yet
         self.next_load = 0
         #: reads issued to the disk whose completion event has not fired
         self.inflight = 0
         #: windows read in, awaiting activation: (index, start, duration)
+        #: of the read
         self.loaded: deque = deque()
+        #: the latest activated window: every queued chunk is one of its
+        #: own, since a window activates only on an empty queue
         self.active_window = -1
-        #: chunks of the active window not yet finished
-        self.active_chunks = 0
-        #: when the previous window drained (stall clock), None while busy
-        self.drained_at: Optional[float] = None
+        #: window -> its chunks not yet finished, for the (at most
+        #: ``MAX_RUNNING_WINDOWS``) windows that have any
+        self.unfinished: dict[int, int] = {}
+        #: when the machine's chunk queue last emptied (stall clock)
+        self.idle_since = 0.0
         #: resolved bytes of the streamed windows currently held in DRAM
         #: buffers (cache pressure on the copiers' working sets, see
-        #: comm_manager)
+        #: comm_manager), and their high-water mark
         self.resident_bytes = 0.0
-        #: per activated window, in order: (stall, read duration) — what
-        #: the audit sweep checks ``0 <= stall <= duration`` against
+        self.peak_resident = 0.0
+        #: per activated window, in order: (idle_since, read start, read
+        #: duration, stall) — what the audit sweep re-derives the stall from
         self.activations: list = []
-        #: the disk's ``bytes_read`` when the stream started, and the bytes
-        #: this stream added to ``JobStats.disk_bytes_read`` — the audit's
-        #: disk-byte conservation check
+        #: the disk's ``bytes_read`` when the stream started, the bytes
+        #: this stream added to ``JobStats.disk_bytes_read``, and the
+        #: readahead bytes it issued and adopted — the audit's disk-byte
+        #: conservation check
         self.disk_bytes_at_start = 0.0
         self.bytes_charged = 0.0
+        self.readahead_issued = 0.0
+        self.readahead_adopted = 0.0
 
     @property
     def exhausted(self) -> bool:
-        """No chunks active, nothing loaded or on the disk, nothing left to
-        issue — the worker done-rule's streaming guard.  A read still in
-        flight on the disk must keep the machine's workers alive, or the
-        main phase would end with the final window undelivered."""
-        return (self.active_chunks == 0 and not self.loaded
+        """No chunks unfinished, nothing loaded or on the disk, nothing
+        left to issue — the worker done-rule's streaming guard.  A read
+        still in flight on the disk must keep the machine's workers alive,
+        or the main phase would end with the final window undelivered."""
+        return (not self.unfinished and not self.loaded
                 and self.inflight == 0
                 and self.next_load >= len(self.windows))
 
     def start(self) -> None:
-        """Issue the first window's read; workers stall until it lands."""
-        self.disk_bytes_at_start = self.machine.disk.bytes_read
+        """Adopt a matching readahead for window 0, or issue its read;
+        workers stall until it lands."""
+        disk = self.machine.disk
+        self.disk_bytes_at_start = disk.bytes_read
         if not self.windows:
             return
-        self.drained_at = self.exc.sim.now
-        self._issue_next()
+        now = self.exc.sim.now
+        self.idle_since = now
+        # the key holds the LocalCsr itself: compare it by identity
+        csr, rest = self.key[0], self.key[1:]
+        pending = disk.readaheads
+        i = next((i for i, (key, *_) in enumerate(pending)
+                  if key[0] is csr and key[1:] == rest), None)
+        if i is None:
+            self._issue_next()
+            return
+        _, start, end, duration = pending.pop(i)
+        _, disk_bytes, resident_bytes = self.windows[0]
+        self.next_load = 1
+        self.readahead_adopted = disk_bytes
+        self._hold(resident_bytes)
+        self.inflight += 1
+        # a read that landed while the previous region ran loads at once
+        self.exc.sim.schedule_at_fast(max(end, now), self._window_loaded, 0,
+                                      start, duration)
+        if len(self.windows) == 1:
+            self._issue_readahead()
+
+    def _read(self, disk_bytes: float) -> tuple[float, float, float]:
+        """Occupy the disk for one read issued now: (start, end, duration)."""
+        disk = self.machine.disk
+        end = disk.occupy(self.exc.sim.now, disk_bytes)
+        duration = disk.read_time(disk_bytes)
+        return end - duration, end, duration
+
+    def _hold(self, resident_bytes: float) -> None:
+        self.resident_bytes += resident_bytes
+        if self.resident_bytes > self.peak_resident:
+            self.peak_resident = self.resident_bytes
+
+    def _charge(self, disk_bytes: float) -> None:
+        self.bytes_charged += disk_bytes
+        self.exc.stats.disk_bytes_read += disk_bytes
 
     def _issue_next(self) -> None:
         if self.next_load >= len(self.windows):
@@ -343,12 +421,27 @@ class MachineWindowStream:
         self.next_load += 1
         self.inflight += 1
         _, disk_bytes, resident_bytes = self.windows[w]
-        disk = self.machine.disk
-        end = disk.occupy(self.exc.sim.now, disk_bytes)
-        duration = disk.read_time(disk_bytes)
-        self.resident_bytes += resident_bytes
-        self.exc.sim.schedule_at_fast(end, self._window_loaded, w,
-                                      end - duration, duration)
+        start, end, duration = self._read(disk_bytes)
+        self._hold(resident_bytes)
+        self.exc.sim.schedule_at_fast(end, self._window_loaded, w, start,
+                                      duration)
+        if self.next_load == len(self.windows):
+            self._issue_readahead()
+
+    def _issue_readahead(self) -> None:
+        """Queue window 0's read for the next region streaming this shard,
+        charged to this job."""
+        if not READAHEAD:
+            return
+        exc = self.exc
+        disk_bytes = self.windows[0][1]
+        start, end, duration = self._read(disk_bytes)
+        self.machine.disk.readaheads.append((self.key, start, end, duration))
+        self.readahead_issued = disk_bytes
+        self._charge(disk_bytes)
+        exc.hooks.emit("disk.read", machine=self.machine.index, window=0,
+                       nbytes=disk_bytes, start=start, duration=duration,
+                       stall=0.0, time=exc.sim.now)
 
     def _window_loaded(self, w: int, start: float, duration: float) -> None:
         self.inflight -= 1
@@ -357,54 +450,66 @@ class MachineWindowStream:
 
     def _maybe_activate(self) -> None:
         exc = self.exc
-        if self.active_chunks > 0:
-            return
-        if not self.loaded:
-            if self.inflight == 0 and self.next_load >= len(self.windows):
+        m = self.machine
+        if (not self.loaded or m.chunk_queue
+                or len(self.unfinished) >= MAX_RUNNING_WINDOWS):
+            if self.exhausted:
                 # Stream exhausted: wake idlers so they can flush and finish.
-                for ws in exc.workers[self.machine.index]:
+                for ws in exc.workers[m.index]:
                     wake_worker(exc, ws)
             return
         w, start, duration = self.loaded.popleft()
         chunks, disk_bytes, _ = self.windows[w]
         now = exc.sim.now
-        stall = (max(0.0, now - self.drained_at)
-                 if self.drained_at is not None else 0.0)
-        self.drained_at = None
-        self.activations.append((stall, duration))
-        self.bytes_charged += disk_bytes
-        exc.stats.disk_bytes_read += disk_bytes
+        stall = read_stall(self.idle_since, start, duration)
+        self.activations.append((self.idle_since, start, duration, stall))
         exc.stats.disk_stall_seconds += stall
-        exc.hooks.emit("disk.read", machine=self.machine.index, window=w,
+        if w == 0 and self.readahead_adopted:
+            # the issuing region charged the bytes and reported the read
+            disk_bytes = duration = 0.0
+            start = now
+        self._charge(disk_bytes)
+        exc.hooks.emit("disk.read", machine=m.index, window=w,
                        nbytes=disk_bytes, start=start, duration=duration,
                        stall=stall, time=now)
         self.active_window = w
-        self.active_chunks = len(chunks)
-        self.machine.chunk_queue.extend(chunks)
-        self._issue_next()  # double buffer: prefetch the successor window
-        for ws in exc.workers[self.machine.index]:
+        self.unfinished[w] = len(chunks)
+        m.chunk_queue.extend(chunks)
+        self._issue_next()
+        for ws in exc.workers[m.index]:
             wake_worker(exc, ws)
 
-    def chunk_done(self) -> None:
-        """One active-window chunk finished on its worker.
+    def chunk_taken(self, ws: "WorkerState") -> None:
+        """A worker took a chunk off the machine's queue.
 
-        Called from ``_end_work`` just before that worker re-enters its
-        loop, so the drain transition defers through a zero-delay event —
-        waking workers here would schedule the finishing one twice.
+        An emptied queue starts the stall clock and lets a loaded window
+        activate; the activation defers through a zero-delay event, since
+        waking workers here would schedule the taking one twice.
         """
-        self.active_chunks -= 1
-        if self.active_chunks > 0:
+        ws.window = self.active_window
+        if not self.machine.chunk_queue:
+            self.idle_since = self.exc.sim.now
+            if self.loaded:
+                self.exc.sim.schedule_fast(0.0, self._maybe_activate)
+
+    def chunk_done(self, w: int) -> None:
+        """One chunk of window ``w`` finished on its worker (called from
+        ``_end_work``, so follow-ups defer like :meth:`chunk_taken`'s)."""
+        left = self.unfinished[w] - 1
+        if left:
+            self.unfinished[w] = left
             return
+        del self.unfinished[w]
         exc = self.exc
-        chunks, _, resident_bytes = self.windows[self.active_window]
+        chunks, _, resident_bytes = self.windows[w]
         self.resident_bytes -= resident_bytes
         # The window's buffer leaves DRAM.  A routing plan *is* the resolved
         # window (the RESOLVE_* work each chunk was priced for), so it lives
         # exactly as long: built once per residency, dropped here, rebuilt
         # when the window streams back in.
         self.machine.plan_cache.evict_chunks(exc.iter_kind, chunks)
-        self.drained_at = exc.sim.now
-        exc.sim.schedule_fast(0.0, self._maybe_activate)
+        if self.loaded or self.exhausted:
+            exc.sim.schedule_fast(0.0, self._maybe_activate)
 
     def diagnostics(self) -> dict:
         """Stream state for :meth:`JobExecution.stall_diagnostics`."""
@@ -415,7 +520,7 @@ class MachineWindowStream:
             "inflight": self.inflight,
             "loaded": len(self.loaded),
             "active_window": self.active_window,
-            "active_chunks": self.active_chunks,
+            "unfinished": dict(self.unfinished),
             "exhausted": self.exhausted,
         }
 
@@ -446,6 +551,8 @@ def worker_loop(exc: "JobExecution", ws: WorkerState) -> None:
         return
     if m.chunk_queue:
         lo, hi = m.chunk_queue.popleft()
+        if exc.window_streams is not None:
+            exc.window_streams[m.index].chunk_taken(ws)
         _start_work(exc, ws, _execute_chunk, (exc, ws, lo, hi),
                     chunk_overhead=True)
         return
@@ -490,7 +597,7 @@ def _end_work(exc: "JobExecution", ws: WorkerState, dur: float,
                    worker=ws.windex, kind=kind, job=exc.job.name,
                    start=start, duration=dur)
     if kind == "chunk" and exc.window_streams is not None:
-        exc.window_streams[ws.machine.index].chunk_done()
+        exc.window_streams[ws.machine.index].chunk_done(ws.window)
     worker_loop(exc, ws)
 
 

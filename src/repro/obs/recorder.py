@@ -325,9 +325,10 @@ class MetricsRecorder:
 
     def _on_disk_read(self, p: dict) -> None:
         machine = str(p["machine"])
-        self.disk_bytes.child(machine).inc(p["nbytes"])
-        self.disk_reads.child(machine).inc()
-        self.disk_read_seconds.child(machine).inc(p["duration"])
+        if p["nbytes"]:  # an adopted readahead was counted by its issuer
+            self.disk_bytes.child(machine).inc(p["nbytes"])
+            self.disk_reads.child(machine).inc()
+            self.disk_read_seconds.child(machine).inc(p["duration"])
         if p["stall"] > 0.0:
             self.disk_stall.child(machine).inc(p["stall"])
 

@@ -189,24 +189,15 @@ class EngineConfig:
     #: Adds per-request bookkeeping, so off by default.
     audit: bool = False
 
-    #: Out-of-core mode (GraphD-style): edge-partition CSR windows live on
-    #: each machine's modeled local disk and stream back during edge-map
-    #: execution, double-buffered so the next window's read overlaps the
-    #: current window's compute.  Vertex property columns and the ghost
-    #: table stay DRAM-resident.  Results are bit-identical to in-memory
-    #: runs — streaming only delays when chunks become runnable, and the
-    #: canonical staged apply already makes results schedule-invariant.
+    #: Out-of-core mode (GraphD-style): edge-partition CSR windows of
+    #: ``num_workers x chunk_size`` edges live on each machine's modeled
+    #: local disk and stream back during edge-map execution, pipelined so
+    #: the next window's read overlaps the current window's compute.
+    #: Vertex property columns and the ghost table stay DRAM-resident.
+    #: Results are bit-identical to in-memory runs — streaming only delays
+    #: when chunks become runnable, and the canonical staged apply already
+    #: makes results schedule-invariant.
     out_of_core: bool = False
-
-    #: Edge budget of one streamed window (out-of-core mode only).  A
-    #: window groups consecutive chunks until the budget fills; a single
-    #: hub chunk larger than the budget gets a window of its own.
-    ooc_window_edges: int = 65536
-
-    def __post_init__(self):
-        if self.ooc_window_edges < 1:
-            raise ConfigError("ooc_window_edges must be >= 1, got "
-                              f"{self.ooc_window_edges!r}")
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,10 @@ tier.  Like :class:`~repro.runtime.memory.DramModel`, this class only
 *prices* accesses — scheduling happens on the simulator event loop.  The
 disk is additionally a serial device (one head), so it keeps a
 ``next_free`` timeline like the network's ports: concurrent read requests
-queue behind each other rather than overlapping.
+queue behind each other rather than overlapping.  It also holds the
+pending *readaheads*: reads that streams queued behind their last window
+for the next region streaming the same shard, at most one per shard
+(``core.task_manager.MachineWindowStream``).
 
 On-disk shard format
 --------------------
@@ -129,7 +132,8 @@ class DramCapacityError(RuntimeError):
 class DiskModel:
     """Per-machine local-disk cost model and serial-device timeline."""
 
-    __slots__ = ("_cfg", "next_free", "busy_time", "bytes_read", "reads")
+    __slots__ = ("_cfg", "next_free", "busy_time", "bytes_read", "reads",
+                 "readaheads")
 
     def __init__(self, config: MachineConfig):
         self._cfg = config
@@ -137,6 +141,8 @@ class DiskModel:
         self.busy_time = 0.0    # total seconds the head was transferring
         self.bytes_read = 0.0
         self.reads = 0
+        #: pending readaheads, ``(key, start, end, duration)`` each
+        self.readaheads: list = []
 
     def read_time(self, nbytes: float) -> float:
         """Seconds to serve one sequential read of ``nbytes``."""
@@ -157,5 +163,8 @@ class DiskModel:
         return end
 
     def reset(self) -> None:
-        """Forget the device timeline (crash recovery restarts the clock)."""
+        """Forget the device timeline and the pending readaheads (crash
+        recovery restarts the clock, and rolled-back state must not adopt
+        a read issued before the crash)."""
         self.next_free = 0.0
+        self.readaheads.clear()

@@ -145,30 +145,46 @@ class TestCorruptedState:
 
 class TestStreamInvariants:
     """Out-of-core window streams: drained, nothing resident, every disk
-    byte charged once, and a stall clock that cannot exceed the read it
-    waited on."""
+    byte charged once (readahead included), a stall clock that cannot
+    exceed the read it waited on, and at most three windows resident."""
 
-    def _streamed(self, graph):
+    def _streamed(self, graph, **kwargs):
+        # windows of num_workers x chunk_size = 128 edges
         _, exc = run_audited(graph, PUSH, ghost_threshold=20, chunk_size=64,
-                             out_of_core=True, ooc_window_edges=128)
+                             num_workers=2, out_of_core=True, **kwargs)
         assert all(len(s.windows) >= 2 for s in exc.window_streams)
+        return exc
+
+    def _adopting(self, graph):
+        """A second streamed job on the same cluster: it adopts the first
+        job's readahead of window 0 on every machine."""
+        cluster, first = run_audited(graph, PUSH, ghost_threshold=20,
+                                     chunk_size=64, num_workers=2,
+                                     out_of_core=True)
+        assert check_execution(first) == []
+        exc = JobExecution(cluster, first.dgraph, PUSH, cluster.hooks)
+        exc.start()
+        while not exc.done:
+            cluster.sim.step()
+        assert all(s.readahead_adopted > 0 for s in exc.window_streams)
         return exc
 
     def test_streamed_job_sweeps_clean(self, small_rmat):
         assert check_execution(self._streamed(small_rmat)) == []
 
+    def test_adopting_job_sweeps_clean(self, small_rmat):
+        assert check_execution(self._adopting(small_rmat)) == []
+
     def test_streamed_job_under_faults_sweeps_clean(self, small_rmat):
         plan = FaultPlan(seed=3, drop_prob=0.05, dup_prob=0.05,
                          delay_prob=0.1, delay_seconds=1e-4)
-        _, exc = run_audited(small_rmat, PUSH, ghost_threshold=20,
-                             chunk_size=64, out_of_core=True,
-                             ooc_window_edges=128, fault_plan=plan)
-        assert check_execution(exc) == []
+        assert check_execution(self._streamed(small_rmat,
+                                              fault_plan=plan)) == []
 
     def test_undrained_stream_detected(self, small_rmat):
         exc = self._streamed(small_rmat)
         stream = exc.window_streams[2]
-        stream.active_chunks = 1
+        stream.unfinished = {len(stream.windows) - 1: 1}
         stream.inflight = 1
         stream.resident_bytes = 3072.0
         out = check_execution(exc, raise_on_violation=False)
@@ -181,14 +197,28 @@ class TestStreamInvariants:
         """The old grab-time stamp's signature, made impossible to miss: a
         successor cannot stall longer than its own read."""
         exc = self._streamed(small_rmat)
-        stall, duration = exc.window_streams[1].activations[1]
+        acts = exc.window_streams[1].activations
+        idle, start, duration, stall = acts[1]
         assert 0.0 <= stall <= duration
-        exc.window_streams[1].activations[1] = (duration * 1.5, duration)
+        acts[1] = (idle, start, duration, duration * 1.5)
         with pytest.raises(AuditViolation) as ei:
             check_execution(exc)
         (bad,) = ei.value.violations
         assert bad["invariant"] == "stream.stall"
         assert bad["machine"] == 1 and bad["window"] == 1
+
+    def test_stall_off_its_definition_names_machine_and_window(
+            self, small_rmat):
+        """A stall inside the read's bounds is still wrong when it is not
+        the read's device time after the queue emptied."""
+        exc = self._streamed(small_rmat)
+        acts = exc.window_streams[3].activations
+        idle, start, duration, stall = acts[0]
+        assert stall == duration - max(0.0, idle - start) > 0.0
+        acts[0] = (idle, start, duration, 0.5 * stall)
+        out = check_execution(exc, raise_on_violation=False)
+        assert [(v["invariant"], v["machine"], v["window"]) for v in out] \
+            == [("stream.stall", 3, 0)]
 
     def test_window_byte_count_mismatch_names_machine(self, small_rmat):
         """A window claiming one byte more than the disk read and the job
@@ -205,12 +235,37 @@ class TestStreamInvariants:
         assert bad["invariant"] == "stream.disk_bytes"
         assert bad["machine"] == 3
 
+    def test_readahead_charged_twice_names_machine(self, small_rmat):
+        """An adopting job that also charged the adopted window's bytes
+        counts the issuer's readahead a second time."""
+        exc = self._adopting(small_rmat)
+        stream = exc.window_streams[1]
+        stream.bytes_charged += stream.readahead_adopted
+        exc.stats.disk_bytes_read += stream.readahead_adopted
+        out = check_execution(exc, raise_on_violation=False)
+        assert [(v["invariant"], v["machine"]) for v in out] \
+            == [("stream.disk_bytes", 1)]
+
     def test_negative_stall_detected(self, small_rmat):
         exc = self._streamed(small_rmat)
-        exc.window_streams[0].activations[0] = (-1e-9, 1e-4)
+        acts = exc.window_streams[0].activations
+        idle, start, duration, _ = acts[0]
+        acts[0] = (idle, start, duration, -1e-9)
         out = check_execution(exc, raise_on_violation=False)
         assert [(v["invariant"], v["machine"], v["window"]) for v in out] \
             == [("stream.stall", 0, 0)]
+
+    def test_resident_high_water_names_machine(self, small_rmat):
+        """More than two running windows plus one loading would have held
+        over three windows' resolved bytes at once."""
+        exc = self._streamed(small_rmat)
+        stream = exc.window_streams[2]
+        largest = max(r for _, _, r in stream.windows)
+        assert 0 < stream.peak_resident <= 3 * largest
+        stream.peak_resident = 3 * largest + 24.0
+        out = check_execution(exc, raise_on_violation=False)
+        assert [(v["invariant"], v["machine"]) for v in out] \
+            == [("stream.resident", 2)]
 
 
 class TestTracker:

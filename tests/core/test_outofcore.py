@@ -4,20 +4,21 @@ The streamed mode may only change *when* chunks become runnable — never
 what they compute.  These tests pin that invariant (PageRank/SSSP/WCC
 fingerprints across window sizes and schedule perturbations), the window
 builder's edge cases, the byte-coded on-disk format (reference-codec byte
-counts),
-the stall clock (compute-bound and disk-bound oracles), the drain at the
-last chunk's end, the DRAM capacity gate, config validation, fault recovery
-mid-stream, and the disk tier's observability surface (stats, metrics,
-report line, profiler spans).
+counts), the stall clock (compute-bound and disk-bound oracles), pipelined
+activation and per-window drains, cross-region readahead, the DRAM
+capacity gate, config validation, fault recovery mid-stream, and the disk
+tier's observability surface (stats, metrics, report line, profiler
+spans).
 """
 
 import numpy as np
 import pytest
 
 from repro import (ClusterConfig, ConfigError, EdgeMapJob, EdgeMapSpec,
-                   EngineConfig, FaultPlan, MachineConfig, MachineCrash,
+                   FaultPlan, MachineConfig, MachineCrash,
                    OutNbrIterTask, PgxdCluster, ReduceOp, TaskJob, rmat)
 from repro.algorithms import pagerank, sssp, wcc
+from repro.core import task_manager
 from repro.core.task_manager import build_windows
 from repro.core.jobrunner import JobExecution
 from repro.obs.report import disk_summary, render_overhead_report
@@ -27,12 +28,22 @@ from tests.conftest import make_cluster
 from tests.runtime.test_disk_format import encode_rows, encode_window
 
 
-def _ooc_cluster(window_edges=512, tie_seed=None, **engine_kwargs):
-    cluster = make_cluster(out_of_core=True, ooc_window_edges=window_edges,
-                           **engine_kwargs)
+def _ooc_cluster(tie_seed=None, num_workers=2, chunk_size=256,
+                 **engine_kwargs):
+    """A streaming cluster; a window holds ``num_workers x chunk_size``
+    edges (512 by default)."""
+    cluster = make_cluster(out_of_core=True, num_workers=num_workers,
+                           chunk_size=chunk_size, **engine_kwargs)
     if tie_seed is not None:
         cluster.sim.set_tie_breaker(tie_seed)
     return cluster
+
+
+@pytest.fixture
+def no_readahead(monkeypatch):
+    """Streams without cross-region readahead: every job reads each of its
+    windows itself, so the format oracles count each window once per job."""
+    monkeypatch.setattr(task_manager, "READAHEAD", False)
 
 
 def _disk_reads(cluster) -> list:
@@ -93,12 +104,14 @@ class TestBitIdentity:
         assert np.array_equal(base, streamed)
 
     def test_window_size_never_changes_results(self, small_rmat_weighted):
+        # windows of 64 edges, 512 edges, and a whole partition
         for workload in ("pagerank", "sssp", "wcc"):
             base = _results(make_cluster(), small_rmat_weighted, workload)
-            for window in (64, 512, 10**9):
-                got = _results(_ooc_cluster(window_edges=window),
+            for workers, chunk in ((1, 64), (2, 256), (4, 10**6)):
+                got = _results(_ooc_cluster(num_workers=workers,
+                                            chunk_size=chunk),
                                small_rmat_weighted, workload)
-                assert np.array_equal(base, got), (workload, window)
+                assert np.array_equal(base, got), (workload, workers, chunk)
 
     def test_work_counts_match_inmemory(self, small_rmat_weighted):
         c0 = make_cluster()
@@ -115,17 +128,22 @@ class TestBitIdentity:
 class TestPayForPlay:
     """With the flag off, the windowed machinery must cost nothing."""
 
-    def test_inmemory_timing_unchanged_by_knob(self, small_rmat_weighted):
-        """The window-size knob is inert while out_of_core is off: the
-        simulated clock of the in-memory mode cannot move."""
+    def test_inmemory_timing_unchanged_by_knob(self, small_rmat_weighted,
+                                               monkeypatch):
+        """The streaming constants (window cap, readahead) are inert while
+        out_of_core is off: the simulated clock of the in-memory mode
+        cannot move."""
 
-        def elapsed(**kw):
-            cluster = make_cluster(**kw)
+        def elapsed():
+            cluster = make_cluster()
             dg = cluster.load_graph(small_rmat_weighted)
             pagerank(cluster, dg, max_iterations=3, tolerance=0.0)
             return cluster.now
 
-        assert elapsed() == elapsed(out_of_core=False, ooc_window_edges=17)
+        before = elapsed()
+        monkeypatch.setattr(task_manager, "MAX_RUNNING_WINDOWS", 1)
+        monkeypatch.setattr(task_manager, "READAHEAD", False)
+        assert elapsed() == before
 
     @pytest.mark.parametrize("workload,now", [
         ("pagerank", 0.0005359851370288626),
@@ -220,7 +238,7 @@ class TestWindowEdgeCases:
         single-chunk window and still reproduces the in-memory result."""
         g = rmat(200, 4000, seed=3)  # skewed: hubs exceed tiny windows
         base = _results(make_cluster(), g, "pagerank")
-        got = _results(_ooc_cluster(window_edges=8), g, "pagerank")
+        got = _results(_ooc_cluster(chunk_size=4), g, "pagerank")
         assert np.array_equal(base, got)
 
     def test_empty_partitions(self, tiny_graph):
@@ -230,10 +248,10 @@ class TestWindowEdgeCases:
         got = _results(_ooc_cluster(), tiny_graph, "pagerank")
         assert np.array_equal(base, got)
 
-    def test_single_window_graph(self, small_rmat_weighted):
+    def test_single_window_graph(self, small_rmat_weighted, no_readahead):
         """A window budget above the whole graph degenerates to one read
         per machine per job — still correct, minimal stall."""
-        cluster = _ooc_cluster(window_edges=10**9)
+        cluster = _ooc_cluster(chunk_size=10**6)
         events = _disk_reads(cluster)
         dg = cluster.load_graph(small_rmat_weighted)
         st = pagerank(cluster, dg, max_iterations=1, tolerance=0.0).stats
@@ -246,11 +264,12 @@ class TestWindowEdgeCases:
 class TestDiskFormat:
     """The device is busy for the byte-coded shard format, nothing more."""
 
-    def test_pagerank_reads_ids_and_row_pointers(self, small_rmat_weighted):
+    def test_pagerank_reads_ids_and_row_pointers(self, small_rmat_weighted,
+                                                 no_readahead):
         """Ids as neighbor deltas, row pointers as degrees: the reference
         codec's bytes, under half the old 4 B id per edge."""
         g = small_rmat_weighted
-        cluster = _ooc_cluster(window_edges=128, chunk_size=64)
+        cluster = _ooc_cluster(chunk_size=64)
         events = _disk_reads(cluster)
         dg = cluster.load_graph(g)
         st = pagerank(cluster, dg, variant="push", max_iterations=3,
@@ -263,13 +282,13 @@ class TestDiskFormat:
             == st.disk_bytes_read
 
     def test_weighted_sssp_reads_eight_more_bytes_per_edge(
-            self, small_rmat_weighted):
+            self, small_rmat_weighted, no_readahead):
         """Same out-CSR windows as PageRank push, plus the weight column —
         though the graph carries weights for both, only SSSP reads them."""
         g = small_rmat_weighted
 
         def per_job(run, columns):
-            cluster = _ooc_cluster(window_edges=128, chunk_size=64)
+            cluster = _ooc_cluster(chunk_size=64)
             events = _disk_reads(cluster)
             st = run(cluster, cluster.load_graph(g)).stats
             assert st.disk_bytes_read == _format_bytes(events, g, columns)
@@ -285,7 +304,7 @@ class TestDiskFormat:
         assert per_job(sp, 1) - per_job(pr, 0) == 8.0 * g.num_edges
 
     def test_free_form_task_streams_every_edge_column(
-            self, small_rmat_weighted):
+            self, small_rmat_weighted, no_readahead):
         """The engine cannot see which columns a hand-written task reads, so
         a TaskJob streams them all; a TaskJob built by ``as_task_job()``
         still has its spec and streams only what that names."""
@@ -303,7 +322,7 @@ class TestDiskFormat:
                            writes=(("t", ReduceOp.SUM),))
         got = []
         for job in (spec_job, spec_job.as_task_job(), task_job):
-            cluster = _ooc_cluster(window_edges=128, chunk_size=64)
+            cluster = _ooc_cluster(chunk_size=64)
             dg = cluster.load_graph(g)
             dg.add_property("x", init=1.0)
             dg.add_property("t", init=0.0)
@@ -313,75 +332,110 @@ class TestDiskFormat:
 
 
 class TestStallClock:
-    """A stall is the gap between the previous window's last chunk *ending*
-    and this window's read completing."""
+    """A stall is the read's device time after the machine's chunk queue
+    emptied: ``max(0, read_end - max(idle_since, read_start))``."""
 
-    def _run(self, graph, **machine):
+    def _run(self, graph, iterations=2, **machine):
+        # windows of 2 workers x 64-edge chunks
         cfg = ClusterConfig(num_machines=4).with_machine(**machine) \
-            .with_engine(ghost_threshold=40, chunk_size=64, num_workers=4,
-                         num_copiers=2, out_of_core=True,
-                         ooc_window_edges=128)
+            .with_engine(ghost_threshold=40, chunk_size=64, num_workers=2,
+                         num_copiers=2, out_of_core=True)
         cluster = PgxdCluster(cfg)
         events = _disk_reads(cluster)
         dg = cluster.load_graph(graph)
-        st = pagerank(cluster, dg, variant="push", max_iterations=2,
+        st = pagerank(cluster, dg, variant="push", max_iterations=iterations,
                       tolerance=0.0).stats
         assert max(e["window"] for e in events) >= 2
         return cluster, events, st
 
     def test_compute_bound_stalls_only_on_first_windows(
             self, small_rmat_weighted):
-        """With a disk far faster than the chunks every successor window is
-        loaded before its predecessor drains: the only stall left is each
-        machine's cold first read."""
-        cluster, events, st = self._run(small_rmat_weighted,
+        """With a disk far faster than the chunks, the readahead each job
+        queues has landed before the next streamed job starts: window 0
+        stalls for its whole read in the first job and never again."""
+        cluster, events, st = self._run(small_rmat_weighted, iterations=3,
                                         disk_seq_bw=1e15,
                                         disk_seek_time=1e-12)
-        first = [e for e in events if e["window"] == 0]
-        assert all(e["stall"] == 0.0 for e in events if e["window"] > 0)
-        assert st.disk_stall_seconds == pytest.approx(
-            sum(e["duration"] for e in first), rel=1e-6)
-        assert st.disk_stall_seconds > 0.0
+        first, later = {}, []
+        for e in events:
+            if e["window"] == 0:
+                if e["machine"] in first:
+                    later.append(e)
+                else:
+                    first[e["machine"]] = e
+        assert len(first) == 4
+        for e in first.values():  # cold reads, nothing to overlap
+            assert e["stall"] == pytest.approx(e["duration"], rel=1e-6)
+        # every later window-0 event is a readahead or its adoption
+        assert all(e["stall"] == 0.0 for e in later)
+        adopted = [e for e in later if e["nbytes"] == 0]
+        assert len(adopted) == 4 * 2  # jobs 2 and 3 on every machine
+        assert all(e["duration"] == 0.0 for e in adopted)
+        assert 0.0 < st.disk_stall_seconds < 1e-9
 
     def test_disk_bound_stall_strictly_below_read(self, small_rmat_weighted):
-        """The regression test for the old identity: stamped at grab time,
-        every window "drained" the instant it activated and stall equalled
-        read to the last digit.  Chunks take time, so it must be less."""
+        """The regression test for the old identity (stamped at grab time,
+        stall equalled read to the last digit): no window stalls longer
+        than its own read, and the readaheads that overlapped the
+        node-kernel regions leave the job's stall strictly below its
+        device time."""
         cluster, events, st = self._run(small_rmat_weighted)  # 500 MB/s SSD
         read = sum(e["duration"] for e in events)
         assert 0.0 < st.disk_stall_seconds < read
-        # every successor waited less than its own read: the difference is
-        # the compute its read overlapped
-        later = [e for e in events if e["window"] > 0]
-        assert all(0.0 < e["stall"] < e["duration"] for e in later)
+        assert all(0.0 <= e["stall"] <= e["duration"]
+                   for e in events if e["nbytes"])
+        adopted = [e for e in events if e["nbytes"] == 0]
+        assert len(adopted) == 4 and all(e["stall"] == 0.0 for e in adopted)
 
-    def test_stall_is_read_end_minus_last_chunk_end(self, small_rmat_weighted):
-        cluster = _ooc_cluster(window_edges=128, chunk_size=64)
+    def test_stall_is_read_end_minus_queue_empty_time(
+            self, small_rmat_weighted):
+        """A chunk starts the instant it leaves the queue, so window w's
+        queue emptied when the last chunk of windows ``< w`` started."""
+        cluster = _ooc_cluster(chunk_size=64)
         events = _disk_reads(cluster)
-        ends: dict = {}
+        taken: dict = {}
 
         def chunk_end(p):
             if p["kind"] == "chunk":
-                ends.setdefault(p["machine"], []).append(
-                    p["start"] + p["duration"])
+                taken.setdefault(p["machine"], []).append(p["start"])
 
         cluster.hooks.subscribe("task.chunk_end", chunk_end)
         dg = cluster.load_graph(small_rmat_weighted)
         dg.add_property("x", init=1.0)
         dg.add_property("t", init=0.0)
-        cluster.run_job(dg, EdgeMapJob(name="j", spec=EdgeMapSpec(
-            direction="push", source="x", target="t", op=ReduceOp.SUM)))
-        for e in events:
-            if e["window"] == 0:
-                continue
-            done_before = [t for t in ends[e["machine"]] if t <= e["time"]]
-            assert e["stall"] == pytest.approx(
-                e["time"] - max(done_before), rel=1e-9)
+        exc = JobExecution(cluster, dg, EdgeMapJob(name="j", spec=EdgeMapSpec(
+            direction="push", source="x", target="t", op=ReduceOp.SUM)),
+            cluster.hooks)
+        exc.start()
+        while not exc.done:
+            cluster.sim.step()
+        stalled = 0
+        for stream in exc.window_streams:
+            m = stream.machine.index
+            pops = sorted(taken[m])
+            hooked: dict = {}  # the activation is each window's 1st event
+            for e in events:
+                if e["machine"] == m:
+                    hooked.setdefault(e["window"], e["stall"])
+            popped = 0
+            for w, (idle, start, duration, stall) in enumerate(
+                    stream.activations):
+                if w > 0:
+                    assert idle == pops[popped - 1]
+                # max(0, read end - max(idle, read start)), exactly
+                assert stall == max(0.0, duration - max(0.0, idle - start))
+                assert stall == hooked[w]
+                popped += len(stream.windows[w][0])
+                stalled += stall > 0.0
+        assert stalled > 0
 
 
 class TestDrainAtLastChunkEnd:
-    def _execution(self, graph, **engine):
-        cluster = _ooc_cluster(window_edges=128, chunk_size=64, **engine)
+    """Each window leaves DRAM when its own last chunk ends, while its
+    successor's chunks may already run beside it."""
+
+    def _execution(self, graph, cluster=None):
+        cluster = cluster or _ooc_cluster(chunk_size=64)
         dg = cluster.load_graph(graph)
         dg.add_property("x", init=1.0)
         dg.add_property("t", init=0.0)
@@ -389,6 +443,35 @@ class TestDrainAtLastChunkEnd:
             direction="push", source="x", target="t", op=ReduceOp.SUM)),
             cluster.hooks)
         return cluster, dg, exc
+
+    def _check_residency(self, exc, seen):
+        """Subscribe a ``task.chunk_end`` check: the finishing chunk's
+        window, and every older window still running, keeps its resolved
+        bytes and routing plans; at most two windows run."""
+
+        def chunk_end(p):
+            if p["kind"] != "chunk":
+                return
+            stream = exc.window_streams[p["machine"]]
+            w = exc.workers[p["machine"]][p["worker"]].window
+            # emitted before chunk_done(): the finishing chunk still counts
+            assert stream.unfinished[w] >= 1
+            running = sorted(stream.unfinished)
+            assert len(running) <= task_manager.MAX_RUNNING_WINDOWS
+            assert stream.resident_bytes >= sum(stream.windows[u][2]
+                                                for u in running)
+            plans = stream.machine.plan_cache._plans
+            # every chunk of an older running window has left the queue,
+            # so each has built its plan, and none was dropped yet
+            for u in running:
+                if u < stream.active_window:
+                    for lo, hi in stream.windows[u][0]:
+                        assert any(("out", lo, hi, ok) in plans
+                                   for ok in (False, True))
+            seen.append((p["machine"], w, p["start"],
+                         p["start"] + p["duration"]))
+
+        exc.cluster.hooks.subscribe("task.chunk_end", chunk_end)
 
     def test_nothing_resident_when_job_ends(self, small_rmat_weighted):
         cluster, dg, exc = self._execution(small_rmat_weighted)
@@ -407,36 +490,179 @@ class TestDrainAtLastChunkEnd:
 
     def test_window_stays_resident_until_its_last_chunk_ends(
             self, small_rmat_weighted):
-        """While any chunk of the active window is still running, its
-        resolved bytes and its plans are in DRAM and no successor runs."""
+        """While any chunk of a window is still running, its resolved
+        bytes and its plans are in DRAM."""
         cluster, dg, exc = self._execution(small_rmat_weighted)
-        seen = []
-
-        def chunk_end(p):
-            if p["kind"] != "chunk":
-                return
-            stream = exc.window_streams[p["machine"]]
-            # emitted before chunk_done(): the finishing chunk still counts
-            assert stream.active_chunks >= 1
-            chunks, _, resident = stream.windows[stream.active_window]
-            assert stream.resident_bytes >= resident
-            seen.append(p["machine"])
-
-        cluster.hooks.subscribe("task.chunk_end", chunk_end)
+        seen: list = []
+        self._check_residency(exc, seen)
         exc.start()
         while not exc.done:
             cluster.sim.step()
-        assert set(seen) == {0, 1, 2, 3}
+        assert {m for m, *_ in seen} == {0, 1, 2, 3}
+
+    def test_successor_starts_while_a_hub_tail_runs(self):
+        """A hub chunk alone in window w: the next window activates once
+        the hub has left the queue, so a chunk of w + 1 starts before the
+        hub ends — and w keeps its plans and resident bytes until then.
+        (Unless an older window outlasts the hub: then two windows already
+        run.)"""
+        g = rmat(200, 4000, seed=3)  # skewed: hubs exceed 16-edge windows
+        cfg = ClusterConfig(num_machines=4).with_machine(
+            disk_seq_bw=1e15, disk_seek_time=1e-12).with_engine(
+                ghost_threshold=40, chunk_size=8, num_workers=2,
+                num_copiers=2, out_of_core=True)
+        cluster, dg, exc = self._execution(g, PgxdCluster(cfg))
+        seen: list = []
+        self._check_residency(exc, seen)
+        exc.start()
+        while not exc.done:
+            cluster.sim.step()
+        spans: dict = {}
+        for m, w, start, end in seen:
+            spans.setdefault((m, w), []).append((start, end))
+        hubs = 0
+        for stream in exc.window_streams:
+            m = stream.machine.index
+            starts = stream.machine.out_csr.starts
+            for w, (chunks, _, _) in enumerate(stream.windows[:-1]):
+                (lo, hi), = chunks[:1]
+                if len(chunks) == 1 and starts[hi] - starts[lo] > 16:
+                    (_, hub_end), = spans[(m, w)]
+                    older = [e for u in range(w) for _, e in spans[(m, u)]]
+                    if max(older, default=0.0) < hub_end:
+                        assert min(s for s, _ in spans[(m, w + 1)]) < hub_end
+                        hubs += 1
+        assert hubs > 0
+
+
+class TestReadahead:
+    """A stream's last read queues window 0 of the same shard; only the
+    next region streaming that shard adopts it."""
+
+    @pytest.mark.parametrize("workload", ["pagerank", "sssp", "wcc"])
+    def test_readahead_never_slows_the_clock(self, small_rmat_weighted,
+                                             monkeypatch, workload):
+        def now():
+            cluster = _ooc_cluster(chunk_size=64)
+            _results(cluster, small_rmat_weighted, workload)
+            return cluster.now
+
+        on = now()
+        monkeypatch.setattr(task_manager, "READAHEAD", False)
+        assert on <= now()
+
+    def test_push_pagerank_adopts_and_gets_faster(self, small_rmat_weighted,
+                                                  monkeypatch):
+        """Push PageRank streams the same out-CSR every iteration: each
+        job after the first adopts, and the run is strictly faster."""
+        def run():
+            cluster = _ooc_cluster(chunk_size=64)
+            events = _disk_reads(cluster)
+            dg = cluster.load_graph(small_rmat_weighted)
+            pagerank(cluster, dg, variant="push", max_iterations=3,
+                     tolerance=0.0)
+            return cluster.now, events
+
+        on, events = run()
+        assert sum(1 for e in events if e["nbytes"] == 0) == 4 * 2
+        monkeypatch.setattr(task_manager, "READAHEAD", False)
+        off, events = run()
+        assert all(e["nbytes"] > 0 for e in events)
+        assert on < off
+
+    def test_serial_windows_reproduce_the_drained_clock(
+            self, small_rmat_weighted, monkeypatch):
+        """One running window and no readahead is the schedule from before
+        pipelining — a window activates only after its predecessor's last
+        chunk ended — and its clock is pinned to what that schedule read.
+        Neither mechanism is ever slower, and here, disk-bound, the
+        readahead is what pays."""
+        def now(cap, readahead):
+            monkeypatch.setattr(task_manager, "MAX_RUNNING_WINDOWS", cap)
+            monkeypatch.setattr(task_manager, "READAHEAD", readahead)
+            cluster = _ooc_cluster(chunk_size=64)
+            dg = cluster.load_graph(small_rmat_weighted)
+            pagerank(cluster, dg, variant="push", max_iterations=3,
+                     tolerance=0.0)
+            return cluster.now
+
+        serial = now(1, False)
+        assert serial == 0.0022811635078268232
+        assert now(2, True) <= now(2, False) <= serial
+        assert now(2, True) <= now(1, True) < serial
+
+    @pytest.mark.parametrize("second", ["sssp", "pull"])
+    def test_other_shard_reads_its_own_window_zero(self, small_rmat_weighted,
+                                                   monkeypatch, second):
+        """Push PageRank's last readahead holds out-CSR ids only: weighted
+        SSSP (one more edge column) and pull PageRank (the in-CSR) each read
+        their own window 0, and the wasted readahead stays charged to the
+        push job that issued it."""
+        def run():
+            cluster = _ooc_cluster(chunk_size=64)
+            events = _disk_reads(cluster)
+            dg = cluster.load_graph(small_rmat_weighted)
+            push = pagerank(cluster, dg, variant="push", max_iterations=1,
+                            tolerance=0.0).stats
+            n = len(events)
+            if second == "sssp":
+                other = sssp(cluster, dg, root=0, max_iterations=1).stats
+            else:
+                other = pagerank(cluster, dg, max_iterations=1,
+                                 tolerance=0.0).stats
+            assert sum(m.disk.bytes_read for m in dg.machines) \
+                == push.disk_bytes_read + other.disk_bytes_read
+            return push, events[:n], events[n:]
+
+        push, before, after = run()
+        firsts: dict = {}
+        for e in after:
+            if e["window"] == 0:
+                firsts.setdefault(e["machine"], e)
+        assert len(firsts) == 4 and all(e["nbytes"] > 0
+                                        for e in firsts.values())
+        # each machine's last window-0 event of the push job is its wasted
+        # readahead: window 0's bytes once more
+        window0: dict = {}
+        for e in before:
+            if e["window"] == 0:
+                window0.setdefault(e["machine"], []).append(e["nbytes"])
+        assert all(len(v) == 2 and v[0] == v[1] for v in window0.values())
+        monkeypatch.setattr(task_manager, "READAHEAD", False)
+        cold, _, _ = run()
+        assert push.disk_bytes_read == cold.disk_bytes_read + sum(
+            v[1] for v in window0.values())
+
+    def test_mixed_sequence_matches_inmemory(self, small_rmat_weighted):
+        """Push PageRank, pull PageRank, SSSP, WCC and push again on one
+        cluster: every result equals the in-memory run, every job's stream
+        passes the audit sweep, and every byte the disks read was charged
+        once."""
+        def run(cluster):
+            dg = cluster.load_graph(small_rmat_weighted)
+            out = [pagerank(cluster, dg, variant="push", max_iterations=2,
+                            tolerance=0.0).values["pr"],
+                   pagerank(cluster, dg, max_iterations=2,
+                            tolerance=0.0).values["pr"],
+                   sssp(cluster, dg, root=0, max_iterations=3)
+                   .values["dist"],
+                   wcc(cluster, dg, max_iterations=3).values["component"],
+                   pagerank(cluster, dg, variant="push", max_iterations=2,
+                            tolerance=0.0).values["pr"]]
+            return out, dg
+
+        base, _ = run(make_cluster())
+        cluster = _ooc_cluster(chunk_size=64, audit=True)
+        events = _disk_reads(cluster)
+        got, dg = run(cluster)
+        for want, have in zip(base, got):
+            assert np.array_equal(want, have)
+        assert any(e["nbytes"] == 0 for e in events)
+        assert sum(m.disk.bytes_read for m in dg.machines) \
+            == sum(e["nbytes"] for e in events)
 
 
 class TestConfigValidation:
-    @pytest.mark.parametrize("window", [0, -1])
-    def test_window_budget_must_be_positive(self, window):
-        with pytest.raises(ConfigError, match="ooc_window_edges"):
-            EngineConfig(ooc_window_edges=window)
-        with pytest.raises(ConfigError, match="ooc_window_edges"):
-            ClusterConfig().with_engine(ooc_window_edges=window)
-
     @pytest.mark.parametrize("bw", [0.0, -5.0])
     def test_disk_bandwidth_must_be_positive(self, bw):
         with pytest.raises(ConfigError, match="disk_seq_bw"):
@@ -465,7 +691,7 @@ class TestFaultsWhileStreaming:
 
         plan = FaultPlan(seed=11,
                          crashes=(MachineCrash(machine=2, at=crash_at),))
-        cluster = _ooc_cluster(fault_plan=plan)
+        cluster = _ooc_cluster(fault_plan=plan, audit=True)
         dg = cluster.load_graph(small_rmat)
         ckpt = str(tmp_path / "ooc.npz")
         cluster.enable_auto_checkpoint(dg, ckpt, every=1, recover=True)
@@ -479,10 +705,11 @@ class TestFaultsWhileStreaming:
 
 
 class TestDramCapacity:
-    def _tiny_dram_config(self, dram_bytes, **engine_kwargs):
+    def _tiny_dram_config(self, dram_bytes, chunk_size=256,
+                          **engine_kwargs):
         return ClusterConfig(num_machines=4).with_machine(
             dram_bytes=dram_bytes).with_engine(
-                ghost_threshold=40, chunk_size=256, num_workers=4,
+                ghost_threshold=40, chunk_size=chunk_size, num_workers=4,
                 num_copiers=2, **engine_kwargs)
 
     def test_oversized_graph_refused_in_memory(self, small_rmat):
@@ -491,14 +718,14 @@ class TestDramCapacity:
             cluster.load_graph(small_rmat)
         assert "out_of_core" in str(ei.value)
 
-    def test_oversized_graph_streams(self, small_rmat):
+    def test_oversized_graph_streams(self, small_rmat, no_readahead):
         """A graph whose edge arrays exceed a machine's DRAM by >= 10x
         completes streamed on the 4-machine cluster, bit-identically."""
         base = _results(make_cluster(), small_rmat, "pagerank")
         per_machine = (small_rmat.num_edges * 2 * 24.0) / 4
         dram = per_machine / 10.0  # edge bytes >= 10x modeled DRAM
-        cfg = self._tiny_dram_config(dram, out_of_core=True,
-                                     ooc_window_edges=256)
+        # windows of 4 workers x 64-edge chunks
+        cfg = self._tiny_dram_config(dram, chunk_size=64, out_of_core=True)
         cluster = PgxdCluster(cfg)
         events = _disk_reads(cluster)
         got = _results(cluster, small_rmat, "pagerank")
@@ -525,17 +752,28 @@ class TestDiskModel:
         dm.reset()
         assert dm.occupy(0.0, 1e6) == pytest.approx(end1)
 
+    def test_reset_drops_pending_readahead(self):
+        """Crash recovery must not let rolled-back state adopt a read the
+        reset timeline never held."""
+        dm = DiskModel(ClusterConfig().machine)
+        end = dm.occupy(0.0, 1e6)
+        dm.readaheads.append(((object(), "out", 0), 0.0, end, end))
+        dm.reset()
+        assert dm.readaheads == []
+
 
 class TestDiskObservability:
     def test_stats_and_metrics(self, small_rmat_weighted):
-        cluster = _ooc_cluster(window_edges=256)
+        cluster = _ooc_cluster(chunk_size=128)
         events = _disk_reads(cluster)
         dg = cluster.load_graph(small_rmat_weighted)
         st = pagerank(cluster, dg, max_iterations=2, tolerance=0.0).stats
         ds = disk_summary(cluster.metrics)
         assert ds["bytes_read"] == st.disk_bytes_read == sum(
             e["nbytes"] for e in events)
-        assert ds["reads"] == len(events)
+        # adopted readaheads were read (and counted) by their issuers
+        assert ds["reads"] == sum(1 for e in events if e["nbytes"]) == sum(
+            m.disk.reads for m in dg.machines)
         assert ds["read_seconds"] == pytest.approx(
             sum(e["duration"] for e in events), rel=1e-12)
         assert ds["stall_seconds"] == pytest.approx(
@@ -544,7 +782,7 @@ class TestDiskObservability:
             sum(e["stall"] for e in events), rel=1e-12)
 
     def test_report_line(self, small_rmat_weighted):
-        cluster = _ooc_cluster(window_edges=256)
+        cluster = _ooc_cluster(chunk_size=128)
         dg = cluster.load_graph(small_rmat_weighted)
         pagerank(cluster, dg, max_iterations=2, tolerance=0.0)
         text = render_overhead_report(cluster.metrics)
@@ -561,7 +799,7 @@ class TestDiskObservability:
     def test_profiler_disk_spans(self, small_rmat_weighted):
         from repro.obs.profiler import SpanProfiler
 
-        cluster = _ooc_cluster(window_edges=256)
+        cluster = _ooc_cluster(chunk_size=128)
         dg = cluster.load_graph(small_rmat_weighted)
         with SpanProfiler(cluster) as prof:
             pagerank(cluster, dg, max_iterations=2, tolerance=0.0)
@@ -573,7 +811,7 @@ class TestDiskObservability:
     def test_plan_cache_evicts_with_windows(self, small_rmat_weighted):
         """A plan is the resolved window: one built per chunk per streamed
         job, every one of them dropped at its window's drain."""
-        cluster = _ooc_cluster(window_edges=256)
+        cluster = _ooc_cluster(chunk_size=128)
         dg = cluster.load_graph(small_rmat_weighted)
         pagerank(cluster, dg, max_iterations=2, tolerance=0.0)
         for m in dg.machines:

@@ -206,6 +206,6 @@ class TestCombinedResultsInvariance:
         assert digests == reference
 
     def test_out_of_core(self, graph, reference):
-        digests, removed = _digests(graph, out_of_core=True,
-                                    ooc_window_edges=1024)
+        # windows of make_cluster's 4 workers x 256-edge chunks
+        digests, removed = _digests(graph, out_of_core=True)
         assert digests == reference and removed > 0

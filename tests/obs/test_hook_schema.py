@@ -73,8 +73,8 @@ def _algorithms(cap):
 
 
 def _out_of_core(cap):
-    cluster = cap.attach(make_cluster(2, out_of_core=True,
-                                      ooc_window_edges=128))
+    cluster = cap.attach(make_cluster(2, out_of_core=True, num_workers=2,
+                                      chunk_size=64))
     dg = cluster.load_graph(rmat(260, 1500, seed=21))
     pagerank(cluster, dg, "push", max_iterations=2)
 
