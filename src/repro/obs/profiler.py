@@ -9,14 +9,16 @@ span-end hook events, each of which carries its span's start — worker
 chunk spans, copier spans, network message transits, post-sync ghost
 reduces, disk reads, retries, the barrier — and derives:
 
-* the **critical path**: the longest causal chain of spans ending at the
-  job's completion.  Causal edges follow the engine's actual dependence
-  structure: a span's start waits on the later of (a) the previous span on
-  its own lane (a worker/copier is serial) and (b) the latest-arriving
-  message into its machine; a message's parent is the span on the source
-  machine that was active when it was sent.  The walk is backward from the
-  barrier, whose predecessor is the last machine to finish — the straggler
-  edge of Figure 6(c)'s inter-machine bucket.
+* the **critical path**: the chain of simulator events that actually
+  caused the job's completion.  While a profiler is installed the
+  simulator records every executed event with its parent — the event
+  whose handler scheduled it — and the walk follows those parents from
+  the event that emitted ``job.end`` back to the one that emitted
+  ``job.start``.  Each hop is labelled by what the child event ended:
+  the span it emitted (a worker chunk, a copier batch, a ghost reduce, a
+  disk read, a retry timer, the barrier), a message delivery
+  (``network``), or else its handler's layer.  The hops tile ``[job.start, job.end]``, so the path
+  length *is* the job's elapsed time, whatever overlapped inside it.
 * **per-machine / per-phase attribution**: busy seconds per machine per
   phase (the span tree), busy-time skew (max/mean), and each machine's
   share of critical-path time.
@@ -24,9 +26,10 @@ reduces, disk reads, retries, the barrier — and derives:
   per machine plus a synthetic "critical path" track.
 
 Pay-for-play: nothing here runs unless a profiler is installed; handlers
-only append tuples, and all tree/path computation is deferred to job
-completion.  The profiler never touches simulated state, so results and
-timings are bit-identical with it on or off (asserted by the audit tests).
+only append tuples, the chain walk at job end costs one dict lookup per
+hop, and labelling is deferred until a profile is read.  The profiler
+never touches simulated state, so results and timings are bit-identical
+with it on or off (asserted by the audit tests).
 
 Usage::
 
@@ -44,17 +47,12 @@ interleaved tenants attribute spans correctly with no extra wiring.
 from __future__ import annotations
 
 import json
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
+from functools import lru_cache
+from operator import itemgetter
 from typing import Callable, Optional
 
 from .hooks import Subscription
-
-#: slack for float time comparisons; engine timestamps on a causal edge are
-#: computed from the same clock value, so this only absorbs representation
-#: noise, never reorders genuinely distinct events.
-_EPS = 1e-12
 
 #: synthetic pid for the critical-path track in Chrome trace exports
 _CRIT_PID = 1_000_000
@@ -63,10 +61,19 @@ _CRIT_PID = 1_000_000
 _LAYER_OF = {"chunk": "task", "continuation/flush": "task",
              "copier": "comm", "ghost-reduce": "ghost",
              "disk-read": "disk",
-             "message": "network", "barrier": "barrier"}
+             "message": "network", "retry": "network", "barrier": "barrier"}
+
+#: handler module -> layer, for a path hop whose event emitted no span and
+#: delivered no fabric message (anything else is ``task``): a same-machine
+#: or duplicate delivery is communication.
+_MODULE_LAYER = {"repro.core.comm_manager": "comm"}
+
+#: causal-log size below which records are never pruned
+_PRUNE_MIN = 1 << 16
 
 #: hooks whose capture only appends to the job's record: hook -> (the
-#: :class:`_JobBuild` list, the payload fields it keeps, in tuple order)
+#: :class:`_JobBuild` list, the payload fields it keeps, in tuple order);
+#: each entry is ``(seq of the emitting event, fields)``
 _CAPTURE = {
     "task.chunk_end": ("chunks", ("machine", "worker", "kind", "start",
                                   "duration")),
@@ -75,33 +82,17 @@ _CAPTURE = {
     "ghost.reduce_end": ("ghosts", ("machine", "start", "duration")),
     "disk.read": ("disks", ("machine", "start", "duration")),
     "comm.retry": ("retries", ("machine", "kind", "attempt", "time")),
+    "job.phase_end": ("phases", ("phase", "start", "duration")),
+    "barrier.exit": ("barriers", ("start", "duration")),
 }
 
 
-def _lane_name_cache(prefix: str):
-    """Memoized ``f"{prefix} {idx}"`` — lane names repeat thousands of
-    times per job, so interning them keeps materialization cheap."""
-    cache: dict[int, str] = {}
-
-    def name(idx: int) -> str:
-        try:
-            return cache[idx]
-        except KeyError:
-            s = cache[idx] = f"{prefix} {idx}"
-            return s
-
-    return name
-
-
-_copier_kinds: dict[str, str] = {}
-
-
-def _copier_kind_cache(kind: str) -> str:
-    try:
-        return _copier_kinds[kind]
-    except KeyError:
-        s = _copier_kinds[kind] = f"copier:{kind}"
-        return s
+@lru_cache(maxsize=1024)
+def _name(prefix: str, idx) -> str:
+    """Interned ``f"{prefix}{idx}"`` — lane and kind names repeat
+    thousands of times per job, so one string each keeps materialization
+    cheap."""
+    return f"{prefix}{idx}"
 
 
 class _Slice:
@@ -148,52 +139,78 @@ class PathSegment:
     start: float
     end: float
     count: int = 1        # >1 after coalescing consecutive same-lane hops
-    duration: float = -1.0  # busy seconds (== end-start before coalescing)
 
-    def __post_init__(self) -> None:
-        if self.duration < 0.0:
-            self.duration = self.end - self.start
+    @property
+    def duration(self) -> float:
+        return self.end - self.start
 
 
 class _JobBuild:
     """Raw per-job event capture; hot-path handlers only append tuples
-    here (the ``_CAPTURE`` fields) — `_Slice`/`_Msg` objects are
-    materialized once, at analysis."""
+    here (the ``_CAPTURE`` fields, keyed by the emitting event's seq) —
+    `_Slice`/`_Msg` objects are materialized once, at analysis."""
 
-    __slots__ = ("name", "session", "ticket", "start", "end", "chunks",
-                 "copiers", "ghosts", "disks", "raw_msgs", "retries",
-                 "phases", "barrier", "dropped")
+    __slots__ = ("name", "session", "ticket", "start", "start_seq", "end",
+                 "chain", "chunks", "copiers", "ghosts", "disks", "raw_msgs",
+                 "retries", "phases", "barriers", "dropped")
 
-    def __init__(self, name: str, start: float, session=None, ticket=None):
+    def __init__(self, name: str, start: float, session=None, ticket=None,
+                 start_seq: int = -1):
         self.name = name
         self.session = session
         self.ticket = ticket
         self.start = start
+        #: seq of the event that emitted ``job.start`` (-1: outside any)
+        self.start_seq = start_seq
         self.end: Optional[float] = None
+        #: the causal chain, (seq, parent, time, handler) per event, from
+        #: the first after ``job.start`` to the one that emitted ``job.end``
+        self.chain: list[tuple] = []
         self.chunks: list[tuple] = []    # (machine, worker, kind, start, dur)
         self.copiers: list[tuple] = []   # (machine, copier, kind, start, dur)
         self.ghosts: list[tuple] = []    # (machine, start, dur)
         self.disks: list[tuple] = []     # (machine, start, dur)
         self.raw_msgs: list[tuple] = []  # (src, dst, kind, send, deliver, nb)
         self.retries: list[tuple] = []   # (machine, kind, attempt, time)
-        self.phases: list[tuple] = []    # (phase, start, end)
-        self.barrier: Optional[tuple] = None  # (start, end)
+        self.phases: list[tuple] = []    # (phase, start, dur)
+        self.barriers: list[tuple] = []  # (start, dur)
         self.dropped = 0
 
-    def materialize(self) -> tuple[list[_Slice], list[_Msg]]:
-        worker_lane = _lane_name_cache("worker")
-        copier_lane = _lane_name_cache("copier")
-        copier_kind = _copier_kind_cache
-        slices = [_Slice(m, worker_lane(w), kind, s, s + d)
-                  for m, w, kind, s, d in self.chunks]
-        slices.extend(_Slice(m, copier_lane(c), copier_kind(kind), s, s + d)
-                      for m, c, kind, s, d in self.copiers)
-        slices.extend(_Slice(m, "ghost", "ghost-reduce", s, s + d)
-                      for m, s, d in self.ghosts)
-        slices.extend(_Slice(m, "disk", "disk-read", s, s + d)
-                      for m, s, d in self.disks)
-        msgs = [_Msg(*raw) for raw in self.raw_msgs]
-        return slices, msgs
+    def materialize(self) -> tuple[list[_Slice], list[_Msg], list[tuple],
+                                   dict, dict]:
+        """The job's slices, messages and retries, plus the causal labels:
+        seq -> the span that event ended (a retry timer's firing counts),
+        and seq -> the messages it sent."""
+        slices: list[_Slice] = []
+        span_of: dict[int, _Slice] = {}
+
+        def add(seq: int, sl: _Slice) -> None:
+            slices.append(sl)
+            span_of.setdefault(seq, sl)
+
+        for seq, (m, w, kind, s, d) in self.chunks:
+            add(seq, _Slice(m, _name("worker ", w), kind, s, s + d))
+        for seq, (m, c, kind, s, d) in self.copiers:
+            add(seq, _Slice(m, _name("copier ", c), _name("copier:", kind),
+                            s, s + d))
+        for seq, (m, s, d) in self.ghosts:
+            add(seq, _Slice(m, "ghost", "ghost-reduce", s, s + d))
+        for seq, (m, s, d) in self.disks:
+            add(seq, _Slice(m, "disk", "disk-read", s, s + d))
+        retries = []
+        for seq, (m, kind, attempt, t) in self.retries:
+            retries.append((m, kind, attempt, t))
+            span_of.setdefault(seq, _Slice(m, "retry", _name("retry:", kind),
+                                           t, t))
+        for seq, (s, d) in self.barriers:
+            span_of.setdefault(seq, _Slice(None, "barrier", "barrier", s, s + d))
+        msgs: list[_Msg] = []
+        sent_by: dict[int, list[_Msg]] = {}
+        for seq, raw in self.raw_msgs:
+            msg = _Msg(*raw)
+            msgs.append(msg)
+            sent_by.setdefault(seq, []).append(msg)
+        return slices, msgs, retries, span_of, sent_by
 
 
 @dataclass
@@ -213,22 +230,16 @@ class JobProfile:
     critical_path: list[PathSegment]
     #: on-CPU critical-path seconds per machine (network hops excluded)
     machine_path_seconds: dict[int, float] = field(default_factory=dict)
-    # lazy cache for ``busy_by_machine`` (it scans every slice, so it is
-    # computed on first access, not on the hot annotate-at-job-end path)
-    _busy: Optional[dict] = field(default=None, repr=False, compare=False)
 
-    # -- busy-time attribution (lazy) ---------------------------------------
+    # -- busy-time attribution ----------------------------------------------
 
     @property
     def busy_by_machine(self) -> dict[int, float]:
         """Total busy seconds per machine across all lanes."""
-        if self._busy is None:
-            busy: dict[int, float] = {}
-            for sl in self.slices:
-                m = sl.machine
-                busy[m] = busy.get(m, 0.0) + (sl.end - sl.start)
-            self._busy = busy
-        return self._busy
+        busy: dict[int, float] = {}
+        for sl in self.slices:
+            busy[sl.machine] = busy.get(sl.machine, 0.0) + sl.duration
+        return busy
 
     # -- scalar summaries ---------------------------------------------------
 
@@ -238,7 +249,10 @@ class JobProfile:
 
     @property
     def critical_path_len(self) -> float:
-        return sum(seg.duration for seg in self.critical_path)
+        """End minus start of the path; its hops tile ``[start, end]``, so
+        this equals :attr:`elapsed` exactly."""
+        path = self.critical_path
+        return path[-1].end - path[0].start if path else 0.0
 
     @property
     def straggler_machine(self) -> Optional[int]:
@@ -258,9 +272,9 @@ class JobProfile:
     @property
     def busy_skew(self) -> float:
         """max/mean machine busy time (1.0 = perfectly balanced)."""
-        if not self.busy_by_machine:
-            return 1.0
         vals = list(self.busy_by_machine.values())
+        if not vals:
+            return 1.0
         mean = sum(vals) / len(vals)
         if mean <= 0.0:
             return 1.0
@@ -285,27 +299,25 @@ class JobProfile:
             if (prev is not None and prev.layer == seg.layer
                     and prev.machine == seg.machine and prev.lane == seg.lane):
                 prev.end = seg.end
-                prev.duration += seg.duration
                 prev.count += 1
             else:
                 out.append(PathSegment(seg.layer, seg.kind, seg.machine,
-                                       seg.lane, seg.start, seg.end,
-                                       duration=seg.duration))
+                                       seg.lane, seg.start, seg.end))
         return out
 
     def tree(self, include_spans: bool = True) -> dict:
         """The span tree: job -> phases -> machines -> spans.
 
         Spans are assigned to the phase containing their midpoint (lanes
-        are serial, phases are disjoint per job, so midpoints classify
-        unambiguously up to float noise at boundaries).
+        are serial and phases disjoint per job, so only a zero-length
+        span on a phase boundary could fit two; it goes to the first).
         """
         phase_nodes = [{"phase": ph, "start": s, "end": e, "machines": {}}
                        for ph, s, e in self.phases]
 
         def _node_for(t: float) -> Optional[dict]:
             for node in phase_nodes:
-                if node["start"] - _EPS <= t <= node["end"] + _EPS:
+                if node["start"] <= t <= node["end"]:
                     return node
             return None
 
@@ -342,206 +354,44 @@ class JobProfile:
 
 
 # ---------------------------------------------------------------------------
-# critical-path computation
+# critical-path labelling
 # ---------------------------------------------------------------------------
 
 
-class _PathFinder:
-    """Backward causal walk over one job's slices and messages.
-
-    Every ordering the walk needs is indexed once up front (end-sorted
-    lanes and machines, start-sorted machines with a prefix-max of ends,
-    deliver-sorted inboxes), so each path hop costs one or two bisects —
-    the walk is O(path length x log n), not O(path x n)."""
-
-    def __init__(self, slices: list[_Slice], messages: list[_Msg]):
-        self.visited: set[int] = set()
-        # Capture order is simulated-time order and every capture hook
-        # fires at span end, so ``slices`` is a concatenation of a few
-        # end-sorted runs: one stable O(n)-ish merge pass sorts it, and
-        # partitioning the result keeps every sublist end-sorted for free.
-        self._all: list[_Slice] = sorted(slices,
-                                         key=attrgetter("end", "start"))
-        self._all_ends = [s.end for s in self._all]
-        # lanes: serial execution order within (machine, lane); per machine,
-        # end-sorted (latest finisher)
-        lane: dict[tuple, list[_Slice]] = {}
-        m_end: dict[int, list[_Slice]] = {}
-        for sl in self._all:
-            key = (sl.machine, sl.lane)
-            try:
-                lane[key].append(sl)
-            except KeyError:
-                lane[key] = [sl]
-            try:
-                m_end[sl.machine].append(sl)
-            except KeyError:
-                m_end[sl.machine] = [sl]
-        self._lane = lane
-        self._m_end = m_end
-        # start-sorted per machine with a prefix-max of ends (covering-slice
-        # search for message producers)
-        by_start = attrgetter("start", "end")
-        self._m_start: dict[int, list[_Slice]] = {}
-        self._m_prefmax: dict[int, list[float]] = {}
-        for m, lst in m_end.items():
-            ordered = sorted(lst, key=by_start)
-            self._m_start[m] = ordered
-            pref: list[float] = []
-            best = float("-inf")
-            for sl in ordered:
-                if sl.end > best:
-                    best = sl.end
-                pref.append(best)
-            self._m_prefmax[m] = pref
-        # deliver-sorted inboxes
-        msgs_in: dict[int, list[_Msg]] = {}
-        for msg in messages:
-            try:
-                msgs_in[msg.dst].append(msg)
-            except KeyError:
-                msgs_in[msg.dst] = [msg]
-        by_deliver = attrgetter("deliver", "send")
-        for lst in msgs_in.values():
-            lst.sort(key=by_deliver)
-        self._msgs_in = msgs_in
-        # precomputed bisect key arrays (building them per lookup would
-        # make the whole walk quadratic)
-        self._lane_ends = {k: [s.end for s in v]
-                           for k, v in lane.items()}
-        self._m_ends = {m: [s.end for s in v]
-                        for m, v in m_end.items()}
-        self._m_starts = {m: [s.start for s in v]
-                          for m, v in self._m_start.items()}
-        self._msg_delivers = {m: [mg.deliver for mg in v]
-                              for m, v in msgs_in.items()}
-
-    # Each helper returns the latest candidate at or before ``t`` that has
-    # not been visited yet; the visited set guarantees termination even in
-    # degenerate zero-duration tangles.
-
-    @staticmethod
-    def _scan_back(lst, keys, t, visited):
-        i = bisect_right(keys, t + _EPS) - 1
-        while i >= 0 and id(lst[i]) in visited:
-            i -= 1
-        return lst[i] if i >= 0 else None
-
-    def latest_in_lane(self, machine: int, lane: str, t: float):
-        lst = self._lane.get((machine, lane))
-        if not lst:
-            return None
-        return self._scan_back(lst, self._lane_ends[(machine, lane)], t,
-                               self.visited)
-
-    def latest_on_machine(self, machine: int, t: float):
-        lst = self._m_end.get(machine)
-        if not lst:
-            return None
-        return self._scan_back(lst, self._m_ends[machine], t, self.visited)
-
-    def latest_overall(self, t: float):
-        return self._scan_back(self._all, self._all_ends, t, self.visited)
-
-    def latest_msg_into(self, machine: int, t: float):
-        lst = self._msgs_in.get(machine)
-        if not lst:
-            return None
-        return self._scan_back(lst, self._msg_delivers[machine], t,
-                               self.visited)
-
-    def producing_slice(self, machine: int, send: float):
-        """The span active on ``machine`` when a message left at ``send``:
-        the latest-starting slice covering the send time, else the latest
-        slice that ended before it (the sender had just gone idle)."""
-        lst = self._m_start.get(machine)
-        if not lst:
-            return None
-        pref = self._m_prefmax[machine]
-        j = bisect_right(self._m_starts[machine], send + _EPS) - 1
-        while j >= 0 and pref[j] + _EPS >= send:
-            sl = lst[j]
-            if id(sl) not in self.visited and sl.end + _EPS >= send:
-                return sl
-            j -= 1
-        return self.latest_on_machine(machine, send)
-
-    def compute(self, build: _JobBuild) -> list[PathSegment]:
-        segments: list[PathSegment] = []
-        cap = len(self._all) + sum(len(v) for v in self._msgs_in.values()) + 8
-        # Phase flips are global barriers: a span whose lane/message
-        # predecessors all end before its phase began was really released
-        # by the phase transition — its causal parent is the last finisher
-        # of the previous phase, on whichever machine that was.
-        phase_starts = sorted(s for _, s, _ in build.phases)
-
-        def phase_start_of(t: float) -> Optional[float]:
-            i = bisect_right(phase_starts, t + _EPS) - 1
-            return phase_starts[i] if i >= 0 else None
-
-        if build.barrier is not None:
-            b_start, b_end = build.barrier
-            segments.append(PathSegment("barrier", "barrier", None, "barrier",
-                                        b_start, b_end))
-            cur = self.latest_overall(b_start)  # last machine to finish
-        else:
-            horizon = build.end if build.end is not None else float("inf")
-            cur = self.latest_overall(horizon)
-        # A span reached through a message only gates its successor up to
-        # the send instant — work it did afterwards overlaps the transit
-        # and must not count toward the path (clamp), or the path length
-        # would exceed elapsed time.
-        clamp: Optional[float] = None
-        while cur is not None and len(segments) < cap:
-            self.visited.add(id(cur))
-            end = cur.end if clamp is None else min(cur.end, clamp)
-            segments.append(PathSegment(
-                _LAYER_OF.get(cur.kind.split(":")[0], "task"), cur.kind,
-                cur.machine, cur.lane, cur.start, max(cur.start, end)))
-            # binding predecessor: latest of same-lane completion vs
-            # latest-arriving message (ties go to the message — the
-            # "latest-arriving input" rule of the span model)
-            lane_prev = self.latest_in_lane(cur.machine, cur.lane, cur.start)
-            msg_prev = self.latest_msg_into(cur.machine, cur.start)
-            ph = phase_start_of(cur.start)
-            if ph is not None:
-                lane_end = (lane_prev.end if lane_prev is not None
-                            else float("-inf"))
-                msg_end = (msg_prev.deliver if msg_prev is not None
-                           else float("-inf"))
-                if max(lane_end, msg_end) + _EPS < ph:
-                    nxt = self.latest_overall(ph)
-                    if nxt is not None:
-                        cur = nxt
-                        clamp = None
-                        continue
-            if msg_prev is not None and (
-                    lane_prev is None
-                    or msg_prev.deliver + _EPS >= lane_prev.end):
-                self.visited.add(id(msg_prev))
-                segments.append(PathSegment(
-                    "network", msg_prev.kind, msg_prev.src,
-                    f"{msg_prev.src}->{msg_prev.dst}", msg_prev.send,
-                    msg_prev.deliver))
-                cur = self.producing_slice(msg_prev.src, msg_prev.send)
-                clamp = msg_prev.send
-            else:
-                cur = lane_prev
-                clamp = None
-        segments.reverse()
-        return segments
+def _hop(t0: float, t1: float, span: Optional[_Slice], sent: list[_Msg],
+         handler) -> PathSegment:
+    """The path hop ``[t0, t1]`` ending at an event: labelled by the span
+    the event ended, else as the delivery of a message its parent sent,
+    else by the event's handler."""
+    if span is not None:
+        return PathSegment(_LAYER_OF.get(span.kind.split(":")[0], "task"),
+                           span.kind, span.machine, span.lane, t0, t1)
+    for msg in sent:
+        if msg.deliver == t1:
+            return PathSegment("network", msg.kind, msg.src,
+                               f"{msg.src}->{msg.dst}", t0, t1)
+    name = getattr(handler, "__name__", "event")
+    return PathSegment(
+        _MODULE_LAYER.get(getattr(handler, "__module__", None), "task"),
+        name, None, name, t0, t1)
 
 
 def _analyze(build: _JobBuild) -> JobProfile:
-    """Turn one raw capture into a :class:`JobProfile`."""
-    slices, messages = build.materialize()
-    path = _PathFinder(slices, messages).compute(build)
+    """Turn one raw capture into a :class:`JobProfile`.  Zero-length hops
+    (same-instant wake-ups) are dropped; the rest tile the job."""
+    slices, messages, retries, span_of, sent_by = build.materialize()
+    path: list[PathSegment] = []
+    t0 = build.start
+    for seq, parent, t1, handler in build.chain:
+        if t1 > t0:
+            path.append(_hop(t0, t1, span_of.get(seq),
+                             sent_by.get(parent, ()), handler))
+            t0 = t1
     prof = JobProfile(
         name=build.name, session=build.session, ticket=build.ticket,
-        start=build.start,
-        end=build.end if build.end is not None else build.start,
-        phases=list(build.phases), slices=slices,
-        messages=messages, retries=build.retries,
+        start=build.start, end=build.end,
+        phases=[(ph, s, s + d) for _, (ph, s, d) in build.phases],
+        slices=slices, messages=messages, retries=retries,
         dropped=build.dropped, critical_path=path)
     for seg in path:
         if seg.machine is not None and seg.layer != "network":
@@ -563,10 +413,15 @@ class SpanProfiler:
     tag added by each job's :class:`ScopedHookBus` and interleaved tenants
     never mix spans.  Events arriving outside any known job (e.g. from an
     execution driven by hand on the cluster bus) count as orphans.
+
+    Installing also switches on the simulator's causal log; each job's
+    chain is walked out of it when the job ends, and records no open job
+    can reach are pruned.
     """
 
     def __init__(self, cluster):
         self.cluster = cluster
+        self._sim = cluster.sim
         self._installed = False
         self._subs: list[Subscription] = []
         #: ticket -> the capture of that job's running attempt
@@ -579,6 +434,9 @@ class SpanProfiler:
         self.aborted: list[_JobBuild] = []
         self._hist = None
         self._gauge = None
+        #: every machine the straggler gauge has a sample for
+        self._gauge_machines: set[int] = set()
+        self._prune_at = _PRUNE_MIN
 
     # -- capture hooks -----------------------------------------------------
 
@@ -592,11 +450,12 @@ class SpanProfiler:
     def _capture(self, attr: str, fields: tuple) -> Callable:
         """The append-only handler of one ``_CAPTURE`` row."""
         keep = itemgetter(*fields)
+        sim = self._sim
 
         def on_event(p: dict) -> None:
             b = self._build_of(p)
             if b is not None:
-                getattr(b, attr).append(keep(p))
+                getattr(b, attr).append((sim.current, keep(p)))
         return on_event
 
     def _on_job_start(self, p: dict) -> None:
@@ -608,21 +467,47 @@ class SpanProfiler:
         if stale is not None:  # crash recovery restarted this job
             self.aborted.append(stale)
         self._builds[t] = _JobBuild(p["job"], p["time"],
-                                    session=p.get("session"), ticket=t)
+                                    session=p.get("session"), ticket=t,
+                                    start_seq=self._sim.current)
 
     def _on_job_end(self, p: dict) -> None:
         build = self._builds.pop(p.get("ticket"), None)
         if build is None:
             self.orphan_events += 1
             return
-        build.end = p["start"] + p["duration"]
+        sim = self._sim
+        build.end = sim.now
+        build.chain = self._walk(sim.current, build)
         self._finished.append(build)
+        self._prune()
 
-    def _on_phase_end(self, p: dict) -> None:
-        b = self._build_of(p)
-        if b is not None:
-            b.phases.append((p["phase"], p["start"],
-                             p["start"] + p["duration"]))
+    def _walk(self, seq: int, build: _JobBuild) -> list[tuple]:
+        """Follow recorded parents from event ``seq`` back to the job's
+        start event; a parent that ran before the job started (or whose
+        record was pruned) ends the walk too — the first hop then opens at
+        the job's start."""
+        log = self._sim.causal_log
+        chain = []
+        while seq != build.start_seq:
+            rec = log.get(seq)
+            if rec is None or rec[1] < build.start:
+                break
+            chain.append((seq, *rec))
+            seq = rec[0]
+        chain.reverse()
+        return chain
+
+    def _prune(self) -> None:
+        """Drop the records no open job's walk can reach: those older than
+        the earliest open start (all of them when no job is open)."""
+        log = self._sim.causal_log
+        if len(log) < self._prune_at:
+            return
+        horizon = min((b.start for b in self._builds.values()),
+                      default=float("inf"))
+        for seq in [seq for seq, rec in log.items() if rec[1] < horizon]:
+            del log[seq]
+        self._prune_at = max(_PRUNE_MIN, 2 * len(log))
 
     def _on_net_send(self, p: dict) -> None:
         b = self._build_of(p)
@@ -632,13 +517,9 @@ class SpanProfiler:
         if deliver is None:
             b.dropped += 1
             return
-        b.raw_msgs.append((p["src"], p["dst"], p["kind"], p["time"],
-                           deliver, p["nbytes"]))
-
-    def _on_barrier_exit(self, p: dict) -> None:
-        b = self._build_of(p)
-        if b is not None:
-            b.barrier = (p["start"], p["start"] + p["duration"])
+        b.raw_msgs.append((self._sim.current,
+                           (p["src"], p["dst"], p["kind"], p["time"],
+                            deliver, p["nbytes"])))
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -652,9 +533,7 @@ class SpanProfiler:
                     for name, (attr, fields) in _CAPTURE.items()}
         handlers.update({"job.start": self._on_job_start,
                          "job.end": self._on_job_end,
-                         "job.phase_end": self._on_phase_end,
-                         "net.send": self._on_net_send,
-                         "barrier.exit": self._on_barrier_exit})
+                         "net.send": self._on_net_send})
         self._subs = self.cluster.hooks.subscribe_known(handlers)
         reg = self.cluster.metrics
         self._hist = reg.histogram(
@@ -662,8 +541,10 @@ class SpanProfiler:
             "Per-job critical-path length (simulated seconds)")
         self._gauge = reg.gauge(
             "repro_profile_straggler_share",
-            "Last profiled job's critical-path share held by its straggler",
+            "Each machine's share of the last profiled job's on-CPU "
+            "critical path",
             labelnames=("machine",))
+        self._sim.causal_log = {}
         self.cluster.profiler = self
         self._installed = True
 
@@ -673,6 +554,7 @@ class SpanProfiler:
         for sub in self._subs:
             sub.cancel()
         self._subs = []
+        self._sim.causal_log = None
         if getattr(self.cluster, "profiler", None) is self:
             self.cluster.profiler = None
         self._installed = False
@@ -718,9 +600,15 @@ class SpanProfiler:
         stats.critical_path_by_machine = dict(prof.machine_path_seconds)
         if self._hist is not None:
             self._hist.observe(prof.critical_path_len)
-        straggler = prof.straggler_machine
-        if straggler is not None and self._gauge is not None:
-            self._gauge.labels(machine=straggler).set(prof.straggler_share)
+        if self._gauge is not None:
+            # every machine's sample is its share of *this* job's on-CPU
+            # path, so an earlier job's straggler does not linger
+            shares = prof.machine_path_seconds
+            total = sum(shares.values())
+            self._gauge_machines.update(shares)
+            for m in self._gauge_machines:
+                self._gauge.labels(machine=m).set(
+                    shares.get(m, 0.0) / total if total > 0.0 else 0.0)
         return prof
 
     # -- aggregates (across all finished jobs) -----------------------------

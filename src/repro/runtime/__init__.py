@@ -11,7 +11,7 @@ from .config import (ClusterConfig, ConfigError, EngineConfig, MachineConfig,
 from .cpu import MachineCpu
 from .memory import DramModel
 from .network import Network, NetworkStats
-from .simulator import Event, Get, Process, Simulator, Store, Timeout
+from .simulator import Event, Simulator
 from .stats import Breakdown, JobStats
 
 __all__ = [
@@ -25,11 +25,7 @@ __all__ = [
     "Network",
     "NetworkStats",
     "Event",
-    "Get",
-    "Process",
     "Simulator",
-    "Store",
-    "Timeout",
     "Breakdown",
     "JobStats",
 ]

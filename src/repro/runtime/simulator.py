@@ -24,6 +24,13 @@ a correct engine must tolerate — which is what the determinism auditor
 (:mod:`repro.audit`) exploits to explore K distinct legal schedules.
 Installing it flushes the run queue back into the heap and disables the
 FIFO shortcut, so perturbed runs exercise the fully general dispatcher.
+
+Causality: every event keeps the ``seq`` of the event whose handler
+scheduled it (``parent``; -1 when scheduled outside any handler).  While
+:attr:`Simulator.causal_log` is a dict — the span profiler installs one —
+each executed event is recorded there as ``seq -> (parent, time,
+handler)``, so a job's critical path is a walk up recorded parents rather
+than an inference from timestamps (:mod:`repro.obs.profiler`).
 """
 
 from __future__ import annotations
@@ -31,11 +38,14 @@ from __future__ import annotations
 import heapq
 import random
 from collections import deque
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable, Optional
 
 
 class Event:
     """A scheduled callback.  Cancelable; compares by (time, tie, seq).
+
+    ``parent`` is the ``seq`` of the event whose handler scheduled this
+    one (-1 outside any handler).
 
     ``recycle`` marks events created through the :meth:`Simulator
     .schedule_fast` free-list path: their handles are by contract discarded
@@ -46,13 +56,15 @@ class Event:
     event.
     """
 
-    __slots__ = ("time", "tie", "seq", "fn", "args", "cancelled", "recycle")
+    __slots__ = ("time", "tie", "seq", "parent", "fn", "args", "cancelled",
+                 "recycle")
 
     def __init__(self, time: float, seq: int, fn: Callable, args: tuple,
-                 tie: int = 0):
+                 tie: int = 0, parent: int = -1):
         self.time = time
         self.tie = tie
         self.seq = seq
+        self.parent = parent
         self.fn = fn
         self.args = args
         self.cancelled = False
@@ -92,6 +104,12 @@ class Simulator:
         self._pool_hits: int = 0
         self._tie_rng: Optional[random.Random] = None
         self.tie_breaker_seed: Optional[int] = None
+        #: seq of the event whose handler is running; -1 outside any handler
+        #: (``run``/``step_while`` reset it on return)
+        self.current: int = -1
+        #: seq -> (parent, time, handler) of every executed event while a
+        #: dict is installed here (by the span profiler); None records nothing
+        self.causal_log: Optional[dict[int, tuple]] = None
 
     # -- scheduling --------------------------------------------------------
 
@@ -124,7 +142,8 @@ class Simulator:
         """Schedule ``fn(*args)`` to run ``delay`` simulated seconds from now."""
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
-        ev = Event(self.now + delay, self._seq, fn, args, tie=self._tie())
+        ev = Event(self.now + delay, self._seq, fn, args, tie=self._tie(),
+                   parent=self.current)
         self._seq += 1
         self._live += 1
         if delay == 0.0 and self._tie_rng is None:
@@ -137,7 +156,8 @@ class Simulator:
         """Schedule ``fn(*args)`` at an absolute simulated time."""
         if time < self.now:
             raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
-        ev = Event(time, self._seq, fn, args, tie=self._tie())
+        ev = Event(time, self._seq, fn, args, tie=self._tie(),
+                   parent=self.current)
         self._seq += 1
         self._live += 1
         heapq.heappush(self._heap, ev)
@@ -179,12 +199,13 @@ class Simulator:
             ev.time = time
             ev.tie = 0
             ev.seq = self._seq
+            ev.parent = self.current
             ev.fn = fn
             ev.args = args
             ev.cancelled = False
             self._pool_hits += 1
         else:
-            ev = Event(time, self._seq, fn, args)
+            ev = Event(time, self._seq, fn, args, parent=self.current)
             ev.recycle = True
         self._seq += 1
         self._live += 1
@@ -260,6 +281,9 @@ class Simulator:
         self._live -= 1
         self._events_executed += 1
         fn, args = ev.fn, ev.args
+        self.current = ev.seq
+        if self.causal_log is not None:
+            self.causal_log[ev.seq] = (ev.parent, ev.time, fn)
         # Mark the event dead *before* running it: a stale cancel of a fired
         # handle must be a no-op (and must not decrement the live counter).
         ev.cancelled = True
@@ -280,26 +304,32 @@ class Simulator:
         :class:`~repro.core.faults.MachineCrashError`) propagate to the
         caller with the clock already advanced to the failing event.
         """
-        while cond():
-            if not self.step():
-                return False
-        return True
+        try:
+            while cond():
+                if not self.step():
+                    return False
+            return True
+        finally:
+            self.current = -1
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
         """Drain the queue, optionally stopping at ``until`` or after
         ``max_events`` additional events."""
         executed = 0
-        while True:
-            nxt = self._peek_next()
-            if nxt is None:
-                break
-            if until is not None and nxt.time > until:
-                self.now = until
-                return
-            if max_events is not None and executed >= max_events:
-                return
-            self.step()
-            executed += 1
+        try:
+            while True:
+                nxt = self._peek_next()
+                if nxt is None:
+                    break
+                if until is not None and nxt.time > until:
+                    self.now = until
+                    return
+                if max_events is not None and executed >= max_events:
+                    return
+                self.step()
+                executed += 1
+        finally:
+            self.current = -1
         if until is not None and until > self.now:
             self.now = until
 
@@ -317,97 +347,3 @@ class Simulator:
         """How many events were served from the free list instead of a
         fresh :class:`Event` allocation."""
         return self._pool_hits
-
-
-# ---------------------------------------------------------------------------
-# Generator-coroutine processes (used by microbenchmarks and tests; the
-# engine's hot paths use direct callbacks for speed).
-# ---------------------------------------------------------------------------
-
-
-class Timeout:
-    """Yield from a process to sleep for ``delay`` simulated seconds."""
-
-    __slots__ = ("delay",)
-
-    def __init__(self, delay: float):
-        self.delay = delay
-
-
-class Get:
-    """Yield from a process to wait for an item from a :class:`Store`."""
-
-    __slots__ = ("store",)
-
-    def __init__(self, store: "Store"):
-        self.store = store
-
-
-#: Returned by :meth:`Store.try_get` when the store is empty.  A dedicated
-#: sentinel (not ``None``) so that ``None`` is a legal item to enqueue.
-EMPTY = object()
-
-
-class Store:
-    """Unbounded FIFO connecting simulated processes."""
-
-    #: class-level alias so callers can write ``Store.EMPTY``
-    EMPTY = EMPTY
-
-    def __init__(self, sim: Simulator):
-        self._sim = sim
-        self._items: deque = deque()
-        self._waiters: deque = deque()
-
-    def put(self, item: Any) -> None:
-        if self._waiters:
-            proc = self._waiters.popleft()
-            self._sim.schedule(0.0, proc._resume, item)
-        else:
-            self._items.append(item)
-
-    def try_get(self) -> Any:
-        """Non-blocking get; returns :data:`Store.EMPTY` when empty."""
-        return self._items.popleft() if self._items else EMPTY
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-
-class Process:
-    """Drives a generator that yields :class:`Timeout` / :class:`Get` requests.
-
-    Example::
-
-        def producer(sim, store):
-            for i in range(3):
-                yield Timeout(1.0)
-                store.put(i)
-
-        Process(sim, producer(sim, store))
-    """
-
-    def __init__(self, sim: Simulator, gen: Generator):
-        self._sim = sim
-        self._gen = gen
-        self.finished = False
-        self.result: Any = None
-        self._sim.schedule(0.0, self._resume, None)
-
-    def _resume(self, value: Any) -> None:
-        try:
-            request = self._gen.send(value)
-        except StopIteration as stop:
-            self.finished = True
-            self.result = stop.value
-            return
-        if isinstance(request, Timeout):
-            self._sim.schedule(request.delay, self._resume, None)
-        elif isinstance(request, Get):
-            item = request.store.try_get()
-            if item is not EMPTY:
-                self._sim.schedule(0.0, self._resume, item)
-            else:
-                request.store._waiters.append(self)
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"process yielded unsupported request {request!r}")

@@ -65,11 +65,11 @@ class JobStats:
     #: registry counter increments attributable to this job (flat
     #: ``name{labels}`` -> delta), attached by ``PgxdCluster.run_job``
     metrics_delta: dict[str, float] = field(default_factory=dict)
-    #: simulated seconds along the job's critical path (the longest causal
-    #: chain of chunk/message/ghost/barrier spans), attached by an installed
-    #: :class:`repro.obs.profiler.SpanProfiler`; 0.0 when not profiled.
-    #: Overlapping lanes mean this can exceed ``elapsed`` only by float
-    #: noise — but it can be far *smaller* than the sum of busy time.
+    #: simulated seconds along the job's critical path (the recorded
+    #: parent chain of simulator events from job start to job end),
+    #: attached by an installed :class:`repro.obs.profiler.SpanProfiler`;
+    #: 0.0 when not profiled.  The chain tiles the job, so this equals
+    #: ``elapsed`` — and can be far *smaller* than the sum of busy time.
     critical_path_len: float = 0.0
     #: critical-path seconds attributed to each machine's on-CPU spans
     #: (network transit excluded), attached by the profiler

@@ -1,11 +1,12 @@
 """Span profiler: tree assembly, critical path, attribution, exports.
 
-The synthetic tests emit through a ticket's :class:`ScopedHookBus` over a
-bare :class:`HookBus`, as the scheduler does for every job, so every span
-time is hand-picked and the critical path is computable on paper.  The
-integration tests run real workloads and hold the profiler to its two
-contracts: the critical path explains elapsed time exactly, and installing
-a profiler never changes simulated results (pay-for-play).
+The hand-made tests schedule their events on a real :class:`Simulator`
+and emit through a ticket's :class:`ScopedHookBus`, as the scheduler does
+for every job, so every event time is hand-picked and the critical path is
+computable on paper.  The integration tests run real workloads and hold
+the profiler to its two contracts: the critical path tiles the job's
+elapsed time exactly, and installing a profiler never changes simulated
+results (pay-for-play).
 """
 
 import hashlib
@@ -14,28 +15,32 @@ import json
 import numpy as np
 import pytest
 
-from repro import ClusterConfig, PgxdCluster, rmat, with_uniform_weights
-from repro.algorithms import pagerank, sssp
+from repro import (FaultPlan, MachineCrash, PgxdCluster, rmat,
+                   with_uniform_weights)
+from repro.algorithms import pagerank, sssp, wcc
 from repro.bench.calibration import scaled_cluster_config
 from repro.core.scheduler import SchedulerConfig
 from repro.obs.hooks import HookBus, ScopedHookBus
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import SpanProfiler
+from repro.runtime.simulator import Simulator
 from repro.runtime.stats import JobStats
 from repro.server import PgxdServer
 
 
-class _FakeCluster:
-    """Just enough cluster surface for a profiler: hooks + metrics."""
+class _SimCluster:
+    """Just enough cluster surface for a profiler: a simulator, hooks and
+    metrics."""
 
     def __init__(self):
+        self.sim = Simulator()
         self.hooks = HookBus()
         self.metrics = MetricsRegistry()
         self.profiler = None
 
 
 def _install(cluster=None):
-    cluster = cluster or _FakeCluster()
+    cluster = cluster or _SimCluster()
     prof = SpanProfiler(cluster)
     prof.install()
     return cluster, prof
@@ -47,30 +52,57 @@ def _job_bus(cluster, ticket=1):
                          tags={"ticket": ticket})
 
 
-def _emit_known_topology(bus, job="fx"):
-    """A two-machine relay whose critical path is computable by hand.
+def _run_relay(cluster, ticket=1, job="fx"):
+    """Schedule and run a two-machine relay whose critical path is
+    computable by hand (times relative to the current clock).
 
-    m0 runs a chunk [0, 1] and sends a message at 0.5 that arrives on m1
-    at 2.0; m1 computes [2, 3] and replies at 3.0, delivered at 4.0; m0
-    finishes with a chunk [4, 5].  A decoy chunk [0.2, 0.9] on m1 is off
-    the path.  The path is chunk[0, 0.5] (clamped at the send) + transit
-    [0.5, 2] + chunk[2, 3] + transit [3, 4] + chunk[4, 5] = 5.0 seconds,
-    exactly the job's elapsed time; on-CPU path time is m0=1.5, m1=1.0.
+    m0 runs a chunk [0, 0.5] that sends a request arriving on m1 at 2.0,
+    then an off-path chunk [0.5, 1]; m1 computes [2, 3] and replies,
+    delivered at 4.0; m0 finishes with a chunk [4, 5].  A decoy chunk
+    [0.2, 0.9] on m1 gates nothing.  The path is chunk [0, 0.5] + transit
+    [0.5, 2] + chunk [2, 3] + transit [3, 4] + chunk [4, 5] = 5.0 seconds,
+    the job's elapsed time; on-CPU path time is m0=1.5, m1=1.0.
     """
-    bus.emit("job.start", job=job, time=0.0)
-    bus.emit("task.chunk_end", machine=0, worker=0, kind="chunk",
-             start=0.0, duration=1.0)
-    bus.emit("task.chunk_end", machine=1, worker=1, kind="chunk",
-             start=0.2, duration=0.7)  # decoy: never gates anything
-    bus.emit("net.send", src=0, dst=1, kind="read_req", time=0.5,
-             deliver=2.0, nbytes=64.0)
-    bus.emit("task.chunk_end", machine=1, worker=0, kind="chunk",
-             start=2.0, duration=1.0)
-    bus.emit("net.send", src=1, dst=0, kind="read_resp", time=3.0,
-             deliver=4.0, nbytes=64.0)
-    bus.emit("task.chunk_end", machine=0, worker=0, kind="chunk",
-             start=4.0, duration=1.0)
-    bus.emit("job.end", job=job, start=0.0, duration=5.0)
+    sim, bus, t0 = cluster.sim, _job_bus(cluster, ticket), cluster.sim.now
+
+    def at(t, fn):
+        sim.schedule_at(t0 + t, fn)
+
+    def chunk(machine, worker, start, then=None):
+        def end():
+            bus.emit("task.chunk_end", machine=machine, worker=worker,
+                     kind="chunk", start=t0 + start,
+                     duration=sim.now - (t0 + start))
+            if then is not None:
+                then()
+        return end
+
+    def send(src, dst, kind, deliver, on_deliver):
+        at(deliver, on_deliver)
+        bus.emit("net.send", src=src, dst=dst, kind=kind, time=sim.now,
+                 deliver=t0 + deliver, nbytes=64.0)
+
+    def finish():
+        bus.emit("job.end", job=job, start=t0, duration=sim.now - t0)
+
+    def reply_arrived():
+        at(5.0, chunk(0, 0, 4.0, finish))
+
+    def request_arrived():
+        at(3.0, chunk(1, 0, 2.0, lambda: send(1, 0, "read_resp", 4.0,
+                                              reply_arrived)))
+
+    def first_half_done():
+        send(0, 1, "read_req", 2.0, request_arrived)
+        at(1.0, chunk(0, 0, 0.5))
+
+    def start():
+        bus.emit("job.start", job=job, time=sim.now)
+        at(0.5, chunk(0, 0, 0.0, first_half_done))
+        at(0.2, lambda: at(0.9, chunk(1, 1, 0.2)))  # the decoy
+
+    at(0.0, start)
+    sim.run()
 
 
 class TestKnownTopology:
@@ -79,12 +111,12 @@ class TestKnownTopology:
     @pytest.fixture()
     def profile(self):
         cluster, prof = _install()
-        _emit_known_topology(_job_bus(cluster))
+        _run_relay(cluster)
         return prof.last_profile()
 
     def test_path_length_matches_hand_computation(self, profile):
-        assert profile.critical_path_len == pytest.approx(5.0)
-        assert profile.critical_path_len == pytest.approx(profile.elapsed)
+        assert profile.critical_path_len == 5.0
+        assert profile.critical_path_len == profile.elapsed
 
     def test_path_structure(self, profile):
         layers = [s.layer for s in profile.critical_path]
@@ -92,10 +124,12 @@ class TestKnownTopology:
         durations = [s.duration for s in profile.critical_path]
         assert durations == pytest.approx([0.5, 1.5, 1.0, 1.0, 1.0])
 
-    def test_clamp_at_send_instant(self, profile):
-        # the first chunk ran [0, 1] but only [0, 0.5] gates the message
-        first = profile.critical_path[0]
+    def test_first_hop_ends_at_send_instant(self, profile):
+        # m0 kept computing until 1.0, but the request left at 0.5
+        first, transit = profile.critical_path[:2]
         assert (first.start, first.end) == (0.0, 0.5)
+        assert (transit.lane, transit.start, transit.end) == ("0->1", 0.5,
+                                                              2.0)
 
     def test_decoy_stays_off_path(self, profile):
         assert all(s.lane != "worker 1" for s in profile.critical_path)
@@ -104,7 +138,7 @@ class TestKnownTopology:
         assert profile.machine_path_seconds == pytest.approx(
             {0: 1.5, 1: 1.0})
         assert profile.straggler_machine == 0
-        assert profile.straggler_share == pytest.approx(1.5 / 2.5)
+        assert profile.straggler_share == pytest.approx(0.6)
 
     def test_busy_time_includes_decoy(self, profile):
         assert profile.busy_by_machine == pytest.approx(
@@ -148,7 +182,7 @@ class TestSpanTreeAssembly:
     def test_two_clusters_stay_isolated(self):
         ca, pa = _install()
         cb, pb = _install()
-        _emit_known_topology(_job_bus(ca), job="on-a")
+        _run_relay(ca, job="on-a")
         _job_bus(cb).emit("job.start", job="on-b", time=0.0)
         _job_bus(cb).emit("job.end", job="on-b", start=0.0, duration=1.0)
         assert [p.name for p in pa.profiles] == ["on-a"]
@@ -193,14 +227,19 @@ class TestSpanTreeAssembly:
 
     def test_uninstall_stops_capture_and_reinstall_resumes(self):
         cluster, prof = _install()
-        _emit_known_topology(_job_bus(cluster, 1), job="first")
+        _run_relay(cluster, 1, job="first")
         prof.uninstall()
-        _emit_known_topology(_job_bus(cluster, 2), job="unseen")
+        assert cluster.sim.causal_log is None
+        _run_relay(cluster, 2, job="unseen")
         assert [p.name for p in prof.profiles] == ["first"]
         assert prof.orphan_events == 0  # unsubscribed, not orphaned
         prof.install()
-        _emit_known_topology(_job_bus(cluster, 3), job="again")
+        _run_relay(cluster, 3, job="again")
         assert [p.name for p in prof.profiles] == ["first", "again"]
+        again = prof.last_profile()
+        assert again.critical_path_len == again.elapsed
+        assert [s.duration for s in again.critical_path] == pytest.approx(
+            [0.5, 1.5, 1.0, 1.0, 1.0])
 
 
 class TestRealRunExactness:
@@ -215,8 +254,7 @@ class TestRealRunExactness:
         pagerank(cluster, dg, variant=variant, max_iterations=2)
         assert prof.profiles
         for p in prof.profiles:
-            assert p.critical_path_len == pytest.approx(p.elapsed,
-                                                        rel=1e-9, abs=1e-15)
+            assert p.critical_path_len == p.elapsed
 
     def test_stats_annotated_and_instruments_registered(self):
         cluster = PgxdCluster(scaled_cluster_config(2, 1e-3))
@@ -231,6 +269,106 @@ class TestRealRunExactness:
         text = to_prometheus(cluster.metrics)
         assert "repro_profile_critical_path_seconds" in text
         assert "repro_profile_straggler_share" in text
+
+
+def _assert_path_tiles_elapsed(prof, cluster):
+    """Every job's path joins bitwise and spans exactly [start, end]."""
+    assert prof.profiles
+    for p in prof.profiles:
+        path = p.critical_path
+        assert path[0].start == p.start and path[-1].end == p.end, p.name
+        assert all(a.end == b.start for a, b in zip(path, path[1:])), p.name
+        assert p.critical_path_len == p.elapsed, p.name
+    for name, st in cluster.job_log:
+        assert st.critical_path_len == st.elapsed, name
+
+
+_ALGORITHMS = {
+    "pull": lambda c, dg: pagerank(c, dg, variant="pull", max_iterations=3),
+    "push": lambda c, dg: pagerank(c, dg, variant="push", max_iterations=3),
+    "sssp": lambda c, dg: sssp(c, dg, root=0),
+    "wcc": lambda c, dg: wcc(c, dg),
+}
+
+_REGIMES = {
+    "in-memory": {},
+    "out-of-core": {"out_of_core": True},
+    "drop+dup": {"fault_plan": FaultPlan(seed=3, drop_prob=0.05,
+                                         dup_prob=0.05)},
+    "delay+stall": {"fault_plan": FaultPlan(seed=3, delay_prob=0.05,
+                                            copier_stall_prob=0.05)},
+    "crash+recovery": {"fault_plan": FaultPlan(
+        seed=2, crashes=(MachineCrash(machine=0, at=6e-5),))},
+}
+
+
+@pytest.fixture(scope="module")
+def matrix_graph():
+    return with_uniform_weights(rmat(2_000, 20_000, seed=3), seed=4)
+
+
+class TestExactnessMatrix:
+    """The recorded chain explains elapsed time exactly in every regime,
+    including those where waiting overlaps work: disk windows, retry
+    timers, delayed messages, copier stalls, and a job restarted from its
+    checkpoint."""
+
+    @staticmethod
+    def _run(graph, algo, regime, machines, tmp_path, tie_seed=None):
+        cluster = PgxdCluster(scaled_cluster_config(machines, 1e-3,
+                                                    **_REGIMES[regime]))
+        if tie_seed is not None:
+            cluster.sim.set_tie_breaker(tie_seed)
+        dg = cluster.load_graph(graph)
+        if regime == "crash+recovery":
+            cluster.enable_auto_checkpoint(dg, tmp_path / "ck.npz",
+                                           recover=True)
+        with SpanProfiler(cluster) as prof:
+            _ALGORITHMS[algo](cluster, dg)
+        return cluster, prof
+
+    @pytest.mark.parametrize("machines", [1, 2, 4])
+    @pytest.mark.parametrize("regime", list(_REGIMES))
+    @pytest.mark.parametrize("algo", list(_ALGORITHMS))
+    def test_path_equals_elapsed(self, matrix_graph, algo, regime, machines,
+                                 tmp_path):
+        cluster, prof = self._run(matrix_graph, algo, regime, machines,
+                                  tmp_path)
+        _assert_path_tiles_elapsed(prof, cluster)
+        if regime == "crash+recovery":
+            assert prof.aborted  # the crash really restarted a job
+
+    @pytest.mark.parametrize("tie_seed", [1, 7])
+    def test_perturbed_schedules(self, matrix_graph, tie_seed, tmp_path):
+        cluster, prof = self._run(matrix_graph, "sssp", "drop+dup", 4,
+                                  tmp_path, tie_seed=tie_seed)
+        _assert_path_tiles_elapsed(prof, cluster)
+        assert sum(p.dropped for p in prof.profiles) > 0
+        # a retry timer that gated completion is a network hop named for
+        # the retried kind, and every retry is an instant in the trace
+        hops = [s for p in prof.profiles for s in p.critical_path]
+        assert any(s.layer == "network" and s.kind.startswith("retry:")
+                   for s in hops)
+        instants = [e for e in prof.to_chrome_trace()["traceEvents"]
+                    if e.get("cat") == "retry"]
+        assert len(instants) == sum(len(p.retries) for p in prof.profiles)
+
+
+class TestStragglerGauge:
+    def test_samples_are_the_last_jobs_shares(self, matrix_graph):
+        cluster = PgxdCluster(scaled_cluster_config(8, 1e-3))
+        dg = cluster.load_graph(matrix_graph)
+        with SpanProfiler(cluster) as prof:
+            sssp(cluster, dg, root=0)
+            pagerank(cluster, dg, max_iterations=2)
+        gauge = cluster.metrics.get("repro_profile_straggler_share")
+        samples = {int(key[0]): child.value
+                   for key, child in gauge.children()}
+        last = prof.last_profile().machine_path_seconds
+        total = sum(last.values())
+        assert samples == pytest.approx(
+            {m: last.get(m, 0.0) / total for m in samples})
+        assert sum(samples.values()) == pytest.approx(1.0)
 
 
 class TestPayForPlay:
@@ -310,7 +448,7 @@ class TestExports:
     @pytest.fixture()
     def prof(self):
         cluster, prof = _install()
-        _emit_known_topology(_job_bus(cluster))
+        _run_relay(cluster)
         return prof
 
     def test_chrome_trace_shape(self, prof):

@@ -1,8 +1,8 @@
-"""Discrete-event simulator core: ordering, cancellation, processes."""
+"""Discrete-event simulator core: ordering, cancellation, causality."""
 
 import pytest
 
-from repro.runtime.simulator import Get, Process, Simulator, Store, Timeout
+from repro.runtime.simulator import Simulator
 
 
 class TestScheduling:
@@ -125,97 +125,46 @@ class TestRunControls:
         assert sim.events_executed == 3
 
 
-class TestProcesses:
-    def test_timeout_sequencing(self):
+class TestCausality:
+    def test_parent_is_the_scheduling_handler(self):
         sim = Simulator()
-        trace = []
+        seen = {}
 
-        def proc():
-            trace.append(sim.now)
-            yield Timeout(1.5)
-            trace.append(sim.now)
-            yield Timeout(0.5)
-            trace.append(sim.now)
+        def child():
+            seen["child"] = sim.current
 
-        Process(sim, proc())
+        def root():
+            seen["root"] = sim.current
+            sim.schedule(1.0, child)
+            sim.schedule_fast(2.0, child)
+
+        outside = sim.schedule(0.5, root)
+        assert outside.parent == -1
+        sim.causal_log = {}
         sim.run()
-        assert trace == [0.0, 1.5, 2.0]
+        log = sim.causal_log
+        assert log[seen["root"]] == (-1, 0.5, root)
+        children = [seq for seq, (parent, _, _) in log.items()
+                    if parent == seen["root"]]
+        assert sorted(log[s][1] for s in children) == [1.5, 2.5]
+        assert sim.current == -1  # reset once run returns
 
-    def test_store_put_get(self):
+    def test_no_log_unless_installed(self):
         sim = Simulator()
-        store = Store(sim)
-        got = []
-
-        def consumer():
-            item = yield Get(store)
-            got.append((item, sim.now))
-
-        def producer():
-            yield Timeout(2.0)
-            store.put("payload")
-
-        Process(sim, consumer())
-        Process(sim, producer())
+        sim.schedule(1.0, lambda: None)
         sim.run()
-        assert got == [("payload", 2.0)]
+        assert sim.causal_log is None
 
-    def test_store_buffers_when_no_waiter(self):
-        sim = Simulator()
-        store = Store(sim)
-        store.put(1)
-        store.put(2)
-        assert len(store) == 2
-        assert store.try_get() == 1
-
-    def test_store_try_get_empty_returns_sentinel(self):
-        store = Store(Simulator())
-        assert store.try_get() is Store.EMPTY
-
-    def test_store_delivers_none_item(self):
-        # Regression: an enqueued None used to look like "store empty" to
-        # the resume path, parking the waiter forever.
-        sim = Simulator()
-        store = Store(sim)
-        got = []
-
-        def consumer():
-            item = yield Get(store)
-            got.append(item)
-
-        def producer():
-            yield Timeout(1.0)
-            store.put(None)
-
-        Process(sim, consumer())
-        Process(sim, producer())
-        sim.run()
-        assert got == [None]
-
-    def test_process_result(self):
+    def test_step_while_resets_current_on_error(self):
         sim = Simulator()
 
-        def proc():
-            yield Timeout(1.0)
-            return 42
+        def boom():
+            raise RuntimeError("handler failed")
 
-        p = Process(sim, proc())
-        sim.run()
-        assert p.finished and p.result == 42
-
-    def test_two_processes_interleave(self):
-        sim = Simulator()
-        trace = []
-
-        def ticker(name, period):
-            for _ in range(3):
-                yield Timeout(period)
-                trace.append((name, sim.now))
-
-        Process(sim, ticker("fast", 1.0))
-        Process(sim, ticker("slow", 2.5))
-        sim.run()
-        assert trace == [("fast", 1.0), ("fast", 2.0), ("slow", 2.5),
-                         ("fast", 3.0), ("slow", 5.0), ("slow", 7.5)]
+        sim.schedule(1.0, boom)
+        with pytest.raises(RuntimeError):
+            sim.step_while(lambda: True)
+        assert sim.current == -1
 
 
 class TestTieBreaker:

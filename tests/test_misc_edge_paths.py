@@ -1,5 +1,5 @@
 """Edge paths across modules: DSL weight lowering, IO truncation, patterns
-with late constraints, store FIFO ordering, query defaults."""
+with late constraints, query defaults."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,6 @@ from repro.dsl import NBR, N, W, Procedure
 from repro.graph.io import load_binary, save_binary
 from repro.patterns import Pattern, PatternMatcher
 from repro.query import PropertyQuery
-from repro.runtime.simulator import Get, Process, Simulator, Store, Timeout
 from tests.conftest import make_cluster
 
 
@@ -83,50 +82,6 @@ class TestPatternsWithConstraints:
         res = PatternMatcher(cluster, dg).find(path_pattern(1))
         # the self loop (0,0) is not an injective match
         assert res.num_matches == 1
-
-
-class TestStoreOrdering:
-    def test_fifo_items(self):
-        sim = Simulator()
-        store = Store(sim)
-        got = []
-
-        def consumer():
-            for _ in range(3):
-                item = yield Get(store)
-                got.append(item)
-
-        Process(sim, consumer())
-
-        def producer():
-            for i in range(3):
-                yield Timeout(1.0)
-                store.put(i)
-
-        Process(sim, producer())
-        sim.run()
-        assert got == [0, 1, 2]
-
-    def test_multiple_waiters_served_in_order(self):
-        sim = Simulator()
-        store = Store(sim)
-        got = []
-
-        def consumer(tag):
-            item = yield Get(store)
-            got.append((tag, item))
-
-        Process(sim, consumer("first"))
-        Process(sim, consumer("second"))
-
-        def producer():
-            yield Timeout(1.0)
-            store.put("x")
-            store.put("y")
-
-        Process(sim, producer())
-        sim.run()
-        assert got == [("first", "x"), ("second", "y")]
 
 
 class TestQueryDefaults:
