@@ -39,6 +39,7 @@ from .job import Job, MapReduce
 from .machine import LocalCsr, Machine, local_csrs
 from .messages import MessagePool, RmiRegistry
 from .properties import ReduceOp
+from .routing_plan import StageOrderCache
 from .scheduler import JobScheduler
 
 
@@ -90,8 +91,10 @@ class DistributedGraph:
         #: which shares every slice its edge delta leaves untouched
         if csrs is None:
             csrs = local_csrs(graph, partitioning, ghost_gids)
+        stage_cache = StageOrderCache()
         self.machines = [
-            Machine(i, partitioning, ghost_gids, cluster.config, *csrs[i])
+            Machine(i, partitioning, ghost_gids, cluster.config, *csrs[i],
+                    stage_cache)
             for i in range(cluster.config.num_machines)
         ]
         for m in self.machines:

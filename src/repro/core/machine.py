@@ -151,7 +151,8 @@ class Machine:
 
     def __init__(self, index: int, partitioning: Partitioning,
                  ghost_gids: np.ndarray, config: ClusterConfig,
-                 out_csr: LocalCsr, in_csr: LocalCsr):
+                 out_csr: LocalCsr, in_csr: LocalCsr,
+                 stage_cache: StageOrderCache):
         self.index = index
         self.config = config
         self.lo, self.hi = partitioning.machine_range(index)
@@ -185,8 +186,9 @@ class Machine:
             max_bytes=config.engine.plan_cache_max_bytes)
         #: scratch buffers and sorted-element count of the canonical
         #: staged apply (jobrunner's content-ordered reduction), and the
-        #: write combine's bottom-filled columns
-        self.stage_cache = StageOrderCache()
+        #: write combine's bottom-filled columns — shared by the machines
+        #: of one graph, since the host runs one machine's work at a time
+        self.stage_cache = stage_cache
 
     def csr(self, direction: str) -> LocalCsr:
         if direction == "in":

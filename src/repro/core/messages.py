@@ -260,9 +260,11 @@ class ReadBuffer:
                              Optional[np.ndarray], list]:
         """``(offsets, rows, weights, tasks)``: ``rows`` is None for a
         buffer of scalar tasks, ``tasks`` empty for one of vectorized
-        rows."""
-        offsets = np.concatenate(self.offsets)
-        rows = np.concatenate(self.rows) if self.rows else None
+        rows.  Ids come out ``int64`` whatever width they were appended at
+        (routing plans hold 4-byte ids): the copy widens them for free."""
+        offsets = np.concatenate(self.offsets, dtype=np.int64)
+        rows = (np.concatenate(self.rows, dtype=np.int64) if self.rows
+                else None)
         weights = np.concatenate(self.weights) if self.weights else None
         tasks = self.tasks
         self.offsets.clear()
@@ -293,8 +295,9 @@ class WriteBuffer:
         return not self.offsets
 
     def drain(self) -> tuple[np.ndarray, np.ndarray]:
-        """Concatenate the buffered batches, duplicates and all."""
-        offsets = np.concatenate(self.offsets)
+        """Concatenate the buffered batches, duplicates and all, with
+        ``int64`` offsets (as :meth:`ReadBuffer.drain`)."""
+        offsets = np.concatenate(self.offsets, dtype=np.int64)
         values = np.concatenate(self.values)
         self.offsets.clear()
         self.values.clear()

@@ -1,23 +1,27 @@
 """Iteration-invariant routing plans for the vectorized edge-map path.
 
 Every chunk :func:`repro.core.vector_kernels.execute_edge_map_chunk` runs is
-routed by a :class:`ChunkPlan`: the ``np.repeat`` edge expansion, the
-owner/ghost/remote classification, and the owner-stable sort into
-destination-sorted runs that route remote requests.  All of it depends only
+routed by a :class:`ChunkPlan`: the ``(row, target)`` pair of each edge as
+4-byte ids, grouped by destination class (local, ghost, remote), the remote
+class stable-sorted by owner into destination runs.  All of it depends only
 on the immutable CSR.  PGX.D's whole point (Sections 3.2-3.4) is keeping
 that path at memory-bandwidth speed; re-deriving invariants every iteration
 is pure overhead for multi-superstep algorithms (PageRank, SSSP, WCC run the
-same chunks tens of times).
+same chunks tens of times).  A plan holds nothing else — 8 bytes per edge
+plus one word per destination run — but the weight columns its cache
+memoizes on it.
 
 A :class:`RoutingPlanCache` lives on each :class:`~repro.core.machine.Machine`
 and memoizes one plan per ``(csr direction, chunk range, ghost
-visibility)``.  Memoization is host-side only — a cached plan and a freshly
-built one route identically, so results and simulated times do not depend
-on the cache's capacity (``plan_cache_max_bytes=0`` rebuilds every chunk).
-An active-vertex filter only *subsets* the plan (:meth:`ChunkPlan.kept`):
-the per-class arrays are already classified and owner-sorted, and stable
-sorting commutes with subsetting, so a filtered chunk re-derives and
-re-sorts nothing.
+visibility)``, for the machine's lifetime, out-of-core windows included: a
+streamed window is priced for resolving its edges on every residency, and
+its plans are the host's memo of that resolve.  Memoization is host-side
+only — a cached plan and a freshly built one route identically, so results
+and simulated times do not depend on the cache's capacity
+(``plan_cache_max_bytes=0`` rebuilds every chunk).  An active-vertex filter
+only *subsets* the plan (:meth:`ChunkPlan.kept`): its arrays are already
+classified and owner-sorted, and stable sorting commutes with
+subsetting, so a filtered chunk re-derives and re-sorts nothing.
 
 The second half of the module is the canonical staged apply
 (:func:`canonical_apply`): staged remote contributions are reduced so that
@@ -51,124 +55,103 @@ def stable_owner_order(owners: np.ndarray, num_machines: int) -> np.ndarray:
 
 
 class ChunkPlan:
-    """Precomputed routing of one chunk ``[lo, hi)`` of one CSR direction.
+    """Precomputed routing of one chunk ``[lo, hi)`` of one CSR direction:
+    only what the kernels read, as 4-byte ids.
 
-    Arrays are grouped per destination class, pre-subset and (for the remote
-    class) pre-sorted by owner, so a cached chunk execution is pure
-    gather/scatter plus buffer appends.
+    ``rows`` and ``targets`` hold one ``int32`` pair per edge, grouped by
+    destination class: local edges (target: the owner-local offset), then
+    ghost edges (target: the ghost slot), each in CSR order, then remote
+    edges (target: the offset on the owner) stable-sorted by owner.
+    ``splits`` is ``(end of local, end of ghost)``.  Every class is one
+    contiguous slice, so a chunk's execution is gather/scatter over slices
+    plus buffer appends.
     """
 
-    __slots__ = (
-        "lo", "hi", "es", "ee", "n_nodes", "n_edges", "degrees", "rows",
-        "n_local", "n_ghost", "n_remote",
-        "local_idx", "local_rows", "local_offsets",
-        "ghost_idx", "ghost_rows", "ghost_slots",
-        "remote_idx", "remote_offsets", "remote_rows", "bounds", "dest_runs",
-        "run_starts", "_weight_cache", "nbytes",
-    )
+    __slots__ = ("es", "ee", "rows", "targets", "splits", "dest_runs",
+                 "run_starts", "_source", "columns", "nbytes")
 
     def __init__(self, csr: "LocalCsr", lo: int, hi: int, ghost_ok: bool,
                  machine_index: int, num_machines: int):
         starts = csr.starts
-        self.lo, self.hi = lo, hi
-        self.es, self.ee = int(starts[lo]), int(starts[hi])
-        self.n_nodes = hi - lo
-        self.degrees = np.diff(starts[lo:hi + 1])
-        rows = np.repeat(np.arange(lo, hi, dtype=np.int64), self.degrees)
-        self.rows = rows
-        self.n_edges = len(rows)
-
-        owners = csr.nbr_owner[self.es:self.ee]
-        offsets = csr.nbr_offset[self.es:self.ee]
-        gslots = csr.nbr_ghost_slot[self.es:self.ee]
-
-        is_local = owners == machine_index
-        if ghost_ok:
-            is_ghost = (~is_local) & (gslots >= 0)
-        else:
-            is_ghost = np.zeros(self.n_edges, dtype=bool)
-        is_remote = ~(is_local | is_ghost)
-
-        self.local_idx = np.nonzero(is_local)[0]
-        self.ghost_idx = np.nonzero(is_ghost)[0]
-        rem = np.nonzero(is_remote)[0]
-        self.n_local = len(self.local_idx)
-        self.n_ghost = len(self.ghost_idx)
-        self.n_remote = len(rem)
-
-        self.local_rows = rows[self.local_idx]
-        self.local_offsets = offsets[self.local_idx]
-        self.ghost_rows = rows[self.ghost_idx]
-        self.ghost_slots = gslots[self.ghost_idx]
-
-        # Stable owner sort: within a destination, remote edges keep CSR
-        # order, so buffered request order (and therefore every downstream
-        # message and reduction) is a function of the chunk alone.
-        order = stable_owner_order(owners[rem], num_machines)
-        self.remote_idx = rem[order]
-        remote_owners = owners[self.remote_idx]
-        self.remote_offsets = offsets[self.remote_idx]
-        self.remote_rows = rows[self.remote_idx]
-        self.bounds = np.searchsorted(remote_owners,
-                                      np.arange(num_machines + 1))
+        self.es, self.ee = es, ee = int(starts[lo]), int(starts[hi])
+        self._source = (csr, ghost_ok, machine_index, num_machines)
+        order, self.splits = self._order()
+        g0, g1 = self.splits
+        self.rows = np.repeat(np.arange(lo, hi, dtype=np.int32),
+                              np.diff(starts[lo:hi + 1]))[order]
+        self.targets = csr.nbr_offset[es:ee][order].astype(np.int32)
+        self.targets[g0:g1] = csr.nbr_ghost_slot[es:ee][order[g0:g1]]
         # NXgraph-style destination-sorted sub-chunks: one pre-sliced
-        # (dst, b0, b1, offsets, rows) run per *non-empty* destination, so a
-        # cached chunk execution appends exactly one fused batch per
-        # destination without scanning all machines or re-slicing the
-        # invariant arrays.  The views alias remote_offsets/remote_rows.
-        runs = []
-        for dst in range(num_machines):
-            b0, b1 = int(self.bounds[dst]), int(self.bounds[dst + 1])
-            if b1 > b0:
-                runs.append((dst, b0, b1, self.remote_offsets[b0:b1],
-                             self.remote_rows[b0:b1]))
-        self.dest_runs = tuple(runs)
-        self.run_starts = np.array([run[1] for run in runs], dtype=np.intp)
+        # (dst, b0, b1, offsets, rows) run per *non-empty* destination,
+        # bounds relative to the remote class, so a chunk appends exactly
+        # one fused batch per destination without scanning all machines.
+        remote_rows, remote_offsets = self.rows[g1:], self.targets[g1:]
+        bounds = np.searchsorted(csr.nbr_owner[es:ee][order[g1:]],
+                                 np.arange(num_machines + 1)).tolist()
+        self.dest_runs = tuple(
+            (dst, b0, b1, remote_offsets[b0:b1], remote_rows[b0:b1])
+            for dst, (b0, b1) in enumerate(zip(bounds, bounds[1:]))
+            if b1 > b0)
+        self.run_starts = np.array([g1 + run[1] for run in self.dest_runs],
+                                   dtype=np.intp)
+        #: the weight columns a retaining cache memoized for this plan
+        #: (:meth:`RoutingPlanCache.weights`); None while not retained
+        self.columns: Optional[dict] = None
+        self.nbytes = (self.rows.nbytes + self.targets.nbytes
+                       + self.run_starts.nbytes)
 
-        self._weight_cache: dict = {}
-        self.nbytes = sum(
-            getattr(self, name).nbytes for name in (
-                "degrees", "rows", "local_idx", "local_rows", "local_offsets",
-                "ghost_idx", "ghost_rows", "ghost_slots",
-                "remote_idx", "remote_offsets", "remote_rows", "bounds"))
+    def _order(self) -> tuple[np.ndarray, tuple[int, int]]:
+        """The edge positions in ``[es, ee)`` in plan order, and
+        ``splits``.  Stable owner sort: within a destination, remote edges
+        keep CSR order, so buffered request order (and therefore every
+        downstream message and reduction) is a function of the chunk
+        alone."""
+        csr, ghost_ok, machine_index, num_machines = self._source
+        owners = csr.nbr_owner[self.es:self.ee]
+        is_local = owners == machine_index
+        is_ghost = ((~is_local) & (csr.nbr_ghost_slot[self.es:self.ee] >= 0)
+                    if ghost_ok else np.zeros(len(owners), dtype=bool))
+        local, ghost = np.nonzero(is_local)[0], np.nonzero(is_ghost)[0]
+        remote = np.nonzero(~(is_local | is_ghost))[0]
+        remote = remote[stable_owner_order(owners[remote], num_machines)]
+        return (np.concatenate((local, ghost, remote)),
+                (len(local), len(local) + len(ghost)))
 
-    def kept(self, edge_mask: np.ndarray) -> tuple:
-        """What a vertex filter's ``edge_mask`` keeps of this plan:
-        ``(local, ghost, remote, runs)`` — per class the positions *in that
-        class's arrays* of the surviving edges, and ``dest_runs`` over the
-        surviving remote edges (run bounds index the kept remote arrays).
+    def kept(self, act: np.ndarray) -> tuple:
+        """What the node-level filter ``act`` (the machine's whole filter
+        column) keeps of this plan: ``(rows, targets, splits, dest_runs,
+        positions)`` of the surviving edges, laid out as the plan's own
+        fields are, plus their positions in the plan (for weights).
 
-        Subsetting the pre-classified, owner-sorted arrays keeps their order
+        Subsetting the classified, owner-sorted arrays keeps their order
         (stable sorting commutes with subsetting), so nothing is re-derived
         and nothing is sorted: a kept run's bounds are the running sum of
         the kept count of each planned run.
         """
-        keep_remote = edge_mask[self.remote_idx]
-        remote = keep_remote.nonzero()[0]
-        # the plan's runs tile [0, n_remote), so reduceat sees no empty span
-        run_counts = np.add.reduceat(keep_remote.view(np.uint8),
-                                     self.run_starts, dtype=np.intp)
-        offsets, rows = self.remote_offsets[remote], self.remote_rows[remote]
+        keep = np.take(act, self.rows, mode="clip").astype(bool, copy=False)
+        positions = keep.nonzero()[0]
+        rows, targets = self.rows[positions], self.targets[positions]
+        splits = tuple(np.searchsorted(positions, self.splits).tolist())
+        # the plan's runs tile the remote class, the arrays' tail, so
+        # reduceat sees no empty span
+        run_counts = np.add.reduceat(keep.view(np.uint8), self.run_starts,
+                                     dtype=np.intp)
+        remote_rows, remote_offsets = rows[splits[1]:], targets[splits[1]:]
         runs = []
         b1 = 0
         for run, count in zip(self.dest_runs, run_counts.tolist()):
             if count:
                 b0, b1 = b1, b1 + count
-                runs.append((run[0], b0, b1, offsets[b0:b1], rows[b0:b1]))
-        return (edge_mask[self.local_idx].nonzero()[0],
-                edge_mask[self.ghost_idx].nonzero()[0], remote, tuple(runs))
+                runs.append((run[0], b0, b1, remote_offsets[b0:b1],
+                             remote_rows[b0:b1]))
+        return rows, targets, splits, tuple(runs), positions
 
-    def weight_split(self, key, edge_data: np.ndarray):
-        """Per-class subsets ``(local, ghost, remote-sorted)`` of one edge
-        data column, memoized under ``key`` (the spec's edge-prop name, or
-        ``None`` for the weight column)."""
-        entry = self._weight_cache.get(key)
-        if entry is None:
-            w = edge_data[self.es:self.ee]
-            entry = (w[self.local_idx], w[self.ghost_idx], w[self.remote_idx])
-            self._weight_cache[key] = entry
-            self.nbytes += sum(a.nbytes for a in entry)
-        return entry
+    def weight_split(self, key) -> np.ndarray:
+        """One edge data column — the spec's edge property ``key``, or the
+        weight column for ``None`` — in plan order (split by class like
+        ``rows``), re-deriving the edge order the plan does not keep."""
+        return self._source[0].edge_data(key)[self.es:self.ee][
+            self._order()[0]]
 
 
 class RoutingPlanCache:
@@ -177,11 +160,12 @@ class RoutingPlanCache:
     Keyed by ``(iter direction, lo, hi, ghost_ok)`` — a machine has exactly
     one immutable CSR per direction, and the ghost masks additionally depend
     on whether the accessed property participates in the job's ghost
-    read/write set.  ``max_bytes`` is a soft cap: plans past it are built
-    but not retained (counted under ``rejected``).
+    read/write set.  ``max_bytes`` caps everything retained, plans and
+    their memoized weight columns alike: what does not fit is built but
+    not retained (counted under ``rejected``).
     """
 
-    __slots__ = ("_plans", "hits", "misses", "rejected", "evicted", "nbytes",
+    __slots__ = ("_plans", "hits", "misses", "rejected", "nbytes",
                  "max_bytes")
 
     def __init__(self, max_bytes: int = 1 << 30):
@@ -189,14 +173,13 @@ class RoutingPlanCache:
         self.hits = 0
         self.misses = 0
         self.rejected = 0
-        self.evicted = 0
         self.nbytes = 0
         self.max_bytes = max_bytes
 
     def lookup(self, csr: "LocalCsr", direction: str, lo: int, hi: int,
                ghost_ok: bool, machine_index: int,
                num_machines: int) -> tuple[ChunkPlan, bool]:
-        """The plan for one chunk, built and (capacity permitting) retained
+        """The plan for one chunk, built and, capacity permitting, retained
         on first use.  Returns ``(plan, was_cache_hit)``."""
         key = (direction, lo, hi, bool(ghost_ok))
         plan = self._plans.get(key)
@@ -205,12 +188,31 @@ class RoutingPlanCache:
             return plan, True
         self.misses += 1
         plan = ChunkPlan(csr, lo, hi, ghost_ok, machine_index, num_machines)
-        if self.nbytes + plan.nbytes <= self.max_bytes:
+        if self._charge(plan.nbytes):
             self._plans[key] = plan
-            self.nbytes += plan.nbytes
-        else:
-            self.rejected += 1
+            plan.columns = {}
         return plan, False
+
+    def weights(self, plan: ChunkPlan, key) -> np.ndarray:
+        """``plan.weight_split(key)``, split on first use and memoized on
+        ``plan`` when this cache retains it and has room for the column."""
+        if plan.columns is None:
+            return plan.weight_split(key)
+        column = plan.columns.get(key)
+        if column is None:
+            column = plan.weight_split(key)
+            if self._charge(column.nbytes):
+                plan.columns[key] = column
+        return column
+
+    def _charge(self, nbytes: int) -> bool:
+        """Account ``nbytes`` more retained bytes if they fit under
+        ``max_bytes``; count a rejection otherwise."""
+        if self.nbytes + nbytes > self.max_bytes:
+            self.rejected += 1
+            return False
+        self.nbytes += nbytes
+        return True
 
     def __len__(self) -> int:
         return len(self._plans)
@@ -220,29 +222,6 @@ class RoutingPlanCache:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def evict_chunks(self, direction: str, chunks: list) -> int:
-        """Drop the plans of a streamed window that left DRAM.
-
-        Out-of-core mode keys plan residency to window residency: a plan
-        holds views into the window's CSR slice, so once the window is
-        evicted its plans go too (both ghost_ok variants).  Returns the
-        number of plans dropped.  Purely host-side bookkeeping — the next
-        superstep rebuilds the plan when the window streams back in.
-        """
-        dropped = 0
-        for lo, hi in chunks:
-            for ghost_ok in (False, True):
-                plan = self._plans.pop((direction, lo, hi, ghost_ok), None)
-                if plan is not None:
-                    self.nbytes -= plan.nbytes
-                    dropped += 1
-        self.evicted += dropped
-        return dropped
-
-    def clear(self) -> None:
-        self._plans.clear()
-        self.nbytes = 0
-
 
 # ---------------------------------------------------------------------------
 # Canonical staged apply (the content-ordered reduction of jobrunner).
@@ -250,7 +229,9 @@ class RoutingPlanCache:
 
 
 class StageOrderCache:
-    """Per-machine work buffers and host-work counter of the staged apply.
+    """Work buffers and host-work counter of the staged apply, one per
+    graph: its machines share them, since the host runs one machine's work
+    at a time and no buffer outlives the call that took it.
 
     ``scratch`` hands out persistent per-(dtype, tag) buffers for the
     canonical apply's sort key and sorted pairs and for the planned kernels'

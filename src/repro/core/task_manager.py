@@ -501,13 +501,11 @@ class MachineWindowStream:
             return
         del self.unfinished[w]
         exc = self.exc
-        chunks, _, resident_bytes = self.windows[w]
-        self.resident_bytes -= resident_bytes
-        # The window's buffer leaves DRAM.  A routing plan *is* the resolved
-        # window (the RESOLVE_* work each chunk was priced for), so it lives
-        # exactly as long: built once per residency, dropped here, rebuilt
-        # when the window streams back in.
-        self.machine.plan_cache.evict_chunks(exc.iter_kind, chunks)
+        # The window's buffer leaves DRAM.  Every residency is priced for
+        # decoding and resolving its edges again (the DECODE_/RESOLVE_* work
+        # of each chunk); the routing plans its chunks built are a host memo
+        # that outlives it, as in memory.
+        self.resident_bytes -= self.windows[w][2]
         if self.loaded or self.exhausted:
             exc.sim.schedule_fast(0.0, self._maybe_activate)
 

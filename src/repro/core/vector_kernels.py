@@ -20,7 +20,6 @@ from .tasks import EdgeMapSpec
 if TYPE_CHECKING:  # pragma: no cover
     from .jobrunner import JobExecution
     from .machine import Machine
-    from .routing_plan import ChunkPlan
     from .task_manager import WorkerState
 
 #: Bytes of CSR metadata the worker streams per edge (neighbor id + resolved
@@ -112,22 +111,20 @@ def execute_edge_map_chunk(exc: "JobExecution", machine: "Machine",
     # Vertex filter (deactivation): drop the edges of inactive rows but still
     # pay the per-node filter check — this is exactly why framework overhead
     # dominates many-iteration algorithms like KCore (Section 5.3.1).
-    kept = None
+    rows, targets, splits = plan.rows, plan.targets, plan.splits
+    runs, positions = plan.dest_runs, None
     if spec.active is not None:
-        act = machine.props[spec.active][lo:hi].astype(bool, copy=False)
-        tally.tasks = int(np.count_nonzero(act))
+        act = machine.props[spec.active]
+        tally.tasks = int(np.count_nonzero(act[lo:hi]))
         if tally.tasks == 0:
             return tally  # nothing selected: the dispatch cost is all
         if tally.tasks < n_nodes:
-            kept = plan.kept(np.repeat(act, plan.degrees))
+            rows, targets, splits, runs, positions = plan.kept(act)
     else:
         tally.tasks = n_nodes
 
-    if kept is None:
-        n_ghost, n_remote, n_edges = plan.n_ghost, plan.n_remote, plan.n_edges
-    else:
-        n_ghost, n_remote = len(kept[1]), len(kept[2])
-        n_edges = len(kept[0]) + n_ghost + n_remote
+    n_edges = len(rows)
+    n_ghost, n_remote = splits[1] - splits[0], n_edges - splits[1]
     tally.edges = n_edges
     exc.stats.edges_processed += n_edges
     tally.seq_bytes += n_edges * CSR_BYTES_PER_EDGE
@@ -142,37 +139,31 @@ def execute_edge_map_chunk(exc: "JobExecution", machine: "Machine",
         exc.hooks.emit("ghost.miss", machine=machine.index, prop=hook_prop,
                        mode=mode, count=n_remote, time=exc.sim.now)
 
-    edge_data = csr.edge_data(spec.edge_prop) if spec.use_weights else None
-    if spec.direction == "pull":
-        _pull_planned(exc, machine, ws, spec, tally, plan, edge_data, kept)
-    else:
-        _push_planned(exc, machine, ws, spec, tally, plan, edge_data, kept)
+    weights = None
+    if spec.use_weights and csr.edge_data(spec.edge_prop) is not None:
+        weights = machine.plan_cache.weights(plan, spec.edge_prop)
+        if positions is not None:
+            weights = weights[positions]
+    kernel = _pull_planned if spec.direction == "pull" else _push_planned
+    kernel(exc, machine, ws, spec, tally, rows, targets, splits, runs,
+           weights)
     return tally
 
 
-def _pull_planned(exc, machine, ws, spec, tally, plan: "ChunkPlan",
-                  edge_data, kept) -> None:
+def _pull_planned(exc, machine, ws, spec, tally, rows, targets, splits,
+                  runs, weights) -> None:
     """n.target op= f(t.source) over in-neighbors t.
 
     The target node is always local and owned by this worker (all in-edges of
     a node run on one worker), so the reduce uses plain stores — the very
-    reason pull-based PageRank beats push-based in Table 3.  ``kept`` is
-    None, or :meth:`ChunkPlan.kept` of the filter's mask.
+    reason pull-based PageRank beats push-based in Table 3.  The arguments
+    are the plan's fields, or what a filter kept of them, and the weights
+    in the same order.
     """
     target = machine.props[spec.target]
-    if edge_data is not None:
-        w_local, w_ghost, w_remote = plan.weight_split(spec.edge_prop, edge_data)
-    else:
-        w_local = w_ghost = w_remote = None
-    kept_local, kept_ghost, kept_remote, kept_runs = kept or (None,) * 4
-
-    for sel_rows, sel, from_ghost, w, pos in (
-            (plan.local_rows, plan.local_offsets, False, w_local, kept_local),
-            (plan.ghost_rows, plan.ghost_slots, True, w_ghost, kept_ghost)):
-        if pos is not None:
-            sel_rows, sel = sel_rows[pos], sel[pos]
-            w = w[pos] if w is not None else None
-        n = len(sel_rows)
+    for s, e, from_ghost in ((0, splits[0], False),
+                             (splits[0], splits[1], True)):
+        n = e - s
         if not n:
             continue
         if from_ghost:
@@ -185,23 +176,20 @@ def _pull_planned(exc, machine, ws, spec, tally, plan: "ChunkPlan",
         # are consumed by apply_at below within this chunk, so the
         # ~chunk-sized allocation (and its page faults) per chunk buys
         # nothing.
-        vals = np.take(src, sel, mode="clip",
+        vals = np.take(src, targets[s:e], mode="clip",
                        out=machine.stage_cache.scratch(n, src.dtype, 2))
-        vals = spec.apply_transform(vals, w)
-        spec.op.apply_at(target, sel_rows, vals)
+        vals = spec.apply_transform(
+            vals, weights[s:e] if weights is not None else None)
+        spec.op.apply_at(target, rows[s:e], vals)
         exc.stats.local_reads += n
         loc = cache_adjusted_locality(GATHER_LOCALITY, ws_bytes,
                                       machine.machine_config)
         tally.add_bytes(n * VALUE_BYTES, loc)
         tally.add_bytes(n * VALUE_BYTES, SCATTER_LOCALITY)
 
-    if kept_remote is None:
-        n, runs = plan.n_remote, plan.dest_runs
-    else:
-        n, runs = len(kept_remote), kept_runs
-        if w_remote is not None:
-            w_remote = w_remote[kept_remote]
+    n = len(rows) - splits[1]
     if n:
+        w_remote = weights[splits[1]:] if weights is not None else None
         exc.stats.remote_reads += n
         tally.cpu_ops += n * (exc.marshal_per_item / exc.cpu_op_time)
         tally.seq_bytes += n * 2 * VALUE_BYTES  # marshal into the buffer
@@ -214,46 +202,33 @@ def _pull_planned(exc, machine, ws, spec, tally, plan: "ChunkPlan",
             ws.maybe_flush_reads(dst, spec.source)
 
 
-def _push_planned(exc, machine, ws, spec, tally, plan: "ChunkPlan",
-                  edge_data, kept) -> None:
-    """t.target op= f(n.source) over out-neighbors t.  ``kept`` is None, or
-    :meth:`ChunkPlan.kept` of the filter's mask."""
-    weights = edge_data[plan.es:plan.ee] if edge_data is not None else None
+def _push_planned(exc, machine, ws, spec, tally, rows, targets, splits,
+                  runs, weights) -> None:
+    """t.target op= f(n.source) over out-neighbors t.  The arguments are as
+    :func:`_pull_planned`'s; the transform is elementwise, as there."""
     src = machine.props[spec.source]
-    if kept is None:
-        # Per-chunk transient: gather into persistent scratch (the per-class
-        # gathers below re-copy before buffering, so nothing aliasing this
-        # buffer outlives the chunk).
-        src_vals = np.take(src, plan.rows, mode="clip",
-                           out=machine.stage_cache.scratch(
-                               plan.n_edges, src.dtype, 2))
-        src_vals = spec.apply_transform(src_vals, weights)
-        local_offsets, ghost_slots = plan.local_offsets, plan.ghost_slots
-        local_vals = src_vals[plan.local_idx]
-        ghost_vals = src_vals[plan.ghost_idx]
-        rem_vals = src_vals[plan.remote_idx]
-        runs = plan.dest_runs
-    else:
-        # Transform only the surviving edges, gathered class by class so
-        # each class's values are one contiguous slice of the result (the
-        # transform is elementwise, as the per-class pull path assumes).
-        kept_local, kept_ghost, kept_remote, runs = kept
-        sel = np.concatenate((plan.local_idx[kept_local],
-                              plan.ghost_idx[kept_ghost],
-                              plan.remote_idx[kept_remote]))
-        src_vals = spec.apply_transform(
-            src[plan.rows[sel]], weights[sel] if weights is not None else None)
-        local_offsets = plan.local_offsets[kept_local]
-        ghost_slots = plan.ghost_slots[kept_ghost]
-        n_local, n_ghost = len(kept_local), len(kept_ghost)
-        local_vals = src_vals[:n_local]
-        ghost_vals = src_vals[n_local:n_local + n_ghost]
-        rem_vals = src_vals[n_local + n_ghost:]
-    tally.add_bytes(len(src_vals) * VALUE_BYTES, PUSH_SRC_LOCALITY)
+    g0, g1 = splits
+    n_remote = len(rows) - g1
+    tally.add_bytes(len(rows) * VALUE_BYTES, PUSH_SRC_LOCALITY)
+    # Every source value is gathered before the chunk's first write: a spec
+    # may push a property into itself.
+    if g1:
+        # local and ghost values die within the chunk: gather them into
+        # persistent scratch
+        vals = spec.apply_transform(
+            np.take(src, rows[:g1], mode="clip",
+                    out=machine.stage_cache.scratch(g1, src.dtype, 2)),
+            weights[:g1] if weights is not None else None)
+    if n_remote:
+        # buffered until the flush: a fresh array, never scratch
+        rem_vals = spec.apply_transform(
+            np.take(src, rows[g1:], mode="clip"),
+            weights[g1:] if weights is not None else None)
 
-    n = len(local_offsets)
+    n = g0
     if n:
-        spec.op.apply_at(machine.props[spec.target], local_offsets, local_vals)
+        spec.op.apply_at(machine.props[spec.target], targets[:g0],
+                         vals[:g0])
         exc.stats.local_writes += n
         # Multiple workers may hit the same local target: atomics (Section
         # 5.2, the push-vs-pull performance gap).
@@ -264,17 +239,17 @@ def _push_planned(exc, machine, ws, spec, tally, plan: "ChunkPlan",
                                       machine.machine_config)
         tally.add_bytes(n * VALUE_BYTES, loc)
 
-    n = len(ghost_slots)
+    n = g1 - g0
     if n:
         exc.stats.local_writes += n
-        spec.op.apply_at(machine.ghosts.arrays[spec.target], ghost_slots,
-                         ghost_vals)
+        spec.op.apply_at(machine.ghosts.arrays[spec.target], targets[g0:g1],
+                         vals[g0:g1])
         if not exc.privatize:  # privatized ghost writes need no atomics
             tally.atomic_ops += n
             exc.stats.atomic_ops += n
         tally.add_bytes(n * VALUE_BYTES, PUSH_DST_LOCALITY)
 
-    n = len(rem_vals)
+    n = n_remote
     if n:
         exc.stats.remote_writes += n
         tally.cpu_ops += n * (exc.marshal_per_item / exc.cpu_op_time)

@@ -3,6 +3,8 @@ that caching is invisible to results, modeled work, and simulated time —
 a run that keeps its plans matches one that rebuilds every chunk's plan
 (``plan_cache_max_bytes=0``) in every observable."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -29,96 +31,165 @@ def run_pagerank(graph, keep_plans, iterations=4, variant="pull"):
     return cluster, dg, res
 
 
+def classify(csr, lo, hi, ghost_ok, machine_index, keep=None):
+    """The oracle: route the chunk's edges one by one.  Per class, the
+    ``(row, target, position, owner)`` of every edge — local and ghost in
+    CSR order, remote stable-sorted by owner — keeping only rows whose
+    ``keep`` entry is set."""
+    classes = ([], [], [])
+    for row in range(lo, hi):
+        if keep is not None and not keep[row]:
+            continue
+        for e in range(int(csr.starts[row]), int(csr.starts[row + 1])):
+            owner = int(csr.nbr_owner[e])
+            slot = int(csr.nbr_ghost_slot[e])
+            if owner == machine_index:
+                classes[0].append((row, int(csr.nbr_offset[e]), e, owner))
+            elif ghost_ok and slot >= 0:
+                classes[1].append((row, slot, e, owner))
+            else:
+                classes[2].append((row, int(csr.nbr_offset[e]), e, owner))
+    classes[2].sort(key=lambda edge: edge[3])  # stable
+    return classes
+
+
+def owned_bytes(plan) -> int:
+    """Bytes of every numpy buffer reachable from ``plan``'s slots, tuples
+    and dicts, each counted once (views count their base) — what a plan
+    really holds, whatever its ``nbytes`` claims.  The CSR it was built
+    from is not its own."""
+    roots: dict = {}
+
+    def walk(x):
+        if isinstance(x, np.ndarray):
+            while x.base is not None:
+                x = x.base
+            roots[id(x)] = x.nbytes
+        elif isinstance(x, (tuple, list)):
+            for item in x:
+                walk(item)
+        elif isinstance(x, dict):
+            for item in x.values():
+                walk(item)
+
+    for name in ChunkPlan.__slots__:
+        if name != "_source":
+            walk(getattr(plan, name))
+    return sum(roots.values())
+
+
+def split(rows, targets, splits):
+    """The ``(rows, targets)`` slice of each class: local, ghost, remote."""
+    g0, g1 = splits
+    return [(rows[:g0], targets[:g0]), (rows[g0:g1], targets[g0:g1]),
+            (rows[g1:], targets[g1:])]
+
+
 class TestChunkPlanFields:
+    """Every plan field against routing the chunk's edges one by one."""
+
     @pytest.fixture
-    def machine(self, small_rmat):
+    def machine(self, small_rmat_weighted):
         cluster = make_cluster(3, 30)
-        dg = cluster.load_graph(small_rmat)
+        dg = cluster.load_graph(small_rmat_weighted)
         return dg.machines[0]
 
+    @staticmethod
+    def assert_class(pair, edges):
+        rows, targets = pair
+        assert rows.tolist() == [e[0] for e in edges]
+        assert targets.tolist() == [e[1] for e in edges]
+
+    @classmethod
+    def assert_remote(cls, pair, runs, edges, num_machines=3):
+        """The remote class and its runs: one per non-empty destination,
+        slicing the owner-sorted class."""
+        cls.assert_class(pair, edges)
+        bounds = np.searchsorted([e[3] for e in edges],
+                                 np.arange(num_machines + 1))
+        assert [run[:3] for run in runs] == [
+            (dst, bounds[dst], bounds[dst + 1]) for dst in range(num_machines)
+            if bounds[dst + 1] > bounds[dst]]
+        rows, offsets = pair
+        for _, b0, b1, run_offsets, run_rows in runs:
+            assert np.array_equal(run_offsets, offsets[b0:b1])
+            assert np.array_equal(run_rows, rows[b0:b1])
+
+    def plans(self, machine, ghost_oks=(True, False)):
+        """``(plan, csr, lo, hi, ghost_ok)`` over both directions and
+        several chunks of the machine."""
+        n = machine.n_local
+        for direction in ("out", "in"):
+            csr = machine.csr(direction)
+            for lo, hi in ((0, n), (0, n // 3), (n // 3, n),
+                           (n // 2, n // 2 + 1)):
+                for ghost_ok in ghost_oks:
+                    yield (ChunkPlan(csr, lo, hi, ghost_ok, machine.index, 3),
+                           csr, lo, hi, ghost_ok)
+
     def test_plan_matches_direct_computation(self, machine):
-        csr = machine.out_csr
-        lo, hi = 0, machine.n_local
-        plan = ChunkPlan(csr, lo, hi, ghost_ok=True,
-                         machine_index=machine.index, num_machines=3)
-        es, ee = int(csr.starts[lo]), int(csr.starts[hi])
-        rows = np.repeat(np.arange(lo, hi), np.diff(csr.starts[lo:hi + 1]))
-        assert np.array_equal(plan.rows, rows)
-        owners = csr.nbr_owner[es:ee]
-        is_local = owners == machine.index
-        is_ghost = (~is_local) & (csr.nbr_ghost_slot[es:ee] >= 0)
-        assert np.array_equal(plan.local_idx, np.nonzero(is_local)[0])
-        assert np.array_equal(plan.ghost_idx, np.nonzero(is_ghost)[0])
-        assert np.array_equal(np.sort(plan.remote_idx),
-                              np.nonzero(~(is_local | is_ghost))[0])
-        assert plan.n_local + plan.n_ghost + plan.n_remote == plan.n_edges
+        for plan, csr, lo, hi, ghost_ok in self.plans(machine):
+            want = classify(csr, lo, hi, ghost_ok, machine.index)
+            got = split(plan.rows, plan.targets, plan.splits)
+            self.assert_class(got[0], want[0])
+            self.assert_class(got[1], want[1])
+            assert len(plan.rows) == plan.ee - plan.es == sum(map(len, want))
 
     def test_remote_order_is_stable_owner_sort(self, machine):
-        csr = machine.out_csr
-        plan = ChunkPlan(csr, 0, machine.n_local, ghost_ok=False,
-                         machine_index=machine.index, num_machines=3)
-        es, ee = int(csr.starts[0]), int(csr.starts[machine.n_local])
-        owners = csr.nbr_owner[es:ee]
-        rem = np.nonzero(owners != machine.index)[0]
-        expected = rem[np.argsort(owners[rem], kind="stable")]
-        assert np.array_equal(plan.remote_idx, expected)
-        # per-destination bounds slice a sorted-by-owner array
-        sorted_owners = owners[plan.remote_idx]
-        for dst in range(3):
-            b0, b1 = plan.bounds[dst], plan.bounds[dst + 1]
-            assert (sorted_owners[b0:b1] == dst).all()
+        for plan, csr, lo, hi, ghost_ok in self.plans(machine):
+            want = classify(csr, lo, hi, ghost_ok, machine.index)
+            got = split(plan.rows, plan.targets, plan.splits)
+            self.assert_remote(got[2], plan.dest_runs, want[2])
 
     def test_ghost_ok_false_has_no_ghost_class(self, machine):
-        plan = ChunkPlan(machine.out_csr, 0, machine.n_local, ghost_ok=False,
-                         machine_index=machine.index, num_machines=3)
-        assert plan.n_ghost == 0
-        assert len(plan.ghost_idx) == 0
+        for plan, *_ in self.plans(machine, ghost_oks=(False,)):
+            assert plan.splits[0] == plan.splits[1]
+
+    def test_ids_are_four_bytes(self, machine):
+        plan = ChunkPlan(machine.out_csr, 0, machine.n_local, True,
+                         machine.index, 3)
+        assert plan.rows.dtype == plan.targets.dtype == np.int32
+
+    def test_at_most_8_bytes_per_planned_edge(self, machine):
+        """A (row, target) pair per edge, plus one run start per
+        destination run: the whole plan, counted from what it holds."""
+        for plan, *_ in self.plans(machine):
+            assert plan.nbytes == owned_bytes(plan)
+            assert plan.nbytes <= (8 * len(plan.rows)
+                                   + 8 * len(plan.dest_runs))
 
     def test_weight_split_memoizes(self, machine):
+        """A retaining cache memoizes the split column on the plan; one
+        that retains nothing splits it again."""
         csr = machine.out_csr
-        data = np.arange(csr.num_edges, dtype=np.float64)
-        plan = ChunkPlan(csr, 0, machine.n_local, ghost_ok=True,
-                         machine_index=machine.index, num_machines=3)
-        first = plan.weight_split("k", data)
-        assert plan.weight_split("k", data) is first
-        w_local, _, w_remote = first
-        assert np.array_equal(w_local, data[plan.es:plan.ee][plan.local_idx])
-        assert np.array_equal(w_remote, data[plan.es:plan.ee][plan.remote_idx])
+        want = classify(csr, 0, machine.n_local, True, machine.index)
+        want = [csr.weights[e[2]] for edges in want for e in edges]
+        for max_bytes in (1 << 30, 0):
+            cache = RoutingPlanCache(max_bytes=max_bytes)
+            plan, _ = cache.lookup(csr, "out", 0, machine.n_local, True,
+                                   machine.index, 3)
+            first = cache.weights(plan, None)
+            assert first.tolist() == want
+            assert (cache.weights(plan, None) is first) == bool(max_bytes)
+            assert cache.nbytes == (owned_bytes(plan) if max_bytes else 0)
 
     @pytest.mark.parametrize("ghost_ok", [True, False])
     def test_kept_matches_classifying_the_masked_edges(self, machine,
                                                        ghost_ok):
-        """What a filter keeps of a plan, against deriving it from scratch:
-        mask first, then classify and stable-sort by owner."""
-        csr = machine.out_csr
-        plan = ChunkPlan(csr, 0, machine.n_local, ghost_ok=ghost_ok,
-                         machine_index=machine.index, num_machines=3)
-        owners = csr.nbr_owner[plan.es:plan.ee]
-        offsets = csr.nbr_offset[plan.es:plan.ee]
-        is_local = owners == machine.index
-        is_ghost = ((~is_local) & (csr.nbr_ghost_slot[plan.es:plan.ee] >= 0)
-                    if ghost_ok else np.zeros(plan.n_edges, dtype=bool))
-        is_remote = ~(is_local | is_ghost)
+        """What a node-level filter keeps of a plan, against classifying
+        only the edges of the rows it keeps."""
         rng = np.random.default_rng(3)
-        for density in (0.0, 0.02, 0.5, 1.0):
-            act = rng.random(plan.n_nodes) < density
-            edge_mask = np.repeat(act, plan.degrees)
-            local, ghost, remote, runs = plan.kept(edge_mask)
-            edges = np.nonzero(edge_mask)[0]
-            assert np.array_equal(plan.local_idx[local],
-                                  edges[is_local[edges]])
-            assert np.array_equal(plan.ghost_idx[ghost],
-                                  edges[is_ghost[edges]])
-            rem = edges[is_remote[edges]]
-            rem = rem[np.argsort(owners[rem], kind="stable")]
-            assert np.array_equal(plan.remote_idx[remote], rem)
-            bounds = np.searchsorted(owners[rem], np.arange(4))
-            assert [(dst, b0, b1) for dst, b0, b1, _, _ in runs] == [
-                (dst, bounds[dst], bounds[dst + 1]) for dst in range(3)
-                if bounds[dst + 1] > bounds[dst]]
-            for dst, b0, b1, run_offsets, run_rows in runs:
-                assert np.array_equal(run_offsets, offsets[rem[b0:b1]])
-                assert np.array_equal(run_rows, plan.rows[rem[b0:b1]])
+        for plan, csr, lo, hi, _ in self.plans(machine, (ghost_ok,)):
+            for density in (0.0, 0.01, 0.5, 1.0):
+                act = rng.random(machine.n_local) < density
+                rows, targets, splits, runs, positions = plan.kept(act)
+                want = classify(csr, lo, hi, ghost_ok, machine.index, act)
+                got = split(rows, targets, splits)
+                self.assert_class(got[0], want[0])
+                self.assert_class(got[1], want[1])
+                self.assert_remote(got[2], runs, want[2])
+                assert np.array_equal(rows, plan.rows[positions])
+                assert np.array_equal(targets, plan.targets[positions])
 
 
 class TestStableOwnerOrder:
@@ -185,6 +256,50 @@ class TestCacheBehavior:
             assert len(cache) == 0 and cache.nbytes == 0
             assert cache.hits == 0
             assert cache.misses > 0 and cache.rejected == cache.misses
+
+
+class TestCacheChargesWeightMemos:
+    """``nbytes`` counts every byte the cache keeps alive, so
+    ``plan_cache_max_bytes`` caps what is really held: the weight columns
+    memoized on retained plans (SSSP's push, and a weighted pull over
+    plans an unweighted pull built) included."""
+
+    @staticmethod
+    def run(graph, max_bytes=None):
+        kwargs = {} if max_bytes is None else {"plan_cache_max_bytes":
+                                               max_bytes}
+        cluster = make_cluster(3, 30, **kwargs)
+        dg = cluster.load_graph(graph)
+        res = sssp(cluster, dg, root=0, max_iterations=30)
+        dg.add_property("x", init=1.0)
+        dg.add_property("t", init=0.0)
+        for weighted in (False, True):
+            cluster.run_job(dg, EdgeMapJob(name="pull", spec=EdgeMapSpec(
+                direction="pull", source="x", target="t", op=ReduceOp.SUM,
+                transform=(lambda vals, w: vals * w) if weighted else None,
+                use_weights=weighted)))
+        return dg, res.values["dist"].tobytes() + dg.gather("t").tobytes()
+
+    def test_nbytes_is_what_live_plans_hold(self, small_rmat_weighted):
+        dg, _ = self.run(small_rmat_weighted)
+        for m in dg.machines:
+            cache = m.plan_cache
+            plans = cache._plans.values()
+            assert cache.rejected == 0
+            assert any(plan.columns for plan in plans)
+            assert cache.nbytes == sum(owned_bytes(p) for p in plans)
+
+    def test_cap_just_below_rejects(self, small_rmat_weighted):
+        dg, want = self.run(small_rmat_weighted)
+        held = max(m.plan_cache.nbytes for m in dg.machines)
+        capped, got = self.run(small_rmat_weighted, max_bytes=held - 1)
+        assert got == want
+        assert any(m.plan_cache.rejected for m in capped.machines)
+        for m in capped.machines:
+            cache = m.plan_cache
+            assert cache.nbytes <= held - 1
+            assert cache.nbytes == sum(owned_bytes(p)
+                                       for p in cache._plans.values())
 
 
 class TestCacheIsInvisible:
@@ -333,6 +448,43 @@ class TestMaskedPlannedPath:
             assert on.per_iteration == off.per_iteration
 
 
+class TestPushIntoItself:
+    """A push spec may name one property as both source and target (the
+    DSL's ``push x += x``).  A chunk reads every source value before it
+    writes any, so the values it sends to remote owners are the ones it
+    saw before its own local writes.  The digests are pinned from the
+    kernel that gathered a chunk's source values in a single pass."""
+
+    PINNED = {(False, False): "56497354f860a9bd",
+              (False, True): "92d4ba2cabde0767",
+              (True, False): "d3cf6c38928c28b2",
+              (True, True): "6978b1d0ee99d8ae"}
+
+    @pytest.mark.parametrize("filtered", [False, True],
+                             ids=["all", "filtered"])
+    @pytest.mark.parametrize("weighted", [False, True],
+                             ids=["unweighted", "weighted"])
+    def test_matches_pinned_bits(self, weighted, filtered):
+        graph = with_uniform_weights(rmat(300, 2400, seed=5), 0.1, 1.0,
+                                     seed=9)
+        cluster = make_cluster(3, 30, chunk_size=64)
+        dg = cluster.load_graph(graph)
+        rng = np.random.default_rng(23)
+        dg.add_property("x")
+        dg.add_property("active", dtype=bool, init=False)
+        dg.set_from_global("x", rng.random(dg.num_nodes))
+        dg.set_from_global("active", rng.random(dg.num_nodes)
+                           < (0.5 if filtered else 1.1))
+        spec = EdgeMapSpec(
+            direction="push", source="x", target="x", op=ReduceOp.SUM,
+            transform=(lambda vals, w: vals * w) if weighted else None,
+            use_weights=weighted, active="active" if filtered else None)
+        for _ in range(2):  # the second job runs over kept plans
+            cluster.run_job(dg, EdgeMapJob(name="self", spec=spec))
+        digest = hashlib.sha256(dg.gather("x").tobytes()).hexdigest()
+        assert digest[:16] == self.PINNED[weighted, filtered]
+
+
 class TestSortedElementsProxy:
     """``StageOrderCache.sorted_elements`` — a host-work proxy that repeats
     bit for bit, where host seconds drift by tens of percent."""
@@ -345,10 +497,12 @@ class TestSortedElementsProxy:
         res = sssp(cluster, dg, root=0, max_iterations=40)
         assert np.isfinite(res.values["dist"]).sum() > 100
         wcc(cluster, dg, max_iterations=50)
-        assert [m.stage_cache.sorted_elements for m in dg.machines] == [0] * 4
+        cache = dg.machines[0].stage_cache
+        assert all(m.stage_cache is cache for m in dg.machines)
+        assert cache.sorted_elements == 0
         stats = pagerank(cluster, dg, variant="push", max_iterations=2).stats
         assert stats.remote_writes > 0
-        assert all(m.stage_cache.sorted_elements > 0 for m in dg.machines)
+        assert cache.sorted_elements > 0
 
 
 class TestPlanCacheMetrics:
