@@ -143,17 +143,9 @@ def check_execution(exc: "JobExecution",
                     "partial request buffers never flushed", **where)
 
     # -- staged reduction groups --------------------------------------------
-    if exc._staged_remote is not None:
-        leftover = sum(len(b) for b in exc._staged_remote)
-        if leftover:
-            add("staging.remote_responses",
-                f"{leftover} staged response batches never applied")
-    if exc._staged_writes:
-        add("staging.writes", "undrained write groups "
-            + _preview(sorted(exc._staged_writes)))
-    if exc._staged_ghost:
-        add("staging.ghost", "undrained ghost groups "
-            + _preview(sorted(exc._staged_ghost)))
+    if exc._staged:
+        add("staging.undrained", "staged (machine, prop, op) groups never "
+            "applied: " + _preview(sorted(exc._staged)))
 
     # -- per-machine queues --------------------------------------------------
     for m in exc.machines:

@@ -9,7 +9,7 @@ to the ghost columns (pre-sync) or the owner's property arrays (post-sync).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
@@ -75,18 +75,18 @@ def copier_loop(exc: "JobExecution", cs: CopierState) -> None:
     cs.busy = True
     msg = machine.request_queue.popleft()
     machine.cpu.thread_started()
-    tally = _process_message(exc, machine, msg)
+    tally, resp = _process_message(exc, machine, msg)
     dur = machine.cpu.mixed_duration(tally.cpu_ops, tally.atomic_ops,
                                      tally.random_bytes, tally.seq_bytes)
     stall = 0.0
     if exc.faults is not None:
         dur *= exc.faults.work_scale(machine.index, exc.sim.now)
         stall = exc.faults.copier_stall(machine.index)
-    exc.sim.schedule_fast(dur + stall, _copier_done, exc, cs, msg, dur)
+    exc.sim.schedule_fast(dur + stall, _copier_done, exc, cs, msg, dur, resp)
 
 
 def _copier_done(exc: "JobExecution", cs: CopierState, msg: Message,
-                 dur: float) -> None:
+                 dur: float, resp: Optional[Message]) -> None:
     cs.machine.cpu.thread_finished(dur)
     # ``depth`` is the queue left behind: with the enqueue's, the gauge
     # tracks both edges and drains to 0 once every request is served.
@@ -97,8 +97,8 @@ def _copier_done(exc: "JobExecution", cs: CopierState, msg: Message,
                    start=exc.sim.now - dur, duration=dur)
     # Side effects that become visible when the copier finishes:
     if msg.kind is MsgKind.READ_REQ:
-        resp = msg._response  # built in _process_message
-        exc.recycle_message(msg)
+        # The response this pass built: each pass over a duplicated or
+        # retried READ_REQ answers with its own message.
         exc.send_response(resp)
     elif msg.kind in (MsgKind.WRITE_REQ,):
         # The write is applied: acknowledge it (stops any retry timer).
@@ -108,7 +108,6 @@ def _copier_done(exc: "JobExecution", cs: CopierState, msg: Message,
             exc.reliability.ack(msg.request_id)
         if exc.audit is not None:
             exc.audit.ack(msg.request_id)
-        exc.recycle_message(msg)
         exc.write_outstanding -= 1
         exc.check_main_done()
     elif msg.kind is MsgKind.GHOST_SYNC:
@@ -116,7 +115,6 @@ def _copier_done(exc: "JobExecution", cs: CopierState, msg: Message,
             exc.reliability.ack(msg.request_id)
         if exc.audit is not None:
             exc.audit.ack(msg.request_id)
-        exc.recycle_message(msg)
         exc.sync_outstanding -= 1
         exc.check_sync_done()
     elif msg.kind is MsgKind.RMI_REQ:
@@ -128,8 +126,10 @@ def _copier_done(exc: "JobExecution", cs: CopierState, msg: Message,
 
 
 def _process_message(exc: "JobExecution", machine: "Machine",
-                     msg: Message) -> WorkTally:
-    """Functionally apply a request and price the copier's work."""
+                     msg: Message) -> tuple[WorkTally, Optional[Message]]:
+    """Functionally apply a request and price the copier's work.  Returns
+    the tally and, for a READ_REQ, the READ_RESP to send when the copier
+    finishes."""
     cfg = exc.cluster.config.engine
     per_item_ops = cfg.copier_per_item / exc.cpu_op_time
     # The windowed (out-of-core) path: streamed edge windows resident in
@@ -140,27 +140,25 @@ def _process_message(exc: "JobExecution", machine: "Machine",
     if msg.kind is MsgKind.READ_REQ:
         values = machine.props[msg.prop][msg.offsets]
         n = len(values)
-        msg._response = exc.new_message(MsgKind.READ_RESP, machine.index,
-                                        msg.src, prop=msg.prop, values=values,
-                                        request_id=msg.request_id,
-                                        worker=msg.worker)
+        resp = Message(MsgKind.READ_RESP, machine.index, msg.src,
+                       prop=msg.prop, values=values,
+                       request_id=msg.request_id, worker=msg.worker)
         tally = WorkTally(cpu_ops=n * per_item_ops, seq_bytes=n * 2 * VALUE_BYTES)
         loc = cache_adjusted_locality(COPIER_READ_LOCALITY,
                                       machine.n_local * VALUE_BYTES
                                       + stream_bytes,
                                       machine.machine_config)
         tally.add_bytes(n * VALUE_BYTES, loc)
-        return tally
+        return tally, resp
     if msg.kind is MsgKind.WRITE_REQ:
         n = msg.item_count
         # Stage rather than apply: the values land in canonical content
-        # order when the main phase ends (JobExecution._apply_staged_group),
+        # order when the main phase ends (JobExecution._apply_staged),
         # so the reduction result is independent of delivery order — the
         # invariant that lets jobs interleave with other tenants and still
         # reproduce their standalone results bit for bit.  The copier still
         # pays the apply cost here, on its own timeline.
-        exc.stage_write(machine.index, msg.prop, msg.op, msg.offsets,
-                        msg.values)
+        exc.stage(machine.index, msg.prop, msg.op, msg.offsets, msg.values)
         exc.stats.atomic_ops += n
         tally = WorkTally(cpu_ops=n * per_item_ops, atomic_ops=n,
                           seq_bytes=n * 2 * VALUE_BYTES)
@@ -169,7 +167,7 @@ def _process_message(exc: "JobExecution", machine: "Machine",
                                       + stream_bytes,
                                       machine.machine_config)
         tally.add_bytes(n * 2 * VALUE_BYTES, loc)
-        return tally
+        return tally, None
     if msg.kind is MsgKind.GHOST_SYNC:
         n = msg.item_count
         if msg.ghost_pre:
@@ -182,8 +180,8 @@ def _process_message(exc: "JobExecution", machine: "Machine",
             # staged like WRITE_REQ and applied in canonical order when the
             # post-sync phase completes (arrival order varies under shared-
             # fabric contention; content does not).
-            exc.stage_ghost_reduce(machine.index, msg.prop, msg.op,
-                                   msg.offsets, msg.values)
+            exc.stage(machine.index, msg.prop, msg.op, msg.offsets,
+                      msg.values)
             atomic = n
         tally = WorkTally(cpu_ops=n * per_item_ops, atomic_ops=atomic,
                           seq_bytes=n * 2 * VALUE_BYTES)
@@ -195,9 +193,9 @@ def _process_message(exc: "JobExecution", machine: "Machine",
                                       ws_bytes + stream_bytes,
                                       machine.machine_config)
         tally.add_bytes(n * 2 * VALUE_BYTES, loc)
-        return tally
+        return tally, None
     if msg.kind is MsgKind.RMI_REQ:
         fn = exc.cluster.rmi.lookup(msg.rmi_fn)
         fn(exc.local_view(machine.index), *msg.rmi_args)
-        return WorkTally(cpu_ops=200.0)
+        return WorkTally(cpu_ops=200.0), None
     raise AssertionError(f"copier got unexpected message kind {msg.kind}")

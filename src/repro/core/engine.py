@@ -37,7 +37,7 @@ from .faults import FaultController
 from .ghost import select_ghosts
 from .job import Job, MapReduce
 from .machine import LocalCsr, Machine, local_csrs
-from .messages import MessagePool, RmiRegistry
+from .messages import RmiRegistry
 from .properties import ReduceOp
 from .routing_plan import StageOrderCache
 from .scheduler import JobScheduler
@@ -163,9 +163,6 @@ class PgxdCluster:
                                faults=self.faults,
                                audit=self.config.engine.audit)
         self.rmi = RmiRegistry()
-        #: cluster-lifetime message/side-structure free lists; job executions
-        #: use them only when pooling is safe (no fault layer)
-        self.msg_pool = MessagePool()
         self.job_log: list[tuple[str, JobStats]] = []
         #: the one job loop; run_job creates a default JobScheduler on the
         #: first job, so a configured one must be attached before that

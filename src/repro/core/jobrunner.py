@@ -27,7 +27,7 @@ from ..runtime.stats import JobStats
 from .comm_manager import CopierState, deliver_request, deliver_response
 from .faults import ReliabilityLayer
 from .job import EdgeMapJob, Job, NodeKernelJob, TaskJob
-from .messages import Message, MsgKind, SideStructure
+from .messages import Message, MsgKind
 from .properties import ReduceOp
 from .routing_plan import canonical_apply
 from .task_manager import (MachineWindowStream, WorkerState, build_windows,
@@ -86,10 +86,6 @@ class JobExecution:
         #: conservation checker (repro.audit): per-request accounting while
         #: the job runs, invariants enforced at finalize.  None => zero cost.
         self.audit = AuditTracker() if ecfg.audit else None
-        #: message/side-structure free lists — safe only when nothing can
-        #: retain a message past its terminal hop, so pooling is off
-        #: whenever the fault layer (retry timers hold message refs) is on
-        self.msg_pool = cluster.msg_pool if self.faults is None else None
 
         self.stats = JobStats(start_time=self.sim.now)
         self.ghosts_active = dgraph.num_ghosts > 0
@@ -143,27 +139,17 @@ class JobExecution:
         self.sync_outstanding = 0
         self._postsync_pending = 0
 
-        #: per-machine staging of remote read-response contributions for the
-        #: vectorized path.  Responses are *priced* when they arrive (their
-        #: work still lands on the worker's timeline) but their values are
-        #: applied once, in a canonical content order, when the main phase
-        #: ends — so the numeric result is independent of response arrival
-        #: order.  That is what lets retried/duplicated/delayed traffic
-        #: reproduce the fault-free run bit for bit despite float SUM being
-        #: non-associative.
-        self._staged_remote: Optional[list[list]] = (
-            [[] for _ in self.machines] if self.spec is not None else None)
-        #: remote WRITE_REQ and post-sync GHOST_SYNC payloads, staged by the
-        #: receiving copier and applied in canonical content order at the
-        #: next phase boundary (same trick as ``_staged_remote``).  This is
-        #: what keeps a job's float reductions bit-identical when another
-        #: tenant's traffic perturbs message arrival order on the shared
-        #: fabric ports: the *content* of the contributions is timing-
-        #: independent, so sorting by (row, value) fixes the apply order.
-        #: Keyed (machine, prop, op-name) so distinct reductions never mix.
-        self._staged_writes: dict[tuple[int, str, str], list] = {}
-        self._staged_ghost: dict[tuple[int, str, str], list] = {}
-        self._staged_ops: dict[str, ReduceOp] = {}
+        #: remote contributions staged for a canonical apply, keyed
+        #: (machine, prop, op-name) -> (op, [(rows, values), ...]).  Pull
+        #: read responses, WRITE_REQ payloads and post-sync ghost partials
+        #: are *priced* when they arrive (their work lands on the worker's or
+        #: copier's timeline) but reduced once, in canonical content order,
+        #: at the next phase boundary (:meth:`_apply_staged`).  So a float
+        #: SUM's result is independent of arrival order: retried,
+        #: duplicated or delayed traffic, and another tenant's contention
+        #: on the shared fabric, reproduce the fault-free standalone run
+        #: bit for bit.
+        self._staged: dict[tuple[int, str, str], tuple[ReduceOp, list]] = {}
 
     # ------------------------------------------------------------------
     # lookup helpers used by workers/copiers
@@ -184,32 +170,6 @@ class JobExecution:
     def next_request_id(self) -> int:
         """Deterministic per-execution request id (satellite of PR 3)."""
         return next(self._request_ids)
-
-    def new_message(self, kind: MsgKind, src: int, dst: int, **kw) -> Message:
-        """A request/response message, pooled when pooling is safe."""
-        pool = self.msg_pool
-        if pool is not None:
-            return pool.message(kind, src, dst, **kw)
-        return Message(kind, src, dst, **kw)
-
-    def new_side(self, request_id: int, prop: str, rows=None, weights=None,
-                 tasks=None):
-        pool = self.msg_pool
-        if pool is not None:
-            return pool.side(request_id, prop, rows=rows, weights=weights,
-                             tasks=tasks)
-        return SideStructure(request_id=request_id, prop=prop, rows=rows,
-                             weights=weights,
-                             tasks=tasks if tasks is not None else [])
-
-    def recycle_message(self, msg: Message) -> None:
-        """Return a message its terminal hop just consumed (no-op unpooled)."""
-        if self.msg_pool is not None:
-            self.msg_pool.release_message(msg)
-
-    def recycle_side(self, side) -> None:
-        if self.msg_pool is not None:
-            self.msg_pool.release_side(side)
 
     def send_request(self, msg: Message, kind: str) -> None:
         nbytes = msg.wire_bytes()
@@ -297,7 +257,7 @@ class JobExecution:
                         # so local tasks can read either representation.
                         dst.ghosts.ensure_column(prop, values.dtype)[slots] = values
                         continue
-                    msg = self.new_message(
+                    msg = Message(
                         MsgKind.GHOST_SYNC, owner.index, dst.index, prop=prop,
                         offsets=slots, values=values, ghost_pre=True,
                         request_id=self.next_request_id())
@@ -391,75 +351,41 @@ class JobExecution:
                 and self.write_outstanding == 0 and self.rmi_outstanding == 0):
             self._phase_postsync()
 
-    def stage_remote(self, machine_index: int, rows: np.ndarray,
-                     vals: np.ndarray) -> None:
-        """Record a remote read-response contribution for end-of-main apply."""
-        self._staged_remote[machine_index].append((rows, vals))
-
-    def stage_write(self, machine_index: int, prop: str, op: ReduceOp,
-                    offsets: np.ndarray, values: np.ndarray) -> None:
-        """Record a remote WRITE_REQ payload for end-of-main apply."""
+    def stage(self, machine_index: int, prop: str, op: ReduceOp,
+              rows: np.ndarray, values: np.ndarray) -> None:
+        """Record a remote contribution for the next :meth:`_apply_staged`."""
         key = (machine_index, prop, op.name)
-        self._staged_ops[op.name] = op
-        self._staged_writes.setdefault(key, []).append((offsets, values))
+        group = self._staged.get(key)
+        if group is None:
+            group = self._staged[key] = (op, [])
+        group[1].append((rows, values))
 
-    def stage_ghost_reduce(self, machine_index: int, prop: str, op: ReduceOp,
-                           offsets: np.ndarray, values: np.ndarray) -> None:
-        """Record a post-sync ghost partial for end-of-postsync apply."""
-        key = (machine_index, prop, op.name)
-        self._staged_ops[op.name] = op
-        self._staged_ghost.setdefault(key, []).append((offsets, values))
+    def _apply_staged(self) -> None:
+        """Reduce every staged group into its property in canonical order.
 
-    def _apply_staged_group(self, staged: dict) -> None:
-        """Apply a staged (machine, prop, op) group set in canonical order.
-
-        Group iteration is sorted by key and each group is reduced by
-        :meth:`_staged_apply`, so the reduction order is a function of the
-        data alone — independent of delivery order, of which copier
-        processed which message, and of any co-running tenant's traffic.
-        The apply work was already priced on the copier timeline when each
-        message was processed.
+        Groups go in key order and each is reduced by
+        :func:`repro.core.routing_plan.canonical_apply`, so the reduction
+        order is a function of the data alone — independent of delivery
+        order, of which copier or worker handled which message, and of any
+        co-running tenant's traffic.  Purely host-side: the apply work was
+        already priced when each message was processed.  Runs when the main
+        phase ends (pull responses or push writes; an edge map stages one
+        kind, never both) and at the barrier (post-sync ghost partials,
+        which are sent only after the first apply).
         """
+        staged = self._staged
         for key in sorted(staged):
-            machine_index, prop, op_name = key
-            batches = staged[key]
-            offs = np.concatenate([o for o, _ in batches])
-            vals = np.concatenate([v for _, v in batches])
-            self._staged_apply(self._staged_ops[op_name], machine_index, prop,
-                               offs, vals)
-        staged.clear()
-
-    def _staged_apply(self, op, machine_index: int, prop: str,
-                      rows: np.ndarray, vals: np.ndarray) -> None:
-        """Reduce one staged group into its property in canonical order
-        (:func:`repro.core.routing_plan.canonical_apply`)."""
-        machine = self.machines[machine_index]
-        canonical_apply(op, machine.props[prop], rows, vals,
-                        machine.stage_cache)
-
-    def _apply_staged_responses(self) -> None:
-        """Apply staged remote contributions in canonical content order.
-
-        Sorting by (row, value) makes the reduction order a function of the
-        *data*, not of message timing: a run whose responses were delayed,
-        reordered or retried produces the same floating-point result as the
-        fault-free run.  Purely host-side — the apply work was already
-        priced on the worker timeline when each response arrived.
-        """
-        if self._staged_remote is None:
-            return
-        spec = self.spec
-        for m, batches in zip(self.machines, self._staged_remote):
-            if not batches:
-                continue
+            machine_index, prop, _ = key
+            op, batches = staged[key]
             rows = np.concatenate([r for r, _ in batches])
             vals = np.concatenate([v for _, v in batches])
-            self._staged_apply(spec.op, m.index, spec.target, rows, vals)
-            batches.clear()
+            machine = self.machines[machine_index]
+            canonical_apply(op, machine.props[prop], rows, vals,
+                            machine.stage_cache)
+        staged.clear()
 
     def _phase_postsync(self) -> None:
-        self._apply_staged_responses()
-        self._apply_staged_group(self._staged_writes)
+        self._apply_staged()
         self._set_phase("postsync")
         if not self.ghost_write_props:
             self._phase_barrier()
@@ -497,7 +423,7 @@ class JobExecution:
                 if owner.index == m.index:
                     op.apply_at(m.props[prop], offsets, values)
                     continue
-                msg = self.new_message(
+                msg = Message(
                     MsgKind.GHOST_SYNC, m.index, owner.index, prop=prop,
                     offsets=offsets, values=values, op=op, ghost_pre=False,
                     request_id=self.next_request_id())
@@ -508,7 +434,7 @@ class JobExecution:
             self.check_sync_done()
 
     def _phase_barrier(self) -> None:
-        self._apply_staged_group(self._staged_ghost)
+        self._apply_staged()
         self._set_phase("barrier")
         latency = barrier_mod.barrier_latency(self.num_machines,
                                               self.cluster.config.network)

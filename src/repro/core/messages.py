@@ -44,7 +44,6 @@ class MsgKind(enum.Enum):
     READ_RESP = "read_resp"
     WRITE_REQ = "write_req"
     RMI_REQ = "rmi_req"
-    RMI_RESP = "rmi_resp"
     GHOST_SYNC = "ghost_sync"
     CONTROL = "control"
 
@@ -72,7 +71,6 @@ class Message:
     #: ghost-sync direction: True = pre-sync (owner -> ghost columns),
     #: False = post-sync (ghost partials -> owner, reduced with ``op``)
     ghost_pre: bool = False
-    payload_bytes_override: Optional[float] = None
 
     def __post_init__(self):
         if self.request_id < 0:
@@ -88,8 +86,6 @@ class Message:
 
     def wire_bytes(self) -> float:
         """Modeled size on the wire."""
-        if self.payload_bytes_override is not None:
-            return HEADER_BYTES + self.payload_bytes_override
         n = self.item_count
         if self.kind is MsgKind.READ_REQ:
             return HEADER_BYTES + n * READ_REQ_ITEM_BYTES
@@ -117,97 +113,6 @@ class SideStructure:
     rows: Optional[np.ndarray] = None
     weights: Optional[np.ndarray] = None
     tasks: list = field(default_factory=list)
-
-
-class MessagePool:
-    """Free lists for the request-path :class:`Message`/:class:`SideStructure`
-    churn.
-
-    The hot loop creates short-lived message trains — a READ_REQ lives from
-    flush to copier completion, a READ_RESP from copier to worker intake —
-    so both object kinds recycle well.  Pooling is only safe when nothing
-    retains a message past its terminal hop: the job runner enables it only
-    when the fault layer is off (retry timers keep message references alive
-    across redeliveries) and releases each object exactly once, at the hop
-    that consumes it.
-    """
-
-    __slots__ = ("cap", "_messages", "_sides", "message_hits", "side_hits")
-
-    def __init__(self, cap: int = 2048):
-        self.cap = cap
-        self._messages: list[Message] = []
-        self._sides: list[SideStructure] = []
-        self.message_hits = 0
-        self.side_hits = 0
-
-    def message(self, kind: MsgKind, src: int, dst: int,
-                prop: Optional[str] = None,
-                offsets: Optional[np.ndarray] = None,
-                values: Optional[np.ndarray] = None,
-                op: Optional[ReduceOp] = None, request_id: int = -1,
-                worker: int = -1, ghost_pre: bool = False) -> Message:
-        pool = self._messages
-        if not pool:
-            return Message(kind, src, dst, prop=prop, offsets=offsets,
-                           values=values, op=op, request_id=request_id,
-                           worker=worker, ghost_pre=ghost_pre)
-        m = pool.pop()
-        m.kind = kind
-        m.src = src
-        m.dst = dst
-        m.prop = prop
-        m.offsets = offsets
-        m.values = values
-        m.op = op
-        m.request_id = request_id if request_id >= 0 else next(_msg_ids)
-        m.worker = worker
-        m.ghost_pre = ghost_pre
-        self.message_hits += 1
-        return m
-
-    def release_message(self, msg: Message) -> None:
-        """Return a message whose terminal hop just consumed it.  Payload
-        references are dropped here; the arrays themselves stay alive for as
-        long as staging or the caller holds them."""
-        if len(self._messages) >= self.cap:
-            return
-        msg.prop = None
-        msg.offsets = None
-        msg.values = None
-        msg.op = None
-        msg.rmi_fn = -1
-        msg.rmi_args = ()
-        msg.payload_bytes_override = None
-        if getattr(msg, "_response", None) is not None:
-            msg._response = None
-        self._messages.append(msg)
-
-    def side(self, request_id: int, prop: str,
-             rows: Optional[np.ndarray] = None,
-             weights: Optional[np.ndarray] = None,
-             tasks: Optional[list] = None) -> SideStructure:
-        pool = self._sides
-        if not pool:
-            return SideStructure(request_id=request_id, prop=prop, rows=rows,
-                                 weights=weights,
-                                 tasks=tasks if tasks is not None else [])
-        s = pool.pop()
-        s.request_id = request_id
-        s.prop = prop
-        s.rows = rows
-        s.weights = weights
-        s.tasks = tasks if tasks is not None else []
-        self.side_hits += 1
-        return s
-
-    def release_side(self, side: SideStructure) -> None:
-        if len(self._sides) >= self.cap:
-            return
-        side.rows = None
-        side.weights = None
-        side.tasks = []
-        self._sides.append(side)
 
 
 class ReadBuffer:

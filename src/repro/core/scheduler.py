@@ -27,7 +27,7 @@ interleaved with other tenants, and a fixed seed yields a bit-identical
 dispatch schedule.  Cross-tenant contention on the shared fabric ports can
 reorder message arrivals, but never their content — and the engine applies
 all remote reduction payloads in canonical content order at phase
-boundaries (see ``JobExecution._apply_staged_group``), so arrival order is
+boundaries (see ``JobExecution._apply_staged``), so arrival order is
 immaterial to the numbers.
 """
 

@@ -119,18 +119,17 @@ class WorkerState:
                        worker=self.windex, dst=dst, prop=prop,
                        kind="read_req", items=len(offsets), time=exc.sim.now)
         # Chunks append whole batches at once, so a buffer can exceed the
-        # maximum message size; ship it as a train of full (pooled) buffers.
+        # maximum message size; ship it as a train of full buffers.
         step = self._max_items(8)
         for i in range(0, len(offsets), step):
             rid = exc.next_request_id()
-            msg = exc.new_message(MsgKind.READ_REQ, self.machine.index, dst,
-                                  prop=prop, offsets=offsets[i:i + step],
-                                  worker=self.windex, request_id=rid)
-            side = exc.new_side(rid, prop,
-                                rows=None if rows is None else rows[i:i + step],
-                                weights=None if weights is None
-                                else weights[i:i + step],
-                                tasks=tasks[i:i + step])
+            msg = Message(MsgKind.READ_REQ, self.machine.index, dst,
+                          prop=prop, offsets=offsets[i:i + step],
+                          worker=self.windex, request_id=rid)
+            side = SideStructure(
+                rid, prop, rows=None if rows is None else rows[i:i + step],
+                weights=None if weights is None else weights[i:i + step],
+                tasks=tasks[i:i + step])
             self._dispatch_read(msg, side)
 
     def _dispatch_read(self, msg: Message, side: SideStructure) -> None:
@@ -159,11 +158,11 @@ class WorkerState:
                        kind="write_req", items=len(offsets), time=exc.sim.now)
         step = self._max_items(16)
         for i in range(0, len(offsets), step):
-            msg = exc.new_message(MsgKind.WRITE_REQ, self.machine.index, dst,
-                                  prop=prop, offsets=offsets[i:i + step],
-                                  values=values[i:i + step], op=op,
-                                  worker=self.windex,
-                                  request_id=exc.next_request_id())
+            msg = Message(MsgKind.WRITE_REQ, self.machine.index, dst,
+                          prop=prop, offsets=offsets[i:i + step],
+                          values=values[i:i + step], op=op,
+                          worker=self.windex,
+                          request_id=exc.next_request_id())
             exc.write_outstanding += 1
             exc.send_request(msg, kind="write_req")
 
@@ -215,9 +214,6 @@ class WorkerState:
                     break
                 self.parked.append((pmsg, pside))
         self.pending_resp.append((side, msg.values))
-        # The response message's terminal hop: its values array lives on in
-        # pending_resp, the carrier object goes back to the pool.
-        self.exc.recycle_message(msg)
         wake_worker(self.exc, self)
 
 
@@ -635,10 +631,10 @@ def _process_response(exc: "JobExecution", ws: WorkerState,
         # — the job runner applies all remote contributions in canonical
         # content order at end of main phase, so the float result does not
         # depend on response arrival order (see JobExecution
-        # ._apply_staged_responses).  The apply cost stays on this slice.
+        # ._apply_staged).  The apply cost stays on this slice.
         spec = exc.spec
         vals = spec.apply_transform(values, side.weights if spec.use_weights else None)
-        exc.stage_remote(m.index, side.rows, vals)
+        exc.stage(m.index, spec.target, spec.op, side.rows, vals)
     else:
         # Re-point the context at the edge that issued each read.  The
         # edge-property columns need no restore: they are the worker's one
@@ -654,9 +650,6 @@ def _process_response(exc: "JobExecution", ws: WorkerState,
             task.read_done(ctx, value, tag)
         tally.atomic_ops += ws.pending_atomics
         ws.pending_atomics = 0
-    # The side structure is fully consumed (rows were handed to staging,
-    # scalar tasks were walked): return it to the pool.
-    exc.recycle_side(side)
     return tally
 
 

@@ -48,7 +48,6 @@ KNOWN_HOOKS = _schema({
     "comm.retry": "machine, kind, request_id, src, dst, attempt, time",
     "comm.dedup_drop": "machine, kind, request_id, time",
     "net.send": "src, dst, nbytes, kind, time, deliver",
-    "net.deliver": "src, dst, nbytes, kind, time",
     "net.drop": "src, dst, nbytes, kind, time, lost_at",
     "ghost.hit": "machine, prop, mode, count, time",
     "ghost.miss": "machine, prop, mode, count, time",
@@ -76,11 +75,10 @@ KNOWN_HOOKS = _schema({
 })
 
 #: Fields only some events of a hook carry: ``dropped=True`` on a message
-#: the fault layer lost (``deliver`` is then None), ``duplicate=True`` on a
-#: duplicate's second delivery, and each fault's own details.
+#: the fault layer lost (``deliver`` is then None), and each fault's own
+#: details.
 OPTIONAL_FIELDS = _schema({
     "net.send": "dropped",
-    "net.deliver": "duplicate",
     "fault.inject": "src, dst, kind, machine, seconds, factor, duration",
 })
 

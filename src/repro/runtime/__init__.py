@@ -10,7 +10,7 @@ from .config import (ClusterConfig, ConfigError, EngineConfig, MachineConfig,
                      NetworkConfig)
 from .cpu import MachineCpu
 from .memory import DramModel
-from .network import Network, NetworkStats
+from .network import Network
 from .simulator import Event, Simulator
 from .stats import Breakdown, JobStats
 
@@ -23,7 +23,6 @@ __all__ = [
     "MachineCpu",
     "DramModel",
     "Network",
-    "NetworkStats",
     "Event",
     "Simulator",
     "Breakdown",

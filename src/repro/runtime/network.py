@@ -14,8 +14,6 @@ patterns.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from functools import partial
 from typing import Any, Callable, Optional
 
 from ..obs.hooks import HookBus
@@ -29,11 +27,10 @@ if False:  # pragma: no cover - type-only import, avoids a runtime cycle
 class _Port:
     """A serial resource timeline (one NIC direction, or the poller)."""
 
-    __slots__ = ("next_free", "busy_time")
+    __slots__ = ("next_free",)
 
     def __init__(self) -> None:
         self.next_free: float = 0.0
-        self.busy_time: float = 0.0
 
     def occupy(self, now: float, duration: float) -> float:
         """Reserve the port for ``duration`` starting no earlier than ``now``.
@@ -41,25 +38,7 @@ class _Port:
         start = max(now, self.next_free)
         end = start + duration
         self.next_free = end
-        self.busy_time += duration
         return end
-
-
-class NetworkStats:
-    """Traffic counters, reset per measurement window."""
-
-    def __init__(self) -> None:
-        self.bytes_sent: dict[int, float] = defaultdict(float)
-        self.bytes_by_kind: dict[str, float] = defaultdict(float)
-        self.messages: int = 0
-        #: bytes of fabric messages lost to injected drops (the sender still
-        #: paid for the transmit; the receive side never sees them)
-        self.bytes_dropped: float = 0.0
-        self.messages_dropped: int = 0
-
-    @property
-    def total_bytes(self) -> float:
-        return sum(self.bytes_sent.values())
 
 
 class Network:
@@ -86,14 +65,9 @@ class Network:
         # The poller is one thread, but its outbound service happens at send
         # time while inbound service happens at (future) arrival time; using
         # one reservation timeline would let future arrivals block present
-        # sends.  Track the two directions on separate timelines and account
-        # the poller's total utilization as their sum.
+        # sends.  Track the two directions on separate timelines.
         self._poller_out = [_Port() for _ in range(num_machines)]
         self._poller_in = [_Port() for _ in range(num_machines)]
-        self.stats = NetworkStats()
-
-    def reset_stats(self) -> None:
-        self.stats = NetworkStats()
 
     def send(self, src: int, dst: int, nbytes: float,
              callback: Callable, *args: Any, kind: str = "data",
@@ -101,10 +75,11 @@ class Network:
         """Transmit a message; ``callback(*args)`` fires at delivery.
 
         Returns the simulated delivery time.  ``kind`` tags the bytes for the
-        traffic breakdowns used by Figure 6(a).  ``hooks`` overrides the bus
-        the send/deliver events are emitted on — the scheduler passes a
-        per-job scoped bus here so fabric traffic stays attributable when
-        several executions share the network.
+        traffic breakdowns used by Figure 6(a); the ``net.send`` and
+        ``net.drop`` events are the fabric's only account of its traffic.
+        ``hooks`` overrides the bus they are emitted on — the scheduler
+        passes a per-job scoped bus here so fabric traffic stays
+        attributable when several executions share the network.
         """
         if not (0 <= src < self.num_machines and 0 <= dst < self.num_machines):
             raise ValueError(f"bad endpoints {src}->{dst}")
@@ -119,10 +94,6 @@ class Network:
             return deliver
 
         cfg = self.config
-        self.stats.bytes_sent[src] += nbytes
-        self.stats.bytes_by_kind[kind] += nbytes
-        self.stats.messages += 1
-
         action, extra_delay = ("deliver", 0.0)
         if self.faults is not None:
             action, extra_delay = self.faults.message_action(src, dst, kind)
@@ -135,9 +106,7 @@ class Network:
             # The sender paid for the transmit; the fabric loses the message
             # before the receive side, so no rx/poller-in work happens and
             # the callback never fires.  ``deliver=None`` tells consumers the
-            # message never lands (no net.deliver will follow).
-            self.stats.bytes_dropped += nbytes
-            self.stats.messages_dropped += 1
+            # message never lands.
             bus.emit("net.send", src=src, dst=dst, nbytes=nbytes,
                      kind=kind, time=now, deliver=None, dropped=True)
             bus.emit("net.drop", src=src, dst=dst, nbytes=nbytes,
@@ -148,28 +117,17 @@ class Network:
         rx_done = self._rx[dst].occupy(arrive, nbytes / cfg.link_bw)
         deliver = self._poller_in[dst].occupy(rx_done, cfg.poller_per_message)
         self.sim.schedule_at_fast(deliver, callback, *args)
-        emit_deliver = bus.has("net.deliver")
         if action == "dup":
             # A fabric-level duplicate: the same payload surfaces a second
-            # time after another receive pass (retransmit-ambiguity model).
-            # The duplicate is a real delivery, so it gets its own
-            # net.deliver event just like the original.
+            # time after another receive pass (retransmit-ambiguity model);
+            # ``fault.inject`` reports it.
             dup_rx = self._rx[dst].occupy(deliver + cfg.link_latency,
                                           nbytes / cfg.link_bw)
             dup_deliver = self._poller_in[dst].occupy(dup_rx,
                                                       cfg.poller_per_message)
             self.sim.schedule_at_fast(dup_deliver, callback, *args)
-            if emit_deliver:
-                self.sim.schedule_at(dup_deliver, partial(
-                    bus.emit, "net.deliver", src=src, dst=dst,
-                    nbytes=nbytes, kind=kind, time=dup_deliver,
-                    duplicate=True))
         bus.emit("net.send", src=src, dst=dst, nbytes=nbytes, kind=kind,
                  time=now, deliver=deliver)
-        if emit_deliver:
-            self.sim.schedule_at(deliver, partial(
-                bus.emit, "net.deliver", src=src, dst=dst,
-                nbytes=nbytes, kind=kind, time=deliver))
         if self.audit:
             self._audit_times(src, dst, kind, now, depart, tx_done, arrive,
                               rx_done, deliver)
@@ -205,12 +163,3 @@ class Network:
         per_msg = buffer_size / cfg.link_bw + cfg.per_message_overhead
         per_msg = max(per_msg, cfg.poller_per_message)
         return buffer_size / per_msg
-
-    def busy_fractions(self) -> dict[str, list[float]]:
-        """Port busy time per machine (diagnostics)."""
-        return {
-            "tx": [p.busy_time for p in self._tx],
-            "rx": [p.busy_time for p in self._rx],
-            "poller": [o.busy_time + i.busy_time
-                       for o, i in zip(self._poller_out, self._poller_in)],
-        }

@@ -130,6 +130,30 @@ class TestCorruptedState:
                    for v in out)
         assert exc.network.audit_violations == []  # consumed by the sweep
 
+    @pytest.mark.parametrize("job", [PULL, PUSH], ids=["pull", "push"])
+    def test_unapplied_staged_group_named(self, small_rmat, job,
+                                          monkeypatch):
+        """Hold one real staged group back from every apply: the sweep
+        flags it and names its (machine, prop, op) key."""
+        held = []
+        apply_staged = JobExecution._apply_staged
+
+        def apply_all_but_one(exc):
+            if not held and exc._staged:
+                held.append(min(exc._staged))
+            group = exc._staged.pop(held[0], None) if held else None
+            apply_staged(exc)
+            if group is not None:
+                exc._staged[held[0]] = group
+
+        monkeypatch.setattr(JobExecution, "_apply_staged", apply_all_but_one)
+        with pytest.raises(AuditViolation) as ei:
+            run_audited(small_rmat, job, ghost_threshold=None)
+        (bad,) = ei.value.violations
+        assert bad["invariant"] == "staging.undrained"
+        assert held[0][1:] == ("t", "SUM")
+        assert repr(held[0]) in bad["detail"]
+
     def test_violation_raises_with_context(self, small_rmat):
         exc = self._finished(small_rmat)
         exc.sync_outstanding = 1

@@ -7,14 +7,20 @@ bit-identical to a fault-free run — and that the retry/dedup/recovery
 metrics are nonzero exactly when faults were injected.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from repro import (EdgeMapJob, EdgeMapSpec, EngineStallError, FaultPlan,
-                   MachineCrash, MachineCrashError, MachineSlowdown, ReduceOp,
-                   RetryExhaustedError, rmat)
+                   MachineCrash, MachineCrashError, MachineSlowdown,
+                   PgxdCluster, ReduceOp, RetryExhaustedError, rmat)
 from repro.algorithms import hop_dist, pagerank
+from repro.bench.calibration import scaled_cluster_config
+from repro.core import comm_manager
 from repro.core.faults import FaultController
+from repro.core.jobrunner import JobExecution
+from repro.core.messages import MsgKind
 from repro.core.scheduler import JobScheduler
 from repro.obs.report import fault_summary
 from tests.conftest import make_cluster
@@ -84,6 +90,35 @@ class TestMessageFaults:
         fs = fault_summary(cluster.metrics)
         assert fs["faults_injected"] > 0
         assert fs["dedup_drops"] > 0
+
+    def test_each_read_pass_sends_its_own_response(self, monkeypatch):
+        """A duplicated or retried READ_REQ is served once per copier
+        pass, and every pass sends the READ_RESP it built: no response
+        object goes out twice and none is lost."""
+        sent, passes = [], Counter()
+        send_response = JobExecution.send_response
+        process = comm_manager._process_message
+
+        def record_send(exc, msg):
+            # Holding every (execution, message) keeps their ids unique.
+            sent.append((exc, msg))
+            send_response(exc, msg)
+
+        def count_pass(exc, machine, msg):
+            if msg.kind is MsgKind.READ_REQ:
+                passes[id(exc), msg.request_id] += 1
+            return process(exc, machine, msg)
+
+        monkeypatch.setattr(JobExecution, "send_response", record_send)
+        monkeypatch.setattr(comm_manager, "_process_message", count_pass)
+        cluster = PgxdCluster(scaled_cluster_config(
+            4, 1e-3, fault_plan=FaultPlan(seed=3, dup_prob=0.3)))
+        dg = cluster.load_graph(rmat(2000, 20000, seed=3))
+        pagerank(cluster, dg, "pull", max_iterations=2, tolerance=0.0)
+        assert sum(passes.values()) > len(passes)  # some read served twice
+        assert len({id(msg) for _, msg in sent}) == len(sent)
+        assert Counter((id(exc), msg.request_id)
+                       for exc, msg in sent) == passes
 
     def test_delays_beyond_timeout(self, small_rmat):
         # delay_seconds (2 ms) exceeds the initial 1 ms retry timeout, so
@@ -157,27 +192,6 @@ class TestPayForPlay:
         assert cluster.now == base_cluster.now
         assert (cluster.metrics.counters_flat()
                 == base_cluster.metrics.counters_flat())
-
-    @pytest.mark.parametrize("plan", [None, FaultPlan(seed=3, drop_prob=0.05)],
-                             ids=["no-faults", "faults"])
-    def test_messages_pooled_only_without_fault_layer(self, small_rmat, plan):
-        """Retry timers hold message references, so a fault layer turns
-        the cluster's message pool off for every execution."""
-        from repro import EdgeMapJob, EdgeMapSpec, ReduceOp
-        from repro.core.jobrunner import JobExecution
-
-        cluster = make_cluster(fault_plan=plan)
-        dg = cluster.load_graph(small_rmat)
-        dg.add_property("x", init=1.0)
-        dg.add_property("t", init=0.0)
-        exc = JobExecution(cluster, dg, EdgeMapJob(name="probe", spec=EdgeMapSpec(
-            direction="pull", source="x", target="t", op=ReduceOp.SUM)),
-            cluster.hooks)
-        assert exc.msg_pool is (cluster.msg_pool if plan is None else None)
-        before = cluster.msg_pool.message_hits
-        pagerank(cluster, dg, "pull", max_iterations=3, tolerance=0.0)
-        hits = cluster.msg_pool.message_hits - before
-        assert hits > 0 if plan is None else hits == 0
 
 
 class TestCrashRecovery:

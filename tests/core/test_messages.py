@@ -29,11 +29,6 @@ class TestWireBytes:
     def test_control_message_header_only(self):
         assert Message(MsgKind.CONTROL, src=0, dst=1).wire_bytes() == HEADER_BYTES
 
-    def test_payload_override(self):
-        msg = Message(MsgKind.CONTROL, src=0, dst=1,
-                      payload_bytes_override=1000)
-        assert msg.wire_bytes() == HEADER_BYTES + 1000
-
     def test_unique_request_ids(self):
         a = Message(MsgKind.READ_REQ, src=0, dst=1)
         b = Message(MsgKind.READ_REQ, src=0, dst=1)

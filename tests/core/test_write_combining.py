@@ -138,7 +138,7 @@ class TestGhostSyncLocality:
         msg = Message(MsgKind.GHOST_SYNC, src=1, dst=0, prop="t",
                       offsets=np.arange(n), values=np.ones(n),
                       op=ReduceOp.SUM, ghost_pre=False)
-        tally = _process_message(exc, m, msg)
+        tally, _ = _process_message(exc, m, msg)
         expected = self._expected_random(n, m.n_local * VALUE_BYTES, m)
         assert tally.random_bytes == pytest.approx(expected)
 
@@ -151,7 +151,7 @@ class TestGhostSyncLocality:
         msg = Message(MsgKind.GHOST_SYNC, src=1, dst=0, prop="t",
                       offsets=np.arange(n), values=np.ones(n),
                       op=ReduceOp.SUM, ghost_pre=True)
-        tally = _process_message(exc, m, msg)
+        tally, _ = _process_message(exc, m, msg)
         expected = self._expected_random(
             n, m.ghosts.num_ghosts * VALUE_BYTES, m)
         assert tally.random_bytes == pytest.approx(expected)

@@ -164,7 +164,6 @@ def test_payload_keys_are_the_schema_fields(captured):
 def test_optional_fields_appear(captured):
     seen = {name: set().union(*captured[name]) for name in OPTIONAL_FIELDS}
     assert "dropped" in seen["net.send"]
-    assert "duplicate" in seen["net.deliver"]
     assert {"src", "dst", "kind", "machine"} <= seen["fault.inject"]
 
 

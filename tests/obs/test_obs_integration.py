@@ -1,9 +1,11 @@
 """Engine-wide telemetry: hooks fire, the registry fills, reports render."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from repro import EdgeMapJob, EdgeMapSpec, ReduceOp, rmat
+from repro import EdgeMapJob, EdgeMapSpec, FaultPlan, ReduceOp, rmat
 from repro.algorithms import pagerank
 from repro.obs.report import (ghost_hit_rate, overhead_breakdown,
                               render_overhead_report, traffic_by_kind)
@@ -73,7 +75,7 @@ class TestRecorder:
             cluster = make_cluster(3, 30)
             if extra_observer:
                 cluster.hooks.subscribe("task.chunk_end", lambda p: None)
-                cluster.hooks.subscribe("net.deliver", lambda p: None)
+                cluster.hooks.subscribe("net.send", lambda p: None)
             dg = cluster.load_graph(small_rmat)
             dg.add_property("x", init=1.0)
             dg.add_property("t", init=0.0)
@@ -141,6 +143,25 @@ class TestReport:
         traffic = traffic_by_kind(cluster.metrics)
         assert traffic.get("read_req", 0) > 0
         assert sum(traffic.values()) == pytest.approx(stats.total_bytes)
+
+    @pytest.mark.parametrize("plan", [
+        None, FaultPlan(seed=3, drop_prob=0.05, dup_prob=0.1)],
+        ids=["clean", "drop+dup"])
+    @pytest.mark.parametrize("direction", ["pull", "push"])
+    def test_traffic_by_kind_equals_job_stats(self, small_rmat, direction,
+                                              plan):
+        """The fabric's traffic has one count: the recorder's per-kind
+        bytes (from ``net.send``) equal the jobs' own ``bytes_by_kind``,
+        resends included and a duplicate counted once."""
+        cluster = make_cluster(fault_plan=plan)
+        dg = cluster.load_graph(small_rmat)
+        pagerank(cluster, dg, direction, max_iterations=3, tolerance=0.0)
+        summed = Counter()
+        for _, stats in cluster.job_log:
+            summed.update(stats.bytes_by_kind)
+        traffic = traffic_by_kind(cluster.metrics)
+        assert traffic == {kind: b for kind, b in summed.items() if b}
+        assert traffic["read_req" if direction == "pull" else "write_req"] > 0
 
     def test_render_contains_all_layers(self, ran):
         cluster, _, _ = ran

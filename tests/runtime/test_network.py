@@ -106,40 +106,77 @@ class TestThroughputModel:
         assert net.point_to_point_throughput(4096) == pytest.approx(1.5e9, rel=0.05)
 
 
+def capture(net, *names):
+    """Subscribe a list per hook name; the fabric's only traffic account."""
+    events = {name: [] for name in names}
+    for name, sink in events.items():
+        net.hooks.subscribe(name, sink.append)
+    return events
+
+
+def arrivals(sim, got):
+    """A delivery callback recording the simulated time it fires at."""
+    return lambda *args: got.append((sim.now, args))
+
+
+def bytes_by(events, field):
+    out = {}
+    for p in events:
+        out[p[field]] = out.get(p[field], 0) + p["nbytes"]
+    return out
+
+
 class TestAccounting:
     def test_bytes_counted_per_source(self):
         sim, net = make_net()
+        ev = capture(net, "net.send")
         net.send(0, 1, 100, lambda: None)
         net.send(0, 2, 200, lambda: None)
         net.send(1, 2, 300, lambda: None)
-        assert net.stats.bytes_sent[0] == 300
-        assert net.stats.bytes_sent[1] == 300
-        assert net.stats.total_bytes == 600
+        assert bytes_by(ev["net.send"], "src") == {0: 300, 1: 300}
 
     def test_bytes_by_kind(self):
         sim, net = make_net()
+        ev = capture(net, "net.send")
         net.send(0, 1, 100, lambda: None, kind="read_req")
         net.send(0, 1, 50, lambda: None, kind="ghost_sync")
-        assert net.stats.bytes_by_kind["read_req"] == 100
-        assert net.stats.bytes_by_kind["ghost_sync"] == 50
+        assert bytes_by(ev["net.send"], "kind") == {"read_req": 100,
+                                                    "ghost_sync": 50}
 
     def test_local_messages_not_counted(self):
         sim, net = make_net()
-        net.send(1, 1, 999, lambda: None)
-        assert net.stats.total_bytes == 0 and net.stats.messages == 0
+        ev = capture(net, "net.send")
+        got = []
+        net.send(1, 1, 999, got.append, "m")
+        sim.run()
+        assert got == ["m"] and ev["net.send"] == []
 
     def test_reset_stats(self):
+        """A measurement window is a subscription: traffic sent after it
+        is cancelled is not counted."""
         sim, net = make_net()
+        sent = []
+        sub = net.hooks.subscribe("net.send", sent.append)
         net.send(0, 1, 100, lambda: None)
-        net.reset_stats()
-        assert net.stats.total_bytes == 0
+        sub.cancel()
+        net.send(0, 1, 200, lambda: None)
+        assert [p["nbytes"] for p in sent] == [100]
 
     def test_busy_fractions_reported(self):
+        """Every port a message occupies shows in its delivery time: the
+        poller out, the tx port, the wire, the rx port, the poller in."""
         sim, net = make_net()
-        net.send(0, 1, 1_000_000, lambda: None)
+        cfg = net.config
+        ev = capture(net, "net.send")
+        got = []
+        nbytes = 1_000_000
+        net.send(0, 1, nbytes, arrivals(sim, got))
         sim.run()
-        busy = net.busy_fractions()
-        assert busy["tx"][0] > 0 and busy["rx"][1] > 0 and busy["poller"][0] > 0
+        expected = (2 * cfg.poller_per_message + 2 * nbytes / cfg.link_bw
+                    + cfg.per_message_overhead + cfg.link_latency)
+        (send,) = ev["net.send"]
+        assert send["deliver"] == pytest.approx(expected, rel=1e-12)
+        assert got == [(send["deliver"], ())]
 
 
 class _ForcedFaults:
@@ -161,15 +198,9 @@ def make_faulty_net(action, n=4, audit=False):
 
 
 class TestFaultObservability:
-    def _capture(self, net):
-        events = {"net.send": [], "net.deliver": [], "net.drop": []}
-        for name, sink in events.items():
-            net.hooks.subscribe(name, sink.append)
-        return events
-
     def test_drop_emits_drop_not_deliver(self):
         sim, net = make_faulty_net("drop")
-        ev = self._capture(net)
+        ev = capture(net, "net.send", "net.drop")
         got = []
         net.send(0, 1, 512, got.append, "m", kind="write_req")
         sim.run()
@@ -177,39 +208,42 @@ class TestFaultObservability:
         assert len(ev["net.send"]) == 1
         assert ev["net.send"][0]["deliver"] is None
         assert ev["net.send"][0]["dropped"] is True
-        assert ev["net.deliver"] == []
         assert len(ev["net.drop"]) == 1
         assert ev["net.drop"][0]["kind"] == "write_req"
         assert ev["net.drop"][0]["lost_at"] > ev["net.drop"][0]["time"]
 
     def test_drop_counts_bytes_dropped(self):
         sim, net = make_faulty_net("drop")
+        ev = capture(net, "net.send", "net.drop")
         net.send(0, 1, 512, lambda: None, kind="write_req")
         net.send(0, 2, 256, lambda: None, kind="read_req")
-        assert net.stats.bytes_dropped == 768
-        assert net.stats.messages_dropped == 2
+        assert sum(p["nbytes"] for p in ev["net.drop"]) == 768
+        assert len(ev["net.drop"]) == 2
+        assert all(p["dropped"] for p in ev["net.send"])
 
     def test_dup_emits_two_delivers(self):
         sim, net = make_faulty_net("dup")
-        ev = self._capture(net)
+        ev = capture(net, "net.send", "net.drop")
         got = []
-        net.send(0, 1, 512, got.append, "m", kind="ghost_sync")
+        net.send(0, 1, 512, arrivals(sim, got), "m", kind="ghost_sync")
         sim.run()
-        assert got == ["m", "m"]  # duplicate really lands twice
-        assert len(ev["net.send"]) == 1
-        assert len(ev["net.deliver"]) == 2
-        assert ev["net.deliver"][0].get("duplicate") is not True
-        assert ev["net.deliver"][1]["duplicate"] is True
-        assert ev["net.deliver"][1]["time"] > ev["net.deliver"][0]["time"]
-        assert net.stats.bytes_dropped == 0
+        # The duplicate really lands twice; the send is counted once, at
+        # the original's delivery time.
+        assert [args for _, args in got] == [("m",), ("m",)]
+        (send,) = ev["net.send"]
+        assert got[0][0] == send["deliver"]
+        assert got[1][0] > got[0][0]
+        assert ev["net.drop"] == []
 
     def test_clean_deliver_single_event(self):
         sim, net = make_faulty_net("deliver")
-        ev = self._capture(net)
-        net.send(0, 1, 512, lambda: None)
+        ev = capture(net, "net.send")
+        got = []
+        net.send(0, 1, 512, arrivals(sim, got))
         sim.run()
-        assert len(ev["net.deliver"]) == 1
-        assert ev["net.send"][0]["deliver"] is not None
+        (send,) = ev["net.send"]
+        assert send["deliver"] is not None and "dropped" not in send
+        assert got == [(send["deliver"], ())]
 
     def test_audit_timelines_clean_on_normal_traffic(self):
         sim, net = make_faulty_net("deliver", audit=True)
