@@ -52,35 +52,24 @@ class AuditTracker:
 
     ``track`` records every request the execution sends (reads, writes,
     ghost syncs, RMIs), ``ack`` records each acknowledgement (a read's
-    response reaching its worker, a copier finishing a write/sync/RMI), and
-    ``resent`` counts reliability-layer retransmits — retries must *not*
-    create extra acks, which is precisely what the exactly-once check
-    verifies.
+    response reaching its worker, a copier finishing a write/sync/RMI).
+    Reliability-layer retransmits must *not* create extra acks, which is
+    precisely what the exactly-once check verifies.
     """
 
-    __slots__ = ("tracked", "acks", "resends")
+    __slots__ = ("tracked", "acks")
 
     def __init__(self) -> None:
         #: request id -> kind, for every request sent
         self.tracked: dict[int, str] = {}
         #: request id -> number of acknowledgements observed
         self.acks: Counter = Counter()
-        #: request id -> number of retransmits (informational)
-        self.resends: Counter = Counter()
 
     def track(self, request_id: int, kind: str) -> None:
         self.tracked[request_id] = kind
 
-    def resent(self, request_id: int) -> None:
-        self.resends[request_id] += 1
-
     def ack(self, request_id: int) -> None:
         self.acks[request_id] += 1
-
-    def summary(self) -> dict[str, int]:
-        return {"tracked": len(self.tracked),
-                "acked": len(self.acks),
-                "resends": sum(self.resends.values())}
 
 
 def _preview(items: Any, limit: int = 5) -> str:

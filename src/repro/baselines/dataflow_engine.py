@@ -23,7 +23,6 @@ superstep cost model differs from :mod:`.gas_engine`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

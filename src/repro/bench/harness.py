@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from .. import algorithms as alg
 from ..baselines import (DataflowEngine, Eigenvector, GasEngine, HopDist,
@@ -26,9 +26,9 @@ from ..baselines import (DataflowEngine, Eigenvector, GasEngine, HopDist,
                          SingleMachine, Sssp, Wcc)
 from ..core.engine import PgxdCluster
 from ..graph.generators import paper_graph
-from .calibration import (BENCH_SCALE, scaled_cluster_config,
-                          scaled_dataflow_config, scaled_gas_config,
-                          scaled_machine_config, to_paper_scale)
+from .calibration import (scaled_cluster_config, scaled_dataflow_config,
+                          scaled_gas_config, scaled_machine_config,
+                          to_paper_scale)
 
 
 def bench_scale() -> float:

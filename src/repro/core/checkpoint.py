@@ -22,7 +22,7 @@ from typing import Union
 
 import numpy as np
 
-from ..graph.csr import Graph, from_edges
+from ..graph.csr import from_edges
 from ..graph.partition import Partitioning
 from ..runtime.disk import DiskModel
 from .engine import DistributedGraph, PgxdCluster

@@ -11,10 +11,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
 from .messages import Message, MsgKind
-from .properties import ReduceOp
 from ..runtime.memory import cache_adjusted_locality
 from .vector_kernels import (COPIER_READ_LOCALITY, COPIER_WRITE_LOCALITY,
                              VALUE_BYTES, WorkTally)
@@ -63,8 +60,7 @@ def deliver_request(exc: "JobExecution", msg: Message) -> None:
 def deliver_response(exc: "JobExecution", msg: Message) -> None:
     """Network delivery callback for read responses: route to the worker that
     issued the requests (Section 3.2 step (4))."""
-    ws = exc.worker_state(msg.dst, msg.worker)
-    ws.response_arrived(msg)
+    exc.workers[msg.dst][msg.worker].response_arrived(msg)
 
 
 def copier_loop(exc: "JobExecution", cs: CopierState) -> None:

@@ -32,7 +32,6 @@ from ..runtime.network import Network
 from ..runtime.simulator import Simulator
 from ..runtime.stats import JobStats
 from . import barrier as barrier_mod
-from .data_manager import DataManager
 from .faults import FaultController
 from .ghost import select_ghosts
 from .job import Job, MapReduce
@@ -97,8 +96,6 @@ class DistributedGraph:
                     stage_cache)
             for i in range(cluster.config.num_machines)
         ]
-        for m in self.machines:
-            m.dm = DataManager(m)
 
     @property
     def num_nodes(self) -> int:

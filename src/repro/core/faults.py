@@ -35,6 +35,7 @@ import random
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
+from ..runtime.config import ConfigError
 from ..runtime.simulator import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -116,6 +117,14 @@ class MachineSlowdown:
     duration: float
     factor: float
 
+    def __post_init__(self):
+        if not self.duration >= 0.0:
+            raise ConfigError(
+                f"MachineSlowdown.duration must be >= 0, got {self.duration!r}")
+        if not self.factor > 0.0:
+            raise ConfigError(
+                f"MachineSlowdown.factor must be > 0, got {self.factor!r}")
+
 
 @dataclass(frozen=True)
 class MachineCrash:
@@ -170,18 +179,29 @@ class FaultPlan:
                      "copier_stall_prob"):
             p = getattr(self, name)
             if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {p!r}")
+                raise ConfigError(f"{name} must be in [0, 1], got {p!r}")
         if self.drop_prob + self.dup_prob + self.delay_prob > 1.0:
-            raise ValueError("drop_prob + dup_prob + delay_prob exceeds 1")
+            raise ConfigError("drop_prob + dup_prob + delay_prob exceeds 1")
         bad = set(self.kinds) - set(FAULTABLE_KINDS)
         if bad:
-            raise ValueError(
+            raise ConfigError(
                 f"unknown faultable kinds {sorted(bad)}; "
                 f"choose from {FAULTABLE_KINDS}")
+        # The simulator cannot schedule into the past, and a zero timeout
+        # would expire every reliable request before its ack could land.
+        for name in ("delay_seconds", "copier_stall_seconds",
+                     "restart_delay"):
+            v = getattr(self, name)
+            if not v >= 0.0:
+                raise ConfigError(f"{name} must be >= 0, got {v!r}")
+        for name in ("retry_timeout", "retry_timeout_cap"):
+            v = getattr(self, name)
+            if not v > 0.0:
+                raise ConfigError(f"{name} must be > 0, got {v!r}")
         if self.retry_backoff < 1.0:
-            raise ValueError("retry_backoff must be >= 1")
+            raise ConfigError("retry_backoff must be >= 1")
         if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
+            raise ConfigError("max_attempts must be >= 1")
 
     @property
     def injects_message_faults(self) -> bool:
@@ -326,7 +346,7 @@ class ReliabilityLayer:
     """
 
     #: request kinds carried reliably (READ_RESP is covered by the read's
-    #: round-trip timer; RMI/CONTROL stay on the raw fabric)
+    #: round-trip timer; RMIs stay on the raw fabric)
     TRACKED = ("read_req", "write_req", "ghost_sync")
 
     def __init__(self, exc, plan: FaultPlan):

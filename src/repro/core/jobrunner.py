@@ -155,9 +155,6 @@ class JobExecution:
     # lookup helpers used by workers/copiers
     # ------------------------------------------------------------------
 
-    def worker_state(self, machine: int, worker: int) -> WorkerState:
-        return self.workers[machine][worker]
-
     def local_view(self, machine: int):
         from .engine import LocalView
 
@@ -171,38 +168,28 @@ class JobExecution:
         """Deterministic per-execution request id (satellite of PR 3)."""
         return next(self._request_ids)
 
-    def send_request(self, msg: Message, kind: str) -> None:
+    def _transmit(self, msg: Message, kind: str, deliver) -> None:
         nbytes = msg.wire_bytes()
         self.stats.bytes_by_kind[kind] += nbytes if msg.src != msg.dst else 0.0
         self.stats.messages += 1
-        self.network.send(msg.src, msg.dst, nbytes, deliver_request, self, msg,
+        self.network.send(msg.src, msg.dst, nbytes, deliver, self, msg,
                           kind=kind, hooks=self.hooks)
+
+    def send_request(self, msg: Message, kind: str) -> None:
+        self._transmit(msg, kind, deliver_request)
         if self.reliability is not None:
             self.reliability.track(msg, kind)
         if self.audit is not None:
             self.audit.track(msg.request_id, kind)
 
     def resend_request(self, msg: Message, kind: str) -> None:
-        """Retransmit a tracked request (reliability layer timer path).
-
-        Unlike :meth:`send_request` this does not touch the outstanding
-        counters — the original send already did — and does not re-arm
-        tracking (the caller owns the timer).
-        """
-        nbytes = msg.wire_bytes()
-        self.stats.bytes_by_kind[kind] += nbytes if msg.src != msg.dst else 0.0
-        self.stats.messages += 1
-        self.network.send(msg.src, msg.dst, nbytes, deliver_request, self, msg,
-                          kind=kind, hooks=self.hooks)
-        if self.audit is not None:
-            self.audit.resent(msg.request_id)
+        """Retransmit a tracked request (reliability layer timer path):
+        the original send already tracked it, and the caller owns the
+        timer."""
+        self._transmit(msg, kind, deliver_request)
 
     def send_response(self, msg: Message) -> None:
-        nbytes = msg.wire_bytes()
-        self.stats.bytes_by_kind["read_resp"] += nbytes if msg.src != msg.dst else 0.0
-        self.stats.messages += 1
-        self.network.send(msg.src, msg.dst, nbytes, deliver_response, self, msg,
-                          kind="read_resp", hooks=self.hooks)
+        self._transmit(msg, "read_resp", deliver_response)
 
     def send_rmi(self, src: int, dst: int, fn_id: int, args: tuple) -> None:
         msg = Message(MsgKind.RMI_REQ, src=src, dst=dst, rmi_fn=fn_id,
@@ -226,8 +213,6 @@ class JobExecution:
         self._phase_started_at = None if phase == "done" else now
 
     def start(self) -> None:
-        for m in self.machines:
-            m.dm.exec = self
         self.hooks.emit("job.start", job=self.job.name, time=self.sim.now)
         self._set_phase("presync")
         self._begin_ghost_writes()

@@ -196,9 +196,3 @@ class Machine:
         if direction == "out":
             return self.out_csr
         raise ValueError(f"unknown direction {direction!r}")
-
-    def is_local(self, vertex: int) -> bool:
-        return self.lo <= vertex < self.hi
-
-    def local_index(self, vertex: int) -> int:
-        return vertex - self.lo

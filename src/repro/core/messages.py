@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -45,7 +45,6 @@ class MsgKind(enum.Enum):
     WRITE_REQ = "write_req"
     RMI_REQ = "rmi_req"
     GHOST_SYNC = "ghost_sync"
-    CONTROL = "control"
 
 
 @dataclass

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Generator, Optional
 
@@ -219,9 +219,6 @@ class JobScheduler:
 
     def running_count(self) -> int:
         return len(self._running)
-
-    def queue_depths(self) -> dict[str, int]:
-        return {p: len(q) for p, q in self._queues.items()}
 
     def weight(self, session: str) -> float:
         return float(self.weights.get(session, 1.0))

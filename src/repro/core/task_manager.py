@@ -38,7 +38,7 @@ class WorkerState:
         self.exc = exc
         self.machine = machine
         self.windex = windex
-        self.ctx = TaskContext(machine.dm, windex)
+        self.ctx = TaskContext(self)
         self.pending_resp: deque = deque()
         #: request buffers keyed by (dst machine, property)
         self.read_bufs: dict[tuple[int, str], ReadBuffer] = {}
@@ -51,7 +51,7 @@ class WorkerState:
         self.parked: deque = deque()
         self.scheduled = False
         self.done = False
-        #: atomic ops recorded by the scalar Data Manager since last chunk
+        #: atomic ops recorded by the scalar path's TaskContext since last chunk
         self.pending_atomics = 0
         #: cpu ops incurred mid-chunk (write combining) and priced with the
         #: enclosing work slice

@@ -33,18 +33,19 @@ from .properties import ReduceOp
 
 
 class TaskContext:
-    """Execution context handed to scalar task callbacks.
+    """Execution context handed to scalar task callbacks, and the scalar
+    path's Data Manager (Section 3.3): it resolves each access against the
+    worker's machine and buffers what must go remote on the worker.
 
     One context per worker thread, re-pointed at each (node, neighbor) pair.
     All accessor names follow the paper's C++ API.
     """
 
-    __slots__ = ("_dm", "_worker", "_node_global", "_node_local", "_nbr_global",
+    __slots__ = ("_ws", "_node_global", "_node_local", "_nbr_global",
                  "_edge_weight", "_task", "_edge_idx", "_edge_props")
 
-    def __init__(self, data_manager, worker: int):
-        self._dm = data_manager
-        self._worker = worker
+    def __init__(self, ws):
+        self._ws = ws
         self._node_global = -1
         self._node_local = -1
         self._nbr_global = -1
@@ -74,36 +75,107 @@ class TaskContext:
         return float(self._edge_props[name][self._edge_idx])
 
     def machine(self) -> int:
-        return self._dm.machine.index
+        return self._ws.machine.index
 
     def worker(self) -> int:
-        return self._worker
+        return self._ws.windex
+
+    # -- location resolution --------------------------------------------------
+
+    def _resolve(self, vertex: int, prop: str, mode: str):
+        """``(column, row, is_ghost)`` holding ``vertex.prop`` on this
+        machine: the owner's row, or a ghost slot the job syncs for
+        ``mode``; None when the access must go remote."""
+        m = self._ws.machine
+        if m.lo <= vertex < m.hi:
+            return m.props[prop], vertex - m.lo, False
+        exc = self._ws.exc
+        synced = exc.ghost_read_set if mode == "read" else exc.ghost_write_set
+        slot = m.ghosts.slot_of_one(vertex)
+        if slot >= 0 and prop in synced and prop in m.ghosts.arrays:
+            exc.hooks.emit("ghost.hit", machine=m.index, prop=prop, mode=mode,
+                           count=1, time=exc.sim.now)
+            return m.ghosts.arrays[prop], slot, True
+        return None
+
+    def _remote(self, vertex: int, prop: str, mode: str) -> tuple[int, int]:
+        """Record a ghost miss; ``(owner machine, owner-local offset)``."""
+        m = self._ws.machine
+        exc = self._ws.exc
+        exc.hooks.emit("ghost.miss", machine=m.index, prop=prop, mode=mode,
+                       count=1, time=exc.sim.now)
+        owner = m.partitioning.owner(vertex)
+        return owner, vertex - m.partitioning.starts[owner]
 
     # -- data access ----------------------------------------------------------
 
     def get_local(self, vertex: int, prop: str):
         """Read a property of a vertex resident on this machine (or a ghost)."""
-        return self._dm.get_local(vertex, prop)
+        hit = self._resolve(vertex, prop, "read")
+        if hit is None:
+            raise KeyError(
+                f"vertex {vertex} is neither owned by machine {self.machine()} "
+                f"nor ghosted; use read_remote")
+        col, row, _ = hit
+        self._ws.exc.stats.local_reads += 1
+        return col[row]
 
     def set_local(self, vertex: int, value, prop: str) -> None:
         """Write a property of a vertex owned by this machine."""
-        self._dm.set_local(vertex, value, prop)
+        m = self._ws.machine
+        if not m.lo <= vertex < m.hi:
+            raise KeyError(f"vertex {vertex} is not owned by machine {m.index}")
+        self._ws.exc.stats.local_writes += 1
+        m.props[prop][vertex - m.lo] = value
 
     def read_remote(self, vertex: int, prop: str, tag=None) -> None:
         """Request ``vertex.prop``; ``read_done`` fires when it is available.
 
         Local (and ghosted) vertices resolve immediately — ``read_done`` is
         invoked synchronously with a pointer to the local data (Section 4.1).
+        Otherwise the request is buffered and the side structure logs the
+        continuation (Section 3.2).
         """
-        self._dm.read_remote(self._worker, self, vertex, prop, tag)
+        ws = self._ws
+        hit = self._resolve(vertex, prop, "read")
+        if hit is not None:
+            col, row, _ = hit
+            ws.exc.stats.local_reads += 1
+            self._task.read_done(self, col[row], tag)
+            return
+        owner, offset = self._remote(vertex, prop, "read")
+        ws.read_buf(owner, prop).append(
+            np.array([offset], dtype=np.int64),
+            tasks=((self._task, self._node_global, self._nbr_global,
+                    self._edge_weight, self._edge_idx, tag),))
+        ws.exc.stats.remote_reads += 1
+        ws.maybe_flush_reads(owner, prop)
 
     def write_remote(self, vertex: int, prop: str, value, op: ReduceOp) -> None:
-        """Reduce ``value`` into ``vertex.prop`` wherever it lives."""
-        self._dm.write_remote(self._worker, vertex, prop, value, op)
+        """Reduce ``value`` into ``vertex.prop`` wherever it lives: applied
+        at once when the target is owned or ghosted, buffered otherwise."""
+        ws = self._ws
+        exc = ws.exc
+        hit = self._resolve(vertex, prop, "write")
+        if hit is not None:
+            col, row, ghost = hit
+            col[row] = op.scalar(col[row], value)
+            exc.stats.local_writes += 1
+            # Pull-style regions (one writer per target) never pay atomic
+            # cost, and privatized ghost writes need none.
+            if exc.job_uses_atomics and not (ghost and exc.privatize):
+                exc.stats.atomic_ops += 1
+                ws.pending_atomics += 1
+            return
+        owner, offset = self._remote(vertex, prop, "write")
+        ws.write_buf(owner, prop, op).append(
+            np.array([offset], dtype=np.int64), np.array([value]))
+        exc.stats.remote_writes += 1
+        ws.maybe_flush_writes(owner, prop)
 
     def call_remote(self, machine: int, fn_id: int, *args) -> None:
         """Fire-and-forget remote method invocation (Section 3.4)."""
-        self._dm.call_remote(self._worker, machine, fn_id, args)
+        self._ws.exc.send_rmi(self._ws.machine.index, machine, fn_id, args)
 
 
 class Task:

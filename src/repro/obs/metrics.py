@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 #: Default histogram buckets for simulated-seconds durations: log-spaced from
 #: a microsecond to ten seconds (the engine's span of chunk/job times).

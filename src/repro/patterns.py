@@ -28,7 +28,6 @@ from the shared cluster models.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 

@@ -20,8 +20,8 @@ Example::
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 

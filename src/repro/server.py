@@ -99,7 +99,8 @@ class Session:
 
     def run_job(self, graph_name: str, job: Job) -> JobStats:
         """Run one job synchronously; queued background tenants co-run."""
-        return self._server.submit(self, self._graphs[graph_name], job)
+        return self._server.scheduler.run_inline(
+            self._graphs[graph_name], job, session=self.name)
 
     def submit_job(self, graph_name: str, job: Job, *,
                    priority: Optional[str] = None,
@@ -107,8 +108,8 @@ class Session:
         """Queue one background job; raises the scheduler's typed admission
         errors (:class:`~repro.core.scheduler.QuotaExceededError`,
         :class:`~repro.core.scheduler.QueueFullError`) as backpressure."""
-        return self._server.submit_background(
-            self, self._graphs[graph_name], job, priority=priority,
+        return self._server.scheduler.submit(
+            self.name, self._graphs[graph_name], job, priority=priority,
             recover=recover)
 
     def submit_program(self, graph_name: str, algorithm: Callable, /,
@@ -121,11 +122,9 @@ class Session:
         handle's ``result`` is the ``AlgorithmResult`` once ``done``;
         admission and argument errors raise with nothing queued."""
         dg = self._graphs[graph_name]
-        run = self._server.scheduler.submit_program(
+        return self._server.scheduler.submit_program(
             self.name, dg, algorithm.program(dg, *args, **kwargs),
             priority=priority, recover=recover)
-        self._server.submission_log.append((self.name, algorithm.__name__))
-        return run
 
     def run_algorithm(self, graph_name: str, algorithm: Callable, /,
                       *args, **kwargs):
@@ -157,13 +156,42 @@ class Session:
         and installs a snapshot of its result for subsequent lookups.
         Without an enabled cache this degrades to a rate-limited
         :meth:`run_algorithm` call, so results are identical either way.
+        The miss path charges the same one read-admission token as a hit,
+        so rate limiting treats both uniformly.
         """
-        return self._server.cached_algorithm(self, graph_name, algorithm,
-                                             *args, **kwargs)
+        server = self._server
+        dg = self._graphs[graph_name]
+        fp = _algorithm_fingerprint(algorithm, args, kwargs)
+        name = (f"read:{graph_name}:"
+                f"{getattr(algorithm, '__name__', 'algorithm')}")
+        cache = server.cache
+        if cache is not None and cache.peek(dg, fp) is not None:
+            return self._read(dg, name, fp, None)
+        # Miss (or no cache): one admission token, then the real run.  The
+        # algorithm cannot execute inside a read job — its parallel
+        # regions are themselves scheduled jobs — so it runs first and the
+        # cache is installed afterwards at the observed cost.
+        server.scheduler.admit_read(self.name, name)
+        t0 = server.cluster.sim.now
+        result = self.run_algorithm(graph_name, algorithm, *args, **kwargs)
+        cost = server.cluster.sim.now - t0
+        if cache is not None:
+            cache.put(dg, fp, _snapshot_result(result), cost)
+            cache.note_miss(server.cluster.hooks, name, fp, cost)
+        return result
 
     def _read(self, dg: DistributedGraph, name: str, fingerprint: str,
-              compute: Callable[[], tuple]):
-        return self._server.read(self, dg, name, fingerprint, compute)
+              compute: Optional[Callable[[], tuple]]):
+        """Run one admitted read job: it consults the result cache (when
+        enabled), computes via the priced host-side ``compute`` thunk on a
+        miss, and charges its cost on the simulated clock through the
+        scheduler — so reads are rate-limited, accounted, and interleave
+        with background tenants like any other job.  Raises
+        :class:`~repro.core.scheduler.ReadRateLimitError` as backpressure
+        when the session's read budget is exhausted."""
+        job = ReadJob(name=name, fingerprint=fingerprint, compute=compute)
+        self._server.scheduler.run_inline(dg, job, session=self.name)
+        return job.result
 
 
 class SessionQuery(PropertyQuery):
@@ -236,7 +264,6 @@ class PgxdServer:
         self._sessions: dict[str, Session] = {}
         #: sessions above ``fair_share_window`` x the mean usage are flagged
         self.fair_share_window = fair_share_window
-        self.submission_log: list[tuple[str, str]] = []
 
     # -- session lifecycle --------------------------------------------------------
 
@@ -260,27 +287,6 @@ class PgxdServer:
 
     # -- execution -------------------------------------------------------------------
 
-    def submit(self, session: Session, dg: DistributedGraph, job: Job,
-               recover: Optional[bool] = None) -> JobStats:
-        """Run a job synchronously on behalf of a session.
-
-        The caller blocks until *this* job finishes, but the shared event
-        loop keeps advancing any queued background tenants meanwhile.
-        """
-        self.submission_log.append((session.name, job.name))
-        return self.scheduler.run_inline(dg, job, recover=recover,
-                                         session=session.name)
-
-    def submit_background(self, session: Session, dg: DistributedGraph,
-                          job: Job, *, priority: Optional[str] = None,
-                          recover: Optional[bool] = None) -> JobTicket:
-        """Admit a background job for a session (may raise typed admission
-        errors); rejected submissions never reach the submission log."""
-        ticket = self.scheduler.submit(session.name, dg, job,
-                                       priority=priority, recover=recover)
-        self.submission_log.append((session.name, job.name))
-        return ticket
-
     def drain(self) -> None:
         """Run until every queued background job has completed."""
         self.scheduler.drain()
@@ -300,58 +306,6 @@ class PgxdServer:
     @property
     def cache(self) -> Optional[ResultCache]:
         return self.cluster.result_cache
-
-    def read(self, session: Session, dg: DistributedGraph, name: str,
-             fingerprint: str, compute: Callable[[], tuple]):
-        """Run one admitted read job on behalf of ``session``.
-
-        The job consults the result cache (when enabled), computes via the
-        priced host-side ``compute`` thunk on a miss, and charges its cost
-        on the simulated clock through the scheduler — so reads are
-        rate-limited, accounted, and interleave with background tenants
-        like any other job.  Raises
-        :class:`~repro.core.scheduler.ReadRateLimitError` as backpressure
-        when the session's read budget is exhausted.
-        """
-        job = ReadJob(name=name, fingerprint=fingerprint, compute=compute)
-        self.submission_log.append((session.name, name))
-        self.scheduler.run_inline(dg, job, session=session.name)
-        return job.result
-
-    def cached_algorithm(self, session: Session, graph_name: str,
-                         algorithm: Callable, *args, **kwargs):
-        """Cached-algorithm lookup (the ``Session.run_cached`` backend).
-
-        Hits are served through a read job at the cache's hit cost.
-        Misses run the algorithm for real — every parallel region an
-        inline ticket under the session's accounting, exactly like
-        :meth:`Session.run_algorithm` — then install a snapshot of the
-        result keyed at the graph's current epoch, priced at the observed
-        fresh cost.  The miss path charges the same one read-admission
-        token as a hit, so rate limiting treats both uniformly.
-        """
-        dg = session.graph(graph_name)
-        fp = _algorithm_fingerprint(algorithm, args, kwargs)
-        name = (f"read:{graph_name}:"
-                f"{getattr(algorithm, '__name__', 'algorithm')}")
-        cache = self.cache
-        if cache is not None and cache.peek(dg, fp) is not None:
-            job = ReadJob(name=name, fingerprint=fp)
-            self.submission_log.append((session.name, name))
-            self.scheduler.run_inline(dg, job, session=session.name)
-            return job.result
-        # Miss (or no cache): one admission token, then the real run.  The
-        # algorithm cannot execute inside a read job — its parallel
-        # regions are themselves scheduled jobs — so it runs first and the
-        # cache is installed afterwards at the observed cost.
-        self.scheduler.admit_read(session.name, name)
-        t0 = self.cluster.sim.now
-        result = session.run_algorithm(graph_name, algorithm, *args, **kwargs)
-        cost = self.cluster.sim.now - t0
-        if cache is not None:
-            cache.put(dg, fp, _snapshot_result(result), cost)
-            cache.note_miss(self.cluster.hooks, name, fp, cost)
-        return result
 
     def _on_ticket_complete(self, ticket: JobTicket) -> None:
         session = self._sessions.get(ticket.session)

@@ -390,7 +390,7 @@ class TestGhostEffects:
         class PullWriter(InNbrIterTask):
             def run(self, ctx):
                 # A pull-style task that reduces into its in-neighbors:
-                # ghosted neighbors take data_manager's ghost write branch.
+                # ghosted neighbors take TaskContext's ghost write branch.
                 ctx.write_remote(ctx.nbr_id(), "t", 1.0, ReduceOp.SUM)
 
         def atomics(privatize):

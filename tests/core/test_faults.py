@@ -12,8 +12,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from repro import (EdgeMapJob, EdgeMapSpec, EngineStallError, FaultPlan,
-                   MachineCrash, MachineCrashError, MachineSlowdown,
+from repro import (ConfigError, EdgeMapJob, EdgeMapSpec, EngineStallError,
+                   FaultPlan, MachineCrash, MachineCrashError, MachineSlowdown,
                    PgxdCluster, ReduceOp, RetryExhaustedError, rmat)
 from repro.algorithms import hop_dist, pagerank
 from repro.bench.calibration import scaled_cluster_config
@@ -64,6 +64,37 @@ class TestFaultPlanValidation:
             FaultPlan(retry_backoff=0.5)
         with pytest.raises(ValueError):
             FaultPlan(max_attempts=0)
+
+    @pytest.mark.parametrize("field,make", [
+        pytest.param("delay_seconds",
+                     lambda: FaultPlan(delay_seconds=-1e-3), id="delay<0"),
+        pytest.param("copier_stall_seconds",
+                     lambda: FaultPlan(copier_stall_seconds=-1e-6),
+                     id="stall<0"),
+        pytest.param("restart_delay",
+                     lambda: FaultPlan(restart_delay=-1e-6), id="restart<0"),
+        pytest.param("retry_timeout",
+                     lambda: FaultPlan(retry_timeout=0.0), id="timeout=0"),
+        pytest.param("retry_timeout",
+                     lambda: FaultPlan(retry_timeout=-1e-3), id="timeout<0"),
+        pytest.param("retry_timeout_cap",
+                     lambda: FaultPlan(retry_timeout_cap=0.0), id="cap=0"),
+        pytest.param("retry_timeout_cap",
+                     lambda: FaultPlan(retry_timeout_cap=-1e-3), id="cap<0"),
+        pytest.param("duration",
+                     lambda: MachineSlowdown(0, 0.0, -1e-3, 2.0),
+                     id="slowdown-duration<0"),
+        pytest.param("factor", lambda: MachineSlowdown(0, 0.0, 1.0, 0.0),
+                     id="slowdown-factor=0"),
+        pytest.param("factor", lambda: MachineSlowdown(0, 0.0, 1.0, -2.0),
+                     id="slowdown-factor<0"),
+    ])
+    def test_unschedulable_durations_rejected(self, field, make):
+        """Durations the simulator cannot schedule (negative delays, zero
+        timeouts, non-positive slowdown factors) fail at construction,
+        naming the field, instead of mid-job."""
+        with pytest.raises(ConfigError, match=field):
+            make()
 
     def test_injects_message_faults_property(self):
         assert not FaultPlan().injects_message_faults

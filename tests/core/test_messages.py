@@ -26,8 +26,8 @@ class TestWireBytes:
                       op=ReduceOp.SUM)
         assert msg.wire_bytes() == HEADER_BYTES + 80
 
-    def test_control_message_header_only(self):
-        assert Message(MsgKind.CONTROL, src=0, dst=1).wire_bytes() == HEADER_BYTES
+    def test_rmi_message_header_only(self):
+        assert Message(MsgKind.RMI_REQ, src=0, dst=1).wire_bytes() == HEADER_BYTES
 
     def test_unique_request_ids(self):
         a = Message(MsgKind.READ_REQ, src=0, dst=1)

@@ -138,7 +138,6 @@ class TestServer:
         sa = a.run_job("g", job)
         sb = b.run_job("g", job)
         assert sb.start_time >= sa.end_time  # serialized, no overlap
-        assert server.submission_log == [("a", "j"), ("b", "j")]
 
     def test_fair_share_flags_heavy_session(self, small_rmat):
         server = PgxdServer(make_cluster(), fair_share_window=1.5)

@@ -215,8 +215,8 @@ class TestDifferentialBitIdentity:
             t.job.name for t in quiet.scheduler.tickets]
 
     def test_submit_program_rejects_before_queueing(self):
-        """SSSP on an unweighted graph raises at submit: no ticket, no
-        column, no log entry."""
+        """SSSP on an unweighted graph raises at submit: no ticket and no
+        column."""
         server = PgxdServer(make_cluster(2))
         s = server.create_session("s")
         dg = s.load_graph("g", GRAPHS["a"])
@@ -224,7 +224,6 @@ class TestDifferentialBitIdentity:
             s.submit_program("g", sssp, root=0)
         assert server.scheduler.queued_count() == 0
         assert server.scheduler.tickets == []
-        assert server.submission_log == []
         assert not dg.has_property("dist")
         server.drain()
 

@@ -49,8 +49,6 @@ def setup_exec(g, direction="pull", machines=2, ghost_threshold=None,
     job = EdgeMapJob(name="j", spec=spec)
     exc = JobExecution(cluster, dg, job, cluster.hooks)
     exc.phase = "main"  # allow chunk execution without the full lifecycle
-    for m in dg.machines:
-        m.dm.exec = exc
     exc.workers = [
         [__import__("repro.core.task_manager", fromlist=["WorkerState"])
          .WorkerState(exc, m, w) for w in range(cluster.config.engine.num_workers)]
