@@ -2,7 +2,8 @@
 
 Incoming request messages land in a per-machine queue; idle *copier* threads
 drain it.  A copier applies write (reduction) requests directly with atomic
-instructions, answers read requests with a response message, executes RMI
+instructions (for MIN, MAX, AND and OR only the items that change their
+target), answers read requests with a response message, executes RMI
 requests against the registered method table, and applies ghost-sync payloads
 to the ghost columns (pre-sync) or the owner's property arrays (post-sync).
 """
@@ -155,9 +156,11 @@ def _process_message(exc: "JobExecution", machine: "Machine",
         # reproduce their standalone results bit for bit.  The copier still
         # pays the apply cost here, on its own timeline.
         exc.stage(machine.index, msg.prop, msg.op, msg.offsets, msg.values)
-        exc.stats.atomic_ops += n
-        tally = WorkTally(cpu_ops=n * per_item_ops, atomic_ops=n,
-                          seq_bytes=n * 2 * VALUE_BYTES)
+        compares, atomics = exc.atomic_cost(machine, msg.prop, msg.op,
+                                            msg.offsets, msg.values)
+        exc.stats.atomic_ops += atomics
+        tally = WorkTally(cpu_ops=n * per_item_ops + compares,
+                          atomic_ops=atomics, seq_bytes=n * 2 * VALUE_BYTES)
         loc = cache_adjusted_locality(COPIER_WRITE_LOCALITY,
                                       machine.n_local * VALUE_BYTES
                                       + stream_bytes,
@@ -170,7 +173,7 @@ def _process_message(exc: "JobExecution", machine: "Machine",
             # Pre-sync: owner broadcast into this machine's ghost columns.
             col = machine.ghosts.ensure_column(msg.prop, msg.values.dtype)
             col[msg.offsets] = msg.values
-            atomic = 0
+            compares = atomics = 0
         else:
             # Post-sync: reduce partials into the owner's property column —
             # staged like WRITE_REQ and applied in canonical order when the
@@ -178,9 +181,10 @@ def _process_message(exc: "JobExecution", machine: "Machine",
             # fabric contention; content does not).
             exc.stage(machine.index, msg.prop, msg.op, msg.offsets,
                       msg.values)
-            atomic = n
-        tally = WorkTally(cpu_ops=n * per_item_ops, atomic_ops=atomic,
-                          seq_bytes=n * 2 * VALUE_BYTES)
+            compares, atomics = exc.atomic_cost(machine, msg.prop, msg.op,
+                                                msg.offsets, msg.values)
+        tally = WorkTally(cpu_ops=n * per_item_ops + compares,
+                          atomic_ops=atomics, seq_bytes=n * 2 * VALUE_BYTES)
         # Same cache-residency discount as the WRITE_REQ branch: pre-sync
         # scatters into the ghost columns, post-sync into the owner's rows.
         ws_bytes = (machine.ghosts.num_ghosts if msg.ghost_pre

@@ -323,6 +323,10 @@ class IncrementalEngine:
         # a mutation dispatched behind a later one found nothing to add
         self.epoch = max(self.epoch, epoch)
         self.dg = dg
+        # Finished tickets keep the superseded epoch reachable; a later
+        # job on it copies its start values afresh, so drop the buffers.
+        for m in prev.machines:
+            m.start_values = {}
         cache = getattr(self.cluster, "result_cache", None)
         if cache is not None:
             # Serving-tier invalidation: precisely this engine's cached

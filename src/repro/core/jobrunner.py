@@ -150,6 +150,10 @@ class JobExecution:
         #: on the shared fabric, reproduce the fault-free standalone run
         #: bit for bit.
         self._staged: dict[tuple[int, str, str], tuple[ReduceOp, list]] = {}
+        #: prop -> (its idempotent op, each machine's copy of its rows at
+        #: job start): what :meth:`atomic_cost` tests contributions
+        #: against; filled by :meth:`start`
+        self._start_values: dict[str, tuple[ReduceOp, list[np.ndarray]]] = {}
 
     # ------------------------------------------------------------------
     # lookup helpers used by workers/copiers
@@ -214,11 +218,65 @@ class JobExecution:
 
     def start(self) -> None:
         self.hooks.emit("job.start", job=self.job.name, time=self.sim.now)
+        self._snapshot_start_values()
         self._set_phase("presync")
         self._begin_ghost_writes()
         self._send_presync()
         if self.sync_outstanding == 0:
             self._phase_main()
+
+    def _snapshot_start_values(self) -> None:
+        """Copy every machine's rows of each idempotent write target — an
+        edge map's pushed target, a task job's declared writes — into the
+        machine's persistent start-value buffers.  The buffers are keyed by
+        byte size and position, not by property, so a dropped scratch
+        column leaves none behind and same-width dtypes share one."""
+        if self.spec is not None:
+            targets = (((self.spec.target, self.spec.op),)
+                       if self.spec.direction == "push" else ())
+        else:
+            targets = self.job.writes if self.task_cls is not None else ()
+        for pos, (prop, op) in enumerate(t for t in targets
+                                         if t[1].idempotent):
+            cols = []
+            for m in self.machines:
+                src = m.props[prop]
+                key = (src.nbytes, pos)
+                buf = m.start_values.get(key)
+                if buf is None:
+                    buf = m.start_values[key] = np.empty(src.nbytes, np.uint8)
+                start = buf.view(src.dtype)
+                np.copyto(start, src)
+                cols.append(start)
+            self._start_values[prop] = (op, cols)
+
+    def atomic_cost(self, machine, prop: str, op: ReduceOp,
+                    offsets: np.ndarray, values: np.ndarray,
+                    ghost: bool = False) -> tuple[int, int]:
+        """``(compares, atomics)`` that reducing ``values`` into rows
+        ``offsets`` of ``machine``'s ``prop`` costs — the one pricing rule
+        of every atomic site (worker pushes, copier applies, the scalar
+        task context).
+
+        An idempotent reduction is a priority update: a plain load tests
+        each contribution, and only one that changes the row's job-start
+        value issues the atomic.  Its join only moves a row one way, so a
+        contribution that leaves the start value unchanged is a no-op
+        against every value the row takes during the job: the count bounds
+        what a test-and-CAS loop issues under any schedule.  NaN counts as
+        a change; ``-0.0`` against ``+0.0`` does not (which zero survives
+        is unspecified anyway).  A ``ghost`` column starts the job at the
+        operator's bottom.  SUM, OVERWRITE and any ``(prop, op)`` the job
+        does not declare pay one atomic per contribution, untested.
+        """
+        n = len(offsets)
+        start = self._start_values.get(prop)
+        if start is None or start[0] is not op or n == 0:
+            return 0, n
+        col = start[1][machine.index]
+        before = op.bottom(col.dtype) if ghost else col.take(offsets)
+        return n, n - int(np.count_nonzero(op.keeps(before, values,
+                                                     col.dtype)))
 
     def _begin_ghost_writes(self) -> None:
         """Bottom-initialize ghost columns for writes."""

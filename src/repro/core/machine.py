@@ -189,6 +189,10 @@ class Machine:
         #: write combine's bottom-filled columns — shared by the machines
         #: of one graph, since the host runs one machine's work at a time
         self.stage_cache = stage_cache
+        #: persistent byte buffers holding each job's start copies of its
+        #: idempotent write targets, keyed (byte size, position)
+        #: (JobExecution.atomic_cost)
+        self.start_values: dict[tuple[int, int], np.ndarray] = {}
 
     def csr(self, direction: str) -> LocalCsr:
         if direction == "in":

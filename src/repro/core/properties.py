@@ -64,6 +64,35 @@ class ReduceOp(enum.Enum):
         else:  # pragma: no cover
             raise AssertionError(self)
 
+    @property
+    def idempotent(self) -> bool:
+        """Whether reducing a contribution in twice equals reducing it once:
+        True for MIN, MAX, AND and OR, the semilattice joins; False for SUM
+        and OVERWRITE.
+
+        A join only ever moves a target one way, so a contribution that
+        leaves the target's job-start value unchanged leaves every value
+        the target takes during the job unchanged too — the test a
+        priority update makes before it issues its atomic
+        (:meth:`repro.core.jobrunner.JobExecution.atomic_cost`).
+        """
+        return self in _JOINS
+
+    def keeps(self, before, values: np.ndarray, dtype) -> np.ndarray:
+        """Where reducing ``values`` into ``dtype`` targets holding
+        ``before`` leaves them as they were (:attr:`idempotent` operators
+        only).
+
+        Exactly ``(before op values) == before`` for values of the
+        targets' dtype: a NaN on either side is a change, ``-0.0`` against
+        ``+0.0`` is not.  MIN and MAX need one comparison for it.
+        """
+        if self is ReduceOp.MIN:
+            return values >= before
+        if self is ReduceOp.MAX:
+            return values <= before
+        return _JOINS[self](before, values).astype(dtype) == before
+
     def order_insensitive(self, dtype) -> bool:
         """Whether reducing into a ``dtype`` target gives the same bits for
         every order of the contributions, so a staged group needs no
@@ -132,6 +161,11 @@ class ReduceOp(enum.Enum):
         if self is ReduceOp.OVERWRITE:
             return b
         raise AssertionError(self)
+
+
+#: the elementwise ufunc of each idempotent reduction
+_JOINS = {ReduceOp.MIN: np.minimum, ReduceOp.MAX: np.maximum,
+          ReduceOp.AND: np.logical_and, ReduceOp.OR: np.logical_or}
 
 
 class PropertyStore:

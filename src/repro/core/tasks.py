@@ -164,8 +164,12 @@ class TaskContext:
             # Pull-style regions (one writer per target) never pay atomic
             # cost, and privatized ghost writes need none.
             if exc.job_uses_atomics and not (ghost and exc.privatize):
-                exc.stats.atomic_ops += 1
-                ws.pending_atomics += 1
+                compares, atomics = exc.atomic_cost(
+                    ws.machine, prop, op, np.array([row]), np.array([value]),
+                    ghost)
+                exc.stats.atomic_ops += atomics
+                ws.pending_atomics += atomics
+                ws.deferred_cpu_ops += compares
             return
         owner, offset = self._remote(vertex, prop, "write")
         ws.write_buf(owner, prop, op).append(

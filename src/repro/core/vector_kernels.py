@@ -232,8 +232,7 @@ def _push_planned(exc, machine, ws, spec, tally, rows, targets, splits,
         exc.stats.local_writes += n
         # Multiple workers may hit the same local target: atomics (Section
         # 5.2, the push-vs-pull performance gap).
-        tally.atomic_ops += n
-        exc.stats.atomic_ops += n
+        _price_atomics(exc, machine, spec, tally, targets[:g0], vals[:g0])
         loc = cache_adjusted_locality(PUSH_DST_LOCALITY,
                                       machine.n_local * VALUE_BYTES,
                                       machine.machine_config)
@@ -245,8 +244,8 @@ def _push_planned(exc, machine, ws, spec, tally, rows, targets, splits,
         spec.op.apply_at(machine.ghosts.arrays[spec.target], targets[g0:g1],
                          vals[g0:g1])
         if not exc.privatize:  # privatized ghost writes need no atomics
-            tally.atomic_ops += n
-            exc.stats.atomic_ops += n
+            _price_atomics(exc, machine, spec, tally, targets[g0:g1],
+                           vals[g0:g1], ghost=True)
         tally.add_bytes(n * VALUE_BYTES, PUSH_DST_LOCALITY)
 
     n = n_remote
@@ -259,6 +258,17 @@ def _push_planned(exc, machine, ws, spec, tally, rows, targets, splits,
             buf = ws.write_buf(dst, spec.target, spec.op)
             buf.append(run_offsets, rem_vals[b0:b1])
             ws.maybe_flush_writes(dst, spec.target)
+
+
+def _price_atomics(exc, machine, spec, tally, offsets, values,
+                   ghost=False) -> None:
+    """Charge a push's writes into owned rows (or shared ghost slots) by
+    :meth:`~repro.core.jobrunner.JobExecution.atomic_cost`."""
+    compares, atomics = exc.atomic_cost(machine, spec.target, spec.op,
+                                        offsets, values, ghost)
+    tally.cpu_ops += compares
+    tally.atomic_ops += atomics
+    exc.stats.atomic_ops += atomics
 
 
 def execute_node_kernel_chunk(exc: "JobExecution", machine: "Machine",

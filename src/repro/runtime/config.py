@@ -199,6 +199,32 @@ class EngineConfig:
     #: makes results schedule-invariant.
     out_of_core: bool = False
 
+    def __post_init__(self):
+        for name in ("num_workers", "num_copiers", "max_inflight_per_dest",
+                     "chunk_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(
+                    f"{name} must be >= 1, got {getattr(self, name)!r}")
+        if self.chunking not in ("edge", "node"):
+            raise ConfigError(f"chunking must be 'edge' or 'node', "
+                              f"got {self.chunking!r}")
+        if self.partitioning not in ("edge", "vertex"):
+            raise ConfigError(f"partitioning must be 'edge' or 'vertex', "
+                              f"got {self.partitioning!r}")
+        # one write item (8-byte offset + 8-byte value) must fit a buffer
+        if self.buffer_size < 16:
+            raise ConfigError(
+                f"buffer_size must be >= 16, got {self.buffer_size!r}")
+        if self.ghost_threshold is not None and self.ghost_threshold < 0:
+            raise ConfigError(f"ghost_threshold must be None or >= 0, "
+                              f"got {self.ghost_threshold!r}")
+        for name in ("task_dispatch_time", "chunk_dispatch_time",
+                     "marshal_per_item", "copier_per_item",
+                     "combine_per_item", "plan_cache_max_bytes"):
+            if getattr(self, name) < 0:
+                raise ConfigError(
+                    f"{name} must be >= 0, got {getattr(self, name)!r}")
+
 
 @dataclass(frozen=True)
 class ClusterConfig:

@@ -54,12 +54,12 @@ def digest(values: dict) -> str:
     ("pagerank_approx", 7, "7b2a5a528b197955147a7fa7a2d7ad7d3ef2b304cc10ffacd497e230497c3f86", 12, 0.0018325451669821715),
     ("personalized_pagerank", None, "af5be2c626360ea778056861650a2ab32d908ba1623adde5eee9ef025716b81c", 5, 0.0009587666647707986),
     ("personalized_pagerank", 7, "af5be2c626360ea778056861650a2ab32d908ba1623adde5eee9ef025716b81c", 5, 0.0009587976325127341),
-    ("wcc", None, "d09d0416980b82a1037a42358f80ef36332dc27fe493801f458b44656c3d3378", 4, 0.0006615973112691005),
-    ("wcc", 7, "d09d0416980b82a1037a42358f80ef36332dc27fe493801f458b44656c3d3378", 4, 0.0006616386015916813),
-    ("sssp", None, "ac7e197438b96d83e7acec56659979a0985d2929762a1980bef39ba50a122ee3", 6, 0.0006000051633998305),
-    ("sssp", 7, "ac7e197438b96d83e7acec56659979a0985d2929762a1980bef39ba50a122ee3", 6, 0.0006000412924320886),
-    ("hop_dist", None, "8628e65859de4cc94b273959f87da58d312bd30a1006b2a993c45a9151c1aa47", 4, 0.0004043264862860782),
-    ("hop_dist", 7, "8628e65859de4cc94b273959f87da58d312bd30a1006b2a993c45a9151c1aa47", 4, 0.00040435745402801364),
+    ("wcc", None, "d09d0416980b82a1037a42358f80ef36332dc27fe493801f458b44656c3d3378", 4, 0.0006582711436672332),
+    ("wcc", 7, "d09d0416980b82a1037a42358f80ef36332dc27fe493801f458b44656c3d3378", 4, 0.0006583124339898139),
+    ("sssp", None, "ac7e197438b96d83e7acec56659979a0985d2929762a1980bef39ba50a122ee3", 6, 0.0005991742024787779),
+    ("sssp", 7, "ac7e197438b96d83e7acec56659979a0985d2929762a1980bef39ba50a122ee3", 6, 0.000599210331511036),
+    ("hop_dist", None, "8628e65859de4cc94b273959f87da58d312bd30a1006b2a993c45a9151c1aa47", 4, 0.00040360152536502553),
+    ("hop_dist", 7, "8628e65859de4cc94b273959f87da58d312bd30a1006b2a993c45a9151c1aa47", 4, 0.000403632493106961),
     ("eigenvector", None, "261de6582d9484a92be96355e6286ec27943be0f5274254ccb9cd0ae2872527e", 5, 0.0009546737700339567),
     ("eigenvector", 7, "261de6582d9484a92be96355e6286ec27943be0f5274254ccb9cd0ae2872527e", 5, 0.0009547047377758923),
     ("kcore_max", None, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 88, 0.009385961661436598),

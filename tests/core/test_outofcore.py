@@ -147,12 +147,13 @@ class TestPayForPlay:
 
     @pytest.mark.parametrize("workload,now", [
         ("pagerank", 0.0005359851370288626),
-        ("sssp", 0.0003019205371583191),
-        ("wcc", 0.0004922688257449066)])
+        ("sssp", 0.0002998817936566212),
+        ("wcc", 0.0004862065490980476)])
     def test_inmemory_clock_pinned(self, small_rmat_weighted, workload, now):
         """Resolve-on-load is charged to streaming jobs only: the in-memory
         clock reads what it read before the compact format existed (SSSP
-        and WCC: with their MIN writes combined at the sender)."""
+        and WCC: with their MIN writes combined at the sender and paying
+        atomics only where they lower a target)."""
         cluster = make_cluster()
         _results(cluster, small_rmat_weighted, workload)
         assert cluster.now == now

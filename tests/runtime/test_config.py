@@ -4,8 +4,8 @@ import dataclasses
 
 import pytest
 
-from repro.runtime.config import (ClusterConfig, EngineConfig, MachineConfig,
-                                  NetworkConfig)
+from repro.runtime.config import (ClusterConfig, ConfigError, EngineConfig,
+                                  MachineConfig, NetworkConfig)
 
 
 class TestClusterConfigHelpers:
@@ -83,3 +83,37 @@ class TestPaperDefaults:
         # 4 KB buffers must land at ~1.5 GB/s (Figure 8(b) anchor).
         assert 4096 / (4096 / n.link_bw + n.per_message_overhead) == \
             pytest.approx(1.5e9, rel=0.05)
+
+
+class TestEngineConfigValidation:
+    """Values that would stall the first job, raise inside it or shorten
+    the clock with a negative cost fail at construction, naming the
+    field."""
+
+    @pytest.mark.parametrize("field,value", [
+        ("num_workers", 0), ("num_copiers", 0),
+        ("max_inflight_per_dest", 0), ("chunk_size", 0), ("chunk_size", -5),
+        ("chunking", "foo"), ("partitioning", "foo"),
+        ("buffer_size", 0), ("buffer_size", 15), ("ghost_threshold", -1),
+        ("task_dispatch_time", -1e-9), ("chunk_dispatch_time", -1e-9),
+        ("marshal_per_item", -1e-9), ("copier_per_item", -1e-9),
+        ("combine_per_item", -1e-9), ("plan_cache_max_bytes", -1)])
+    def test_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            EngineConfig(**{field: value})
+        with pytest.raises(ConfigError, match=field):
+            ClusterConfig().with_engine(**{field: value})
+
+    @pytest.mark.parametrize("field,value", [
+        ("num_workers", 1), ("chunk_size", 1), ("chunking", "node"),
+        ("partitioning", "vertex"), ("buffer_size", 16),
+        ("ghost_threshold", 0), ("ghost_threshold", None),
+        ("task_dispatch_time", 0.0), ("combine_per_item", 0.0),
+        ("plan_cache_max_bytes", 0)])
+    def test_boundary_accepted(self, field, value):
+        assert getattr(EngineConfig(**{field: value}), field) == value
+
+    def test_scaled_configs_construct(self):
+        from repro.bench.calibration import scaled_cluster_config
+        for scale in (1e-9, 1e-4, 1e-3, 1.0):
+            assert scaled_cluster_config(2, scale).engine.buffer_size >= 64
