@@ -66,8 +66,8 @@ def main() -> None:
 
     # --- partitioning on uniform-degree graphs ---------------------------
     def time_with(partitioning):
-        c = PgxdCluster(config)
-        d = c.load_graph(graph, partitioning=partitioning)
+        c = PgxdCluster(config.with_engine(partitioning=partitioning))
+        d = c.load_graph(graph)
         return sssp(c, d, root=depot).total_time
 
     t_edge, t_vertex = time_with("edge"), time_with("vertex")

@@ -200,7 +200,7 @@ def cmd_chaos(args) -> int:
         cluster = PgxdCluster(cfg)
         dg = cluster.load_graph(g)
         if ckpt is not None:
-            cluster.enable_auto_checkpoint(dg, ckpt, every=1, recover=True)
+            cluster.enable_auto_checkpoint(dg, ckpt)
         res = pagerank(cluster, dg, max_iterations=args.iterations,
                        tolerance=0.0)
         return res.values["pr"], cluster
@@ -399,9 +399,8 @@ def cmd_serve(args) -> int:
     if args.cache:
         return _serve_cache_trace(args)
     cluster = PgxdCluster(scaled_cluster_config(args.machines, args.scale))
-    server = PgxdServer(cluster, fair_share_window=1.5,
-                        scheduler_config=SchedulerConfig(
-                            max_concurrent_jobs=args.max_concurrent))
+    server = PgxdServer(cluster, scheduler_config=SchedulerConfig(
+        max_concurrent_jobs=args.max_concurrent))
     g_plain = paper_graph(args.graph, scale=args.scale)
     g_weighted = paper_graph(args.graph, scale=args.scale, weighted=True)
     print(f"serve: {args.workload} trace on {args.graph} "

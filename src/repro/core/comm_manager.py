@@ -158,7 +158,6 @@ def _process_message(exc: "JobExecution", machine: "Machine",
         exc.stage(machine.index, msg.prop, msg.op, msg.offsets, msg.values)
         compares, atomics = exc.atomic_cost(machine, msg.prop, msg.op,
                                             msg.offsets, msg.values)
-        exc.stats.atomic_ops += atomics
         tally = WorkTally(cpu_ops=n * per_item_ops + compares,
                           atomic_ops=atomics, seq_bytes=n * 2 * VALUE_BYTES)
         loc = cache_adjusted_locality(COPIER_WRITE_LOCALITY,

@@ -85,6 +85,9 @@ class DistributedGraph:
         self.graph = graph
         self.partitioning = partitioning
         self.ghost_gids = ghost_gids
+        #: simulated seconds the load took: 0 for a load, the archive read
+        #: for a checkpoint restore (repro.core.checkpoint)
+        self.load_time = 0.0
         #: each machine's (out, in) CSR slices: built from ``graph`` on
         #: load, handed in by an epoch build (repro.core.incremental),
         #: which shares every slice its edge delta leaves untouched
@@ -171,39 +174,25 @@ class PgxdCluster:
         #: causal span profiler; set by SpanProfiler.install().  When
         #: present, completed jobs get critical-path fields on their stats.
         self.profiler = None
-        #: crash-recovery state (see enable_auto_checkpoint / run_job)
-        self.auto_recover = False
         #: crash recoveries allowed per job (each ticket counts its own)
         self.max_recoveries = 3
+        #: crash-recovery state (see enable_auto_checkpoint / run_job)
         self._ckpt_dgraph: Optional[DistributedGraph] = None
         self._ckpt_path: Optional[Path] = None
-        self._ckpt_every = 1
-        self._ckpt_countdown = 1
         self._last_checkpoint: Optional[Path] = None
 
     # -- graph loading --------------------------------------------------------
 
-    def load_graph(self, graph: Graph,
-                   partitioning: Optional[str] = None,
-                   ghost_threshold: Union[int, None, str] = "config",
-                   timed: bool = False) -> DistributedGraph:
-        """Partition and distribute ``graph`` (paper Section 3.3 load path).
-
-        ``partitioning`` overrides the configured strategy ("edge"/"vertex");
-        ``ghost_threshold`` overrides the configured degree threshold
-        (``None`` disables ghost nodes).  With ``timed=True`` the simulated
-        clock advances by the modeled loading time (degree pass + pivot
-        selection + CSR construction + ghost setup — the Table 4 PGX path),
-        recorded on ``dgraph.load_time``.
-        """
-        t0 = self.sim.now
-        strategy = partitioning or self.config.engine.partitioning
-        part = make_partitioning(graph, self.config.num_machines, strategy)
-        thr = (self.config.engine.ghost_threshold
-               if ghost_threshold == "config" else ghost_threshold)
-        ghosts = select_ghosts(graph, thr)
+    def load_graph(self, graph: Graph) -> DistributedGraph:
+        """Partition and distribute ``graph`` (paper Section 3.3 load path)
+        with the configured ``EngineConfig.partitioning`` strategy and
+        ``ghost_threshold``."""
+        engine = self.config.engine
+        part = make_partitioning(graph, self.config.num_machines,
+                                 engine.partitioning)
+        ghosts = select_ghosts(graph, engine.ghost_threshold)
         dg = DistributedGraph(self, graph, part, ghosts)
-        if not self.config.engine.out_of_core:
+        if not engine.out_of_core:
             # In-memory mode keeps both CSR directions resident: a machine
             # whose edge arrays exceed its modeled DRAM cannot load.  The
             # out-of-core mode lifts exactly this cap (edges live on the
@@ -216,24 +205,11 @@ class PgxdCluster:
                 dram = m.machine_config.dram_bytes
                 if edge_bytes > dram:
                     raise DramCapacityError(m.index, edge_bytes, dram)
-        if timed:
-            # Ingest + build both CSR directions + per-edge endpoint
-            # resolution, cluster-parallel; plus a degree pass and the ghost
-            # broadcast setup.  Constants per repro.bench.calibration.
-            mcfg = self.config.machine
-            per_machine_edges = graph.num_edges / max(1, self.config.num_machines)
-            build = per_machine_edges * 40e-9
-            degrees = graph.num_nodes * 8e-9
-            ghost_setup = (len(ghosts) * 8.0 * self.config.num_machines
-                           / self.config.network.link_bw)
-            self.advance(build + degrees + ghost_setup)
-        dg.load_time = self.sim.now - t0
         return dg
 
     # -- execution -------------------------------------------------------------
 
-    def run_job(self, dgraph: DistributedGraph, job: Job,
-                recover: Optional[bool] = None) -> JobStats:
+    def run_job(self, dgraph: DistributedGraph, job: Job) -> JobStats:
         """Execute one parallel region to completion; returns its stats.
 
         Every job is a ticket of the cluster's
@@ -243,19 +219,16 @@ class PgxdCluster:
         completes while queued background jobs of other sessions advance in
         the same event loop.
 
-        ``recover`` controls what happens when an injected machine crash
-        (:class:`~repro.core.faults.MachineCrashError`) aborts the region:
-        ``True`` restores the checkpoint written by
-        :meth:`enable_auto_checkpoint` and reruns the job, up to
-        ``max_recoveries`` times per job; without a checkpoint of this
-        graph the crash re-raises, as it does with ``False``; ``None``
-        (default) uses the cluster's ``auto_recover`` setting.  A drained
-        event queue with the job unfinished raises a structured
+        When an injected machine crash
+        (:class:`~repro.core.faults.MachineCrashError`) aborts the region
+        and ``dgraph`` is the graph :meth:`enable_auto_checkpoint` keeps,
+        the checkpoint is restored and the job reruns, up to
+        ``max_recoveries`` times per job; otherwise the crash propagates.
+        A drained event queue with the job unfinished raises a structured
         :class:`~repro.core.faults.EngineStallError` carrying per-worker
         parked/in-flight diagnostics.
         """
-        return (self.scheduler or JobScheduler(self)).run_inline(
-            dgraph, job, recover=recover)
+        return (self.scheduler or JobScheduler(self)).run_inline(dgraph, job)
 
     def run(self, dgraph: DistributedGraph, program: Generator):
         """Drive an algorithm program inline; returns what it returns.
@@ -282,51 +255,34 @@ class PgxdCluster:
                 program.close()
                 raise
 
-    def run_jobs(self, dgraph: DistributedGraph, jobs: Sequence[Job],
-                 recover: Optional[bool] = None) -> JobStats:
+    def run_jobs(self, dgraph: DistributedGraph,
+                 jobs: Sequence[Job]) -> JobStats:
         """Run jobs back-to-back; returns merged stats spanning all of them.
 
-        ``recover`` applies to every job, with the same semantics as
-        :meth:`run_job` (it used to be silently dropped, so a crash
-        mid-sequence ignored the caller's recovery request).  The merged
+        Each job recovers from a crash as :meth:`run_job` does.  The merged
         stats sum each job's ``metrics_delta`` series-wise.
         """
         merged = JobStats(start_time=self.sim.now)
         for job in jobs:
-            stats = self.run_job(dgraph, job, recover=recover)
-            merged.merge_from(stats)
+            merged.merge_from(self.run_job(dgraph, job))
         merged.end_time = self.sim.now
         return merged
 
     # -- checkpointing and crash recovery ----------------------------------
 
     def enable_auto_checkpoint(self, dgraph: DistributedGraph,
-                               path: Union[str, Path], every: int = 1,
-                               recover: Optional[bool] = None) -> None:
-        """Write property checkpoints of ``dgraph`` every ``every`` jobs.
+                               path: Union[str, Path]) -> None:
+        """Checkpoint ``dgraph``'s properties after every job on it, and
+        recover its crashed jobs from that checkpoint.
 
         A baseline checkpoint is written immediately; afterwards the archive
-        at ``path`` is refreshed after every ``every``-th completed job, and
-        a crashed job restarted with ``recover=True`` restores it before
-        rerunning.  Exact recovery needs ``every=1`` (the default): a crash
-        then rewinds precisely to the state at the start of the failed job.
-        Coarser cadences rewind further back, which is only correct if the
-        driver replays the intervening jobs itself.  ``recover`` (if given)
-        also sets the cluster-wide ``auto_recover`` default so algorithm
-        drivers pick recovery up without threading a flag through.
+        at ``path`` is refreshed after every completed job on ``dgraph``,
+        so a crash rewinds precisely to the state at the start of the
+        failed job, which then reruns (see :meth:`run_job`).
         """
-        from .checkpoint import save_checkpoint
-
         self._ckpt_dgraph = dgraph
         self._ckpt_path = Path(path)
-        self._ckpt_every = max(1, int(every))
-        self._ckpt_countdown = self._ckpt_every
-        if recover is not None:
-            self.auto_recover = bool(recover)
-        save_checkpoint(dgraph, self._ckpt_path)
-        self._last_checkpoint = self._ckpt_path
-        self.hooks.emit("job.checkpoint", path=str(self._ckpt_path),
-                        time=self.sim.now)
+        self._maybe_auto_checkpoint(dgraph)
 
     def disable_auto_checkpoint(self) -> None:
         """Stop periodic checkpoints (the archive on disk is kept)."""
@@ -337,10 +293,6 @@ class PgxdCluster:
     def _maybe_auto_checkpoint(self, dgraph: DistributedGraph) -> None:
         if self._ckpt_path is None or dgraph is not self._ckpt_dgraph:
             return
-        self._ckpt_countdown -= 1
-        if self._ckpt_countdown > 0:
-            return
-        self._ckpt_countdown = self._ckpt_every
         from .checkpoint import save_checkpoint
 
         save_checkpoint(dgraph, self._ckpt_path)

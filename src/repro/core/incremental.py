@@ -54,12 +54,21 @@ from . import barrier as barrier_mod
 from .engine import DistributedGraph, PgxdCluster
 from .job import MutationJob
 
-#: modeled per-edge CSR build cost — PgxdCluster.load_graph's timed rate,
-#: paid by each inserted half-edge, whose endpoint a patch resolves
+#: modeled per-edge CSR build cost (ingest + endpoint resolution, per
+#: repro.bench.calibration), paid by each inserted half-edge, whose
+#: endpoint a patch resolves
 BUILD_SECONDS_PER_EDGE = 40e-9
 #: modeled fixed cost of every machine's epoch flip (pivot/ghost-table
 #: bookkeeping); all a machine with an empty delta pays
 REUSE_SECONDS = 1e-6
+#: PageRank delta-propagation parameters (both modes use the same
+#: threshold, so incremental and full runs truncate identically)
+PR_DAMPING = 0.85
+PR_THRESHOLD = 1e-4
+PR_MAX_ITERATIONS = 100
+#: iteration caps for the exact algorithms
+SSSP_MAX_ITERATIONS = 10000
+WCC_MAX_ITERATIONS = 1000
 
 
 def patch_seconds(machine, slices, edits) -> float:
@@ -113,14 +122,6 @@ class IncrementalConfig:
     #: fall back to a full rerun when the accumulated changed-edge count
     #: exceeds this fraction of the current edge set
     full_rerun_fraction: float = 0.2
-    #: PageRank delta-propagation parameters (both modes use the same
-    #: threshold, so incremental and full runs truncate identically)
-    pr_damping: float = 0.85
-    pr_threshold: float = 1e-4
-    pr_max_iterations: int = 100
-    #: iteration caps for the exact algorithms
-    sssp_max_iterations: int = 10000
-    wcc_max_iterations: int = 1000
 
 
 @dataclass
@@ -323,10 +324,6 @@ class IncrementalEngine:
         # a mutation dispatched behind a later one found nothing to add
         self.epoch = max(self.epoch, epoch)
         self.dg = dg
-        # Finished tickets keep the superseded epoch reachable; a later
-        # job on it copies its start values afresh, so drop the buffers.
-        for m in prev.machines:
-            m.start_values = {}
         cache = getattr(self.cluster, "result_cache", None)
         if cache is not None:
             # Serving-tier invalidation: precisely this engine's cached
@@ -387,7 +384,7 @@ class IncrementalEngine:
         start = (None if warm is None else
                  self._sssp_seed(warm["dist"], root, inserted, removed))
         run = sssp(self.cluster, self.dg, root=root,
-                   max_iterations=self.config.sssp_max_iterations,
+                   max_iterations=SSSP_MAX_ITERATIONS,
                    start=start)
         dist = run.values["dist"]
         self._state["sssp"] = {"epoch": self.epoch, "root": root,
@@ -458,7 +455,7 @@ class IncrementalEngine:
         start = (None if warm is None else
                  self._wcc_seed(warm["comp"], inserted, removed))
         run = wcc(self.cluster, self.dg,
-                  max_iterations=self.config.wcc_max_iterations, start=start)
+                  max_iterations=WCC_MAX_ITERATIONS, start=start)
         comp = run.values["component"]
         self._state["wcc"] = {"epoch": self.epoch,
                               "comp": comp.astype(np.float64)}
@@ -531,23 +528,22 @@ class IncrementalEngine:
     # -- PageRank ------------------------------------------------------------
 
     def pagerank(self) -> IncrementalResult:
-        """Delta-propagation PageRank to the configured threshold.
+        """Delta-propagation PageRank to :data:`PR_THRESHOLD`.
 
         Full mode is ``pagerank_approx``'s cold start; incremental mode
         warm-starts it from the previous fixed point and seeds the
         frontier with the residual the structural change introduces.
         Both truncate at the same threshold.
         """
-        cfg = self.config
         warm, fellback, inserted, removed = self._plan("pagerank")
         start = None
         if warm is not None:
             delta0 = self._pr_residual(warm["pr"], warm["graph"],
                                        inserted, removed)
-            start = (warm["pr"], delta0, np.abs(delta0) >= cfg.pr_threshold)
-        run = pagerank_approx(self.cluster, self.dg, damping=cfg.pr_damping,
-                              threshold=cfg.pr_threshold,
-                              max_iterations=cfg.pr_max_iterations,
+            start = (warm["pr"], delta0, np.abs(delta0) >= PR_THRESHOLD)
+        run = pagerank_approx(self.cluster, self.dg, damping=PR_DAMPING,
+                              threshold=PR_THRESHOLD,
+                              max_iterations=PR_MAX_ITERATIONS,
                               start=start)
         pr = run.values["pr"]
         self._state["pagerank"] = {"epoch": self.epoch, "pr": pr,
@@ -560,7 +556,7 @@ class IncrementalEngine:
         uniform dangling-mass shift, nonzero only around changed sources."""
         g_new = self.dg.graph
         n = g_new.num_nodes
-        d = self.config.pr_damping
+        d = PR_DAMPING
         delta0 = np.zeros(n)
         sources = sorted({u for (u, _v) in inserted}
                          | {u for (u, _v) in removed})

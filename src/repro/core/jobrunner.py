@@ -267,16 +267,21 @@ class JobExecution:
         a change; ``-0.0`` against ``+0.0`` does not (which zero survives
         is unspecified anyway).  A ``ghost`` column starts the job at the
         operator's bottom.  SUM, OVERWRITE and any ``(prop, op)`` the job
-        does not declare pay one atomic per contribution, untested.
+        does not declare pay one atomic per contribution, untested.  The
+        atomics are added to ``stats.atomic_ops`` here, where they are
+        priced.
         """
         n = len(offsets)
         start = self._start_values.get(prop)
         if start is None or start[0] is not op or n == 0:
+            self.stats.atomic_ops += n
             return 0, n
         col = start[1][machine.index]
         before = op.bottom(col.dtype) if ghost else col.take(offsets)
-        return n, n - int(np.count_nonzero(op.keeps(before, values,
-                                                     col.dtype)))
+        atomics = n - int(np.count_nonzero(op.keeps(before, values,
+                                                    col.dtype)))
+        self.stats.atomic_ops += atomics
+        return n, atomics
 
     def _begin_ghost_writes(self) -> None:
         """Bottom-initialize ghost columns for writes."""
@@ -538,6 +543,24 @@ class JobExecution:
             check_execution(self, raise_on_violation=True)
         if self.on_done is not None:
             self.on_done(self)
+
+    def close(self) -> None:
+        """Drop the worker states and window streams, which point back
+        at this execution, once the scheduler is done with it.  Reference
+        counting then frees the execution, and the graph epoch it pins,
+        the moment the scheduler lets go, instead of at whichever full
+        garbage collection comes next: a serving tier that supersedes an
+        epoch per mutation would otherwise hold a varying number of dead
+        epochs at its peak.  Under a fault layer a late duplicate may
+        still reach a worker after the region ends, so those executions
+        are left to the collector."""
+        if self.reliability is not None:
+            return
+        for mw in self.workers:
+            for ws in mw:
+                ws.ctx = None
+        self.workers = []
+        self.window_streams = None
 
 
 def make_execution(cluster, dgraph, job: Job, hooks):

@@ -42,7 +42,7 @@ from typing import Callable, Generator, Optional
 from ..obs.hooks import ScopedHookBus
 from . import barrier as barrier_mod
 from .faults import EngineStallError, MachineCrashError
-from .job import Job, MapReduce
+from .job import Job, MapReduce, ReadJob
 from .jobrunner import JobExecution, make_execution
 from ..runtime.stats import JobStats
 
@@ -82,21 +82,23 @@ class ReadRateLimitError(AdmissionError):
     reason = "read_rate"
 
 
+#: Priority classes, dispatched strictly in this order.
+PRIORITIES = ("high", "normal", "low")
+#: The class of inline jobs and of submissions that name none.
+DEFAULT_PRIORITY = "normal"
+
+
 @dataclass(frozen=True)
 class SchedulerConfig:
     """Knobs of one :class:`JobScheduler`.
 
-    ``max_running_per_session=1`` gives strict per-session FIFO: a
-    session's jobs execute in submission order even when it owns several
-    graphs.  Raising it lets one session's jobs on distinct graphs overlap.
+    A session runs one job at a time, so its jobs execute in submission
+    order even when it owns several graphs.
     """
 
     max_concurrent_jobs: int = 4
     max_queued_per_session: int = 64
     max_queue_depth: int = 256
-    max_running_per_session: int = 1
-    priorities: tuple[str, ...] = ("high", "normal", "low")
-    default_priority: str = "normal"
     #: served reads admitted per session per simulated second (token
     #: bucket over the simulated clock); ``None`` disables the limit
     read_rate_per_session: Optional[float] = None
@@ -118,7 +120,6 @@ class JobTicket:
     dgraph: object
     job: Job
     priority: str
-    recover: Optional[bool] = None
     inline: bool = False
     submit_time: float = 0.0
     dispatch_time: Optional[float] = None
@@ -129,7 +130,9 @@ class JobTicket:
     execution: Optional[JobExecution] = None
     #: crash recoveries this job used (capped by ``max_recoveries``)
     recoveries: int = 0
-    #: the background program this job is a step of, if any
+    #: the background program this job is a step of, if any.  A finished
+    #: ticket drops it and ``dgraph`` (and a read's ``compute`` thunk), so
+    #: the log of tickets pins no superseded graph.
     program: Optional["ProgramRun"] = None
 
     @property
@@ -156,7 +159,6 @@ class ProgramRun:
     dgraph: object
     generator: Generator
     priority: str
-    recover: Optional[bool] = None
     result: object = None
     done: bool = False
     #: (time, value) of a reduction answer in flight; re-armed when crash
@@ -181,17 +183,13 @@ class JobScheduler:
             raise SchedulerError("cluster already has a scheduler attached")
         self.cluster = cluster
         self.config = config or SchedulerConfig()
-        if self.config.default_priority not in self.config.priorities:
-            raise SchedulerError(
-                f"default priority {self.config.default_priority!r} not in "
-                f"{self.config.priorities}")
         #: session -> fair-share weight (unlisted sessions weigh 1.0)
         self.weights = dict(weights or {})
         self._queues: dict[str, deque[JobTicket]] = {
-            p: deque() for p in self.config.priorities}
+            p: deque() for p in PRIORITIES}
         self._running: dict[JobTicket, JobExecution] = {}
         self._busy_dgraphs: set[int] = set()
-        self._session_running: dict[str, int] = {}
+        self._busy_sessions: set[str] = set()
         #: session -> weight-normalizable consumed service (simulated s)
         self._service: dict[str, float] = {}
         self._seq = 0
@@ -295,8 +293,7 @@ class JobScheduler:
         self._read_buckets[session] = (tokens - 1.0, now)
 
     def submit(self, session: str, dgraph, job: Job, *,
-               priority: Optional[str] = None,
-               recover: Optional[bool] = None) -> JobTicket:
+               priority: Optional[str] = None) -> JobTicket:
         """Admit a job into the priority queues; returns its ticket.
 
         Raises :class:`QuotaExceededError` when the session's queued-job
@@ -307,11 +304,10 @@ class JobScheduler:
         prio = self._admit(session, job.name, priority)
         if job.kind == "read":
             self.admit_read(session, job.name)
-        return self._enqueue(session, dgraph, job, prio, recover)
+        return self._enqueue(session, dgraph, job, prio)
 
     def submit_program(self, session: str, dgraph, program: Generator, *,
-                       priority: Optional[str] = None,
-                       recover: Optional[bool] = None) -> ProgramRun:
+                       priority: Optional[str] = None) -> ProgramRun:
         """Run an algorithm program (``algo.program(dg, ...)``, see
         :meth:`PgxdCluster.run`) in the background, one step per
         completion: each job becomes the session's next ticket, each
@@ -322,7 +318,7 @@ class JobScheduler:
         """
         prio = self._admit(session, program.__name__, priority)
         run = ProgramRun(session=session, dgraph=dgraph, generator=program,
-                         priority=prio, recover=recover)
+                         priority=prio)
         self._programs.append(run)
         self._advance(run, None)
         return run
@@ -330,11 +326,10 @@ class JobScheduler:
     def _admit(self, session: str, job_name: str,
                priority: Optional[str]) -> str:
         """Check priority, quota and queue depth; returns the priority."""
-        prio = priority if priority is not None else self.config.default_priority
+        prio = priority if priority is not None else DEFAULT_PRIORITY
         if prio not in self._queues:
             raise SchedulerError(
-                f"unknown priority {prio!r}; configured: "
-                f"{self.config.priorities}")
+                f"unknown priority {prio!r}; configured: {PRIORITIES}")
         now = self.cluster.sim.now
         if self.queued_count(session) >= self.config.max_queued_per_session:
             self.cluster.hooks.emit("sched.reject", session=session,
@@ -352,12 +347,11 @@ class JobScheduler:
         return prio
 
     def _enqueue(self, session: str, dgraph, job: Job, prio: str,
-                 recover: Optional[bool],
                  program: Optional[ProgramRun] = None) -> JobTicket:
         now = self.cluster.sim.now
         ticket = JobTicket(seq=self._next_seq(), session=session,
                            dgraph=dgraph, job=job, priority=prio,
-                           recover=recover, submit_time=now, program=program)
+                           submit_time=now, program=program)
         self._queues[prio].append(ticket)
         self.tickets.append(ticket)
         self.cluster.hooks.emit("sched.admit", session=session, job=job.name,
@@ -378,7 +372,7 @@ class JobScheduler:
                 cl.sim.schedule(latency, self._resume, run)
             else:
                 self._enqueue(run.session, run.dgraph, step, run.priority,
-                              run.recover, program=run)
+                              program=run)
         except StopIteration as stop:
             run.result, run.done = stop.value, True
             self._programs.remove(run)
@@ -400,10 +394,8 @@ class JobScheduler:
     # -- fair-share selection ----------------------------------------------
 
     def _dispatchable(self, ticket: JobTicket) -> bool:
-        if id(ticket.dgraph) in self._busy_dgraphs:
-            return False
-        running = self._session_running.get(ticket.session, 0)
-        return running < self.config.max_running_per_session
+        return (id(ticket.dgraph) not in self._busy_dgraphs
+                and ticket.session not in self._busy_sessions)
 
     def _select_next(self) -> Optional[JobTicket]:
         """Deficit-weighted pick: the dispatchable head-of-line ticket of
@@ -417,7 +409,7 @@ class JobScheduler:
         it (regions are atomic, so this is head-of-line skipping, not
         interruption).
         """
-        for prio in self.config.priorities:
+        for prio in PRIORITIES:
             heads: dict[str, JobTicket] = {}
             blocked: set[str] = set()
             for t in self._queues[prio]:
@@ -462,8 +454,7 @@ class JobScheduler:
         ticket.state = RUNNING
         self._running[ticket] = exc
         self._busy_dgraphs.add(id(ticket.dgraph))
-        self._session_running[ticket.session] = (
-            self._session_running.get(ticket.session, 0) + 1)
+        self._busy_sessions.add(ticket.session)
         self.dispatch_log.append(
             (len(self.dispatch_log), cl.sim.now, ticket.session,
              ticket.job.name, ticket.priority, ticket.wait))
@@ -503,8 +494,10 @@ class JobScheduler:
                       time=cl.sim.now)
         if self.on_complete is not None:
             self.on_complete(ticket)
-        if ticket.program is not None:
-            self._advance(ticket.program, stats)
+        program = ticket.program
+        self._unpin(ticket)
+        if program is not None:
+            self._advance(program, stats)
         self._dispatch_ready()
 
     # -- the job loop ------------------------------------------------------
@@ -514,7 +507,7 @@ class JobScheduler:
         self._run(lambda: bool(self._running or self.queued_count()
                                or self._programs))
 
-    def run_inline(self, dgraph, job: Job, recover: Optional[bool] = None,
+    def run_inline(self, dgraph, job: Job,
                    session: Optional[str] = None) -> JobStats:
         """Synchronously run one job while queued tenants co-run.
 
@@ -523,14 +516,13 @@ class JobScheduler:
         advances any background executions, and completions backfill free
         slots from the admission queues.  Inline jobs skip admission (they
         are the session's synchronous turn) but honor the graph lock, the
-        per-session running cap, and the fairness ledger.
+        session's one running job, and the fairness ledger.
         """
         sess = session if session is not None else self._inline_session
         if job.kind == "read":
             self.admit_read(sess, job.name)
         ticket = JobTicket(seq=self._next_seq(), session=sess, dgraph=dgraph,
-                           job=job, priority=self.config.default_priority,
-                           recover=recover, inline=True,
+                           job=job, priority=DEFAULT_PRIORITY, inline=True,
                            submit_time=self.cluster.sim.now)
         self.tickets.append(ticket)
         self._run(lambda: ticket.state != DONE, inline=ticket)
@@ -593,9 +585,18 @@ class JobScheduler:
     def _release(self, ticket: JobTicket) -> None:
         """Free a ticket's execution, graph lock and session slot."""
         ticket.execution = None
-        del self._running[ticket]
+        exc = self._running.pop(ticket)
+        if isinstance(exc, JobExecution):
+            exc.close()
         self._busy_dgraphs.discard(id(ticket.dgraph))
-        self._session_running[ticket.session] -= 1
+        self._busy_sessions.discard(ticket.session)
+
+    @staticmethod
+    def _unpin(ticket: JobTicket) -> None:
+        """Drop a finished ticket's references to its graph and program."""
+        ticket.dgraph = ticket.program = None
+        if isinstance(ticket.job, ReadJob):
+            ticket.job.compute = None
 
     def _drop_running(self) -> list[JobTicket]:
         """Discard every pending event and the running executions'
@@ -627,14 +628,10 @@ class JobScheduler:
             if ticket.program is not None:
                 ticket.program.generator.close()
                 self._programs.remove(ticket.program)
+            self._unpin(ticket)
         self._rearm_resumes()
 
     # -- crash recovery ----------------------------------------------------
-
-    def _effective_recover(self, ticket: JobTicket) -> bool:
-        if ticket.recover is not None:
-            return ticket.recover
-        return self.cluster.auto_recover
 
     def _recover_running(self) -> list:
         """Roll every active execution back to the checkpoint and requeue.
@@ -646,10 +643,10 @@ class JobScheduler:
         ``restart_delay`` to model detection + restart.
 
         Recovery is only possible when each active execution targets the
-        cluster's checkpointed graph with recovery enabled and has
-        recoveries left of its per-job ``max_recoveries``; otherwise the
-        crash propagates to the caller.  Without a checkpoint a rerun would
-        start from half-applied writes, so that crash propagates too.
+        cluster's auto-checkpointed graph and has recoveries left of its
+        per-job ``max_recoveries``; otherwise the crash propagates to the
+        caller.  Without a checkpoint a rerun would start from half-applied
+        writes, so that crash propagates too.
         Interrupted queued tickets rejoin the front of their priority
         queues in admission order; the interrupted inline ticket is started
         again by :meth:`_run`; background programs' reduction answers in
@@ -660,8 +657,7 @@ class JobScheduler:
         recoverable = (
             active
             and cl._last_checkpoint is not None
-            and all(self._effective_recover(t)
-                    and t.dgraph is cl._ckpt_dgraph
+            and all(t.dgraph is cl._ckpt_dgraph
                     and t.recoveries < cl.max_recoveries for t in active)
         )
         if not recoverable:

@@ -167,7 +167,6 @@ class TaskContext:
                 compares, atomics = exc.atomic_cost(
                     ws.machine, prop, op, np.array([row]), np.array([value]),
                     ghost)
-                exc.stats.atomic_ops += atomics
                 ws.pending_atomics += atomics
                 ws.deferred_cpu_ops += compares
             return

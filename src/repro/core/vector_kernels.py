@@ -268,7 +268,6 @@ def _price_atomics(exc, machine, spec, tally, offsets, values,
                                         offsets, values, ghost)
     tally.cpu_ops += compares
     tally.atomic_ops += atomics
-    exc.stats.atomic_ops += atomics
 
 
 def execute_node_kernel_chunk(exc: "JobExecution", machine: "Machine",

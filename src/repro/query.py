@@ -146,22 +146,6 @@ class PropertyQuery:
         return barrier_mod.all_reduce_latency(self.cluster.config.num_machines,
                                               self.cluster.config.network)
 
-    def priced(self, op: str = "execute", *args) -> tuple[object, float]:
-        """Compute ``op`` host-side without advancing the simulated clock;
-        returns ``(result, cost_seconds)``.
-
-        This is the serving tier's entry point: a scheduled read job
-        computes here and charges the cost as its own elapsed time instead
-        of advancing the clock from inside the running event loop.
-        """
-        if op == "execute":
-            return self._execute_priced()
-        if op == "count":
-            return self._count_priced()
-        if op == "aggregate":
-            return self._aggregate_priced(*args)
-        raise ValueError(f"unsupported priced op {op!r}")
-
     def _execute_priced(self) -> tuple[list, float]:
         props = self._used_props()
         if not props:

@@ -42,6 +42,10 @@ from .obs.profiler import SpanProfiler
 from .query import PropertyQuery
 from .runtime.stats import JobStats
 
+#: :meth:`PgxdServer.over_fair_share` flags sessions above this multiple
+#: of the mean consumed simulated time.
+FAIR_SHARE_WINDOW = 1.5
+
 
 @dataclass
 class SessionUsage:
@@ -67,11 +71,11 @@ class Session:
 
     # -- graph management ------------------------------------------------------
 
-    def load_graph(self, graph_name: str, graph: Graph, **load_kwargs) -> DistributedGraph:
+    def load_graph(self, graph_name: str, graph: Graph) -> DistributedGraph:
         if graph_name in self._graphs:
             raise KeyError(f"session {self.name!r} already has graph "
                            f"{graph_name!r}")
-        dg = self._server.cluster.load_graph(graph, **load_kwargs)
+        dg = self._server.cluster.load_graph(graph)
         self._graphs[graph_name] = dg
         self.usage.graphs_loaded += 1
         return dg
@@ -103,18 +107,15 @@ class Session:
             self._graphs[graph_name], job, session=self.name)
 
     def submit_job(self, graph_name: str, job: Job, *,
-                   priority: Optional[str] = None,
-                   recover: Optional[bool] = None) -> JobTicket:
+                   priority: Optional[str] = None) -> JobTicket:
         """Queue one background job; raises the scheduler's typed admission
         errors (:class:`~repro.core.scheduler.QuotaExceededError`,
         :class:`~repro.core.scheduler.QueueFullError`) as backpressure."""
         return self._server.scheduler.submit(
-            self.name, self._graphs[graph_name], job, priority=priority,
-            recover=recover)
+            self.name, self._graphs[graph_name], job, priority=priority)
 
     def submit_program(self, graph_name: str, algorithm: Callable, /,
                        *args, priority: Optional[str] = None,
-                       recover: Optional[bool] = None,
                        **kwargs) -> ProgramRun:
         """Run one of ``repro.algorithms`` in the background, each of its
         jobs a ticket of this session (see
@@ -124,7 +125,7 @@ class Session:
         dg = self._graphs[graph_name]
         return self._server.scheduler.submit_program(
             self.name, dg, algorithm.program(dg, *args, **kwargs),
-            priority=priority, recover=recover)
+            priority=priority)
 
     def run_algorithm(self, graph_name: str, algorithm: Callable, /,
                       *args, **kwargs):
@@ -248,7 +249,6 @@ class PgxdServer:
     """The multi-tenant facade over one simulated cluster."""
 
     def __init__(self, cluster: Optional[PgxdCluster] = None,
-                 fair_share_window: float = 1.0,
                  scheduler_config: Optional[SchedulerConfig] = None,
                  weights: Optional[dict[str, float]] = None):
         self.cluster = cluster or PgxdCluster()
@@ -262,8 +262,6 @@ class PgxdServer:
             self.scheduler = self.cluster.scheduler
         self.scheduler.on_complete = self._on_ticket_complete
         self._sessions: dict[str, Session] = {}
-        #: sessions above ``fair_share_window`` x the mean usage are flagged
-        self.fair_share_window = fair_share_window
 
     # -- session lifecycle --------------------------------------------------------
 
@@ -381,8 +379,8 @@ class PgxdServer:
         return self.scheduler.deficits()
 
     def over_fair_share(self) -> list[str]:
-        """Sessions consuming more than ``fair_share_window`` times the mean
-        simulated time — the hook the scheduler's weights can act on."""
+        """Sessions consuming more than :data:`FAIR_SHARE_WINDOW` times the
+        mean simulated time — the hook the scheduler's weights can act on."""
         if not self._sessions:
             return []
         times = {n: s.usage.simulated_seconds for n, s in self._sessions.items()}
@@ -390,4 +388,4 @@ class PgxdServer:
         if mean == 0:
             return []
         return sorted(n for n, t in times.items()
-                      if t > self.fair_share_window * mean)
+                      if t > FAIR_SHARE_WINDOW * mean)

@@ -289,8 +289,8 @@ class TestCrossConfig:
         assert np.allclose(r1.values["pr"], r2.values["pr"])
 
     def test_sssp_invariant_to_partitioning(self, graph):
-        cluster = make_cluster()
-        dg = cluster.load_graph(graph, partitioning="vertex")
+        cluster = make_cluster(partitioning="vertex")
+        dg = cluster.load_graph(graph)
         r1 = sssp(cluster, dg, root=0)
         cluster, dg = fresh(graph)
         r2 = sssp(cluster, dg, root=0)

@@ -101,8 +101,9 @@ class TestWorkloadBalanceEffects:
     def test_edge_partitioning_reduces_inter_imbalance(self, medium_rmat):
         """Figure 6(b): vertex partitioning unbalances machines on skew."""
         def elapsed(strategy):
-            cluster = make_cluster(4, None, num_workers=8)
-            dg = cluster.load_graph(medium_rmat, partitioning=strategy)
+            cluster = make_cluster(4, None, num_workers=8,
+                                   partitioning=strategy)
+            dg = cluster.load_graph(medium_rmat)
             _, stats = run_pull(cluster, dg, medium_rmat.num_nodes)
             return stats.elapsed
 

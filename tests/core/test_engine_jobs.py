@@ -202,8 +202,8 @@ class TestScalarVectorEquivalence:
 class TestPartitioningOptions:
     @pytest.mark.parametrize("strategy", ["edge", "vertex"])
     def test_results_invariant_to_partitioning(self, small_rmat, strategy):
-        cluster = make_cluster()
-        dg = cluster.load_graph(small_rmat, partitioning=strategy)
+        cluster = make_cluster(partitioning=strategy)
+        dg = cluster.load_graph(small_rmat)
         x = np.arange(small_rmat.num_nodes, dtype=np.float64)
         spec = EdgeMapSpec(direction="pull", source="x", target="t",
                            op=ReduceOp.SUM)
@@ -411,8 +411,8 @@ class TestGhostEffects:
 
 
 class TestRunJobs:
-    """``run_jobs`` threads ``recover`` to every job and returns merged
-    stats whose ``metrics_delta`` sums the per-job deltas."""
+    """``run_jobs`` recovers every job from the checkpoint and returns
+    merged stats whose ``metrics_delta`` sums the per-job deltas."""
 
     GRAPH = rmat(120, 500, seed=9)
 
@@ -443,16 +443,16 @@ class TestRunJobs:
         cluster.run_jobs(dg, jobs)
         crash_at, want = 0.5 * cluster.now, dg.gather("t")
 
-        # Without recover the crash aborts the batch mid-sequence...
+        # Without a checkpoint the crash aborts the batch mid-sequence...
         cluster, dg, jobs = self._crashy(crash_at)
         with pytest.raises(MachineCrashError):
             cluster.run_jobs(dg, jobs)
 
-        # ...with recover=True (and a checkpoint) it rewinds and completes
+        # ...with one it rewinds and completes
         # bit-identically to the crash-free run.
         cluster, dg, jobs = self._crashy(crash_at)
         cluster.enable_auto_checkpoint(dg, tmp_path / "ck.npz")
-        stats = cluster.run_jobs(dg, jobs, recover=True)
+        stats = cluster.run_jobs(dg, jobs)
         assert np.array_equal(dg.gather("t"), want)
         # recoveries are cluster-level: counted on the cluster, never in
         # a job's delta (which covers its final attempt only)

@@ -31,7 +31,7 @@ def _run_pagerank(small_rmat, plan=None, iterations=5, ckpt=None,
     cluster = make_cluster(num_machines=machines, fault_plan=plan)
     dg = cluster.load_graph(small_rmat)
     if ckpt is not None:
-        cluster.enable_auto_checkpoint(dg, ckpt, every=1, recover=True)
+        cluster.enable_auto_checkpoint(dg, ckpt)
     r = pagerank(cluster, dg, "pull", max_iterations=iterations,
                  tolerance=0.0)
     return r.values["pr"], cluster
@@ -255,8 +255,10 @@ class TestCrashRecovery:
 
 
 class TestRecoveryRules:
-    """A rerun needs a checkpoint to rewind to, and ``max_recoveries``
-    caps each job's recoveries, not the cluster's."""
+    """A crashed job recovers exactly when its graph is the
+    auto-checkpointed graph and it has recoveries left: a rerun needs a
+    checkpoint to rewind to, and ``max_recoveries`` caps each job's
+    recoveries, not the cluster's."""
 
     GRAPH = rmat(400, 3000, seed=3)
     JOBS = 8
@@ -276,7 +278,7 @@ class TestRecoveryRules:
             cluster.enable_auto_checkpoint(dg, ckpt)
         cluster.run_jobs(dg, [EdgeMapJob(name=f"j{i}", spec=EdgeMapSpec(
             direction="pull", source="x", target="t", op=ReduceOp.SUM))
-            for i in range(self.JOBS)], recover=True)
+            for i in range(self.JOBS)])
         return dg.gather("t"), cluster
 
     def test_recover_without_checkpoint_reraises(self):
@@ -285,6 +287,31 @@ class TestRecoveryRules:
         _, quiet = self._run()
         with pytest.raises(MachineCrashError):
             self._run(MachineCrash(machine=1, at=0.5 * quiet.now))
+
+    def test_checkpoint_alone_recovers(self, tmp_path):
+        want, quiet = self._run()
+        got, cluster = self._run(MachineCrash(machine=1, at=0.5 * quiet.now),
+                                 ckpt=tmp_path / "ck.npz")
+        assert np.array_equal(got, want)
+        assert fault_summary(cluster.metrics)["recoveries"] == 1
+
+    def test_crash_on_other_graph_reraises(self, tmp_path):
+        # the checkpoint of graph A cannot rewind graph B's half-applied
+        # writes
+        _, quiet = self._run()
+        plan = FaultPlan(seed=5, crashes=(
+            MachineCrash(machine=1, at=0.5 * quiet.now),))
+        cluster = make_cluster(num_machines=2, fault_plan=plan)
+        checkpointed = cluster.load_graph(self.GRAPH)
+        cluster.enable_auto_checkpoint(checkpointed, tmp_path / "ck.npz")
+        dg = cluster.load_graph(self.GRAPH)
+        dg.add_property("x", init=1.0)
+        dg.add_property("t", init=0.0)
+        with pytest.raises(MachineCrashError):
+            cluster.run_jobs(dg, [EdgeMapJob(name=f"j{i}", spec=EdgeMapSpec(
+                direction="pull", source="x", target="t", op=ReduceOp.SUM))
+                for i in range(self.JOBS)])
+        assert fault_summary(cluster.metrics)["recoveries"] == 0
 
     @pytest.mark.parametrize("scheduler", [False, True],
                              ids=["default", "attached"])

@@ -690,7 +690,7 @@ class TestFaultsWhileStreaming:
         cluster = _ooc_cluster(fault_plan=plan, audit=True)
         dg = cluster.load_graph(small_rmat)
         ckpt = str(tmp_path / "ooc.npz")
-        cluster.enable_auto_checkpoint(dg, ckpt, every=1, recover=True)
+        cluster.enable_auto_checkpoint(dg, ckpt)
         got = pagerank(cluster, dg, max_iterations=3,
                        tolerance=0.0).values["pr"]
         from repro.obs.report import fault_summary

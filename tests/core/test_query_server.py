@@ -140,7 +140,7 @@ class TestServer:
         assert sb.start_time >= sa.end_time  # serialized, no overlap
 
     def test_fair_share_flags_heavy_session(self, small_rmat):
-        server = PgxdServer(make_cluster(), fair_share_window=1.5)
+        server = PgxdServer(make_cluster())
         heavy = server.create_session("heavy")
         light = server.create_session("light")
         heavy.load_graph("g", small_rmat)

@@ -7,6 +7,9 @@ background interleaved with other tenants, and a fixed seed must yield a
 bit-identical dispatch schedule.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -17,7 +20,9 @@ from repro import (ClusterConfig, EdgeMapJob, EdgeMapSpec, FaultPlan,
                    with_uniform_weights)
 from repro.algorithms import pagerank, sssp, wcc
 from repro.core.barrier import all_reduce_latency
+from repro.core.incremental import IncrementalEngine, hash_weights
 from repro.core.scheduler import JobScheduler
+from repro.dynamic import DynamicGraph
 from repro.server import PgxdServer
 from tests.conftest import make_cluster
 
@@ -258,7 +263,7 @@ class TestDifferentialBitIdentity:
 
 class TestFairShare:
     def test_deficits_sum_to_zero_and_flag_balance(self):
-        server = PgxdServer(make_cluster(2), fair_share_window=1.5)
+        server = PgxdServer(make_cluster(2))
         for i, gname in enumerate(("a", "b")):
             s = server.create_session(f"t{i}")
             s.load_graph("g", GRAPHS[gname])
@@ -270,7 +275,7 @@ class TestFairShare:
         assert server.over_fair_share() == []
 
     def test_skewed_trace_flags_hog(self):
-        server = PgxdServer(make_cluster(2), fair_share_window=1.5)
+        server = PgxdServer(make_cluster(2))
         hog = server.create_session("hog")
         meek = server.create_session("meek")
         hog.load_graph("g", GRAPHS["a"])
@@ -387,6 +392,42 @@ class TestServerIntegration:
             assert flat[f'repro_sched_turnaround_seconds_count{{session="{name}"}}'] == 4
             assert flat[f'repro_sched_turnaround_seconds_sum{{session="{name}"}}'] > 0
 
+    def test_finished_tickets_pin_no_superseded_epoch(self):
+        """Mutations and served reads through the server leave only the
+        current epoch's graph alive, with the collector off: finished
+        tickets drop their graph, program and read thunk, and a finished
+        execution keeps no reference cycle, so a superseded epoch is freed
+        when its last user lets go, not whenever a collection runs."""
+        g = GRAPHS["a"]
+        src = np.repeat(np.arange(g.num_nodes), np.diff(g.out_starts))
+        dyn = DynamicGraph(g.num_nodes,
+                           list(zip(src.tolist(), g.out_nbrs.tolist())))
+        server = PgxdServer(make_cluster(2))
+        server.enable_cache()
+        engine = IncrementalEngine(server.cluster, dyn,
+                                   weight_fn=hash_weights(seed=3))
+        sess = server.create_session("reader")
+        epochs = []
+        gc.disable()
+        try:
+            for i in range(4):
+                if i:
+                    dyn.add_edge(i, 2 * i + 1)
+                    engine.mutate(session="mutator")
+                dg = sess.attach_graph("g", engine.pin())
+                epochs.append(weakref.ref(dg))
+                sess.query("g").where("out_degree", ">=", 2).count()
+                sess.query("g").order_by("in_degree").limit(3).execute()
+                sess.submit_program("g", pagerank, max_iterations=1)
+                server.drain()
+                engine.sssp()
+            del dg
+            alive = [ref() is not None for ref in epochs]
+        finally:
+            gc.enable()
+        assert alive == [False] * 3 + [True]
+        assert all(t.state == "done" for t in server.scheduler.tickets)
+
 
 def crashy_cluster(crash_at, machine=1, seed=5):
     cfg = (ClusterConfig(num_machines=2)
@@ -415,8 +456,7 @@ class TestSchedulerFaults:
         dg = cluster.load_graph(GRAPHS["a"])
         run = sched.submit_program("a", dg, pagerank.program(
             dg, max_iterations=3))
-        cluster.enable_auto_checkpoint(dg, tmp_path / "ck.npz", every=1,
-                                       recover=True)
+        cluster.enable_auto_checkpoint(dg, tmp_path / "ck.npz")
         sched.drain()
         # Results bit-identical to the crash-free run: the checkpoint
         # rewound exactly to the failed job's start.
@@ -453,8 +493,7 @@ class TestSchedulerFaults:
                 ([t for t in sched.tickets
                   if t.session == "ranker"][-1].state == "queued",
                  runs["ranker"].resume is not None)))
-            cluster.enable_auto_checkpoint(dg, tmp_path / "ck.npz",
-                                           recover=True)
+            cluster.enable_auto_checkpoint(dg, tmp_path / "ck.npz")
             sched.drain()
             for name, (algo, kw) in programs.items():
                 assert_same_result(runs[name].result,

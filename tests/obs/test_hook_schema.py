@@ -85,8 +85,7 @@ def _faults(cap, tmp_path):
         sched = JobScheduler(cluster)
         dg = cluster.load_graph(rmat(260, 1500, seed=21))
         if cluster.faults is not None:
-            cluster.enable_auto_checkpoint(dg, tmp_path / "ck.npz",
-                                           every=1, recover=True)
+            cluster.enable_auto_checkpoint(dg, tmp_path / "ck.npz")
         sched.submit_program("a", dg, pagerank.program(dg,
                                                        max_iterations=3))
         sched.drain()

@@ -146,8 +146,7 @@ class TestDeltaAgainstOracle:
             sched = JobScheduler(cluster)
             dg = cluster.load_graph(rmat(260, 1500, seed=21))
             if cluster.faults is not None:
-                cluster.enable_auto_checkpoint(dg, tmp_path / "ck.npz",
-                                               every=1, recover=True)
+                cluster.enable_auto_checkpoint(dg, tmp_path / "ck.npz")
             sched.submit_program("a", dg, pagerank.program(dg,
                                                            max_iterations=3))
             sched.drain()
@@ -231,7 +230,7 @@ class TestSoloDeltaAgainstOracle:
             jobs = [EdgeMapJob(name=f"pull{i}", spec=EdgeMapSpec(
                 direction="pull", source="x", target="t", op=ReduceOp.SUM))
                 for i in range(6)]
-            merged = cluster.run_jobs(dg, jobs, recover=True)
+            merged = cluster.run_jobs(dg, jobs)
             return cluster, merged, oracle
 
         quiet, base, _ = run(make_cluster(2))

@@ -321,8 +321,7 @@ class TestExactnessMatrix:
             cluster.sim.set_tie_breaker(tie_seed)
         dg = cluster.load_graph(graph)
         if regime == "crash+recovery":
-            cluster.enable_auto_checkpoint(dg, tmp_path / "ck.npz",
-                                           recover=True)
+            cluster.enable_auto_checkpoint(dg, tmp_path / "ck.npz")
         with SpanProfiler(cluster) as prof:
             _ALGORITHMS[algo](cluster, dg)
         return cluster, prof

@@ -1,5 +1,7 @@
 """Guardrails keeping the documentation honest about the code."""
 
+import dataclasses
+import importlib
 import pathlib
 import re
 
@@ -72,8 +74,6 @@ class TestExperimentsDoc:
 
 class TestApiReference:
     def test_documented_modules_import(self):
-        import importlib
-
         for mod in ("repro.dsl", "repro.query", "repro.server",
                     "repro.patterns", "repro.dynamic", "repro.obs.profiler",
                     "repro.core.checkpoint", "repro.cli",
@@ -86,6 +86,32 @@ class TestApiReference:
                     "repro.patterns", "repro.dynamic",
                     "repro.obs.profiler"):
             assert mod in ref
+
+    CONFIGS = {"ClusterConfig": "repro.runtime.config",
+               "MachineConfig": "repro.runtime.config",
+               "NetworkConfig": "repro.runtime.config",
+               "EngineConfig": "repro.runtime.config",
+               "SchedulerConfig": "repro.core.scheduler",
+               "CacheConfig": "repro.core.result_cache",
+               "IncrementalConfig": "repro.core.incremental",
+               "FaultPlan": "repro.core.faults"}
+
+    def config_tables(self) -> dict:
+        section = read("docs/api_reference.md").split(
+            "## Configuration dataclasses")[1].split("\n## ")[0]
+        tables = {}
+        for block in section.split("\n### ")[1:]:
+            name = re.match(r"`(\w+)`", block).group(1)
+            tables[name] = re.findall(r"^\| `(\w+)` \|", block, re.M)
+        return tables
+
+    def test_config_tables_list_every_field(self):
+        tables = self.config_tables()
+        assert list(tables) == list(self.CONFIGS)
+        for name, module in self.CONFIGS.items():
+            cls = getattr(importlib.import_module(module), name)
+            assert tables[name] == [f.name for f in dataclasses.fields(cls)], \
+                name
 
 
 class TestObservabilityDoc:
