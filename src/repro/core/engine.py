@@ -161,7 +161,8 @@ class PgxdCluster:
         self.network = Network(self.sim, self.config.num_machines,
                                self.config.network, hooks=self.hooks,
                                faults=self.faults,
-                               audit=self.config.engine.audit)
+                               audit=self.config.engine.audit,
+                               frame_bytes=self.config.engine.buffer_size)
         self.rmi = RmiRegistry()
         self.job_log: list[tuple[str, JobStats]] = []
         #: the one job loop; run_job creates a default JobScheduler on the

@@ -604,6 +604,7 @@ class JobScheduler:
         cl = self.cluster
         active = sorted(self._running, key=lambda t: t.seq)
         cl.sim.clear_pending()
+        cl.network.reset()
         for ticket in active:
             # a mutation's token is its engine: the build touched no
             # machine, and the unfinished epoch is simply never installed

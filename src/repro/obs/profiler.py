@@ -27,7 +27,8 @@ reduces, disk reads, retries, the barrier — and derives:
 
 Pay-for-play: nothing here runs unless a profiler is installed; handlers
 only append tuples, the chain walk at job end costs one dict lookup per
-hop, and labelling is deferred until a profile is read.  The profiler
+hop, the job's stats get labels for the chain's own events only, and the
+full span record waits until a profile is read.  The profiler
 never touches simulated state, so results and timings are bit-identical
 with it on or off (asserted by the audit tests).
 
@@ -65,8 +66,10 @@ _LAYER_OF = {"chunk": "task", "continuation/flush": "task",
 
 #: handler module -> layer, for a path hop whose event emitted no span and
 #: delivered no fabric message (anything else is ``task``): a same-machine
-#: or duplicate delivery is communication.
-_MODULE_LAYER = {"repro.core.comm_manager": "comm"}
+#: or duplicate delivery is communication, and a frame's wait for its
+#: transmit port (the previous frame's transmit) is network.
+_MODULE_LAYER = {"repro.core.comm_manager": "comm",
+                 "repro.runtime.network": "network"}
 
 #: causal-log size below which records are never pruned
 _PRUNE_MIN = 1 << 16
@@ -176,11 +179,17 @@ class _JobBuild:
         self.barriers: list[tuple] = []  # (start, dur)
         self.dropped = 0
 
-    def materialize(self) -> tuple[list[_Slice], list[_Msg], list[tuple],
-                                   dict, dict]:
+    def materialize(self, only: Optional[set] = None
+                    ) -> tuple[list[_Slice], list[_Msg], list[tuple],
+                               dict, dict]:
         """The job's slices, messages and retries, plus the causal labels:
         seq -> the span that event ended (a retry timer's firing counts),
-        and seq -> the messages it sent."""
+        and seq -> the messages it sent.  With ``only``, just what the
+        events of those seqs captured (all a path's labels need)."""
+        def of(rows: list[tuple]) -> list[tuple]:
+            return rows if only is None else [r for r in rows
+                                              if r[0] in only]
+
         slices: list[_Slice] = []
         span_of: dict[int, _Slice] = {}
 
@@ -188,25 +197,25 @@ class _JobBuild:
             slices.append(sl)
             span_of.setdefault(seq, sl)
 
-        for seq, (m, w, kind, s, d) in self.chunks:
+        for seq, (m, w, kind, s, d) in of(self.chunks):
             add(seq, _Slice(m, _name("worker ", w), kind, s, s + d))
-        for seq, (m, c, kind, s, d) in self.copiers:
+        for seq, (m, c, kind, s, d) in of(self.copiers):
             add(seq, _Slice(m, _name("copier ", c), _name("copier:", kind),
                             s, s + d))
-        for seq, (m, s, d) in self.ghosts:
+        for seq, (m, s, d) in of(self.ghosts):
             add(seq, _Slice(m, "ghost", "ghost-reduce", s, s + d))
-        for seq, (m, s, d) in self.disks:
+        for seq, (m, s, d) in of(self.disks):
             add(seq, _Slice(m, "disk", "disk-read", s, s + d))
         retries = []
-        for seq, (m, kind, attempt, t) in self.retries:
+        for seq, (m, kind, attempt, t) in of(self.retries):
             retries.append((m, kind, attempt, t))
             span_of.setdefault(seq, _Slice(m, "retry", _name("retry:", kind),
                                            t, t))
-        for seq, (s, d) in self.barriers:
+        for seq, (s, d) in of(self.barriers):
             span_of.setdefault(seq, _Slice(None, "barrier", "barrier", s, s + d))
         msgs: list[_Msg] = []
         sent_by: dict[int, list[_Msg]] = {}
-        for seq, raw in self.raw_msgs:
+        for seq, raw in of(self.raw_msgs):
             msg = _Msg(*raw)
             msgs.append(msg)
             sent_by.setdefault(seq, []).append(msg)
@@ -376,10 +385,10 @@ def _hop(t0: float, t1: float, span: Optional[_Slice], sent: list[_Msg],
         name, None, name, t0, t1)
 
 
-def _analyze(build: _JobBuild) -> JobProfile:
-    """Turn one raw capture into a :class:`JobProfile`.  Zero-length hops
-    (same-instant wake-ups) are dropped; the rest tile the job."""
-    slices, messages, retries, span_of, sent_by = build.materialize()
+def _path(build: _JobBuild, span_of: dict, sent_by: dict
+          ) -> list[PathSegment]:
+    """The labelled hops of the job's chain.  Zero-length hops (same-instant
+    wake-ups) are dropped; the rest tile the job."""
     path: list[PathSegment] = []
     t0 = build.start
     for seq, parent, t1, handler in build.chain:
@@ -387,18 +396,29 @@ def _analyze(build: _JobBuild) -> JobProfile:
             path.append(_hop(t0, t1, span_of.get(seq),
                              sent_by.get(parent, ()), handler))
             t0 = t1
-    prof = JobProfile(
+    return path
+
+
+def _machine_seconds(path: list[PathSegment]) -> dict[int, float]:
+    """On-CPU path seconds per machine (network hops excluded)."""
+    out: dict[int, float] = {}
+    for seg in path:
+        if seg.machine is not None and seg.layer != "network":
+            out[seg.machine] = out.get(seg.machine, 0.0) + seg.duration
+    return out
+
+
+def _analyze(build: _JobBuild) -> JobProfile:
+    """Turn one raw capture into a :class:`JobProfile`."""
+    slices, messages, retries, span_of, sent_by = build.materialize()
+    path = _path(build, span_of, sent_by)
+    return JobProfile(
         name=build.name, session=build.session, ticket=build.ticket,
         start=build.start, end=build.end,
         phases=[(ph, s, s + d) for _, (ph, s, d) in build.phases],
         slices=slices, messages=messages, retries=retries,
-        dropped=build.dropped, critical_path=path)
-    for seg in path:
-        if seg.machine is not None and seg.layer != "network":
-            prof.machine_path_seconds[seg.machine] = (
-                prof.machine_path_seconds.get(seg.machine, 0.0)
-                + seg.duration)
-    return prof
+        dropped=build.dropped, critical_path=path,
+        machine_path_seconds=_machine_seconds(path))
 
 
 # ---------------------------------------------------------------------------
@@ -588,28 +608,31 @@ class SpanProfiler:
     def last_profile(self) -> Optional[JobProfile]:
         return self._profile(self._finished[-1]) if self._finished else None
 
-    def annotate(self, stats, ticket: int) -> Optional[JobProfile]:
+    def annotate(self, stats, ticket: int) -> None:
         """Attach critical-path fields to a job's stats (the scheduler
         calls this on completion when a profiler is installed)."""
         build = next((b for b in reversed(self._finished)
                       if b.ticket == ticket), None)
         if build is None:
-            return None
-        prof = self._profile(build)
-        stats.critical_path_len = prof.critical_path_len
-        stats.critical_path_by_machine = dict(prof.machine_path_seconds)
+            return
+        # label only the chain's own events: a full profile materializes
+        # every span and message of the job, and waits until it is read
+        only = {rec[i] for rec in build.chain for i in (0, 1)}
+        path = _path(build, *build.materialize(only)[3:])
+        shares = _machine_seconds(path)
+        path_len = path[-1].end - path[0].start if path else 0.0
+        stats.critical_path_len = path_len
+        stats.critical_path_by_machine = dict(shares)
         if self._hist is not None:
-            self._hist.observe(prof.critical_path_len)
+            self._hist.observe(path_len)
         if self._gauge is not None:
             # every machine's sample is its share of *this* job's on-CPU
             # path, so an earlier job's straggler does not linger
-            shares = prof.machine_path_seconds
             total = sum(shares.values())
             self._gauge_machines.update(shares)
             for m in self._gauge_machines:
                 self._gauge.labels(machine=m).set(
                     shares.get(m, 0.0) / total if total > 0.0 else 0.0)
-        return prof
 
     # -- aggregates (across all finished jobs) -----------------------------
 

@@ -21,6 +21,16 @@ class ConfigError(ValueError):
     config object is constructed rather than mid-job."""
 
 
+def _at_least(cfg, bound: float, *names: str, strict: bool = False) -> None:
+    """Raise a ``ConfigError`` naming the first of ``names`` whose value is
+    below ``bound`` (or equal to it, when ``strict``); NaN never passes."""
+    for name in names:
+        value = getattr(cfg, name)
+        if not (value > bound if strict else value >= bound):
+            raise ConfigError(f"{name} must be {'>' if strict else '>='} "
+                              f"{bound}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class MachineConfig:
     """Hardware model of one cluster machine (paper Table 1)."""
@@ -75,12 +85,14 @@ class MachineConfig:
     disk_seek_time: float = 1.0e-4
 
     def __post_init__(self):
-        if self.disk_seq_bw <= 0:
-            raise ConfigError(
-                f"disk_seq_bw must be > 0, got {self.disk_seq_bw!r}")
-        if self.disk_seek_time < 0:
-            raise ConfigError(
-                f"disk_seek_time must be >= 0, got {self.disk_seek_time!r}")
+        _at_least(self, 1, "hw_threads")
+        _at_least(self, 0, "dram_random_bw", "dram_seq_bw", "dram_bytes",
+                  "disk_seq_bw", strict=True)
+        _at_least(self, 0, "dram_half_threads", "llc_bytes", "cpu_op_time",
+                  "atomic_op_time", "disk_seek_time")
+        if not 0.0 <= self.llc_miss_floor <= 1.0:
+            raise ConfigError(f"llc_miss_floor must be in [0, 1], "
+                              f"got {self.llc_miss_floor!r}")
 
 
 @dataclass(frozen=True)
@@ -104,6 +116,11 @@ class NetworkConfig:
     #: buffer-pool bookkeeping).  The poller is a single thread per machine,
     #: so this bounds the message rate of a machine.
     poller_per_message: float = 0.6e-6
+
+    def __post_init__(self):
+        _at_least(self, 0, "link_bw", strict=True)
+        _at_least(self, 0, "per_message_overhead", "link_latency",
+                  "poller_per_message")
 
 
 @dataclass(frozen=True)
@@ -200,11 +217,8 @@ class EngineConfig:
     out_of_core: bool = False
 
     def __post_init__(self):
-        for name in ("num_workers", "num_copiers", "max_inflight_per_dest",
-                     "chunk_size"):
-            if getattr(self, name) < 1:
-                raise ConfigError(
-                    f"{name} must be >= 1, got {getattr(self, name)!r}")
+        _at_least(self, 1, "num_workers", "num_copiers",
+                  "max_inflight_per_dest", "chunk_size")
         if self.chunking not in ("edge", "node"):
             raise ConfigError(f"chunking must be 'edge' or 'node', "
                               f"got {self.chunking!r}")
@@ -218,12 +232,9 @@ class EngineConfig:
         if self.ghost_threshold is not None and self.ghost_threshold < 0:
             raise ConfigError(f"ghost_threshold must be None or >= 0, "
                               f"got {self.ghost_threshold!r}")
-        for name in ("task_dispatch_time", "chunk_dispatch_time",
-                     "marshal_per_item", "copier_per_item",
-                     "combine_per_item", "plan_cache_max_bytes"):
-            if getattr(self, name) < 0:
-                raise ConfigError(
-                    f"{name} must be >= 0, got {getattr(self, name)!r}")
+        _at_least(self, 0, "task_dispatch_time", "chunk_dispatch_time",
+                  "marshal_per_item", "copier_per_item", "combine_per_item",
+                  "plan_cache_max_bytes")
 
 
 @dataclass(frozen=True)
@@ -237,6 +248,9 @@ class ClusterConfig:
     #: per-machine hardware overrides (index -> MachineConfig), for
     #: heterogeneous-cluster and straggler-injection experiments
     machine_overrides: tuple = ()
+
+    def __post_init__(self):
+        _at_least(self, 1, "num_machines")
 
     def machine_config(self, index: int) -> MachineConfig:
         """The hardware model of one machine (override or the default)."""

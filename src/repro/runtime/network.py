@@ -1,19 +1,24 @@
 """Interconnect model: per-machine NICs, a poller server, and a switch.
 
 Matches the communication architecture of Section 3.4: every message leaves
-through its machine's single *poller* thread (a serial server), serializes
-onto the NIC transmit port at link bandwidth plus a fixed per-message
-overhead, crosses the switch with a small latency, serializes into the
-destination's receive port, and is handed off by the destination poller.
+through its machine's single *poller* thread (a serial server), waits in the
+machine's send queue for the NIC transmit port, crosses the switch with a
+small latency, serializes into the destination's receive port, and is handed
+off by the destination poller.
 
 The per-message overhead is what makes small buffers waste bandwidth — the
 exact effect the paper sweeps in Figure 8(b) before settling on 256 KB
-buffers.  Receive-port sharing is what creates incast pressure in N:N
-patterns.
+buffers.  So whenever the transmit port frees, the poller packs the oldest
+waiting message together with every later one waiting for the same
+destination, up to ``frame_bytes``, into one *frame*: a frame pays one
+per-message overhead, one receive-port claim and one receive-poller handoff
+(machine-level message combining, Yan et al.).  Receive-port sharing is
+what creates incast pressure in N:N patterns.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any, Callable, Optional
 
 from ..obs.hooks import HookBus
@@ -25,7 +30,7 @@ if False:  # pragma: no cover - type-only import, avoids a runtime cycle
 
 
 class _Port:
-    """A serial resource timeline (one NIC direction, or the poller)."""
+    """A serial resource timeline (one receive port, or a receive poller)."""
 
     __slots__ = ("next_free",)
 
@@ -41,13 +46,43 @@ class _Port:
         return end
 
 
+class _Queued:
+    """One message waiting in its source's send queue."""
+
+    __slots__ = ("dst", "nbytes", "depart", "action", "delay", "callback",
+                 "args", "kind", "bus", "time", "taken")
+
+    def __init__(self, dst: int, nbytes: float, depart: float, action: str,
+                 delay: float, callback: Callable, args: tuple, kind: str,
+                 bus: HookBus, time: float):
+        self.dst = dst
+        self.nbytes = nbytes
+        #: when the sender's poller has cleared it
+        self.depart = depart
+        #: the fault injector's verdict ("deliver", "drop", "dup", "delay")
+        self.action = action
+        self.delay = delay
+        self.callback = callback
+        self.args = args
+        self.kind = kind
+        self.bus = bus
+        #: the enqueue time (``net.send``'s ``time``)
+        self.time = time
+        #: already shipped in a frame formed for an older message
+        self.taken = False
+
+
 class Network:
-    """The cluster fabric connecting ``num_machines`` simulated machines."""
+    """The cluster fabric connecting ``num_machines`` simulated machines.
+
+    ``frame_bytes`` caps a frame; ``None`` sends every message as its own
+    frame (the raw-fabric benchmarks of Figure 8).
+    """
 
     def __init__(self, sim: Simulator, num_machines: int, config: NetworkConfig,
                  hooks: Optional[HookBus] = None,
                  faults: "Optional[FaultController]" = None,
-                 audit: bool = False):
+                 audit: bool = False, frame_bytes: Optional[float] = None):
         self.sim = sim
         self.num_machines = num_machines
         self.config = config
@@ -56,92 +91,165 @@ class Network:
         self.hooks = hooks if hooks is not None else HookBus()
         #: optional fault injector consulted per fabric message
         self.faults = faults
-        #: when True, every send validates its port timelines (monotonic,
-        #: causally ordered) and records violations for the audit checker
+        #: when True, every frame validates its messages' port timelines
+        #: (monotonic, causally ordered) and records violations for the
+        #: audit checker
         self.audit = audit
         self.audit_violations: list[dict] = []
-        self._tx = [_Port() for _ in range(num_machines)]
-        self._rx = [_Port() for _ in range(num_machines)]
+        self.frame_bytes = frame_bytes
+        n = num_machines
         # The poller is one thread, but its outbound service happens at send
         # time while inbound service happens at (future) arrival time; using
         # one reservation timeline would let future arrivals block present
-        # sends.  Track the two directions on separate timelines.
-        self._poller_out = [_Port() for _ in range(num_machines)]
-        self._poller_in = [_Port() for _ in range(num_machines)]
+        # sends.  Track the two directions separately.
+        self._poller_out = [0.0] * n
+        self._poller_in = [_Port() for _ in range(n)]
+        self._rx = [_Port() for _ in range(n)]
+        #: per source: waiting messages, oldest first (shipped ones are
+        #: marked ``taken`` and skipped), and the same messages per dst
+        self._queue = [deque() for _ in range(n)]
+        self._waiting = [[deque() for _ in range(n)] for _ in range(n)]
+        #: per source: when its transmit port frees, and whether the event
+        #: marking that instant is pending
+        self._tx_free = [0.0] * n
+        self._tx_busy = [False] * n
 
     def send(self, src: int, dst: int, nbytes: float,
              callback: Callable, *args: Any, kind: str = "data",
-             hooks: Optional[HookBus] = None) -> float:
+             hooks: Optional[HookBus] = None) -> None:
         """Transmit a message; ``callback(*args)`` fires at delivery.
 
-        Returns the simulated delivery time.  ``kind`` tags the bytes for the
-        traffic breakdowns used by Figure 6(a); the ``net.send`` and
-        ``net.drop`` events are the fabric's only account of its traffic.
-        ``hooks`` overrides the bus they are emitted on — the scheduler
-        passes a per-job scoped bus here so fabric traffic stays
-        attributable when several executions share the network.
+        ``kind`` tags the bytes for the traffic breakdowns used by Figure
+        6(a); the ``net.send`` and ``net.drop`` events are the fabric's only
+        account of its traffic.  They are emitted when the message's frame
+        forms, with ``time`` = this call's instant.  ``hooks`` overrides the
+        bus they are emitted on — the scheduler passes a per-job scoped bus
+        here so fabric traffic stays attributable when several executions
+        share the network.
         """
         if not (0 <= src < self.num_machines and 0 <= dst < self.num_machines):
             raise ValueError(f"bad endpoints {src}->{dst}")
-        bus = hooks if hooks is not None else self.hooks
         now = self.sim.now
         if src == dst:
             # Same-machine messages never touch the fabric (Section 3.3:
             # local requests are resolved immediately); a nominal handoff
             # keeps event ordering sane.
-            deliver = now + 1e-9
-            self.sim.schedule_at_fast(deliver, callback, *args)
-            return deliver
-
-        cfg = self.config
-        action, extra_delay = ("deliver", 0.0)
+            self.sim.schedule_at_fast(now + 1e-9, callback, *args)
+            return
+        action, delay = ("deliver", 0.0)
         if self.faults is not None:
-            action, extra_delay = self.faults.message_action(src, dst, kind)
+            action, delay = self.faults.message_action(src, dst, kind)
+        depart = (max(now, self._poller_out[src])
+                  + self.config.poller_per_message)
+        self._poller_out[src] = depart
+        msg = _Queued(dst, nbytes, depart, action, delay, callback, args,
+                      kind, hooks if hooks is not None else self.hooks, now)
+        self._queue[src].append(msg)
+        self._waiting[src][dst].append(msg)
+        if not self._tx_busy[src]:
+            self._send_frame(src)
 
-        depart = self._poller_out[src].occupy(now, cfg.poller_per_message)
-        tx_done = self._tx[src].occupy(
-            depart, nbytes / cfg.link_bw + cfg.per_message_overhead)
-        arrive = tx_done + cfg.link_latency + extra_delay
-        if action == "drop":
-            # The sender paid for the transmit; the fabric loses the message
-            # before the receive side, so no rx/poller-in work happens and
-            # the callback never fires.  ``deliver=None`` tells consumers the
-            # message never lands.
-            bus.emit("net.send", src=src, dst=dst, nbytes=nbytes,
-                     kind=kind, time=now, deliver=None, dropped=True)
-            bus.emit("net.drop", src=src, dst=dst, nbytes=nbytes,
-                     kind=kind, time=now, lost_at=arrive)
+    def reset(self) -> None:
+        """Forget every waiting message (crash recovery: the events that
+        would free the transmit ports were cleared with the rest)."""
+        for src in range(self.num_machines):
+            self._queue[src].clear()
+            for waiting in self._waiting[src]:
+                waiting.clear()
+            self._tx_busy[src] = False
+
+    def _port_free(self, src: int) -> None:
+        """``src``'s transmit port finished a frame: send the next one."""
+        self._tx_busy[src] = False
+        queue = self._queue[src]
+        while queue and queue[0].taken:
+            queue.popleft()
+        if queue:
+            self._send_frame(src)
+
+    def _send_frame(self, src: int) -> None:
+        """Ship the oldest waiting message and every later one waiting for
+        the same destination, in queue order, while they fit
+        ``frame_bytes``.  The frame starts when the port is free and its
+        last message has cleared the poller."""
+        head = self._queue[src].popleft()
+        dst = head.dst
+        waiting = self._waiting[src][dst]
+        frame = [waiting.popleft()]
+        nbytes = head.nbytes
+        cap = self.frame_bytes
+        if cap is not None:
+            while waiting and nbytes + waiting[0].nbytes <= cap:
+                msg = waiting.popleft()
+                msg.taken = True
+                frame.append(msg)
+                nbytes += msg.nbytes
+        cfg, sim = self.config, self.sim
+        start = max(self._tx_free[src], frame[-1].depart)
+        tx_done = start + (nbytes / cfg.link_bw + cfg.per_message_overhead)
+        self._tx_free[src] = tx_done
+        self._tx_busy[src] = True
+        sim.schedule_at_fast(tx_done, self._port_free, src)
+        arrive = tx_done + cfg.link_latency
+        rx, poller_in = self._rx[dst], self._poller_in[dst]
+        # One receive pass for the frame's on-time messages; a delayed
+        # message takes its own pass when it arrives, a dropped one none.
+        landed = [m for m in frame if not m.delay and m.action != "drop"]
+        rx_done = deliver = None
+        if landed:
+            rx_done = rx.occupy(
+                arrive, sum(m.nbytes for m in landed) / cfg.link_bw)
+            deliver = poller_in.occupy(rx_done, cfg.poller_per_message)
+            sim.schedule_at_fast(deliver, self._deliver, landed)
+        for m in frame:
+            if m.action == "drop":
+                # The sender paid for the transmit; the fabric loses the
+                # message before the receive side, so the callback never
+                # fires.  ``deliver=None`` tells consumers it never lands.
+                m.bus.emit("net.send", src=src, dst=dst, nbytes=m.nbytes,
+                           kind=m.kind, time=m.time, deliver=None,
+                           dropped=True)
+                m.bus.emit("net.drop", src=src, dst=dst, nbytes=m.nbytes,
+                           kind=m.kind, time=m.time, lost_at=arrive)
+                if self.audit:
+                    self._audit_times(src, dst, m, tx_done, arrive)
+                continue
+            m_arrive, m_rx_done, m_deliver = arrive, rx_done, deliver
+            if m.delay:
+                m_arrive = arrive + m.delay
+                m_rx_done = rx.occupy(m_arrive, m.nbytes / cfg.link_bw)
+                m_deliver = poller_in.occupy(m_rx_done,
+                                             cfg.poller_per_message)
+                sim.schedule_at_fast(m_deliver, m.callback, *m.args)
+            if m.action == "dup":
+                # A fabric-level duplicate: the same payload surfaces a
+                # second time after another receive pass (retransmit-
+                # ambiguity model); ``fault.inject`` reports it.
+                dup_rx = rx.occupy(m_deliver + cfg.link_latency,
+                                   m.nbytes / cfg.link_bw)
+                sim.schedule_at_fast(
+                    poller_in.occupy(dup_rx, cfg.poller_per_message),
+                    m.callback, *m.args)
+            m.bus.emit("net.send", src=src, dst=dst, nbytes=m.nbytes,
+                       kind=m.kind, time=m.time, deliver=m_deliver)
             if self.audit:
-                self._audit_times(src, dst, kind, now, depart, tx_done, arrive)
-            return arrive
-        rx_done = self._rx[dst].occupy(arrive, nbytes / cfg.link_bw)
-        deliver = self._poller_in[dst].occupy(rx_done, cfg.poller_per_message)
-        self.sim.schedule_at_fast(deliver, callback, *args)
-        if action == "dup":
-            # A fabric-level duplicate: the same payload surfaces a second
-            # time after another receive pass (retransmit-ambiguity model);
-            # ``fault.inject`` reports it.
-            dup_rx = self._rx[dst].occupy(deliver + cfg.link_latency,
-                                          nbytes / cfg.link_bw)
-            dup_deliver = self._poller_in[dst].occupy(dup_rx,
-                                                      cfg.poller_per_message)
-            self.sim.schedule_at_fast(dup_deliver, callback, *args)
-        bus.emit("net.send", src=src, dst=dst, nbytes=nbytes, kind=kind,
-                 time=now, deliver=deliver)
-        if self.audit:
-            self._audit_times(src, dst, kind, now, depart, tx_done, arrive,
-                              rx_done, deliver)
-        return deliver
+                self._audit_times(src, dst, m, tx_done, m_arrive, m_rx_done,
+                                  m_deliver)
 
-    def _audit_times(self, src: int, dst: int, kind: str, now: float,
-                     depart: float, tx_done: float, arrive: float,
-                     rx_done: Optional[float] = None,
+    @staticmethod
+    def _deliver(frame: list) -> None:
+        """Hand a frame's messages to their callbacks, in queue order."""
+        for m in frame:
+            m.callback(*m.args)
+
+    def _audit_times(self, src: int, dst: int, m: _Queued, tx_done: float,
+                     arrive: float, rx_done: Optional[float] = None,
                      deliver: Optional[float] = None) -> None:
         """Validate one message's port timeline: each stage must start no
         earlier than the previous one finished (ports are serial resources,
         so reservations can push stages later but never earlier)."""
-        stages = [("send", now), ("depart", depart), ("tx_done", tx_done),
-                  ("arrive", arrive)]
+        stages = [("send", m.time), ("depart", m.depart),
+                  ("tx_done", tx_done), ("arrive", arrive)]
         if rx_done is not None:
             stages.append(("rx_done", rx_done))
         if deliver is not None:
@@ -151,7 +259,7 @@ class Network:
                 self.audit_violations.append({
                     "invariant": "network.port_timeline_monotonic",
                     "detail": f"{qname}={qt!r} precedes {pname}={pt!r}",
-                    "src": src, "dst": dst, "kind": kind, "time": now,
+                    "src": src, "dst": dst, "kind": m.kind, "time": m.time,
                 })
 
     # -- analytic helpers (used by calibration and Figure 8(b)) -------------

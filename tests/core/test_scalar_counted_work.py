@@ -50,26 +50,26 @@ SPEC_CELLS = {
     ("pull", True): {
         "local_reads": 4159, "remote_reads": 641, "local_writes": 2400,
         "remote_writes": 0, "atomic_ops": 114, "messages": 92,
-        "now": 9.052058277589133e-05,
+        "now": 7.202094832342955e-05,
         "repro_ghost_hits_total[read]": 1175.0,
         "repro_ghost_misses_total[read]": 641.0},
     ("pull", False): {
         "local_reads": 4159, "remote_reads": 641, "local_writes": 2400,
         "remote_writes": 0, "atomic_ops": 114, "messages": 92,
-        "now": 9.033658277589133e-05,
+        "now": 7.183694832342956e-05,
         "repro_ghost_hits_total[read]": 1175.0,
         "repro_ghost_misses_total[read]": 641.0},
     # privatized ghost writes pay no atomic; owned ones always do
     ("push", True): {
         "local_reads": 2400, "remote_reads": 0, "local_writes": 1720,
         "remote_writes": 680, "atomic_ops": 1378, "messages": 58,
-        "now": 7.130051753820035e-05,
+        "now": 6.334128650254669e-05,
         "repro_ghost_hits_total[write]": 1136.0,
         "repro_ghost_misses_total[write]": 680.0},
     ("push", False): {
         "local_reads": 2400, "remote_reads": 0, "local_writes": 1720,
         "remote_writes": 680, "atomic_ops": 2514, "messages": 58,
-        "now": 7.281451753820035e-05,
+        "now": 6.537392453310697e-05,
         "repro_ghost_hits_total[write]": 1136.0,
         "repro_ghost_misses_total[write]": 680.0},
 }
@@ -88,7 +88,7 @@ def test_spec_task_counted_work(direction, privatize):
 FREE_FORM = {
     "local_reads": 1136, "remote_reads": 0, "local_writes": 2856,
     "remote_writes": 680, "atomic_ops": 1378, "messages": 59,
-    "now": 7.173293859083194e-05,
+    "now": 6.35495812393888e-05,
     "repro_ghost_hits_total[read]": 1136.0,
     "repro_ghost_hits_total[write]": 2272.0,
     "repro_ghost_misses_total[write]": 680.0}

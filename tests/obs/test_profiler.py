@@ -23,6 +23,8 @@ from repro.core.scheduler import SchedulerConfig
 from repro.obs.hooks import HookBus, ScopedHookBus
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import SpanProfiler
+from repro.runtime.config import NetworkConfig
+from repro.runtime.network import Network
 from repro.runtime.simulator import Simulator
 from repro.runtime.stats import JobStats
 from repro.server import PgxdServer
@@ -143,6 +145,38 @@ class TestKnownTopology:
     def test_busy_time_includes_decoy(self, profile):
         assert profile.busy_by_machine == pytest.approx(
             {0: 2.0, 1: 1.7})
+
+    def test_port_queueing_is_on_the_path(self):
+        """m0 sends two 64-byte messages at 0.5, to m1 and then to m2, over
+        a 64 B/s link: the second waits for the first's transmit [0.5, 1.5]
+        and is delivered at 4.0, which ends the job.  Its path runs through
+        that transmit, labelled network: task [0, 0.5], the first frame's
+        transmit [0.5, 1.5], the second frame [1.5, 4]."""
+        cluster, prof = _install()
+        sim, bus = cluster.sim, _job_bus(cluster)
+        net = Network(sim, 3, NetworkConfig(
+            link_bw=64.0, per_message_overhead=0.0, link_latency=0.5,
+            poller_per_message=0.0), hooks=cluster.hooks)
+
+        def finish():
+            bus.emit("job.end", job="q", start=0.0, duration=sim.now)
+
+        def send_both():
+            net.send(0, 1, 64.0, lambda: None, kind="read_req", hooks=bus)
+            net.send(0, 2, 64.0, finish, kind="write_req", hooks=bus)
+
+        def start():
+            bus.emit("job.start", job="q", time=0.0)
+            sim.schedule(0.5, send_both)
+
+        sim.schedule_at(0.0, start)
+        sim.run()
+        profile = prof.last_profile()
+        assert profile.critical_path_len == profile.elapsed == 4.0
+        assert [(s.layer, s.start, s.end) for s in profile.critical_path] \
+            == [("task", 0.0, 0.5), ("network", 0.5, 1.5),
+                ("network", 1.5, 4.0)]
+        assert profile.critical_path[2].lane == "0->2"
 
 
 class TestSpanTreeAssembly:

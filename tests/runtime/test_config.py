@@ -117,3 +117,53 @@ class TestEngineConfigValidation:
         from repro.bench.calibration import scaled_cluster_config
         for scale in (1e-9, 1e-4, 1e-3, 1.0):
             assert scaled_cluster_config(2, scale).engine.buffer_size >= 64
+
+
+class TestHardwareConfigValidation:
+    """Hardware values that would divide by zero or schedule a negative
+    delay inside the first job fail at construction, naming the field."""
+
+    @pytest.mark.parametrize("cls,field,value", [
+        (NetworkConfig, "link_bw", 0.0), (NetworkConfig, "link_bw", -1e9),
+        (NetworkConfig, "per_message_overhead", -1e-9),
+        (NetworkConfig, "link_latency", -1e-9),
+        (NetworkConfig, "poller_per_message", -1e-9),
+        (MachineConfig, "hw_threads", 0),
+        (MachineConfig, "dram_random_bw", 0.0),
+        (MachineConfig, "dram_seq_bw", 0.0),
+        (MachineConfig, "dram_bytes", 0.0),
+        (MachineConfig, "cpu_op_time", -1e-9),
+        (MachineConfig, "atomic_op_time", -1e-9),
+        (MachineConfig, "llc_bytes", -1.0),
+        (MachineConfig, "dram_half_threads", -1.0),
+        (MachineConfig, "llc_miss_floor", -0.1),
+        (MachineConfig, "llc_miss_floor", 1.5),
+        (ClusterConfig, "num_machines", 0),
+        (ClusterConfig, "num_machines", -2)])
+    def test_rejected(self, cls, field, value):
+        with pytest.raises(ConfigError, match=field):
+            cls(**{field: value})
+        helper = {NetworkConfig: ClusterConfig().with_network,
+                  MachineConfig: ClusterConfig().with_machine}.get(cls)
+        if helper is not None:
+            with pytest.raises(ConfigError, match=field):
+                helper(**{field: value})
+
+    @pytest.mark.parametrize("cls,field,value", [
+        (NetworkConfig, "per_message_overhead", 0.0),
+        (NetworkConfig, "link_latency", 0.0),
+        (NetworkConfig, "poller_per_message", 0.0),
+        (MachineConfig, "hw_threads", 1), (MachineConfig, "cpu_op_time", 0.0),
+        (MachineConfig, "llc_bytes", 0.0),
+        (MachineConfig, "llc_miss_floor", 0.0),
+        (MachineConfig, "llc_miss_floor", 1.0),
+        (ClusterConfig, "num_machines", 1)])
+    def test_boundary_accepted(self, cls, field, value):
+        assert getattr(cls(**{field: value}), field) == value
+
+    def test_stragglers_and_scaled_configs_construct(self):
+        from repro.bench.calibration import scaled_cluster_config
+        for machines in (1, 2, 32):
+            for scale in (1e-9, 1e-4, 1.0):
+                cfg = scaled_cluster_config(machines, scale)
+                assert cfg.with_straggler(0, 3.0).machine_config(0)

@@ -1,4 +1,7 @@
-"""Network fabric model: serialization, overheads, incast, accounting."""
+"""Network fabric model: serialization, overheads, incast, accounting,
+frames."""
+
+import random
 
 import pytest
 
@@ -7,9 +10,24 @@ from repro.runtime.network import Network
 from repro.runtime.simulator import Simulator
 
 
-def make_net(n=4, **kwargs):
+def make_net(n=4, frame_bytes=None, **kwargs):
     sim = Simulator()
-    return sim, Network(sim, n, NetworkConfig(**kwargs))
+    return sim, Network(sim, n, NetworkConfig(**kwargs),
+                        frame_bytes=frame_bytes)
+
+
+def deliver_times(sim, net, sends):
+    """Issue ``(src, dst, nbytes)`` sends at the current instant, run the
+    simulator, and return each message's delivery time in send order."""
+    times = [None] * len(sends)
+
+    def landed(i):
+        times[i] = sim.now
+
+    for i, (src, dst, nbytes) in enumerate(sends):
+        net.send(src, dst, nbytes, landed, i)
+    sim.run()
+    return times
 
 
 class TestDelivery:
@@ -23,16 +41,15 @@ class TestDelivery:
     def test_delivery_time_includes_serialization_and_latency(self):
         sim, net = make_net()
         cfg = net.config
-        t = net.send(0, 1, 256 * 1024, lambda: None)
+        (t,) = deliver_times(sim, net, [(0, 1, 256 * 1024)])
         expected_min = (2 * 256 * 1024 / cfg.link_bw + cfg.per_message_overhead
                         + cfg.link_latency)
         assert t >= expected_min
 
     def test_local_send_is_near_instant(self):
         sim, net = make_net()
-        t = net.send(2, 2, 10_000_000, lambda: None)
+        (t,) = deliver_times(sim, net, [(2, 2, 10_000_000)])
         assert t < 1e-6
-        sim.run()
 
     def test_bad_endpoints_rejected(self):
         _, net = make_net(2)
@@ -41,17 +58,16 @@ class TestDelivery:
 
     def test_back_to_back_messages_serialize_on_tx(self):
         sim, net = make_net()
-        t1 = net.send(0, 1, 100_000, lambda: None)
-        t2 = net.send(0, 1, 100_000, lambda: None)
+        t1, t2 = deliver_times(sim, net, [(0, 1, 100_000), (0, 1, 100_000)])
         assert t2 > t1
 
     def test_different_sources_do_not_serialize_on_tx(self):
         """Two senders to two distinct receivers overlap fully."""
         sim, net = make_net()
-        t1 = net.send(0, 1, 1_000_000, lambda: None)
+        (t1,) = deliver_times(sim, net, [(0, 1, 1_000_000)])
         sim2, net2 = make_net()
-        net2.send(0, 1, 1_000_000, lambda: None)
-        t2 = net2.send(2, 3, 1_000_000, lambda: None)
+        _, t2 = deliver_times(sim2, net2, [(0, 1, 1_000_000),
+                                           (2, 3, 1_000_000)])
         assert t2 == pytest.approx(t1, rel=1e-9)
 
     def test_incast_serializes_on_rx(self):
@@ -69,12 +85,11 @@ class TestDelivery:
         """Regression: inbound deliveries reserve the poller at future times;
         they must not delay a present-time outbound send."""
         sim, net = make_net()
-        # Queue lots of inbound traffic to machine 1 (reserves far future).
-        for _ in range(50):
-            net.send(0, 1, 1_000_000, lambda: None)
-        # Machine 1 sends something now: should depart almost immediately.
-        t = net.send(1, 2, 1024, lambda: None)
-        assert t < 50 * 1_000_000 / net.config.link_bw
+        # Queue lots of inbound traffic to machine 1 (reserves far future),
+        # then machine 1 sends something now: it departs almost immediately.
+        times = deliver_times(sim, net, [(0, 1, 1_000_000)] * 50
+                              + [(1, 2, 1024)])
+        assert times[-1] < 50 * 1_000_000 / net.config.link_bw
 
     def test_callback_args_passed(self):
         sim, net = make_net()
@@ -133,6 +148,7 @@ class TestAccounting:
         net.send(0, 1, 100, lambda: None)
         net.send(0, 2, 200, lambda: None)
         net.send(1, 2, 300, lambda: None)
+        sim.run()
         assert bytes_by(ev["net.send"], "src") == {0: 300, 1: 300}
 
     def test_bytes_by_kind(self):
@@ -140,6 +156,7 @@ class TestAccounting:
         ev = capture(net, "net.send")
         net.send(0, 1, 100, lambda: None, kind="read_req")
         net.send(0, 1, 50, lambda: None, kind="ghost_sync")
+        sim.run()
         assert bytes_by(ev["net.send"], "kind") == {"read_req": 100,
                                                     "ghost_sync": 50}
 
@@ -217,6 +234,7 @@ class TestFaultObservability:
         ev = capture(net, "net.send", "net.drop")
         net.send(0, 1, 512, lambda: None, kind="write_req")
         net.send(0, 2, 256, lambda: None, kind="read_req")
+        sim.run()
         assert sum(p["nbytes"] for p in ev["net.drop"]) == 768
         assert len(ev["net.drop"]) == 2
         assert all(p["dropped"] for p in ev["net.send"])
@@ -259,3 +277,147 @@ class TestFaultObservability:
                 net.send(i % 3, 3, 4096, lambda: None)
             sim.run()
             assert net.audit_violations == []
+
+
+class _ScriptedFaults:
+    """Stub FaultController handing out one scripted action per message."""
+
+    def __init__(self, *actions):
+        self.actions = list(actions)
+
+    def message_action(self, src, dst, kind):
+        return self.actions.pop(0)
+
+
+#: round numbers, so every closed form below is exact in binary
+_CFG = dict(link_bw=2.0 ** 30, per_message_overhead=2.0 ** -18,
+            link_latency=2.0 ** -19, poller_per_message=2.0 ** -21)
+
+
+def reservation_times(sends, cfg):
+    """Delivery times under per-message port reservations: every message
+    claims the poller, the transmit port, the receive port and the receive
+    poller on its own, at send time (the fabric before frames)."""
+    poller_out, tx, rx, poller_in = {}, {}, {}, {}
+    times = []
+    for src, dst, nbytes in sends:
+        depart = poller_out[src] = (poller_out.get(src, 0.0)
+                                    + cfg.poller_per_message)
+        tx_done = tx[src] = (max(depart, tx.get(src, 0.0))
+                             + (nbytes / cfg.link_bw
+                                + cfg.per_message_overhead))
+        arrive = tx_done + cfg.link_latency
+        rx_done = rx[dst] = (max(arrive, rx.get(dst, 0.0))
+                             + nbytes / cfg.link_bw)
+        poller_in[dst] = (max(rx_done, poller_in.get(dst, 0.0))
+                          + cfg.poller_per_message)
+        times.append(poller_in[dst])
+    return times
+
+
+class TestFrames:
+    """The poller packs messages waiting for one destination into a frame:
+    one per-message overhead, one receive claim, one poller handoff."""
+
+    def test_partials_to_one_destination_arrive_together(self):
+        sim, net = make_net(frame_bytes=64 * 1024, **_CFG)
+        cfg = net.config
+        blocker, sizes = 32 * 1024, [1024, 3072, 2048, 4096]
+        times = deliver_times(sim, net, [(0, 2, blocker)]
+                              + [(0, 1, s) for s in sizes])
+        p, o, bw = cfg.poller_per_message, cfg.per_message_overhead, cfg.link_bw
+        port_free = p + (blocker / bw + o)
+        start = max(port_free, (1 + len(sizes)) * p)
+        total = sum(sizes)
+        deliver = (start + (total / bw + o) + cfg.link_latency
+                   + total / bw + p)
+        assert times[1:] == [deliver] * len(sizes)
+
+    def test_frame_delivers_in_queue_order(self):
+        sim, net = make_net(frame_bytes=64 * 1024, **_CFG)
+        got = []
+        for i in range(5):
+            net.send(0, 1 + (i == 0), 100, got.append, i)
+        sim.run()
+        assert got == [0, 1, 2, 3, 4]
+
+    def test_full_messages_travel_alone_on_todays_timeline(self):
+        cap = 16 * 1024
+        sends = [(0, 1, cap)] * 6 + [(2, 3, cap), (3, 2, cap)] * 3
+        sim, net = make_net(frame_bytes=cap, **_CFG)
+        times = deliver_times(sim, net, sends)
+        assert times == reservation_times(sends, net.config)
+        sim2, unframed = make_net(**_CFG)
+        assert deliver_times(sim2, unframed, sends) == times
+        gap = times[5] - times[4]
+        assert cap / gap == pytest.approx(
+            net.point_to_point_throughput(cap), rel=1e-12)
+
+    def test_singletons_without_a_cap_keep_todays_timeline(self):
+        """A rotated N:N flood, as Figure 8(b) sends it."""
+        sends = [(src, (src + k) % 4, 1000 * (k + 1))
+                 for k in range(1, 4) for src in range(4)] * 5
+        sim, net = make_net(**_CFG)
+        assert deliver_times(sim, net, sends) == reservation_times(
+            sends, net.config)
+
+    def test_frame_never_exceeds_its_cap(self):
+        rng = random.Random(5)
+        cap = 8192
+        sim, net = make_net(frame_bytes=cap, **_CFG)
+        ev = capture(net, "net.send")
+        for _ in range(400):
+            net.send(rng.randrange(3), 3, rng.choice([64, 500, 3000, 8192]),
+                     lambda: None)
+        sim.run()
+        frames = {}
+        for p in ev["net.send"]:
+            frames.setdefault((p["src"], p["deliver"]), []).append(p["nbytes"])
+        assert len(ev["net.send"]) == 400
+        assert max(len(f) for f in frames.values()) > 1
+        assert all(sum(f) <= cap or len(f) == 1 for f in frames.values())
+
+    def test_faults_act_per_message_inside_a_frame(self):
+        sim = Simulator()
+        delay = 2.0 ** -12
+        net = Network(sim, 3, NetworkConfig(**_CFG), frame_bytes=1 << 20,
+                      faults=_ScriptedFaults(
+                          ("deliver", 0.0), ("deliver", 0.0), ("drop", 0.0),
+                          ("dup", 0.0), ("delay", delay)))
+        cfg = net.config
+        ev = capture(net, "net.send", "net.drop")
+        got = []
+        sends = [(0, 2, 4096), (0, 1, 1024), (0, 1, 2048), (0, 1, 512),
+                 (0, 1, 256)]
+        for i, (src, dst, nbytes) in enumerate(sends):
+            net.send(src, dst, nbytes, arrivals(sim, got), i)
+        sim.run()
+        p, o, bw = cfg.poller_per_message, cfg.per_message_overhead, cfg.link_bw
+        start = max(p + (4096 / bw + o), 5 * p)
+        arrive = start + ((1024 + 2048 + 512 + 256) / bw + o) + cfg.link_latency
+        # the frame's receive pass carries the delivered and the dup bytes
+        deliver = arrive + (1024 + 512) / bw + p
+        dup = deliver + cfg.link_latency + 512 / bw + p
+        late = arrive + delay + 256 / bw + p
+        assert sorted(got) == sorted([(got[0][0], (0,)), (deliver, (1,)),
+                                      (deliver, (3,)), (dup, (3,)),
+                                      (late, (4,))])
+        assert [args for t, args in got if t == deliver] == [(1,), (3,)]
+        sent = {p["nbytes"]: p["deliver"] for p in ev["net.send"]}
+        assert sent == {4096: got[0][0], 1024: deliver, 2048: None,
+                        512: deliver, 256: late}
+        (drop,) = ev["net.drop"]
+        assert drop["nbytes"] == 2048 and drop["lost_at"] == arrive
+
+    def test_reset_forgets_waiting_messages(self):
+        sim, net = make_net(frame_bytes=1 << 20, **_CFG)
+        got = []
+        for dst in (1, 2, 2, 3):
+            net.send(0, dst, 4096, got.append, dst)
+        sim.clear_pending()  # what crash recovery does first
+        net.reset()
+        sim.run()
+        assert got == []
+        net.send(0, 1, 4096, got.append, "after")
+        sim.run()
+        assert got == ["after"]
