@@ -49,8 +49,12 @@ def deliver_request(exc: "JobExecution", msg: Message) -> None:
         return
     machine = exc.machines[msg.dst]
     machine.request_queue.append(msg)
+    depth = len(machine.request_queue)
+    exc.stats.count("comm_requests", msg.kind.value)
+    exc.stats.count("queue_depth_samples", depth)
+    exc.stats.counts[("queue_depth", msg.dst)] = depth
     exc.hooks.emit("comm.enqueue", machine=msg.dst, kind=msg.kind.value,
-                   depth=len(machine.request_queue), time=exc.sim.now)
+                   depth=depth, time=exc.sim.now)
     for cs in exc.copiers[msg.dst]:
         if not cs.busy:
             cs.busy = True
@@ -84,14 +88,18 @@ def copier_loop(exc: "JobExecution", cs: CopierState) -> None:
 
 def _copier_done(exc: "JobExecution", cs: CopierState, msg: Message,
                  dur: float, resp: Optional[Message]) -> None:
-    cs.machine.cpu.thread_finished(dur)
+    m = cs.machine.index
+    cs.machine.cpu.thread_finished()
     # ``depth`` is the queue left behind: with the enqueue's, the gauge
     # tracks both edges and drains to 0 once every request is served.
-    exc.hooks.emit("comm.copier_done", machine=cs.machine.index,
-                   copier=cs.cindex, kind=msg.kind.value,
-                   items=msg.item_count,
-                   depth=len(cs.machine.request_queue),
-                   start=exc.sim.now - dur, duration=dur)
+    depth = len(cs.machine.request_queue)
+    start = exc.sim.now - dur
+    exc.stats.copier_passes.append((exc.sim.current, m, cs.cindex,
+                                    msg.kind.value, start, dur))
+    exc.stats.counts[("queue_depth", m)] = depth
+    exc.hooks.emit("comm.copier_done", machine=m, copier=cs.cindex,
+                   kind=msg.kind.value, items=msg.item_count, depth=depth,
+                   start=start, duration=dur)
     # Side effects that become visible when the copier finishes:
     if msg.kind is MsgKind.READ_REQ:
         # The response this pass built: each pass over a duplicated or

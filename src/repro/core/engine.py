@@ -147,8 +147,8 @@ class PgxdCluster:
     def __init__(self, config: Optional[ClusterConfig] = None):
         self.config = config or ClusterConfig()
         self.sim = Simulator()
-        #: instance-scoped telemetry: every engine layer emits on this bus,
-        #: and the recorder keeps the standard ``repro_*`` instruments live.
+        #: instance-scoped telemetry: engine layers emit on this bus, and the
+        #: recorder keeps the ``repro_*`` instruments from hooks and JobStats.
         self.hooks = HookBus()
         self.metrics = MetricsRegistry()
         self.recorder = MetricsRecorder(self.metrics, self.hooks)

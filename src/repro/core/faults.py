@@ -227,12 +227,10 @@ class FaultController:
         self.sim = sim
         self.hooks = hooks
         self._rng = random.Random(plan.seed)
-        self.injected = 0
         self._fired_crashes: set[int] = set()
         self._seen_slowdowns: set[int] = set()
 
     def _emit(self, fault: str, **detail) -> None:
-        self.injected += 1
         self.hooks.emit("fault.inject", fault=fault, time=self.sim.now,
                         **detail)
 
@@ -355,7 +353,6 @@ class ReliabilityLayer:
         self._pending: dict[int, _Pending] = {}
         #: request ids of WRITE_REQ/GHOST_SYNC already accepted at receivers
         self._delivered: set[int] = set()
-        self.retries = 0
 
     # -- sender side --------------------------------------------------------
 
@@ -385,7 +382,6 @@ class ReliabilityLayer:
         rec.attempts += 1
         rec.timeout = min(rec.timeout * self.plan.retry_backoff,
                           self.plan.retry_timeout_cap)
-        self.retries += 1
         self.exc.hooks.emit("comm.retry", kind=rec.kind,
                             request_id=request_id, src=rec.msg.src,
                             dst=rec.msg.dst, attempt=rec.attempts,

@@ -49,6 +49,7 @@ from ..algorithms.pagerank import pagerank_approx
 from ..algorithms.sssp import sssp
 from ..algorithms.wcc import wcc
 from ..graph.csr import Graph, from_edges, patch_edges
+from ..runtime.config import ConfigError, _at_least
 from ..runtime.stats import JobStats
 from . import barrier as barrier_mod
 from .engine import DistributedGraph, PgxdCluster
@@ -122,6 +123,12 @@ class IncrementalConfig:
     #: fall back to a full rerun when the accumulated changed-edge count
     #: exceeds this fraction of the current edge set
     full_rerun_fraction: float = 0.2
+
+    def __post_init__(self) -> None:
+        _at_least(self, 0, "full_rerun_fraction")
+        if not self.full_rerun_fraction <= 1:
+            raise ConfigError(f"full_rerun_fraction must be <= 1, "
+                              f"got {self.full_rerun_fraction!r}")
 
 
 @dataclass

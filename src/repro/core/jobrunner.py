@@ -173,11 +173,8 @@ class JobExecution:
         return next(self._request_ids)
 
     def _transmit(self, msg: Message, kind: str, deliver) -> None:
-        nbytes = msg.wire_bytes()
-        self.stats.bytes_by_kind[kind] += nbytes if msg.src != msg.dst else 0.0
-        self.stats.messages += 1
-        self.network.send(msg.src, msg.dst, nbytes, deliver, self, msg,
-                          kind=kind, hooks=self.hooks)
+        self.network.send(msg.src, msg.dst, msg.wire_bytes(), deliver, self,
+                          msg, kind=kind, hooks=self.hooks, stats=self.stats)
 
     def send_request(self, msg: Message, kind: str) -> None:
         self._transmit(msg, kind, deliver_request)

@@ -31,6 +31,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..runtime.config import _at_least
 from ..runtime.stats import JobStats
 from .job import ReadJob
 
@@ -48,6 +49,9 @@ class CacheConfig:
     #: Modeled driver-side cost of serving a hit (hash lookup + handoff of
     #: an already-materialized result) — the "near-zero" read latency.
     hit_seconds: float = 2e-7
+
+    def __post_init__(self) -> None:
+        _at_least(self, 0, "max_entries", "hit_seconds")
 
 
 @dataclass

@@ -44,6 +44,7 @@ from . import barrier as barrier_mod
 from .faults import EngineStallError, MachineCrashError
 from .job import Job, MapReduce, ReadJob
 from .jobrunner import JobExecution, make_execution
+from ..runtime.config import _at_least
 from ..runtime.stats import JobStats
 
 
@@ -104,6 +105,13 @@ class SchedulerConfig:
     read_rate_per_session: Optional[float] = None
     #: token-bucket burst capacity for served reads
     read_burst: float = 8.0
+
+    def __post_init__(self) -> None:
+        _at_least(self, 1, "max_concurrent_jobs")
+        _at_least(self, 0, "max_queued_per_session", "max_queue_depth",
+                  "read_burst")
+        if self.read_rate_per_session is not None:
+            _at_least(self, 0, "read_rate_per_session", strict=True)
 
 
 #: Ticket lifecycle states (FAILED: abandoned when an error escaped the
@@ -472,6 +480,7 @@ class JobScheduler:
         reg = cl.metrics
         reg.ledger = ledger = exc.hooks.ledger
         try:
+            cl.recorder.fold(stats)
             reg.counter("repro_jobs_total", labelnames=("kind",)).labels(
                 kind=type(ticket.job).__name__).inc()
             reg.histogram("repro_job_seconds").observe(stats.elapsed)
@@ -600,12 +609,15 @@ class JobScheduler:
 
     def _drop_running(self) -> list[JobTicket]:
         """Discard every pending event and the running executions'
-        per-machine state; returns the released tickets in seq order."""
+        per-machine state; returns the released tickets in seq order.
+        What the abandoned attempts did still counts in the registry
+        totals, outside any job's ledger."""
         cl = self.cluster
         active = sorted(self._running, key=lambda t: t.seq)
         cl.sim.clear_pending()
         cl.network.reset()
         for ticket in active:
+            cl.recorder.fold(self._running[ticket].stats)
             # a mutation's token is its engine: the build touched no
             # machine, and the unfinished epoch is simply never installed
             if ticket.job.kind != "mutation":

@@ -115,6 +115,8 @@ class WorkerState:
     def _flush_read(self, dst: int, prop: str, buf: ReadBuffer) -> None:
         offsets, rows, weights, tasks = buf.drain()
         exc = self.exc
+        exc.stats.count("flushes", "read_req")
+        exc.stats.count("flush_items", "read_req", len(offsets))
         exc.hooks.emit("comm.flush", machine=self.machine.index,
                        worker=self.windex, dst=dst, prop=prop,
                        kind="read_req", items=len(offsets), time=exc.sim.now)
@@ -153,6 +155,8 @@ class WorkerState:
         if (op.order_insensitive(values.dtype)
                 and values.dtype == exc.machines[dst].props.dtype(prop)):
             offsets, values = self._combine(dst, prop, op, offsets, values)
+        exc.stats.count("flushes", "write_req")
+        exc.stats.count("flush_items", "write_req", len(offsets))
         exc.hooks.emit("comm.flush", machine=self.machine.index,
                        worker=self.windex, dst=dst, prop=prop,
                        kind="write_req", items=len(offsets), time=exc.sim.now)
@@ -181,6 +185,8 @@ class WorkerState:
             cache.scratch(n, np.int64, 3))
         self.deferred_cpu_ops += len(offsets) * (exc.combine_per_item
                                                  / exc.cpu_op_time)
+        exc.stats.count("combine_items", "in", len(offsets))
+        exc.stats.count("combine_items", "out", len(uniq))
         exc.hooks.emit("comm.combine", machine=self.machine.index, dst=dst,
                        prop=prop, items_in=len(offsets), items_out=len(uniq),
                        time=exc.sim.now)
@@ -578,15 +584,16 @@ def _start_work(exc: "JobExecution", ws: WorkerState, fn, args: tuple,
                                tally.random_bytes, tally.seq_bytes)
     if exc.faults is not None:
         dur *= exc.faults.work_scale(m.index, t0)
-    exc.stats.record_busy(m.index, ws.windex, t0, t0 + dur)
     ws.scheduled = True
     exc.sim.schedule_fast(dur, _end_work, exc, ws, dur, kind, t0)
 
 
 def _end_work(exc: "JobExecution", ws: WorkerState, dur: float,
               kind: str = "chunk", start: float = 0.0) -> None:
-    ws.machine.cpu.thread_finished(dur)
+    ws.machine.cpu.thread_finished()
     ws.scheduled = False
+    exc.stats.chunks.append((exc.sim.current, ws.machine.index, ws.windex,
+                             kind, start, dur))
     exc.hooks.emit("task.chunk_end", machine=ws.machine.index,
                    worker=ws.windex, kind=kind, job=exc.job.name,
                    start=start, duration=dur)

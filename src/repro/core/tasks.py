@@ -93,6 +93,7 @@ class TaskContext:
         synced = exc.ghost_read_set if mode == "read" else exc.ghost_write_set
         slot = m.ghosts.slot_of_one(vertex)
         if slot >= 0 and prop in synced and prop in m.ghosts.arrays:
+            exc.stats.count("ghost_hits", mode)
             exc.hooks.emit("ghost.hit", machine=m.index, prop=prop, mode=mode,
                            count=1, time=exc.sim.now)
             return m.ghosts.arrays[prop], slot, True

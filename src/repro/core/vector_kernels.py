@@ -105,6 +105,7 @@ def execute_edge_map_chunk(exc: "JobExecution", machine: "Machine",
     plan, hit = machine.plan_cache.lookup(csr, spec.iter_kind, lo, hi,
                                           ghost_ok, machine.index,
                                           exc.num_machines)
+    exc.stats.count("plan_cache_requests", "hit" if hit else "miss")
     exc.hooks.emit("task.plan_cache", machine=machine.index, hit=hit,
                    time=exc.sim.now)
 
@@ -133,6 +134,7 @@ def execute_edge_map_chunk(exc: "JobExecution", machine: "Machine",
     mode = "read" if spec.direction == "pull" else "write"
     hook_prop = spec.source if mode == "read" else spec.target
     if n_ghost:
+        exc.stats.count("ghost_hits", mode, n_ghost)
         exc.hooks.emit("ghost.hit", machine=machine.index, prop=hook_prop,
                        mode=mode, count=n_ghost, time=exc.sim.now)
     if n_remote:

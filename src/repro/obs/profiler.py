@@ -4,10 +4,11 @@ The Figure 5/6 reports say *how much* time each layer consumed; this module
 answers *why a job took as long as it did*.  A :class:`SpanProfiler` is a
 plain consumer of a cluster's hook bus, subscribed on *that cluster's* bus
 only (two profilers on two clusters in one process record disjoint spans):
-while installed it assembles, per job, a span record from the engine's
-span-end hook events, each of which carries its span's start — worker
-chunk spans, copier spans, network message transits, post-sync ghost
-reduces, disk reads, retries, the barrier — and derives:
+while installed it assembles, per job, a span record — worker chunk spans
+and copier spans from the job's ``JobStats``, network message transits,
+post-sync ghost reduces, disk reads, retries and the barrier from the
+engine's span-end hook events, each of which carries its span's start —
+and derives:
 
 * the **critical path**: the chain of simulator events that actually
   caused the job's completion.  While a profiler is installed the
@@ -17,8 +18,9 @@ reduces, disk reads, retries, the barrier — and derives:
   ``job.start``.  Each hop is labelled by what the child event ended:
   the span it emitted (a worker chunk, a copier batch, a ghost reduce, a
   disk read, a retry timer, the barrier), a message delivery
-  (``network``), or else its handler's layer.  The hops tile ``[job.start, job.end]``, so the path
-  length *is* the job's elapsed time, whatever overlapped inside it.
+  (``network``), or else its handler's layer.  The hops tile
+  ``[job.start, job.end]``, so the path length *is* the job's elapsed
+  time, whatever overlapped inside it.
 * **per-machine / per-phase attribution**: busy seconds per machine per
   phase (the span tree), busy-time skew (max/mean), and each machine's
   share of critical-path time.
@@ -51,7 +53,7 @@ import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import itemgetter
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .hooks import Subscription
 
@@ -76,15 +78,15 @@ _PRUNE_MIN = 1 << 16
 
 #: hooks whose capture only appends to the job's record: hook -> (the
 #: :class:`_JobBuild` list, the payload fields it keeps, in tuple order);
-#: each entry is ``(seq of the emitting event, fields)``
+#: each entry is ``(seq of the emitting event, fields)``.  Worker slices
+#: and copier passes, the bulk of the spans, are not captured: they are
+#: read from the job's ``JobStats`` when it finishes (:meth:`annotate`).
 _CAPTURE = {
-    "task.chunk_end": ("chunks", ("machine", "worker", "kind", "start",
-                                  "duration")),
-    "comm.copier_done": ("copiers", ("machine", "copier", "kind", "start",
-                                     "duration")),
     "ghost.reduce_end": ("ghosts", ("machine", "start", "duration")),
     "disk.read": ("disks", ("machine", "start", "duration")),
     "comm.retry": ("retries", ("machine", "kind", "attempt", "time")),
+    "net.send": ("raw_msgs", ("src", "dst", "kind", "time", "deliver",
+                              "nbytes")),
     "job.phase_end": ("phases", ("phase", "start", "duration")),
     "barrier.exit": ("barriers", ("start", "duration")),
 }
@@ -98,37 +100,29 @@ def _name(prefix: str, idx) -> str:
     return f"{prefix}{idx}"
 
 
-class _Slice:
+class _Slice(NamedTuple):
     """One on-CPU activity interval on a serial lane (worker/copier/ghost)."""
 
-    __slots__ = ("machine", "lane", "kind", "start", "end")
-
-    def __init__(self, machine: int, lane: str, kind: str,
-                 start: float, end: float):
-        self.machine = machine
-        self.lane = lane
-        self.kind = kind
-        self.start = start
-        self.end = end
+    machine: Optional[int]
+    lane: str
+    kind: str
+    start: float
+    end: float
 
     @property
     def duration(self) -> float:
         return self.end - self.start
 
 
-class _Msg:
+class _Msg(NamedTuple):
     """One delivered fabric message (send -> deliver, cross-machine)."""
 
-    __slots__ = ("src", "dst", "kind", "send", "deliver", "nbytes")
-
-    def __init__(self, src: int, dst: int, kind: str, send: float,
-                 deliver: float, nbytes: float):
-        self.src = src
-        self.dst = dst
-        self.kind = kind
-        self.send = send
-        self.deliver = deliver
-        self.nbytes = nbytes
+    src: int
+    dst: int
+    kind: str
+    send: float
+    deliver: float
+    nbytes: float
 
 
 @dataclass
@@ -150,12 +144,13 @@ class PathSegment:
 
 class _JobBuild:
     """Raw per-job event capture; hot-path handlers only append tuples
-    here (the ``_CAPTURE`` fields, keyed by the emitting event's seq) —
+    here (the ``_CAPTURE`` fields, keyed by the emitting event's seq), and
+    the job's ``JobStats`` lends its slice and pass rows at the end —
     `_Slice`/`_Msg` objects are materialized once, at analysis."""
 
     __slots__ = ("name", "session", "ticket", "start", "start_seq", "end",
                  "chain", "chunks", "copiers", "ghosts", "disks", "raw_msgs",
-                 "retries", "phases", "barriers", "dropped")
+                 "retries", "phases", "barriers")
 
     def __init__(self, name: str, start: float, session=None, ticket=None,
                  start_seq: int = -1):
@@ -169,15 +164,17 @@ class _JobBuild:
         #: the causal chain, (seq, parent, time, handler) per event, from
         #: the first after ``job.start`` to the one that emitted ``job.end``
         self.chain: list[tuple] = []
-        self.chunks: list[tuple] = []    # (machine, worker, kind, start, dur)
-        self.copiers: list[tuple] = []   # (machine, copier, kind, start, dur)
+        #: ``JobStats.chunks`` and ``copier_passes`` rows, flat:
+        #: (seq, machine, lane index, kind, start, duration)
+        self.chunks: list[tuple] = []
+        self.copiers: list[tuple] = []
         self.ghosts: list[tuple] = []    # (machine, start, dur)
         self.disks: list[tuple] = []     # (machine, start, dur)
-        self.raw_msgs: list[tuple] = []  # (src, dst, kind, send, deliver, nb)
+        #: (src, dst, kind, send, deliver, nbytes); deliver None: dropped
+        self.raw_msgs: list[tuple] = []
         self.retries: list[tuple] = []   # (machine, kind, attempt, time)
         self.phases: list[tuple] = []    # (phase, start, dur)
         self.barriers: list[tuple] = []  # (start, dur)
-        self.dropped = 0
 
     def materialize(self, only: Optional[set] = None
                     ) -> tuple[list[_Slice], list[_Msg], list[tuple],
@@ -197,9 +194,9 @@ class _JobBuild:
             slices.append(sl)
             span_of.setdefault(seq, sl)
 
-        for seq, (m, w, kind, s, d) in of(self.chunks):
+        for seq, m, w, kind, s, d in of(self.chunks):
             add(seq, _Slice(m, _name("worker ", w), kind, s, s + d))
-        for seq, (m, c, kind, s, d) in of(self.copiers):
+        for seq, m, c, kind, s, d in of(self.copiers):
             add(seq, _Slice(m, _name("copier ", c), _name("copier:", kind),
                             s, s + d))
         for seq, (m, s, d) in of(self.ghosts):
@@ -216,6 +213,8 @@ class _JobBuild:
         msgs: list[_Msg] = []
         sent_by: dict[int, list[_Msg]] = {}
         for seq, raw in of(self.raw_msgs):
+            if raw[4] is None:  # the fabric dropped it: it never lands
+                continue
             msg = _Msg(*raw)
             msgs.append(msg)
             sent_by.setdefault(seq, []).append(msg)
@@ -417,7 +416,8 @@ def _analyze(build: _JobBuild) -> JobProfile:
         start=build.start, end=build.end,
         phases=[(ph, s, s + d) for _, (ph, s, d) in build.phases],
         slices=slices, messages=messages, retries=retries,
-        dropped=build.dropped, critical_path=path,
+        dropped=sum(raw[4] is None for _, raw in build.raw_msgs),
+        critical_path=path,
         machine_path_seconds=_machine_seconds(path))
 
 
@@ -529,18 +529,6 @@ class SpanProfiler:
             del log[seq]
         self._prune_at = max(_PRUNE_MIN, 2 * len(log))
 
-    def _on_net_send(self, p: dict) -> None:
-        b = self._build_of(p)
-        if b is None:
-            return
-        deliver = p["deliver"]
-        if deliver is None:
-            b.dropped += 1
-            return
-        b.raw_msgs.append((self._sim.current,
-                           (p["src"], p["dst"], p["kind"], p["time"],
-                            deliver, p["nbytes"])))
-
     # -- lifecycle ---------------------------------------------------------
 
     def install(self) -> None:
@@ -552,8 +540,7 @@ class SpanProfiler:
         handlers = {name: self._capture(attr, fields)
                     for name, (attr, fields) in _CAPTURE.items()}
         handlers.update({"job.start": self._on_job_start,
-                         "job.end": self._on_job_end,
-                         "net.send": self._on_net_send})
+                         "job.end": self._on_job_end})
         self._subs = self.cluster.hooks.subscribe_known(handlers)
         reg = self.cluster.metrics
         self._hist = reg.histogram(
@@ -609,12 +596,14 @@ class SpanProfiler:
         return self._profile(self._finished[-1]) if self._finished else None
 
     def annotate(self, stats, ticket: int) -> None:
-        """Attach critical-path fields to a job's stats (the scheduler
+        """Take a finished job's worker slices and copier passes from its
+        stats, and attach critical-path fields to them (the scheduler
         calls this on completion when a profiler is installed)."""
         build = next((b for b in reversed(self._finished)
                       if b.ticket == ticket), None)
         if build is None:
             return
+        build.chunks, build.copiers = stats.chunks, stats.copier_passes
         # label only the chain's own events: a full profile materializes
         # every span and message of the job, and waits until it is read
         only = {rec[i] for rec in build.chain for i in (0, 1)}
@@ -623,16 +612,14 @@ class SpanProfiler:
         path_len = path[-1].end - path[0].start if path else 0.0
         stats.critical_path_len = path_len
         stats.critical_path_by_machine = dict(shares)
-        if self._hist is not None:
-            self._hist.observe(path_len)
-        if self._gauge is not None:
-            # every machine's sample is its share of *this* job's on-CPU
-            # path, so an earlier job's straggler does not linger
-            total = sum(shares.values())
-            self._gauge_machines.update(shares)
-            for m in self._gauge_machines:
-                self._gauge.labels(machine=m).set(
-                    shares.get(m, 0.0) / total if total > 0.0 else 0.0)
+        self._hist.observe(path_len)
+        # every machine's sample is its share of *this* job's on-CPU path,
+        # so an earlier job's straggler does not linger
+        total = sum(shares.values())
+        self._gauge_machines.update(shares)
+        for m in self._gauge_machines:
+            self._gauge.labels(machine=m).set(
+                shares.get(m, 0.0) / total if total > 0.0 else 0.0)
 
     # -- aggregates (across all finished jobs) -----------------------------
 

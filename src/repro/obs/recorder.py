@@ -1,9 +1,13 @@
-"""The always-on bridge from the hook bus to the metrics registry.
+"""The always-on bridge from the engine to the metrics registry.
 
 One :class:`MetricsRecorder` is installed per cluster at construction.  It
-subscribes to the engine's built-in hook points and maintains the standard
-``repro_*`` instrument set — the substrate behind ``repro report``, the
-Prometheus/JSON exporters, and the per-job deltas attached to ``JobStats``.
+maintains the standard ``repro_*`` instrument set — the substrate behind
+``repro report``, the Prometheus/JSON exporters, and the per-job deltas
+attached to ``JobStats``.  What the engine counts per chunk, message or
+request lands in each attempt's :class:`~repro.runtime.stats.JobStats`, and
+:meth:`MetricsRecorder.fold` adds that account to the registry once, when
+the attempt ends; the rarer events (phases, barriers, faults, disk reads,
+scheduling, cache) arrive through hook handlers.
 """
 
 from __future__ import annotations
@@ -17,287 +21,268 @@ class MetricsRecorder:
 
     def __init__(self, registry: MetricsRegistry, bus: HookBus):
         self.registry = registry
-        r = registry
+        c, g, h = registry.counter, registry.gauge, registry.histogram
 
-        self.chunks = r.counter(
-            "repro_chunks_total", "Task chunks executed", ("machine", "kind"))
-        self.worker_busy = r.counter(
+        self.chunks = c("repro_chunks_total", "Task chunks executed",
+                        ("machine", "kind"))
+        self.worker_busy = c(
             "repro_worker_busy_seconds_total",
             "Worker busy time (CPU-seconds, summed over workers)", ("machine",))
-        self.chunk_seconds = r.histogram(
-            "repro_chunk_seconds", "Distribution of chunk busy durations",
-            ("kind",))
+        self.chunk_seconds = h("repro_chunk_seconds",
+                               "Distribution of chunk busy durations",
+                               ("kind",))
 
-        self.flushes = r.counter(
-            "repro_comm_flushes_total", "Request-buffer flushes", ("kind",))
-        self.flush_items = r.counter(
-            "repro_comm_flush_items_total", "Items shipped by flushes",
-            ("kind",))
-        self.comm_requests = r.counter(
-            "repro_comm_requests_total",
-            "Request messages enqueued at destinations", ("kind",))
-        self.queue_depth = r.gauge(
-            "repro_comm_queue_depth", "Current request-queue depth",
-            ("machine",))
-        self.queue_depth_samples = r.histogram(
+        self.flushes = c("repro_comm_flushes_total", "Request-buffer flushes",
+                         ("kind",))
+        self.flush_items = c("repro_comm_flush_items_total",
+                             "Items shipped by flushes", ("kind",))
+        self.comm_requests = c("repro_comm_requests_total",
+                               "Request messages enqueued at destinations",
+                               ("kind",))
+        self.queue_depth = g("repro_comm_queue_depth",
+                             "Current request-queue depth", ("machine",))
+        self.queue_depth_samples = h(
             "repro_comm_queue_depth_samples",
             "Request-queue depth observed at enqueue/dequeue",
             buckets=(0, 1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024))
-        self.copier_busy = r.counter(
+        self.copier_busy = c(
             "repro_copier_busy_seconds_total",
             "Copier busy time (CPU-seconds, summed over copiers)", ("machine",))
-        self.copier_messages = r.counter(
-            "repro_copier_messages_total", "Messages processed by copiers",
-            ("kind",))
+        self.copier_messages = c("repro_copier_messages_total",
+                                 "Messages processed by copiers", ("kind",))
 
-        self.net_messages = r.counter(
-            "repro_net_messages_total", "Messages on the fabric", ("kind",))
-        self.net_bytes = r.counter(
-            "repro_net_bytes_total", "Bytes on the fabric", ("kind",))
-        self.net_transit = r.counter(
+        self.net_messages = c("repro_net_messages_total",
+                              "Messages on the fabric", ("kind",))
+        self.net_bytes = c("repro_net_bytes_total", "Bytes on the fabric",
+                           ("kind",))
+        self.net_transit = c(
             "repro_net_transit_seconds_total",
             "Send-to-deliver latency summed over fabric messages")
-        self.net_message_bytes = r.histogram(
-            "repro_net_message_bytes", "Fabric message size distribution",
-            buckets=DEFAULT_BYTE_BUCKETS)
-        self.net_dropped = r.counter(
-            "repro_net_dropped_total",
-            "Fabric messages lost to injected drops", ("kind",))
-        self.net_dropped_bytes = r.counter(
-            "repro_net_dropped_bytes_total",
-            "Bytes lost to injected drops", ("kind",))
+        self.net_message_bytes = h("repro_net_message_bytes",
+                                   "Fabric message size distribution",
+                                   buckets=DEFAULT_BYTE_BUCKETS)
+        self.net_dropped = c("repro_net_dropped_total",
+                             "Fabric messages lost to injected drops",
+                             ("kind",))
+        self.net_dropped_bytes = c("repro_net_dropped_bytes_total",
+                                   "Bytes lost to injected drops", ("kind",))
 
-        self.ghost_hits = r.counter(
-            "repro_ghost_hits_total",
-            "Accesses resolved against a local ghost copy", ("mode",))
-        self.ghost_misses = r.counter(
-            "repro_ghost_misses_total",
-            "Non-local accesses that had to go remote", ("mode",))
+        self.ghost_hits = c("repro_ghost_hits_total",
+                            "Accesses resolved against a local ghost copy",
+                            ("mode",))
+        self.ghost_misses = c("repro_ghost_misses_total",
+                              "Non-local accesses that had to go remote",
+                              ("mode",))
 
-        self.plan_cache_requests = r.counter(
-            "repro_plan_cache_requests_total",
-            "Routing-plan cache lookups", ("result",))
-        self.plan_cache_hit_ratio = r.gauge(
+        self.plan_cache_requests = c("repro_plan_cache_requests_total",
+                                     "Routing-plan cache lookups", ("result",))
+        self.plan_cache_hit_ratio = g(
             "repro_plan_cache_hit_ratio",
             "Fraction of plan lookups served from the cache")
-        self.combine_items = r.counter(
+        self.combine_items = c(
             "repro_comm_combine_items_total",
             "Write elements through the sender-side combine step", ("stage",))
-        self.write_combine_ratio = r.gauge(
+        self.write_combine_ratio = g(
             "repro_comm_write_combine_ratio",
             "Fraction of buffered write elements eliminated by combining "
             "(1 - out/in)")
-        self._plan_hits = 0
-        self._plan_lookups = 0
-        self._combine_in = 0
-        self._combine_out = 0
 
-        self.faults_injected = r.counter(
-            "repro_faults_injected_total",
-            "Faults injected by the active FaultPlan", ("fault",))
-        self.retries = r.counter(
+        self.faults_injected = c("repro_faults_injected_total",
+                                 "Faults injected by the active FaultPlan",
+                                 ("fault",))
+        self.retries = c(
             "repro_retries_total",
             "Reliable-request retransmissions (timeout/backoff resends)",
             ("kind",))
-        self.dedup_drops = r.counter(
+        self.dedup_drops = c(
             "repro_dedup_drops_total",
             "Duplicate or stale deliveries discarded by receivers", ("kind",))
-        self.checkpoints = r.counter(
-            "repro_checkpoints_total", "Automatic property checkpoints written")
-        self.recoveries = r.counter(
-            "repro_job_recoveries_total",
-            "Job restarts after injected machine crashes")
+        self.checkpoints = c("repro_checkpoints_total",
+                             "Automatic property checkpoints written")
+        self.recoveries = c("repro_job_recoveries_total",
+                            "Job restarts after injected machine crashes")
 
-        self.disk_bytes = r.counter(
+        self.disk_bytes = c(
             "repro_disk_bytes_read",
             "Bytes streamed from the modeled local disks (out-of-core)",
             ("machine",))
-        self.disk_reads = r.counter(
-            "repro_disk_reads_total",
-            "Window reads served by the modeled local disks", ("machine",))
-        self.disk_read_seconds = r.counter(
+        self.disk_reads = c("repro_disk_reads_total",
+                            "Window reads served by the modeled local disks",
+                            ("machine",))
+        self.disk_read_seconds = c(
             "repro_disk_read_seconds_total",
             "Seconds the modeled disks spent serving window reads",
             ("machine",))
-        self.disk_stall = r.counter(
+        self.disk_stall = c(
             "repro_disk_stall_seconds",
             "Seconds workers sat idle waiting for a window read",
             ("machine",))
 
-        self.phase_seconds = r.counter(
-            "repro_job_phase_seconds_total",
-            "Wall time spent per job phase", ("phase",))
-        self.phases = r.counter(
-            "repro_job_phases_total", "Phase transitions", ("phase",))
-        self.barriers = r.counter(
-            "repro_barriers_total", "End-of-region barriers")
-        self.barrier_seconds = r.counter(
-            "repro_barrier_seconds_total", "Wall time spent in barriers")
+        self.phase_seconds = c("repro_job_phase_seconds_total",
+                               "Wall time spent per job phase", ("phase",))
+        self.phases = c("repro_job_phases_total", "Phase transitions",
+                        ("phase",))
+        self.barriers = c("repro_barriers_total", "End-of-region barriers")
+        self.barrier_seconds = c("repro_barrier_seconds_total",
+                                 "Wall time spent in barriers")
 
-        self.sched_admitted = r.counter(
+        self.sched_admitted = c(
             "repro_sched_admitted_total",
             "Background jobs admitted into the scheduler queues",
             ("priority",))
-        self.sched_rejected = r.counter(
+        self.sched_rejected = c(
             "repro_sched_rejected_total",
             "Job submissions rejected at admission (backpressure)",
             ("reason",))
-        self.sched_dispatched = r.counter(
-            "repro_sched_dispatched_total",
-            "Jobs dispatched onto the cluster", ("priority",))
-        self.sched_preemptions = r.counter(
+        self.sched_dispatched = c("repro_sched_dispatched_total",
+                                  "Jobs dispatched onto the cluster",
+                                  ("priority",))
+        self.sched_preemptions = c(
             "repro_sched_preemptions_total",
             "Head-of-line tickets skipped at dispatch because their session "
             "was over its fair share", ("session",))
-        self.sched_completed = r.counter(
-            "repro_sched_completed_total",
-            "Scheduled jobs completed", ("session",))
-        self.sched_queue_depth = r.gauge(
-            "repro_sched_queue_depth",
-            "Current admission-queue depth", ("priority",))
-        self.sched_wait = r.histogram(
-            "repro_sched_wait_seconds",
-            "Queue wait per job: admission to dispatch", ("session",))
-        self.sched_turnaround = r.histogram(
+        self.sched_completed = c("repro_sched_completed_total",
+                                 "Scheduled jobs completed", ("session",))
+        self.sched_queue_depth = g("repro_sched_queue_depth",
+                                   "Current admission-queue depth",
+                                   ("priority",))
+        self.sched_wait = h("repro_sched_wait_seconds",
+                            "Queue wait per job: admission to dispatch",
+                            ("session",))
+        self.sched_turnaround = h(
             "repro_sched_turnaround_seconds",
             "Turnaround per job: admission to completion", ("session",))
 
-        self.incremental_batches = r.counter(
+        self.incremental_batches = c(
             "repro_incremental_batches_total",
             "Mutation batches applied as epoch-building jobs")
-        self.incremental_edges = r.counter(
+        self.incremental_edges = c(
             "repro_incremental_edges_changed_total",
             "Edges changed by applied mutation batches", ("op",))
-        self.incremental_machines = r.counter(
+        self.incremental_machines = c(
             "repro_incremental_machines_total",
             "Machines patched vs reused across epoch builds", ("action",))
-        self.incremental_apply_seconds = r.counter(
+        self.incremental_apply_seconds = c(
             "repro_incremental_apply_seconds_total",
             "Simulated seconds spent building epochs from mutation batches")
-        self.incremental_runs = r.counter(
+        self.incremental_runs = c(
             "repro_incremental_runs_total",
             "Incremental recomputes by algorithm and mode", ("algo", "mode"))
-        self.incremental_recomputed = r.counter(
+        self.incremental_recomputed = c(
             "repro_incremental_recomputed_vertices_total",
             "Active-frontier vertices processed by recomputes", ("algo",))
-        self.incremental_fallbacks = r.counter(
+        self.incremental_fallbacks = c(
             "repro_incremental_fallbacks_total",
             "Warm recomputes that fell back to a full rerun because the "
             "delta exceeded the configured fraction", ("algo",))
 
-        self.cache_requests = r.counter(
-            "repro_cache_requests_total",
-            "Result-cache lookups by served reads", ("result",))
-        self.cache_evictions = r.counter(
-            "repro_cache_evictions_total",
-            "Result-cache entries evicted", ("reason",))
-        self.cache_entries = r.gauge(
-            "repro_cache_entries",
-            "Entries resident in the result cache")
-        self.cache_read_seconds = r.histogram(
+        self.cache_requests = c("repro_cache_requests_total",
+                                "Result-cache lookups by served reads",
+                                ("result",))
+        self.cache_evictions = c("repro_cache_evictions_total",
+                                 "Result-cache entries evicted", ("reason",))
+        self.cache_entries = g("repro_cache_entries",
+                               "Entries resident in the result cache")
+        self.cache_read_seconds = h(
             "repro_cache_read_seconds",
             "Served-read latency (simulated seconds) by cache outcome",
             ("result",))
-        self.cache_saved_seconds = r.counter(
+        self.cache_saved_seconds = c(
             "repro_cache_saved_seconds_total",
             "Simulated seconds saved by cache hits versus their entries' "
             "fresh compute cost")
 
-        # Updated by PgxdCluster.run_job (no hook needed — the driver knows).
-        r.counter("repro_jobs_total", "Parallel regions executed", ("kind",))
-        r.histogram("repro_job_seconds", "Job elapsed time distribution")
-        r.counter("repro_sim_events_total",
-                  "Discrete events executed by the simulator")
-        r.counter("repro_sim_event_pool_hits",
-                  "Simulator events served from the recycled-event pool")
+        # Updated by the scheduler (no hook needed — it knows).
+        c("repro_jobs_total", "Parallel regions executed", ("kind",))
+        h("repro_job_seconds", "Job elapsed time distribution")
+        c("repro_sim_events_total",
+          "Discrete events executed by the simulator")
+        c("repro_sim_event_pool_hits",
+          "Simulator events served from the recycled-event pool")
 
         bus.subscribe_known({
-            "task.chunk_end": self._on_chunk_end,
-            "comm.flush": self._on_flush,
-            "comm.enqueue": self._on_enqueue,
-            "comm.copier_done": self._on_copier_done,
-            "net.send": self._on_net_send,
             "net.drop": self._on_net_drop,
-            "ghost.hit": self._on_ghost_hit,
-            "ghost.miss": self._on_ghost_miss,
-            "task.plan_cache": self._on_plan_cache,
-            "comm.combine": self._on_combine,
             "job.phase_end": self._on_phase_end,
             "barrier.exit": self._on_barrier_exit,
-            "fault.inject": self._on_fault_inject,
-            "comm.retry": self._on_retry,
-            "comm.dedup_drop": self._on_dedup_drop,
-            "job.checkpoint": self._on_checkpoint,
-            "job.recover": self._on_recover,
+            "fault.inject":
+                lambda p: self.faults_injected.child(p["fault"]).inc(),
+            "comm.retry": lambda p: self.retries.child(p["kind"]).inc(),
+            "comm.dedup_drop":
+                lambda p: self.dedup_drops.child(p["kind"]).inc(),
+            "job.checkpoint": lambda p: self.checkpoints.inc(),
+            "job.recover": lambda p: self.recoveries.inc(),
             "disk.read": self._on_disk_read,
             "sched.admit": self._on_sched_admit,
-            "sched.reject": self._on_sched_reject,
+            "sched.reject":
+                lambda p: self.sched_rejected.child(p["reason"]).inc(),
             "sched.dispatch": self._on_sched_dispatch,
-            "sched.preempt": self._on_sched_preempt,
+            "sched.preempt":
+                lambda p: self.sched_preemptions.child(p["session"]).inc(),
             "sched.complete": self._on_sched_complete,
             "dynamic.apply": self._on_dynamic_apply,
             "job.incremental": self._on_job_incremental,
-            "cache.hit": self._on_cache_hit,
-            "cache.miss": self._on_cache_miss,
+            "cache.hit": lambda p: self._on_cache_read("hit", p),
+            "cache.miss": lambda p: self._on_cache_read("miss", p),
             "cache.evict": self._on_cache_evict,
         })
 
+    # -- the per-attempt fold ------------------------------------------------
+
+    def fold(self, stats) -> None:
+        """Add one attempt's :class:`~repro.runtime.stats.JobStats` to the
+        registry.  The scheduler calls this once per attempt: inside the
+        job's ledger scope when it finishes, outside any ledger when crash
+        recovery abandons it.  Seconds are added one slice or message at a
+        time, in the order the engine recorded them, so each sum is the
+        one per-event updates would have made."""
+        for _, m, _, kind, _, duration in stats.chunks:
+            machine = str(m)
+            self.chunks.child(machine, kind).inc()
+            self.worker_busy.child(machine).inc(duration)
+            self.chunk_seconds.child(kind).observe(duration)
+        for _, m, _, kind, _, duration in stats.copier_passes:
+            self.copier_busy.child(str(m)).inc(duration)
+            self.copier_messages.child(kind).inc()
+        for kind, nbytes in stats.bytes_by_kind.items():
+            self.net_bytes.child(kind).inc(nbytes)
+        transit = self.net_transit.child()
+        for seconds in stats.transits:
+            transit.inc(seconds)
+        for mode, n in (("read", stats.remote_reads),
+                        ("write", stats.remote_writes)):
+            if n:
+                self.ghost_misses.child(mode).inc(n)
+        if not stats.counts:  # a read or an epoch build: no ratio moves
+            return
+        for (fact, label), n in stats.counts.items():
+            family = getattr(self, fact)  # each fact names its instrument
+            if family.kind == "counter":
+                family.child(label).inc(n)
+            elif family.kind == "gauge":  # the last value seen
+                family.child(str(label)).set(n)
+            else:  # ``n`` observations of ``label``
+                hist = family.child()
+                for _ in range(n):
+                    hist.observe(label)
+        hits, misses = self._totals(self.plan_cache_requests, "hit", "miss")
+        if hits + misses:
+            self.plan_cache_hit_ratio.set(hits / (hits + misses))
+        items_in, items_out = self._totals(self.combine_items, "in", "out")
+        if items_in:
+            self.write_combine_ratio.set(1.0 - items_out / items_in)
+
+    @staticmethod
+    def _totals(family, *labels) -> list[float]:
+        """The running totals of ``family``'s children for ``labels``."""
+        children = dict(family.children())
+        return [children[(label,)].value if (label,) in children else 0.0
+                for label in labels]
+
     # -- hook handlers (machine labels are str()-ed once per event) --------
-
-    def _on_chunk_end(self, p: dict) -> None:
-        machine, kind, duration = str(p["machine"]), p["kind"], p["duration"]
-        self.chunks.child(machine, kind).inc()
-        self.worker_busy.child(machine).inc(duration)
-        self.chunk_seconds.child(kind).observe(duration)
-
-    def _on_flush(self, p: dict) -> None:
-        kind = p["kind"]
-        self.flushes.child(kind).inc()
-        self.flush_items.child(kind).inc(p["items"])
-
-    def _on_enqueue(self, p: dict) -> None:
-        self.comm_requests.child(p["kind"]).inc()
-        self.queue_depth.child(str(p["machine"])).set(p["depth"])
-        self.queue_depth_samples.observe(p["depth"])
-
-    def _on_copier_done(self, p: dict) -> None:
-        machine = str(p["machine"])
-        self.copier_busy.child(machine).inc(p["duration"])
-        self.copier_messages.child(p["kind"]).inc()
-        self.queue_depth.child(machine).set(p["depth"])
-
-    def _on_net_send(self, p: dict) -> None:
-        kind = p["kind"]
-        self.net_messages.child(kind).inc()
-        self.net_bytes.child(kind).inc(p["nbytes"])
-        if p["deliver"] is not None:  # dropped messages never deliver
-            self.net_transit.inc(p["deliver"] - p["time"])
-        self.net_message_bytes.observe(p["nbytes"])
 
     def _on_net_drop(self, p: dict) -> None:
         self.net_dropped.child(p["kind"]).inc()
         self.net_dropped_bytes.child(p["kind"]).inc(p["nbytes"])
-
-    def _on_ghost_hit(self, p: dict) -> None:
-        self.ghost_hits.child(p["mode"]).inc(p["count"])
-
-    def _on_ghost_miss(self, p: dict) -> None:
-        self.ghost_misses.child(p["mode"]).inc(p["count"])
-
-    def _on_plan_cache(self, p: dict) -> None:
-        self.plan_cache_requests.child("hit" if p["hit"] else "miss").inc()
-        self._plan_lookups += 1
-        self._plan_hits += 1 if p["hit"] else 0
-        self.plan_cache_hit_ratio.set(self._plan_hits / self._plan_lookups)
-
-    def _on_combine(self, p: dict) -> None:
-        self.combine_items.child("in").inc(p["items_in"])
-        self.combine_items.child("out").inc(p["items_out"])
-        self._combine_in += p["items_in"]
-        self._combine_out += p["items_out"]
-        if self._combine_in:
-            self.write_combine_ratio.set(
-                1.0 - self._combine_out / self._combine_in)
 
     def _on_phase_end(self, p: dict) -> None:
         phase = p["phase"]
@@ -307,21 +292,6 @@ class MetricsRecorder:
     def _on_barrier_exit(self, p: dict) -> None:
         self.barriers.inc()
         self.barrier_seconds.inc(p["duration"])
-
-    def _on_fault_inject(self, p: dict) -> None:
-        self.faults_injected.child(p["fault"]).inc()
-
-    def _on_retry(self, p: dict) -> None:
-        self.retries.child(p["kind"]).inc()
-
-    def _on_dedup_drop(self, p: dict) -> None:
-        self.dedup_drops.child(p["kind"]).inc()
-
-    def _on_checkpoint(self, p: dict) -> None:
-        self.checkpoints.inc()
-
-    def _on_recover(self, p: dict) -> None:
-        self.recoveries.inc()
 
     def _on_disk_read(self, p: dict) -> None:
         machine = str(p["machine"])
@@ -336,16 +306,10 @@ class MetricsRecorder:
         self.sched_admitted.child(p["priority"]).inc()
         self.sched_queue_depth.child(p["priority"]).set(p["depth"])
 
-    def _on_sched_reject(self, p: dict) -> None:
-        self.sched_rejected.child(p["reason"]).inc()
-
     def _on_sched_dispatch(self, p: dict) -> None:
         self.sched_dispatched.child(p["priority"]).inc()
         self.sched_queue_depth.child(p["priority"]).set(p["depth"])
         self.sched_wait.child(p["session"]).observe(p["wait"])
-
-    def _on_sched_preempt(self, p: dict) -> None:
-        self.sched_preemptions.child(p["session"]).inc()
 
     def _on_sched_complete(self, p: dict) -> None:
         self.sched_completed.child(p["session"]).inc()
@@ -366,15 +330,11 @@ class MetricsRecorder:
         if p["fallback"]:
             self.incremental_fallbacks.child(algo).inc()
 
-    def _on_cache_hit(self, p: dict) -> None:
-        self.cache_requests.child("hit").inc()
-        self.cache_read_seconds.child("hit").observe(p["cost"])
-        self.cache_saved_seconds.inc(p["saved"])
-        self.cache_entries.set(p["entries"])
-
-    def _on_cache_miss(self, p: dict) -> None:
-        self.cache_requests.child("miss").inc()
-        self.cache_read_seconds.child("miss").observe(p["cost"])
+    def _on_cache_read(self, result: str, p: dict) -> None:
+        self.cache_requests.child(result).inc()
+        self.cache_read_seconds.child(result).observe(p["cost"])
+        if result == "hit":
+            self.cache_saved_seconds.inc(p["saved"])
         self.cache_entries.set(p["entries"])
 
     def _on_cache_evict(self, p: dict) -> None:

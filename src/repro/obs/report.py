@@ -18,6 +18,7 @@ from .metrics import MetricsRegistry
 
 def _family_sum(registry: MetricsRegistry, name: str,
                 where: dict[str, str] | None = None) -> float:
+    """A counter family's total, or a histogram family's summed ``sum``."""
     metric = registry.get(name)
     if metric is None:
         return 0.0
@@ -26,7 +27,7 @@ def _family_sum(registry: MetricsRegistry, name: str,
         labels = dict(zip(metric.labelnames, key))
         if where and any(labels.get(k) != v for k, v in where.items()):
             continue
-        total += child.value
+        total += child.sum if metric.kind == "histogram" else child.value
     return total
 
 
@@ -72,15 +73,20 @@ def overhead_breakdown(registry: MetricsRegistry) -> OverheadBreakdown:
     )
 
 
+def _sums(registry: MetricsRegistry, **families) -> dict[str, float]:
+    """``{key: _family_sum(registry, family)}``; a ``(name, where)``
+    family sums only the children whose labels match ``where``."""
+    return {key: _family_sum(registry, *((spec,) if isinstance(spec, str)
+                                         else spec))
+            for key, spec in families.items()}
+
+
 def disk_summary(registry: MetricsRegistry) -> dict[str, float]:
     """Out-of-core disk-tier activity, zero-suppressed by the caller."""
-    return {
-        "bytes_read": _family_sum(registry, "repro_disk_bytes_read"),
-        "reads": _family_sum(registry, "repro_disk_reads_total"),
-        "read_seconds": _family_sum(registry,
-                                    "repro_disk_read_seconds_total"),
-        "stall_seconds": _family_sum(registry, "repro_disk_stall_seconds"),
-    }
+    return _sums(registry, bytes_read="repro_disk_bytes_read",
+                 reads="repro_disk_reads_total",
+                 read_seconds="repro_disk_read_seconds_total",
+                 stall_seconds="repro_disk_stall_seconds")
 
 
 def traffic_by_kind(registry: MetricsRegistry) -> dict[str, float]:
@@ -99,14 +105,11 @@ def ghost_hit_rate(registry: MetricsRegistry) -> tuple[float, float]:
 
 def fault_summary(registry: MetricsRegistry) -> dict[str, float]:
     """Faults / retries / dedup drops / recoveries, zero-suppressed."""
-    return {
-        "faults_injected": _family_sum(registry,
-                                       "repro_faults_injected_total"),
-        "retries": _family_sum(registry, "repro_retries_total"),
-        "dedup_drops": _family_sum(registry, "repro_dedup_drops_total"),
-        "recoveries": _family_sum(registry, "repro_job_recoveries_total"),
-        "checkpoints": _family_sum(registry, "repro_checkpoints_total"),
-    }
+    return _sums(registry, faults_injected="repro_faults_injected_total",
+                 retries="repro_retries_total",
+                 dedup_drops="repro_dedup_drops_total",
+                 recoveries="repro_job_recoveries_total",
+                 checkpoints="repro_checkpoints_total")
 
 
 def scheduler_summary(registry: MetricsRegistry) -> dict[str, float]:
@@ -116,64 +119,39 @@ def scheduler_summary(registry: MetricsRegistry) -> dict[str, float]:
     jobs (divide by ``dispatched`` / ``completed`` for means); the per-
     session histograms stay available in the registry for exporters.
     """
-    return {
-        "admitted": _family_sum(registry, "repro_sched_admitted_total"),
-        "rejected": _family_sum(registry, "repro_sched_rejected_total"),
-        "dispatched": _family_sum(registry, "repro_sched_dispatched_total"),
-        "preemptions": _family_sum(registry,
-                                   "repro_sched_preemptions_total"),
-        "completed": _family_sum(registry, "repro_sched_completed_total"),
-        "wait_seconds": _histogram_sum(registry, "repro_sched_wait_seconds"),
-        "turnaround_seconds": _histogram_sum(
-            registry, "repro_sched_turnaround_seconds"),
-    }
+    return _sums(registry, admitted="repro_sched_admitted_total",
+                 rejected="repro_sched_rejected_total",
+                 dispatched="repro_sched_dispatched_total",
+                 preemptions="repro_sched_preemptions_total",
+                 completed="repro_sched_completed_total",
+                 wait_seconds="repro_sched_wait_seconds",
+                 turnaround_seconds="repro_sched_turnaround_seconds")
 
 
 def incremental_summary(registry: MetricsRegistry) -> dict[str, float]:
     """Dynamic-graph epoch builds + incremental recomputes, zero-suppressed."""
-    return {
-        "batches": _family_sum(registry, "repro_incremental_batches_total"),
-        "edges_changed": _family_sum(
-            registry, "repro_incremental_edges_changed_total"),
-        "machines_patched": _family_sum(
-            registry, "repro_incremental_machines_total",
-            {"action": "patched"}),
-        "machines_reused": _family_sum(
-            registry, "repro_incremental_machines_total",
-            {"action": "reused"}),
-        "apply_seconds": _family_sum(
-            registry, "repro_incremental_apply_seconds_total"),
-        "runs": _family_sum(registry, "repro_incremental_runs_total"),
-        "recomputed_vertices": _family_sum(
-            registry, "repro_incremental_recomputed_vertices_total"),
-        "fallbacks": _family_sum(registry,
-                                 "repro_incremental_fallbacks_total"),
-    }
+    machines = "repro_incremental_machines_total"
+    return _sums(
+        registry, batches="repro_incremental_batches_total",
+        edges_changed="repro_incremental_edges_changed_total",
+        machines_patched=(machines, {"action": "patched"}),
+        machines_reused=(machines, {"action": "reused"}),
+        apply_seconds="repro_incremental_apply_seconds_total",
+        runs="repro_incremental_runs_total",
+        recomputed_vertices="repro_incremental_recomputed_vertices_total",
+        fallbacks="repro_incremental_fallbacks_total")
 
 
 def cache_summary(registry: MetricsRegistry) -> dict[str, float]:
     """Serving-tier result-cache activity, zero-suppressed."""
-    hits = _family_sum(registry, "repro_cache_requests_total",
-                       {"result": "hit"})
-    misses = _family_sum(registry, "repro_cache_requests_total",
-                         {"result": "miss"})
-    return {
-        "hits": hits,
-        "misses": misses,
-        "hit_rate": hits / (hits + misses) if hits + misses else 0.0,
-        "evictions": _family_sum(registry, "repro_cache_evictions_total"),
-        "saved_seconds": _family_sum(registry,
-                                     "repro_cache_saved_seconds_total"),
-    }
-
-
-def _histogram_sum(registry: MetricsRegistry, name: str) -> float:
-    metric = registry.get(name)
-    if metric is None:
-        return 0.0
-    if metric.labelnames:
-        return sum(child.sum for _, child in metric.children())
-    return metric.sum
+    requests = "repro_cache_requests_total"
+    out = _sums(registry, hits=(requests, {"result": "hit"}),
+                misses=(requests, {"result": "miss"}))
+    lookups = out["hits"] + out["misses"]
+    out["hit_rate"] = out["hits"] / lookups if lookups else 0.0
+    out.update(_sums(registry, evictions="repro_cache_evictions_total",
+                     saved_seconds="repro_cache_saved_seconds_total"))
+    return out
 
 
 def _table(title: str, headers: list[str], rows: list[list[str]]) -> str:

@@ -23,33 +23,25 @@ class MachineCpu:
         self.config = config
         self.dram = DramModel(config)
         self.active_threads: int = 0
-        # Busy-time integral for utilization reporting.
-        self._busy_time: float = 0.0
 
     # -- thread lifecycle ---------------------------------------------------
 
     def thread_started(self) -> None:
         self.active_threads += 1
 
-    def thread_finished(self, duration: float) -> None:
+    def thread_finished(self) -> None:
         if self.active_threads <= 0:  # pragma: no cover - defensive
             raise RuntimeError("thread_finished without matching thread_started")
         self.active_threads -= 1
-        self._busy_time += duration
 
     def reset_threads(self) -> None:
         """Forget in-flight thread accounting (crash recovery only).
 
         A machine crash abandons events mid-flight, so their balancing
         ``thread_finished`` calls never run; without this the restarted job
-        would inherit phantom oversubscription.  Accumulated busy time is
-        kept — the crashed attempt's work really happened.
+        would inherit phantom oversubscription.
         """
         self.active_threads = 0
-
-    @property
-    def busy_time(self) -> float:
-        return self._busy_time
 
     # -- cost helpers --------------------------------------------------------
 

@@ -132,13 +132,11 @@ class DramCapacityError(RuntimeError):
 class DiskModel:
     """Per-machine local-disk cost model and serial-device timeline."""
 
-    __slots__ = ("_cfg", "next_free", "busy_time", "bytes_read", "reads",
-                 "readaheads")
+    __slots__ = ("_cfg", "next_free", "bytes_read", "reads", "readaheads")
 
     def __init__(self, config: MachineConfig):
         self._cfg = config
         self.next_free = 0.0    # device timeline (simulated seconds)
-        self.busy_time = 0.0    # total seconds the head was transferring
         self.bytes_read = 0.0
         self.reads = 0
         #: pending readaheads, ``(key, start, end, duration)`` each
@@ -157,7 +155,6 @@ class DiskModel:
         start = max(now, self.next_free)
         end = start + duration
         self.next_free = end
-        self.busy_time += duration
         self.bytes_read += nbytes
         self.reads += 1
         return end

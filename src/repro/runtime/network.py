@@ -24,6 +24,7 @@ from typing import Any, Callable, Optional
 from ..obs.hooks import HookBus
 from .config import NetworkConfig
 from .simulator import Simulator
+from .stats import JobStats
 
 if False:  # pragma: no cover - type-only import, avoids a runtime cycle
     from ..core.faults import FaultController
@@ -50,11 +51,11 @@ class _Queued:
     """One message waiting in its source's send queue."""
 
     __slots__ = ("dst", "nbytes", "depart", "action", "delay", "callback",
-                 "args", "kind", "bus", "time", "taken")
+                 "args", "kind", "bus", "stats", "time", "taken")
 
     def __init__(self, dst: int, nbytes: float, depart: float, action: str,
                  delay: float, callback: Callable, args: tuple, kind: str,
-                 bus: HookBus, time: float):
+                 bus: HookBus, stats: Optional[JobStats], time: float):
         self.dst = dst
         self.nbytes = nbytes
         #: when the sender's poller has cleared it
@@ -66,6 +67,8 @@ class _Queued:
         self.args = args
         self.kind = kind
         self.bus = bus
+        #: the sending job's account, which counts the message
+        self.stats = stats
         #: the enqueue time (``net.send``'s ``time``)
         self.time = time
         #: already shipped in a frame formed for an older message
@@ -116,16 +119,18 @@ class Network:
 
     def send(self, src: int, dst: int, nbytes: float,
              callback: Callable, *args: Any, kind: str = "data",
-             hooks: Optional[HookBus] = None) -> None:
+             hooks: Optional[HookBus] = None,
+             stats: Optional[JobStats] = None) -> None:
         """Transmit a message; ``callback(*args)`` fires at delivery.
 
         ``kind`` tags the bytes for the traffic breakdowns used by Figure
-        6(a); the ``net.send`` and ``net.drop`` events are the fabric's only
-        account of its traffic.  They are emitted when the message's frame
-        forms, with ``time`` = this call's instant.  ``hooks`` overrides the
-        bus they are emitted on — the scheduler passes a per-job scoped bus
-        here so fabric traffic stays attributable when several executions
-        share the network.
+        6(a).  The fabric keeps no counters of its own: when the message's
+        frame forms, it is counted in the sending job's ``stats``
+        (:meth:`JobStats.count_message`) and the ``net.send`` event (plus
+        ``net.drop`` for a lost one) is emitted, with ``time`` = this
+        call's instant, on ``hooks`` — the job's scoped bus, so fabric
+        traffic stays attributable when several executions share the
+        network.
         """
         if not (0 <= src < self.num_machines and 0 <= dst < self.num_machines):
             raise ValueError(f"bad endpoints {src}->{dst}")
@@ -143,7 +148,8 @@ class Network:
                   + self.config.poller_per_message)
         self._poller_out[src] = depart
         msg = _Queued(dst, nbytes, depart, action, delay, callback, args,
-                      kind, hooks if hooks is not None else self.hooks, now)
+                      kind, hooks if hooks is not None else self.hooks, stats,
+                      now)
         self._queue[src].append(msg)
         self._waiting[src][dst].append(msg)
         if not self._tx_busy[src]:
@@ -206,6 +212,8 @@ class Network:
                 # The sender paid for the transmit; the fabric loses the
                 # message before the receive side, so the callback never
                 # fires.  ``deliver=None`` tells consumers it never lands.
+                if m.stats is not None:
+                    m.stats.count_message(m.kind, m.nbytes, None)
                 m.bus.emit("net.send", src=src, dst=dst, nbytes=m.nbytes,
                            kind=m.kind, time=m.time, deliver=None,
                            dropped=True)
@@ -230,6 +238,8 @@ class Network:
                 sim.schedule_at_fast(
                     poller_in.occupy(dup_rx, cfg.poller_per_message),
                     m.callback, *m.args)
+            if m.stats is not None:
+                m.stats.count_message(m.kind, m.nbytes, m_deliver - m.time)
             m.bus.emit("net.send", src=src, dst=dst, nbytes=m.nbytes,
                        kind=m.kind, time=m.time, deliver=m_deliver)
             if self.audit:

@@ -1,7 +1,8 @@
 """Execution statistics and the imbalance breakdown of Figure 6(c).
 
 ``JobStats`` collects, for one parallel region (job): the simulated wall
-time, traffic by kind, message counts, and every worker's busy intervals.
+time, traffic by kind, message counts, every worker slice and copier pass,
+and the other counted facts the metrics recorder folds at the attempt's end.
 ``breakdown()`` classifies the job's span into the paper's three buckets:
 
 * **fully parallel** — every machine still has all of its workers busy;
@@ -13,8 +14,11 @@ time, traffic by kind, message counts, and every worker's busy intervals.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import accumulate
+from typing import Optional
 
 
 @dataclass
@@ -38,17 +42,29 @@ class Breakdown:
         }
 
 
+#: the additive scalars of :meth:`JobStats.merge_from`
+_SUMMED = ("tasks_executed", "edges_processed", "remote_reads",
+           "remote_writes", "local_reads", "local_writes", "atomic_ops",
+           "disk_bytes_read", "disk_stall_seconds", "critical_path_len")
+
+
 @dataclass
 class JobStats:
-    """Metrics for one parallel region."""
+    """What the engine did in one parallel region (one attempt of a job).
+
+    It is the one account of the region's work: the metrics recorder folds
+    it into the cluster registry when the attempt ends, and ``breakdown()``
+    and the span profiler read its slices.
+    """
 
     start_time: float = 0.0
     end_time: float = 0.0
-    #: bytes on the wire by kind: read_req / read_resp / write_req / ghost_sync / control
+    #: fabric bytes by kind (read_req / read_resp / write_req / ghost_sync /
+    #: rmi), counted when each message's frame forms
     bytes_by_kind: dict[str, float] = field(default_factory=lambda: defaultdict(float))
-    messages: int = 0
     tasks_executed: int = 0
     edges_processed: int = 0
+    #: accesses that went remote: the ghost misses of ``read``/``write`` mode
     remote_reads: int = 0
     remote_writes: int = 0
     local_reads: int = 0
@@ -59,11 +75,26 @@ class JobStats:
     #: seconds workers sat idle waiting for a window read (out-of-core);
     #: 0.0 whenever compute fully hides the disk
     disk_stall_seconds: float = 0.0
-    #: worker busy intervals: machine -> worker -> list of (start, end)
-    busy_intervals: dict[int, dict[int, list[tuple[float, float]]]] = field(
-        default_factory=lambda: defaultdict(lambda: defaultdict(list)))
+    #: worker slices in finish order, ``(seq, machine, worker, kind, start,
+    #: duration)``: ``kind`` is ``chunk`` or ``continuation/flush`` and
+    #: ``seq`` the simulator event that ended the slice
+    chunks: list[tuple] = field(default_factory=list)
+    #: copier passes in finish order, ``(seq, machine, copier, kind, start,
+    #: duration)``; ``kind`` is the request's message kind
+    copier_passes: list[tuple] = field(default_factory=list)
+    #: send-to-deliver seconds of each delivered fabric message, in the
+    #: order their frames formed
+    transits: list[float] = field(default_factory=list)
+    #: every other fact, ``(fact, label) -> count``, each named after the
+    #: metrics recorder instrument it feeds: ``flushes``, ``flush_items``,
+    #: ``comm_requests`` and ``net_messages`` by kind,
+    #: ``queue_depth_samples`` and ``net_message_bytes`` by value,
+    #: ``ghost_hits`` by mode, ``plan_cache_requests`` by hit/miss and
+    #: ``combine_items`` by in/out; ``queue_depth`` by machine holds the
+    #: last depth seen instead
+    counts: dict[tuple, int] = field(default_factory=dict)
     #: registry counter increments attributable to this job (flat
-    #: ``name{labels}`` -> delta), attached by ``PgxdCluster.run_job``
+    #: ``name{labels}`` -> delta), attached when the scheduler folds it
     metrics_delta: dict[str, float] = field(default_factory=dict)
     #: simulated seconds along the job's critical path (the recorded
     #: parent chain of simulator events from job start to job end),
@@ -95,100 +126,106 @@ class JobStats:
     def total_bytes(self) -> float:
         return sum(self.bytes_by_kind.values())
 
-    def record_busy(self, machine: int, worker: int, start: float, end: float) -> None:
-        if end > start:
-            self.busy_intervals[machine][worker].append((start, end))
+    @property
+    def messages(self) -> int:
+        """Fabric messages, counted as their frames form."""
+        return sum(n for (fact, _), n in self.counts.items()
+                   if fact == "net_messages")
+
+    @property
+    def busy_intervals(self) -> dict[int, dict[int, list[tuple[float, float]]]]:
+        """machine -> worker -> ``(start, end)`` of each non-empty slice."""
+        out: dict[int, dict[int, list[tuple[float, float]]]] = {}
+        for _, m, w, _, start, duration in self.chunks:
+            if start + duration > start:
+                out.setdefault(m, {}).setdefault(w, []).append(
+                    (start, start + duration))
+        return out
+
+    def count(self, fact: str, label, n: int = 1) -> None:
+        """Add ``n`` to ``counts[(fact, label)]``."""
+        key = (fact, label)
+        counts = self.counts
+        counts[key] = counts.get(key, 0) + n
+
+    def count_message(self, kind: str, nbytes: float,
+                      transit: Optional[float]) -> None:
+        """One fabric message as its frame forms (``transit`` None: lost)."""
+        self.bytes_by_kind[kind] += nbytes
+        self.count("net_messages", kind)
+        self.count("net_message_bytes", nbytes)
+        if transit is not None:
+            self.transits.append(transit)
 
     def merge_from(self, other: "JobStats") -> None:
         """Accumulate another job's measurements (used to sum per-iteration
-        jobs): counters add up, busy intervals concatenate, and the span
+        jobs): counters add up, slices and passes concatenate, and the span
         extends to cover the other job — so ``breakdown()`` on merged
-        multi-iteration stats stays meaningful."""
-        for kind, nbytes in other.bytes_by_kind.items():
-            self.bytes_by_kind[kind] += nbytes
-        self.messages += other.messages
-        self.tasks_executed += other.tasks_executed
-        self.edges_processed += other.edges_processed
-        self.remote_reads += other.remote_reads
-        self.remote_writes += other.remote_writes
-        self.local_reads += other.local_reads
-        self.local_writes += other.local_writes
-        self.atomic_ops += other.atomic_ops
-        self.disk_bytes_read += other.disk_bytes_read
-        self.disk_stall_seconds += other.disk_stall_seconds
-        for machine, workers in other.busy_intervals.items():
-            for worker, intervals in workers.items():
-                self.busy_intervals[machine][worker].extend(intervals)
-        if other.end_time > self.end_time:
-            self.end_time = other.end_time
-        for name, delta in other.metrics_delta.items():
-            self.metrics_delta[name] = self.metrics_delta.get(name, 0.0) + delta
-        # Serial jobs chain causally, so critical paths concatenate; the
-        # merged straggler falls out of the summed per-machine attribution.
-        self.critical_path_len += other.critical_path_len
-        for m, secs in other.critical_path_by_machine.items():
-            self.critical_path_by_machine[m] = (
-                self.critical_path_by_machine.get(m, 0.0) + secs)
+        multi-iteration stats stays meaningful.  Serial jobs chain
+        causally, so critical paths concatenate too; the merged straggler
+        falls out of the summed per-machine attribution."""
+        for name in _SUMMED:
+            setattr(self, name, getattr(self, name) + getattr(other, name))
+        for name in ("chunks", "copier_passes", "transits"):
+            getattr(self, name).extend(getattr(other, name))
+        for mine, theirs in ((self.bytes_by_kind, other.bytes_by_kind),
+                             (self.metrics_delta, other.metrics_delta),
+                             (self.critical_path_by_machine,
+                              other.critical_path_by_machine)):
+            for key, value in theirs.items():
+                mine[key] = mine.get(key, 0.0) + value
+        for key, n in other.counts.items():
+            if key[0] == "queue_depth":  # the later job's depth is the last
+                self.counts[key] = n
+            else:
+                self.count(*key, n)
+        self.end_time = max(self.end_time, other.end_time)
 
     # -- Figure 6(c) --------------------------------------------------------
 
     def breakdown(self, workers_per_machine: int) -> Breakdown:
         """Classify the job span into the three Figure 6(c) buckets."""
-        span_start, span_end = self.start_time, self.end_time
-        if span_end <= span_start:
+        lo, hi = self.start_time, self.end_time
+        if hi <= lo:
             return Breakdown()
+        # Each machine's non-empty slices clipped to the span, and when
+        # its last one ended.
+        clipped: dict[int, list[tuple[float, float]]] = {}
+        done: dict[int, float] = {}
+        for _, m, _, _, start, duration in self.chunks:
+            end = start + duration
+            if end > start:
+                clipped.setdefault(m, []).append((max(start, lo),
+                                                  min(end, hi)))
+                done[m] = max(done.get(m, lo), end)
+        if not done:
+            return Breakdown(inter_machine=hi - lo)
+        done = {m: min(end, hi) for m, end in done.items()}
+        points = {lo, hi, *done.values()}
+        for slices in clipped.values():
+            for s, e in slices:
+                points.update((s, e))
+        timeline = sorted(p for p in points if lo <= p <= hi)
 
-        machines = sorted(self.busy_intervals)
-        if not machines:
-            return Breakdown(inter_machine=span_end - span_start)
-
-        # Per-machine completion time and busy-worker step functions.
-        machine_end: dict[int, float] = {}
-        points: set[float] = {span_start, span_end}
-        for m in machines:
-            workers = self.busy_intervals[m]
-            m_end = span_start
-            for ivals in workers.values():
-                for s, e in ivals:
-                    points.add(max(s, span_start))
-                    points.add(min(e, span_end))
-                    m_end = max(m_end, e)
-            machine_end[m] = min(m_end, span_end)
-            points.add(machine_end[m])
-
-        timeline = sorted(p for p in points if span_start <= p <= span_end)
-
-        # Count busy workers per machine per segment via difference arrays.
-        import bisect
-
-        deltas: dict[int, list[float]] = {m: [0.0] * (len(timeline) + 1) for m in machines}
-        for m in machines:
-            for ivals in self.busy_intervals[m].values():
-                for s, e in ivals:
-                    s, e = max(s, span_start), min(e, span_end)
-                    if e <= s:
-                        continue
-                    deltas[m][bisect.bisect_left(timeline, s)] += 1
-                    deltas[m][bisect.bisect_left(timeline, e)] -= 1
-
-        busy_counts: dict[int, list[float]] = {}
-        for m in machines:
-            acc, counts = 0.0, []
-            for d in deltas[m][:-1]:
-                acc += d
-                counts.append(acc)
-            busy_counts[m] = counts
+        # Busy workers per machine per segment, via difference arrays.
+        busy = []
+        for slices in clipped.values():
+            delta = [0] * len(timeline)
+            for s, e in slices:
+                if e > s:
+                    delta[bisect_left(timeline, s)] += 1
+                    delta[bisect_left(timeline, e)] -= 1
+            busy.append(list(accumulate(delta)))
 
         out = Breakdown()
-        for i in range(len(timeline) - 1):
-            seg = timeline[i + 1] - timeline[i]
+        for i, (t0, t1) in enumerate(zip(timeline, timeline[1:])):
+            seg = t1 - t0
             if seg <= 0:
                 continue
-            t_mid = 0.5 * (timeline[i] + timeline[i + 1])
-            any_machine_done = any(machine_end[m] <= t_mid for m in machines)
-            if any_machine_done:
+            t_mid = 0.5 * (t0 + t1)
+            if any(end <= t_mid for end in done.values()):
                 out.inter_machine += seg
-            elif all(busy_counts[m][i] >= workers_per_machine for m in machines):
+            elif all(b[i] >= workers_per_machine for b in busy):
                 out.fully_parallel += seg
             else:
                 out.intra_machine += seg

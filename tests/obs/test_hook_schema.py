@@ -5,6 +5,11 @@ payload the engine builds carries exactly its hook's fields, plus the
 scope tags of a ticketed job and the declared optional fields.  The
 dynamic half runs one pass that touches every feature layer with a
 subscriber on every hook.
+
+The same pass holds the metrics registry to the event stream: every family
+the recorder registers, whether folded from ``JobStats`` or counted by a
+hook handler, equals what :class:`~tests.obs.hook_witness.HookWitness`
+counts from the payloads alone.
 """
 
 import pathlib
@@ -16,13 +21,16 @@ from repro import (EdgeMapJob, EdgeMapSpec, FaultPlan, MachineCrash,
                    PgxdCluster, QuotaExceededError, ReduceOp, rmat,
                    with_uniform_weights)
 from repro.algorithms import pagerank, sssp
-from repro.core.incremental import IncrementalEngine, hash_weights
+from repro.core.incremental import (IncrementalConfig, IncrementalEngine,
+                                    hash_weights)
 from repro.core.scheduler import JobScheduler, SchedulerConfig
 from repro.dynamic import DynamicGraph
+from repro.obs import HookBus, MetricsRecorder, MetricsRegistry
 from repro.obs.hooks import KNOWN_HOOKS, OPTIONAL_FIELDS, SCOPE_TAGS
 from repro.query import apply_spec, pool_specs
 from repro.server import PgxdServer
 from tests.conftest import make_cluster
+from tests.obs.hook_witness import HOT_HOOKS, HookWitness
 
 SRC = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 
@@ -43,17 +51,30 @@ def test_optional_fields_extend_known_hooks_only():
 
 
 class Capture:
-    """Every payload key set seen per hook, over any number of clusters."""
+    """Every payload key set seen per hook, over any number of clusters,
+    and each cluster's hook witness."""
 
     def __init__(self):
         self.keys: dict[str, set[frozenset]] = {}
+        #: (cluster, a witness fed every event it emitted)
+        self.clusters: list[tuple[PgxdCluster, HookWitness]] = []
+        #: (cluster id, ticket) -> task.chunk_end events per attempt
+        self.chunk_ends: dict[tuple, list[int]] = {}
 
     def attach(self, cluster):
         for name in KNOWN_HOOKS:
             cluster.hooks.subscribe(
-                name, lambda p, name=name: self.keys.setdefault(
-                    name, set()).add(frozenset(p)))
+                name, lambda p, name=name: self._capture(cluster, name, p))
+        self.clusters.append((cluster, HookWitness().attach(cluster)))
         return cluster
+
+    def _capture(self, cluster, name, p):
+        self.keys.setdefault(name, set()).add(frozenset(p))
+        key = (id(cluster), p.get("ticket"))
+        if name == "job.start":
+            self.chunk_ends.setdefault(key, []).append(0)
+        elif name == "task.chunk_end":
+            self.chunk_ends[key][-1] += 1
 
 
 def pull_job(name):
@@ -116,14 +137,18 @@ def _scheduler(cap):
 
 
 def _served(cap):
-    """Cached reads over a mutating graph, then an incremental recompute."""
+    """Cached reads over a mutating graph, then an incremental recompute,
+    and one that falls back to a full rerun (two changed edges exceed the
+    0.1% budget, one does not)."""
     cluster = cap.attach(make_cluster(2))
     server = PgxdServer(cluster)
     server.enable_cache()
     graph = rmat(300, 1800, seed=31)
     src, dst = graph.edge_list()
     dyn = DynamicGraph(300, list(zip(src.tolist(), dst.tolist())))
-    engine = IncrementalEngine(cluster, dyn, weight_fn=hash_weights(seed=3))
+    engine = IncrementalEngine(cluster, dyn, weight_fn=hash_weights(seed=3),
+                               config=IncrementalConfig(
+                                   full_rerun_fraction=0.001))
     session = server.create_session("a")
     specs = pool_specs(2, seed=31)
     for round_ in range(2):
@@ -134,18 +159,29 @@ def _served(cap):
             engine.pagerank()
             dyn.add_edge(1, 2)
             engine.mutate(session="a")
-    engine.pagerank()
+    assert engine.pagerank().mode == "incremental"
+    dyn.add_edge(2, 3)
+    dyn.add_edge(3, 4)
+    engine.mutate(session="a")
+    assert engine.pagerank().fallback
+    session.attach_graph("g", engine.pin())
+    apply_spec(session.query("g"), specs[0])  # the cache ends non-empty
 
 
 @pytest.fixture(scope="module")
-def captured(tmp_path_factory):
+def capture(tmp_path_factory):
     cap = Capture()
     _algorithms(cap)
     _out_of_core(cap)
     _faults(cap, tmp_path_factory.mktemp("ckpt"))
     _scheduler(cap)
     _served(cap)
-    return cap.keys
+    return cap
+
+
+@pytest.fixture(scope="module")
+def captured(capture):
+    return capture.keys
 
 
 def test_every_known_hook_fires(captured):
@@ -170,3 +206,66 @@ def test_ticketed_payloads_carry_both_scope_tags(captured):
     for name in ("task.chunk_end", "comm.copier_done", "job.start",
                  "disk.read", "cache.hit", "dynamic.apply"):
         assert any(set(SCOPE_TAGS) <= keys for keys in captured[name]), name
+
+
+#: families the scheduler updates itself, from no engine fact or hook
+DRIVER_FAMILIES = ("repro_jobs_total", "repro_job_seconds",
+                   "repro_sim_events_total", "repro_sim_event_pool_hits")
+
+
+def recorder_families() -> list[str]:
+    registry = MetricsRegistry()
+    MetricsRecorder(registry, HookBus())
+    return registry.names()
+
+
+def test_every_recorder_family_equals_the_hook_witness(capture):
+    families = recorder_families()
+    reached = set()
+    for cluster, witness in capture.clusters:
+        got = cluster.metrics.snapshot()
+        want = witness.registry.snapshot()
+        for name in families:
+            if name in DRIVER_FAMILIES:
+                continue
+            # the scenarios run one job at a time, so even the seconds
+            # sums repeat the per-event additions bit for bit
+            assert got[name] == want[name], name
+            samples = got[name]["samples"]
+            if (samples and got[name]["labels"]
+                    or any(s.get("value", s.get("count")) for s in samples)):
+                reached.add(name)
+        log = cluster.job_log
+        flat = cluster.metrics.counters_flat()
+        assert sum(v for k, v in flat.items()
+                   if k.startswith("repro_jobs_total")) == len(log)
+        assert flat["repro_job_seconds_count"] == len(log)
+        assert flat["repro_sim_events_total"] == cluster.sim.events_executed
+    assert sorted(set(families) - set(DRIVER_FAMILIES) - reached) == []
+
+
+def test_abandoned_attempts_count_in_totals_not_in_deltas(capture):
+    """The crash scenario reruns a job: its first attempt's chunks are in
+    the registry (folded when recovery dropped it) but in no job's
+    ``metrics_delta``, which covers final attempts only."""
+    (cluster, _), = [(c, w) for c, w in capture.clusters
+                     if c.faults is not None]
+    attempts = {ticket: n for (cid, ticket), n in capture.chunk_ends.items()
+                if cid == id(cluster)}
+    abandoned = sum(sum(n[:-1]) for n in attempts.values())
+    assert abandoned > 0
+    total = sum(v for k, v in cluster.metrics.counters_flat().items()
+                if k.startswith("repro_chunks_total"))
+    in_deltas = sum(v for t in cluster.scheduler.tickets
+                    for k, v in t.stats.metrics_delta.items()
+                    if k.startswith("repro_chunks_total"))
+    assert total == in_deltas + abandoned
+    assert in_deltas == sum(n[-1] for n in attempts.values())
+
+
+def test_fresh_cluster_has_no_hot_hook_subscribers():
+    cluster = make_cluster(2)
+    dg = cluster.load_graph(rmat(260, 1500, seed=21))
+    pagerank(cluster, dg, "pull", max_iterations=1)
+    assert {name: cluster.hooks.subscriber_count(name)
+            for name in HOT_HOOKS} == dict.fromkeys(HOT_HOOKS, 0)

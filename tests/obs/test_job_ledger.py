@@ -1,12 +1,13 @@
 """Per-ticket metric ledgers against an oracle.
 
 Every job is a scheduler ticket, served or solo.  Its ``stats.metrics_delta``
-comes from a sparse ledger filled while that job's tagged events pass
-through the one cluster recorder, and covers its final attempt only.  The
-oracle rebuilds the same thing from the outside: capture the cluster bus,
-bucket events by their ``ticket`` tag (a ``job.start`` opens a new attempt),
-replay each bucket into a fresh recorder on a private bus, and add the two
-job-level series the scheduler records at completion.
+comes from a sparse ledger: the job's tagged events pass through the one
+cluster recorder, and its ``JobStats`` is folded in when it finishes, so the
+delta covers its final attempt only.  The oracle rebuilds the same thing
+from the outside: capture the cluster bus, bucket events by their
+``ticket`` tag (a ``job.start`` opens a new attempt), count each bucket's
+payloads into a fresh registry (:mod:`tests.obs.hook_witness`), and add the
+two job-level series the scheduler records at completion.
 """
 
 import numpy as np
@@ -18,10 +19,11 @@ from repro.algorithms import pagerank, sssp, wcc
 from repro.core.incremental import IncrementalEngine, hash_weights
 from repro.core.scheduler import DONE, JobScheduler, SchedulerConfig
 from repro.dynamic import DynamicGraph
-from repro.obs import KNOWN_HOOKS, HookBus, MetricsRecorder, MetricsRegistry
+from repro.obs import KNOWN_HOOKS, HookBus, MetricsRecorder
 from repro.query import apply_spec, pool_specs
 from repro.server import PgxdServer
 from tests.conftest import make_cluster
+from tests.obs.hook_witness import replay
 
 
 class TicketOracle:
@@ -41,16 +43,8 @@ class TicketOracle:
             self.buckets[ticket] = []
         self.buckets[ticket].append((name, dict(payload)))
 
-    @staticmethod
-    def replay(events) -> MetricsRegistry:
-        registry, bus = MetricsRegistry(), HookBus()
-        MetricsRecorder(registry, bus)
-        for name, payload in events:
-            bus.emit(name, **payload)
-        return registry
-
     def expected_delta(self, ticket) -> dict:
-        registry = self.replay(self.buckets[ticket.seq])
+        registry = replay(self.buckets[ticket.seq])
         registry.counter("repro_jobs_total", labelnames=("kind",)).labels(
             kind=type(ticket.job).__name__).inc()
         registry.histogram("repro_job_seconds").observe(ticket.stats.elapsed)
@@ -178,7 +172,7 @@ class TestDeltaAgainstOracle:
                 total[key] = total.get(key, 0.0) + value
         tagged = [ev for t in server.scheduler.tickets
                   if t.session in rollup for ev in oracle.buckets[t.seq]]
-        scoped = oracle.replay(tagged).counters_flat()
+        scoped = replay(tagged).counters_flat()
         job_level = ("repro_jobs_total", "repro_job_seconds")
         assert {k for k in total if not k.startswith(job_level)} == {
             k for k, v in scoped.items() if v != 0.0}

@@ -68,6 +68,8 @@ class TestRecorder:
         m = cluster.metrics.get("repro_worker_busy_seconds_total")
         busy_from_metrics = sum(c.value for _, c in m.children())
         assert busy_from_metrics == pytest.approx(busy_from_stats)
+        assert busy_from_metrics == pytest.approx(
+            sum(duration for *_, duration in stats.chunks))
 
     def test_metrics_do_not_change_results_or_times(self, small_rmat):
         """The always-on recorder observes; it must never perturb the sim."""
@@ -150,10 +152,14 @@ class TestReport:
     @pytest.mark.parametrize("direction", ["pull", "push"])
     def test_traffic_by_kind_equals_job_stats(self, small_rmat, direction,
                                               plan):
-        """The fabric's traffic has one count: the recorder's per-kind
-        bytes (from ``net.send``) equal the jobs' own ``bytes_by_kind``,
+        """The fabric's traffic has one count, each job's own
+        ``bytes_by_kind`` taken as its frames form: the registry's per-kind
+        bytes are its fold, and both equal the ``net.send`` payloads,
         resends included and a duplicate counted once."""
         cluster = make_cluster(fault_plan=plan)
+        sent = Counter()
+        cluster.hooks.subscribe(
+            "net.send", lambda p: sent.update({p["kind"]: p["nbytes"]}))
         dg = cluster.load_graph(small_rmat)
         pagerank(cluster, dg, direction, max_iterations=3, tolerance=0.0)
         summed = Counter()
@@ -161,6 +167,7 @@ class TestReport:
             summed.update(stats.bytes_by_kind)
         traffic = traffic_by_kind(cluster.metrics)
         assert traffic == {kind: b for kind, b in summed.items() if b}
+        assert traffic == dict(sent)
         assert traffic["read_req" if direction == "pull" else "write_req"] > 0
 
     def test_render_contains_all_layers(self, ran):

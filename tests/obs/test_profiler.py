@@ -2,8 +2,10 @@
 
 The hand-made tests schedule their events on a real :class:`Simulator`
 and emit through a ticket's :class:`ScopedHookBus`, as the scheduler does
-for every job, so every event time is hand-picked and the critical path is
-computable on paper.  The integration tests run real workloads and hold
+for every job; worker slices go into the job's :class:`JobStats`, which
+the profiler reads at job end (the scheduler's ``annotate`` call), so
+every event time is hand-picked and the critical path is computable on
+paper.  The integration tests run real workloads and hold
 the profiler to its two contracts: the critical path tiles the job's
 elapsed time exactly, and installing a profiler never changes simulated
 results (pay-for-play).
@@ -54,6 +56,12 @@ def _job_bus(cluster, ticket=1):
                          tags={"ticket": ticket})
 
 
+def _slice(sim, stats, machine, worker, start, duration):
+    """A worker slice ending now, recorded as the engine records one."""
+    stats.chunks.append((sim.current, machine, worker, "chunk", start,
+                         duration))
+
+
 def _run_relay(cluster, ticket=1, job="fx"):
     """Schedule and run a two-machine relay whose critical path is
     computable by hand (times relative to the current clock).
@@ -66,15 +74,15 @@ def _run_relay(cluster, ticket=1, job="fx"):
     the job's elapsed time; on-CPU path time is m0=1.5, m1=1.0.
     """
     sim, bus, t0 = cluster.sim, _job_bus(cluster, ticket), cluster.sim.now
+    stats = JobStats(start_time=t0)
 
     def at(t, fn):
         sim.schedule_at(t0 + t, fn)
 
     def chunk(machine, worker, start, then=None):
         def end():
-            bus.emit("task.chunk_end", machine=machine, worker=worker,
-                     kind="chunk", start=t0 + start,
-                     duration=sim.now - (t0 + start))
+            _slice(sim, stats, machine, worker, t0 + start,
+                   sim.now - (t0 + start))
             if then is not None:
                 then()
         return end
@@ -86,6 +94,8 @@ def _run_relay(cluster, ticket=1, job="fx"):
 
     def finish():
         bus.emit("job.end", job=job, start=t0, duration=sim.now - t0)
+        if cluster.profiler is not None:  # as the scheduler does
+            cluster.profiler.annotate(stats, ticket)
 
     def reply_arrived():
         at(5.0, chunk(0, 0, 4.0, finish))
@@ -182,17 +192,16 @@ class TestKnownTopology:
 class TestSpanTreeAssembly:
     def test_nesting_phases_machines_spans(self):
         cluster, prof = _install()
-        bus = _job_bus(cluster)
+        bus, stats = _job_bus(cluster), JobStats()
         bus.emit("job.start", job="tree", time=0.0)
-        bus.emit("task.chunk_end", machine=0, worker=0, kind="chunk",
-                 start=0.1, duration=0.4)
-        bus.emit("task.chunk_end", machine=1, worker=2, kind="chunk",
-                 start=0.2, duration=0.6)
+        _slice(cluster.sim, stats, 0, 0, 0.1, 0.4)
+        _slice(cluster.sim, stats, 1, 2, 0.2, 0.6)
         bus.emit("job.phase_end", phase="main", start=0.0, duration=1.0)
         bus.emit("ghost.reduce_end", machine=0, elements=10, start=1.0,
                  duration=0.5)
         bus.emit("job.phase_end", phase="postsync", start=1.0, duration=0.5)
         bus.emit("job.end", job="tree", start=0.0, duration=1.5)
+        prof.annotate(stats, 1)
         tree = prof.last_profile().tree()
         assert tree["job"] == "tree"
         phases = {n["phase"]: n for n in tree["phases"]}
@@ -208,8 +217,8 @@ class TestSpanTreeAssembly:
 
     def test_orphan_events_counted_not_attached(self):
         cluster, prof = _install()
-        cluster.hooks.emit("task.chunk_end", machine=0, worker=0,
-                           kind="chunk", start=0.0, duration=1.0)
+        cluster.hooks.emit("ghost.reduce_end", machine=0, elements=1,
+                           start=0.0, duration=1.0)
         assert prof.orphan_events == 1
         assert prof.profiles == []
 
@@ -226,20 +235,27 @@ class TestSpanTreeAssembly:
     def test_ticketed_jobs_interleave_without_mixing(self):
         cluster, prof = _install()
         bus = cluster.hooks
+        s1, s2 = JobStats(), JobStats()
         bus.emit("job.start", job="j1", time=0.0, ticket=1, session="s1")
         bus.emit("job.start", job="j2", time=0.0, ticket=2, session="s2")
-        bus.emit("task.chunk_end", machine=0, worker=0, kind="chunk",
-                 start=0.0, duration=1.0, ticket=1, session="s1")
-        bus.emit("task.chunk_end", machine=0, worker=0, kind="chunk",
-                 start=0.0, duration=2.0, ticket=2, session="s2")
+        bus.emit("ghost.reduce_end", machine=0, elements=1, start=0.0,
+                 duration=1.0, ticket=1, session="s1")
+        bus.emit("ghost.reduce_end", machine=0, elements=1, start=0.0,
+                 duration=2.0, ticket=2, session="s2")
+        _slice(cluster.sim, s1, 0, 0, 0.0, 1.0)
+        _slice(cluster.sim, s2, 0, 0, 0.0, 2.0)
         bus.emit("job.end", job="j1", start=0.0, duration=1.0, ticket=1,
                  session="s1")
         bus.emit("job.end", job="j2", start=0.0, duration=2.0, ticket=2,
                  session="s2")
+        prof.annotate(s1, 1)
+        prof.annotate(s2, 2)
         (p1,) = prof.profiles_for("s1")
         (p2,) = prof.profiles_for("s2")
-        assert len(p1.slices) == 1 and p1.slices[0].end == 1.0
-        assert len(p2.slices) == 1 and p2.slices[0].end == 2.0
+        assert [(s.lane, s.end) for s in p1.slices] == [("worker 0", 1.0),
+                                                         ("ghost", 1.0)]
+        assert [(s.lane, s.end) for s in p2.slices] == [("worker 0", 2.0),
+                                                         ("ghost", 2.0)]
 
     def test_restarted_ticket_aborts_stale_build(self):
         cluster, prof = _install()

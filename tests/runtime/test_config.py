@@ -4,6 +4,9 @@ import dataclasses
 
 import pytest
 
+from repro.core.incremental import IncrementalConfig
+from repro.core.result_cache import CacheConfig
+from repro.core.scheduler import SchedulerConfig
 from repro.runtime.config import (ClusterConfig, ConfigError, EngineConfig,
                                   MachineConfig, NetworkConfig)
 
@@ -167,3 +170,37 @@ class TestHardwareConfigValidation:
             for scale in (1e-9, 1e-4, 1.0):
                 cfg = scaled_cluster_config(machines, scale)
                 assert cfg.with_straggler(0, 3.0).machine_config(0)
+
+
+class TestServiceConfigValidation:
+    """Scheduler, result-cache and incremental knobs that would deadlock
+    the job loop, refuse every read or never rerun fail at construction,
+    naming the field."""
+
+    @pytest.mark.parametrize("cls,field,value", [
+        (SchedulerConfig, "max_concurrent_jobs", 0),
+        (SchedulerConfig, "max_queued_per_session", -1),
+        (SchedulerConfig, "max_queue_depth", -1),
+        (SchedulerConfig, "read_rate_per_session", 0.0),
+        (SchedulerConfig, "read_rate_per_session", -2.0),
+        (SchedulerConfig, "read_burst", -1.0),
+        (CacheConfig, "max_entries", -1),
+        (CacheConfig, "hit_seconds", -1.0),
+        (IncrementalConfig, "full_rerun_fraction", -0.1),
+        (IncrementalConfig, "full_rerun_fraction", 2.0),
+        (IncrementalConfig, "full_rerun_fraction", float("nan"))])
+    def test_rejected(self, cls, field, value):
+        with pytest.raises(ConfigError, match=field):
+            cls(**{field: value})
+
+    @pytest.mark.parametrize("cls,field,value", [
+        (SchedulerConfig, "max_concurrent_jobs", 1),
+        (SchedulerConfig, "max_queue_depth", 0),
+        (SchedulerConfig, "read_rate_per_session", None),
+        (SchedulerConfig, "read_rate_per_session", 1e-9),
+        (SchedulerConfig, "read_burst", 0.0),
+        (CacheConfig, "max_entries", 0), (CacheConfig, "hit_seconds", 0.0),
+        (IncrementalConfig, "full_rerun_fraction", 0.0),
+        (IncrementalConfig, "full_rerun_fraction", 1.0)])
+    def test_boundary_accepted(self, cls, field, value):
+        assert getattr(cls(**{field: value}), field) == value

@@ -85,14 +85,13 @@ class TestMachineCpu:
         cpu.thread_started()
         cpu.thread_started()
         assert cpu.active_threads == 2
-        cpu.thread_finished(1.0)
+        cpu.thread_finished()
         assert cpu.active_threads == 1
-        assert cpu.busy_time == 1.0
 
     def test_unmatched_finish_raises(self):
         cpu = MachineCpu(MachineConfig())
         with pytest.raises(RuntimeError):
-            cpu.thread_finished(1.0)
+            cpu.thread_finished()
 
     def test_no_oversubscription_below_hw_threads(self):
         cpu = MachineCpu(MachineConfig(hw_threads=4))

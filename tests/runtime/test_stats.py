@@ -10,6 +10,12 @@ def make_stats(span=(0.0, 10.0)):
     return st
 
 
+def busy(st, machine, worker, start, end):
+    """Record a worker slice ``[start, end]`` (the values here are exact
+    in binary, so ``start + (end - start) == end``)."""
+    st.chunks.append((-1, machine, worker, "chunk", start, end - start))
+
+
 class TestJobStats:
     def test_elapsed(self):
         st = make_stats((2.0, 5.0))
@@ -23,23 +29,45 @@ class TestJobStats:
 
     def test_record_busy_ignores_empty_intervals(self):
         st = make_stats()
-        st.record_busy(0, 0, 5.0, 5.0)
+        busy(st, 0, 0, 5.0, 5.0)
+        assert len(st.chunks) == 1  # a zero-length slice is still a chunk
         assert dict(st.busy_intervals) == {}
 
     def test_merge_from_accumulates(self):
         a, b = make_stats(), make_stats()
-        a.messages = 3
-        b.messages = 4
-        b.bytes_by_kind["x"] = 7
+        for _ in range(3):
+            a.count_message("x", 1, 1e-6)
+        for _ in range(4):
+            b.count_message("x", 1, 1e-6)
+        b.bytes_by_kind["y"] = 7
         a.merge_from(b)
-        assert a.messages == 7 and a.bytes_by_kind["x"] == 7
+        assert a.messages == 7
+        assert a.bytes_by_kind == {"x": 7, "y": 7}
+
+    def test_merge_from_joins_the_record(self):
+        a, b = make_stats(), make_stats()
+        a.count("flushes", "read_req", 2)
+        a.counts[("queue_depth", 0)] = 3
+        a.count_message("read_req", 96, 1e-6)
+        b.count("flushes", "read_req")
+        b.counts[("queue_depth", 0)] = 0
+        b.count_message("read_req", 96, None)  # dropped: no transit
+        b.copier_passes.append((7, 0, 1, "read_req", 0.5, 0.25))
+        a.merge_from(b)
+        assert a.counts == {("flushes", "read_req"): 3,
+                            ("queue_depth", 0): 0,  # the later job's
+                            ("net_messages", "read_req"): 2,
+                            ("net_message_bytes", 96): 2}
+        assert a.messages == 2 and a.bytes_by_kind == {"read_req": 192}
+        assert a.transits == [1e-6]
+        assert a.copier_passes == [(7, 0, 1, "read_req", 0.5, 0.25)]
 
     def test_merge_from_keeps_busy_intervals(self):
         """Regression: merge used to drop the other side's busy intervals."""
         a, b = make_stats((0.0, 5.0)), make_stats((5.0, 10.0))
-        a.record_busy(0, 0, 0.0, 4.0)
-        b.record_busy(0, 0, 5.0, 9.0)
-        b.record_busy(1, 2, 6.0, 8.0)
+        busy(a, 0, 0, 0.0, 4.0)
+        busy(b, 0, 0, 5.0, 9.0)
+        busy(b, 1, 2, 6.0, 8.0)
         a.merge_from(b)
         assert a.busy_intervals[0][0] == [(0.0, 4.0), (5.0, 9.0)]
         assert a.busy_intervals[1][2] == [(6.0, 8.0)]
@@ -79,7 +107,7 @@ class TestBreakdown:
         st = make_stats((0.0, 10.0))
         for m in range(2):
             for w in range(2):
-                st.record_busy(m, w, 0.0, 10.0)
+                busy(st, m, w, 0.0, 10.0)
         bd = st.breakdown(workers_per_machine=2)
         assert bd.fully_parallel == pytest.approx(10.0)
         assert bd.intra_machine == pytest.approx(0.0)
@@ -87,10 +115,10 @@ class TestBreakdown:
 
     def test_idle_worker_within_machine_is_intra(self):
         st = make_stats((0.0, 10.0))
-        st.record_busy(0, 0, 0.0, 10.0)
-        st.record_busy(0, 1, 0.0, 5.0)  # worker 1 idles from t=5
-        st.record_busy(1, 0, 0.0, 10.0)
-        st.record_busy(1, 1, 0.0, 10.0)
+        busy(st, 0, 0, 0.0, 10.0)
+        busy(st, 0, 1, 0.0, 5.0)  # worker 1 idles from t=5
+        busy(st, 1, 0, 0.0, 10.0)
+        busy(st, 1, 1, 0.0, 10.0)
         bd = st.breakdown(workers_per_machine=2)
         assert bd.fully_parallel == pytest.approx(5.0)
         assert bd.intra_machine == pytest.approx(5.0)
@@ -98,20 +126,20 @@ class TestBreakdown:
 
     def test_finished_machine_is_inter(self):
         st = make_stats((0.0, 10.0))
-        st.record_busy(0, 0, 0.0, 4.0)  # machine 0 completely done at t=4
-        st.record_busy(0, 1, 0.0, 4.0)
-        st.record_busy(1, 0, 0.0, 10.0)
-        st.record_busy(1, 1, 0.0, 10.0)
+        busy(st, 0, 0, 0.0, 4.0)  # machine 0 completely done at t=4
+        busy(st, 0, 1, 0.0, 4.0)
+        busy(st, 1, 0, 0.0, 10.0)
+        busy(st, 1, 1, 0.0, 10.0)
         bd = st.breakdown(workers_per_machine=2)
         assert bd.fully_parallel == pytest.approx(4.0)
         assert bd.inter_machine == pytest.approx(6.0)
 
     def test_total_covers_span(self):
         st = make_stats((0.0, 8.0))
-        st.record_busy(0, 0, 0.0, 3.0)
-        st.record_busy(0, 1, 1.0, 6.0)
-        st.record_busy(1, 0, 0.0, 8.0)
-        st.record_busy(1, 1, 0.0, 7.5)
+        busy(st, 0, 0, 0.0, 3.0)
+        busy(st, 0, 1, 1.0, 6.0)
+        busy(st, 1, 0, 0.0, 8.0)
+        busy(st, 1, 1, 0.0, 7.5)
         bd = st.breakdown(workers_per_machine=2)
         assert bd.total == pytest.approx(8.0)
 
@@ -124,8 +152,8 @@ class TestBreakdown:
         """With one machine, time after it finishes counts as inter-machine
         (the cluster waits at the barrier with nothing running anywhere)."""
         st = make_stats((0.0, 10.0))
-        st.record_busy(0, 0, 0.0, 6.0)
-        st.record_busy(0, 1, 0.0, 6.0)
+        busy(st, 0, 0, 0.0, 6.0)
+        busy(st, 0, 1, 0.0, 6.0)
         bd = st.breakdown(workers_per_machine=2)
         assert bd.fully_parallel == pytest.approx(6.0)
         assert bd.inter_machine == pytest.approx(4.0)
@@ -134,15 +162,15 @@ class TestBreakdown:
         """Busy intervals sticking out past the span must not inflate any
         bucket beyond the job's wall time."""
         st = make_stats((2.0, 8.0))
-        st.record_busy(0, 0, 0.0, 10.0)  # overhangs both ends
-        st.record_busy(0, 1, 2.0, 8.0)
+        busy(st, 0, 0, 0.0, 10.0)  # overhangs both ends
+        busy(st, 0, 1, 2.0, 8.0)
         bd = st.breakdown(workers_per_machine=2)
         assert bd.total == pytest.approx(6.0)
         assert bd.fully_parallel == pytest.approx(6.0)
 
     def test_zero_span_is_empty(self):
         st = make_stats((5.0, 5.0))
-        st.record_busy(0, 0, 5.0, 5.0)
+        busy(st, 0, 0, 5.0, 5.0)
         bd = st.breakdown(workers_per_machine=1)
         assert bd.total == 0.0
         assert all(v == 0.0 for v in bd.as_fractions().values())
@@ -150,9 +178,9 @@ class TestBreakdown:
     def test_gap_then_resume_counts_as_intra(self):
         """A worker waiting for responses mid-job shows as intra-machine."""
         st = make_stats((0.0, 10.0))
-        st.record_busy(0, 0, 0.0, 3.0)
-        st.record_busy(0, 0, 7.0, 10.0)  # idle gap [3, 7]
-        st.record_busy(0, 1, 0.0, 10.0)
+        busy(st, 0, 0, 0.0, 3.0)
+        busy(st, 0, 0, 7.0, 10.0)  # idle gap [3, 7]
+        busy(st, 0, 1, 0.0, 10.0)
         bd = st.breakdown(workers_per_machine=2)
         assert bd.intra_machine == pytest.approx(4.0)
         assert bd.fully_parallel == pytest.approx(6.0)
