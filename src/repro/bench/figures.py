@@ -47,7 +47,7 @@ def remote_random_read_bench(num_copiers: int,
     machine = machine or MachineConfig()
     network = network or NetworkConfig()
     sim = Simulator()
-    net = Network(sim, 2, network)
+    fabric = Network(sim, 2, network)
     dram = DramModel(machine)
 
     items_per_msg = max(1, buffer_size // _ITEM)
@@ -70,8 +70,8 @@ def remote_random_read_bench(num_copiers: int,
         sim.schedule(dur, copier_done, cid, items)
 
     def copier_done(cid: int, items: int) -> None:
-        net.send(1, 0, items * _ITEM, response_delivered, items,
-                 kind="read_resp")
+        fabric.send(1, 0, items * _ITEM, response_delivered, items,
+                    kind="read_resp")
         copier_loop(cid)
 
     def request_delivered(items: int) -> None:
@@ -88,8 +88,8 @@ def remote_random_read_bench(num_copiers: int,
     # Requesters can generate addresses faster than anything downstream; pace
     # the sends at the source NIC by just issuing them back-to-back.
     for _ in range(num_messages):
-        net.send(0, 1, items_per_msg * _ITEM, request_delivered, items_per_msg,
-                 kind="read_req")
+        fabric.send(0, 1, items_per_msg * _ITEM, request_delivered,
+                    items_per_msg, kind="read_req")
 
     sim.run()
     elapsed = sim.now
@@ -111,7 +111,7 @@ def buffer_size_bench(num_machines: int, buffer_size: int,
     returns the attained per-machine send bandwidth (bytes/s)."""
     network = network or NetworkConfig()
     sim = Simulator()
-    net = Network(sim, num_machines, network)
+    fabric = Network(sim, num_machines, network)
     per_dest = bytes_per_machine / max(1, num_machines - 1)
     msgs_per_dest = max(1, int(per_dest // buffer_size))
     total = 0.0
@@ -122,7 +122,7 @@ def buffer_size_bench(num_machines: int, buffer_size: int,
         for shift in range(1, num_machines):
             for src in range(num_machines):
                 dst = (src + shift) % num_machines
-                net.send(src, dst, buffer_size, lambda: None, kind="flood")
+                fabric.send(src, dst, buffer_size, lambda: None, kind="flood")
                 total += buffer_size
     sim.run()
     return total / num_machines / sim.now

@@ -53,8 +53,6 @@ def deliver_request(exc: "JobExecution", msg: Message) -> None:
     exc.stats.count("comm_requests", msg.kind.value)
     exc.stats.count("queue_depth_samples", depth)
     exc.stats.counts[("queue_depth", msg.dst)] = depth
-    exc.hooks.emit("comm.enqueue", machine=msg.dst, kind=msg.kind.value,
-                   depth=depth, time=exc.sim.now)
     for cs in exc.copiers[msg.dst]:
         if not cs.busy:
             cs.busy = True
@@ -97,9 +95,6 @@ def _copier_done(exc: "JobExecution", cs: CopierState, msg: Message,
     exc.stats.copier_passes.append((exc.sim.current, m, cs.cindex,
                                     msg.kind.value, start, dur))
     exc.stats.counts[("queue_depth", m)] = depth
-    exc.hooks.emit("comm.copier_done", machine=m, copier=cs.cindex,
-                   kind=msg.kind.value, items=msg.item_count, depth=depth,
-                   start=start, duration=dur)
     # Side effects that become visible when the copier finishes:
     if msg.kind is MsgKind.READ_REQ:
         # The response this pass built: each pass over a duplicated or

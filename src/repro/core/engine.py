@@ -159,8 +159,7 @@ class PgxdCluster:
         self.faults = (FaultController(plan, self.sim, self.hooks)
                        if plan is not None else None)
         self.network = Network(self.sim, self.config.num_machines,
-                               self.config.network, hooks=self.hooks,
-                               faults=self.faults,
+                               self.config.network, faults=self.faults,
                                audit=self.config.engine.audit,
                                frame_bytes=self.config.engine.buffer_size)
         self.rmi = RmiRegistry()

@@ -174,7 +174,7 @@ class JobExecution:
 
     def _transmit(self, msg: Message, kind: str, deliver) -> None:
         self.network.send(msg.src, msg.dst, msg.wire_bytes(), deliver, self,
-                          msg, kind=kind, hooks=self.hooks, stats=self.stats)
+                          msg, kind=kind, stats=self.stats)
 
     def send_request(self, msg: Message, kind: str) -> None:
         self._transmit(msg, kind, deliver_request)
@@ -454,10 +454,9 @@ class JobExecution:
     def _postsync_machine_done(self, m, started: float,
                                elements: int) -> None:
         """Stage 2: ship ghost partials to the owners."""
-        if self.hooks.has("ghost.reduce_end"):
-            self.hooks.emit("ghost.reduce_end", machine=m.index,
-                            elements=elements, start=started,
-                            duration=self.sim.now - started)
+        self.hooks.emit("ghost.reduce_end", machine=m.index,
+                        elements=elements, start=started,
+                        duration=self.sim.now - started)
         for prop, op in self.ghost_write_props:
             if prop not in m.ghosts.arrays:
                 continue

@@ -117,9 +117,6 @@ class WorkerState:
         exc = self.exc
         exc.stats.count("flushes", "read_req")
         exc.stats.count("flush_items", "read_req", len(offsets))
-        exc.hooks.emit("comm.flush", machine=self.machine.index,
-                       worker=self.windex, dst=dst, prop=prop,
-                       kind="read_req", items=len(offsets), time=exc.sim.now)
         # Chunks append whole batches at once, so a buffer can exceed the
         # maximum message size; ship it as a train of full buffers.
         step = self._max_items(8)
@@ -154,12 +151,9 @@ class WorkerState:
         offsets, values = buf.drain()
         if (op.order_insensitive(values.dtype)
                 and values.dtype == exc.machines[dst].props.dtype(prop)):
-            offsets, values = self._combine(dst, prop, op, offsets, values)
+            offsets, values = self._combine(op, offsets, values)
         exc.stats.count("flushes", "write_req")
         exc.stats.count("flush_items", "write_req", len(offsets))
-        exc.hooks.emit("comm.flush", machine=self.machine.index,
-                       worker=self.windex, dst=dst, prop=prop,
-                       kind="write_req", items=len(offsets), time=exc.sim.now)
         step = self._max_items(16)
         for i in range(0, len(offsets), step):
             msg = Message(MsgKind.WRITE_REQ, self.machine.index, dst,
@@ -170,8 +164,7 @@ class WorkerState:
             exc.write_outstanding += 1
             exc.send_request(msg, kind="write_req")
 
-    def _combine(self, dst: int, prop: str, op: ReduceOp,
-                 offsets: np.ndarray,
+    def _combine(self, op: ReduceOp, offsets: np.ndarray,
                  values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Sender-side combining: one item per target per flush, so each
         target travels (and is atomically applied) once.  Exact because the
@@ -187,9 +180,6 @@ class WorkerState:
                                                  / exc.cpu_op_time)
         exc.stats.count("combine_items", "in", len(offsets))
         exc.stats.count("combine_items", "out", len(uniq))
-        exc.hooks.emit("comm.combine", machine=self.machine.index, dst=dst,
-                       prop=prop, items_in=len(offsets), items_out=len(uniq),
-                       time=exc.sim.now)
         return uniq, reduced
 
     # -- response intake --------------------------------------------------------
@@ -594,9 +584,6 @@ def _end_work(exc: "JobExecution", ws: WorkerState, dur: float,
     ws.scheduled = False
     exc.stats.chunks.append((exc.sim.current, ws.machine.index, ws.windex,
                              kind, start, dur))
-    exc.hooks.emit("task.chunk_end", machine=ws.machine.index,
-                   worker=ws.windex, kind=kind, job=exc.job.name,
-                   start=start, duration=dur)
     if kind == "chunk" and exc.window_streams is not None:
         exc.window_streams[ws.machine.index].chunk_done(ws.window)
     worker_loop(exc, ws)
@@ -650,7 +637,6 @@ def _process_response(exc: "JobExecution", ws: WorkerState,
         for (task, node_g, nbr_g, w, ei, tag), value in zip(side.tasks, values):
             ctx._task = task
             ctx._node_global = node_g
-            ctx._node_local = node_g - m.lo
             ctx._nbr_global = nbr_g
             ctx._edge_weight = w
             ctx._edge_idx = ei
@@ -686,7 +672,6 @@ def _execute_scalar_chunk(exc: "JobExecution", ws: WorkerState,
         task = task_cls()
         ctx._task = task
         ctx._node_global = vg
-        ctx._node_local = vl
         ctx._nbr_global = -1
         ctx._edge_weight = 0.0
         if not task.filter(ctx):
@@ -699,7 +684,6 @@ def _execute_scalar_chunk(exc: "JobExecution", ws: WorkerState,
             for ei in range(s, e):
                 ctx._task = task
                 ctx._node_global = vg
-                ctx._node_local = vl
                 ctx._nbr_global = int(csr.nbrs[ei])
                 ctx._edge_weight = float(weights[ei]) if weights is not None else 0.0
                 ctx._edge_idx = ei

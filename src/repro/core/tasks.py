@@ -41,13 +41,12 @@ class TaskContext:
     All accessor names follow the paper's C++ API.
     """
 
-    __slots__ = ("_ws", "_node_global", "_node_local", "_nbr_global",
+    __slots__ = ("_ws", "_node_global", "_nbr_global",
                  "_edge_weight", "_task", "_edge_idx", "_edge_props")
 
     def __init__(self, ws):
         self._ws = ws
         self._node_global = -1
-        self._node_local = -1
         self._nbr_global = -1
         self._edge_weight = 0.0
         self._task = None
@@ -94,17 +93,12 @@ class TaskContext:
         slot = m.ghosts.slot_of_one(vertex)
         if slot >= 0 and prop in synced and prop in m.ghosts.arrays:
             exc.stats.count("ghost_hits", mode)
-            exc.hooks.emit("ghost.hit", machine=m.index, prop=prop, mode=mode,
-                           count=1, time=exc.sim.now)
             return m.ghosts.arrays[prop], slot, True
         return None
 
-    def _remote(self, vertex: int, prop: str, mode: str) -> tuple[int, int]:
-        """Record a ghost miss; ``(owner machine, owner-local offset)``."""
+    def _remote(self, vertex: int) -> tuple[int, int]:
+        """``(owner machine, owner-local offset)`` of a ghost miss."""
         m = self._ws.machine
-        exc = self._ws.exc
-        exc.hooks.emit("ghost.miss", machine=m.index, prop=prop, mode=mode,
-                       count=1, time=exc.sim.now)
         owner = m.partitioning.owner(vertex)
         return owner, vertex - m.partitioning.starts[owner]
 
@@ -144,7 +138,7 @@ class TaskContext:
             ws.exc.stats.local_reads += 1
             self._task.read_done(self, col[row], tag)
             return
-        owner, offset = self._remote(vertex, prop, "read")
+        owner, offset = self._remote(vertex)
         ws.read_buf(owner, prop).append(
             np.array([offset], dtype=np.int64),
             tasks=((self._task, self._node_global, self._nbr_global,
@@ -171,7 +165,7 @@ class TaskContext:
                 ws.pending_atomics += atomics
                 ws.deferred_cpu_ops += compares
             return
-        owner, offset = self._remote(vertex, prop, "write")
+        owner, offset = self._remote(vertex)
         ws.write_buf(owner, prop, op).append(
             np.array([offset], dtype=np.int64), np.array([value]))
         exc.stats.remote_writes += 1

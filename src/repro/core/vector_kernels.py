@@ -106,8 +106,6 @@ def execute_edge_map_chunk(exc: "JobExecution", machine: "Machine",
                                           ghost_ok, machine.index,
                                           exc.num_machines)
     exc.stats.count("plan_cache_requests", "hit" if hit else "miss")
-    exc.hooks.emit("task.plan_cache", machine=machine.index, hit=hit,
-                   time=exc.sim.now)
 
     # Vertex filter (deactivation): drop the edges of inactive rows but still
     # pay the per-node filter check — this is exactly why framework overhead
@@ -125,21 +123,16 @@ def execute_edge_map_chunk(exc: "JobExecution", machine: "Machine",
         tally.tasks = n_nodes
 
     n_edges = len(rows)
-    n_ghost, n_remote = splits[1] - splits[0], n_edges - splits[1]
+    n_ghost = splits[1] - splits[0]
     tally.edges = n_edges
     exc.stats.edges_processed += n_edges
     tally.seq_bytes += n_edges * CSR_BYTES_PER_EDGE
     tally.cpu_ops += n_edges * 2.0  # loop + transform arithmetic
 
-    mode = "read" if spec.direction == "pull" else "write"
-    hook_prop = spec.source if mode == "read" else spec.target
     if n_ghost:
-        exc.stats.count("ghost_hits", mode, n_ghost)
-        exc.hooks.emit("ghost.hit", machine=machine.index, prop=hook_prop,
-                       mode=mode, count=n_ghost, time=exc.sim.now)
-    if n_remote:
-        exc.hooks.emit("ghost.miss", machine=machine.index, prop=hook_prop,
-                       mode=mode, count=n_remote, time=exc.sim.now)
+        exc.stats.count("ghost_hits",
+                        "read" if spec.direction == "pull" else "write",
+                        n_ghost)
 
     weights = None
     if spec.use_weights and csr.edge_data(spec.edge_prop) is not None:

@@ -5,11 +5,12 @@ observers) coexist in one process:
 
 * :class:`~repro.obs.metrics.MetricsRegistry` — labeled counters, gauges
   and fixed-bucket histograms with quantile estimates;
-* :class:`~repro.obs.hooks.HookBus` — named instrumentation hook points
-  (``task.chunk_end``, ``net.send``, ``ghost.hit``, ...) with
+* :class:`~repro.obs.hooks.HookBus` — named lifecycle hook points
+  (``job.phase_end``, ``disk.read``, ``sched.dispatch``, ...) with
   instance-scoped subscriptions;
 * :class:`~repro.obs.recorder.MetricsRecorder` — the built-in subscriber
-  that keeps the standard ``repro_*`` instrument set current.
+  that keeps the standard ``repro_*`` instrument set current, folding
+  each attempt's ``JobStats`` in when it ends.
 
 Exporters (:mod:`repro.obs.exporters`) render Prometheus text and JSON
 snapshots; :mod:`repro.obs.report` prints the Figure-5-style per-layer

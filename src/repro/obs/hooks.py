@@ -2,7 +2,11 @@
 
 Every :class:`~repro.core.engine.PgxdCluster` owns one :class:`HookBus`.
 Engine layers *emit* events at well-known hook points; observers (the
-metrics recorder, the Chrome tracer, user code) *subscribe* per hook name.
+metrics recorder, the span profiler, user code) *subscribe* per hook name.
+A hook marks a lifecycle transition (a job, phase, barrier, disk window,
+fault, scheduler, cache or epoch event), never a unit of work: what each
+chunk, flush, request, copier pass or message did is a row or count of
+the attempt's :class:`~repro.runtime.stats.JobStats`.
 Because the bus is an instance — not process-global monkeypatching — two
 clusters (and two tracers) coexist in one process with disjoint event
 streams.
@@ -10,8 +14,8 @@ streams.
 Emission is cheap when nobody listens: ``emit`` returns after one dict
 lookup.  Subscribers receive the payload dict positionally::
 
-    def on_chunk(payload: dict) -> None: ...
-    sub = bus.subscribe("task.chunk_end", on_chunk)
+    def on_phase(payload: dict) -> None: ...
+    sub = bus.subscribe("job.phase_end", on_phase)
     ...
     bus.unsubscribe(sub)
 
@@ -39,18 +43,8 @@ def _schema(table: Mapping[str, str]) -> Mapping[str, tuple[str, ...]]:
 #: tags aside (user hooks may use any other name).  Declared as the
 #: comma-separated lists ``docs/observability.md`` tabulates.
 KNOWN_HOOKS = _schema({
-    "task.chunk_end": "machine, worker, kind, job, start, duration",
-    "task.plan_cache": "machine, hit, time",
-    "comm.enqueue": "machine, kind, depth, time",
-    "comm.flush": "machine, worker, dst, prop, kind, items, time",
-    "comm.copier_done": "machine, copier, kind, items, depth, start, duration",
-    "comm.combine": "machine, dst, prop, items_in, items_out, time",
     "comm.retry": "machine, kind, request_id, src, dst, attempt, time",
     "comm.dedup_drop": "machine, kind, request_id, time",
-    "net.send": "src, dst, nbytes, kind, time, deliver",
-    "net.drop": "src, dst, nbytes, kind, time, lost_at",
-    "ghost.hit": "machine, prop, mode, count, time",
-    "ghost.miss": "machine, prop, mode, count, time",
     "ghost.reduce_end": "machine, elements, start, duration",
     "disk.read": "machine, window, nbytes, start, duration, stall, time",
     "job.start": "job, time",
@@ -74,11 +68,8 @@ KNOWN_HOOKS = _schema({
     "cache.evict": "reason, count, family, epoch, entries, time",
 })
 
-#: Fields only some events of a hook carry: ``dropped=True`` on a message
-#: the fault layer lost (``deliver`` is then None), and each fault's own
-#: details.
+#: Fields only some events of a hook carry: each fault's own details.
 OPTIONAL_FIELDS = _schema({
-    "net.send": "dropped",
     "fault.inject": "src, dst, kind, machine, seconds, factor, duration",
 })
 
@@ -158,11 +149,6 @@ class HookBus:
 
     # -- emission ----------------------------------------------------------
 
-    def has(self, name: str) -> bool:
-        """True when at least one subscriber listens on ``name`` (use to skip
-        building expensive payloads on hot paths)."""
-        return name in self._subs
-
     def emit(self, name: str, **payload) -> None:
         """Fan ``payload`` out to every subscriber of ``name``.
 
@@ -196,8 +182,8 @@ class ScopedHookBus:
     interleave.  Observers see everything exactly once.
 
     The proxy quacks like a :class:`HookBus` for the emit-side API the
-    engine layers use (``emit``/``has``); subscription management stays on
-    the underlying bus.
+    engine layers use (``emit``); subscription management stays on the
+    underlying bus.
     """
 
     __slots__ = ("tags", "registry", "ledger", "_subs")
@@ -210,9 +196,6 @@ class ScopedHookBus:
         self.ledger: dict[str, float] = {}
         #: the outer bus's live subscription table, shared (not copied)
         self._subs = outer._subs
-
-    def has(self, name: str) -> bool:
-        return name in self._subs
 
     def emit(self, name: str, **payload) -> None:
         # Fans out to the outer bus's subscribers itself: re-dispatching

@@ -4,8 +4,8 @@ The Figure 5/6 reports say *how much* time each layer consumed; this module
 answers *why a job took as long as it did*.  A :class:`SpanProfiler` is a
 plain consumer of a cluster's hook bus, subscribed on *that cluster's* bus
 only (two profilers on two clusters in one process record disjoint spans):
-while installed it assembles, per job, a span record — worker chunk spans
-and copier spans from the job's ``JobStats``, network message transits,
+while installed it assembles, per job, a span record — worker chunk spans,
+copier spans and network message transits from the job's ``JobStats``;
 post-sync ghost reduces, disk reads, retries and the barrier from the
 engine's span-end hook events, each of which carries its span's start —
 and derives:
@@ -27,7 +27,8 @@ and derives:
 * a **Chrome trace-event / Perfetto** export (``save``) with one process
   per machine plus a synthetic "critical path" track.
 
-Pay-for-play: nothing here runs unless a profiler is installed; handlers
+Pay-for-play: nothing here runs unless a profiler is installed; no
+handler runs per chunk, copier pass or message, the lifecycle handlers
 only append tuples, the chain walk at job end costs one dict lookup per
 hop, the job's stats get labels for the chain's own events only, and the
 full span record waits until a profile is read.  The profiler
@@ -78,15 +79,14 @@ _PRUNE_MIN = 1 << 16
 
 #: hooks whose capture only appends to the job's record: hook -> (the
 #: :class:`_JobBuild` list, the payload fields it keeps, in tuple order);
-#: each entry is ``(seq of the emitting event, fields)``.  Worker slices
-#: and copier passes, the bulk of the spans, are not captured: they are
-#: read from the job's ``JobStats`` when it finishes (:meth:`annotate`).
+#: each entry is ``(seq of the emitting event, fields)``.  Worker slices,
+#: copier passes and messages, the bulk of the record, are not captured:
+#: they are read from the job's ``JobStats`` when it finishes
+#: (:meth:`annotate`).
 _CAPTURE = {
     "ghost.reduce_end": ("ghosts", ("machine", "start", "duration")),
     "disk.read": ("disks", ("machine", "start", "duration")),
     "comm.retry": ("retries", ("machine", "kind", "attempt", "time")),
-    "net.send": ("raw_msgs", ("src", "dst", "kind", "time", "deliver",
-                              "nbytes")),
     "job.phase_end": ("phases", ("phase", "start", "duration")),
     "barrier.exit": ("barriers", ("start", "duration")),
 }
@@ -143,13 +143,13 @@ class PathSegment:
 
 
 class _JobBuild:
-    """Raw per-job event capture; hot-path handlers only append tuples
+    """Raw per-job event capture; lifecycle handlers only append tuples
     here (the ``_CAPTURE`` fields, keyed by the emitting event's seq), and
-    the job's ``JobStats`` lends its slice and pass rows at the end —
-    `_Slice`/`_Msg` objects are materialized once, at analysis."""
+    the job's ``JobStats`` lends its slice, pass and message rows at the
+    end — `_Slice`/`_Msg` objects are materialized once, at analysis."""
 
     __slots__ = ("name", "session", "ticket", "start", "start_seq", "end",
-                 "chain", "chunks", "copiers", "ghosts", "disks", "raw_msgs",
+                 "chain", "chunks", "copiers", "ghosts", "disks", "sends",
                  "retries", "phases", "barriers")
 
     def __init__(self, name: str, start: float, session=None, ticket=None,
@@ -170,8 +170,9 @@ class _JobBuild:
         self.copiers: list[tuple] = []
         self.ghosts: list[tuple] = []    # (machine, start, dur)
         self.disks: list[tuple] = []     # (machine, start, dur)
-        #: (src, dst, kind, send, deliver, nbytes); deliver None: dropped
-        self.raw_msgs: list[tuple] = []
+        #: ``JobStats.sends`` rows: (seq, src, dst, kind, nbytes, send,
+        #: deliver); deliver None: dropped
+        self.sends: list[tuple] = []
         self.retries: list[tuple] = []   # (machine, kind, attempt, time)
         self.phases: list[tuple] = []    # (phase, start, dur)
         self.barriers: list[tuple] = []  # (start, dur)
@@ -212,10 +213,10 @@ class _JobBuild:
             span_of.setdefault(seq, _Slice(None, "barrier", "barrier", s, s + d))
         msgs: list[_Msg] = []
         sent_by: dict[int, list[_Msg]] = {}
-        for seq, raw in of(self.raw_msgs):
-            if raw[4] is None:  # the fabric dropped it: it never lands
+        for seq, src, dst, kind, nbytes, send, deliver in of(self.sends):
+            if deliver is None:  # the fabric dropped it: it never lands
                 continue
-            msg = _Msg(*raw)
+            msg = _Msg(src, dst, kind, send, deliver, nbytes)
             msgs.append(msg)
             sent_by.setdefault(seq, []).append(msg)
         return slices, msgs, retries, span_of, sent_by
@@ -416,7 +417,7 @@ def _analyze(build: _JobBuild) -> JobProfile:
         start=build.start, end=build.end,
         phases=[(ph, s, s + d) for _, (ph, s, d) in build.phases],
         slices=slices, messages=messages, retries=retries,
-        dropped=sum(raw[4] is None for _, raw in build.raw_msgs),
+        dropped=sum(row[6] is None for row in build.sends),
         critical_path=path,
         machine_path_seconds=_machine_seconds(path))
 
@@ -596,14 +597,15 @@ class SpanProfiler:
         return self._profile(self._finished[-1]) if self._finished else None
 
     def annotate(self, stats, ticket: int) -> None:
-        """Take a finished job's worker slices and copier passes from its
-        stats, and attach critical-path fields to them (the scheduler
-        calls this on completion when a profiler is installed)."""
+        """Take a finished job's worker slices, copier passes and messages
+        from its stats, and attach critical-path fields to them (the
+        scheduler calls this on completion when a profiler is installed)."""
         build = next((b for b in reversed(self._finished)
                       if b.ticket == ticket), None)
         if build is None:
             return
-        build.chunks, build.copiers = stats.chunks, stats.copier_passes
+        build.chunks, build.copiers, build.sends = (
+            stats.chunks, stats.copier_passes, stats.sends)
         # label only the chain's own events: a full profile materializes
         # every span and message of the job, and waits until it is read
         only = {rec[i] for rec in build.chain for i in (0, 1)}

@@ -6,8 +6,8 @@ maintains the standard ``repro_*`` instrument set — the substrate behind
 attached to ``JobStats``.  What the engine counts per chunk, message or
 request lands in each attempt's :class:`~repro.runtime.stats.JobStats`, and
 :meth:`MetricsRecorder.fold` adds that account to the registry once, when
-the attempt ends; the rarer events (phases, barriers, faults, disk reads,
-scheduling, cache) arrive through hook handlers.
+the attempt ends; the lifecycle events (phases, barriers, faults, disk
+windows, scheduling, cache, epochs) arrive through hook handlers.
 """
 
 from __future__ import annotations
@@ -201,7 +201,6 @@ class MetricsRecorder:
           "Simulator events served from the recycled-event pool")
 
         bus.subscribe_known({
-            "net.drop": self._on_net_drop,
             "job.phase_end": self._on_phase_end,
             "barrier.exit": self._on_barrier_exit,
             "fault.inject":
@@ -233,8 +232,7 @@ class MetricsRecorder:
         registry.  The scheduler calls this once per attempt: inside the
         job's ledger scope when it finishes, outside any ledger when crash
         recovery abandons it.  Seconds are added one slice or message at a
-        time, in the order the engine recorded them, so each sum is the
-        one per-event updates would have made."""
+        time, in the order the engine recorded them."""
         for _, m, _, kind, _, duration in stats.chunks:
             machine = str(m)
             self.chunks.child(machine, kind).inc()
@@ -243,11 +241,18 @@ class MetricsRecorder:
         for _, m, _, kind, _, duration in stats.copier_passes:
             self.copier_busy.child(str(m)).inc(duration)
             self.copier_messages.child(kind).inc()
+        transit = self.net_transit.child()
+        sizes = self.net_message_bytes.child()
+        for _, _, _, kind, nbytes, send, deliver in stats.sends:
+            self.net_messages.child(kind).inc()
+            sizes.observe(nbytes)
+            if deliver is None:
+                self.net_dropped.child(kind).inc()
+                self.net_dropped_bytes.child(kind).inc(nbytes)
+            else:
+                transit.inc(deliver - send)
         for kind, nbytes in stats.bytes_by_kind.items():
             self.net_bytes.child(kind).inc(nbytes)
-        transit = self.net_transit.child()
-        for seconds in stats.transits:
-            transit.inc(seconds)
         for mode, n in (("read", stats.remote_reads),
                         ("write", stats.remote_writes)):
             if n:
@@ -279,10 +284,6 @@ class MetricsRecorder:
                 for label in labels]
 
     # -- hook handlers (machine labels are str()-ed once per event) --------
-
-    def _on_net_drop(self, p: dict) -> None:
-        self.net_dropped.child(p["kind"]).inc()
-        self.net_dropped_bytes.child(p["kind"]).inc(p["nbytes"])
 
     def _on_phase_end(self, p: dict) -> None:
         phase = p["phase"]

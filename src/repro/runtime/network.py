@@ -21,7 +21,6 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Optional
 
-from ..obs.hooks import HookBus
 from .config import NetworkConfig
 from .simulator import Simulator
 from .stats import JobStats
@@ -51,11 +50,11 @@ class _Queued:
     """One message waiting in its source's send queue."""
 
     __slots__ = ("dst", "nbytes", "depart", "action", "delay", "callback",
-                 "args", "kind", "bus", "stats", "time", "taken")
+                 "args", "kind", "stats", "time", "taken")
 
     def __init__(self, dst: int, nbytes: float, depart: float, action: str,
                  delay: float, callback: Callable, args: tuple, kind: str,
-                 bus: HookBus, stats: Optional[JobStats], time: float):
+                 stats: Optional[JobStats], time: float):
         self.dst = dst
         self.nbytes = nbytes
         #: when the sender's poller has cleared it
@@ -66,10 +65,9 @@ class _Queued:
         self.callback = callback
         self.args = args
         self.kind = kind
-        self.bus = bus
-        #: the sending job's account, which counts the message
+        #: the sending job's account, which records the message
         self.stats = stats
-        #: the enqueue time (``net.send``'s ``time``)
+        #: the enqueue time (the ``send`` of its ``JobStats.sends`` row)
         self.time = time
         #: already shipped in a frame formed for an older message
         self.taken = False
@@ -83,15 +81,11 @@ class Network:
     """
 
     def __init__(self, sim: Simulator, num_machines: int, config: NetworkConfig,
-                 hooks: Optional[HookBus] = None,
                  faults: "Optional[FaultController]" = None,
                  audit: bool = False, frame_bytes: Optional[float] = None):
         self.sim = sim
         self.num_machines = num_machines
         self.config = config
-        #: instrumentation bus; the owning cluster passes its own so network
-        #: events land on the same stream as the engine's.
-        self.hooks = hooks if hooks is not None else HookBus()
         #: optional fault injector consulted per fabric message
         self.faults = faults
         #: when True, every frame validates its messages' port timelines
@@ -119,18 +113,14 @@ class Network:
 
     def send(self, src: int, dst: int, nbytes: float,
              callback: Callable, *args: Any, kind: str = "data",
-             hooks: Optional[HookBus] = None,
              stats: Optional[JobStats] = None) -> None:
         """Transmit a message; ``callback(*args)`` fires at delivery.
 
         ``kind`` tags the bytes for the traffic breakdowns used by Figure
         6(a).  The fabric keeps no counters of its own: when the message's
-        frame forms, it is counted in the sending job's ``stats``
-        (:meth:`JobStats.count_message`) and the ``net.send`` event (plus
-        ``net.drop`` for a lost one) is emitted, with ``time`` = this
-        call's instant, on ``hooks`` — the job's scoped bus, so fabric
-        traffic stays attributable when several executions share the
-        network.
+        frame forms, it appends one row to the sending job's
+        ``stats.sends`` (``send`` = this call's instant), so fabric traffic
+        stays attributable when several executions share the network.
         """
         if not (0 <= src < self.num_machines and 0 <= dst < self.num_machines):
             raise ValueError(f"bad endpoints {src}->{dst}")
@@ -148,8 +138,7 @@ class Network:
                   + self.config.poller_per_message)
         self._poller_out[src] = depart
         msg = _Queued(dst, nbytes, depart, action, delay, callback, args,
-                      kind, hooks if hooks is not None else self.hooks, stats,
-                      now)
+                      kind, stats, now)
         self._queue[src].append(msg)
         self._waiting[src][dst].append(msg)
         if not self._tx_busy[src]:
@@ -207,18 +196,15 @@ class Network:
                 arrive, sum(m.nbytes for m in landed) / cfg.link_bw)
             deliver = poller_in.occupy(rx_done, cfg.poller_per_message)
             sim.schedule_at_fast(deliver, self._deliver, landed)
+        seq = sim.current
         for m in frame:
             if m.action == "drop":
                 # The sender paid for the transmit; the fabric loses the
                 # message before the receive side, so the callback never
                 # fires.  ``deliver=None`` tells consumers it never lands.
                 if m.stats is not None:
-                    m.stats.count_message(m.kind, m.nbytes, None)
-                m.bus.emit("net.send", src=src, dst=dst, nbytes=m.nbytes,
-                           kind=m.kind, time=m.time, deliver=None,
-                           dropped=True)
-                m.bus.emit("net.drop", src=src, dst=dst, nbytes=m.nbytes,
-                           kind=m.kind, time=m.time, lost_at=arrive)
+                    m.stats.sends.append((seq, src, dst, m.kind, m.nbytes,
+                                          m.time, None))
                 if self.audit:
                     self._audit_times(src, dst, m, tx_done, arrive)
                 continue
@@ -239,9 +225,8 @@ class Network:
                     poller_in.occupy(dup_rx, cfg.poller_per_message),
                     m.callback, *m.args)
             if m.stats is not None:
-                m.stats.count_message(m.kind, m.nbytes, m_deliver - m.time)
-            m.bus.emit("net.send", src=src, dst=dst, nbytes=m.nbytes,
-                       kind=m.kind, time=m.time, deliver=m_deliver)
+                m.stats.sends.append((seq, src, dst, m.kind, m.nbytes,
+                                      m.time, m_deliver))
             if self.audit:
                 self._audit_times(src, dst, m, tx_done, m_arrive, m_rx_done,
                                   m_deliver)

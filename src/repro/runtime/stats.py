@@ -1,8 +1,8 @@
 """Execution statistics and the imbalance breakdown of Figure 6(c).
 
 ``JobStats`` collects, for one parallel region (job): the simulated wall
-time, traffic by kind, message counts, every worker slice and copier pass,
-and the other counted facts the metrics recorder folds at the attempt's end.
+time, every fabric message, worker slice and copier pass, and the other
+counted facts the metrics recorder folds at the attempt's end.
 ``breakdown()`` classifies the job's span into the paper's three buckets:
 
 * **fully parallel** — every machine still has all of its workers busy;
@@ -15,10 +15,10 @@ and the other counted facts the metrics recorder folds at the attempt's end.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Optional
+from types import MappingProxyType
+from typing import Mapping
 
 
 @dataclass
@@ -54,14 +54,11 @@ class JobStats:
 
     It is the one account of the region's work: the metrics recorder folds
     it into the cluster registry when the attempt ends, and ``breakdown()``
-    and the span profiler read its slices.
+    and the span profiler read its rows.
     """
 
     start_time: float = 0.0
     end_time: float = 0.0
-    #: fabric bytes by kind (read_req / read_resp / write_req / ghost_sync /
-    #: rmi), counted when each message's frame forms
-    bytes_by_kind: dict[str, float] = field(default_factory=lambda: defaultdict(float))
     tasks_executed: int = 0
     edges_processed: int = 0
     #: accesses that went remote: the ghost misses of ``read``/``write`` mode
@@ -82,13 +79,15 @@ class JobStats:
     #: copier passes in finish order, ``(seq, machine, copier, kind, start,
     #: duration)``; ``kind`` is the request's message kind
     copier_passes: list[tuple] = field(default_factory=list)
-    #: send-to-deliver seconds of each delivered fabric message, in the
-    #: order their frames formed
-    transits: list[float] = field(default_factory=list)
+    #: fabric messages in the order their frames formed, ``(seq, src, dst,
+    #: kind, nbytes, send, deliver)``: ``kind`` is read_req / read_resp /
+    #: write_req / ghost_sync / rmi, ``seq`` the simulator event that
+    #: formed the frame, ``send`` the enqueue instant, and ``deliver`` None
+    #: for a message the fabric dropped
+    sends: list[tuple] = field(default_factory=list)
     #: every other fact, ``(fact, label) -> count``, each named after the
-    #: metrics recorder instrument it feeds: ``flushes``, ``flush_items``,
-    #: ``comm_requests`` and ``net_messages`` by kind,
-    #: ``queue_depth_samples`` and ``net_message_bytes`` by value,
+    #: metrics recorder instrument it feeds: ``flushes``, ``flush_items``
+    #: and ``comm_requests`` by kind, ``queue_depth_samples`` by value,
     #: ``ghost_hits`` by mode, ``plan_cache_requests`` by hit/miss and
     #: ``combine_items`` by in/out; ``queue_depth`` by machine holds the
     #: last depth seen instead
@@ -123,14 +122,21 @@ class JobStats:
         return self.end_time - self.start_time
 
     @property
+    def bytes_by_kind(self) -> Mapping[str, float]:
+        """Fabric bytes by message kind, summed over :attr:`sends`."""
+        out: dict[str, float] = {}
+        for _, _, _, kind, nbytes, _, _ in self.sends:
+            out[kind] = out.get(kind, 0.0) + nbytes
+        return MappingProxyType(out)
+
+    @property
     def total_bytes(self) -> float:
         return sum(self.bytes_by_kind.values())
 
     @property
     def messages(self) -> int:
-        """Fabric messages, counted as their frames form."""
-        return sum(n for (fact, _), n in self.counts.items()
-                   if fact == "net_messages")
+        """Fabric messages, dropped ones included."""
+        return len(self.sends)
 
     @property
     def busy_intervals(self) -> dict[int, dict[int, list[tuple[float, float]]]]:
@@ -148,28 +154,18 @@ class JobStats:
         counts = self.counts
         counts[key] = counts.get(key, 0) + n
 
-    def count_message(self, kind: str, nbytes: float,
-                      transit: Optional[float]) -> None:
-        """One fabric message as its frame forms (``transit`` None: lost)."""
-        self.bytes_by_kind[kind] += nbytes
-        self.count("net_messages", kind)
-        self.count("net_message_bytes", nbytes)
-        if transit is not None:
-            self.transits.append(transit)
-
     def merge_from(self, other: "JobStats") -> None:
         """Accumulate another job's measurements (used to sum per-iteration
-        jobs): counters add up, slices and passes concatenate, and the span
+        jobs): counters add up, rows concatenate, and the span
         extends to cover the other job — so ``breakdown()`` on merged
         multi-iteration stats stays meaningful.  Serial jobs chain
         causally, so critical paths concatenate too; the merged straggler
         falls out of the summed per-machine attribution."""
         for name in _SUMMED:
             setattr(self, name, getattr(self, name) + getattr(other, name))
-        for name in ("chunks", "copier_passes", "transits"):
+        for name in ("chunks", "copier_passes", "sends"):
             getattr(self, name).extend(getattr(other, name))
-        for mine, theirs in ((self.bytes_by_kind, other.bytes_by_kind),
-                             (self.metrics_delta, other.metrics_delta),
+        for mine, theirs in ((self.metrics_delta, other.metrics_delta),
                              (self.critical_path_by_machine,
                               other.critical_path_by_machine)):
             for key, value in theirs.items():

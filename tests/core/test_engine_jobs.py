@@ -397,14 +397,11 @@ class TestGhostEffects:
             cluster = make_cluster(4, 20, ghost_privatization=privatize)
             dg = cluster.load_graph(small_rmat)
             dg.add_property("t", init=0.0)
-            ghost_writes = []
-            cluster.hooks.subscribe(
-                "ghost.hit",
-                lambda p: p["mode"] == "write" and ghost_writes.append(p))
             stats = cluster.run_job(
                 dg, TaskJob(name="j", task_cls=PullWriter,
                             writes=(("t", ReduceOp.SUM),)))
-            assert ghost_writes, "test must exercise the ghost write branch"
+            assert stats.counts.get(("ghost_hits", "write")), \
+                "test must exercise the ghost write branch"
             return stats.atomic_ops
 
         assert atomics(False) == atomics(True)

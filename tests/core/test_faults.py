@@ -339,19 +339,24 @@ class TestRetryExhaustion:
 
 
 class TestEngineStall:
-    def test_lost_request_reports_diagnostics(self, small_rmat):
+    def test_lost_request_reports_diagnostics(self, small_rmat,
+                                              monkeypatch):
         """A genuinely lost message (no fault layer, no retries) must now
         surface as a structured EngineStallError, not a bare RuntimeError."""
+        from repro.core import jobrunner
+
         cluster = make_cluster()
         dg = cluster.load_graph(small_rmat)
         stolen = []
+        deliver = jobrunner.deliver_request
 
-        def steal(payload):
-            if not stolen and payload["kind"] == "read_req":
-                stolen.append(
-                    dg.machines[payload["machine"]].request_queue.pop())
+        def steal(exc, msg):
+            if not stolen and msg.kind is MsgKind.READ_REQ:
+                stolen.append(msg)  # never reaches the request queue
+                return
+            deliver(exc, msg)
 
-        cluster.hooks.subscribe("comm.enqueue", steal)
+        monkeypatch.setattr(jobrunner, "deliver_request", steal)
         with pytest.raises(EngineStallError) as ei:
             pagerank(cluster, dg, "pull", max_iterations=1)
         assert stolen, "test never captured a read request"

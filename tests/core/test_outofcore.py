@@ -395,13 +395,6 @@ class TestStallClock:
         queue emptied when the last chunk of windows ``< w`` started."""
         cluster = _ooc_cluster(chunk_size=64)
         events = _disk_reads(cluster)
-        taken: dict = {}
-
-        def chunk_end(p):
-            if p["kind"] == "chunk":
-                taken.setdefault(p["machine"], []).append(p["start"])
-
-        cluster.hooks.subscribe("task.chunk_end", chunk_end)
         dg = cluster.load_graph(small_rmat_weighted)
         dg.add_property("x", init=1.0)
         dg.add_property("t", init=0.0)
@@ -411,6 +404,10 @@ class TestStallClock:
         exc.start()
         while not exc.done:
             cluster.sim.step()
+        taken: dict = {}
+        for _, m, _, kind, start, _ in exc.stats.chunks:
+            if kind == "chunk":
+                taken.setdefault(m, []).append(start)
         stalled = 0
         for stream in exc.window_streams:
             m = stream.machine.index
@@ -446,17 +443,22 @@ class TestDrainAtLastChunkEnd:
             cluster.hooks)
         return cluster, dg, exc
 
-    def _check_residency(self, exc, seen):
-        """Subscribe a ``task.chunk_end`` check: the finishing chunk's
+    def _check_residency(self, exc, seen, monkeypatch):
+        """Check each chunk's end as it happens: the finishing chunk's
         window, and every older window still running, keeps its resolved
         bytes and routing plans; at most two windows run."""
+        end_work = task_manager._end_work
 
-        def chunk_end(p):
-            if p["kind"] != "chunk":
-                return
-            stream = exc.window_streams[p["machine"]]
-            w = exc.workers[p["machine"]][p["worker"]].window
-            # emitted before chunk_done(): the finishing chunk still counts
+        def chunk_end(exc_, ws, dur, kind="chunk", start=0.0):
+            if kind == "chunk":
+                check(ws, start, dur)
+            end_work(exc_, ws, dur, kind, start)
+
+        def check(ws, start, dur):
+            m = ws.machine.index
+            stream = exc.window_streams[m]
+            w = ws.window
+            # before chunk_done(): the finishing chunk still counts
             assert stream.unfinished[w] >= 1
             running = sorted(stream.unfinished)
             assert len(running) <= task_manager.MAX_RUNNING_WINDOWS
@@ -470,10 +472,9 @@ class TestDrainAtLastChunkEnd:
                     for lo, hi in stream.windows[u][0]:
                         assert any(("out", lo, hi, ok) in plans
                                    for ok in (False, True))
-            seen.append((p["machine"], w, p["start"],
-                         p["start"] + p["duration"]))
+            seen.append((m, w, start, start + dur))
 
-        exc.cluster.hooks.subscribe("task.chunk_end", chunk_end)
+        monkeypatch.setattr(task_manager, "_end_work", chunk_end)
 
     def test_nothing_resident_when_job_ends(self, small_rmat_weighted):
         cluster, _, exc = self._execution(small_rmat_weighted)
@@ -486,18 +487,18 @@ class TestDrainAtLastChunkEnd:
             assert len(stream.activations) == len(stream.windows) >= 2
 
     def test_window_stays_resident_until_its_last_chunk_ends(
-            self, small_rmat_weighted):
+            self, small_rmat_weighted, monkeypatch):
         """While any chunk of a window is still running, its resolved
         bytes and its plans are in DRAM."""
         cluster, dg, exc = self._execution(small_rmat_weighted)
         seen: list = []
-        self._check_residency(exc, seen)
+        self._check_residency(exc, seen, monkeypatch)
         exc.start()
         while not exc.done:
             cluster.sim.step()
         assert {m for m, *_ in seen} == {0, 1, 2, 3}
 
-    def test_successor_starts_while_a_hub_tail_runs(self):
+    def test_successor_starts_while_a_hub_tail_runs(self, monkeypatch):
         """A hub chunk alone in window w: the next window activates once
         the hub has left the queue, so a chunk of w + 1 starts before the
         hub ends — and w keeps its plans and resident bytes until then.
@@ -510,7 +511,7 @@ class TestDrainAtLastChunkEnd:
                 num_copiers=2, out_of_core=True)
         cluster, dg, exc = self._execution(g, PgxdCluster(cfg))
         seen: list = []
-        self._check_residency(exc, seen)
+        self._check_residency(exc, seen, monkeypatch)
         exc.start()
         while not exc.done:
             cluster.sim.step()

@@ -4,12 +4,14 @@ a run that keeps its plans matches one that rebuilds every chunk's plan
 (``plan_cache_max_bytes=0``) in every observable."""
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro import EdgeMapJob, EdgeMapSpec, ReduceOp, rmat, with_uniform_weights
 from repro.algorithms import pagerank, sssp, wcc
+from repro.core.jobrunner import JobExecution
 from repro.core.routing_plan import (ChunkPlan, RoutingPlanCache,
                                      stable_owner_order)
 from repro.runtime.config import EngineConfig
@@ -377,9 +379,15 @@ def run_filtered_jobs(graph, keep_plans, direction, weighted, privatize, op):
     dg = cluster.load_graph(graph)
     n = dg.num_nodes
     rng = np.random.default_rng(17)
-    flushes = []
-    cluster.hooks.subscribe("comm.flush", lambda p: flushes.append(
-        (p["machine"], p["worker"], p["kind"], p["dst"], p["items"])))
+    requests = []
+    send_request = JobExecution.send_request
+
+    def recording(exc, msg, kind):
+        """Note each request a worker's buffer flush ships."""
+        if kind in ("read_req", "write_req"):
+            requests.append((msg.src, msg.worker, kind, msg.dst,
+                             msg.item_count))
+        send_request(exc, msg, kind)
     dg.add_property("x")
     dg.add_property("t")
     dg.add_property("active", dtype=bool, init=False)
@@ -393,15 +401,16 @@ def run_filtered_jobs(graph, keep_plans, direction, weighted, privatize, op):
             dg.set_from_global("x", rng.random(n))
             dg.set_from_global("t", np.full(n, op.bottom(np.float64)))
             dg.set_from_global("active", make_filter(kind, n, rng))
-            del flushes[:]
-            stats = cluster.run_job(dg, job)
+            del requests[:]
+            with mock.patch.object(JobExecution, "send_request", recording):
+                stats = cluster.run_job(dg, job)
             out.append({
                 "filter": kind,
                 "t": dg.gather("t").tobytes(),
                 "start": stats.start_time, "end": stats.end_time,
                 "counters": {k: getattr(stats, k) for k in WORK_COUNTERS},
                 "bytes": dict(stats.bytes_by_kind),
-                "flushes": list(flushes)})
+                "requests": list(requests)})
     return dg, out
 
 
@@ -432,7 +441,7 @@ class TestMaskedPlannedPath:
         for got, want in zip(kept, rebuilt):
             for field in want:
                 assert got[field] == want[field], (want["filter"], field)
-        moved = {run["filter"] for run in rebuilt if run["flushes"]}
+        moved = {run["filter"] for run in rebuilt if run["requests"]}
         assert moved == set(FILTERS) - {"none"}
 
     def test_sssp_and_wcc_supersteps_identical(self, graph):

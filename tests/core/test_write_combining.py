@@ -25,7 +25,7 @@ def _uncombined():
     """Ship every buffered item as is: the reference the combined runs
     are measured against (no combine step, so no combine charge)."""
     return mock.patch.object(WorkerState, "_combine",
-                             lambda self, dst, prop, op, offsets, values:
+                             lambda self, op, offsets, values:
                              (offsets, values))
 
 
@@ -83,14 +83,12 @@ class TestResultFidelity:
         """Float SUM is order-sensitive: every remote write travels as its
         own 16 B item, plus one header per message."""
         cluster = make_cluster(3, ghost_threshold=None)
-        sends, combines = [], []
-        cluster.hooks.subscribe("net.send", lambda p: sends.append(p)
-                                if p["kind"] == "write_req" else None)
-        cluster.hooks.subscribe("comm.combine", combines.append)
         dg = cluster.load_graph(small_rmat)
         st = pagerank(cluster, dg, variant="push", max_iterations=4).stats
-        assert combines == [] and st.remote_writes > 0
-        wire = sum(p["nbytes"] for p in sends)
+        assert ("combine_items", "in") not in st.counts
+        assert st.remote_writes > 0
+        sends = [row for row in st.sends if row[3] == "write_req"]
+        wire = sum(row[4] for row in sends)
         assert wire == st.bytes_by_kind["write_req"]
         assert wire == 16 * st.remote_writes + HEADER_BYTES * len(sends)
 
@@ -161,14 +159,14 @@ def _digests(graph, **engine):
     """sha256 of SSSP ``dist`` and WCC ``component``, and the write items
     the combine step removed on the way."""
     cluster = make_cluster(**engine)
-    removed = []
-    cluster.hooks.subscribe("comm.combine", lambda p: removed.append(
-        p["items_in"] - p["items_out"]))
     dg = cluster.load_graph(graph)
-    dist = sssp(cluster, dg, root=0).values["dist"]
-    comp = wcc(cluster, dg).values["component"]
+    runs = (sssp(cluster, dg, root=0), wcc(cluster, dg))
+    removed = sum(run.stats.counts.get(("combine_items", "in"), 0)
+                  - run.stats.counts.get(("combine_items", "out"), 0)
+                  for run in runs)
+    dist, comp = runs[0].values["dist"], runs[1].values["component"]
     return (tuple(hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
-                  for a in (dist, comp)), sum(removed))
+                  for a in (dist, comp)), removed)
 
 
 class TestCombinedResultsInvariance:

@@ -1,24 +1,20 @@
-"""An independent witness for the metrics recorder's per-attempt fold.
+"""An independent witness for the metrics recorder.
 
-The engine counts what it does per chunk, flush, request, copier pass and
-message in each attempt's ``JobStats``, and the recorder folds that into
-the registry when the attempt ends.  The hooks still fire for every one of
-those facts, so a test can rebuild the registry from the event stream
-alone: :class:`HookWitness` counts the nine hot hooks' payloads itself, the
-way each family is documented to count them, and hands every other event
-to a fresh recorder.
+Lifecycle events (phases, barriers, faults, disk windows, scheduling,
+cache, epochs) reach the registry through the recorder's hook handlers;
+what each chunk, flush, request, copier pass and message did reaches it
+when :meth:`MetricsRecorder.fold` adds the attempt's ``JobStats``.  The
+witness rebuilds both halves without the fold: it hands every hook event to
+a fresh recorder, and counts every attempt's ``JobStats`` itself — crash
+recovery's abandoned attempts included — one row or count at a time, the
+way each family is documented to count it.
 """
 
 from repro.obs import KNOWN_HOOKS, HookBus, MetricsRecorder, MetricsRegistry
 
-#: the hooks whose facts reach the registry through ``JobStats``
-HOT_HOOKS = ("task.chunk_end", "task.plan_cache", "comm.enqueue",
-             "comm.flush", "comm.copier_done", "comm.combine", "net.send",
-             "ghost.hit", "ghost.miss")
-
 
 class HookWitness:
-    """A registry filled from hook payloads alone, one event at a time."""
+    """A registry filled from hook payloads and ``JobStats`` rows alone."""
 
     def __init__(self):
         self.registry = MetricsRegistry()
@@ -26,61 +22,87 @@ class HookWitness:
         self._rec = MetricsRecorder(self.registry, self._bus)
         self._plan = [0, 0]     # hits, lookups
         self._combine = [0, 0]  # items in, items out
+        #: ``(ticket, JobStats)`` of every attempt, in start order
+        self.attempts: list[tuple] = []
+        self._counted = 0
 
     def feed(self, name: str, p: dict) -> None:
-        if name not in HOT_HOOKS:
-            self._bus.emit(name, **p)
-            return
+        self._bus.emit(name, **p)
+
+    def count(self, stats) -> None:
+        """Add one attempt's rows and counts to the registry."""
         r = self._rec
-        if name == "task.chunk_end":
-            r.chunks.labels(machine=p["machine"], kind=p["kind"]).inc()
-            r.worker_busy.labels(machine=p["machine"]).inc(p["duration"])
-            r.chunk_seconds.labels(kind=p["kind"]).observe(p["duration"])
-        elif name == "comm.flush":
-            r.flushes.labels(kind=p["kind"]).inc()
-            r.flush_items.labels(kind=p["kind"]).inc(p["items"])
-        elif name == "comm.enqueue":
-            r.comm_requests.labels(kind=p["kind"]).inc()
-            r.queue_depth.labels(machine=p["machine"]).set(p["depth"])
-            r.queue_depth_samples.observe(p["depth"])
-        elif name == "comm.copier_done":
-            r.copier_busy.labels(machine=p["machine"]).inc(p["duration"])
-            r.copier_messages.labels(kind=p["kind"]).inc()
-            r.queue_depth.labels(machine=p["machine"]).set(p["depth"])
-        elif name == "net.send":
-            r.net_messages.labels(kind=p["kind"]).inc()
-            r.net_bytes.labels(kind=p["kind"]).inc(p["nbytes"])
-            if p["deliver"] is not None:
-                r.net_transit.inc(p["deliver"] - p["time"])
-            r.net_message_bytes.observe(p["nbytes"])
-        elif name in ("ghost.hit", "ghost.miss"):
-            family = r.ghost_hits if name == "ghost.hit" else r.ghost_misses
-            family.labels(mode=p["mode"]).inc(p["count"])
-        elif name == "task.plan_cache":
-            r.plan_cache_requests.labels(
-                result="hit" if p["hit"] else "miss").inc()
-            self._plan[0] += bool(p["hit"])
-            self._plan[1] += 1
-            r.plan_cache_hit_ratio.set(self._plan[0] / self._plan[1])
-        else:  # comm.combine
-            r.combine_items.labels(stage="in").inc(p["items_in"])
-            r.combine_items.labels(stage="out").inc(p["items_out"])
-            self._combine[0] += p["items_in"]
-            self._combine[1] += p["items_out"]
-            r.write_combine_ratio.set(
-                1.0 - self._combine[1] / self._combine[0])
+        for _, m, _, kind, _, duration in stats.chunks:
+            r.chunks.labels(machine=m, kind=kind).inc()
+            r.worker_busy.labels(machine=m).inc(duration)
+            r.chunk_seconds.labels(kind=kind).observe(duration)
+        for _, m, _, kind, _, duration in stats.copier_passes:
+            r.copier_busy.labels(machine=m).inc(duration)
+            r.copier_messages.labels(kind=kind).inc()
+        for _, _, _, kind, nbytes, send, deliver in stats.sends:
+            r.net_messages.labels(kind=kind).inc()
+            r.net_bytes.labels(kind=kind).inc(nbytes)
+            r.net_message_bytes.observe(nbytes)
+            if deliver is None:
+                r.net_dropped.labels(kind=kind).inc()
+                r.net_dropped_bytes.labels(kind=kind).inc(nbytes)
+            else:
+                r.net_transit.inc(deliver - send)
+        for mode, n in (("read", stats.remote_reads),
+                        ("write", stats.remote_writes)):
+            if n:
+                r.ghost_misses.labels(mode=mode).inc(n)
+        for (fact, label), n in stats.counts.items():
+            if fact in ("flushes", "flush_items", "comm_requests"):
+                getattr(r, fact).labels(kind=label).inc(n)
+            elif fact == "queue_depth":
+                r.queue_depth.labels(machine=label).set(n)
+            elif fact == "queue_depth_samples":
+                for _ in range(n):
+                    r.queue_depth_samples.observe(label)
+            elif fact == "ghost_hits":
+                r.ghost_hits.labels(mode=label).inc(n)
+            elif fact == "plan_cache_requests":
+                r.plan_cache_requests.labels(result=label).inc(n)
+                self._plan[0] += n if label == "hit" else 0
+                self._plan[1] += n
+                r.plan_cache_hit_ratio.set(self._plan[0] / self._plan[1])
+            else:
+                assert fact == "combine_items", fact
+                r.combine_items.labels(stage=label).inc(n)
+                self._combine[label == "out"] += n
+                if self._combine[0]:
+                    r.write_combine_ratio.set(
+                        1.0 - self._combine[1] / self._combine[0])
+
+    def snapshot(self) -> dict:
+        """The registry's snapshot, every attempt seen so far counted."""
+        for _, stats in self.attempts[self._counted:]:
+            self.count(stats)
+        self._counted = len(self.attempts)
+        return self.registry.snapshot()
 
     def attach(self, cluster) -> "HookWitness":
-        """Feed every engine event ``cluster`` emits from now on."""
+        """Feed every engine event ``cluster`` emits from now on, and keep
+        each attempt's ``JobStats`` when its ``job.start`` fires."""
+        def on_start(p):
+            ticket = next(t for t in cluster.scheduler.tickets
+                          if t.seq == p["ticket"])
+            self.attempts.append((ticket.seq, ticket.execution.stats))
+
+        cluster.hooks.subscribe("job.start", on_start)
         for name in KNOWN_HOOKS:
             cluster.hooks.subscribe(
                 name, lambda p, name=name: self.feed(name, p))
         return self
 
 
-def replay(events) -> MetricsRegistry:
-    """The registry ``(hook, payload)`` events amount to."""
+def replay(events, *attempts) -> MetricsRegistry:
+    """The registry ``(hook, payload)`` events and the attempts'
+    ``JobStats`` amount to."""
     witness = HookWitness()
     for name, payload in events:
         witness.feed(name, payload)
+    for stats in attempts:
+        witness.count(stats)
     return witness.registry

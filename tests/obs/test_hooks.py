@@ -28,13 +28,13 @@ class TestSubscribe:
         with pytest.raises(TypeError):
             HookBus().subscribe("h", 42)
 
-    def test_has_and_counts(self):
+    def test_subscriber_counts(self):
         bus = HookBus()
-        assert not bus.has("h") and bus.subscriber_count() == 0
+        assert bus.subscriber_count("h") == bus.subscriber_count() == 0
         sub = bus.subscribe("h", lambda p: None)
-        assert bus.has("h") and bus.subscriber_count("h") == 1
+        assert bus.subscriber_count("h") == bus.subscriber_count() == 1
         bus.unsubscribe(sub)
-        assert not bus.has("h") and bus.subscriber_count() == 0
+        assert bus.subscriber_count("h") == bus.subscriber_count() == 0
 
 
 class TestUnsubscribe:
@@ -79,7 +79,8 @@ class TestSubscribeMany:
     def test_installs_all(self):
         bus = HookBus()
         subs = bus.subscribe_many({"a": lambda p: None, "b": lambda p: None})
-        assert len(subs) == 2 and bus.has("a") and bus.has("b")
+        assert len(subs) == 2
+        assert bus.subscriber_count("a") == bus.subscriber_count("b") == 1
 
     def test_rolls_back_on_failure(self):
         bus = HookBus()
@@ -113,17 +114,23 @@ class TestKnownHooks:
         assert all("." in name for name in KNOWN_HOOKS)
 
     def test_core_hook_points_present(self):
-        for name in ("task.chunk_end", "comm.flush", "net.send",
-                     "ghost.hit", "job.phase_end", "barrier.exit",
-                     "dynamic.apply", "job.incremental"):
+        for name in ("ghost.reduce_end", "disk.read", "job.phase_end",
+                     "barrier.exit", "dynamic.apply", "job.incremental"):
             assert name in KNOWN_HOOKS
 
     def test_restating_hooks_are_gone(self):
-        # the start hooks' end twins carry ``start``; comm.enqueue carries
-        # the depth comm.queue_depth used to repeat
+        # the start hooks' end twins carry ``start``
         for name in ("task.chunk_start", "comm.copier_start",
                      "ghost.reduce_start", "job.phase_start",
                      "barrier.enter", "comm.queue_depth"):
+            assert name not in KNOWN_HOOKS
+
+    def test_per_unit_hooks_are_gone(self):
+        # what each chunk, flush, request, copier pass, plan lookup, ghost
+        # access and message did is a row or count of the job's JobStats
+        for name in ("task.chunk_end", "task.plan_cache", "comm.enqueue",
+                     "comm.flush", "comm.copier_done", "comm.combine",
+                     "ghost.hit", "ghost.miss", "net.send", "net.drop"):
             assert name not in KNOWN_HOOKS
 
     def test_schema_maps_names_to_field_tuples(self):
@@ -135,8 +142,8 @@ class TestKnownHooks:
 
     def test_subscribe_known_rejects_unknown_hooks_atomically(self):
         bus = HookBus()
-        with pytest.raises(ValueError, match="task.chunk_start"):
-            bus.subscribe_known({"task.chunk_end": print,
-                                 "task.chunk_start": print})
+        with pytest.raises(ValueError, match="job.phase_start"):
+            bus.subscribe_known({"job.phase_end": print,
+                                 "job.phase_start": print})
         assert bus.subscriber_count() == 0
-        assert len(bus.subscribe_known({"task.chunk_end": print})) == 1
+        assert len(bus.subscribe_known({"job.phase_end": print})) == 1

@@ -6,8 +6,9 @@ cluster recorder, and its ``JobStats`` is folded in when it finishes, so the
 delta covers its final attempt only.  The oracle rebuilds the same thing
 from the outside: capture the cluster bus, bucket events by their
 ``ticket`` tag (a ``job.start`` opens a new attempt), count each bucket's
-payloads into a fresh registry (:mod:`tests.obs.hook_witness`), and add the
-two job-level series the scheduler records at completion.
+payloads and the final attempt's ``JobStats`` rows into a fresh registry
+(:mod:`tests.obs.hook_witness`), and add the two job-level series the
+scheduler records at completion.
 """
 
 import numpy as np
@@ -44,7 +45,7 @@ class TicketOracle:
         self.buckets[ticket].append((name, dict(payload)))
 
     def expected_delta(self, ticket) -> dict:
-        registry = replay(self.buckets[ticket.seq])
+        registry = replay(self.buckets[ticket.seq], ticket.stats)
         registry.counter("repro_jobs_total", labelnames=("kind",)).labels(
             kind=type(ticket.job).__name__).inc()
         registry.histogram("repro_job_seconds").observe(ticket.stats.elapsed)
@@ -170,9 +171,9 @@ class TestDeltaAgainstOracle:
         for per_session in rollup.values():
             for key, value in per_session.items():
                 total[key] = total.get(key, 0.0) + value
-        tagged = [ev for t in server.scheduler.tickets
-                  if t.session in rollup for ev in oracle.buckets[t.seq]]
-        scoped = replay(tagged).counters_flat()
+        mine = [t for t in server.scheduler.tickets if t.session in rollup]
+        tagged = [ev for t in mine for ev in oracle.buckets[t.seq]]
+        scoped = replay(tagged, *(t.stats for t in mine)).counters_flat()
         job_level = ("repro_jobs_total", "repro_job_seconds")
         assert {k for k in total if not k.startswith(job_level)} == {
             k for k, v in scoped.items() if v != 0.0}

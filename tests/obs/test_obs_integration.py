@@ -7,6 +7,7 @@ import pytest
 
 from repro import EdgeMapJob, EdgeMapSpec, FaultPlan, ReduceOp, rmat
 from repro.algorithms import pagerank
+from repro.obs import KNOWN_HOOKS
 from repro.obs.report import (ghost_hit_rate, overhead_breakdown,
                               render_overhead_report, traffic_by_kind)
 from repro.server import PgxdServer
@@ -76,8 +77,8 @@ class TestRecorder:
         def run(extra_observer):
             cluster = make_cluster(3, 30)
             if extra_observer:
-                cluster.hooks.subscribe("task.chunk_end", lambda p: None)
-                cluster.hooks.subscribe("net.send", lambda p: None)
+                for name in KNOWN_HOOKS:
+                    cluster.hooks.subscribe(name, lambda p: None)
             dg = cluster.load_graph(small_rmat)
             dg.add_property("x", init=1.0)
             dg.add_property("t", init=0.0)
@@ -154,12 +155,19 @@ class TestReport:
                                               plan):
         """The fabric's traffic has one count, each job's own
         ``bytes_by_kind`` taken as its frames form: the registry's per-kind
-        bytes are its fold, and both equal the ``net.send`` payloads,
-        resends included and a duplicate counted once."""
+        bytes are its fold, and both equal the bytes handed to
+        ``Network.send`` for another machine, resends included and a
+        duplicate counted once."""
         cluster = make_cluster(fault_plan=plan)
         sent = Counter()
-        cluster.hooks.subscribe(
-            "net.send", lambda p: sent.update({p["kind"]: p["nbytes"]}))
+        send = cluster.network.send
+
+        def counting_send(src, dst, nbytes, *args, kind="data", **kw):
+            if src != dst:
+                sent[kind] += nbytes
+            send(src, dst, nbytes, *args, kind=kind, **kw)
+
+        cluster.network.send = counting_send
         dg = cluster.load_graph(small_rmat)
         pagerank(cluster, dg, direction, max_iterations=3, tolerance=0.0)
         summed = Counter()

@@ -2,8 +2,9 @@
 
 The hand-made tests schedule their events on a real :class:`Simulator`
 and emit through a ticket's :class:`ScopedHookBus`, as the scheduler does
-for every job; worker slices go into the job's :class:`JobStats`, which
-the profiler reads at job end (the scheduler's ``annotate`` call), so
+for every job; worker slices and messages go into the job's
+:class:`JobStats`, which the profiler reads at job end (the scheduler's
+``annotate`` call), so
 every event time is hand-picked and the critical path is computable on
 paper.  The integration tests run real workloads and hold
 the profiler to its two contracts: the critical path tiles the job's
@@ -89,8 +90,8 @@ def _run_relay(cluster, ticket=1, job="fx"):
 
     def send(src, dst, kind, deliver, on_deliver):
         at(deliver, on_deliver)
-        bus.emit("net.send", src=src, dst=dst, kind=kind, time=sim.now,
-                 deliver=t0 + deliver, nbytes=64.0)
+        stats.sends.append((sim.current, src, dst, kind, 64.0, sim.now,
+                            t0 + deliver))
 
     def finish():
         bus.emit("job.end", job=job, start=t0, duration=sim.now - t0)
@@ -163,17 +164,18 @@ class TestKnownTopology:
         that transmit, labelled network: task [0, 0.5], the first frame's
         transmit [0.5, 1.5], the second frame [1.5, 4]."""
         cluster, prof = _install()
-        sim, bus = cluster.sim, _job_bus(cluster)
+        sim, bus, stats = cluster.sim, _job_bus(cluster), JobStats()
         net = Network(sim, 3, NetworkConfig(
             link_bw=64.0, per_message_overhead=0.0, link_latency=0.5,
-            poller_per_message=0.0), hooks=cluster.hooks)
+            poller_per_message=0.0))
 
         def finish():
             bus.emit("job.end", job="q", start=0.0, duration=sim.now)
+            prof.annotate(stats, 1)
 
         def send_both():
-            net.send(0, 1, 64.0, lambda: None, kind="read_req", hooks=bus)
-            net.send(0, 2, 64.0, finish, kind="write_req", hooks=bus)
+            net.send(0, 1, 64.0, lambda: None, kind="read_req", stats=stats)
+            net.send(0, 2, 64.0, finish, kind="write_req", stats=stats)
 
         def start():
             bus.emit("job.start", job="q", time=0.0)

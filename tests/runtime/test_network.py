@@ -8,6 +8,7 @@ import pytest
 from repro.runtime.config import NetworkConfig
 from repro.runtime.network import Network
 from repro.runtime.simulator import Simulator
+from repro.runtime.stats import JobStats
 
 
 def make_net(n=4, frame_bytes=None, **kwargs):
@@ -121,12 +122,22 @@ class TestThroughputModel:
         assert net.point_to_point_throughput(4096) == pytest.approx(1.5e9, rel=0.05)
 
 
-def capture(net, *names):
-    """Subscribe a list per hook name; the fabric's only traffic account."""
-    events = {name: [] for name in names}
-    for name, sink in events.items():
-        net.hooks.subscribe(name, sink.append)
-    return events
+#: the fields of a ``JobStats.sends`` row
+SEND_FIELDS = ("seq", "src", "dst", "kind", "nbytes", "send", "deliver")
+
+
+def capture(net):
+    """Account every later send in one ``JobStats``, as a job's sends are
+    (the fabric's only traffic account); the live list of its rows, each
+    as a field dict once read through :func:`sent`."""
+    stats = JobStats()
+    send = net.send
+    net.send = lambda *args, **kw: send(*args, stats=stats, **kw)
+    return stats.sends
+
+
+def sent(rows):
+    return [dict(zip(SEND_FIELDS, row)) for row in rows]
 
 
 def arrivals(sim, got):
@@ -144,54 +155,55 @@ def bytes_by(events, field):
 class TestAccounting:
     def test_bytes_counted_per_source(self):
         sim, net = make_net()
-        ev = capture(net, "net.send")
+        ev = capture(net)
         net.send(0, 1, 100, lambda: None)
         net.send(0, 2, 200, lambda: None)
         net.send(1, 2, 300, lambda: None)
         sim.run()
-        assert bytes_by(ev["net.send"], "src") == {0: 300, 1: 300}
+        assert bytes_by(sent(ev), "src") == {0: 300, 1: 300}
 
     def test_bytes_by_kind(self):
         sim, net = make_net()
-        ev = capture(net, "net.send")
+        ev = capture(net)
         net.send(0, 1, 100, lambda: None, kind="read_req")
         net.send(0, 1, 50, lambda: None, kind="ghost_sync")
         sim.run()
-        assert bytes_by(ev["net.send"], "kind") == {"read_req": 100,
-                                                    "ghost_sync": 50}
+        assert bytes_by(sent(ev), "kind") == {"read_req": 100,
+                                              "ghost_sync": 50}
 
     def test_local_messages_not_counted(self):
         sim, net = make_net()
-        ev = capture(net, "net.send")
+        ev = capture(net)
         got = []
         net.send(1, 1, 999, got.append, "m")
         sim.run()
-        assert got == ["m"] and ev["net.send"] == []
+        assert got == ["m"] and ev == []
 
     def test_reset_stats(self):
-        """A measurement window is a subscription: traffic sent after it
-        is cancelled is not counted."""
+        """A measurement window is a ``JobStats``: traffic sent on another
+        account, or on none, is not counted in it."""
         sim, net = make_net()
-        sent = []
-        sub = net.hooks.subscribe("net.send", sent.append)
-        net.send(0, 1, 100, lambda: None)
-        sub.cancel()
-        net.send(0, 1, 200, lambda: None)
-        assert [p["nbytes"] for p in sent] == [100]
+        mine, other = JobStats(), JobStats()
+        net.send(0, 1, 100, lambda: None, stats=mine)
+        net.send(0, 1, 200, lambda: None, stats=other)
+        net.send(0, 1, 400, lambda: None)
+        sim.run()
+        assert [row[4] for row in mine.sends] == [100]
+        assert [row[4] for row in other.sends] == [200]
 
     def test_busy_fractions_reported(self):
         """Every port a message occupies shows in its delivery time: the
         poller out, the tx port, the wire, the rx port, the poller in."""
         sim, net = make_net()
         cfg = net.config
-        ev = capture(net, "net.send")
+        ev = capture(net)
         got = []
         nbytes = 1_000_000
         net.send(0, 1, nbytes, arrivals(sim, got))
         sim.run()
         expected = (2 * cfg.poller_per_message + 2 * nbytes / cfg.link_bw
                     + cfg.per_message_overhead + cfg.link_latency)
-        (send,) = ev["net.send"]
+        (send,) = sent(ev)
         assert send["deliver"] == pytest.approx(expected, rel=1e-12)
         assert got == [(send["deliver"], ())]
 
@@ -217,50 +229,46 @@ def make_faulty_net(action, n=4, audit=False):
 class TestFaultObservability:
     def test_drop_emits_drop_not_deliver(self):
         sim, net = make_faulty_net("drop")
-        ev = capture(net, "net.send", "net.drop")
+        ev = capture(net)
         got = []
         net.send(0, 1, 512, got.append, "m", kind="write_req")
         sim.run()
         assert got == []  # the callback must never fire for a lost message
-        assert len(ev["net.send"]) == 1
-        assert ev["net.send"][0]["deliver"] is None
-        assert ev["net.send"][0]["dropped"] is True
-        assert len(ev["net.drop"]) == 1
-        assert ev["net.drop"][0]["kind"] == "write_req"
-        assert ev["net.drop"][0]["lost_at"] > ev["net.drop"][0]["time"]
+        (drop,) = sent(ev)
+        assert drop["deliver"] is None
+        assert drop["kind"] == "write_req" and drop["nbytes"] == 512
 
     def test_drop_counts_bytes_dropped(self):
         sim, net = make_faulty_net("drop")
-        ev = capture(net, "net.send", "net.drop")
+        ev = capture(net)
         net.send(0, 1, 512, lambda: None, kind="write_req")
         net.send(0, 2, 256, lambda: None, kind="read_req")
         sim.run()
-        assert sum(p["nbytes"] for p in ev["net.drop"]) == 768
-        assert len(ev["net.drop"]) == 2
-        assert all(p["dropped"] for p in ev["net.send"])
+        assert sum(p["nbytes"] for p in sent(ev)) == 768
+        assert len(ev) == 2
+        assert all(p["deliver"] is None for p in sent(ev))
 
     def test_dup_emits_two_delivers(self):
         sim, net = make_faulty_net("dup")
-        ev = capture(net, "net.send", "net.drop")
+        ev = capture(net)
         got = []
         net.send(0, 1, 512, arrivals(sim, got), "m", kind="ghost_sync")
         sim.run()
         # The duplicate really lands twice; the send is counted once, at
         # the original's delivery time.
         assert [args for _, args in got] == [("m",), ("m",)]
-        (send,) = ev["net.send"]
+        (send,) = sent(ev)
         assert got[0][0] == send["deliver"]
         assert got[1][0] > got[0][0]
-        assert ev["net.drop"] == []
 
     def test_clean_deliver_single_event(self):
         sim, net = make_faulty_net("deliver")
-        ev = capture(net, "net.send")
+        ev = capture(net)
         got = []
         net.send(0, 1, 512, arrivals(sim, got))
         sim.run()
-        (send,) = ev["net.send"]
-        assert send["deliver"] is not None and "dropped" not in send
+        (send,) = sent(ev)
+        assert send["deliver"] is not None
         assert got == [(send["deliver"], ())]
 
     def test_audit_timelines_clean_on_normal_traffic(self):
@@ -365,15 +373,15 @@ class TestFrames:
         rng = random.Random(5)
         cap = 8192
         sim, net = make_net(frame_bytes=cap, **_CFG)
-        ev = capture(net, "net.send")
+        ev = capture(net)
         for _ in range(400):
             net.send(rng.randrange(3), 3, rng.choice([64, 500, 3000, 8192]),
                      lambda: None)
         sim.run()
         frames = {}
-        for p in ev["net.send"]:
+        for p in sent(ev):
             frames.setdefault((p["src"], p["deliver"]), []).append(p["nbytes"])
-        assert len(ev["net.send"]) == 400
+        assert len(ev) == 400
         assert max(len(f) for f in frames.values()) > 1
         assert all(sum(f) <= cap or len(f) == 1 for f in frames.values())
 
@@ -385,7 +393,7 @@ class TestFrames:
                           ("deliver", 0.0), ("deliver", 0.0), ("drop", 0.0),
                           ("dup", 0.0), ("delay", delay)))
         cfg = net.config
-        ev = capture(net, "net.send", "net.drop")
+        ev = capture(net)
         got = []
         sends = [(0, 2, 4096), (0, 1, 1024), (0, 1, 2048), (0, 1, 512),
                  (0, 1, 256)]
@@ -403,11 +411,9 @@ class TestFrames:
                                       (deliver, (3,)), (dup, (3,)),
                                       (late, (4,))])
         assert [args for t, args in got if t == deliver] == [(1,), (3,)]
-        sent = {p["nbytes"]: p["deliver"] for p in ev["net.send"]}
-        assert sent == {4096: got[0][0], 1024: deliver, 2048: None,
-                        512: deliver, 256: late}
-        (drop,) = ev["net.drop"]
-        assert drop["nbytes"] == 2048 and drop["lost_at"] == arrive
+        delivered = {p["nbytes"]: p["deliver"] for p in sent(ev)}
+        assert delivered == {4096: got[0][0], 1024: deliver, 2048: None,
+                             512: deliver, 256: late}
 
     def test_reset_forgets_waiting_messages(self):
         sim, net = make_net(frame_bytes=1 << 20, **_CFG)

@@ -16,6 +16,11 @@ def busy(st, machine, worker, start, end):
     st.chunks.append((-1, machine, worker, "chunk", start, end - start))
 
 
+def message(st, kind, nbytes, deliver=1e-6):
+    """Record a fabric message sent at 0 (``deliver`` None: dropped)."""
+    st.sends.append((-1, 0, 1, kind, nbytes, 0.0, deliver))
+
+
 class TestJobStats:
     def test_elapsed(self):
         st = make_stats((2.0, 5.0))
@@ -23,9 +28,12 @@ class TestJobStats:
 
     def test_total_bytes(self):
         st = make_stats()
-        st.bytes_by_kind["read_req"] += 100
-        st.bytes_by_kind["write_req"] += 50
+        message(st, "read_req", 100)
+        message(st, "write_req", 50, deliver=None)
         assert st.total_bytes == 150
+        assert st.bytes_by_kind == {"read_req": 100, "write_req": 50}
+        with pytest.raises(TypeError):  # a view of the rows
+            st.bytes_by_kind["read_req"] = 0
 
     def test_record_busy_ignores_empty_intervals(self):
         st = make_stats()
@@ -36,30 +44,29 @@ class TestJobStats:
     def test_merge_from_accumulates(self):
         a, b = make_stats(), make_stats()
         for _ in range(3):
-            a.count_message("x", 1, 1e-6)
+            message(a, "x", 1)
         for _ in range(4):
-            b.count_message("x", 1, 1e-6)
-        b.bytes_by_kind["y"] = 7
+            message(b, "x", 1)
+        message(b, "y", 7)
         a.merge_from(b)
-        assert a.messages == 7
+        assert a.messages == 8
         assert a.bytes_by_kind == {"x": 7, "y": 7}
 
     def test_merge_from_joins_the_record(self):
         a, b = make_stats(), make_stats()
         a.count("flushes", "read_req", 2)
         a.counts[("queue_depth", 0)] = 3
-        a.count_message("read_req", 96, 1e-6)
+        message(a, "read_req", 96)
         b.count("flushes", "read_req")
         b.counts[("queue_depth", 0)] = 0
-        b.count_message("read_req", 96, None)  # dropped: no transit
+        message(b, "read_req", 96, deliver=None)
         b.copier_passes.append((7, 0, 1, "read_req", 0.5, 0.25))
         a.merge_from(b)
         assert a.counts == {("flushes", "read_req"): 3,
-                            ("queue_depth", 0): 0,  # the later job's
-                            ("net_messages", "read_req"): 2,
-                            ("net_message_bytes", 96): 2}
+                            ("queue_depth", 0): 0}  # the later job's
         assert a.messages == 2 and a.bytes_by_kind == {"read_req": 192}
-        assert a.transits == [1e-6]
+        assert a.sends == [(-1, 0, 1, "read_req", 96, 0.0, 1e-6),
+                           (-1, 0, 1, "read_req", 96, 0.0, None)]
         assert a.copier_passes == [(7, 0, 1, "read_req", 0.5, 0.25)]
 
     def test_merge_from_keeps_busy_intervals(self):
