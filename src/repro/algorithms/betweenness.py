@@ -51,6 +51,7 @@ def betweenness(dg: DistributedGraph,
     pull_coef = EdgeMapJob(name="bc_pull_coef", spec=EdgeMapSpec(
         direction="pull", source="bc_coef", target="bc_delta",
         op=ReduceOp.SUM, active="bc_frontier", reverse=True))
+    discovered = MapReduce(lambda v: int(v["bc_frontier"].sum()))
 
     with scratch(dg) as add:
         for prop in _PROPS:
@@ -108,12 +109,10 @@ def betweenness(dg: DistributedGraph,
                     writes=(("bc_d", ReduceOp.OVERWRITE),
                             ("bc_sigma", ReduceOp.OVERWRITE),
                             ("bc_frontier", ReduceOp.OVERWRITE)),
-                    ops_per_node=6, bytes_per_node=48)
-                discovered = int((yield MapReduce(
-                    lambda v: int(v["bc_frontier"].sum()))))
+                    ops_per_node=6, bytes_per_node=48, reduce=discovered)
                 iterations += 1
                 timer.iteration_done(s1, s2)
-                if discovered == 0:
+                if s2.reduced == 0:
                     break
                 level += 1
                 levels.append(level)

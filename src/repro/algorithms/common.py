@@ -1,9 +1,10 @@
 """Shared scaffolding for the Table 2 algorithm suite.
 
 Every algorithm is one *program*: a generator over a ``DistributedGraph``
-that yields its jobs and :class:`~repro.core.job.MapReduce` reductions,
-is sent each step's ``JobStats`` or value, and returns an
-:class:`AlgorithmResult` (see docs/programming_model.md, section 8).
+that yields its jobs, is sent each job's ``JobStats`` (a reduction rides
+the job that precedes it as its ``reduce``, and comes back as
+``stats.reduced``), and returns an :class:`AlgorithmResult` (see
+docs/programming_model.md, section 8).
 """
 
 from __future__ import annotations

@@ -21,55 +21,54 @@ from .common import AlgorithmResult, IterationTimer, program, scratch
 @program
 def eigenvector(dg: DistributedGraph, max_iterations: int = 10,
                 tolerance: float = 0.0):
-    """First eigenvector component of the adjacency matrix (L2-normalized)."""
+    """First eigenvector component of the adjacency matrix (L2-normalized).
+
+    Columns ``ev`` and ``ev_nxt`` alternate as input and output.  An
+    iteration is two regions: the gather sums the input over in-neighbors
+    into ``ev_acc`` and reduces the squared norm on its barrier; the
+    normalize region writes the output, clears the accumulator and reduces
+    the L1 change on its barrier.
+    """
     n = dg.num_nodes
-    gather_job = EdgeMapJob(name="ev_gather", spec=EdgeMapSpec(
-        direction="pull", source="ev_tmp", target="ev_nxt", op=ReduceOp.SUM))
-
-    def prepare(view: LocalView, lo: int, hi: int) -> None:
-        view["ev_tmp"][lo:hi] = view["ev"][lo:hi]
-        view["ev_nxt"][lo:hi] = 0.0
-
-    prep_job = NodeKernelJob(name="ev_prepare", kernel=prepare, reads=("ev",),
-                             writes=(("ev_tmp", ReduceOp.OVERWRITE),
-                                     ("ev_nxt", ReduceOp.OVERWRITE)),
-                             ops_per_node=2, bytes_per_node=24)
-
-    def swap(view: LocalView, lo: int, hi: int) -> None:
-        view["ev"][lo:hi] = view["ev_nxt"][lo:hi]
+    other = {"ev": "ev_nxt", "ev_nxt": "ev"}
+    gathers = {cur: EdgeMapJob(
+        name="ev_gather",
+        spec=EdgeMapSpec(direction="pull", source=cur, target="ev_acc",
+                         op=ReduceOp.SUM),
+        reduce=MapReduce(lambda v: float(np.square(v["ev_acc"]).sum())))
+        for cur in other}
 
     with scratch(dg) as add:
         add("ev", init=1.0 / n)
-        add("ev_tmp", init=0.0)
         add("ev_nxt", init=0.0)
+        add("ev_acc", init=0.0)
         timer = IterationTimer(dg.cluster)
         change = math.inf
+        cur = "ev"
         for _ in range(max_iterations):
-            s1 = yield prep_job
-            s2 = yield gather_job
-            norm_sq = yield MapReduce(
-                lambda v: float(np.square(v["ev_nxt"]).sum()))
-            norm = math.sqrt(norm_sq) if norm_sq > 0 else 1.0
+            nxt = other[cur]
+            s1 = yield gathers[cur]
+            norm = math.sqrt(s1.reduced) if s1.reduced > 0 else 1.0
 
-            def normalize(view: LocalView, lo: int, hi: int,
+            def normalize(view: LocalView, lo: int, hi: int, nxt=nxt,
                           norm=norm) -> None:
-                view["ev_nxt"][lo:hi] /= norm
+                view[nxt][lo:hi] = view["ev_acc"][lo:hi] / norm
+                view["ev_acc"][lo:hi] = 0.0
 
-            s3 = yield NodeKernelJob(
+            s2 = yield NodeKernelJob(
                 name="ev_normalize", kernel=normalize,
-                writes=(("ev_nxt", ReduceOp.OVERWRITE),), ops_per_node=2,
-                bytes_per_node=16)
-            change = yield MapReduce(
-                lambda v: float(np.abs(v["ev_nxt"] - v["ev"]).sum()))
-            s4 = yield NodeKernelJob(
-                name="ev_swap", kernel=swap,
-                writes=(("ev", ReduceOp.OVERWRITE),),
-                ops_per_node=1, bytes_per_node=16)
-            timer.iteration_done(s1, s2, s3, s4)
+                writes=((nxt, ReduceOp.OVERWRITE),
+                        ("ev_acc", ReduceOp.OVERWRITE)),
+                ops_per_node=3, bytes_per_node=24,
+                reduce=MapReduce(lambda v, nxt=nxt, cur=cur: float(
+                    np.abs(v[nxt] - v[cur]).sum())))
+            change = s2.reduced
+            timer.iteration_done(s1, s2)
+            cur = nxt
             if tolerance > 0 and change < tolerance:
                 break
         total, stats = timer.finish()
-        ev = dg.gather("ev")
+        ev = dg.gather(cur)
     return AlgorithmResult(name="eigenvector",
                            iterations=len(timer.per_iteration),
                            total_time=total, per_iteration=timer.per_iteration,

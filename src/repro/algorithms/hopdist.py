@@ -44,7 +44,9 @@ def hop_dist(dg: DistributedGraph, root: int = 0,
                                writes=(("hops", ReduceOp.OVERWRITE),
                                        ("frontier", ReduceOp.OVERWRITE),
                                        ("hops_nxt", ReduceOp.OVERWRITE)),
-                               ops_per_node=5, bytes_per_node=40)
+                               ops_per_node=5, bytes_per_node=40,
+                               reduce=MapReduce(
+                                   lambda v: int(v["frontier"].sum())))
 
     with scratch(dg) as add:
         add("hops", from_global=init)
@@ -54,10 +56,8 @@ def hop_dist(dg: DistributedGraph, root: int = 0,
         for _ in range(max_iterations):
             s1 = yield expand
             s2 = yield absorb_job
-            frontier_size = int((yield MapReduce(
-                lambda v: int(v["frontier"].sum()))))
             timer.iteration_done(s1, s2)
-            if frontier_size == 0:
+            if s2.reduced == 0:
                 break
         total, stats = timer.finish()
         hops = dg.gather("hops")

@@ -33,6 +33,7 @@ def kcore_max(dg: DistributedGraph, max_k: int = 100000):
     dec_in = EdgeMapJob(name="kcore_dec_in", spec=EdgeMapSpec(
         direction="push", source="neg_one", target="kdeg", op=ReduceOp.SUM,
         active="dying", reverse=True))
+    count_dying = MapReduce(lambda v: int(v["dying"].sum()))
 
     with scratch(dg) as add:
         add("kdeg", init=0.0)
@@ -44,6 +45,7 @@ def kcore_max(dg: DistributedGraph, max_k: int = 100000):
         timer = IterationTimer(dg.cluster)
         iterations = 0
         best_k = 0
+        n_alive = dg.num_nodes  # peeling only kills: count the deaths
         k = 1
         while k <= max_k:
             # Peel at threshold k until stable.
@@ -58,9 +60,10 @@ def kcore_max(dg: DistributedGraph, max_k: int = 100000):
                     name="kcore_mark", kernel=mark, reads=("alive", "kdeg"),
                     writes=(("dying", ReduceOp.OVERWRITE),
                             ("alive", ReduceOp.OVERWRITE)),
-                    ops_per_node=4, bytes_per_node=24)
-                n_dying = int((yield MapReduce(
-                    lambda v: int(v["dying"].sum()))))
+                    ops_per_node=4, bytes_per_node=24,
+                    reduce=count_dying)
+                n_dying = int(s1.reduced)
+                n_alive -= n_dying
                 iterations += 1
                 if n_dying == 0:
                     timer.iteration_done(s1)
@@ -69,7 +72,6 @@ def kcore_max(dg: DistributedGraph, max_k: int = 100000):
                 s3 = yield dec_in
                 timer.iteration_done(s1, s2, s3)
 
-            n_alive = int((yield MapReduce(lambda v: int(v["alive"].sum()))))
             if n_alive == 0:
                 best_k = k - 1
                 break

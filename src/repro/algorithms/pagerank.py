@@ -16,6 +16,8 @@ match the reference definition (and networkx) exactly.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from ..core.engine import DistributedGraph, LocalView
@@ -23,6 +25,81 @@ from ..core.job import EdgeMapJob, MapReduce, NodeKernelJob
 from ..core.properties import ReduceOp
 from ..core.tasks import EdgeMapSpec
 from .common import AlgorithmResult, IterationTimer, program, scratch
+
+
+def _power_iteration(dg: DistributedGraph, name: str, x: str, x0, direction,
+                     update, update_cost: tuple[float, float],
+                     max_iterations: int, tolerance: float):
+    """Exact power iteration over columns ``x`` (starting at ``x0``) and
+    ``x + "_nxt"``, which alternate as input and output.
+
+    An iteration is two regions.  The edge region sums ``x/outdeg`` of the
+    neighbors into ``x + "_acc"`` and reduces the input's dangling mass on
+    its barrier.  The node region writes ``update(d_mass)(view, lo, hi,
+    acc)`` into the output, prepares the next iteration's sources and
+    accumulator in the same pass (except in the last iteration) and
+    reduces the L1 delta on its barrier.  ``update_cost`` is the update's
+    ``(ops_per_node, bytes_per_node)``; preparing adds ``(4, 24)``.
+    """
+    tmp, acc, overwrite = x + "_tmp", x + "_acc", ReduceOp.OVERWRITE
+    other = {x: x + "_nxt", x + "_nxt": x}
+
+    def prepare(view: LocalView, lo: int, hi: int, cur: str) -> None:
+        outdeg = view.out_degrees()[lo:hi]
+        pr = view[cur][lo:hi]
+        view[tmp][lo:hi] = np.where(outdeg > 0, pr / np.maximum(outdeg, 1.0), 0.0)
+        view[acc][lo:hi] = 0.0
+
+    def dangling_mass(cur: str) -> MapReduce:
+        return MapReduce(lambda v: float(v[cur][v.out_degrees() == 0].sum()))
+
+    edge_jobs = {cur: EdgeMapJob(
+        name=f"{x}_{direction}", reduce=dangling_mass(cur),
+        spec=EdgeMapSpec(direction=direction, source=tmp, target=acc,
+                         op=ReduceOp.SUM)) for cur in other}
+
+    with scratch(dg) as add:
+        add(x, from_global=x0)
+        for col in (other[x], tmp, acc):
+            add(col, init=0.0)
+        timer = IterationTimer(dg.cluster)
+        cur, steps = x, []
+        if max_iterations > 0:
+            steps.append((yield NodeKernelJob(
+                name=f"{x}_prepare", kernel=partial(prepare, cur=x),
+                writes=((tmp, overwrite), (acc, overwrite)),
+                ops_per_node=4, bytes_per_node=24)))
+        for k in range(max_iterations):
+            nxt, last = other[cur], k == max_iterations - 1
+            steps.append((yield edge_jobs[cur]))
+            finalize = update(steps[-1].reduced)
+
+            def kernel(view: LocalView, lo: int, hi: int, nxt=nxt,
+                       finalize=finalize, last=last) -> None:
+                view[nxt][lo:hi] = finalize(view, lo, hi, view[acc][lo:hi])
+                if not last:
+                    prepare(view, lo, hi, nxt)
+
+            job, cols, (ops, nbytes) = f"{x}_finalize", (nxt,), update_cost
+            if not last:
+                job, cols = job + "_prepare", (nxt, tmp, acc)
+                ops, nbytes = ops + 4, nbytes + 24
+            steps.append((yield NodeKernelJob(
+                name=job, kernel=kernel,
+                writes=tuple((c, overwrite) for c in cols),
+                ops_per_node=ops, bytes_per_node=nbytes,
+                reduce=MapReduce(lambda v, nxt=nxt, cur=cur: float(
+                    np.abs(v[nxt] - v[cur]).sum())))))
+            delta = steps[-1].reduced
+            timer.iteration_done(*steps)
+            cur, steps = nxt, []
+            if tolerance > 0 and delta < tolerance:
+                break
+        total, stats = timer.finish()
+        values = {x: dg.gather(cur)}
+    return AlgorithmResult(name=name, iterations=len(timer.per_iteration),
+                           total_time=total, per_iteration=timer.per_iteration,
+                           stats=stats, values=values)
 
 
 @program
@@ -38,61 +115,13 @@ def pagerank(dg: DistributedGraph, variant: str = "pull",
         raise ValueError(f"variant must be 'pull' or 'push', got {variant!r}")
     n = dg.num_nodes
 
-    def prepare(view: LocalView, lo: int, hi: int) -> None:
-        outdeg = view.out_degrees()[lo:hi]
-        pr = view["pr"][lo:hi]
-        view["pr_tmp"][lo:hi] = np.where(outdeg > 0, pr / np.maximum(outdeg, 1.0), 0.0)
-        view["pr_nxt"][lo:hi] = 0.0
+    def update(d_mass: float):
+        base = (1.0 - damping) / n + damping * d_mass / n
+        return lambda view, lo, hi, acc: base + damping * acc
 
-    edge_job = EdgeMapJob(
-        name=f"pr_{variant}",
-        spec=EdgeMapSpec(direction=variant, source="pr_tmp", target="pr_nxt",
-                         op=ReduceOp.SUM))
-    prep_job = NodeKernelJob(name="pr_prepare", kernel=prepare,
-                             reads=("pr",), writes=(("pr_tmp", ReduceOp.OVERWRITE),
-                                                    ("pr_nxt", ReduceOp.OVERWRITE)),
-                             ops_per_node=4, bytes_per_node=24)
-
-    def dangling_mass(view: LocalView) -> float:
-        outdeg = view.out_degrees()
-        return float(view["pr"][outdeg == 0].sum())
-
-    def swap(view: LocalView, lo: int, hi: int) -> None:
-        view["pr"][lo:hi] = view["pr_nxt"][lo:hi]
-
-    with scratch(dg) as add:
-        add("pr", init=1.0 / n)
-        add("pr_tmp", init=0.0)
-        add("pr_nxt", init=0.0)
-        timer = IterationTimer(dg.cluster)
-        for _ in range(max_iterations):
-            d_mass = yield MapReduce(dangling_mass)
-            s1 = yield prep_job
-            s2 = yield edge_job
-            base = (1.0 - damping) / n + damping * d_mass / n
-
-            def finalize(view: LocalView, lo: int, hi: int, base=base) -> None:
-                view["pr_nxt"][lo:hi] = base + damping * view["pr_nxt"][lo:hi]
-
-            s3 = yield NodeKernelJob(
-                name="pr_finalize", kernel=finalize,
-                writes=(("pr_nxt", ReduceOp.OVERWRITE),), ops_per_node=3,
-                bytes_per_node=16)
-            delta = yield MapReduce(
-                lambda v: float(np.abs(v["pr_nxt"] - v["pr"]).sum()))
-            s4 = yield NodeKernelJob(
-                name="pr_swap", kernel=swap,
-                writes=(("pr", ReduceOp.OVERWRITE),), ops_per_node=1,
-                bytes_per_node=16)
-            timer.iteration_done(s1, s2, s3, s4)
-            if tolerance > 0 and delta < tolerance:
-                break
-        total, stats = timer.finish()
-        values = {"pr": dg.gather("pr")}
-    return AlgorithmResult(name=f"pagerank_{variant}",
-                           iterations=len(timer.per_iteration),
-                           total_time=total, per_iteration=timer.per_iteration,
-                           stats=stats, values=values)
+    return (yield from _power_iteration(
+        dg, f"pagerank_{variant}", "pr", np.full(n, 1.0 / n), variant,
+        update, (3, 16), max_iterations, tolerance))
 
 
 @program
@@ -112,63 +141,17 @@ def personalized_pagerank(dg: DistributedGraph, sources,
     teleport = np.zeros(n)
     teleport[sources] = 1.0 / sources.size
 
-    def prepare(view: LocalView, lo: int, hi: int) -> None:
-        outdeg = view.out_degrees()[lo:hi]
-        pr = view["ppr"][lo:hi]
-        view["ppr_tmp"][lo:hi] = np.where(outdeg > 0,
-                                          pr / np.maximum(outdeg, 1.0), 0.0)
-        view["ppr_nxt"][lo:hi] = 0.0
-
-    prep_job = NodeKernelJob(name="ppr_prepare", kernel=prepare,
-                             reads=("ppr",),
-                             writes=(("ppr_tmp", ReduceOp.OVERWRITE),
-                                     ("ppr_nxt", ReduceOp.OVERWRITE)),
-                             ops_per_node=4, bytes_per_node=24)
-    edge_job = EdgeMapJob(name="ppr_pull", spec=EdgeMapSpec(
-        direction="pull", source="ppr_tmp", target="ppr_nxt",
-        op=ReduceOp.SUM))
-
-    def swap(view: LocalView, lo: int, hi: int) -> None:
-        view["ppr"][lo:hi] = view["ppr_nxt"][lo:hi]
+    def update(d_mass: float):
+        def finalize(view: LocalView, lo: int, hi: int, acc):
+            tp = view["teleport"][lo:hi]
+            return (1.0 - damping) * tp + damping * (acc + d_mass * tp)
+        return finalize
 
     with scratch(dg) as add:
-        add("ppr", from_global=teleport.copy())
-        add("ppr_tmp", init=0.0)
-        add("ppr_nxt", init=0.0)
         add("teleport", from_global=teleport)
-        timer = IterationTimer(dg.cluster)
-        for _ in range(max_iterations):
-            d_mass = yield MapReduce(
-                lambda v: float(v["ppr"][v.out_degrees() == 0].sum()))
-            s1 = yield prep_job
-            s2 = yield edge_job
-
-            def finalize(view: LocalView, lo: int, hi: int,
-                         d_mass=d_mass) -> None:
-                tp = view["teleport"][lo:hi]
-                view["ppr_nxt"][lo:hi] = (
-                    (1.0 - damping) * tp
-                    + damping * (view["ppr_nxt"][lo:hi] + d_mass * tp))
-
-            s3 = yield NodeKernelJob(
-                name="ppr_finalize", kernel=finalize, reads=("teleport",),
-                writes=(("ppr_nxt", ReduceOp.OVERWRITE),), ops_per_node=5,
-                bytes_per_node=32)
-            delta = yield MapReduce(
-                lambda v: float(np.abs(v["ppr_nxt"] - v["ppr"]).sum()))
-            s4 = yield NodeKernelJob(
-                name="ppr_swap", kernel=swap,
-                writes=(("ppr", ReduceOp.OVERWRITE),), ops_per_node=1,
-                bytes_per_node=16)
-            timer.iteration_done(s1, s2, s3, s4)
-            if tolerance > 0 and delta < tolerance:
-                break
-        total, stats = timer.finish()
-        values = {"ppr": dg.gather("ppr")}
-    return AlgorithmResult(name="personalized_pagerank",
-                           iterations=len(timer.per_iteration),
-                           total_time=total, per_iteration=timer.per_iteration,
-                           stats=stats, values=values)
+        return (yield from _power_iteration(
+            dg, "personalized_pagerank", "ppr", teleport, "pull", update,
+            (5, 32), max_iterations, tolerance))
 
 
 @program
@@ -206,15 +189,20 @@ def pagerank_approx(dg: DistributedGraph, damping: float = 0.85,
             act & (outdeg > 0), damping * delta / np.maximum(outdeg, 1.0), 0.0)
         view["delta_nxt"][lo:hi] = 0.0
 
+    def active_dangling_mass(view: LocalView) -> float:
+        mask = view["active"] & (view.out_degrees() == 0)
+        return float(view["delta"][mask].sum())
+
+    # Dangling nodes have no out-edges to push along; their delta mass,
+    # reduced on the prepare region's barrier, is redistributed uniformly,
+    # matching the exact variant.
     prep_job = NodeKernelJob(name="apr_prepare", kernel=prepare,
                              reads=("delta", "active"),
                              writes=(("delta_tmp", ReduceOp.OVERWRITE),
                                      ("delta_nxt", ReduceOp.OVERWRITE)),
-                             ops_per_node=5, bytes_per_node=40)
-
-    def active_dangling_mass(view: LocalView) -> float:
-        mask = view["active"] & (view.out_degrees() == 0)
-        return float(view["delta"][mask].sum())
+                             ops_per_node=5, bytes_per_node=40,
+                             reduce=MapReduce(active_dangling_mass))
+    count_active = MapReduce(lambda v: int(v["active"].sum()))
 
     with scratch(dg) as add:
         add("apr", from_global=pr0)
@@ -227,10 +215,8 @@ def pagerank_approx(dg: DistributedGraph, damping: float = 0.85,
         for _ in range(max_iterations):
             if active_trace[-1] == 0:
                 break
-            # Dangling nodes have no out-edges to push along; their delta
-            # mass is redistributed uniformly, matching the exact variant.
-            d_mass = yield MapReduce(active_dangling_mass)
-            extra = damping * d_mass / n
+            s1 = yield prep_job
+            extra = damping * s1.reduced / n
 
             def absorb(view: LocalView, lo: int, hi: int, extra=extra) -> None:
                 dn = view["delta_nxt"][lo:hi] + extra
@@ -244,12 +230,11 @@ def pagerank_approx(dg: DistributedGraph, damping: float = 0.85,
                                        writes=(("apr", ReduceOp.OVERWRITE),
                                                ("delta", ReduceOp.OVERWRITE),
                                                ("active", ReduceOp.OVERWRITE)),
-                                       ops_per_node=6, bytes_per_node=48)
-            s1 = yield prep_job
+                                       ops_per_node=6, bytes_per_node=48,
+                                       reduce=count_active)
             s2 = yield push_job
             s3 = yield absorb_job
-            active_trace.append(int((yield MapReduce(
-                lambda v: int(v["active"].sum())))))
+            active_trace.append(int(s3.reduced))
             timer.iteration_done(s1, s2, s3)
         total, stats = timer.finish()
         values = {"pr": dg.gather("apr")}

@@ -56,8 +56,9 @@ def sssp(dg: DistributedGraph, root: int = 0, max_iterations: int = 10000,
                                writes=(("dist", ReduceOp.OVERWRITE),
                                        ("active", ReduceOp.OVERWRITE),
                                        ("dist_nxt", ReduceOp.OVERWRITE)),
-                               ops_per_node=5, bytes_per_node=40)
-    count_active = MapReduce(lambda v: int(v["active"].sum()))
+                               ops_per_node=5, bytes_per_node=40,
+                               reduce=MapReduce(
+                                   lambda v: int(v["active"].sum())))
 
     with scratch(dg) as add:
         add("dist", from_global=dist0)
@@ -70,7 +71,7 @@ def sssp(dg: DistributedGraph, root: int = 0, max_iterations: int = 10000,
                 break
             s1 = yield relax
             s2 = yield absorb_job
-            active_trace.append(int((yield count_active)))
+            active_trace.append(int(s2.reduced))
             timer.iteration_done(s1, s2)
         total, stats = timer.finish()
         dist = dg.gather("dist")

@@ -53,8 +53,9 @@ def wcc(dg: DistributedGraph, max_iterations: int = 1000, start=None):
                                writes=(("comp", ReduceOp.OVERWRITE),
                                        ("active", ReduceOp.OVERWRITE),
                                        ("comp_nxt", ReduceOp.OVERWRITE)),
-                               ops_per_node=5, bytes_per_node=40)
-    count_active = MapReduce(lambda v: int(v["active"].sum()))
+                               ops_per_node=5, bytes_per_node=40,
+                               reduce=MapReduce(
+                                   lambda v: int(v["active"].sum())))
 
     with scratch(dg) as add:
         add("comp", from_global=comp0)
@@ -68,7 +69,7 @@ def wcc(dg: DistributedGraph, max_iterations: int = 1000, start=None):
             s1 = yield push_out
             s2 = yield push_in
             s3 = yield absorb_job
-            active_trace.append(int((yield count_active)))
+            active_trace.append(int(s3.reduced))
             timer.iteration_done(s1, s2, s3)
         total, stats = timer.finish()
         comp = dg.gather("comp").astype(np.int64)

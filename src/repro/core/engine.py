@@ -34,7 +34,7 @@ from ..runtime.stats import JobStats
 from . import barrier as barrier_mod
 from .faults import FaultController
 from .ghost import select_ghosts
-from .job import Job, MapReduce
+from .job import Job, program_step
 from .machine import LocalCsr, Machine, local_csrs
 from .messages import RmiRegistry
 from .properties import ReduceOp
@@ -192,19 +192,20 @@ class PgxdCluster:
                                  engine.partitioning)
         ghosts = select_ghosts(graph, engine.ghost_threshold)
         dg = DistributedGraph(self, graph, part, ghosts)
-        if not engine.out_of_core:
-            # In-memory mode keeps both CSR directions resident: a machine
-            # whose edge arrays exceed its modeled DRAM cannot load.  The
-            # out-of-core mode lifts exactly this cap (edges live on the
-            # machine's local disk; vertex columns stay resident).
-            from .vector_kernels import CSR_BYTES_PER_EDGE
+        # Vertex and ghost columns are always resident; in-memory mode also
+        # keeps both CSR directions resident, while out-of-core mode streams
+        # the edges from the machine's local disk instead.
+        from .vector_kernels import CSR_BYTES_PER_EDGE
 
-            for m in dg.machines:
-                edge_bytes = ((m.out_csr.num_edges + m.in_csr.num_edges)
-                              * CSR_BYTES_PER_EDGE)
-                dram = m.machine_config.dram_bytes
-                if edge_bytes > dram:
-                    raise DramCapacityError(m.index, edge_bytes, dram)
+        for m in dg.machines:
+            resident = m.props.nbytes + sum(
+                a.nbytes for a in m.ghosts.arrays.values())
+            if not engine.out_of_core:
+                resident += ((m.out_csr.num_edges + m.in_csr.num_edges)
+                             * CSR_BYTES_PER_EDGE)
+            dram = m.machine_config.dram_bytes
+            if resident > dram:
+                raise DramCapacityError(m.index, resident, dram)
         return dg
 
     # -- execution -------------------------------------------------------------
@@ -234,11 +235,10 @@ class PgxdCluster:
         """Drive an algorithm program inline; returns what it returns.
 
         Each :class:`~repro.core.job.Job` the generator yields runs through
-        :meth:`run_job` and is answered with its ``JobStats``; each
-        :class:`~repro.core.job.MapReduce` through :meth:`map_reduce`, and
-        is answered with the value.  A step that raises closes the program
-        first, so it drops its property columns before the error
-        propagates.
+        :meth:`run_job` and is answered with its ``JobStats``, whose
+        ``reduced`` holds the value of the job's ``reduce``; any other step
+        raises ``TypeError``.  A step that raises closes the program first,
+        so it drops its property columns before the error propagates.
         """
         value = None
         while True:
@@ -247,10 +247,7 @@ class PgxdCluster:
             except StopIteration as stop:
                 return stop.value
             try:
-                if isinstance(step, MapReduce):
-                    value = self.map_reduce(dgraph, step.fn, step.op)
-                else:
-                    value = self.run_job(dgraph, step)
+                value = self.run_job(dgraph, program_step(step))
             except BaseException:
                 program.close()
                 raise
@@ -339,7 +336,9 @@ class PgxdCluster:
     def map_reduce(self, dgraph: DistributedGraph,
                    fn: Callable[[LocalView], object],
                    op: ReduceOp = ReduceOp.SUM):
-        """Evaluate ``fn`` on every machine's local view and all-reduce."""
+        """Evaluate ``fn`` on every machine's local view and all-reduce,
+        outside any region: a tree all-reduce of its own (a job's
+        ``reduce`` rides the region's closing barrier instead)."""
         values = [fn(LocalView(m)) for m in dgraph.machines]
         return self.all_reduce(values, op)
 

@@ -25,6 +25,18 @@ class Job:
     reads: tuple[str, ...] = ()
     #: (property, reduction) pairs written, possibly remotely (ghost post-sync)
     writes: tuple[tuple[str, ReduceOp], ...] = ()
+    #: a :class:`MapReduce` evaluated on every machine once the region's
+    #: writes have landed, and all-reduced on its closing barrier; the
+    #: value is the job's ``stats.reduced``
+    reduce: Optional["MapReduce"] = None
+
+    def __post_init__(self):
+        if self.reduce is not None and not isinstance(self.reduce, MapReduce):
+            raise TypeError(f"job {self.name!r}: reduce must be a MapReduce, "
+                            f"got {type(self.reduce).__name__}")
+        if self.reduce is not None and self.kind in ("mutation", "read"):
+            raise TypeError(f"job {self.name!r}: a {type(self).__name__} "
+                            "runs no parallel region to reduce over")
 
     @property
     def kind(self) -> str:
@@ -42,6 +54,7 @@ class EdgeMapJob(Job):
     spec: Optional[EdgeMapSpec] = None
 
     def __post_init__(self):
+        super().__post_init__()
         if self.spec is None:
             raise ValueError("EdgeMapJob requires a spec")
         reads = set(self.reads)
@@ -61,7 +74,7 @@ class EdgeMapJob(Job):
     def as_task_job(self) -> "TaskJob":
         """The same region as a :class:`TaskJob` running the spec's
         generated task class on the general per-edge RTC path."""
-        return TaskJob(self.name, self.reads, self.writes,
+        return TaskJob(self.name, self.reads, self.writes, self.reduce,
                        task_cls=spec_task(self.spec, name=f"{self.name}_task"))
 
 
@@ -73,6 +86,7 @@ class TaskJob(Job):
     task_cls: Optional[type] = None
 
     def __post_init__(self):
+        super().__post_init__()
         if self.task_cls is None or not issubclass(self.task_cls, Task):
             raise ValueError("TaskJob requires a Task subclass")
 
@@ -101,6 +115,7 @@ class NodeKernelJob(Job):
     bytes_per_node: float = 16.0
 
     def __post_init__(self):
+        super().__post_init__()
         if self.kernel is None:
             raise ValueError("NodeKernelJob requires a kernel")
 
@@ -130,6 +145,7 @@ class MutationJob(Job):
     removed: tuple = ()               #: removed (u, v) edges
 
     def __post_init__(self):
+        super().__post_init__()
         if self.engine is None:
             raise ValueError("MutationJob requires an IncrementalEngine")
 
@@ -167,9 +183,11 @@ class ReadJob(Job):
 
 @dataclass(frozen=True)
 class MapReduce:
-    """An algorithm program's driver-side reduction step: ``fn`` runs on
-    every machine's :class:`~repro.core.engine.LocalView` and the results
-    all-reduce under ``op``; the program receives the value."""
+    """A reduction over the cluster: ``fn`` runs on every machine's
+    :class:`~repro.core.engine.LocalView` and the results combine under
+    ``op`` in machine order.  A job's ``reduce`` runs it on the region's
+    closing barrier (Pregel's aggregator); :meth:`PgxdCluster.map_reduce`
+    runs one outside any region."""
 
     fn: Callable
     op: ReduceOp = ReduceOp.SUM
@@ -178,3 +196,12 @@ class MapReduce:
         """The reduced value, host-side; the caller charges the all-reduce."""
         return functools.reduce(self.op.scalar,
                                 map(self.fn, dgraph.local_views()))
+
+
+def program_step(step) -> Job:
+    """``step``, checked: an algorithm program yields only jobs (a
+    reduction rides a job as its ``reduce``)."""
+    if not isinstance(step, Job):
+        raise TypeError(f"program step {step!r} is not a Job; a reduction "
+                        "rides a job as its reduce")
+    return step

@@ -11,7 +11,8 @@ phases on the simulator:
    unfinished (the paper's completion rule, Section 3.2);
 3. **post-sync** — ghost partials reduce back to the owners, in two stages
    when privatization is on (cores -> machine -> owner);
-4. **barrier** — the end-of-step synchronization of Figure 5(b).
+4. **barrier** — the end-of-step synchronization of Figure 5(b); a job's
+   ``reduce`` rides it as one tree all-reduce.
 """
 
 from __future__ import annotations
@@ -480,9 +481,15 @@ class JobExecution:
     def _phase_barrier(self) -> None:
         self._apply_staged()
         self._set_phase("barrier")
-        latency = barrier_mod.barrier_latency(self.num_machines,
-                                              self.cluster.config.network)
-        self.sim.schedule_fast(latency, self._finalize)
+        nbytes = 0.0  # a bare barrier: the tree's hops carry no value
+        if self.job.reduce is not None:
+            # The reduction rides the closing barrier: one tree all-reduce
+            # synchronizes the machines and combines their values.
+            self.stats.reduced = self.job.reduce.value(self.dgraph)
+            nbytes = 8.0
+        self.sim.schedule_fast(barrier_mod.all_reduce_latency(
+            self.num_machines, self.cluster.config.network, nbytes),
+            self._finalize)
 
     # ------------------------------------------------------------------
     # diagnostics

@@ -194,5 +194,10 @@ class PropertyStore:
     def names(self) -> list[str]:
         return sorted(self._arrays)
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes of every column."""
+        return sum(a.nbytes for a in self._arrays.values())
+
     def dtype(self, name: str) -> np.dtype:
         return self._arrays[name].dtype

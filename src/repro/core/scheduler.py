@@ -40,9 +40,8 @@ from functools import partial
 from typing import Callable, Generator, Optional
 
 from ..obs.hooks import ScopedHookBus
-from . import barrier as barrier_mod
 from .faults import EngineStallError, MachineCrashError
-from .job import Job, MapReduce, ReadJob
+from .job import Job, ReadJob, program_step
 from .jobrunner import JobExecution, make_execution
 from ..runtime.config import _at_least
 from ..runtime.stats import JobStats
@@ -169,9 +168,6 @@ class ProgramRun:
     priority: str
     result: object = None
     done: bool = False
-    #: (time, value) of a reduction answer in flight; re-armed when crash
-    #: recovery clears the simulator's pending events
-    resume: Optional[tuple[float, object]] = None
 
 
 class JobScheduler:
@@ -318,11 +314,10 @@ class JobScheduler:
                        priority: Optional[str] = None) -> ProgramRun:
         """Run an algorithm program (``algo.program(dg, ...)``, see
         :meth:`PgxdCluster.run`) in the background, one step per
-        completion: each job becomes the session's next ticket, each
-        :class:`~repro.core.job.MapReduce` is answered after the latency
-        :meth:`PgxdCluster.all_reduce` charges.  Admission checks run once,
-        and the program runs to its first step here, so argument errors
-        raise with nothing queued.
+        completion: each job becomes the session's next ticket, and any
+        other step raises ``TypeError``.  Admission checks run once, and
+        the program runs to its first step here, so argument errors raise
+        with nothing queued.
         """
         prio = self._admit(session, program.__name__, priority)
         run = ProgramRun(session=session, dgraph=dgraph, generator=program,
@@ -370,17 +365,10 @@ class JobScheduler:
     def _advance(self, run: ProgramRun, value) -> None:
         """Send a background program its last step's outcome and queue the
         step it yields next.  A step that raises closes the program."""
-        cl = self.cluster
         try:
-            step = run.generator.send(value)
-            if isinstance(step, MapReduce):
-                latency = barrier_mod.all_reduce_latency(
-                    cl.config.num_machines, cl.config.network)
-                run.resume = (cl.sim.now + latency, step.value(run.dgraph))
-                cl.sim.schedule(latency, self._resume, run)
-            else:
-                self._enqueue(run.session, run.dgraph, step, run.priority,
-                              program=run)
+            step = program_step(run.generator.send(value))
+            self._enqueue(run.session, run.dgraph, step, run.priority,
+                          program=run)
         except StopIteration as stop:
             run.result, run.done = stop.value, True
             self._programs.remove(run)
@@ -388,12 +376,6 @@ class JobScheduler:
             run.generator.close()
             self._programs.remove(run)
             raise
-
-    def _resume(self, run: ProgramRun) -> None:
-        _, value = run.resume
-        run.resume = None
-        self._advance(run, value)
-        self._dispatch_ready()
 
     def _next_seq(self) -> int:
         self._seq += 1
@@ -625,14 +607,6 @@ class JobScheduler:
             self._release(ticket)
         return active
 
-    def _rearm_resumes(self) -> None:
-        """Reschedule the reduction answers ``clear_pending`` dropped."""
-        now = self.cluster.sim.now
-        for run in self._programs:
-            if run.resume is not None:
-                self.cluster.sim.schedule_at(max(run.resume[0], now),
-                                             self._resume, run)
-
     def _abandon_running(self) -> None:
         """An error escaped the job loop: fail the running tickets and close
         their programs, so no column or event of a dead run outlives it."""
@@ -642,7 +616,6 @@ class JobScheduler:
                 ticket.program.generator.close()
                 self._programs.remove(ticket.program)
             self._unpin(ticket)
-        self._rearm_resumes()
 
     # -- crash recovery ----------------------------------------------------
 
@@ -662,8 +635,7 @@ class JobScheduler:
         writes, so that crash propagates too.
         Interrupted queued tickets rejoin the front of their priority
         queues in admission order; the interrupted inline ticket is started
-        again by :meth:`_run`; background programs' reduction answers in
-        flight are re-armed.
+        again by :meth:`_run`.
         """
         cl = self.cluster
         active = sorted(self._running, key=lambda t: t.seq)
@@ -692,7 +664,6 @@ class JobScheduler:
                           checkpoint=str(cl._last_checkpoint))
         for ticket in reversed([t for t in active if not t.inline]):
             self._queues[ticket.priority].appendleft(ticket)
-        self._rearm_resumes()
         fresh = cl.faults.arm_crashes()
         self._dispatch_ready()
         return fresh

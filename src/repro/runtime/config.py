@@ -71,8 +71,9 @@ class MachineConfig:
     atomic_op_time: float = 18.0e-9
 
     #: Modeled DRAM capacity in bytes.  The paper's machines carry 256 GB;
-    #: a partition whose edge arrays exceed this must run out-of-core
-    #: (``EngineConfig.out_of_core``) or ``load_graph`` refuses it.
+    #: ``load_graph`` refuses a partition whose vertex and ghost columns
+    #: exceed it, or, in memory, whose columns and edge arrays do (then
+    #: ``EngineConfig.out_of_core`` streams the edges instead).
     dram_bytes: float = 256.0e9
 
     #: Sequential read bandwidth of the machine's local disk in bytes/sec

@@ -112,11 +112,11 @@ def window_bytes(row_prefix: np.ndarray, lo: int, hi: int, num_edges: int,
 
 
 class DramCapacityError(RuntimeError):
-    """A machine's edge partition exceeds its modeled DRAM capacity.
+    """A machine's resident data exceeds its modeled DRAM capacity.
 
-    Raised by ``load_graph`` when ``out_of_core`` is off and a partition's
-    edge arrays do not fit ``MachineConfig.dram_bytes``; the fix is to
-    enable ``EngineConfig.out_of_core`` (or model bigger machines).
+    Raised by ``load_graph`` when a partition's vertex and ghost columns,
+    plus its edge arrays unless ``EngineConfig.out_of_core`` streams them,
+    do not fit ``MachineConfig.dram_bytes``.
     """
 
     def __init__(self, machine: int, needed_bytes: float, dram_bytes: float):
@@ -124,9 +124,10 @@ class DramCapacityError(RuntimeError):
         self.needed_bytes = needed_bytes
         self.dram_bytes = dram_bytes
         super().__init__(
-            f"machine {machine} needs {needed_bytes / 1e9:.2f} GB for edge "
-            f"arrays but models {dram_bytes / 1e9:.2f} GB of DRAM; enable "
-            f"EngineConfig.out_of_core to stream edge windows from disk")
+            f"machine {machine} needs {needed_bytes:.4g} B resident (vertex "
+            f"and ghost columns, plus edge arrays unless "
+            f"EngineConfig.out_of_core streams them) but models "
+            f"{dram_bytes:.4g} B of DRAM")
 
 
 class DiskModel:

@@ -59,6 +59,9 @@ class JobStats:
 
     start_time: float = 0.0
     end_time: float = 0.0
+    #: the value of the job's ``reduce``, all-reduced on its closing
+    #: barrier; None for a job without one
+    reduced: object = None
     tasks_executed: int = 0
     edges_processed: int = 0
     #: accesses that went remote: the ghost misses of ``read``/``write`` mode

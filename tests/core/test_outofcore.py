@@ -146,15 +146,16 @@ class TestPayForPlay:
         assert elapsed() == before
 
     @pytest.mark.parametrize("workload,now", [
-        ("pagerank", 0.0005112522765534807),
-        ("sssp", 0.00029078842855687596),
-        ("wcc", 0.0004619886678522921)], ids=["pagerank", "sssp", "wcc"])
+        ("pagerank", 0.000283057293531409),
+        ("sssp", 0.00022982455758913404),
+        ("wcc", 0.00040102479688455014)], ids=["pagerank", "sssp", "wcc"])
     def test_inmemory_clock_pinned(self, small_rmat_weighted, workload, now):
         """Resolve-on-load is charged to streaming jobs only: the in-memory
         clock reads what it read before the compact format existed (SSSP
         and WCC: with their MIN writes combined at the sender and paying
         atomics only where they lower a target; every workload: with
-        partial buffers sharing wire frames)."""
+        partial buffers sharing wire frames and reductions riding region
+        barriers)."""
         cluster = make_cluster()
         _results(cluster, small_rmat_weighted, workload)
         assert cluster.now == now
@@ -379,15 +380,30 @@ class TestStallClock:
         """The regression test for the old identity (stamped at grab time,
         stall equalled read to the last digit): no window stalls longer
         than its own read, and the readaheads that overlapped the
-        node-kernel regions leave the job's stall strictly below its
-        device time."""
+        node-kernel region leave the job's stall strictly below its device
+        time.  Each adopted readahead stalls by exactly
+        ``max(0, read - max(0, activation - read start))``: machines 0, 2
+        and 3 land theirs before the second streamed job activates window
+        0, machine 1's lands 2.6e-5 s after."""
         cluster, events, st = self._run(small_rmat_weighted)  # 500 MB/s SSD
         read = sum(e["duration"] for e in events)
         assert 0.0 < st.disk_stall_seconds < read
         assert all(0.0 <= e["stall"] <= e["duration"]
                    for e in events if e["nbytes"])
-        adopted = [e for e in events if e["nbytes"] == 0]
-        assert len(adopted) == 4 and all(e["stall"] == 0.0 for e in adopted)
+        reads: dict = {}  # window 0's cold read, then its readahead
+        for e in events:
+            if e["window"] == 0 and e["nbytes"]:
+                reads.setdefault(e["machine"], []).append(e)
+        adopted = {e["machine"]: e for e in events if e["nbytes"] == 0}
+        assert len(adopted) == 4 == sum(e["nbytes"] == 0 for e in events)
+        # a readahead that landed first is adopted at the activation itself
+        (activation,) = {e["time"] for e in adopted.values()
+                         if e["stall"] == 0.0}
+        expected = {m: max(0.0, r[1]["duration"]
+                           - max(0.0, activation - r[1]["start"]))
+                    for m, r in reads.items()}
+        assert {m: e["stall"] for m, e in adopted.items()} == expected
+        assert expected == {0: 0.0, 1: 2.577608619694397e-05, 2: 0.0, 3: 0.0}
 
     def test_stall_is_read_end_minus_queue_empty_time(
             self, small_rmat_weighted):
@@ -585,7 +601,7 @@ class TestReadahead:
             return cluster.now
 
         serial = now(1, False)
-        assert serial == 0.002281121277911713
+        assert serial == 0.0020491650317317474
         assert now(2, True) <= now(2, False) <= serial
         assert now(2, True) <= now(1, True) < serial
 
@@ -716,20 +732,52 @@ class TestDramCapacity:
             cluster.load_graph(small_rmat)
         assert "out_of_core" in str(ei.value)
 
-    def test_oversized_graph_streams(self, small_rmat, no_readahead):
+    @pytest.mark.parametrize("out_of_core", [False, True],
+                             ids=["in_memory", "out_of_core"])
+    def test_resident_columns_must_fit(self, small_rmat, out_of_core):
+        """Vertex and ghost columns stay resident in both modes: a machine
+        whose load-time columns (plus, in memory, its edge arrays) exceed
+        its DRAM is refused at load, and one byte more loads."""
+        cluster = PgxdCluster(self._tiny_dram_config(
+            1.0, out_of_core=out_of_core))
+        with pytest.raises(DramCapacityError) as ei:
+            cluster.load_graph(small_rmat)
+        err = ei.value
+        assert (err.machine, err.dram_bytes) == (0, 1.0)
+
+        def resident(m) -> float:
+            columns = 2 * 8 * m.n_local  # out_degree and in_degree
+            edges = (m.out_csr.num_edges + m.in_csr.num_edges) * 24.0
+            return columns if out_of_core else columns + edges
+
+        fits = PgxdCluster(self._tiny_dram_config(
+            1.0e12, out_of_core=out_of_core)).load_graph(small_rmat)
+        assert err.needed_bytes == resident(fits.machines[0])
+        need = max(resident(m) for m in fits.machines)
+        PgxdCluster(self._tiny_dram_config(
+            need, out_of_core=out_of_core)).load_graph(small_rmat)
+        with pytest.raises(DramCapacityError):
+            PgxdCluster(self._tiny_dram_config(
+                need - 1.0, out_of_core=out_of_core)).load_graph(small_rmat)
+
+    def test_oversized_graph_streams(self, no_readahead):
         """A graph whose edge arrays exceed a machine's DRAM by >= 10x
-        completes streamed on the 4-machine cluster, bit-identically."""
-        base = _results(make_cluster(), small_rmat, "pagerank")
-        per_machine = (small_rmat.num_edges * 2 * 24.0) / 4
+        completes streamed on the 4-machine cluster, bit-identically.  The
+        vertex columns stay resident, so the graph is dense enough (16
+        edges per vertex) that the largest partition's columns fit the
+        tenth of the edge bytes."""
+        graph = rmat(300, 4800, seed=5)
+        base = _results(make_cluster(), graph, "pagerank")
+        per_machine = (graph.num_edges * 2 * 24.0) / 4
         dram = per_machine / 10.0  # edge bytes >= 10x modeled DRAM
         # windows of 4 workers x 64-edge chunks
         cfg = self._tiny_dram_config(dram, chunk_size=64, out_of_core=True)
         cluster = PgxdCluster(cfg)
         events = _disk_reads(cluster)
-        got = _results(cluster, small_rmat, "pagerank")
+        got = _results(cluster, graph, "pagerank")
         assert np.array_equal(base, got)
         assert disk_summary(cluster.metrics)["bytes_read"] == _format_bytes(
-            events, small_rmat, 0, direction="in")
+            events, graph, 0, direction="in")
 
 
 class TestDiskModel:

@@ -205,8 +205,8 @@ class TestDifferentialBitIdentity:
     def test_background_program_matches_inline(self, algorithm, graph,
                                                 kwargs):
         """Alone in the background, a program ends at the inline run's
-        clock with its bits and per-iteration times: a reduction is priced
-        exactly as ``all_reduce`` prices it inline."""
+        clock with its bits and per-iteration times: a reduction riding a
+        job is priced on that job's barrier either way."""
         inline, quiet = quiet_run(GRAPHS[graph], algorithm, **kwargs)
         cluster = make_cluster(2)
         sched = JobScheduler(cluster)
@@ -346,7 +346,7 @@ class TestServerIntegration:
         assert "fg" in sessions and "bg" in sessions
         server.drain()
         assert server.scheduler.queued_count() == 0
-        assert server.usage_report()["bg"].jobs_run == 8
+        assert server.usage_report()["bg"].jobs_run == 5
 
     def test_session_accounting_exact_under_interleaving(self):
         server = PgxdServer(make_cluster(2))
@@ -360,10 +360,11 @@ class TestServerIntegration:
         rollup = server.metrics_rollup()
         for name, iters in tenants.items():
             usage = server.usage_report()[name]
-            assert usage.jobs_run == 4 * iters
+            # a PageRank iteration is two regions, plus the first prepare
+            assert usage.jobs_run == 2 * iters + 1
             assert usage.simulated_seconds > 0
             # One end-of-region barrier per job, attributed causally.
-            assert rollup[name]["repro_barriers_total"] == 4 * iters
+            assert rollup[name]["repro_barriers_total"] == 2 * iters + 1
         total = sum(r["repro_barriers_total"] for r in rollup.values())
         assert total == server.cluster.metrics.counters_flat()[
             "repro_barriers_total"]
@@ -388,8 +389,8 @@ class TestServerIntegration:
         server.drain()
         flat = server.cluster.metrics.counters_flat()
         for name in ("t0", "t1"):
-            assert flat[f'repro_sched_wait_seconds_count{{session="{name}"}}'] == 4
-            assert flat[f'repro_sched_turnaround_seconds_count{{session="{name}"}}'] == 4
+            assert flat[f'repro_sched_wait_seconds_count{{session="{name}"}}'] == 3
+            assert flat[f'repro_sched_turnaround_seconds_count{{session="{name}"}}'] == 3
             assert flat[f'repro_sched_turnaround_seconds_sum{{session="{name}"}}'] > 0
 
     def test_finished_tickets_pin_no_superseded_epoch(self):
@@ -474,10 +475,11 @@ class TestSchedulerFaults:
 
     def test_recovery_keeps_pending_program_steps(self, tmp_path):
         """Two programs share the checkpointed graph, so while one's job
-        runs the other waits on a queued ticket or on a reduction answer
-        in flight.  A crash in either situation recovers, and each program
-        still matches its quiet run: recovery re-arms the answers its
-        ``clear_pending`` dropped."""
+        runs the other waits on a queued ticket.  A crash while the
+        ranker's ticket waits, or while its L1-delta reduction rides a
+        region's closing all-reduce, recovers, and each program still
+        matches its quiet run: the rerun region reduces the restored
+        columns afresh."""
         programs = {"ranker": (pagerank, dict(max_iterations=3)),
                     "pathfinder": (sssp, dict(root=0))}
 
@@ -488,17 +490,16 @@ class TestSchedulerFaults:
             runs = {name: sched.submit_program(name, dg,
                                                algo.program(dg, **kw))
                     for name, (algo, kw) in programs.items()}
-            pending = []
-            cluster.hooks.subscribe("job.recover", lambda p: pending.append(
-                ([t for t in sched.tickets
-                  if t.session == "ranker"][-1].state == "queued",
-                 runs["ranker"].resume is not None)))
+            recovered = []
+            cluster.hooks.subscribe("job.recover", lambda p: recovered.append(
+                (p["job"], [t for t in sched.tickets
+                            if t.session == "ranker"][-1].state)))
             cluster.enable_auto_checkpoint(dg, tmp_path / "ck.npz")
             sched.drain()
             for name, (algo, kw) in programs.items():
                 assert_same_result(runs[name].result,
                                    quiet_run(GRAPHS["bw"], algo, **kw)[0])
-            return sched, pending
+            return sched, recovered
 
         base, _ = run(crash_at=1.0)  # past the end: never fires
         latency = all_reduce_latency(2, base.cluster.config.network)
@@ -509,15 +510,14 @@ class TestSchedulerFaults:
                        for u in base.tickets)
 
         ranker = [t for t in base.tickets if t.session == "ranker"]
-        in_flight = next(  # the ranker's L1-delta reduction
-            t.finish_time + latency / 2 for t in ranker
-            if t.job.name == "pr_finalize"
-            and pathfinder_runs(t.finish_time + latency / 2))
+        reducing = next(  # mid-way through the delta's all-reduce
+            t.finish_time - latency / 2 for t in ranker
+            if t.job.name == "pr_finalize_prepare")
         queued = next((t.submit_time + t.dispatch_time) / 2 for t in ranker
                       if pathfinder_runs((t.submit_time + t.dispatch_time)
                                          / 2))
-        assert run(in_flight)[1] == [(False, True)]
-        assert run(queued)[1] == [(True, False)]
+        assert run(reducing)[1] == [("pr_finalize_prepare", "queued")]
+        assert [state for _, state in run(queued)[1]] == ["queued"]
 
     def test_crash_without_recovery_propagates(self):
         _, t_end, _ = self.baseline()
@@ -579,12 +579,12 @@ class TestSchedulerObservability:
 
         server = self.drained_server()
         text = to_prometheus(server.cluster.metrics)
-        assert 'repro_sched_admitted_total{priority="normal"} 8' in text
-        assert 'repro_sched_dispatched_total{priority="normal"} 8' in text
-        assert 'repro_sched_completed_total{session="t0"} 4' in text
+        assert 'repro_sched_admitted_total{priority="normal"} 6' in text
+        assert 'repro_sched_dispatched_total{priority="normal"} 6' in text
+        assert 'repro_sched_completed_total{session="t0"} 3' in text
         assert 'repro_sched_queue_depth{priority="normal"} 0' in text
         assert 'repro_sched_wait_seconds_bucket' in text
-        assert 'repro_sched_turnaround_seconds_count{session="t1"} 4' in text
+        assert 'repro_sched_turnaround_seconds_count{session="t1"} 3' in text
 
     def test_sched_metrics_in_json_export(self):
         import json
@@ -603,11 +603,11 @@ class TestSchedulerObservability:
 
         server = self.drained_server()
         ss = scheduler_summary(server.cluster.metrics)
-        assert ss["admitted"] == ss["dispatched"] == ss["completed"] == 8
+        assert ss["admitted"] == ss["dispatched"] == ss["completed"] == 6
         assert ss["rejected"] == 0
         assert ss["turnaround_seconds"] > 0
         text = render_overhead_report(server.cluster.metrics)
-        assert "scheduler: 8 admitted" in text
+        assert "scheduler: 6 admitted" in text
 
     def test_solo_job_counts_in_scheduler_line(self, small_rmat):
         from repro.obs.report import render_overhead_report
