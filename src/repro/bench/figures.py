@@ -67,7 +67,7 @@ def remote_random_read_bench(num_copiers: int,
         # the copiers currently issuing (the Figure 8(a) "Local" limiter).
         per_thread_bw = dram.aggregate_random_bw(num_copiers) / num_copiers
         dur = items * _ITEM / per_thread_bw
-        sim.schedule(dur, copier_done, cid, items)
+        sim.schedule_at(sim.now + dur, copier_done, cid, items)
 
     def copier_done(cid: int, items: int) -> None:
         fabric.send(1, 0, items * _ITEM, response_delivered, items,
@@ -79,7 +79,7 @@ def remote_random_read_bench(num_copiers: int,
         for cid in range(num_copiers):
             if not copiers_busy[cid]:
                 copiers_busy[cid] = True
-                sim.schedule(0.0, copier_loop, cid)
+                sim.schedule_at(sim.now, copier_loop, cid)
                 break
 
     def response_delivered(items: int) -> None:

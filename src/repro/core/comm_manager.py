@@ -56,7 +56,7 @@ def deliver_request(exc: "JobExecution", msg: Message) -> None:
     for cs in exc.copiers[msg.dst]:
         if not cs.busy:
             cs.busy = True
-            exc.sim.schedule_fast(0.0, copier_loop, exc, cs)
+            exc.sim.schedule_at(exc.sim.now, copier_loop, exc, cs)
             break
 
 
@@ -81,7 +81,8 @@ def copier_loop(exc: "JobExecution", cs: CopierState) -> None:
     if exc.faults is not None:
         dur *= exc.faults.work_scale(machine.index, exc.sim.now)
         stall = exc.faults.copier_stall(machine.index)
-    exc.sim.schedule_fast(dur + stall, _copier_done, exc, cs, msg, dur, resp)
+    exc.sim.schedule_at(exc.sim.now + (dur + stall), _copier_done, exc, cs,
+                        msg, dur, resp)
 
 
 def _copier_done(exc: "JobExecution", cs: CopierState, msg: Message,

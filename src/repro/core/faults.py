@@ -306,8 +306,7 @@ class FaultController:
             if i in self._fired_crashes:
                 continue
             at = max(crash.at, self.sim.now)
-            events.append(self.sim.schedule_at(at, self._crash_fire,
-                                               i, crash))
+            events.append(self.sim.timer_at(at, self._crash_fire, i, crash))
         return events
 
     def _crash_fire(self, index: int, crash: MachineCrash) -> None:
@@ -361,8 +360,8 @@ class ReliabilityLayer:
         if kind not in self.TRACKED:
             return
         rec = _Pending(msg=msg, kind=kind, timeout=self.plan.retry_timeout)
-        rec.event = self.exc.sim.schedule(rec.timeout, self._expire,
-                                          msg.request_id)
+        rec.event = self.exc.sim.timer_at(self.exc.sim.now + rec.timeout,
+                                          self._expire, msg.request_id)
         self._pending[msg.request_id] = rec
 
     def ack(self, request_id: int) -> None:
@@ -387,8 +386,8 @@ class ReliabilityLayer:
                             dst=rec.msg.dst, attempt=rec.attempts,
                             machine=rec.msg.src, time=self.exc.sim.now)
         self.exc.resend_request(rec.msg, rec.kind)
-        rec.event = self.exc.sim.schedule(rec.timeout, self._expire,
-                                          request_id)
+        rec.event = self.exc.sim.timer_at(self.exc.sim.now + rec.timeout,
+                                          self._expire, request_id)
 
     @property
     def pending_count(self) -> int:

@@ -177,7 +177,8 @@ class MutationExecution:
         new_dg, patched, reused, cost = self._built
         latency = barrier_mod.barrier_latency(
             self.cluster.config.num_machines, self.cluster.config.network)
-        self.sim.schedule_fast(cost + latency, self._finalize)
+        self.sim.schedule_at(self.sim.now + (cost + latency),
+                             self._finalize)
 
     def _finalize(self) -> None:
         new_dg, patched, reused, _cost = self._built

@@ -449,8 +449,9 @@ class JobExecution:
                                        seq_bytes=elements * 8.0)
             if self.faults is not None:
                 dur *= self.faults.work_scale(m.index, self.sim.now)
-            self.sim.schedule_fast(dur, self._postsync_machine_done, m,
-                                   self.sim.now, elements)
+            self.sim.schedule_at(self.sim.now + dur,
+                                 self._postsync_machine_done, m,
+                                 self.sim.now, elements)
 
     def _postsync_machine_done(self, m, started: float,
                                elements: int) -> None:
@@ -487,7 +488,7 @@ class JobExecution:
             # synchronizes the machines and combines their values.
             self.stats.reduced = self.job.reduce.value(self.dgraph)
             nbytes = 8.0
-        self.sim.schedule_fast(barrier_mod.all_reduce_latency(
+        self.sim.schedule_at(self.sim.now + barrier_mod.all_reduce_latency(
             self.num_machines, self.cluster.config.network, nbytes),
             self._finalize)
 

@@ -242,7 +242,7 @@ class ReadExecution:
                 cache.put(self.dgraph, job.fingerprint, job.result, cost)
                 cache.note_miss(self.hooks, job.name, job.fingerprint, cost)
         job.cost = cost
-        self.sim.schedule_fast(cost, self._finalize)
+        self.sim.schedule_at(self.sim.now + cost, self._finalize)
 
     def _finalize(self) -> None:
         self.phase = "done"

@@ -385,16 +385,18 @@ class MachineWindowStream:
         self._hold(resident_bytes)
         self.inflight += 1
         # a read that landed while the previous region ran loads at once
-        self.exc.sim.schedule_at_fast(max(end, now), self._window_loaded, 0,
-                                      start, duration)
+        self.exc.sim.schedule_at(max(end, now), self._window_loaded, 0,
+                                 start, duration)
         if len(self.windows) == 1:
             self._issue_readahead()
 
     def _read(self, disk_bytes: float) -> tuple[float, float, float]:
-        """Occupy the disk for one read issued now: (start, end, duration)."""
+        """Claim the disk head for one read issued now: (start, end,
+        duration)."""
         disk = self.machine.disk
-        end = disk.occupy(self.exc.sim.now, disk_bytes)
         duration = disk.read_time(disk_bytes)
+        end = disk.head.claim(self.exc.sim.now, duration)
+        disk.bytes_read += disk_bytes
         return end - duration, end, duration
 
     def _hold(self, resident_bytes: float) -> None:
@@ -415,8 +417,8 @@ class MachineWindowStream:
         _, disk_bytes, resident_bytes = self.windows[w]
         start, end, duration = self._read(disk_bytes)
         self._hold(resident_bytes)
-        self.exc.sim.schedule_at_fast(end, self._window_loaded, w, start,
-                                      duration)
+        self.exc.sim.schedule_at(end, self._window_loaded, w, start,
+                                 duration)
         if self.next_load == len(self.windows):
             self._issue_readahead()
 
@@ -482,7 +484,8 @@ class MachineWindowStream:
         if not self.machine.chunk_queue:
             self.idle_since = self.exc.sim.now
             if self.loaded:
-                self.exc.sim.schedule_fast(0.0, self._maybe_activate)
+                self.exc.sim.schedule_at(self.exc.sim.now,
+                                         self._maybe_activate)
 
     def chunk_done(self, w: int) -> None:
         """One chunk of window ``w`` finished on its worker (called from
@@ -499,7 +502,7 @@ class MachineWindowStream:
         # that outlives it, as in memory.
         self.resident_bytes -= self.windows[w][2]
         if self.loaded or self.exhausted:
-            exc.sim.schedule_fast(0.0, self._maybe_activate)
+            exc.sim.schedule_at(exc.sim.now, self._maybe_activate)
 
     def diagnostics(self) -> dict:
         """Stream state for :meth:`JobExecution.stall_diagnostics`."""
@@ -524,7 +527,7 @@ def wake_worker(exc: "JobExecution", ws: WorkerState) -> None:
     if ws.done or ws.scheduled:
         return
     ws.scheduled = True
-    exc.sim.schedule_fast(0.0, worker_loop, exc, ws)
+    exc.sim.schedule_at(exc.sim.now, worker_loop, exc, ws)
 
 
 def worker_loop(exc: "JobExecution", ws: WorkerState) -> None:
@@ -575,7 +578,7 @@ def _start_work(exc: "JobExecution", ws: WorkerState, fn, args: tuple,
     if exc.faults is not None:
         dur *= exc.faults.work_scale(m.index, t0)
     ws.scheduled = True
-    exc.sim.schedule_fast(dur, _end_work, exc, ws, dur, kind, t0)
+    exc.sim.schedule_at(t0 + dur, _end_work, exc, ws, dur, kind, t0)
 
 
 def _end_work(exc: "JobExecution", ws: WorkerState, dur: float,

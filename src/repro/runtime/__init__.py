@@ -1,9 +1,9 @@
 """Discrete-event simulation substrate for the PGX.D reproduction.
 
-Provides the deterministic event loop (:mod:`.simulator`), the interconnect
-model (:mod:`.network`), the DRAM/CPU cost models (:mod:`.memory`,
-:mod:`.cpu`), execution statistics (:mod:`.stats`) and the calibrated
-hardware constants (:mod:`.config`).
+Provides the deterministic event loop and the serial-resource timeline
+(:mod:`.simulator`), the interconnect model (:mod:`.network`), the DRAM/CPU
+cost models (:mod:`.memory`, :mod:`.cpu`), execution statistics
+(:mod:`.stats`) and the calibrated hardware constants (:mod:`.config`).
 """
 
 from .config import (ClusterConfig, ConfigError, EngineConfig, MachineConfig,
@@ -11,7 +11,7 @@ from .config import (ClusterConfig, ConfigError, EngineConfig, MachineConfig,
 from .cpu import MachineCpu
 from .memory import DramModel
 from .network import Network
-from .simulator import Event, Simulator
+from .simulator import Event, SerialResource, Simulator
 from .stats import Breakdown, JobStats
 
 __all__ = [
@@ -24,6 +24,7 @@ __all__ = [
     "DramModel",
     "Network",
     "Event",
+    "SerialResource",
     "Simulator",
     "Breakdown",
     "JobStats",

@@ -12,9 +12,10 @@ Windows are written once at load time and re-read in partition order every
 superstep, so all modeled reads are sequential; there is no random-access
 tier.  Like :class:`~repro.runtime.memory.DramModel`, this class only
 *prices* accesses — scheduling happens on the simulator event loop.  The
-disk is additionally a serial device (one head), so it keeps a
-``next_free`` timeline like the network's ports: concurrent read requests
-queue behind each other rather than overlapping.  It also holds the
+disk is additionally a serial device: its ``head`` is one
+:class:`~repro.runtime.simulator.SerialResource`, like the network's ports,
+so concurrent read requests queue behind each other rather than
+overlapping.  It also holds the
 pending *readaheads*: reads that streams queued behind their last window
 for the next region streaming the same shard, at most one per shard
 (``core.task_manager.MachineWindowStream``).
@@ -51,6 +52,7 @@ from __future__ import annotations
 import numpy as np
 
 from .config import MachineConfig
+from .simulator import SerialResource
 
 
 WINDOW_HEADER_BYTES = 8.0
@@ -131,15 +133,15 @@ class DramCapacityError(RuntimeError):
 
 
 class DiskModel:
-    """Per-machine local-disk cost model and serial-device timeline."""
+    """Per-machine local-disk cost model and serial device."""
 
-    __slots__ = ("_cfg", "next_free", "bytes_read", "reads", "readaheads")
+    __slots__ = ("_cfg", "head", "bytes_read", "readaheads")
 
     def __init__(self, config: MachineConfig):
         self._cfg = config
-        self.next_free = 0.0    # device timeline (simulated seconds)
+        self.head = SerialResource()
+        #: bytes the device served, counted by the stream that claimed them
         self.bytes_read = 0.0
-        self.reads = 0
         #: pending readaheads, ``(key, start, end, duration)`` each
         self.readaheads: list = []
 
@@ -149,20 +151,9 @@ class DiskModel:
             return 0.0
         return self._cfg.disk_seek_time + nbytes / self._cfg.disk_seq_bw
 
-    def occupy(self, now: float, nbytes: float) -> float:
-        """Reserve the device for one read issued at ``now``; returns the
-        completion time.  Requests serialize on the single head."""
-        duration = self.read_time(nbytes)
-        start = max(now, self.next_free)
-        end = start + duration
-        self.next_free = end
-        self.bytes_read += nbytes
-        self.reads += 1
-        return end
-
     def reset(self) -> None:
-        """Forget the device timeline and the pending readaheads (crash
-        recovery restarts the clock, and rolled-back state must not adopt
-        a read issued before the crash)."""
-        self.next_free = 0.0
+        """Free the head and drop the pending readaheads (crash recovery
+        restarts the clock, and rolled-back state must not adopt a read
+        issued before the crash)."""
+        self.head.reset()
         self.readaheads.clear()

@@ -4,7 +4,10 @@ Matches the communication architecture of Section 3.4: every message leaves
 through its machine's single *poller* thread (a serial server), waits in the
 machine's send queue for the NIC transmit port, crosses the switch with a
 small latency, serializes into the destination's receive port, and is handed
-off by the destination poller.
+off by the destination poller.  Each of those four serial servers is one
+:class:`~repro.runtime.simulator.SerialResource` per machine, claimed in call
+order; the transmit port is also event-driven, because a frame forms only
+when the port frees (``_port_free``).
 
 The per-message overhead is what makes small buffers waste bandwidth — the
 exact effect the paper sweeps in Figure 8(b) before settling on 256 KB
@@ -22,28 +25,11 @@ from collections import deque
 from typing import Any, Callable, Optional
 
 from .config import NetworkConfig
-from .simulator import Simulator
+from .simulator import SerialResource, Simulator
 from .stats import JobStats
 
 if False:  # pragma: no cover - type-only import, avoids a runtime cycle
     from ..core.faults import FaultController
-
-
-class _Port:
-    """A serial resource timeline (one receive port, or a receive poller)."""
-
-    __slots__ = ("next_free",)
-
-    def __init__(self) -> None:
-        self.next_free: float = 0.0
-
-    def occupy(self, now: float, duration: float) -> float:
-        """Reserve the port for ``duration`` starting no earlier than ``now``.
-        Returns the completion time."""
-        start = max(now, self.next_free)
-        end = start + duration
-        self.next_free = end
-        return end
 
 
 class _Queued:
@@ -97,18 +83,18 @@ class Network:
         n = num_machines
         # The poller is one thread, but its outbound service happens at send
         # time while inbound service happens at (future) arrival time; using
-        # one reservation timeline would let future arrivals block present
-        # sends.  Track the two directions separately.
-        self._poller_out = [0.0] * n
-        self._poller_in = [_Port() for _ in range(n)]
-        self._rx = [_Port() for _ in range(n)]
+        # one timeline would let future arrivals block present sends.  Track
+        # the two directions separately.
+        self._send_poller = [SerialResource() for _ in range(n)]
+        self._tx = [SerialResource() for _ in range(n)]
+        self._rx = [SerialResource() for _ in range(n)]
+        self._recv_poller = [SerialResource() for _ in range(n)]
         #: per source: waiting messages, oldest first (shipped ones are
         #: marked ``taken`` and skipped), and the same messages per dst
         self._queue = [deque() for _ in range(n)]
         self._waiting = [[deque() for _ in range(n)] for _ in range(n)]
-        #: per source: when its transmit port frees, and whether the event
-        #: marking that instant is pending
-        self._tx_free = [0.0] * n
+        #: per source: whether the event marking its transmit port's next
+        #: free instant is pending
         self._tx_busy = [False] * n
 
     def send(self, src: int, dst: int, nbytes: float,
@@ -129,14 +115,13 @@ class Network:
             # Same-machine messages never touch the fabric (Section 3.3:
             # local requests are resolved immediately); a nominal handoff
             # keeps event ordering sane.
-            self.sim.schedule_at_fast(now + 1e-9, callback, *args)
+            self.sim.schedule_at(now + 1e-9, callback, *args)
             return
         action, delay = ("deliver", 0.0)
         if self.faults is not None:
             action, delay = self.faults.message_action(src, dst, kind)
-        depart = (max(now, self._poller_out[src])
-                  + self.config.poller_per_message)
-        self._poller_out[src] = depart
+        depart = self._send_poller[src].claim(now,
+                                              self.config.poller_per_message)
         msg = _Queued(dst, nbytes, depart, action, delay, callback, args,
                       kind, stats, now)
         self._queue[src].append(msg)
@@ -145,13 +130,17 @@ class Network:
             self._send_frame(src)
 
     def reset(self) -> None:
-        """Forget every waiting message (crash recovery: the events that
-        would free the transmit ports were cleared with the rest)."""
+        """Forget every waiting message and free every port and poller
+        (crash recovery: the events that would free the transmit ports and
+        deliver the claimed frames were cleared with the rest)."""
         for src in range(self.num_machines):
             self._queue[src].clear()
             for waiting in self._waiting[src]:
                 waiting.clear()
             self._tx_busy[src] = False
+            for servers in (self._send_poller, self._tx, self._rx,
+                            self._recv_poller):
+                servers[src].reset()
 
     def _port_free(self, src: int) -> None:
         """``src``'s transmit port finished a frame: send the next one."""
@@ -180,22 +169,21 @@ class Network:
                 frame.append(msg)
                 nbytes += msg.nbytes
         cfg, sim = self.config, self.sim
-        start = max(self._tx_free[src], frame[-1].depart)
-        tx_done = start + (nbytes / cfg.link_bw + cfg.per_message_overhead)
-        self._tx_free[src] = tx_done
+        tx_done = self._tx[src].claim(
+            frame[-1].depart, nbytes / cfg.link_bw + cfg.per_message_overhead)
         self._tx_busy[src] = True
-        sim.schedule_at_fast(tx_done, self._port_free, src)
+        sim.schedule_at(tx_done, self._port_free, src)
         arrive = tx_done + cfg.link_latency
-        rx, poller_in = self._rx[dst], self._poller_in[dst]
+        rx, recv_poller = self._rx[dst], self._recv_poller[dst]
         # One receive pass for the frame's on-time messages; a delayed
         # message takes its own pass when it arrives, a dropped one none.
         landed = [m for m in frame if not m.delay and m.action != "drop"]
         rx_done = deliver = None
         if landed:
-            rx_done = rx.occupy(
+            rx_done = rx.claim(
                 arrive, sum(m.nbytes for m in landed) / cfg.link_bw)
-            deliver = poller_in.occupy(rx_done, cfg.poller_per_message)
-            sim.schedule_at_fast(deliver, self._deliver, landed)
+            deliver = recv_poller.claim(rx_done, cfg.poller_per_message)
+            sim.schedule_at(deliver, self._deliver, landed)
         seq = sim.current
         for m in frame:
             if m.action == "drop":
@@ -211,18 +199,18 @@ class Network:
             m_arrive, m_rx_done, m_deliver = arrive, rx_done, deliver
             if m.delay:
                 m_arrive = arrive + m.delay
-                m_rx_done = rx.occupy(m_arrive, m.nbytes / cfg.link_bw)
-                m_deliver = poller_in.occupy(m_rx_done,
-                                             cfg.poller_per_message)
-                sim.schedule_at_fast(m_deliver, m.callback, *m.args)
+                m_rx_done = rx.claim(m_arrive, m.nbytes / cfg.link_bw)
+                m_deliver = recv_poller.claim(m_rx_done,
+                                              cfg.poller_per_message)
+                sim.schedule_at(m_deliver, m.callback, *m.args)
             if m.action == "dup":
                 # A fabric-level duplicate: the same payload surfaces a
                 # second time after another receive pass (retransmit-
                 # ambiguity model); ``fault.inject`` reports it.
-                dup_rx = rx.occupy(m_deliver + cfg.link_latency,
-                                   m.nbytes / cfg.link_bw)
-                sim.schedule_at_fast(
-                    poller_in.occupy(dup_rx, cfg.poller_per_message),
+                dup_rx = rx.claim(m_deliver + cfg.link_latency,
+                                  m.nbytes / cfg.link_bw)
+                sim.schedule_at(
+                    recv_poller.claim(dup_rx, cfg.poller_per_message),
                     m.callback, *m.args)
             if m.stats is not None:
                 m.stats.sends.append((seq, src, dst, m.kind, m.nbytes,

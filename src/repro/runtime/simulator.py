@@ -8,14 +8,25 @@ O(chunks + messages) events, not O(edges).
 Determinism: ties in event time are broken by insertion sequence number, so
 two runs with the same inputs produce bit-identical schedules and clocks.
 
-Hot path: the engine's dominant event pattern is zero-delay wake/work/done
-cycles at the current clock.  Those bypass the heap through a FIFO *run
-queue* (same-time events in seq order are FIFO by construction) and, when
-scheduled through :meth:`Simulator.schedule_fast`, reuse :class:`Event`
-objects from a free list.  Both fast paths preserve (time, tie, seq) order
-exactly: the dispatcher always executes the minimum of the heap head and the
-run-queue head, and the run queue is only used while no tie breaker is
-installed (every tie key is 0, so seq order *is* the sort order).
+Two calls schedule work.  :meth:`Simulator.schedule_at` is the engine's
+call: it returns nothing, so its :class:`Event` objects come from (and
+return to) a free list.  :meth:`Simulator.timer_at` returns a cancellable
+handle that is never pooled; only the fault layer's crash and retry timers
+need one.  Both take an absolute time: a caller with a delay passes
+``sim.now + (delay)``.
+
+Hot path: the engine's dominant event pattern is wake/work/done cycles at
+the current clock.  Those bypass the heap through a FIFO *run queue*
+(same-time events in seq order are FIFO by construction).  The run queue
+preserves (time, tie, seq) order exactly: the dispatcher always executes the
+minimum of the heap head and the run-queue head, and the run queue is only
+used while no tie breaker is installed (every tie key is 0, so seq order
+*is* the sort order).
+
+Serial resources: a NIC port, a poller thread or a disk head serves one
+request at a time.  Each is one :class:`SerialResource`, whose
+:meth:`~SerialResource.claim` books the next free interval arithmetically,
+in call order, without scheduling an event.
 
 Schedule perturbation: :meth:`Simulator.set_tie_breaker` installs a seeded
 tie key drawn per event that sorts *between* time and sequence number.  It
@@ -36,9 +47,30 @@ than an inference from timestamps (:mod:`repro.obs.profiler`).
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from collections import deque
 from typing import Any, Callable, Optional
+
+
+class SerialResource:
+    """One serial server's timeline: a port, a poller thread, a disk head."""
+
+    __slots__ = ("next_free",)
+
+    def __init__(self) -> None:
+        self.next_free: float = 0.0
+
+    def claim(self, now: float, duration: float) -> float:
+        """Serve a request that arrives at ``now`` and takes ``duration``
+        once it starts, behind every earlier claim; returns its end."""
+        end = max(now, self.next_free) + duration
+        self.next_free = end
+        return end
+
+    def reset(self) -> None:
+        """Free the resource (crash recovery drops what it was serving)."""
+        self.next_free = 0.0
 
 
 class Event:
@@ -47,13 +79,11 @@ class Event:
     ``parent`` is the ``seq`` of the event whose handler scheduled this
     one (-1 outside any handler).
 
-    ``recycle`` marks events created through the :meth:`Simulator
-    .schedule_fast` free-list path: their handles are by contract discarded
-    by the caller, so the simulator returns them to the pool after they
-    fire.  Events whose handles may be retained (everything returned by
-    ``schedule``/``schedule_at``) are never pooled — a late ``cancel`` on a
-    fired handle must stay a no-op instead of killing an unrelated reused
-    event.
+    ``recycle`` marks events created by :meth:`Simulator.schedule_at`: the
+    caller never holds their handle, so the simulator returns them to the
+    pool after they fire.  Handles returned by :meth:`Simulator.timer_at`
+    are never pooled — a late ``cancel`` on a fired handle must stay a
+    no-op instead of killing an unrelated reused event.
     """
 
     __slots__ = ("time", "tie", "seq", "parent", "fn", "args", "cancelled",
@@ -83,7 +113,7 @@ class Simulator:
     Usage::
 
         sim = Simulator()
-        sim.schedule(1e-6, callback, arg1, arg2)
+        sim.schedule_at(sim.now + 1e-6, callback, arg1, arg2)
         sim.run()          # drains the event queue
         print(sim.now)     # simulated seconds elapsed
     """
@@ -94,7 +124,7 @@ class Simulator:
     def __init__(self) -> None:
         self.now: float = 0.0
         self._heap: list[Event] = []
-        #: zero-delay events at the current clock, in seq order (tie == 0)
+        #: events at the current clock, in seq order (tie == 0)
         self._runq: deque[Event] = deque()
         self._seq: int = 0
         #: scheduled-and-not-yet-cancelled events (O(1) ``pending``)
@@ -135,80 +165,48 @@ class Simulator:
                 heapq.heappush(self._heap, ev)
             self._runq.clear()
 
-    def _tie(self) -> int:
-        return self._tie_rng.getrandbits(32) if self._tie_rng is not None else 0
+    def schedule_at(self, time: float, fn: Callable, *args: Any) -> None:
+        """Schedule ``fn(*args)`` at absolute simulated time ``time``.
 
-    def schedule(self, delay: float, fn: Callable, *args: Any) -> Event:
-        """Schedule ``fn(*args)`` to run ``delay`` simulated seconds from now."""
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
-        ev = Event(self.now + delay, self._seq, fn, args, tie=self._tie(),
-                   parent=self.current)
-        self._seq += 1
-        self._live += 1
-        if delay == 0.0 and self._tie_rng is None:
-            self._runq.append(ev)
-        else:
-            heapq.heappush(self._heap, ev)
-        return ev
-
-    def schedule_at(self, time: float, fn: Callable, *args: Any) -> Event:
-        """Schedule ``fn(*args)`` at an absolute simulated time."""
-        if time < self.now:
-            raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
-        ev = Event(time, self._seq, fn, args, tie=self._tie(),
-                   parent=self.current)
-        self._seq += 1
-        self._live += 1
-        heapq.heappush(self._heap, ev)
-        return ev
-
-    def schedule_fast(self, delay: float, fn: Callable, *args: Any) -> None:
-        """Hot-path :meth:`schedule` for callers that discard the handle.
-
-        Returns ``None`` instead of an :class:`Event` — the event object may
-        come from (and returns to) a free list, so holding on to it after it
-        fires would alias a future event.  Callers that might ever need to
-        :meth:`cancel` must use :meth:`schedule`.  Falls back to the general
-        path while a tie breaker is installed.
+        Returns nothing: the event may come from (and returns to) a free
+        list, so nobody may hold it.  A callback that might need
+        :meth:`cancel` is a timer (:meth:`timer_at`).
         """
-        if self._tie_rng is not None:
-            self.schedule(delay, fn, *args)
-            return
-        if delay < 0:
-            raise ValueError(f"negative delay {delay!r}")
-        ev = self._acquire(self.now + delay, fn, args)
-        if delay == 0.0:
-            self._runq.append(ev)
-        else:
-            heapq.heappush(self._heap, ev)
-
-    def schedule_at_fast(self, time: float, fn: Callable, *args: Any) -> None:
-        """Absolute-time :meth:`schedule_fast` (handle discarded, pooled)."""
-        if self._tie_rng is not None:
-            self.schedule_at(time, fn, *args)
-            return
         if time < self.now:
             raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
-        heapq.heappush(self._heap, self._acquire(time, fn, args))
-
-    def _acquire(self, time: float, fn: Callable, args: tuple) -> Event:
+        rng = self._tie_rng
         pool = self._pool
         if pool:
             ev = pool.pop()
-            ev.time = time
-            ev.tie = 0
-            ev.seq = self._seq
-            ev.parent = self.current
-            ev.fn = fn
-            ev.args = args
-            ev.cancelled = False
             self._pool_hits += 1
         else:
-            ev = Event(time, self._seq, fn, args, parent=self.current)
+            ev = Event(time, 0, fn, args)
             ev.recycle = True
+        ev.time = time
+        ev.tie = 0 if rng is None else rng.getrandbits(32)
+        ev.seq = self._seq
+        ev.parent = self.current
+        ev.fn = fn
+        ev.args = args
+        ev.cancelled = False
         self._seq += 1
         self._live += 1
+        if time == self.now and rng is None:
+            self._runq.append(ev)
+        else:
+            heapq.heappush(self._heap, ev)
+
+    def timer_at(self, time: float, fn: Callable, *args: Any) -> Event:
+        """:meth:`schedule_at` returning a handle for :meth:`cancel`; the
+        event is never pooled, so the handle stays valid after it fires."""
+        if time < self.now:
+            raise ValueError(f"cannot schedule in the past: {time} < {self.now}")
+        rng = self._tie_rng
+        ev = Event(time, self._seq, fn, args,
+                   0 if rng is None else rng.getrandbits(32), self.current)
+        self._seq += 1
+        self._live += 1
+        heapq.heappush(self._heap, ev)
         return ev
 
     def cancel(self, event: Event) -> None:
@@ -229,8 +227,6 @@ class Simulator:
         dropped = self._live
         for ev in self._heap:
             ev.cancelled = True
-        for ev in self._runq:
-            ev.cancelled = True
         self._heap.clear()
         self._runq.clear()
         self._live = 0
@@ -238,42 +234,21 @@ class Simulator:
 
     # -- execution ---------------------------------------------------------
 
-    def _pop_next(self) -> Optional[Event]:
-        """Remove and return the minimum live event across heap and run queue."""
+    def step(self, until: float = math.inf) -> bool:
+        """Run the next event if it is due by ``until``.  Returns False when
+        none is: the queue is empty, or its head lies past ``until``."""
         heap, runq = self._heap, self._runq
-        while True:
-            while runq and runq[0].cancelled:
-                runq.popleft()
-            while heap and heap[0].cancelled:
-                heapq.heappop(heap)
-            if runq:
-                # Run-queue entries carry tie 0 and time == now; the heap may
-                # still hold an earlier-seq event at the same instant, so the
-                # dispatch order is decided by the full (time, tie, seq) key.
-                if heap and heap[0] < runq[0]:
-                    return heapq.heappop(heap)
-                return runq.popleft()
-            if heap:
-                return heapq.heappop(heap)
-            return None
-
-    def _peek_next(self) -> Optional[Event]:
-        """The minimum live event without removing it (cancelled are purged)."""
-        heap, runq = self._heap, self._runq
-        while runq and runq[0].cancelled:
-            runq.popleft()
         while heap and heap[0].cancelled:
             heapq.heappop(heap)
-        if runq:
-            if heap and heap[0] < runq[0]:
-                return heap[0]
-            return runq[0]
-        return heap[0] if heap else None
-
-    def step(self) -> bool:
-        """Run the single next event.  Returns False when the queue is empty."""
-        ev = self._pop_next()
-        if ev is None:
+        # Run-queue entries are pooled (so never cancelled), carry tie 0 and
+        # time == now; the heap may still hold an earlier-seq event at the
+        # same instant, so the dispatch order is decided by the full
+        # (time, tie, seq) key.
+        if runq and not (heap and heap[0] < runq[0]):
+            ev = runq.popleft()
+        elif heap and heap[0].time <= until:
+            ev = heapq.heappop(heap)
+        else:
             return False
         if ev.time < self.now:  # pragma: no cover - defensive
             raise RuntimeError("event queue went backwards in time")
@@ -312,22 +287,12 @@ class Simulator:
         finally:
             self.current = -1
 
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        """Drain the queue, optionally stopping at ``until`` or after
-        ``max_events`` additional events."""
-        executed = 0
+    def run(self, until: Optional[float] = None) -> None:
+        """Drain the queue, or with ``until`` run the events due by then
+        and leave the clock there."""
         try:
-            while True:
-                nxt = self._peek_next()
-                if nxt is None:
-                    break
-                if until is not None and nxt.time > until:
-                    self.now = until
-                    return
-                if max_events is not None and executed >= max_events:
-                    return
-                self.step()
-                executed += 1
+            while self.step(math.inf if until is None else until):
+                pass
         finally:
             self.current = -1
         if until is not None and until > self.now:

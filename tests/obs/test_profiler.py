@@ -179,7 +179,7 @@ class TestKnownTopology:
 
         def start():
             bus.emit("job.start", job="q", time=0.0)
-            sim.schedule(0.5, send_both)
+            sim.schedule_at(sim.now + 0.5, send_both)
 
         sim.schedule_at(0.0, start)
         sim.run()

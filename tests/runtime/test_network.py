@@ -427,3 +427,26 @@ class TestFrames:
         net.send(0, 1, 4096, got.append, "after")
         sim.run()
         assert got == ["after"]
+
+    def test_reset_frees_every_port_and_poller(self):
+        """Crash recovery dropped the frames the ports and pollers were
+        serving, so the first frame after a reset starts transmitting at
+        its poller departure, not behind the dropped frames' claims."""
+        sim, net = make_net(**_CFG)
+        cfg = net.config
+        for _ in range(8):
+            net.send(0, 1, 64 * 1024, lambda: None)
+            net.send(2, 1, 64 * 1024, lambda: None)
+        for _ in range(200):  # keeps the send poller busy past the reset
+            net.send(0, 3, 64, lambda: None)
+        reset_at = 2.0 ** -14
+        sim.run(until=reset_at)
+        claimed = (net._send_poller[0], net._tx[0], net._rx[1],
+                   net._recv_poller[1])
+        assert all(r.next_free > reset_at for r in claimed)
+        sim.clear_pending()  # what crash recovery does first
+        net.reset()
+        (t,) = deliver_times(sim, net, [(0, 1, 4096)])
+        p, o, bw = cfg.poller_per_message, cfg.per_message_overhead, cfg.link_bw
+        depart = reset_at + p
+        assert t == depart + (4096 / bw + o) + cfg.link_latency + 4096 / bw + p

@@ -1,8 +1,9 @@
-"""Discrete-event simulator core: ordering, cancellation, causality."""
+"""Discrete-event simulator core: ordering, cancellation, causality, and
+the serial-resource timeline."""
 
 import pytest
 
-from repro.runtime.simulator import Simulator
+from repro.runtime.simulator import SerialResource, Simulator
 
 
 class TestScheduling:
@@ -12,9 +13,9 @@ class TestScheduling:
     def test_events_fire_in_time_order(self):
         sim = Simulator()
         order = []
-        sim.schedule(3.0, order.append, "c")
-        sim.schedule(1.0, order.append, "a")
-        sim.schedule(2.0, order.append, "b")
+        sim.schedule_at(3.0, order.append, "c")
+        sim.timer_at(1.0, order.append, "a")
+        sim.schedule_at(2.0, order.append, "b")
         sim.run()
         assert order == ["a", "b", "c"]
 
@@ -22,13 +23,13 @@ class TestScheduling:
         sim = Simulator()
         order = []
         for tag in "abcde":
-            sim.schedule(1.0, order.append, tag)
+            sim.schedule_at(1.0, order.append, tag)
         sim.run()
         assert order == list("abcde")
 
     def test_clock_advances_to_event_time(self):
         sim = Simulator()
-        sim.schedule(2.5, lambda: None)
+        sim.schedule_at(2.5, lambda: None)
         sim.run()
         assert sim.now == pytest.approx(2.5)
 
@@ -38,18 +39,20 @@ class TestScheduling:
 
         def outer():
             seen.append(("outer", sim.now))
-            sim.schedule(1.0, inner)
+            sim.schedule_at(sim.now + 1.0, inner)
 
         def inner():
             seen.append(("inner", sim.now))
 
-        sim.schedule(1.0, outer)
+        sim.schedule_at(1.0, outer)
         sim.run()
         assert seen == [("outer", 1.0), ("inner", 2.0)]
 
     def test_negative_delay_rejected(self):
         with pytest.raises(ValueError):
-            Simulator().schedule(-1.0, lambda: None)
+            Simulator().schedule_at(-1.0, lambda: None)
+        with pytest.raises(ValueError):
+            Simulator().timer_at(-1.0, lambda: None)
 
     def test_schedule_at_absolute_time(self):
         sim = Simulator()
@@ -60,7 +63,7 @@ class TestScheduling:
 
     def test_schedule_at_past_rejected(self):
         sim = Simulator()
-        sim.schedule(1.0, lambda: sim.schedule_at(0.5, lambda: None))
+        sim.timer_at(1.0, lambda: sim.schedule_at(0.5, lambda: None))
         with pytest.raises(ValueError):
             sim.run()
 
@@ -69,7 +72,7 @@ class TestCancellation:
     def test_cancelled_event_does_not_fire(self):
         sim = Simulator()
         hits = []
-        ev = sim.schedule(1.0, hits.append, "x")
+        ev = sim.timer_at(1.0, hits.append, "x")
         sim.cancel(ev)
         sim.run()
         assert hits == []
@@ -77,15 +80,15 @@ class TestCancellation:
     def test_cancel_mid_run(self):
         sim = Simulator()
         hits = []
-        later = sim.schedule(2.0, hits.append, "late")
-        sim.schedule(1.0, sim.cancel, later)
+        later = sim.timer_at(2.0, hits.append, "late")
+        sim.schedule_at(1.0, sim.cancel, later)
         sim.run()
         assert hits == []
 
     def test_pending_excludes_cancelled(self):
         sim = Simulator()
-        ev = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
+        ev = sim.timer_at(1.0, lambda: None)
+        sim.schedule_at(2.0, lambda: None)
         sim.cancel(ev)
         assert sim.pending == 1
 
@@ -94,8 +97,8 @@ class TestRunControls:
     def test_run_until_stops_clock(self):
         sim = Simulator()
         hits = []
-        sim.schedule(1.0, hits.append, 1)
-        sim.schedule(5.0, hits.append, 2)
+        sim.schedule_at(1.0, hits.append, 1)
+        sim.schedule_at(5.0, hits.append, 2)
         sim.run(until=2.0)
         assert hits == [1] and sim.now == pytest.approx(2.0)
         sim.run()
@@ -106,21 +109,13 @@ class TestRunControls:
         sim.run(until=4.0)
         assert sim.now == pytest.approx(4.0)
 
-    def test_max_events(self):
-        sim = Simulator()
-        hits = []
-        for i in range(5):
-            sim.schedule(float(i + 1), hits.append, i)
-        sim.run(max_events=2)
-        assert hits == [0, 1]
-
     def test_step_returns_false_when_empty(self):
         assert Simulator().step() is False
 
     def test_events_executed_counter(self):
         sim = Simulator()
         for _ in range(3):
-            sim.schedule(1.0, lambda: None)
+            sim.schedule_at(1.0, lambda: None)
         sim.run()
         assert sim.events_executed == 3
 
@@ -135,10 +130,10 @@ class TestCausality:
 
         def root():
             seen["root"] = sim.current
-            sim.schedule(1.0, child)
-            sim.schedule_fast(2.0, child)
+            sim.timer_at(sim.now + 1.0, child)
+            sim.schedule_at(sim.now + 2.0, child)
 
-        outside = sim.schedule(0.5, root)
+        outside = sim.timer_at(0.5, root)
         assert outside.parent == -1
         sim.causal_log = {}
         sim.run()
@@ -151,7 +146,7 @@ class TestCausality:
 
     def test_no_log_unless_installed(self):
         sim = Simulator()
-        sim.schedule(1.0, lambda: None)
+        sim.schedule_at(1.0, lambda: None)
         sim.run()
         assert sim.causal_log is None
 
@@ -161,7 +156,7 @@ class TestCausality:
         def boom():
             raise RuntimeError("handler failed")
 
-        sim.schedule(1.0, boom)
+        sim.schedule_at(1.0, boom)
         with pytest.raises(RuntimeError):
             sim.step_while(lambda: True)
         assert sim.current == -1
@@ -175,9 +170,9 @@ class TestTieBreaker:
             sim.set_tie_breaker(seed)
         order = []
         for tag in "abcdefgh":
-            sim.schedule(1.0, order.append, tag)   # all tie at t=1.0
-        sim.schedule(0.5, order.append, "early")
-        sim.schedule(2.0, order.append, "late")
+            sim.schedule_at(1.0, order.append, tag)   # all tie at t=1.0
+        sim.timer_at(0.5, order.append, "early")
+        sim.schedule_at(2.0, order.append, "late")
         sim.run()
         return order
 
@@ -204,7 +199,7 @@ class TestTieBreaker:
         sim.set_tie_breaker(None)
         order = []
         for tag in "abc":
-            sim.schedule(1.0, order.append, tag)
+            sim.schedule_at(1.0, order.append, tag)
         sim.run()
         assert order == list("abc")
 
@@ -215,10 +210,31 @@ class TestDeterminism:
             sim = Simulator()
             trace = []
             for i in range(20):
-                sim.schedule((i * 7 % 5) * 0.1, trace.append, i)
+                sim.schedule_at((i * 7 % 5) * 0.1, trace.append, i)
             sim.run()
             return trace, sim.now
 
         t1, now1 = build()
         t2, now2 = build()
         assert t1 == t2 and now1 == now2
+
+
+class TestSerialResource:
+    def test_claims_are_served_in_call_order(self):
+        port = SerialResource()
+        ends = [port.claim(0.0, 1.0), port.claim(0.0, 2.0),
+                port.claim(0.5, 0.25)]
+        assert ends == [1.0, 3.0, 3.25]
+        assert port.next_free == 3.25
+
+    def test_claim_issued_before_next_free_waits(self):
+        port = SerialResource()
+        assert port.claim(1.0, 2.0) == 3.0     # busy over [1, 3)
+        assert port.claim(2.0, 0.5) == 3.5     # arrives busy: waits
+        assert port.claim(10.0, 0.5) == 10.5   # arrives idle: starts at once
+
+    def test_reset_frees_the_resource(self):
+        port = SerialResource()
+        port.claim(0.0, 5.0)
+        port.reset()
+        assert port.claim(1.0, 0.5) == 1.5

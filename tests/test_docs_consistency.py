@@ -147,3 +147,39 @@ class TestObservabilityDoc:
         for name, extra in OPTIONAL_FIELDS.items():
             for field in extra:
                 assert field in rows[name][1], (name, field)
+
+
+class TestCliSamples:
+    """The output samples in the docs are what the CLI prints."""
+
+    @staticmethod
+    def sample(doc: str, first_line: str) -> list[str]:
+        for block in read(doc).split("```")[1::2]:
+            lines = block.strip("\n").splitlines()
+            if lines and lines[0].startswith(first_line):
+                return lines
+        raise AssertionError(f"{doc} shows no sample starting {first_line!r}")
+
+    @staticmethod
+    def cli(capsys, *argv: str) -> list[str]:
+        from repro.cli import main
+
+        assert main([*argv, "--graph", "LJ", "--scale", "0.0001",
+                     "--machines", "2"]) == 0
+        return capsys.readouterr().out.splitlines()
+
+    def test_profile_sample(self, capsys):
+        shown = self.sample("docs/profiling.md", "profile: two-session")
+        assert self.cli(capsys, "profile", "--iterations", "2") == shown
+
+    def test_serve_sample(self, capsys):
+        shown = self.sample("docs/serving.md", "serve: skewed trace")
+        out = self.cli(capsys, "serve", "--workload", "skewed", "--seed", "7")
+        # "..." stands for the dispatch rows the sample leaves out
+        cut = [line.strip() for line in shown].index("...")
+        head, tail = shown[:cut], shown[cut + 1:]
+        assert out[:cut] == head
+        assert out[len(out) - len(tail):] == tail
+        left_out = out[cut:len(out) - len(tail)]
+        assert left_out and all(re.match(r"  \[\s*\d+\] t=", line)
+                                for line in left_out)
