@@ -48,6 +48,7 @@ from ..core.faults import FaultPlan
 from ..core.scheduler import JobScheduler, SchedulerConfig
 from ..graph.csr import Graph
 from ..runtime.config import ClusterConfig
+from ..obs.report import cache_summary
 from .invariants import AuditViolation
 
 #: Stats fields that are functions of graph + config alone, never of event
@@ -496,13 +497,13 @@ class AuditHarness:
                 return run
             run.fingerprints[key] = self._fingerprint_arrays(
                 {f"out{i:03d}": arr for i, arr in enumerate(outputs)})
-            cache = server.cache
+            cache = cache_summary(cluster.metrics)
             run.stats[key] = {
                 "reads": int(sess.usage.jobs_run),
                 "epoch": int(eng.epoch),
-                "cache_hits": int(cache.hits) if cache else 0,
-                "cache_misses": int(cache.misses) if cache else 0,
-                "cache_evictions": int(cache.evictions) if cache else 0,
+                "cache_hits": int(cache["hits"]),
+                "cache_misses": int(cache["misses"]),
+                "cache_evictions": int(cache["evictions"]),
             }
             run.elapsed = cluster.sim.now
         return run

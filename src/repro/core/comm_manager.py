@@ -43,9 +43,7 @@ def deliver_request(exc: "JobExecution", msg: Message) -> None:
         # retried write/sync that already got through is discarded here.
         # READ_REQ is deliberately *not* deduplicated — re-serving a read is
         # idempotent, and the re-serve is what recovers a lost READ_RESP.
-        exc.hooks.emit("comm.dedup_drop", machine=msg.dst,
-                       kind=msg.kind.value, request_id=msg.request_id,
-                       time=exc.sim.now)
+        exc.stats.count("dedup_drops", msg.kind.value)
         return
     machine = exc.machines[msg.dst]
     machine.request_queue.append(msg)

@@ -381,13 +381,13 @@ class ReliabilityLayer:
         rec.attempts += 1
         rec.timeout = min(rec.timeout * self.plan.retry_backoff,
                           self.plan.retry_timeout_cap)
-        self.exc.hooks.emit("comm.retry", kind=rec.kind,
-                            request_id=request_id, src=rec.msg.src,
-                            dst=rec.msg.dst, attempt=rec.attempts,
-                            machine=rec.msg.src, time=self.exc.sim.now)
+        stats, sim = self.exc.stats, self.exc.sim
+        stats.spans.append((sim.current, rec.msg.src, rec.attempts,
+                            "retry:" + rec.kind, sim.now, 0.0))
+        stats.count("retries", rec.kind)
         self.exc.resend_request(rec.msg, rec.kind)
-        rec.event = self.exc.sim.timer_at(self.exc.sim.now + rec.timeout,
-                                          self._expire, request_id)
+        rec.event = sim.timer_at(sim.now + rec.timeout, self._expire,
+                                 request_id)
 
     @property
     def pending_count(self) -> int:

@@ -204,13 +204,13 @@ class JobExecution:
     # ------------------------------------------------------------------
 
     def _set_phase(self, phase: str) -> None:
-        """Advance the phase machine, emitting the finished phase's
-        ``job.phase_end``."""
+        """Advance the phase machine, recording the finished phase's
+        span."""
         now = self.sim.now
         if self._phase_started_at is not None:
-            self.hooks.emit("job.phase_end", job=self.job.name,
-                            phase=self.phase, start=self._phase_started_at,
-                            duration=now - self._phase_started_at)
+            self.stats.spans.append(
+                (self.sim.current, None, self.phase, "phase",
+                 self._phase_started_at, now - self._phase_started_at))
         self.phase = phase
         self._phase_started_at = None if phase == "done" else now
 
@@ -451,14 +451,13 @@ class JobExecution:
                 dur *= self.faults.work_scale(m.index, self.sim.now)
             self.sim.schedule_at(self.sim.now + dur,
                                  self._postsync_machine_done, m,
-                                 self.sim.now, elements)
+                                 self.sim.now)
 
-    def _postsync_machine_done(self, m, started: float,
-                               elements: int) -> None:
+    def _postsync_machine_done(self, m, started: float) -> None:
         """Stage 2: ship ghost partials to the owners."""
-        self.hooks.emit("ghost.reduce_end", machine=m.index,
-                        elements=elements, start=started,
-                        duration=self.sim.now - started)
+        self.stats.spans.append((self.sim.current, m.index, None,
+                                 "ghost-reduce", started,
+                                 self.sim.now - started))
         for prop, op in self.ghost_write_props:
             if prop not in m.ghosts.arrays:
                 continue
@@ -532,9 +531,8 @@ class JobExecution:
 
     def _finalize(self) -> None:
         start = self._phase_started_at
-        self.hooks.emit("barrier.exit", job=self.job.name,
-                        machines=self.num_machines, start=start,
-                        duration=self.sim.now - (start or self.sim.now))
+        self.stats.spans.append((self.sim.current, None, None, "barrier",
+                                 start, self.sim.now - start))
         self._set_phase("done")
         self.stats.end_time = self.sim.now
         self.hooks.emit("job.end", job=self.job.name,

@@ -79,9 +79,6 @@ class ResultCache:
         self.config = config or CacheConfig()
         self._entries: "OrderedDict[tuple, CacheEntry]" = OrderedDict()
         self._next_family = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
         cluster.result_cache = self
 
     def __len__(self) -> int:
@@ -120,7 +117,6 @@ class ResultCache:
         for k in stale:
             del self._entries[k]
         if stale:
-            self.evictions += len(stale)
             self.cluster.hooks.emit("cache.evict", reason="epoch",
                                     count=len(stale), family=family,
                                     epoch=epoch, entries=len(self._entries),
@@ -133,7 +129,6 @@ class ResultCache:
         for k in stale:
             del self._entries[k]
         if stale:
-            self.evictions += len(stale)
             self.cluster.hooks.emit("cache.evict", reason="manual",
                                     count=len(stale), family=family,
                                     epoch=None, entries=len(self._entries),
@@ -149,7 +144,7 @@ class ResultCache:
         return self._entries.get((family, epoch, fingerprint))
 
     def lookup(self, dgraph, fingerprint: str) -> Optional[CacheEntry]:
-        """LRU-touching lookup (counters and hooks are the caller's job —
+        """LRU-touching lookup (the outcome's hook is the caller's job —
         see :meth:`note_hit` / :meth:`note_miss`)."""
         entry = self.peek(dgraph, fingerprint)
         if entry is not None:
@@ -165,7 +160,6 @@ class ResultCache:
         self._entries.move_to_end(entry.key)
         while len(self._entries) > self.config.max_entries:
             victim_key, _victim = self._entries.popitem(last=False)
-            self.evictions += 1
             self.cluster.hooks.emit("cache.evict", reason="capacity",
                                     count=1, family=victim_key[0],
                                     epoch=victim_key[1],
@@ -173,26 +167,21 @@ class ResultCache:
                                     time=self.cluster.sim.now)
         return entry
 
-    # -- accounting + hook emission (shared by ReadExecution and the
-    #    cached-algorithm miss path, which computes outside the scheduler) --
+    # -- outcome hooks, the cache's only count (shared by ReadExecution and
+    #    the cached-algorithm miss path, which computes outside the
+    #    scheduler); the recorder turns them into the ``cache.*`` families --
 
     def note_hit(self, hooks, job_name: str, fingerprint: str,
                  cost: float, saved: float) -> None:
-        self.hits += 1
         hooks.emit("cache.hit", job=job_name, fingerprint=fingerprint,
                    cost=cost, saved=saved, entries=len(self._entries),
                    time=self.cluster.sim.now)
 
     def note_miss(self, hooks, job_name: str, fingerprint: str,
                   cost: float) -> None:
-        self.misses += 1
         hooks.emit("cache.miss", job=job_name, fingerprint=fingerprint,
                    cost=cost, entries=len(self._entries),
                    time=self.cluster.sim.now)
-
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
 
 class ReadExecution:

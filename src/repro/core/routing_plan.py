@@ -165,13 +165,10 @@ class RoutingPlanCache:
     not retained (counted under ``rejected``).
     """
 
-    __slots__ = ("_plans", "hits", "misses", "rejected", "nbytes",
-                 "max_bytes")
+    __slots__ = ("_plans", "rejected", "nbytes", "max_bytes")
 
     def __init__(self, max_bytes: int = 1 << 30):
         self._plans: dict[tuple, ChunkPlan] = {}
-        self.hits = 0
-        self.misses = 0
         self.rejected = 0
         self.nbytes = 0
         self.max_bytes = max_bytes
@@ -180,13 +177,12 @@ class RoutingPlanCache:
                ghost_ok: bool, machine_index: int,
                num_machines: int) -> tuple[ChunkPlan, bool]:
         """The plan for one chunk, built and, capacity permitting, retained
-        on first use.  Returns ``(plan, was_cache_hit)``."""
+        on first use.  Returns ``(plan, was_cache_hit)``; the caller counts
+        the lookup on its job's stats."""
         key = (direction, lo, hi, bool(ghost_ok))
         plan = self._plans.get(key)
         if plan is not None:
-            self.hits += 1
             return plan, True
-        self.misses += 1
         plan = ChunkPlan(csr, lo, hi, ghost_ok, machine_index, num_machines)
         if self._charge(plan.nbytes):
             self._plans[key] = plan
@@ -216,11 +212,6 @@ class RoutingPlanCache:
 
     def __len__(self) -> int:
         return len(self._plans)
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -191,9 +191,7 @@ class WorkerState:
             # (a duplicated READ_RESP, or the original finally arriving after
             # a retry already got an answer).  Drop it — applying twice would
             # double-count the contribution.
-            self.exc.hooks.emit("comm.dedup_drop", machine=self.machine.index,
-                                kind="read_resp", request_id=msg.request_id,
-                                time=self.exc.sim.now)
+            self.exc.stats.count("dedup_drops", "read_resp")
             return
         if self.exc.reliability is not None:
             self.exc.reliability.ack(msg.request_id)
@@ -404,9 +402,18 @@ class MachineWindowStream:
         if self.resident_bytes > self.peak_resident:
             self.peak_resident = self.resident_bytes
 
-    def _charge(self, disk_bytes: float) -> None:
-        self.bytes_charged += disk_bytes
-        self.exc.stats.disk_bytes_read += disk_bytes
+    def _charge(self, w: int, disk_bytes: float, start: float,
+                duration: float) -> None:
+        """Record one read of window ``w`` on the job's stats: its span,
+        and the bytes it moved (none for an adopted readahead)."""
+        stats = self.exc.stats
+        m = self.machine.index
+        stats.spans.append((self.exc.sim.current, m, w, "disk-read", start,
+                            duration))
+        if disk_bytes:
+            self.bytes_charged += disk_bytes
+            stats.disk_bytes_read += disk_bytes
+            stats.count("disk_bytes", str(m), disk_bytes)
 
     def _issue_next(self) -> None:
         if self.next_load >= len(self.windows):
@@ -427,15 +434,11 @@ class MachineWindowStream:
         charged to this job."""
         if not READAHEAD:
             return
-        exc = self.exc
         disk_bytes = self.windows[0][1]
         start, end, duration = self._read(disk_bytes)
         self.machine.disk.readaheads.append((self.key, start, end, duration))
         self.readahead_issued = disk_bytes
-        self._charge(disk_bytes)
-        exc.hooks.emit("disk.read", machine=self.machine.index, window=0,
-                       nbytes=disk_bytes, start=start, duration=duration,
-                       stall=0.0, time=exc.sim.now)
+        self._charge(0, disk_bytes, start, duration)
 
     def _window_loaded(self, w: int, start: float, duration: float) -> None:
         self.inflight -= 1
@@ -457,15 +460,16 @@ class MachineWindowStream:
         now = exc.sim.now
         stall = read_stall(self.idle_since, start, duration)
         self.activations.append((self.idle_since, start, duration, stall))
-        exc.stats.disk_stall_seconds += stall
+        if stall > 0.0:
+            exc.stats.disk_stall_seconds += stall
+            exc.stats.spans.append((exc.sim.current, m.index, w,
+                                    "disk-stall", start + duration - stall,
+                                    stall))
         if w == 0 and self.readahead_adopted:
-            # the issuing region charged the bytes and reported the read
+            # the issuing region charged the bytes and recorded the read
             disk_bytes = duration = 0.0
             start = now
-        self._charge(disk_bytes)
-        exc.hooks.emit("disk.read", machine=m.index, window=w,
-                       nbytes=disk_bytes, start=start, duration=duration,
-                       stall=stall, time=now)
+        self._charge(w, disk_bytes, start, duration)
         self.active_window = w
         self.unfinished[w] = len(chunks)
         m.chunk_queue.extend(chunks)

@@ -6,7 +6,7 @@ observers) coexist in one process:
 * :class:`~repro.obs.metrics.MetricsRegistry` — labeled counters, gauges
   and fixed-bucket histograms with quantile estimates;
 * :class:`~repro.obs.hooks.HookBus` — named lifecycle hook points
-  (``job.phase_end``, ``disk.read``, ``sched.dispatch``, ...) with
+  (``job.end``, ``fault.inject``, ``sched.dispatch``, ...) with
   instance-scoped subscriptions;
 * :class:`~repro.obs.recorder.MetricsRecorder` — the built-in subscriber
   that keeps the standard ``repro_*`` instrument set current, folding

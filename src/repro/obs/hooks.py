@@ -3,10 +3,11 @@
 Every :class:`~repro.core.engine.PgxdCluster` owns one :class:`HookBus`.
 Engine layers *emit* events at well-known hook points; observers (the
 metrics recorder, the span profiler, user code) *subscribe* per hook name.
-A hook marks a lifecycle transition (a job, phase, barrier, disk window,
-fault, scheduler, cache or epoch event), never a unit of work: what each
-chunk, flush, request, copier pass or message did is a row or count of
-the attempt's :class:`~repro.runtime.stats.JobStats`.
+A hook marks a lifecycle transition (a job's start and end, a fault, a
+checkpoint or recovery, a scheduler, cache or epoch event), never a unit
+of work: what each chunk, flush, request, copier pass, message, phase,
+barrier, ghost reduce, disk window, retry or duplicate drop did is a row
+or count of the attempt's :class:`~repro.runtime.stats.JobStats`.
 Because the bus is an instance — not process-global monkeypatching — two
 clusters (and two tracers) coexist in one process with disjoint event
 streams.
@@ -14,8 +15,8 @@ streams.
 Emission is cheap when nobody listens: ``emit`` returns after one dict
 lookup.  Subscribers receive the payload dict positionally::
 
-    def on_phase(payload: dict) -> None: ...
-    sub = bus.subscribe("job.phase_end", on_phase)
+    def on_end(payload: dict) -> None: ...
+    sub = bus.subscribe("job.end", on_end)
     ...
     bus.unsubscribe(sub)
 
@@ -43,14 +44,8 @@ def _schema(table: Mapping[str, str]) -> Mapping[str, tuple[str, ...]]:
 #: tags aside (user hooks may use any other name).  Declared as the
 #: comma-separated lists ``docs/observability.md`` tabulates.
 KNOWN_HOOKS = _schema({
-    "comm.retry": "machine, kind, request_id, src, dst, attempt, time",
-    "comm.dedup_drop": "machine, kind, request_id, time",
-    "ghost.reduce_end": "machine, elements, start, duration",
-    "disk.read": "machine, window, nbytes, start, duration, stall, time",
     "job.start": "job, time",
     "job.end": "job, start, duration",
-    "job.phase_end": "job, phase, start, duration",
-    "barrier.exit": "job, machines, start, duration",
     "job.checkpoint": "path, time",
     "job.recover": "job, checkpoint, time",
     "job.incremental": ("algo, mode, epoch, iterations, recomputed_vertices, "

@@ -1,14 +1,13 @@
 """Causal span profiler: critical path, time attribution, stragglers.
 
 The Figure 5/6 reports say *how much* time each layer consumed; this module
-answers *why a job took as long as it did*.  A :class:`SpanProfiler` is a
-plain consumer of a cluster's hook bus, subscribed on *that cluster's* bus
-only (two profilers on two clusters in one process record disjoint spans):
-while installed it assembles, per job, a span record — worker chunk spans,
-copier spans and network message transits from the job's ``JobStats``;
-post-sync ghost reduces, disk reads, retries and the barrier from the
-engine's span-end hook events, each of which carries its span's start —
-and derives:
+answers *why a job took as long as it did*.  A :class:`SpanProfiler`
+subscribes to ``job.start`` and ``job.end`` on *one cluster's* hook bus
+(two profilers on two clusters in one process record disjoint jobs), and
+reads each finished job's span record — worker chunks, copier passes,
+message transits, phases, ghost reduces, disk reads, retries and the
+barrier — from the rows of its ``JobStats``, each of which carries the
+simulator event that recorded it.  It derives:
 
 * the **critical path**: the chain of simulator events that actually
   caused the job's completion.  While a profiler is installed the
@@ -27,13 +26,12 @@ and derives:
 * a **Chrome trace-event / Perfetto** export (``save``) with one process
   per machine plus a synthetic "critical path" track.
 
-Pay-for-play: nothing here runs unless a profiler is installed; no
-handler runs per chunk, copier pass or message, the lifecycle handlers
-only append tuples, the chain walk at job end costs one dict lookup per
-hop, the job's stats get labels for the chain's own events only, and the
-full span record waits until a profile is read.  The profiler
-never touches simulated state, so results and timings are bit-identical
-with it on or off (asserted by the audit tests).
+Pay-for-play: nothing here runs unless a profiler is installed; two
+handlers run per job and none per span, the chain walk at job end costs
+one dict lookup per hop, the job's stats get labels for the chain's own
+events only, and the full span record waits until a profile is read.
+The profiler never touches simulated state, so results and timings are
+bit-identical with it on or off (asserted by the audit tests).
 
 Usage::
 
@@ -44,8 +42,8 @@ Usage::
     prof.save("profile-trace.json")      # open in ui.perfetto.dev
 
 Every job runs as a scheduler ticket, whose scoped bus tags every payload
-with ``session``/``ticket``; the ticket keys the per-job builders, so
-interleaved tenants attribute spans correctly with no extra wiring.
+with ``session``/``ticket``; the ticket keys the per-job builders, and
+each job's rows are its own, so interleaved tenants never mix spans.
 """
 
 from __future__ import annotations
@@ -53,9 +51,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import itemgetter
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
+from ..runtime.stats import JobStats, straggler
 from .hooks import Subscription
 
 #: synthetic pid for the critical-path track in Chrome trace exports
@@ -77,19 +75,9 @@ _MODULE_LAYER = {"repro.core.comm_manager": "comm",
 #: causal-log size below which records are never pruned
 _PRUNE_MIN = 1 << 16
 
-#: hooks whose capture only appends to the job's record: hook -> (the
-#: :class:`_JobBuild` list, the payload fields it keeps, in tuple order);
-#: each entry is ``(seq of the emitting event, fields)``.  Worker slices,
-#: copier passes and messages, the bulk of the record, are not captured:
-#: they are read from the job's ``JobStats`` when it finishes
-#: (:meth:`annotate`).
-_CAPTURE = {
-    "ghost.reduce_end": ("ghosts", ("machine", "start", "duration")),
-    "disk.read": ("disks", ("machine", "start", "duration")),
-    "comm.retry": ("retries", ("machine", "kind", "attempt", "time")),
-    "job.phase_end": ("phases", ("phase", "start", "duration")),
-    "barrier.exit": ("barriers", ("start", "duration")),
-}
+#: ``JobStats.spans`` kinds that are on-device slices -> their lane, in
+#: export order
+_SLICE_LANES = {"ghost-reduce": "ghost", "disk-read": "disk"}
 
 
 @lru_cache(maxsize=1024)
@@ -143,14 +131,13 @@ class PathSegment:
 
 
 class _JobBuild:
-    """Raw per-job event capture; lifecycle handlers only append tuples
-    here (the ``_CAPTURE`` fields, keyed by the emitting event's seq), and
-    the job's ``JobStats`` lends its slice, pass and message rows at the
-    end — `_Slice`/`_Msg` objects are materialized once, at analysis."""
+    """One job's record: its start and end, the causal chain that ended
+    it, and its attempt's ``JobStats`` (lent at the end, by
+    :meth:`SpanProfiler.annotate`) — `_Slice`/`_Msg` objects are
+    materialized from the rows once, at analysis."""
 
     __slots__ = ("name", "session", "ticket", "start", "start_seq", "end",
-                 "chain", "chunks", "copiers", "ghosts", "disks", "sends",
-                 "retries", "phases", "barriers")
+                 "chain", "stats")
 
     def __init__(self, name: str, start: float, session=None, ticket=None,
                  start_seq: int = -1):
@@ -164,26 +151,15 @@ class _JobBuild:
         #: the causal chain, (seq, parent, time, handler) per event, from
         #: the first after ``job.start`` to the one that emitted ``job.end``
         self.chain: list[tuple] = []
-        #: ``JobStats.chunks`` and ``copier_passes`` rows, flat:
-        #: (seq, machine, lane index, kind, start, duration)
-        self.chunks: list[tuple] = []
-        self.copiers: list[tuple] = []
-        self.ghosts: list[tuple] = []    # (machine, start, dur)
-        self.disks: list[tuple] = []     # (machine, start, dur)
-        #: ``JobStats.sends`` rows: (seq, src, dst, kind, nbytes, send,
-        #: deliver); deliver None: dropped
-        self.sends: list[tuple] = []
-        self.retries: list[tuple] = []   # (machine, kind, attempt, time)
-        self.phases: list[tuple] = []    # (phase, start, dur)
-        self.barriers: list[tuple] = []  # (start, dur)
+        self.stats = JobStats()
 
     def materialize(self, only: Optional[set] = None
                     ) -> tuple[list[_Slice], list[_Msg], list[tuple],
                                dict, dict]:
         """The job's slices, messages and retries, plus the causal labels:
         seq -> the span that event ended (a retry timer's firing counts),
-        and seq -> the messages it sent.  With ``only``, just what the
-        events of those seqs captured (all a path's labels need)."""
+        and seq -> the messages it sent.  With ``only``, just the rows of
+        those seqs (all a path's labels need)."""
         def of(rows: list[tuple]) -> list[tuple]:
             return rows if only is None else [r for r in rows
                                               if r[0] in only]
@@ -195,25 +171,27 @@ class _JobBuild:
             slices.append(sl)
             span_of.setdefault(seq, sl)
 
-        for seq, m, w, kind, s, d in of(self.chunks):
+        stats = self.stats
+        for seq, m, w, kind, s, d in of(stats.chunks):
             add(seq, _Slice(m, _name("worker ", w), kind, s, s + d))
-        for seq, m, c, kind, s, d in of(self.copiers):
+        for seq, m, c, kind, s, d in of(stats.copier_passes):
             add(seq, _Slice(m, _name("copier ", c), _name("copier:", kind),
                             s, s + d))
-        for seq, (m, s, d) in of(self.ghosts):
-            add(seq, _Slice(m, "ghost", "ghost-reduce", s, s + d))
-        for seq, (m, s, d) in of(self.disks):
-            add(seq, _Slice(m, "disk", "disk-read", s, s + d))
+        spans = of(stats.spans)
+        for want, lane in _SLICE_LANES.items():
+            for seq, m, _, kind, s, d in spans:
+                if kind == want:
+                    add(seq, _Slice(m, lane, kind, s, s + d))
         retries = []
-        for seq, (m, kind, attempt, t) in of(self.retries):
-            retries.append((m, kind, attempt, t))
-            span_of.setdefault(seq, _Slice(m, "retry", _name("retry:", kind),
-                                           t, t))
-        for seq, (s, d) in of(self.barriers):
-            span_of.setdefault(seq, _Slice(None, "barrier", "barrier", s, s + d))
+        for seq, m, attempt, kind, s, d in spans:
+            if kind.startswith("retry:"):
+                retries.append((m, kind[6:], attempt, s))
+                span_of.setdefault(seq, _Slice(m, "retry", kind, s, s))
+            elif kind == "barrier":
+                span_of.setdefault(seq, _Slice(None, kind, kind, s, s + d))
         msgs: list[_Msg] = []
         sent_by: dict[int, list[_Msg]] = {}
-        for seq, src, dst, kind, nbytes, send, deliver in of(self.sends):
+        for seq, src, dst, kind, nbytes, send, deliver in of(stats.sends):
             if deliver is None:  # the fabric dropped it: it never lands
                 continue
             msg = _Msg(src, dst, kind, send, deliver, nbytes)
@@ -265,18 +243,12 @@ class JobProfile:
 
     @property
     def straggler_machine(self) -> Optional[int]:
-        if not self.machine_path_seconds:
-            return None
-        return max(sorted(self.machine_path_seconds),
-                   key=lambda m: self.machine_path_seconds[m])
+        return straggler(self.machine_path_seconds)[0]
 
     @property
     def straggler_share(self) -> float:
         """The straggler's fraction of on-CPU critical-path seconds."""
-        total = sum(self.machine_path_seconds.values())
-        if total <= 0.0:
-            return 0.0
-        return self.machine_path_seconds[self.straggler_machine] / total
+        return straggler(self.machine_path_seconds)[1]
 
     @property
     def busy_skew(self) -> float:
@@ -412,12 +384,14 @@ def _analyze(build: _JobBuild) -> JobProfile:
     """Turn one raw capture into a :class:`JobProfile`."""
     slices, messages, retries, span_of, sent_by = build.materialize()
     path = _path(build, span_of, sent_by)
+    stats = build.stats
     return JobProfile(
         name=build.name, session=build.session, ticket=build.ticket,
         start=build.start, end=build.end,
-        phases=[(ph, s, s + d) for _, (ph, s, d) in build.phases],
+        phases=[(ph, s, s + d) for _, _, ph, kind, s, d in stats.spans
+                if kind == "phase"],
         slices=slices, messages=messages, retries=retries,
-        dropped=sum(row[6] is None for row in build.sends),
+        dropped=sum(row[6] is None for row in stats.sends),
         critical_path=path,
         machine_path_seconds=_machine_seconds(path))
 
@@ -428,12 +402,12 @@ def _analyze(build: _JobBuild) -> JobProfile:
 
 
 class SpanProfiler:
-    """Records span events while installed; analysis is per finished job.
+    """Records jobs while installed; analysis is per finished job.
 
-    Every job is a scheduler ticket, so the capture keys on the ``ticket``
-    tag added by each job's :class:`ScopedHookBus` and interleaved tenants
-    never mix spans.  Events arriving outside any known job (e.g. from an
-    execution driven by hand on the cluster bus) count as orphans.
+    Every job is a scheduler ticket, so the record keys on the ``ticket``
+    tag added by each job's :class:`ScopedHookBus`.  A ``job.start`` with
+    no ticket, or a ``job.end`` with no open record (e.g. from an
+    execution driven by hand on the cluster bus), counts as an orphan.
 
     Installing also switches on the simulator's causal log; each job's
     chain is walked out of it when the job ends, and records no open job
@@ -459,25 +433,7 @@ class SpanProfiler:
         self._gauge_machines: set[int] = set()
         self._prune_at = _PRUNE_MIN
 
-    # -- capture hooks -----------------------------------------------------
-
-    def _build_of(self, p: dict) -> Optional[_JobBuild]:
-        """The open capture of ``p``'s ticket; None counts an orphan."""
-        b = self._builds.get(p.get("ticket"))
-        if b is None:
-            self.orphan_events += 1
-        return b
-
-    def _capture(self, attr: str, fields: tuple) -> Callable:
-        """The append-only handler of one ``_CAPTURE`` row."""
-        keep = itemgetter(*fields)
-        sim = self._sim
-
-        def on_event(p: dict) -> None:
-            b = self._build_of(p)
-            if b is not None:
-                getattr(b, attr).append((sim.current, keep(p)))
-        return on_event
+    # -- job hooks ---------------------------------------------------------
 
     def _on_job_start(self, p: dict) -> None:
         t = p.get("ticket")
@@ -538,11 +494,8 @@ class SpanProfiler:
         other = getattr(self.cluster, "profiler", None)
         if other is not None and other is not self:
             raise RuntimeError("another profiler is installed on this cluster")
-        handlers = {name: self._capture(attr, fields)
-                    for name, (attr, fields) in _CAPTURE.items()}
-        handlers.update({"job.start": self._on_job_start,
-                         "job.end": self._on_job_end})
-        self._subs = self.cluster.hooks.subscribe_known(handlers)
+        self._subs = self.cluster.hooks.subscribe_known({
+            "job.start": self._on_job_start, "job.end": self._on_job_end})
         reg = self.cluster.metrics
         self._hist = reg.histogram(
             "repro_profile_critical_path_seconds",
@@ -597,15 +550,14 @@ class SpanProfiler:
         return self._profile(self._finished[-1]) if self._finished else None
 
     def annotate(self, stats, ticket: int) -> None:
-        """Take a finished job's worker slices, copier passes and messages
-        from its stats, and attach critical-path fields to them (the
-        scheduler calls this on completion when a profiler is installed)."""
+        """Keep a finished job's stats as its span record, and attach
+        critical-path fields to them (the scheduler calls this on
+        completion when a profiler is installed)."""
         build = next((b for b in reversed(self._finished)
                       if b.ticket == ticket), None)
         if build is None:
             return
-        build.chunks, build.copiers, build.sends = (
-            stats.chunks, stats.copier_passes, stats.sends)
+        build.stats = stats
         # label only the chain's own events: a full profile materializes
         # every span and message of the job, and waits until it is read
         only = {rec[i] for rec in build.chain for i in (0, 1)}
@@ -662,12 +614,12 @@ class SpanProfiler:
         lines.append(header)
         lines.append("-" * len(header))
         for prof in profiles:
-            straggler = prof.straggler_machine
+            machine, share = straggler(prof.machine_path_seconds)
             lines.append(
                 f"{(prof.session or '-'):<10} {prof.name:<28} "
                 f"{prof.elapsed:>11.6f} {prof.critical_path_len:>11.6f} "
-                f"{('m%d' % straggler) if straggler is not None else '-':>5} "
-                f"{prof.straggler_share:>6.0%}")
+                f"{('m%d' % machine) if machine is not None else '-':>5} "
+                f"{share:>6.0%}")
         lines.append("")
         lines.append(f"top {top} critical-path segments (coalesced):")
         for i, (job, seg) in enumerate(self.top_segments(top), 1):
@@ -680,13 +632,11 @@ class SpanProfiler:
         by_machine = self.straggler_summary()
         lines.append("")
         if by_machine:
-            on_cpu = sum(by_machine.values())
-            straggler = max(sorted(by_machine), key=lambda m: by_machine[m])
-            share = by_machine[straggler] / on_cpu if on_cpu > 0 else 0.0
-            ratio = share * len(by_machine)
+            machine, share = straggler(by_machine)
             lines.append(
-                f"balance: straggler machine {straggler} holds {share:.0%} "
-                f"of on-CPU critical-path time ({ratio:.2f}x fair share) "
+                f"balance: straggler machine {machine} holds {share:.0%} "
+                f"of on-CPU critical-path time "
+                f"({share * len(by_machine):.2f}x fair share) "
                 f"over {len(profiles)} job(s)")
         lines.append(f"total critical path: {total_path:.6f} s; "
                      f"orphan events: {self.orphan_events}")

@@ -4,10 +4,12 @@ One :class:`MetricsRecorder` is installed per cluster at construction.  It
 maintains the standard ``repro_*`` instrument set — the substrate behind
 ``repro report``, the Prometheus/JSON exporters, and the per-job deltas
 attached to ``JobStats``.  What the engine counts per chunk, message or
-request lands in each attempt's :class:`~repro.runtime.stats.JobStats`, and
-:meth:`MetricsRecorder.fold` adds that account to the registry once, when
-the attempt ends; the lifecycle events (phases, barriers, faults, disk
-windows, scheduling, cache, epochs) arrive through hook handlers.
+request, and each region's phases, barrier, disk windows, retries and
+duplicate drops, land in the attempt's
+:class:`~repro.runtime.stats.JobStats`, and :meth:`MetricsRecorder.fold`
+adds that account to the registry once, when the attempt ends; the events
+outside any attempt's work (faults, checkpoints, recoveries, scheduling,
+cache, epochs) arrive through hook handlers.
 """
 
 from __future__ import annotations
@@ -201,16 +203,10 @@ class MetricsRecorder:
           "Simulator events served from the recycled-event pool")
 
         bus.subscribe_known({
-            "job.phase_end": self._on_phase_end,
-            "barrier.exit": self._on_barrier_exit,
             "fault.inject":
                 lambda p: self.faults_injected.child(p["fault"]).inc(),
-            "comm.retry": lambda p: self.retries.child(p["kind"]).inc(),
-            "comm.dedup_drop":
-                lambda p: self.dedup_drops.child(p["kind"]).inc(),
             "job.checkpoint": lambda p: self.checkpoints.inc(),
             "job.recover": lambda p: self.recoveries.inc(),
-            "disk.read": self._on_disk_read,
             "sched.admit": self._on_sched_admit,
             "sched.reject":
                 lambda p: self.sched_rejected.child(p["reason"]).inc(),
@@ -231,8 +227,8 @@ class MetricsRecorder:
         """Add one attempt's :class:`~repro.runtime.stats.JobStats` to the
         registry.  The scheduler calls this once per attempt: inside the
         job's ledger scope when it finishes, outside any ledger when crash
-        recovery abandons it.  Seconds are added one slice or message at a
-        time, in the order the engine recorded them."""
+        recovery abandons it.  Seconds are added one slice, span or
+        message at a time, in the order the engine recorded them."""
         for _, m, _, kind, _, duration in stats.chunks:
             machine = str(m)
             self.chunks.child(machine, kind).inc()
@@ -241,6 +237,18 @@ class MetricsRecorder:
         for _, m, _, kind, _, duration in stats.copier_passes:
             self.copier_busy.child(str(m)).inc(duration)
             self.copier_messages.child(kind).inc()
+        for _, m, lane, kind, _, duration in stats.spans:
+            if kind == "phase":
+                self.phase_seconds.child(lane).inc(duration)
+                self.phases.child(lane).inc()
+            elif kind == "barrier":
+                self.barriers.inc()
+                self.barrier_seconds.inc(duration)
+            elif kind == "disk-read" and duration:  # not an adopted read
+                self.disk_reads.child(str(m)).inc()
+                self.disk_read_seconds.child(str(m)).inc(duration)
+            elif kind == "disk-stall":
+                self.disk_stall.child(str(m)).inc(duration)
         transit = self.net_transit.child()
         sizes = self.net_message_bytes.child()
         for _, _, _, kind, nbytes, send, deliver in stats.sends:
@@ -283,25 +291,7 @@ class MetricsRecorder:
         return [children[(label,)].value if (label,) in children else 0.0
                 for label in labels]
 
-    # -- hook handlers (machine labels are str()-ed once per event) --------
-
-    def _on_phase_end(self, p: dict) -> None:
-        phase = p["phase"]
-        self.phase_seconds.child(phase).inc(p["duration"])
-        self.phases.child(phase).inc()
-
-    def _on_barrier_exit(self, p: dict) -> None:
-        self.barriers.inc()
-        self.barrier_seconds.inc(p["duration"])
-
-    def _on_disk_read(self, p: dict) -> None:
-        machine = str(p["machine"])
-        if p["nbytes"]:  # an adopted readahead was counted by its issuer
-            self.disk_bytes.child(machine).inc(p["nbytes"])
-            self.disk_reads.child(machine).inc()
-            self.disk_read_seconds.child(machine).inc(p["duration"])
-        if p["stall"] > 0.0:
-            self.disk_stall.child(machine).inc(p["stall"])
+    # -- hook handlers -----------------------------------------------------
 
     def _on_sched_admit(self, p: dict) -> None:
         self.sched_admitted.child(p["priority"]).inc()

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..runtime.stats import straggler
 from .metrics import MetricsRegistry
 
 
@@ -203,14 +204,12 @@ def render_overhead_report(registry: MetricsRegistry, title: str = "",
 
     if profile is not None:
         by_machine = profile.straggler_summary()
-        on_cpu = sum(by_machine.values())
-        if by_machine and on_cpu > 0:
-            straggler = max(sorted(by_machine), key=lambda m: by_machine[m])
-            share = by_machine[straggler] / on_cpu
+        machine, share = straggler(by_machine)
+        if share > 0.0:
             parts.append(
                 f"critical path: {path_total:.6f} s over "
                 f"{len(profile.profiles)} job(s); straggler machine "
-                f"{straggler} holds {share:.0%} of on-CPU path time "
+                f"{machine} holds {share:.0%} of on-CPU path time "
                 f"({share * len(by_machine):.2f}x fair share)")
 
     if elapsed is not None:

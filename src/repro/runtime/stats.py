@@ -1,7 +1,8 @@
 """Execution statistics and the imbalance breakdown of Figure 6(c).
 
 ``JobStats`` collects, for one parallel region (job): the simulated wall
-time, every fabric message, worker slice and copier pass, and the other
+time, every fabric message, worker slice, copier pass and lifecycle span
+(phases, the barrier, ghost reduces, disk windows, retries), and the other
 counted facts the metrics recorder folds at the attempt's end.
 ``breakdown()`` classifies the job's span into the paper's three buckets:
 
@@ -40,6 +41,18 @@ class Breakdown:
             "intra_machine": self.intra_machine / t,
             "inter_machine": self.inter_machine / t,
         }
+
+
+def straggler(seconds: Mapping[int, float]) -> tuple:
+    """``(machine, share)``: the machine holding the most of ``seconds``
+    (ties break toward the lowest index, so the verdict is deterministic
+    across runs) and its fraction of their total; ``(None, 0.0)`` when
+    empty, a share of 0.0 when the total is not positive."""
+    if not seconds:
+        return None, 0.0
+    machine = max(sorted(seconds), key=seconds.__getitem__)
+    total = sum(seconds.values())
+    return machine, (seconds[machine] / total if total > 0.0 else 0.0)
 
 
 #: the additive scalars of :meth:`JobStats.merge_from`
@@ -82,6 +95,16 @@ class JobStats:
     #: copier passes in finish order, ``(seq, machine, copier, kind, start,
     #: duration)``; ``kind`` is the request's message kind
     copier_passes: list[tuple] = field(default_factory=list)
+    #: the region's other spans in record order, ``(seq, machine, lane,
+    #: kind, start, duration)`` with ``seq`` the simulator event that
+    #: recorded it.  ``kind`` is ``phase`` (``lane`` the phase name,
+    #: ``machine`` None), ``barrier`` (``machine`` None), ``ghost-reduce``,
+    #: ``disk-read`` (``lane`` the window; zero-length at the activation
+    #: of an adopted readahead, whose issuer recorded the read),
+    #: ``disk-stall`` (``lane`` the window whose read the machine's
+    #: workers sat idle for) or ``retry:<request kind>`` (zero-length,
+    #: ``lane`` the attempt number); ``lane`` is None otherwise
+    spans: list[tuple] = field(default_factory=list)
     #: fabric messages in the order their frames formed, ``(seq, src, dst,
     #: kind, nbytes, send, deliver)``: ``kind`` is read_req / read_resp /
     #: write_req / ghost_sync / rmi, ``seq`` the simulator event that
@@ -91,9 +114,10 @@ class JobStats:
     #: every other fact, ``(fact, label) -> count``, each named after the
     #: metrics recorder instrument it feeds: ``flushes``, ``flush_items``
     #: and ``comm_requests`` by kind, ``queue_depth_samples`` by value,
-    #: ``ghost_hits`` by mode, ``plan_cache_requests`` by hit/miss and
-    #: ``combine_items`` by in/out; ``queue_depth`` by machine holds the
-    #: last depth seen instead
+    #: ``ghost_hits`` by mode, ``plan_cache_requests`` by hit/miss,
+    #: ``combine_items`` by in/out, ``retries`` and ``dedup_drops`` by
+    #: request kind, and ``disk_bytes`` by machine (as a string);
+    #: ``queue_depth`` by machine holds the last depth seen instead
     counts: dict[tuple, int] = field(default_factory=dict)
     #: registry counter increments attributable to this job (flat
     #: ``name{labels}`` -> delta), attached when the scheduler folds it
@@ -110,15 +134,8 @@ class JobStats:
 
     @property
     def straggler_machine(self):
-        """Machine holding the most critical-path time (None unprofiled).
-
-        Ties break toward the lowest machine index so the verdict is
-        deterministic across runs.
-        """
-        if not self.critical_path_by_machine:
-            return None
-        return max(sorted(self.critical_path_by_machine),
-                   key=lambda m: self.critical_path_by_machine[m])
+        """Machine holding the most critical-path time (None unprofiled)."""
+        return straggler(self.critical_path_by_machine)[0]
 
     @property
     def elapsed(self) -> float:
@@ -166,7 +183,7 @@ class JobStats:
         falls out of the summed per-machine attribution."""
         for name in _SUMMED:
             setattr(self, name, getattr(self, name) + getattr(other, name))
-        for name in ("chunks", "copier_passes", "sends"):
+        for name in ("chunks", "copier_passes", "spans", "sends"):
             getattr(self, name).extend(getattr(other, name))
         for mine, theirs in ((self.metrics_delta, other.metrics_delta),
                              (self.critical_path_by_machine,

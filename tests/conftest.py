@@ -41,6 +41,31 @@ def make_cluster(num_machines=4, ghost_threshold=40, chunk_size=256,
     return PgxdCluster(cfg)
 
 
+def disk_reads(cluster, *stats) -> list:
+    """The window reads recorded in ``stats`` (default: every job the
+    cluster ran), in record order, as dicts of ``machine``, ``window``,
+    ``start`` and ``duration`` of each ``disk-read`` row, the ``stall``
+    its activation recorded (0.0 for a readahead's issue), and ``nbytes``
+    recovered from the device time (``DiskModel.read_time`` inverted:
+    window bytes are whole numbers, so rounding is exact; 0 for an adopted
+    readahead's zero-length activation)."""
+    cfg = cluster.config.machine
+    stalls: dict = {}
+    reads = []
+    for st in stats or [st for _, st in cluster.job_log]:
+        for seq, m, window, kind, start, duration in st.spans:
+            if kind == "disk-stall":
+                stalls[seq, m, window] = duration
+            elif kind == "disk-read":
+                nbytes = round((duration - cfg.disk_seek_time)
+                               * cfg.disk_seq_bw) if duration else 0
+                reads.append({"machine": m, "window": window,
+                              "start": start, "duration": duration,
+                              "nbytes": float(nbytes),
+                              "stall": stalls.pop((seq, m, window), 0.0)})
+    return reads
+
+
 def run_scalar(cluster):
     """Make ``cluster`` run every EdgeMapJob as its ``as_task_job()`` twin,
     so any algorithm driver exercises the general per-edge RTC path."""

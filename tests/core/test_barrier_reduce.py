@@ -28,10 +28,11 @@ def _double(view, lo, hi):
 
 
 def _barriers(cluster) -> list:
-    """Record every ``barrier.exit`` payload the cluster emits."""
-    seen: list = []
-    cluster.hooks.subscribe("barrier.exit", seen.append)
-    return seen
+    """Every barrier span of the cluster's jobs so far, in job order."""
+    return [{"job": name, "start": start, "duration": duration}
+            for name, stats in cluster.job_log
+            for *_, kind, start, duration in stats.spans
+            if kind == "barrier"]
 
 
 class TestPricing:
@@ -43,13 +44,12 @@ class TestPricing:
         runs = {}
         for reduce in (None, MapReduce(lambda v: float(v["x"].sum()))):
             cluster = PgxdCluster(ClusterConfig(num_machines=machines))
-            barriers = _barriers(cluster)
             dg = cluster.load_graph(GRAPH)
             dg.add_property("x", from_global=np.arange(GRAPH.num_nodes,
                                                        dtype=np.float64))
             stats = cluster.run_job(dg, NodeKernelJob(
                 name="double", kernel=_double, reduce=reduce))
-            (barrier,) = barriers
+            (barrier,) = _barriers(cluster)
             runs[reduce is None] = (cluster, dg, stats, barrier["start"])
         net = ClusterConfig(num_machines=machines).network
         cluster, dg, plain, chunks_done = runs[True]
@@ -101,9 +101,9 @@ class TestPricing:
         """Every job starts the instant the one before it ends, and each
         absorb region's barrier is its round's only all-reduce."""
         cluster = make_cluster(4)
-        barriers = _barriers(cluster)
         dg = cluster.load_graph(WEIGHTED)
         result = algorithm(cluster, dg)
+        barriers = _barriers(cluster)
         stats = [s for _, s in cluster.job_log]
         assert all(b.start_time == a.end_time
                    for a, b in zip(stats, stats[1:]))

@@ -24,7 +24,7 @@ from repro.core.jobrunner import JobExecution
 from repro.obs.report import disk_summary, render_overhead_report
 from repro.runtime.disk import (DiskModel, DramCapacityError,
                                 encoded_row_prefix, window_bytes)
-from tests.conftest import make_cluster
+from tests.conftest import disk_reads, make_cluster
 from tests.runtime.test_disk_format import encode_rows, encode_window
 
 
@@ -44,13 +44,6 @@ def no_readahead(monkeypatch):
     """Streams without cross-region readahead: every job reads each of its
     windows itself, so the format oracles count each window once per job."""
     monkeypatch.setattr(task_manager, "READAHEAD", False)
-
-
-def _disk_reads(cluster) -> list:
-    """Record every ``disk.read`` payload the cluster emits from now on."""
-    events: list = []
-    cluster.hooks.subscribe("disk.read", events.append)
-    return events
 
 
 def _streamed_jobs(events) -> int:
@@ -254,9 +247,9 @@ class TestWindowEdgeCases:
         """A window budget above the whole graph degenerates to one read
         per machine per job — still correct, minimal stall."""
         cluster = _ooc_cluster(chunk_size=10**6)
-        events = _disk_reads(cluster)
         dg = cluster.load_graph(small_rmat_weighted)
         st = pagerank(cluster, dg, max_iterations=1, tolerance=0.0).stats
+        events = disk_reads(cluster)
         assert len(events) == 4 and {e["window"] for e in events} == {0}
         # PageRank pull streams the in-CSR
         assert st.disk_bytes_read == _format_bytes(
@@ -272,10 +265,10 @@ class TestDiskFormat:
         codec's bytes, under half the old 4 B id per edge."""
         g = small_rmat_weighted
         cluster = _ooc_cluster(chunk_size=64)
-        events = _disk_reads(cluster)
         dg = cluster.load_graph(g)
         st = pagerank(cluster, dg, variant="push", max_iterations=3,
                       tolerance=0.0).stats
+        events = disk_reads(cluster)
         assert max(e["window"] for e in events) >= 2  # really windowed
         assert st.disk_bytes_read == _format_bytes(events, g, 0)
         assert st.disk_bytes_read < (0.5 * 4.0 * g.num_edges
@@ -291,8 +284,8 @@ class TestDiskFormat:
 
         def per_job(run, columns):
             cluster = _ooc_cluster(chunk_size=64)
-            events = _disk_reads(cluster)
             st = run(cluster, cluster.load_graph(g)).stats
+            events = disk_reads(cluster)
             assert st.disk_bytes_read == _format_bytes(events, g, columns)
             return st.disk_bytes_read / _streamed_jobs(events)
 
@@ -343,10 +336,10 @@ class TestStallClock:
             .with_engine(ghost_threshold=40, chunk_size=64, num_workers=2,
                          num_copiers=2, out_of_core=True)
         cluster = PgxdCluster(cfg)
-        events = _disk_reads(cluster)
         dg = cluster.load_graph(graph)
         st = pagerank(cluster, dg, variant="push", max_iterations=iterations,
                       tolerance=0.0).stats
+        events = disk_reads(cluster)
         assert max(e["window"] for e in events) >= 2
         return cluster, events, st
 
@@ -395,8 +388,9 @@ class TestStallClock:
                 reads.setdefault(e["machine"], []).append(e)
         adopted = {e["machine"]: e for e in events if e["nbytes"] == 0}
         assert len(adopted) == 4 == sum(e["nbytes"] == 0 for e in events)
-        # a readahead that landed first is adopted at the activation itself
-        (activation,) = {e["time"] for e in adopted.values()
+        # a readahead that landed first is adopted at the activation
+        # itself, where its zero-length span sits
+        (activation,) = {e["start"] for e in adopted.values()
                          if e["stall"] == 0.0}
         expected = {m: max(0.0, r[1]["duration"]
                            - max(0.0, activation - r[1]["start"]))
@@ -409,7 +403,6 @@ class TestStallClock:
         """A chunk starts the instant it leaves the queue, so window w's
         queue emptied when the last chunk of windows ``< w`` started."""
         cluster = _ooc_cluster(chunk_size=64)
-        events = _disk_reads(cluster)
         dg = cluster.load_graph(small_rmat_weighted)
         dg.add_property("x", init=1.0)
         dg.add_property("t", init=0.0)
@@ -419,6 +412,7 @@ class TestStallClock:
         exc.start()
         while not exc.done:
             cluster.sim.step()
+        events = disk_reads(cluster, exc.stats)
         taken: dict = {}
         for _, m, _, kind, start, _ in exc.stats.chunks:
             if kind == "chunk":
@@ -427,7 +421,7 @@ class TestStallClock:
         for stream in exc.window_streams:
             m = stream.machine.index
             pops = sorted(taken[m])
-            hooked: dict = {}  # the activation is each window's 1st event
+            hooked: dict = {}  # the activation is each window's 1st read
             for e in events:
                 if e["machine"] == m:
                     hooked.setdefault(e["window"], e["stall"])
@@ -570,11 +564,10 @@ class TestReadahead:
         job after the first adopts, and the run is strictly faster."""
         def run():
             cluster = _ooc_cluster(chunk_size=64)
-            events = _disk_reads(cluster)
             dg = cluster.load_graph(small_rmat_weighted)
             pagerank(cluster, dg, variant="push", max_iterations=3,
                      tolerance=0.0)
-            return cluster.now, events
+            return cluster.now, disk_reads(cluster)
 
         on, events = run()
         assert sum(1 for e in events if e["nbytes"] == 0) == 4 * 2
@@ -613,11 +606,9 @@ class TestReadahead:
         push job that issued it."""
         def run():
             cluster = _ooc_cluster(chunk_size=64)
-            events = _disk_reads(cluster)
             dg = cluster.load_graph(small_rmat_weighted)
             push = pagerank(cluster, dg, variant="push", max_iterations=1,
                             tolerance=0.0).stats
-            n = len(events)
             if second == "sssp":
                 other = sssp(cluster, dg, root=0, max_iterations=1).stats
             else:
@@ -625,7 +616,8 @@ class TestReadahead:
                                  tolerance=0.0).stats
             assert sum(m.disk.bytes_read for m in dg.machines) \
                 == push.disk_bytes_read + other.disk_bytes_read
-            return push, events[:n], events[n:]
+            return (push, disk_reads(cluster, push),
+                    disk_reads(cluster, other))
 
         push, before, after = run()
         firsts: dict = {}
@@ -666,8 +658,8 @@ class TestReadahead:
 
         base, _ = run(make_cluster())
         cluster = _ooc_cluster(chunk_size=64, audit=True)
-        events = _disk_reads(cluster)
         got, dg = run(cluster)
+        events = disk_reads(cluster)
         for want, have in zip(base, got):
             assert np.array_equal(want, have)
         assert any(e["nbytes"] == 0 for e in events)
@@ -772,8 +764,8 @@ class TestDramCapacity:
         # windows of 4 workers x 64-edge chunks
         cfg = self._tiny_dram_config(dram, chunk_size=64, out_of_core=True)
         cluster = PgxdCluster(cfg)
-        events = _disk_reads(cluster)
         got = _results(cluster, graph, "pagerank")
+        events = disk_reads(cluster)
         assert np.array_equal(base, got)
         assert disk_summary(cluster.metrics)["bytes_read"] == _format_bytes(
             events, graph, 0, direction="in")
@@ -809,9 +801,9 @@ class TestDiskModel:
 class TestDiskObservability:
     def test_stats_and_metrics(self, small_rmat_weighted):
         cluster = _ooc_cluster(chunk_size=128)
-        events = _disk_reads(cluster)
         dg = cluster.load_graph(small_rmat_weighted)
         st = pagerank(cluster, dg, max_iterations=2, tolerance=0.0).stats
+        events = disk_reads(cluster)
         ds = disk_summary(cluster.metrics)
         assert ds["bytes_read"] == st.disk_bytes_read == sum(
             e["nbytes"] for e in events)
@@ -872,12 +864,14 @@ class TestDiskObservability:
             st = cluster.run_job(dg, job)
             assert (st.end_time - st.start_time, st.disk_bytes_read,
                     st.disk_stall_seconds) == want
-            caches = [m.plan_cache for m in dg.machines]
             if built is None:
-                built = [len(c) for c in caches]
+                built = [len(m.plan_cache) for m in dg.machines]
                 assert min(built) > 0
-            assert [c.misses for c in caches] == built
-            assert [c.hits for c in caches] == [k * n for n in built]
+            assert [len(m.plan_cache) for m in dg.machines] == built
+            flat = cluster.metrics.counters_flat()
+            requests = "repro_plan_cache_requests_total{result=\"%s\"}"
+            assert flat[requests % "miss"] == sum(built)
+            assert flat.get(requests % "hit", 0.0) == k * sum(built)
         assert dg.gather("t").sum() == 3 * small_rmat_weighted.num_edges
 
 

@@ -33,6 +33,14 @@ def run_pagerank(graph, keep_plans, iterations=4, variant="pull"):
     return cluster, dg, res
 
 
+def plan_requests(cluster) -> dict:
+    """The cluster's routing-plan lookups by ``hit``/``miss`` (its
+    ``repro_plan_cache_requests_total`` family)."""
+    family = cluster.metrics.get("repro_plan_cache_requests_total")
+    counts = {key[0]: child.value for key, child in family.children()}
+    return {result: counts.get(result, 0.0) for result in ("hit", "miss")}
+
+
 def classify(csr, lo, hi, ghost_ok, machine_index, keep=None):
     """The oracle: route the chunk's edges one by one.  Per class, the
     ``(row, target, position, owner)`` of every edge — local and ghost in
@@ -219,9 +227,7 @@ class TestCacheBehavior:
         p1, hit1 = cache.lookup(m.out_csr, "out", 0, 10, True, m.index, 3)
         p2, hit2 = cache.lookup(m.out_csr, "out", 0, 10, True, m.index, 3)
         assert (hit1, hit2) == (False, True)
-        assert p2 is p1
-        assert cache.hits == 1 and cache.misses == 1
-        assert cache.hit_rate == pytest.approx(0.5)
+        assert p2 is p1 and len(cache) == 1
 
     def test_distinct_keys_do_not_collide(self, small_rmat):
         cluster = make_cluster(3, 30)
@@ -246,18 +252,21 @@ class TestCacheBehavior:
 
     def test_engine_populates_machine_caches(self, small_rmat):
         cluster, dg, _ = run_pagerank(small_rmat, keep_plans=True)
+        assert plan_requests(cluster)["hit"] > 0
         for m in dg.machines:
-            assert m.plan_cache.hits > 0
             assert len(m.plan_cache) > 0
 
     def test_cache_disabled_stays_empty(self, small_rmat):
         """Capacity 0: every chunk builds its plan and none is kept."""
         cluster, dg, _ = run_pagerank(small_rmat, keep_plans=False)
+        requests = plan_requests(cluster)
+        assert requests["hit"] == 0 and requests["miss"] > 0
         for m in dg.machines:
             cache = m.plan_cache
             assert len(cache) == 0 and cache.nbytes == 0
-            assert cache.hits == 0
-            assert cache.misses > 0 and cache.rejected == cache.misses
+            assert cache.rejected > 0
+        assert sum(m.plan_cache.rejected for m in dg.machines) \
+            == requests["miss"]
 
 
 class TestCacheChargesWeightMemos:
@@ -436,8 +445,9 @@ class TestMaskedPlannedPath:
                                      privatize, op)
         rdg, rebuilt = run_filtered_jobs(graph, False, direction, weighted,
                                          privatize, op)
-        assert all(m.plan_cache.hits > 0 for m in dg.machines)
-        assert all(m.plan_cache.hits == 0 for m in rdg.machines)
+        assert all(len(m.plan_cache) > 0 for m in dg.machines)
+        assert plan_requests(dg.cluster)["hit"] > 0
+        assert plan_requests(rdg.cluster)["hit"] == 0
         for got, want in zip(kept, rebuilt):
             for field in want:
                 assert got[field] == want[field], (want["filter"], field)

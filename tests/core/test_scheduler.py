@@ -623,19 +623,23 @@ class TestSchedulerObservability:
             "1 completed")
 
     def test_chunks_attributed_to_job_and_session(self):
-        """A job's chunks land in its own ticket's ``JobStats``; its
-        lifecycle events carry the session and ticket tags."""
+        """A job's chunks and phases land in its own ticket's
+        ``JobStats``; its lifecycle events carry the session and ticket
+        tags."""
         server = PgxdServer(make_cluster(2))
         s = server.create_session("tagged")
         dg = s.load_graph("g", GRAPHS["a"])
         add_xt(dg)
         seen = []
-        server.cluster.hooks.subscribe("job.phase_end", seen.append)
+        server.cluster.hooks.subscribe("job.end", seen.append)
         s.submit_job("g", pull_job("tagjob"))
         server.drain()
         (ticket,) = [t for t in server.scheduler.tickets
                      if t.session == "tagged"]
         assert ticket.job.name == "tagjob" and ticket.stats.chunks
+        assert [lane for _, _, lane, kind, _, _ in ticket.stats.spans
+                if kind == "phase"] == ["presync", "main", "postsync",
+                                        "barrier"]
         assert seen
         assert all(p["job"] == "tagjob" for p in seen)
         assert all(p["session"] == "tagged" for p in seen)

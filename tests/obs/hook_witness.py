@@ -1,9 +1,10 @@
 """An independent witness for the metrics recorder.
 
-Lifecycle events (phases, barriers, faults, disk windows, scheduling,
-cache, epochs) reach the registry through the recorder's hook handlers;
-what each chunk, flush, request, copier pass and message did reaches it
-when :meth:`MetricsRecorder.fold` adds the attempt's ``JobStats``.  The
+Events outside any attempt's work (faults, checkpoints, recoveries,
+scheduling, cache, epochs) reach the registry through the recorder's hook
+handlers; what each chunk, flush, request, copier pass, message, phase,
+barrier, disk window, retry and duplicate drop did reaches it when
+:meth:`MetricsRecorder.fold` adds the attempt's ``JobStats``.  The
 witness rebuilds both halves without the fold: it hands every hook event to
 a fresh recorder, and counts every attempt's ``JobStats`` itself — crash
 recovery's abandoned attempts included — one row or count at a time, the
@@ -39,6 +40,23 @@ class HookWitness:
         for _, m, _, kind, _, duration in stats.copier_passes:
             r.copier_busy.labels(machine=m).inc(duration)
             r.copier_messages.labels(kind=kind).inc()
+        for _, m, lane, kind, _, duration in stats.spans:
+            if kind == "phase":
+                r.phase_seconds.labels(phase=lane).inc(duration)
+                r.phases.labels(phase=lane).inc()
+            elif kind == "barrier":
+                r.barriers.inc()
+                r.barrier_seconds.inc(duration)
+            elif kind == "disk-read" and duration > 0.0:
+                # a zero-length read is an adopted readahead: its issuing
+                # region counted the read
+                r.disk_reads.labels(machine=m).inc()
+                r.disk_read_seconds.labels(machine=m).inc(duration)
+            elif kind == "disk-stall":
+                r.disk_stall.labels(machine=m).inc(duration)
+            else:
+                assert kind in ("ghost-reduce", "disk-read") or \
+                    kind.startswith("retry:"), kind
         for _, _, _, kind, nbytes, send, deliver in stats.sends:
             r.net_messages.labels(kind=kind).inc()
             r.net_bytes.labels(kind=kind).inc(nbytes)
@@ -60,6 +78,10 @@ class HookWitness:
             elif fact == "queue_depth_samples":
                 for _ in range(n):
                     r.queue_depth_samples.observe(label)
+            elif fact in ("retries", "dedup_drops"):
+                getattr(r, fact).labels(kind=label).inc(n)
+            elif fact == "disk_bytes":
+                r.disk_bytes.labels(machine=label).inc(n)
             elif fact == "ghost_hits":
                 r.ghost_hits.labels(mode=label).inc(n)
             elif fact == "plan_cache_requests":

@@ -114,8 +114,8 @@ class TestKnownHooks:
         assert all("." in name for name in KNOWN_HOOKS)
 
     def test_core_hook_points_present(self):
-        for name in ("ghost.reduce_end", "disk.read", "job.phase_end",
-                     "barrier.exit", "dynamic.apply", "job.incremental"):
+        for name in ("job.start", "job.end", "fault.inject", "job.recover",
+                     "dynamic.apply", "job.incremental"):
             assert name in KNOWN_HOOKS
 
     def test_restating_hooks_are_gone(self):
@@ -133,6 +133,13 @@ class TestKnownHooks:
                      "ghost.hit", "ghost.miss", "net.send", "net.drop"):
             assert name not in KNOWN_HOOKS
 
+    def test_region_span_hooks_are_gone(self):
+        # each phase, barrier, ghost reduce, disk window, retry and
+        # duplicate drop is a row or count of the job's JobStats too
+        for name in ("job.phase_end", "barrier.exit", "ghost.reduce_end",
+                     "disk.read", "comm.retry", "comm.dedup_drop"):
+            assert name not in KNOWN_HOOKS
+
     def test_schema_maps_names_to_field_tuples(self):
         for name, fields in KNOWN_HOOKS.items():
             assert isinstance(fields, tuple) and fields, name
@@ -142,8 +149,7 @@ class TestKnownHooks:
 
     def test_subscribe_known_rejects_unknown_hooks_atomically(self):
         bus = HookBus()
-        with pytest.raises(ValueError, match="job.phase_start"):
-            bus.subscribe_known({"job.phase_end": print,
-                                 "job.phase_start": print})
+        with pytest.raises(ValueError, match="job.phase_end"):
+            bus.subscribe_known({"job.end": print, "job.phase_end": print})
         assert bus.subscriber_count() == 0
-        assert len(bus.subscribe_known({"job.phase_end": print})) == 1
+        assert len(bus.subscribe_known({"job.end": print})) == 1

@@ -63,6 +63,11 @@ def _slice(sim, stats, machine, worker, start, duration):
                          duration))
 
 
+def _span(sim, stats, machine, lane, kind, start, duration):
+    """A lifecycle span (phase, ghost reduce, ...) ending now."""
+    stats.spans.append((sim.current, machine, lane, kind, start, duration))
+
+
 def _run_relay(cluster, ticket=1, job="fx"):
     """Schedule and run a two-machine relay whose critical path is
     computable by hand (times relative to the current clock).
@@ -198,10 +203,9 @@ class TestSpanTreeAssembly:
         bus.emit("job.start", job="tree", time=0.0)
         _slice(cluster.sim, stats, 0, 0, 0.1, 0.4)
         _slice(cluster.sim, stats, 1, 2, 0.2, 0.6)
-        bus.emit("job.phase_end", phase="main", start=0.0, duration=1.0)
-        bus.emit("ghost.reduce_end", machine=0, elements=10, start=1.0,
-                 duration=0.5)
-        bus.emit("job.phase_end", phase="postsync", start=1.0, duration=0.5)
+        _span(cluster.sim, stats, None, "main", "phase", 0.0, 1.0)
+        _span(cluster.sim, stats, 0, None, "ghost-reduce", 1.0, 0.5)
+        _span(cluster.sim, stats, None, "postsync", "phase", 1.0, 0.5)
         bus.emit("job.end", job="tree", start=0.0, duration=1.5)
         prof.annotate(stats, 1)
         tree = prof.last_profile().tree()
@@ -219,9 +223,10 @@ class TestSpanTreeAssembly:
 
     def test_orphan_events_counted_not_attached(self):
         cluster, prof = _install()
-        cluster.hooks.emit("ghost.reduce_end", machine=0, elements=1,
-                           start=0.0, duration=1.0)
-        assert prof.orphan_events == 1
+        cluster.hooks.emit("job.start", job="untracked", time=0.0)
+        _job_bus(cluster, ticket=3).emit("job.end", job="unopened",
+                                         start=0.0, duration=1.0)
+        assert prof.orphan_events == 2
         assert prof.profiles == []
 
     def test_two_clusters_stay_isolated(self):
@@ -240,10 +245,8 @@ class TestSpanTreeAssembly:
         s1, s2 = JobStats(), JobStats()
         bus.emit("job.start", job="j1", time=0.0, ticket=1, session="s1")
         bus.emit("job.start", job="j2", time=0.0, ticket=2, session="s2")
-        bus.emit("ghost.reduce_end", machine=0, elements=1, start=0.0,
-                 duration=1.0, ticket=1, session="s1")
-        bus.emit("ghost.reduce_end", machine=0, elements=1, start=0.0,
-                 duration=2.0, ticket=2, session="s2")
+        _span(cluster.sim, s1, 0, None, "ghost-reduce", 0.0, 1.0)
+        _span(cluster.sim, s2, 0, None, "ghost-reduce", 0.0, 2.0)
         _slice(cluster.sim, s1, 0, 0, 0.0, 1.0)
         _slice(cluster.sim, s2, 0, 0, 0.0, 2.0)
         bus.emit("job.end", job="j1", start=0.0, duration=1.0, ticket=1,
@@ -267,6 +270,12 @@ class TestSpanTreeAssembly:
         bus.emit("job.end", job="j", start=1.0, duration=1.0, ticket=9)
         assert len(prof.aborted) == 1
         assert [p.name for p in prof.profiles] == ["j"]
+
+    def test_install_subscribes_to_job_start_and_end_only(self):
+        """Every span is a ``JobStats`` row: no handler runs per span."""
+        cluster, prof = _install()
+        assert sorted(cluster.hooks._subs) == ["job.end", "job.start"]
+        assert cluster.hooks.subscriber_count() == 2
 
     def test_install_twice_rejected(self):
         cluster, prof = _install()

@@ -18,7 +18,7 @@ import pytest
 from repro import EdgeMapJob, EdgeMapSpec, ReduceOp, rmat, with_uniform_weights
 from repro.core.jobrunner import JobExecution
 from repro.runtime.disk import encoded_row_prefix, window_bytes
-from tests.conftest import make_cluster
+from tests.conftest import disk_reads, make_cluster
 
 
 # -- reference codec ----------------------------------------------------------
@@ -204,8 +204,6 @@ def _run_streamed(graph, spec, chunk_size=64):
     # windows of num_workers x chunk_size edges
     cluster = make_cluster(out_of_core=True, num_workers=2,
                            chunk_size=chunk_size)
-    reads: list = []
-    cluster.hooks.subscribe("disk.read", reads.append)
     dg = cluster.load_graph(graph)
     dg.add_property("x", init=1.0)
     dg.add_property("t", init=0.0)
@@ -214,7 +212,7 @@ def _run_streamed(graph, spec, chunk_size=64):
     exc.start()
     while not exc.done:
         cluster.sim.step()
-    return dg, exc, reads
+    return dg, exc, disk_reads(cluster, exc.stats)
 
 
 class TestEngineWindowsMatchOracle:
