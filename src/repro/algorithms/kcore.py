@@ -10,7 +10,9 @@ accumulates (Section 5.2), and GraphLab/GraphX could not finish at all.
 Degrees follow the directed multigraph convention: degree(v) = in-degree +
 out-degree, each parallel edge counted.  The SA baseline uses the identical
 convention, and on simple one-directional graphs it coincides with the
-undirected core number (validated against networkx in the tests).
+undirected core number (validated against networkx in the tests).  A
+round is two regions: the mark, and one ``undirected`` push that decrements
+the dying vertices' out- and in-neighbors together.
 """
 
 from __future__ import annotations
@@ -27,12 +29,9 @@ from .common import AlgorithmResult, IterationTimer, program, scratch
 @program
 def kcore_max(dg: DistributedGraph, max_k: int = 100000):
     """Return the largest k such that the k-core is non-empty."""
-    dec_out = EdgeMapJob(name="kcore_dec_out", spec=EdgeMapSpec(
+    dec = EdgeMapJob(name="kcore_dec", spec=EdgeMapSpec(
         direction="push", source="neg_one", target="kdeg", op=ReduceOp.SUM,
-        active="dying"))
-    dec_in = EdgeMapJob(name="kcore_dec_in", spec=EdgeMapSpec(
-        direction="push", source="neg_one", target="kdeg", op=ReduceOp.SUM,
-        active="dying", reverse=True))
+        active="dying", undirected=True))
     count_dying = MapReduce(lambda v: int(v["dying"].sum()))
 
     with scratch(dg) as add:
@@ -68,9 +67,8 @@ def kcore_max(dg: DistributedGraph, max_k: int = 100000):
                 if n_dying == 0:
                     timer.iteration_done(s1)
                     break
-                s2 = yield dec_out
-                s3 = yield dec_in
-                timer.iteration_done(s1, s2, s3)
+                s2 = yield dec
+                timer.iteration_done(s1, s2)
 
             if n_alive == 0:
                 best_k = k - 1

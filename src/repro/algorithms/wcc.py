@@ -3,7 +3,10 @@
 Push-style, like the paper's approximated-PageRank pattern: only *active*
 nodes propagate their component label, and — as the paper notes — a
 deactivated node becomes active again when a smaller label reaches it.
-Undirected semantics require propagation along both out- and in-edges.
+Undirected semantics require propagation along both out- and in-edges: one
+``undirected`` push region sweeps both CSRs, so an iteration is two regions
+(the push and the absorb), and MIN writes bound for one target from both
+directions combine in the sender's one buffer.
 """
 
 from __future__ import annotations
@@ -33,12 +36,9 @@ def wcc(dg: DistributedGraph, max_iterations: int = 1000, start=None):
     else:
         comp0, active0 = start
 
-    push_out = EdgeMapJob(name="wcc_out", spec=EdgeMapSpec(
+    push = EdgeMapJob(name="wcc_push", spec=EdgeMapSpec(
         direction="push", source="comp", target="comp_nxt", op=ReduceOp.MIN,
-        active="active"))
-    push_in = EdgeMapJob(name="wcc_in", spec=EdgeMapSpec(
-        direction="push", source="comp", target="comp_nxt", op=ReduceOp.MIN,
-        active="active", reverse=True))
+        active="active", undirected=True))
 
     def absorb(view: LocalView, lo: int, hi: int) -> None:
         comp = view["comp"][lo:hi]
@@ -66,11 +66,10 @@ def wcc(dg: DistributedGraph, max_iterations: int = 1000, start=None):
         for _ in range(max_iterations):
             if active_trace[-1] == 0:
                 break
-            s1 = yield push_out
-            s2 = yield push_in
-            s3 = yield absorb_job
-            active_trace.append(int(s3.reduced))
-            timer.iteration_done(s1, s2, s3)
+            s1 = yield push
+            s2 = yield absorb_job
+            active_trace.append(int(s2.reduced))
+            timer.iteration_done(s1, s2)
         total, stats = timer.finish()
         comp = dg.gather("comp").astype(np.int64)
     return AlgorithmResult(name="wcc", iterations=len(active_trace) - 1,

@@ -94,10 +94,6 @@ class TaskJob(Job):
     def kind(self) -> str:
         return "task"
 
-    @property
-    def iter_kind(self) -> str:
-        return self.task_cls.ITER
-
 
 @dataclass
 class NodeKernelJob(Job):

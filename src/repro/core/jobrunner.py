@@ -111,18 +111,23 @@ class JobExecution:
         self.task_cls: Optional[type] = None
         if isinstance(job, EdgeMapJob):
             self.spec = job.spec
-            iter_kind = job.spec.iter_kind
         elif isinstance(job, TaskJob):
             self.task_cls = job.task_cls
-            iter_kind = job.iter_kind
-        elif isinstance(job, NodeKernelJob):
-            iter_kind = "node"
-        else:
+        elif not isinstance(job, NodeKernelJob):
             raise TypeError(f"unsupported job type {type(job).__name__}")
-        self.iter_kind = iter_kind
-        #: pushes and free-form writes can collide on a target -> atomics;
-        #: pull targets are owned by a single worker (Section 5.2).
-        self.job_uses_atomics = iter_kind != "in"
+        spec = self.declared_spec
+        #: the CSR directions whose chunks the region's queue holds, in
+        #: queue order: a spec's, a free-form task's ``ITER``, or "node"
+        if spec is not None:
+            self.iter_kinds = spec.iter_kinds
+        else:
+            self.iter_kinds = (self.task_cls.ITER if self.task_cls is not None
+                               else "node",)
+        #: a push's writes can collide on a target -> atomics; a pull's
+        #: targets are owned by a single worker (Section 5.2).  A free-form
+        #: task writes like a push unless it iterates in-edges.
+        self.job_uses_atomics = (spec.direction == "push" if spec is not None
+                                 else self.iter_kinds != ("in",))
 
         self.workers: list[list[WorkerState]] = []
         self.copiers: list[list[CopierState]] = [
@@ -144,13 +149,21 @@ class JobExecution:
         #: (machine, prop, op-name) -> (op, [(rows, values), ...]).  Pull
         #: read responses, WRITE_REQ payloads and post-sync ghost partials
         #: are *priced* when they arrive (their work lands on the worker's or
-        #: copier's timeline) but reduced once, in canonical content order,
-        #: at the next phase boundary (:meth:`_apply_staged`).  So a float
-        #: SUM's result is independent of arrival order: retried,
-        #: duplicated or delayed traffic, and another tenant's contention
-        #: on the shared fabric, reproduce the fault-free standalone run
-        #: bit for bit.
+        #: copier's timeline); :meth:`stage` applies one at once where no
+        #: arrival order can change the result, and stages the rest to be
+        #: reduced once, in canonical content order, at the next phase
+        #: boundary (:meth:`_apply_staged`).  So a float SUM's result is
+        #: independent of arrival order: retried, duplicated or delayed
+        #: traffic, and another tenant's contention on the shared fabric,
+        #: reproduce the fault-free standalone run bit for bit.
         self._staged: dict[tuple[int, str, str], tuple[ReduceOp, list]] = {}
+        #: written properties the region never reads: a spec names every
+        #: column its region reads (the job's reads and the active filter);
+        #: a free-form task may read any local column, so none qualify
+        self._unread_targets = frozenset(
+            p for p, _ in job.writes
+            if p not in job.reads and p != spec.active
+        ) if spec is not None else frozenset()
         #: prop -> (its idempotent op, each machine's copy of its rows at
         #: job start): what :meth:`atomic_cost` tests contributions
         #: against; filled by :meth:`start`
@@ -159,6 +172,15 @@ class JobExecution:
     # ------------------------------------------------------------------
     # lookup helpers used by workers/copiers
     # ------------------------------------------------------------------
+
+    @property
+    def declared_spec(self):
+        """The :class:`EdgeMapSpec` the region runs — the vectorized job's,
+        or the one a spec-built task class keeps; None for a free-form task
+        and a node kernel."""
+        if self.spec is not None:
+            return self.spec
+        return getattr(self.task_cls, "SPEC", None)
 
     def local_view(self, machine: int):
         from .engine import LocalView
@@ -319,37 +341,50 @@ class JobExecution:
             self._phase_barrier()
 
     def _phase_main(self) -> None:
+        """Fill every machine's chunk queue and start its workers.
+
+        A queue holds ``(lo, hi, kind)`` chunks: each CSR direction's
+        chunks in :attr:`iter_kinds` order, so an undirected sweep runs
+        the forward CSR's chunks, then the reverse CSR's, in one region.
+        """
         self._set_phase("main")
         ecfg = self.cluster.config.engine
         # Edge-iterating regions stream their windows in out-of-core mode;
         # node kernels never touch the edge arrays, so they run in-memory
         # regardless (vertex property columns are always DRAM-resident).
-        streaming = self.out_of_core and self.iter_kind != "node"
+        streaming = self.out_of_core and self.iter_kinds != ("node",)
+        # A window holds one chunk per worker: enough to keep every worker
+        # busy while the next window loads.
+        window_edges = ecfg.num_workers * ecfg.chunk_size
         total_chunks = 0
         if streaming:
             self.window_streams = []
         for m in self.machines:
-            if self.iter_kind == "node":
-                chunks = node_chunks(m.n_local, max(1, ecfg.chunk_size))
-            else:
-                chunks = make_chunks(m.csr(self.iter_kind).starts,
-                                     ecfg.chunking, ecfg.chunk_size)
             m.chunk_queue.clear()
-            if streaming:
-                # A window holds one chunk per worker: enough to keep every
-                # worker busy while the next window loads.
-                csr = m.csr(self.iter_kind)
-                prefix = csr.disk_row_prefix(m.lo)
+            windows, prefixes, key = [], {}, None
+            for kind in self.iter_kinds:
+                if kind == "node":
+                    ranges = node_chunks(m.n_local, max(1, ecfg.chunk_size))
+                else:
+                    ranges = make_chunks(m.csr(kind).starts, ecfg.chunking,
+                                         ecfg.chunk_size)
+                chunks = [(lo, hi, kind) for lo, hi in ranges]
+                total_chunks += len(chunks)
+                if not streaming:
+                    m.chunk_queue.extend(chunks)
+                    continue
+                # Windows never span two CSRs: each direction's are built
+                # over its own rows and streamed in queue order.
+                csr = m.csr(kind)
+                prefixes[kind] = csr.disk_row_prefix(m.lo)
                 columns = self._streamed_edge_columns(csr)
-                windows = build_windows(chunks, csr.starts, prefix,
-                                        ecfg.num_workers * ecfg.chunk_size,
-                                        columns)
+                windows += build_windows(chunks, csr.starts, prefixes[kind],
+                                         window_edges, columns)
+                if key is None:
+                    key = (csr, kind, columns)
+            if streaming:
                 self.window_streams.append(MachineWindowStream(
-                    self, m, windows, prefix,
-                    (csr, self.iter_kind, columns)))
-            else:
-                m.chunk_queue.extend(chunks)
-            total_chunks += len(chunks)
+                    self, m, windows, prefixes, key))
         self.chunks_remaining = total_chunks
 
         self.workers = [
@@ -369,8 +404,7 @@ class JobExecution:
         one an :class:`EdgeMapSpec` names (weights or ``edge_prop``) when
         it reads any — also for a task class built from a spec; a free-form
         task may read every column the CSR has."""
-        spec = (self.spec if self.spec is not None
-                else getattr(self.task_cls, "SPEC", None))
+        spec = self.declared_spec
         if spec is not None:
             return 1 if spec.use_weights else 0
         return (csr.weights is not None) + len(csr.props or ())
@@ -399,7 +433,23 @@ class JobExecution:
 
     def stage(self, machine_index: int, prop: str, op: ReduceOp,
               rows: np.ndarray, values: np.ndarray) -> None:
-        """Record a remote contribution for the next :meth:`_apply_staged`."""
+        """Reduce a remote contribution into ``machine_index``'s ``prop``,
+        or record it for the next :meth:`_apply_staged`.
+
+        An :meth:`~repro.core.properties.ReduceOp.order_insensitive`
+        reduction into a column the region never reads applies on
+        arrival: every arrival order gives the same bits, and nothing in
+        the region sees the column before its end, so the result is the
+        staged one (``canonical_apply`` skips the sort for exactly these
+        groups) without holding the payload until the phase boundary.
+        Float SUM, OVERWRITE and reductions into a column the region reads
+        stay staged.
+        """
+        if prop in self._unread_targets:
+            target = self.machines[machine_index].props[prop]
+            if op.order_insensitive(target.dtype):
+                op.apply_at(target, rows, values)
+                return
         key = (machine_index, prop, op.name)
         group = self._staged.get(key)
         if group is None:
@@ -415,9 +465,10 @@ class JobExecution:
         order, of which copier or worker handled which message, and of any
         co-running tenant's traffic.  Purely host-side: the apply work was
         already priced when each message was processed.  Runs when the main
-        phase ends (pull responses or push writes; an edge map stages one
-        kind, never both) and at the barrier (post-sync ghost partials,
-        which are sent only after the first apply).
+        phase ends (pull responses or push writes, from every CSR direction
+        the region iterates) and at the barrier (post-sync ghost partials,
+        which are sent only after the first apply).  Groups that
+        :meth:`stage` applied on arrival never reach it.
         """
         staged = self._staged
         for key in sorted(staged):

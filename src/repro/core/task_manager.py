@@ -218,8 +218,11 @@ class WorkerState:
 
 def build_windows(chunks: list, starts: np.ndarray, row_prefix: np.ndarray,
                   window_edges: int, edge_columns: int = 0) -> list:
-    """Group consecutive chunks into fixed-budget streaming windows.
+    """Group consecutive chunks of one CSR into fixed-budget streaming
+    windows.
 
+    A chunk is ``(lo, hi, ...)``: a row range, plus whatever the caller
+    tags it with (the job's queue entries carry their CSR direction).
     Returns ``[(chunks, disk_bytes, resident_bytes), ...]``: each window
     holds consecutive chunks totalling at most ``window_edges`` edges (a
     single hub chunk larger than the budget gets a window of its own).
@@ -234,12 +237,12 @@ def build_windows(chunks: list, starts: np.ndarray, row_prefix: np.ndarray,
     groups = []  # (chunks, edges)
     cur: list = []
     cur_edges = 0
-    for lo, hi in chunks:
-        ce = int(starts[hi] - starts[lo])
+    for chunk in chunks:
+        ce = int(starts[chunk[1]] - starts[chunk[0]])
         if cur and cur_edges + ce > window_edges:
             groups.append((cur, cur_edges))
             cur, cur_edges = [], 0
-        cur.append((lo, hi))
+        cur.append(chunk)
         cur_edges += ce
     if cur:
         groups.append((cur, cur_edges))
@@ -268,6 +271,11 @@ READAHEAD = True
 class MachineWindowStream:
     """Streams one machine's edge windows from the modeled local disk.
 
+    *Windows.*  One list in queue order: an undirected sweep's forward
+    CSR's windows, then its reverse CSR's, each built over its own rows
+    (``row_prefixes`` holds each streamed direction's encoded-byte
+    prefix).
+
     *Pipelined.*  A loaded window activates as soon as the machine's chunk
     queue is empty: its chunks are queued behind nothing and start while
     the predecessor's tail still runs, with at most
@@ -281,8 +289,8 @@ class MachineWindowStream:
     the main phase cannot end while windows remain.
 
     *Readahead.*  When a stream issues its last read it queues the read of
-    window 0 of the same shard behind it, keyed by the ``LocalCsr``, the
-    direction and the streamed edge columns (``DiskModel.readaheads``).
+    window 0 behind it, keyed by window 0's ``LocalCsr``, direction and
+    streamed edge columns (``DiskModel.readaheads``).
     The next streaming region with the same key adopts that read instead
     of reading cold; a region with another key leaves it pending and
     reads its own window 0.  The issuing job is charged the readahead's
@@ -301,21 +309,22 @@ class MachineWindowStream:
     computed.
     """
 
-    __slots__ = ("exc", "machine", "windows", "row_prefix", "key",
+    __slots__ = ("exc", "machine", "windows", "row_prefixes", "key",
                  "next_load", "inflight", "loaded", "active_window",
                  "unfinished", "idle_since", "resident_bytes",
                  "peak_resident", "activations", "disk_bytes_at_start",
                  "bytes_charged", "readahead_issued", "readahead_adopted")
 
     def __init__(self, exc: "JobExecution", machine: "Machine",
-                 windows: list, row_prefix: np.ndarray, key: tuple):
+                 windows: list, row_prefixes: dict, key: tuple):
         self.exc = exc
         self.machine = machine
         self.windows = windows
-        #: the streamed CSR's encoded-byte prefix (what resolve-on-load
-        #: reads per chunk)
-        self.row_prefix = row_prefix
-        #: readahead key: (LocalCsr, direction, streamed edge columns)
+        #: direction -> the streamed CSR's encoded-byte prefix (what
+        #: resolve-on-load reads per chunk)
+        self.row_prefixes = row_prefixes
+        #: readahead key: window 0's (LocalCsr, direction, streamed edge
+        #: columns)
         self.key = key
         #: next window index whose disk read has not been issued yet
         self.next_load = 0
@@ -547,10 +556,10 @@ def worker_loop(exc: "JobExecution", ws: WorkerState) -> None:
         _start_work(exc, ws, _process_response, (exc, ws, side, values))
         return
     if m.chunk_queue:
-        lo, hi = m.chunk_queue.popleft()
+        lo, hi, kind = m.chunk_queue.popleft()
         if exc.window_streams is not None:
             exc.window_streams[m.index].chunk_taken(ws)
-        _start_work(exc, ws, _execute_chunk, (exc, ws, lo, hi),
+        _start_work(exc, ws, _execute_chunk, (exc, ws, lo, hi, kind),
                     chunk_overhead=True)
         return
     if ws.has_buffered():
@@ -596,23 +605,26 @@ def _end_work(exc: "JobExecution", ws: WorkerState, dur: float,
     worker_loop(exc, ws)
 
 
-def _execute_chunk(exc: "JobExecution", ws: WorkerState, lo: int, hi: int) -> WorkTally:
+def _execute_chunk(exc: "JobExecution", ws: WorkerState, lo: int, hi: int,
+                   kind: str) -> WorkTally:
+    """Run local rows ``[lo, hi)`` of the ``kind`` CSR (or node range)."""
     job = exc.job
     if exc.spec is not None:
-        tally = execute_edge_map_chunk(exc, ws.machine, ws, exc.spec, lo, hi)
+        tally = execute_edge_map_chunk(exc, ws.machine, ws, exc.spec, lo, hi,
+                                       kind)
     elif job.kind == "node_kernel":
         tally = execute_node_kernel_chunk(exc, ws.machine, job.kernel,
                                           job.ops_per_node, job.bytes_per_node,
                                           lo, hi)
     else:
-        tally = _execute_scalar_chunk(exc, ws, lo, hi)
+        tally = _execute_scalar_chunk(exc, ws, lo, hi, kind)
     exc.stats.tasks_executed += tally.tasks
     exc.chunks_remaining -= 1
     if exc.window_streams is not None:
         # Resolve-on-load: the window came off disk byte-coded; read the
         # chunk's encoded rows, decode and resolve each edge, and write the
         # resolved row.
-        prefix = exc.window_streams[ws.machine.index].row_prefix
+        prefix = exc.window_streams[ws.machine.index].row_prefixes[kind]
         tally.cpu_ops += tally.edges * (DECODE_OPS_PER_EDGE
                                         + RESOLVE_OPS_PER_EDGE)
         tally.seq_bytes += (float(prefix[hi] - prefix[lo])
@@ -638,8 +650,9 @@ def _process_response(exc: "JobExecution", ws: WorkerState,
         exc.stage(m.index, spec.target, spec.op, side.rows, vals)
     else:
         # Re-point the context at the edge that issued each read.  The
-        # edge-property columns need no restore: they are the worker's one
-        # CSR for the whole job, set by the chunk that issued the read.
+        # edge-property columns need no restore: a free-form task iterates
+        # one CSR for the whole job, set by the chunk that issued the read,
+        # and a spec-built task's continuation reads none.
         ctx = ws.ctx
         for (task, node_g, nbr_g, w, ei, tag), value in zip(side.tasks, values):
             ctx._task = task
@@ -659,11 +672,9 @@ def _process_response(exc: "JobExecution", ws: WorkerState,
 
 
 def _execute_scalar_chunk(exc: "JobExecution", ws: WorkerState,
-                          lo: int, hi: int) -> WorkTally:
+                          lo: int, hi: int, iter_kind: str) -> WorkTally:
     m = ws.machine
-    job = exc.job
     task_cls = exc.task_cls
-    iter_kind = task_cls.ITER
     csr = m.csr(iter_kind) if iter_kind != "node" else None
     ctx = ws.ctx
     stats = exc.stats

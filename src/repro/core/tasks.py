@@ -225,9 +225,10 @@ class EdgeMapSpec:
     ``transform`` maps (source values, edge weights or None) to the reduced
     values; ``None`` means identity.  ``active`` names a boolean property
     filtering the *current* node n.  ``reverse`` iterates the opposite edge
-    direction (pull from out-neighbors / push to in-neighbors), which
-    algorithms with undirected semantics (WCC, KCore) use to cover both
-    incident edge sets.
+    direction (pull from out-neighbors / push to in-neighbors).
+    ``undirected`` iterates both incident edge sets in one region — the
+    direction's own list, then the opposite one — which algorithms with
+    undirected semantics (WCC, KCore) use; it excludes ``reverse``.
     """
 
     direction: str                       # "pull" | "push"
@@ -240,6 +241,7 @@ class EdgeMapSpec:
     reverse: bool = False
     #: feed the transform a named O(E) edge property instead of the weight
     edge_prop: Optional[str] = None
+    undirected: bool = False
 
     def __post_init__(self):
         if self.direction not in ("pull", "push"):
@@ -247,6 +249,9 @@ class EdgeMapSpec:
         if self.edge_prop is not None and not self.use_weights:
             raise ValueError("edge_prop requires use_weights=True "
                              "(the transform consumes the per-edge data)")
+        if self.undirected and self.reverse:
+            raise ValueError("undirected iterates both edge directions; "
+                             "it cannot be combined with reverse=True")
 
     def apply_transform(self, values: np.ndarray,
                         weights: Optional[np.ndarray]) -> np.ndarray:
@@ -255,22 +260,26 @@ class EdgeMapSpec:
         return self.transform(values, weights)
 
     @property
-    def iter_kind(self) -> str:
-        base = "in" if self.direction == "pull" else "out"
-        if self.reverse:
-            return "out" if base == "in" else "in"
-        return base
+    def iter_kinds(self) -> tuple[str, ...]:
+        """The CSR directions the region iterates, in chunk-queue order."""
+        own, opposite = (("in", "out") if self.direction == "pull"
+                         else ("out", "in"))
+        if self.undirected:
+            return own, opposite
+        return (opposite,) if self.reverse else (own,)
 
 
 def spec_task(spec: EdgeMapSpec, name: str = "SpecTask") -> type:
     """Build a Task class whose scalar callbacks compute what the spec does
     vectorized (identical semantics, which the test suite exercises).
 
-    The class keeps the spec as ``SPEC``; out-of-core streaming reads it to
-    ship only the edge column the spec names.
+    The class keeps the spec as ``SPEC``: the job reads its CSR directions
+    and write pricing from it, and out-of-core streaming ships only the edge
+    column it names.  Each chunk runs over its own CSR direction, so an
+    undirected spec's class iterates both.
     """
 
-    base = InNbrIterTask if spec.iter_kind == "in" else OutNbrIterTask
+    base = InNbrIterTask if spec.iter_kinds[0] == "in" else OutNbrIterTask
 
     class _Generated(base):
         SPEC = spec

@@ -79,8 +79,9 @@ COPIER_WRITE_LOCALITY = 0.35
 
 def execute_edge_map_chunk(exc: "JobExecution", machine: "Machine",
                            ws: "WorkerState", spec: EdgeMapSpec,
-                           lo: int, hi: int) -> WorkTally:
-    """Run the declarative edge-map kernel over local nodes [lo, hi).
+                           lo: int, hi: int, kind: str) -> WorkTally:
+    """Run the declarative edge-map kernel over local nodes [lo, hi) of the
+    ``kind`` CSR (one of ``spec.iter_kinds``).
 
     The iteration-invariant part of the chunk (edge expansion, owner/ghost
     classification, owner-stable remote sort into per-destination runs)
@@ -94,7 +95,7 @@ def execute_edge_map_chunk(exc: "JobExecution", machine: "Machine",
     n_nodes = hi - lo
     if n_nodes == 0:
         return tally
-    csr = machine.csr(spec.iter_kind)
+    csr = machine.csr(kind)
     tally.cpu_ops += n_nodes * (machine.config.engine.task_dispatch_time
                                 / machine.machine_config.cpu_op_time)
 
@@ -102,7 +103,7 @@ def execute_edge_map_chunk(exc: "JobExecution", machine: "Machine",
         ghost_ok = spec.source in exc.ghost_read_set
     else:
         ghost_ok = spec.target in exc.ghost_write_set
-    plan, hit = machine.plan_cache.lookup(csr, spec.iter_kind, lo, hi,
+    plan, hit = machine.plan_cache.lookup(csr, kind, lo, hi,
                                           ghost_ok, machine.index,
                                           exc.num_machines)
     exc.stats.count("plan_cache_requests", "hit" if hit else "miss")

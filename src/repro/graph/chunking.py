@@ -6,8 +6,12 @@ with skewed degree distributions one chunk can then contain a giant hub and
 stall its worker.  *Edge chunking* instead bounds the number of edges per
 chunk, which is what balances work between cores (Figure 6(c)).
 
-Chunks are contiguous local-node ranges; a node's edges never split across
-chunks (the engine guarantees all in-edges of a node run on one worker).
+Chunks are contiguous local-node ranges over one CSR direction; a node's
+edges never split across chunks (the engine guarantees all in-edges of a
+node run on one worker).  The job runner tags each range with its
+direction and queues the directions the region iterates one after the
+other: an undirected sweep's queue holds the forward CSR's chunks, then
+the reverse CSR's, so the same node range can appear once per direction.
 """
 
 from __future__ import annotations

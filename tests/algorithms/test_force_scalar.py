@@ -5,7 +5,8 @@ must produce identical results."""
 import numpy as np
 import pytest
 
-from repro import rmat, with_uniform_weights
+from repro import (EdgeMapJob, EdgeMapSpec, ReduceOp, rmat,
+                   with_uniform_weights)
 from repro.algorithms import (betweenness, eigenvector, hop_dist, kcore_max,
                               pagerank, pagerank_approx, sssp, wcc)
 from tests.conftest import make_cluster, run_scalar
@@ -78,3 +79,42 @@ class TestForceScalar:
         fast, slow = both(lambda c, d, **k: pagerank(c, d, "pull", **k),
                           graph, max_iterations=4)
         assert slow.total_time == pytest.approx(fast.total_time, rel=0.5)
+
+
+def per_job_atomics(fn, graph, scalar):
+    """``[(job name, atomic_ops)]`` of every job ``fn(cluster, dg)`` runs."""
+    cluster = make_cluster(3, 20)
+    if scalar:
+        run_scalar(cluster)
+    fn(cluster, cluster.load_graph(graph))
+    return [(name, stats.atomic_ops) for name, stats in cluster.job_log]
+
+
+def reverse_push(op):
+    """One push along in-edges, the direction a free-form task of the same
+    iterator would price as a pull."""
+
+    def run(cluster, dg):
+        dg.add_property("x", from_global=np.arange(dg.num_nodes,
+                                                   dtype=np.float64))
+        dg.add_property("t", init=float(dg.num_nodes))
+        cluster.run_job(dg, EdgeMapJob(name="rev", spec=EdgeMapSpec(
+            direction="push", source="x", target="t", op=op,
+            reverse=True)))
+    return run
+
+
+class TestScalarAtomics:
+    """The scalar path prices a spec's writes by the spec's direction, as
+    the vectorized path does: a reverse push iterates in-edges but its
+    targets still collide, so its owned-row writes pay atomics."""
+
+    @pytest.mark.parametrize("fn", [wcc, kcore_max, reverse_push(ReduceOp.MIN),
+                                    reverse_push(ReduceOp.SUM)],
+                             ids=["wcc", "kcore_max", "reverse_min",
+                                  "reverse_sum"])
+    def test_per_job_atomics_agree(self, graph, fn):
+        fast = per_job_atomics(fn, graph, scalar=False)
+        slow = per_job_atomics(fn, graph, scalar=True)
+        assert sum(n for _, n in fast) > 0
+        assert slow == fast

@@ -56,16 +56,16 @@ def digest(values: dict) -> str:
     ("pagerank_approx", 7, "7b2a5a528b197955147a7fa7a2d7ad7d3ef2b304cc10ffacd497e230497c3f86", 12, 0.0012485354447771633),
     ("personalized_pagerank", None, "af5be2c626360ea778056861650a2ab32d908ba1623adde5eee9ef025716b81c", 5, 0.0004624971661290326),
     ("personalized_pagerank", 7, "af5be2c626360ea778056861650a2ab32d908ba1623adde5eee9ef025716b81c", 5, 0.0004624971661290326),
-    ("wcc", None, "d09d0416980b82a1037a42358f80ef36332dc27fe493801f458b44656c3d3378", 4, 0.0005274480885929546),
-    ("wcc", 7, "d09d0416980b82a1037a42358f80ef36332dc27fe493801f458b44656c3d3378", 4, 0.0005274480885929546),
+    ("wcc", None, "d09d0416980b82a1037a42358f80ef36332dc27fe493801f458b44656c3d3378", 4, 0.00032324050043293725),
+    ("wcc", 7, "d09d0416980b82a1037a42358f80ef36332dc27fe493801f458b44656c3d3378", 4, 0.00032324050043293725),
     ("sssp", None, "ac7e197438b96d83e7acec56659979a0985d2929762a1980bef39ba50a122ee3", 6, 0.0004531315863773348),
     ("sssp", 7, "ac7e197438b96d83e7acec56659979a0985d2929762a1980bef39ba50a122ee3", 6, 0.0004531315863773348),
     ("hop_dist", None, "8628e65859de4cc94b273959f87da58d312bd30a1006b2a993c45a9151c1aa47", 4, 0.00030515226695882836),
     ("hop_dist", 7, "8628e65859de4cc94b273959f87da58d312bd30a1006b2a993c45a9151c1aa47", 4, 0.00030515226695882836),
     ("eigenvector", None, "261de6582d9484a92be96355e6286ec27943be0f5274254ccb9cd0ae2872527e", 5, 0.0004362100863327678),
     ("eigenvector", 7, "261de6582d9484a92be96355e6286ec27943be0f5274254ccb9cd0ae2872527e", 5, 0.0004362100863327678),
-    ("kcore_max", None, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 88, 0.006641516014399264),
-    ("kcore_max", 7, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 88, 0.006641516014399264),
+    ("kcore_max", None, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 88, 0.004410586319259265),
+    ("kcore_max", 7, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855", 88, 0.004410586319259265),
     ("betweenness", None, "71cb823e95796f5bcb46dda01f6a4a3d844e033f0ef85dcc025f5f5c6ca8f049", 21, 0.0023286336452970975),
     ("betweenness", 7, "71cb823e95796f5bcb46dda01f6a4a3d844e033f0ef85dcc025f5f5c6ca8f049", 21, 0.002329412532376894),
 ])

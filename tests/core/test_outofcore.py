@@ -141,14 +141,14 @@ class TestPayForPlay:
     @pytest.mark.parametrize("workload,now", [
         ("pagerank", 0.000283057293531409),
         ("sssp", 0.00022982455758913404),
-        ("wcc", 0.00040102479688455014)], ids=["pagerank", "sssp", "wcc"])
+        ("wcc", 0.00024578512681027153)], ids=["pagerank", "sssp", "wcc"])
     def test_inmemory_clock_pinned(self, small_rmat_weighted, workload, now):
         """Resolve-on-load is charged to streaming jobs only: the in-memory
         clock reads what it read before the compact format existed (SSSP
         and WCC: with their MIN writes combined at the sender and paying
         atomics only where they lower a target; every workload: with
         partial buffers sharing wire frames and reductions riding region
-        barriers)."""
+        barriers; WCC: with both edge directions swept in one region)."""
         cluster = make_cluster()
         _results(cluster, small_rmat_weighted, workload)
         assert cluster.now == now
@@ -478,8 +478,8 @@ class TestDrainAtLastChunkEnd:
             # so each has built its plan
             for u in running:
                 if u < stream.active_window:
-                    for lo, hi in stream.windows[u][0]:
-                        assert any(("out", lo, hi, ok) in plans
+                    for lo, hi, kind in stream.windows[u][0]:
+                        assert any((kind, lo, hi, ok) in plans
                                    for ok in (False, True))
             seen.append((m, w, start, start + dur))
 
@@ -532,7 +532,7 @@ class TestDrainAtLastChunkEnd:
             m = stream.machine.index
             starts = stream.machine.out_csr.starts
             for w, (chunks, _, _) in enumerate(stream.windows[:-1]):
-                (lo, hi), = chunks[:1]
+                (lo, hi, _), = chunks[:1]
                 if len(chunks) == 1 and starts[hi] - starts[lo] > 16:
                     (_, hub_end), = spans[(m, w)]
                     older = [e for u in range(w) for _, e in spans[(m, u)]]

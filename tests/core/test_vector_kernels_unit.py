@@ -63,7 +63,8 @@ class TestChunkExecution:
         total_edges = 0
         for m in dg.machines:
             ws = exc.workers[m.index][0]
-            tally = execute_edge_map_chunk(exc, m, ws, spec, 0, m.n_local)
+            tally = execute_edge_map_chunk(exc, m, ws, spec, 0, m.n_local,
+                                           spec.iter_kinds[0])
             total_edges += tally.edges
         assert total_edges == small_rmat.num_edges
 
@@ -72,7 +73,8 @@ class TestChunkExecution:
         total_tasks = 0
         for m in dg.machines:
             ws = exc.workers[m.index][0]
-            tally = execute_edge_map_chunk(exc, m, ws, spec, 0, m.n_local)
+            tally = execute_edge_map_chunk(exc, m, ws, spec, 0, m.n_local,
+                                           spec.iter_kinds[0])
             total_tasks += tally.tasks
         assert total_tasks == small_rmat.num_nodes
 
@@ -83,7 +85,8 @@ class TestChunkExecution:
         tasks = edges = 0
         for m in dg.machines:
             ws = exc.workers[m.index][0]
-            tally = execute_edge_map_chunk(exc, m, ws, spec, 0, m.n_local)
+            tally = execute_edge_map_chunk(exc, m, ws, spec, 0, m.n_local,
+                                           spec.iter_kinds[0])
             tasks += tally.tasks
             edges += tally.edges
         assert tasks == 50
@@ -93,7 +96,8 @@ class TestChunkExecution:
         cluster, dg, exc, spec = setup_exec(small_rmat)
         m = dg.machines[0]
         ws = exc.workers[0][0]
-        tally = execute_edge_map_chunk(exc, m, ws, spec, 0, m.n_local)
+        tally = execute_edge_map_chunk(exc, m, ws, spec, 0, m.n_local,
+                                       spec.iter_kinds[0])
         assert tally.seq_bytes >= tally.edges * CSR_BYTES_PER_EDGE
 
     def test_pull_has_no_atomics_push_does(self, small_rmat):
@@ -102,14 +106,16 @@ class TestChunkExecution:
                                                 machines=1)
             m = dg.machines[0]
             ws = exc.workers[0][0]
-            tally = execute_edge_map_chunk(exc, m, ws, spec, 0, m.n_local)
+            tally = execute_edge_map_chunk(exc, m, ws, spec, 0, m.n_local,
+                                           spec.iter_kinds[0])
             assert (tally.atomic_ops > 0) == expect_atomics
 
     def test_remote_edges_fill_buffers(self, small_rmat):
         cluster, dg, exc, spec = setup_exec(small_rmat, machines=4)
         m = dg.machines[0]
         ws = exc.workers[0][0]
-        execute_edge_map_chunk(exc, m, ws, spec, 0, m.n_local)
+        execute_edge_map_chunk(exc, m, ws, spec, 0, m.n_local,
+                               spec.iter_kinds[0])
         buffered = sum(sum(len(o) for o in b.offsets)
                        for b in ws.read_bufs.values())
         sent = sum(len(s.rows) for s in ws.side_structs.values())
@@ -122,7 +128,8 @@ class TestChunkExecution:
         cluster, dg, exc, spec = setup_exec(small_rmat)
         m = dg.machines[0]
         ws = exc.workers[0][0]
-        tally = execute_edge_map_chunk(exc, m, ws, spec, 5, 5)
+        tally = execute_edge_map_chunk(exc, m, ws, spec, 5, 5,
+                                       spec.iter_kinds[0])
         assert tally.edges == 0 and tally.tasks == 0
 
     def test_ghost_edges_classified_ghost_not_remote(self):
@@ -137,5 +144,6 @@ class TestChunkExecution:
             # initialize ghost write columns as the jobrunner would
             m.ghosts.begin_writes("t", ReduceOp.SUM, np.float64)
             ws = exc.workers[m.index][0]
-            execute_edge_map_chunk(exc, m, ws, spec, 0, m.n_local)
+            execute_edge_map_chunk(exc, m, ws, spec, 0, m.n_local,
+                                   spec.iter_kinds[0])
         assert exc.stats.remote_writes == writes_before  # all ghost-absorbed

@@ -271,5 +271,7 @@ class TestEngineWindowsMatchOracle:
         dg, exc, _ = _run_streamed(rmat(400, 3000, seed=5), EdgeMapSpec(
             direction="push", source="x", target="t", op=ReduceOp.SUM))
         for stream, m in zip(exc.window_streams, dg.machines):
-            assert stream.row_prefix is m.out_csr.disk_row_prefix(m.lo)
+            assert list(stream.row_prefixes) == ["out"]
+            assert stream.row_prefixes["out"] is m.out_csr.disk_row_prefix(
+                m.lo)
             assert m.in_csr._disk_prefix is None  # never streamed
